@@ -411,16 +411,18 @@ func (st *nodeState) mergeLoop() error {
 	for {
 		// Termination: any active edge anywhere? (The owned-side view is
 		// complete: every edge has at least one owned endpoint on some
-		// node.)
+		// node.) Each visited vertex is charged its whole adjacency list:
+		// how far into the list the first active edge sits depends on map
+		// order, and simulated times must not.
 		anyActive := false
 		scanned := 0
 		for _, v := range st.ownedIDs {
 			if _, alive := st.adj[v]; !alive {
 				continue
 			}
-			//vet:ordered OR-reduction into a flag plus a count; both commute across iteration orders
+			scanned += len(st.adj[v])
+			//vet:ordered OR-reduction into a flag; it commutes across iteration orders
 			for w := range st.adj[v] {
-				scanned++
 				if st.crit.Homogeneous(st.iv[v].Union(st.iv[w])) {
 					anyActive = true
 					break

@@ -159,8 +159,16 @@ func (n *Node) Send(dst, tag int, data []int32) {
 // advances to at least the message's arrival time plus the receive
 // overhead.
 func (n *Node) Recv(src, tag int) Message {
+	m := n.await(src, tag)
+	n.acceptClock(m)
+	return m
+}
+
+// await blocks until a message with the given tag arrives from src
+// (src < 0 accepts any sender) and dequeues it without touching the
+// clock.
+func (n *Node) await(src, tag int) Message {
 	if m, ok := n.takeQueued(src, tag); ok {
-		n.acceptClock(m)
 		return m
 	}
 	cl := n.cl
@@ -175,7 +183,6 @@ func (n *Node) Recv(src, tag int) Message {
 			cl.inboxes[n.Rank] = nil
 			cl.mu.Unlock()
 			if m, ok := n.takeQueued(src, tag); ok {
-				n.acceptClock(m)
 				return m
 			}
 			continue
@@ -392,7 +399,9 @@ func (n *Node) exchangeLP(out map[int][]int32, tag int) map[int][]int32 {
 
 // exchangeAsync implements the asynchronous scheme: direct sends of
 // non-empty payloads; receivers learn their expected senders from a cheap
-// flag concatenation and receive in arrival order.
+// flag concatenation and accept in simulated arrival order. Ties in
+// arrival time go to the lower source rank, so the receive charges never
+// depend on which goroutine happened to deliver first.
 func (n *Node) exchangeAsync(out map[int][]int32, tag int) map[int][]int32 {
 	q := n.cl.Q
 	row := make([]int32, q)
@@ -425,8 +434,18 @@ func (n *Node) exchangeAsync(out map[int][]int32, tag int) map[int][]int32 {
 			expected++
 		}
 	}
-	for got := 0; got < expected; got++ {
-		m := n.Recv(-1, tag)
+	msgs := make([]Message, expected)
+	for i := range msgs {
+		msgs[i] = n.await(-1, tag)
+	}
+	sort.Slice(msgs, func(i, j int) bool {
+		if msgs[i].arrive != msgs[j].arrive {
+			return msgs[i].arrive < msgs[j].arrive
+		}
+		return msgs[i].Src < msgs[j].Src
+	})
+	for _, m := range msgs {
+		n.acceptClock(m)
 		recv[m.Src] = m.Data
 	}
 	return recv
