@@ -61,7 +61,7 @@ func BenchmarkRecolourMap(b *testing.B) {
 // TestRecolourMatchesMapBaseline pins the dense-table implementation to
 // the map baseline pixel for pixel, on every paper image.
 func TestRecolourMatchesMapBaseline(t *testing.T) {
-	for _, id := range AllPaperImages() {
+	for _, id := range AllPaperImageIDs() {
 		im := GeneratePaperImage(id)
 		seg, err := Segment(im, Config{Threshold: 10, Tie: RandomTie, Seed: 1})
 		if err != nil {

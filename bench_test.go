@@ -67,7 +67,7 @@ func BenchmarkTable6_Image6(b *testing.B) { benchTable(b, Image6Tool256) }
 // merge-stage simulated time per configuration summed over images 1–6.
 func BenchmarkFigure3_MergeComparison(b *testing.B) {
 	images := make([]*Image, 0, 6)
-	for _, id := range AllPaperImages() {
+	for _, id := range AllPaperImageIDs() {
 		images = append(images, GeneratePaperImage(id))
 	}
 	for _, kind := range AllEngineKinds() {

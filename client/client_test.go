@@ -36,7 +36,7 @@ func TestWaitByteIdenticalToLocalSegment(t *testing.T) {
 	c := newService(t, server.Options{})
 	ctx := context.Background()
 	cfg := regiongrow.Config{Threshold: 10, Tie: regiongrow.RandomTie, Seed: 1}
-	for _, id := range regiongrow.AllPaperImages() {
+	for _, id := range regiongrow.AllPaperImageIDs() {
 		im := regiongrow.GeneratePaperImage(id)
 		want, err := regiongrow.Segment(im, cfg)
 		if err != nil {

@@ -62,9 +62,9 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	run := regiongrow.RunExperimentContext
+	run := regiongrow.RunExperiment
 	if *native {
-		run = regiongrow.RunExperimentWithNativeContext
+		run = regiongrow.RunExperimentWithNative
 	}
 	if *serverURL != "" {
 		c, err := client.New(*serverURL)
@@ -80,7 +80,7 @@ func main() {
 	// capture from a CI run or a local repro ranks split, RAG build, and
 	// merge without flag-parsing or table-rendering noise.
 	err = regiongrow.RunProfiled(*cpuprofile, *memprofile, func() error {
-		for i, id := range regiongrow.AllPaperImages() {
+		for i, id := range regiongrow.AllPaperImageIDs() {
 			exp, err := run(ctx, id, cfg)
 			if errors.Is(err, context.DeadlineExceeded) {
 				return fmt.Errorf("timed out after %v with %d of 6 tables done — raise -timeout", *timeout, i)

@@ -99,10 +99,7 @@ func TestEnumerationsRoundTrip(t *testing.T) {
 	if len(ids) != 6 {
 		t.Fatalf("AllPaperImageIDs() has %d entries, want 6", len(ids))
 	}
-	for i, id := range ids {
-		if id != AllPaperImages()[i] {
-			t.Fatalf("AllPaperImageIDs()[%d] = %v differs from AllPaperImages()", i, id)
-		}
+	for _, id := range ids {
 		for _, s := range []string{id.ShortName(), strings.ToUpper(id.ShortName())} {
 			got, err := ParsePaperImageID(s)
 			if err != nil || got != id {

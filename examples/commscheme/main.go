@@ -25,7 +25,7 @@ func main() {
 	fmt.Printf("%-50s %10s %10s %8s %10s %10s\n",
 		"image", "LP merge", "Async", "speedup", "LP steps", "messages")
 	var totLP, totAsync float64
-	for _, id := range regiongrow.AllPaperImages() {
+	for _, id := range regiongrow.AllPaperImageIDs() {
 		im := regiongrow.GeneratePaperImage(id)
 		cfg := regiongrow.Config{Threshold: 10, Tie: regiongrow.RandomTie, Seed: 2}
 

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -12,8 +13,8 @@ import (
 )
 
 func main() {
-	for _, id := range regiongrow.AllPaperImages() {
-		exp, err := regiongrow.RunExperiment(id, regiongrow.DefaultConfig())
+	for _, id := range regiongrow.AllPaperImageIDs() {
+		exp, err := regiongrow.RunExperiment(context.Background(), id, regiongrow.DefaultConfig())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -23,7 +23,7 @@ func main() {
 
 	fmt.Printf("%-50s %-12s %12s %12s %12s\n",
 		"image", "tie policy", "merge iters", "merges/iter", "regions")
-	for _, id := range regiongrow.AllPaperImages() {
+	for _, id := range regiongrow.AllPaperImageIDs() {
 		im := regiongrow.GeneratePaperImage(id)
 		for _, p := range policies {
 			cfg := regiongrow.Config{Threshold: 10, Tie: p.tie, Seed: 1}

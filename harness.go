@@ -73,16 +73,11 @@ type Row = stats.Row
 // the image, runs all five machine configurations, and returns the table.
 // Each configuration uses a distinct derived seed for the Random tie
 // policy, reflecting the paper's observation that merge iteration counts
-// vary across implementations.
-func RunExperiment(id PaperImageID, cfg Config) (Experiment, error) {
-	return RunExperimentContext(context.Background(), id, cfg)
-}
-
-// RunExperimentContext is RunExperiment under a context: each of the five
-// engine runs goes through a Segmenter, so cancelling ctx (or exceeding a
-// deadline, as cmd/benchtab's -timeout does) aborts the in-flight run
-// within one iteration and returns ctx.Err().
-func RunExperimentContext(ctx context.Context, id PaperImageID, cfg Config) (Experiment, error) {
+// vary across implementations. Each of the five engine runs goes through a
+// Segmenter, so cancelling ctx (or exceeding a deadline, as cmd/benchtab's
+// -timeout does) aborts the in-flight run within one iteration and returns
+// ctx.Err().
+func RunExperiment(ctx context.Context, id PaperImageID, cfg Config) (Experiment, error) {
 	im := GeneratePaperImage(id)
 	exp := Experiment{Image: id}
 	for _, kind := range AllEngineKinds() {
@@ -146,27 +141,8 @@ func ExperimentConfig(kind EngineKind, cfg Config) Config {
 // WallSplit/WallMerge. The row uses the seed exactly as configured (the
 // native engine's segmentations must match the sequential engine's for
 // equal seeds, so there is no per-model seed derivation).
-func NativeRow(id PaperImageID, cfg Config) (Row, error) {
-	return NativeRowContext(context.Background(), id, cfg)
-}
-
-// NativeRowContext is NativeRow under a context.
-func NativeRowContext(ctx context.Context, id PaperImageID, cfg Config) (Row, error) {
-	im := GeneratePaperImage(id)
-	seg, err := nativeSession.Segment(ctx, im, cfg)
-	if err != nil {
-		return Row{}, fmt.Errorf("regiongrow: native on %v: %w", id, err)
-	}
-	if err := Validate(seg, im, cfg); err != nil {
-		return Row{}, fmt.Errorf("regiongrow: native on %v produced invalid segmentation: %w", id, err)
-	}
-	return Row{
-		Config:     machine.HostNative,
-		SplitIters: seg.SplitIterations,
-		MergeIters: seg.MergeIterations,
-		WallSplit:  seg.SplitWall.Seconds(),
-		WallMerge:  seg.MergeWall.Seconds(),
-	}, nil
+func NativeRow(ctx context.Context, id PaperImageID, cfg Config) (Row, error) {
+	return hostRow(ctx, nativeSession, "native", machine.HostNative, id, cfg)
 }
 
 // ClusterRow runs the distributed engine against the given
@@ -180,16 +156,22 @@ func ClusterRow(ctx context.Context, addrs []string, id PaperImageID, cfg Config
 	if err != nil {
 		return Row{}, err
 	}
+	return hostRow(ctx, sess, "dist", machine.HostCluster, id, cfg)
+}
+
+// hostRow runs a host engine's session on one paper image, validates the
+// result, and returns its row with host wall times.
+func hostRow(ctx context.Context, sess *Segmenter, name string, mc machine.ConfigID, id PaperImageID, cfg Config) (Row, error) {
 	im := GeneratePaperImage(id)
 	seg, err := sess.Segment(ctx, im, cfg)
 	if err != nil {
-		return Row{}, fmt.Errorf("regiongrow: dist on %v: %w", id, err)
+		return Row{}, fmt.Errorf("regiongrow: %s on %v: %w", name, id, err)
 	}
 	if err := Validate(seg, im, cfg); err != nil {
-		return Row{}, fmt.Errorf("regiongrow: dist on %v produced invalid segmentation: %w", id, err)
+		return Row{}, fmt.Errorf("regiongrow: %s on %v produced invalid segmentation: %w", name, id, err)
 	}
 	return Row{
-		Config:     machine.HostCluster,
+		Config:     mc,
 		SplitIters: seg.SplitIterations,
 		MergeIters: seg.MergeIterations,
 		WallSplit:  seg.SplitWall.Seconds(),
@@ -201,18 +183,12 @@ func ClusterRow(ctx context.Context, addrs []string, id PaperImageID, cfg Config
 // appends a sixth row for the native shared-memory engine. The paper's
 // tables keep their five-row shape by default; callers opt into the extra
 // row with this helper.
-func RunExperimentWithNative(id PaperImageID, cfg Config) (Experiment, error) {
-	return RunExperimentWithNativeContext(context.Background(), id, cfg)
-}
-
-// RunExperimentWithNativeContext is RunExperimentWithNative under a
-// context.
-func RunExperimentWithNativeContext(ctx context.Context, id PaperImageID, cfg Config) (Experiment, error) {
-	exp, err := RunExperimentContext(ctx, id, cfg)
+func RunExperimentWithNative(ctx context.Context, id PaperImageID, cfg Config) (Experiment, error) {
+	exp, err := RunExperiment(ctx, id, cfg)
 	if err != nil {
 		return exp, err
 	}
-	row, err := NativeRowContext(ctx, id, cfg)
+	row, err := NativeRow(ctx, id, cfg)
 	if err != nil {
 		return exp, err
 	}
@@ -227,18 +203,12 @@ func DefaultConfig() Config {
 }
 
 // RunAllExperiments runs the six experiments with the default
-// configuration.
-func RunAllExperiments() ([]Experiment, error) {
-	return RunAllExperimentsContext(context.Background())
-}
-
-// RunAllExperimentsContext runs the six experiments with the default
-// configuration under a context; cancellation aborts the in-flight run
-// and returns ctx.Err().
-func RunAllExperimentsContext(ctx context.Context) ([]Experiment, error) {
+// configuration; cancellation aborts the in-flight run and returns
+// ctx.Err().
+func RunAllExperiments(ctx context.Context) ([]Experiment, error) {
 	var out []Experiment
-	for _, id := range AllPaperImages() {
-		exp, err := RunExperimentContext(ctx, id, DefaultConfig())
+	for _, id := range AllPaperImageIDs() {
+		exp, err := RunExperiment(ctx, id, DefaultConfig())
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package regiongrow
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -98,7 +99,7 @@ func rectScene(w, h int) *pixmap.Image {
 // acceptance property: byte-identical segmentations to the sequential
 // reference on all six paper images under all three tie policies.
 func TestNativeMatchesSequentialOnPaperImages(t *testing.T) {
-	for _, id := range AllPaperImages() {
+	for _, id := range AllPaperImageIDs() {
 		im := GeneratePaperImage(id)
 		for _, tie := range []TiePolicy{SmallestIDTie, LargestIDTie, RandomTie} {
 			cfg := Config{Threshold: 10, Tie: tie, Seed: 1}
@@ -127,7 +128,7 @@ func TestNativeMatchesSequentialOnPaperImages(t *testing.T) {
 // native engine's row carries host wall times, no simulated seconds, and
 // the same split iteration count as the simulated rows.
 func TestRunExperimentWithNative(t *testing.T) {
-	exp, err := RunExperimentWithNative(Image2Rects128, DefaultConfig())
+	exp, err := RunExperimentWithNative(context.Background(), Image2Rects128, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestPaperOrderingsHold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full 30-run evaluation")
 	}
-	exps, err := RunAllExperiments()
+	exps, err := RunAllExperiments(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

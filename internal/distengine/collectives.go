@@ -13,7 +13,6 @@ type roundKind int
 const (
 	roundReduceMax roundKind = iota + 1
 	roundReduceSum
-	roundBarrier
 	roundGather
 	roundExchange
 )
@@ -24,8 +23,6 @@ func (k roundKind) String() string {
 		return "all-reduce-max"
 	case roundReduceSum:
 		return "all-reduce-sum"
-	case roundBarrier:
-		return "barrier"
 	case roundGather:
 		return "all-gather"
 	case roundExchange:
@@ -159,8 +156,6 @@ func (r *round) finish(n int) {
 		for _, v := range r.vals {
 			r.val += v
 		}
-	case roundBarrier:
-		// Pure rendezvous.
 	case roundGather:
 		total := 0
 		for _, d := range r.data {

@@ -14,17 +14,6 @@ import (
 	"regiongrow/internal/transport"
 )
 
-// Wire codes for stage events: core.EventKind values, pinned here so a
-// drifting enum shows up as a compile-time constant mismatch in tests
-// rather than silent event corruption.
-const (
-	evSplitStart     = int32(core.EventSplitStart)
-	evSplitDone      = int32(core.EventSplitDone)
-	evGraphDone      = int32(core.EventGraphDone)
-	evMergeIteration = int32(core.EventMergeIteration)
-	evMergeDone      = int32(core.EventMergeDone)
-)
-
 // ErrWorkerLost classifies a job failure as transport-level: a worker
 // died, stalled past the link timeout, or its connection broke. Failures
 // wrapping it are retryable — the engine re-runs the job on the workers
@@ -263,7 +252,6 @@ func (e *Engine) Segment(im *pixmap.Image, cfg core.Config) (*core.Segmentation,
 type commCounters struct {
 	messages, words             atomic.Int64
 	reduces, gathers, exchanges atomic.Int64
-	barriers                    atomic.Int64
 }
 
 // SegmentContext implements core.ContextEngine. Cancelling ctx sends an
@@ -463,7 +451,6 @@ func (e *Engine) runJob(ctx context.Context, tun Tuning, addrs []string, im *pix
 		Comm: &core.CommStats{
 			Messages:  comm.messages.Load(),
 			Words:     comm.words.Load(),
-			Barriers:  comm.barriers.Load(),
 			Gathers:   comm.gathers.Load(),
 			Reduces:   comm.reduces.Load(),
 			Exchanges: comm.exchanges.Load(),
@@ -563,20 +550,15 @@ func runWorker(rank int, wc transport.Conn, tun Tuning, starts []int, cap int, i
 			if d.err != nil {
 				return fmt.Errorf("distengine: worker %d: malformed reduce", rank)
 			}
-			var kind roundKind
+			kind := roundReduceMax
 			switch op[0] {
 			case opMax:
-				kind = roundReduceMax
-				comm.reduces.Add(1)
 			case opSum:
 				kind = roundReduceSum
-				comm.reduces.Add(1)
-			case opBarrier:
-				kind = roundBarrier
-				comm.barriers.Add(1)
 			default:
 				return fmt.Errorf("distengine: worker %d: unknown reduce op %d", rank, op[0])
 			}
+			comm.reduces.Add(1)
 			r, err := coll.sync(rank, kind, seq, val, nil)
 			if err != nil {
 				return syncErr(coll, err)

@@ -81,8 +81,6 @@ const (
 const (
 	opMax byte = iota + 1
 	opSum
-	// opBarrier is a pure rendezvous: the combined value is always zero.
-	opBarrier
 )
 
 // Frame transport (length-prefixed type+payload framing, the MaxFrame

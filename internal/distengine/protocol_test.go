@@ -1,30 +1,6 @@
 package distengine
 
-import (
-	"testing"
-
-	"regiongrow/internal/core"
-)
-
-// TestEventWireCodes pins the wire event codes to core.EventKind: every
-// stage event an engine can emit has a stable frame encoding, in order.
-func TestEventWireCodes(t *testing.T) {
-	want := map[int32]core.EventKind{
-		evSplitStart:     core.EventSplitStart,
-		evSplitDone:      core.EventSplitDone,
-		evGraphDone:      core.EventGraphDone,
-		evMergeIteration: core.EventMergeIteration,
-		evMergeDone:      core.EventMergeDone,
-	}
-	for code, kind := range want {
-		if core.EventKind(code) != kind {
-			t.Errorf("wire code %d != core kind %v", code, kind)
-		}
-	}
-	if len(want) != 5 {
-		t.Errorf("%d wire codes, want 5", len(want))
-	}
-}
+import "testing"
 
 // TestJobRoundTrip pins the job frame encoding.
 func TestJobRoundTrip(t *testing.T) {

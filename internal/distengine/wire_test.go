@@ -31,12 +31,14 @@ func (t *tapConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// Write records p before sending it: once the result frame is on the wire
+// the job can complete and the test can read the tap, so recording after
+// the send would race with that read.
 func (t *tapConn) Write(p []byte) (int, error) {
-	n, err := t.Conn.Write(p)
 	t.mu.Lock()
-	t.out.Write(p[:n])
+	t.out.Write(p)
 	t.mu.Unlock()
-	return n, err
+	return t.Conn.Write(p)
 }
 
 // tapListener wraps a worker listener, tapping every accepted connection

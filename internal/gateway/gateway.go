@@ -135,7 +135,7 @@ func New(opts Options) (*Gateway, error) {
 		paperKeys: make(map[string]paperKey),
 	}
 	g.metrics.start = time.Now()
-	for _, id := range regiongrow.AllPaperImages() {
+	for _, id := range regiongrow.AllPaperImageIDs() {
 		im := regiongrow.GeneratePaperImage(id)
 		g.paperKeys[id.ShortName()] = paperKey{hash: regiongrow.HashImage(im), w: im.W, h: im.H}
 	}

@@ -1,30 +1,17 @@
-// Package mpengine implements the paper's message-passing (F77 + CMMD)
-// split-and-merge program on the mpvm cluster.
+// Package mpengine runs the paper's message-passing (F77 + CMMD)
+// split-and-merge program, internal/nodeprog, on the mpvm cluster.
 //
-// The node program follows the paper's steps 0–5:
+// The image is block-mapped onto a P1×P2 node grid whose tile sides are
+// multiples of the square-size cap. Each node runs the program through an
+// adapter over its mpvm.Node: the irregular exchanges run under either the
+// Linear Permutation or the Async scheme — the comparison at the heart of
+// the paper's CM-5 results — boundary strips travel point to point to the
+// four grid neighbours, and the cost hooks charge node compute, the
+// profile's fixed costs, and the stage barriers whose clock samples become
+// SplitSim and MergeSim. The merge loop's head reduction doubles as the
+// cancellation rendezvous, so all nodes abort together.
 //
-//  0. The image is block-mapped onto a P1×P2 node grid; each node holds an
-//     (N/P1)×(N/P2) sub-image, preserving adjacency between blocks.
-//  1. Each node splits its sub-image independently. Because tile sides are
-//     multiples of the square-size cap, the union of the local splits is
-//     exactly the global split.
-//  2. Each node builds the vertices and edges of its local graph; boundary
-//     strips (labels plus region intervals) are exchanged with the four
-//     grid neighbours to create cross-node edges.
-//  3. Nodes compute merge choices for the vertices they own, route each
-//     choice to the chosen neighbour's owner, and detect mutual pairs.
-//  4. Merge events (representative, loser, new interval) are globally
-//     concatenated so every node can relabel its edges; each loser's
-//     adjacency list is handed over to its representative's owner.
-//  5. Steps 3–4 repeat while any node still has an active edge.
-//
-// Irregular communications (choice routing, adjacency handover) run under
-// either the Linear Permutation or the Async scheme — the comparison at the
-// heart of the paper's CM-5 message-passing results.
-//
-// Vertex ownership is static: a region is owned by the node whose tile
-// contains its origin pixel; when two regions merge, the representative
-// (smaller ID) keeps its owner. Choices use the same hash-based tie
-// semantics as the sequential kernel, so the engine produces segmentations
-// identical to the sequential engine for every policy and seed.
+// Simulated times and communication counters are deterministic;
+// testdata/simulated.golden pins them for both schemes on the paper's six
+// images. Labels equal the sequential engine's for every policy and seed.
 package mpengine

@@ -2,34 +2,33 @@ package mpengine
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"sort"
-	"sync"
+	"maps"
+	"slices"
 	"time"
 
 	"regiongrow/internal/core"
-	"regiongrow/internal/homog"
 	"regiongrow/internal/machine"
 	"regiongrow/internal/mpvm"
+	"regiongrow/internal/nodeprog"
 	"regiongrow/internal/pixmap"
 	"regiongrow/internal/quadsplit"
-	"regiongrow/internal/rag"
 )
 
 // cancelCode is the sentinel contributed to a reduction by a node that has
 // observed context cancellation. Cancellation must be a collective
 // decision — a node returning unilaterally would leave its peers blocked
-// in a barrier — so nodes fold it into reductions they already perform
-// (AllReduceOr is AllReduceMax underneath, so the piggyback changes no
-// simulated times and no communication counters). The code dominates any
-// legitimate contribution: split iterations and the merge loop's 0/1
-// activity flag are both far below it.
+// in a barrier — so nodes fold it into the max-reductions the node program
+// already performs (the split-level count and each merge round's activity
+// flag), which changes no simulated times and no communication counters.
+// The code dominates any legitimate contribution: split levels and the
+// 0/1 activity flag are both far below it.
 const cancelCode = 1 << 20
 
 // Engine is the message-passing engine bound to a configuration and
 // communication scheme.
 type Engine struct {
-	cfg    machine.ConfigID
 	scheme mpvm.Scheme
 	nodes  int
 	prof   *machine.Profile
@@ -40,9 +39,9 @@ type Engine struct {
 func New(cfg machine.ConfigID) (*Engine, error) {
 	switch cfg {
 	case machine.CM5_LP:
-		return &Engine{cfg: cfg, scheme: mpvm.LP, nodes: 32, prof: machine.Get(cfg)}, nil
+		return &Engine{scheme: mpvm.LP, nodes: 32, prof: machine.Get(cfg)}, nil
 	case machine.CM5_Async:
-		return &Engine{cfg: cfg, scheme: mpvm.Async, nodes: 32, prof: machine.Get(cfg)}, nil
+		return &Engine{scheme: mpvm.Async, nodes: 32, prof: machine.Get(cfg)}, nil
 	default:
 		return nil, fmt.Errorf("mpengine: %v is not a message-passing configuration", cfg)
 	}
@@ -51,7 +50,7 @@ func New(cfg machine.ConfigID) (*Engine, error) {
 // NewCustom returns an engine with an explicit node count, scheme, and
 // profile — used by scaling ablations and tests.
 func NewCustom(nodes int, scheme mpvm.Scheme, prof *machine.Profile) *Engine {
-	return &Engine{cfg: machine.CM5_LP, scheme: scheme, nodes: nodes, prof: prof}
+	return &Engine{scheme: scheme, nodes: nodes, prof: prof}
 }
 
 // Name implements core.Engine.
@@ -61,23 +60,6 @@ func (e *Engine) Name() string {
 
 // Scheme returns the engine's communication scheme.
 func (e *Engine) Scheme() mpvm.Scheme { return e.scheme }
-
-// grid geometry of the node mesh.
-type geom struct {
-	W, H   int
-	P1, P2 int // node rows, node cols
-	tw, th int // tile width, height
-}
-
-func (g geom) owner(id int32) int {
-	x := int(id) % g.W
-	y := int(id) / g.W
-	return (y/g.th)*g.P2 + x/g.tw
-}
-
-func (g geom) tileOrigin(rank int) (x0, y0 int) {
-	return (rank % g.P2) * g.tw, (rank / g.P2) * g.th
-}
 
 // factor splits q into P1×P2, both powers of two, as square as possible.
 func factor(q int) (p1, p2 int, err error) {
@@ -99,9 +81,9 @@ func (e *Engine) Segment(im *pixmap.Image, cfg core.Config) (*core.Segmentation,
 }
 
 // SegmentContext implements core.ContextEngine. Every node folds its view
-// of ctx into the reductions that already punctuate the split handoff and
-// each merge round, so all nodes abort together (within one iteration) and
-// the simulated cluster always joins — no goroutine outlives the call.
+// of ctx into the max-reductions that already punctuate the split handoff
+// and each merge round, so all nodes abort together (within one iteration)
+// and the simulated cluster always joins — no goroutine outlives the call.
 // Stage events are emitted by node 0 only, from its node goroutine.
 func (e *Engine) SegmentContext(ctx context.Context, im *pixmap.Image, cfg core.Config, run core.Run) (*core.Segmentation, error) {
 	if err := ctx.Err(); err != nil {
@@ -114,62 +96,42 @@ func (e *Engine) SegmentContext(ctx context.Context, im *pixmap.Image, cfg core.
 	if im.W%p2 != 0 || im.H%p1 != 0 {
 		return nil, fmt.Errorf("mpengine: image %dx%d not divisible by node grid %dx%d", im.W, im.H, p1, p2)
 	}
-	g := geom{W: im.W, H: im.H, P1: p1, P2: p2, tw: im.W / p2, th: im.H / p1}
+	tw, th := im.W/p2, im.H/p1
 	cap := quadsplit.EffectiveCap(quadsplit.Options{MaxSquare: cfg.MaxSquare}, im.W, im.H)
-	if g.tw%cap != 0 || g.th%cap != 0 {
-		return nil, fmt.Errorf("mpengine: tile %dx%d not aligned to square cap %d", g.tw, g.th, cap)
+	if tw%cap != 0 || th%cap != 0 {
+		return nil, fmt.Errorf("mpengine: tile %dx%d not aligned to square cap %d", tw, th, cap)
 	}
+	grid := nodeprog.Grid{XStarts: even(im.W, p2), YStarts: even(im.H, p1)}
 
 	out := make([]int32, im.W*im.H) // nodes write disjoint tiles
-	results := make([]nodeResult, e.nodes)
-	var wallMu sync.Mutex
-	var splitWallMax time.Duration
-
+	results := make([]*node, e.nodes)
 	run.Emit(core.StageEvent{Kind: core.EventSplitStart})
 	t0 := time.Now() //vet:timing total wall-time for Stats; never reaches labels or messages
 	_, clusterStats, err := mpvm.Run(e.nodes, e.prof, func(n *mpvm.Node) error {
-		st := &nodeState{n: n, g: g, e: e, im: im, cfg: cfg, cap: cap, crit: cfg.Criterion(), ctx: ctx, run: run}
-		tSplit := time.Now() //vet:timing stage wall-time for Stats; never reaches labels or messages
-		st.splitLocal()
-		code := st.localIters
-		if ctx.Err() != nil {
-			code |= cancelCode
+		x0, y0 := (n.Rank%p2)*tw, (n.Rank/p2)*th
+		tile, err := im.SubImage(x0, y0, tw, th)
+		if err != nil {
+			panic(err)
 		}
-		red := n.AllReduceMax(code)
-		if red >= cancelCode {
-			return ctxErr(ctx)
+		nd := &node{n: n, e: e, ctx: ctx, run: run}
+		res, err := nodeprog.Run(nd, nodeprog.Node{
+			Grid: grid, Rank: n.Rank, Tile: tile, Cap: cap,
+			Crit: cfg.Criterion(), Tie: cfg.Tie, Seed: cfg.Seed,
+		})
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			return err // every node saw the same reduction and returns too
 		}
-		st.splitIters = red
-		st.numSquares = n.AllReduceSum(len(st.ownedIDs))
-		n.Barrier()
-		simSplit := n.Clock()
-		wallMu.Lock()
-		if d := time.Since(tSplit); d > splitWallMax { //vet:timing stage wall-time for Stats; never reaches labels or messages
-			splitWallMax = d
+		if err != nil {
+			// The simulated machine cannot corrupt a payload, so this is a
+			// bug; panicking tears the cluster down instead of leaving the
+			// peers blocked in their next collective.
+			panic(err)
 		}
-		wallMu.Unlock()
-		if n.Rank == 0 {
-			run.Emit(core.StageEvent{Kind: core.EventSplitDone, Iterations: st.splitIters, Squares: st.numSquares})
+		for ly := 0; ly < th; ly++ {
+			copy(out[(y0+ly)*im.W+x0:], res.Labels[ly*tw:(ly+1)*tw])
 		}
-
-		st.buildGraph()
-		if n.Rank == 0 {
-			run.Emit(core.StageEvent{Kind: core.EventGraphDone, Squares: st.numSquares})
-		}
-		if err := st.mergeLoop(); err != nil {
-			return err
-		}
-		st.writeLabels(out)
-		n.Barrier()
-		results[n.Rank] = nodeResult{
-			simSplit: simSplit,
-			simTotal: n.Clock(),
-			iters:    st.stats.Iterations,
-			merges:   st.stats.MergesPerIter,
-			forced:   st.stats.ForcedResolutions,
-			splitIt:  st.splitIters,
-			squares:  st.numSquares,
-		}
+		nd.res = res
+		results[n.Rank] = nd
 		return nil
 	})
 	totalWall := time.Since(t0) //vet:timing total wall-time for Stats; never reaches labels or messages
@@ -177,17 +139,21 @@ func (e *Engine) SegmentContext(ctx context.Context, im *pixmap.Image, cfg core.
 		return nil, err
 	}
 
+	var splitWall time.Duration
+	for _, nd := range results {
+		splitWall = max(splitWall, nd.res.SplitWall)
+	}
 	r0 := results[0]
 	seg := &core.Segmentation{
 		W: im.W, H: im.H,
 		Labels:            out,
-		SplitIterations:   r0.splitIt,
-		MergeIterations:   r0.iters,
-		SquaresAfterSplit: r0.squares,
-		MergesPerIter:     r0.merges,
-		ForcedResolutions: r0.forced,
-		SplitWall:         splitWallMax,
-		MergeWall:         totalWall - splitWallMax,
+		SplitIterations:   r0.res.SplitIterations,
+		MergeIterations:   r0.res.Merge.Iterations,
+		SquaresAfterSplit: r0.res.Squares,
+		MergesPerIter:     r0.res.Merge.MergesPerIter,
+		ForcedResolutions: r0.res.Merge.ForcedResolutions,
+		SplitWall:         splitWall,
+		MergeWall:         totalWall - splitWall,
 		SplitSim:          r0.simSplit,
 		MergeSim:          r0.simTotal - r0.simSplit,
 		Comm: &core.CommStats{
@@ -205,6 +171,15 @@ func (e *Engine) SegmentContext(ctx context.Context, im *pixmap.Image, cfg core.
 	return seg, nil
 }
 
+// even returns parts+1 boundaries splitting [0, n) into equal spans.
+func even(n, parts int) []int {
+	starts := make([]int, parts+1)
+	for i := range starts {
+		starts[i] = i * n / parts
+	}
+	return starts
+}
+
 // ctxErr returns ctx's error, falling back to context.Canceled for the
 // window where a peer observed cancellation first and this node's own
 // check has not caught up.
@@ -215,490 +190,93 @@ func ctxErr(ctx context.Context) error {
 	return context.Canceled
 }
 
-var _ core.ContextEngine = (*Engine)(nil)
-
-type nodeResult struct {
-	simSplit, simTotal float64
-	iters              int
-	merges             []int
-	forced             int
-	splitIt            int
-	squares            int
-}
-
-// nodeState is the per-node program state.
-type nodeState struct {
-	n    *mpvm.Node
-	g    geom
-	e    *Engine
-	im   *pixmap.Image
-	cfg  core.Config
-	cap  int
-	crit homog.Criterion
-
+// node runs the node program on one simulated CM-5 node: nodeprog's
+// collectives map onto mpvm's, and its cost hooks onto the node's clock.
+type node struct {
+	n   *mpvm.Node
+	e   *Engine
 	ctx context.Context
 	run core.Run
+	tag int // exchange tag, advanced per exchange
 
-	x0, y0     int
-	labels     []int32 // local tile labels (global region IDs), tw×th
-	localIters int
-	splitIters int
-	numSquares int
-
-	ownedIDs []int32                      // owned vertex IDs, kept sorted
-	iv       map[int32]homog.Interval     // intervals of every known vertex
-	adj      map[int32]map[int32]struct{} // adjacency of owned vertices
-
-	asg   *rag.Assignments
-	stats rag.MergeStats
-	tag   int // monotonically increasing exchange tag
+	res                *nodeprog.Result
+	simSplit, simTotal float64
 }
 
-// splitLocal is step 1: split the node's sub-image independently.
-func (st *nodeState) splitLocal() {
-	g := st.g
-	st.x0, st.y0 = g.tileOrigin(st.n.Rank)
-	sub, err := st.im.SubImage(st.x0, st.y0, g.tw, g.th)
-	if err != nil {
-		panic(err)
+// AllReduceMax folds the node's view of ctx into the reduction: a
+// cancelled node contributes cancelCode, and a result at or above it
+// aborts every node together.
+func (nd *node) AllReduceMax(v int) (int, error) {
+	if nd.ctx.Err() != nil {
+		v |= cancelCode
 	}
-	res := quadsplit.Split(sub, st.crit, quadsplit.Options{MaxSquare: st.cap})
-	st.localIters = res.Iterations
-	// The F77 node code walks its tile once per level testing quad-blocks:
-	// charge ~8 scalar ops per pixel plus a fixed loop-setup cost per
-	// executed level.
-	st.n.Charge(g.tw * g.th * res.Iterations * 8)
-	st.n.ChargeTime(float64(res.Iterations) * st.e.prof.TSplitLevel)
-
-	// Convert local labels to global region IDs.
-	st.labels = make([]int32, g.tw*g.th)
-	for ly := 0; ly < g.th; ly++ {
-		for lx := 0; lx < g.tw; lx++ {
-			l := res.Labels[ly*g.tw+lx]
-			gx := st.x0 + int(l)%g.tw
-			gy := st.y0 + int(l)/g.tw
-			st.labels[ly*g.tw+lx] = int32(gy*g.W + gx)
-		}
+	red := nd.n.AllReduceMax(v)
+	if red >= cancelCode {
+		return 0, ctxErr(nd.ctx)
 	}
-	// Owned vertices and their intervals.
-	st.iv = make(map[int32]homog.Interval)
-	st.adj = make(map[int32]map[int32]struct{})
-	for _, sq := range res.Squares(sub) {
-		gid := int32((st.y0+sq.Y)*g.W + (st.x0 + sq.X))
-		st.iv[gid] = sq.IV
-		st.adj[gid] = make(map[int32]struct{})
-		st.ownedIDs = append(st.ownedIDs, gid)
-	}
-	sort.Slice(st.ownedIDs, func(i, j int) bool { return st.ownedIDs[i] < st.ownedIDs[j] })
+	return red, nil
 }
 
-// buildGraph is step 2: internal edges from the tile, cross edges from
-// boundary strips exchanged with grid neighbours.
-func (st *nodeState) buildGraph() {
-	g := st.g
-	// Internal edges.
-	for ly := 0; ly < g.th; ly++ {
-		for lx := 0; lx < g.tw; lx++ {
-			a := st.labels[ly*g.tw+lx]
-			if lx+1 < g.tw {
-				if b := st.labels[ly*g.tw+lx+1]; a != b {
-					st.addEdge(a, b)
-				}
-			}
-			if ly+1 < g.th {
-				if b := st.labels[(ly+1)*g.tw+lx]; a != b {
-					st.addEdge(a, b)
-				}
-			}
-		}
-	}
-	st.n.Charge(g.tw * g.th * 4)
+func (nd *node) AllReduceSum(v int) (int, error) { return nd.n.AllReduceSum(v), nil }
 
-	// Boundary strips: for each of the four neighbours, send the labels
-	// and intervals of my border pixels facing them; receive theirs; zip
-	// into cross edges. Regular neighbour communication (not
-	// scheme-dependent), as in the paper's step 2.
-	row, col := st.n.Rank/g.P2, st.n.Rank%g.P2
-	type dir struct {
-		drow, dcol int
-		tag        int
-	}
-	dirs := []dir{{0, 1, 1}, {0, -1, 2}, {1, 0, 3}, {-1, 0, 4}}
-	for _, d := range dirs {
-		nr, nc := row+d.drow, col+d.dcol
-		if nr < 0 || nr >= g.P1 || nc < 0 || nc >= g.P2 {
-			continue
-		}
-		peer := nr*g.P2 + nc
-		strip := st.borderStrip(d.drow, d.dcol)
-		payload := make([]int32, 0, len(strip)*3)
-		for _, id := range strip {
-			iv := st.iv[id]
-			payload = append(payload, id, int32(iv.Lo), int32(iv.Hi))
-		}
-		st.n.Send(peer, 100+d.tag, payload)
-	}
-	for _, d := range dirs {
-		nr, nc := row+d.drow, col+d.dcol
-		if nr < 0 || nr >= g.P1 || nc < 0 || nc >= g.P2 {
-			continue
-		}
-		peer := nr*g.P2 + nc
-		// The peer sends with the opposite direction's tag.
-		opp := map[int]int{1: 2, 2: 1, 3: 4, 4: 3}[d.tag]
-		m := st.n.Recv(peer, 100+opp)
-		mine := st.borderStrip(d.drow, d.dcol)
-		if len(m.Data) != len(mine)*3 {
-			panic(fmt.Sprintf("mpengine: boundary strip length %d, want %d", len(m.Data), len(mine)*3))
-		}
-		for i, myID := range mine {
-			theirID := m.Data[3*i]
-			theirIV := homog.Interval{Lo: uint8(m.Data[3*i+1]), Hi: uint8(m.Data[3*i+2])}
-			if _, ok := st.iv[theirID]; !ok {
-				st.iv[theirID] = theirIV
-			}
-			if myID != theirID {
-				st.addEdge(myID, theirID)
-			}
-		}
-	}
-	st.n.Barrier()
+func (nd *node) AllGather(data []int32) ([]int32, error) {
+	return slices.Concat(nd.n.AllGather(data)...), nil
 }
 
-// borderStrip returns, pixel by pixel, the labels along the tile border
-// facing direction (drow, dcol).
-func (st *nodeState) borderStrip(drow, dcol int) []int32 {
-	g := st.g
-	var out []int32
-	switch {
-	case dcol == 1: // east: last column, top to bottom
-		for ly := 0; ly < g.th; ly++ {
-			out = append(out, st.labels[ly*g.tw+g.tw-1])
-		}
-	case dcol == -1: // west: first column
-		for ly := 0; ly < g.th; ly++ {
-			out = append(out, st.labels[ly*g.tw])
-		}
-	case drow == 1: // south: last row, left to right
-		out = append(out, st.labels[(g.th-1)*g.tw:g.th*g.tw]...)
-	default: // north: first row
-		out = append(out, st.labels[:g.tw]...)
+// Exchange runs the engine's irregular-communication scheme (LP or Async).
+func (nd *node) Exchange(out map[int][]int32) ([][]int32, error) {
+	nd.tag += 64
+	recv := nd.n.Exchange(out, nd.e.scheme, 1000+nd.tag)
+	var in [][]int32
+	for _, src := range slices.Sorted(maps.Keys(recv)) {
+		in = append(in, recv[src])
 	}
-	return out
+	return in, nil
 }
 
-// addEdge records adjacency on whichever endpoints this node owns.
-func (st *nodeState) addEdge(a, b int32) {
-	if s, ok := st.adj[a]; ok {
-		s[b] = struct{}{}
+// Neighbours sends the strips point to point, then receives each peer's
+// reply in the same order. A strip travels with its side's tag (101–104
+// for east, west, south, north); the peer's reply carries the opposite
+// side's.
+func (nd *node) Neighbours(out []nodeprog.Strip) ([][]int32, error) {
+	for _, s := range out {
+		nd.n.Send(s.Peer, 101+int(s.Dir), s.Data)
 	}
-	if s, ok := st.adj[b]; ok {
-		s[a] = struct{}{}
+	in := make([][]int32, len(out))
+	for i, s := range out {
+		in[i] = nd.n.Recv(s.Peer, 101+int(s.Dir^1)).Data
+	}
+	return in, nil
+}
+
+func (nd *node) Emit(ev core.StageEvent) error {
+	nd.run.Emit(ev)
+	return nil
+}
+
+func (nd *node) Charge(ops int) { nd.n.Charge(ops) }
+
+// Phase charges the node program's fixed costs (see machine.Profile) and
+// places the barriers and clock samples that delimit the stages.
+func (nd *node) Phase(p nodeprog.Phase, n int) {
+	prof := nd.e.prof
+	switch p {
+	case nodeprog.PhaseSplit:
+		nd.n.ChargeTime(float64(n) * prof.TSplitLevel)
+	case nodeprog.PhaseSplitAgreed:
+		nd.n.Barrier()
+		nd.simSplit = nd.n.Clock()
+	case nodeprog.PhaseGraph:
+		nd.n.Barrier()
+	case nodeprog.PhaseRound:
+		nd.n.ChargeTime(prof.TMergeIterFixed + prof.TMergeIterPixel*float64(n))
+	case nodeprog.PhaseDone:
+		nd.n.Barrier()
+		nd.simTotal = nd.n.Clock()
 	}
 }
 
-// weight returns the merge weight of edge (a, b) from the interval table.
-func (st *nodeState) weight(a, b int32) int {
-	return homog.Weight(st.iv[a], st.iv[b])
-}
-
-// mergeLoop is steps 3–5. It returns the context's error when the run was
-// cancelled — a decision every node reaches together through the round's
-// head reduction — and nil when the merge ran to completion.
-func (st *nodeState) mergeLoop() error {
-	st.asg = rag.NewAssignments()
-	stalls := 0
-	for {
-		// Termination: any active edge anywhere? (The owned-side view is
-		// complete: every edge has at least one owned endpoint on some
-		// node.) Each visited vertex is charged its whole adjacency list:
-		// how far into the list the first active edge sits depends on map
-		// order, and simulated times must not.
-		anyActive := false
-		scanned := 0
-		for _, v := range st.ownedIDs {
-			if _, alive := st.adj[v]; !alive {
-				continue
-			}
-			scanned += len(st.adj[v])
-			//vet:ordered OR-reduction into a flag; it commutes across iteration orders
-			for w := range st.adj[v] {
-				if st.crit.Homogeneous(st.iv[v].Union(st.iv[w])) {
-					anyActive = true
-					break
-				}
-			}
-			if anyActive {
-				break
-			}
-		}
-		st.n.Charge(scanned * 4)
-		// The head reduction doubles as the cancellation rendezvous: the
-		// activity flag (0/1) and the cancel sentinel share one
-		// AllReduceMax, which is exactly what AllReduceOr costs.
-		code := 0
-		if anyActive {
-			code = 1
-		}
-		if st.ctx.Err() != nil {
-			code = cancelCode
-		}
-		switch red := st.n.AllReduceMax(code); {
-		case red >= cancelCode:
-			return ctxErr(st.ctx)
-		case red == 0:
-			return nil
-		}
-		st.stats.Iterations++
-		// Per-iteration node-program overhead (see machine.Profile).
-		st.n.ChargeTime(st.e.prof.TMergeIterFixed +
-			st.e.prof.TMergeIterPixel*float64(st.g.tw*st.g.th))
-		policy := st.cfg.Tie
-		if policy == rag.Random && stalls >= 3 {
-			policy = rag.SmallestID
-			st.stats.ForcedResolutions++
-			stalls = 0
-		}
-
-		merged := st.mergeIteration(policy)
-		st.stats.MergesPerIter = append(st.stats.MergesPerIter, merged)
-		if merged == 0 {
-			stalls++
-		} else {
-			stalls = 0
-		}
-	}
-}
-
-// mergeIteration runs one choice/merge/update round and returns the global
-// number of merges.
-func (st *nodeState) mergeIteration(policy rag.TiePolicy) int {
-	g := st.g
-	iter := st.stats.Iterations
-
-	// Step 3a: choices for owned, alive vertices.
-	choice := make(map[int32]int32)
-	var tied []int32
-	scanned := 0
-	for _, v := range st.ownedIDs {
-		adj, alive := st.adj[v]
-		if !alive {
-			continue
-		}
-		bestW := -1
-		tied = tied[:0]
-		//vet:ordered min-reduction plus count; the tie list is sorted inside rag.PickTied before any order-dependent use
-		for w := range adj {
-			scanned++
-			wt := st.weight(v, w)
-			if !st.crit.Homogeneous(st.iv[v].Union(st.iv[w])) {
-				continue
-			}
-			switch {
-			case bestW < 0 || wt < bestW:
-				bestW = wt
-				tied = tied[:0]
-				tied = append(tied, w)
-			case wt == bestW:
-				tied = append(tied, w)
-			}
-		}
-		if bestW >= 0 {
-			choice[v] = rag.PickTied(tied, policy, st.cfg.Seed, iter, v)
-		}
-	}
-	st.n.Charge(scanned*6 + len(choice)*4)
-
-	// Step 3b: route each choice (v, w) to owner(w). Iterate owned IDs,
-	// not the choice map, so the routed payloads are byte-stable run to
-	// run — the same bytes the distributed engine puts on real sockets.
-	outbound := make(map[int][]int32)
-	suitors := make(map[int32][]int32) // w -> suitors v
-	for _, v := range st.ownedIDs {
-		w, ok := choice[v]
-		if !ok {
-			continue
-		}
-		o := g.owner(w)
-		if o == st.n.Rank {
-			suitors[w] = append(suitors[w], v)
-		} else {
-			outbound[o] = append(outbound[o], v, w)
-		}
-	}
-	st.tag += 64
-	//vet:ordered suitor lists are consulted for membership only, so arrival order commutes
-	for _, data := range st.n.Exchange(outbound, st.e.scheme, 1000+st.tag) {
-		for i := 0; i+1 < len(data); i += 2 {
-			suitors[data[i+1]] = append(suitors[data[i+1]], data[i])
-		}
-	}
-
-	// Step 3c: mutual pairs. Both owners detect; the loser's owner emits
-	// the event.
-	var events []int32 // flat (rep, loser, lo, hi)
-	for _, v := range st.ownedIDs {
-		w, ok := choice[v]
-		if !ok || w >= v {
-			continue // emit from the loser side only: loser = max(v, w) = v
-		}
-		mutual := false
-		if g.owner(w) == st.n.Rank {
-			mutual = choice[w] == v
-		} else {
-			for _, s := range suitors[v] {
-				if s == w {
-					mutual = true
-					break
-				}
-			}
-		}
-		if mutual {
-			union := st.iv[v].Union(st.iv[w])
-			events = append(events, w, v, int32(union.Lo), int32(union.Hi))
-		}
-	}
-
-	// Step 4a: globally concatenate merge events.
-	all := st.n.AllGather(events)
-	mergeMap := make(map[int32]int32)
-	merges := 0
-	for _, data := range all {
-		for i := 0; i+3 < len(data); i += 4 {
-			rep, loser := data[i], data[i+1]
-			union := homog.Interval{Lo: uint8(data[i+2]), Hi: uint8(data[i+3])}
-			mergeMap[loser] = rep
-			// Every node records the representative's new interval: an
-			// edge relabeled to rep below needs it for future weights.
-			st.iv[rep] = union
-			st.asg.Record(loser, rep)
-			merges++
-		}
-	}
-	st.n.Charge(merges * 8)
-	if st.n.Rank == 0 {
-		st.run.Emit(core.StageEvent{Kind: core.EventMergeIteration, Iteration: iter, Merges: merges})
-	}
-
-	// Step 4b: relabel owned adjacency through this iteration's map.
-	// Mutual pairs form a matching, so one relabeling level suffices.
-	relabeled := 0
-	//vet:ordered per-vertex set edits and a count are keyed and independent, so vertex visit order commutes
-	for v, adjSet := range st.adj {
-		var add, del []int32
-		//vet:ordered del/add are applied below as keyed set deletions/insertions, which commute
-		for w := range adjSet {
-			if r, ok := mergeMap[w]; ok {
-				del = append(del, w)
-				if r != v {
-					add = append(add, r)
-				}
-				relabeled++
-			}
-		}
-		for _, w := range del {
-			delete(adjSet, w)
-		}
-		for _, r := range add {
-			adjSet[r] = struct{}{}
-		}
-	}
-	st.n.Charge(relabeled * 6)
-
-	// Step 4c: hand the loser's adjacency to the representative's owner.
-	// Losers and their adjacency are visited in ascending ID order so the
-	// handover payloads are byte-stable run to run.
-	losers := make([]int32, 0, len(mergeMap))
-	for loser := range mergeMap {
-		losers = append(losers, loser)
-	}
-	sort.Slice(losers, func(i, j int) bool { return losers[i] < losers[j] })
-	handover := make(map[int][]int32)
-	for _, loser := range losers {
-		rep := mergeMap[loser]
-		adjSet, ok := st.adj[loser]
-		if !ok {
-			continue // not owned here
-		}
-		o := g.owner(rep)
-		if o == st.n.Rank {
-			// Local transfer.
-			repAdj := st.adj[rep]
-			if repAdj == nil {
-				repAdj = make(map[int32]struct{})
-				st.adj[rep] = repAdj
-			}
-			//vet:ordered keyed set union commutes across iteration orders
-			for w := range adjSet {
-				if w != rep {
-					repAdj[w] = struct{}{}
-				}
-			}
-		} else {
-			ws := make([]int32, 0, len(adjSet))
-			for w := range adjSet {
-				ws = append(ws, w)
-			}
-			sort.Slice(ws, func(i, j int) bool { return ws[i] < ws[j] })
-			payload := []int32{rep, int32(len(adjSet))}
-			for _, w := range ws {
-				iv := st.iv[w]
-				payload = append(payload, w, int32(iv.Lo), int32(iv.Hi))
-			}
-			handover[o] = append(handover[o], payload...)
-		}
-		delete(st.adj, loser)
-	}
-	st.tag += 64
-	//vet:ordered keyed set unions and first-writer-wins mirror intervals commute: every sender relabeled with the same matching, so concurrent values agree
-	for _, data := range st.n.Exchange(handover, st.e.scheme, 2000+st.tag) {
-		i := 0
-		for i < len(data) {
-			rep, cnt := data[i], int(data[i+1])
-			i += 2
-			repAdj := st.adj[rep]
-			if repAdj == nil {
-				repAdj = make(map[int32]struct{})
-				st.adj[rep] = repAdj
-			}
-			for k := 0; k < cnt; k++ {
-				w := data[i]
-				iv := homog.Interval{Lo: uint8(data[i+1]), Hi: uint8(data[i+2])}
-				i += 3
-				if w == rep {
-					continue
-				}
-				// Incoming neighbours were relabeled by the sender with
-				// the same iteration map; record a mirror interval if new.
-				if _, ok := st.iv[w]; !ok {
-					st.iv[w] = iv
-				}
-				repAdj[w] = struct{}{}
-			}
-		}
-	}
-
-	// Losers no longer exist as vertices anywhere; drop their mirrors.
-	for loser := range mergeMap {
-		delete(st.iv, loser)
-	}
-	return merges
-}
-
-// writeLabels resolves the per-pixel final labels into the shared output.
-func (st *nodeState) writeLabels(out []int32) {
-	g := st.g
-	cache := make(map[int32]int32)
-	for ly := 0; ly < g.th; ly++ {
-		for lx := 0; lx < g.tw; lx++ {
-			l := st.labels[ly*g.tw+lx]
-			r, ok := cache[l]
-			if !ok {
-				r = st.asg.Find(l)
-				cache[l] = r
-			}
-			out[(st.y0+ly)*g.W+(st.x0+lx)] = r
-		}
-	}
-	st.n.Charge(g.tw * g.th * 2)
-}
+var (
+	_ core.ContextEngine   = (*Engine)(nil)
+	_ nodeprog.Collectives = (*node)(nil)
+)

@@ -52,25 +52,6 @@ func TestFactor(t *testing.T) {
 	}
 }
 
-func TestGeometryOwner(t *testing.T) {
-	g := geom{W: 128, H: 128, P1: 4, P2: 8, tw: 16, th: 32}
-	if g.owner(0) != 0 {
-		t.Fatal("origin owner wrong")
-	}
-	// Pixel (16, 0) is in column tile 1.
-	if g.owner(16) != 1 {
-		t.Fatalf("owner(16) = %d", g.owner(16))
-	}
-	// Pixel (0, 32) is in row tile 1 → rank 8.
-	if g.owner(32*128) != 8 {
-		t.Fatalf("owner(row 32) = %d", g.owner(32*128))
-	}
-	x0, y0 := g.tileOrigin(9)
-	if x0 != 16 || y0 != 32 {
-		t.Fatalf("tileOrigin(9) = (%d,%d)", x0, y0)
-	}
-}
-
 func TestRejectsBadGeometry(t *testing.T) {
 	e := newEngine(t, machine.CM5_LP)
 	// 100 is not divisible by the 4×8 node grid.

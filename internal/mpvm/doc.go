@@ -8,7 +8,8 @@
 //     sends to node (k+i) mod Q and receives from node (k−i) mod Q, in
 //     lockstep. Nodes loop Q−1 times whether or not they have data.
 //   - Async: nodes post their messages directly and receive until their
-//     expected count is satisfied.
+//     expected count is satisfied, accepting them in simulated arrival
+//     order so no clock depends on goroutine scheduling.
 //
 // Every node owns a simulated clock. Compute is charged explicitly by the
 // node program; messages carry the sender's clock plus transfer time, and

@@ -221,6 +221,12 @@ func (n *Node) acceptClock(m Message) {
 func (n *Node) Barrier() {
 	cl := n.cl
 	cl.mu.Lock()
+	if cl.barGen == shutdownGen {
+		// A peer panicked before this node arrived: no episode can ever
+		// complete, and no one is left to wake a waiter.
+		cl.mu.Unlock()
+		panic("mpvm: cluster shut down at barrier")
+	}
 	if n.clock > cl.barMax {
 		cl.barMax = n.clock
 	}
@@ -449,14 +455,4 @@ func (n *Node) exchangeAsync(out map[int][]int32, tag int) map[int][]int32 {
 		recv[m.Src] = m.Data
 	}
 	return recv
-}
-
-func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-func log2ceil(v int) int {
-	n := 0
-	for (1 << n) < v {
-		n++
-	}
-	return n
 }

@@ -89,9 +89,6 @@ const (
 	Image6Tool256        = pixmap.Image6Tool256
 )
 
-// AllPaperImages lists the six evaluation images in the paper's order.
-func AllPaperImages() []PaperImageID { return pixmap.AllPaperImages() }
-
 // GeneratePaperImage synthesises one of the paper's evaluation images.
 func GeneratePaperImage(id PaperImageID) *Image {
 	return pixmap.Generate(id, pixmap.DefaultGenOptions())
@@ -295,8 +292,7 @@ func AllEngineKinds() []EngineKind {
 func AllTiePolicies() []TiePolicy { return rag.AllTiePolicies() }
 
 // AllPaperImageIDs lists the six evaluation images in the paper's order —
-// the set ParsePaperImageID accepts. It is AllPaperImages under the name
-// that matches AllEngineKinds and AllTiePolicies; both remain.
+// the set ParsePaperImageID accepts.
 func AllPaperImageIDs() []PaperImageID { return pixmap.AllPaperImages() }
 
 // RegionStat summarises one final region: area, bounding box, centroid,

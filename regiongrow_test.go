@@ -1,6 +1,7 @@
 package regiongrow
 
 import (
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -62,7 +63,7 @@ func TestParseTiePolicy(t *testing.T) {
 // TestParsePaperImageID: every paper image resolves by short name and by
 // bare digit, case-insensitively; out-of-range names are rejected.
 func TestParsePaperImageID(t *testing.T) {
-	for i, id := range AllPaperImages() {
+	for i, id := range AllPaperImageIDs() {
 		for _, name := range []string{
 			// e.g. "image3", "3", "IMAGE3"
 			"image" + string(rune('1'+i)), string(rune('1' + i)), "IMAGE" + string(rune('1'+i)),
@@ -191,7 +192,7 @@ func TestRunExperimentSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full five-config experiment")
 	}
-	exp, err := RunExperiment(Image2Rects128, DefaultConfig())
+	exp, err := RunExperiment(context.Background(), Image2Rects128, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

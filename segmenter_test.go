@@ -36,7 +36,7 @@ func TestSegmenterPooledReuseByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, id := range AllPaperImages() {
+		for _, id := range AllPaperImageIDs() {
 			im := GeneratePaperImage(id)
 			for _, tie := range []TiePolicy{SmallestIDTie, LargestIDTie, RandomTie} {
 				cfg := Config{Threshold: 10, Tie: tie, Seed: 1}

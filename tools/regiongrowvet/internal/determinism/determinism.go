@@ -57,6 +57,7 @@ var scope = map[string]bool{
 	"regiongrow/internal/mpengine":   true,
 	"regiongrow/internal/shmengine":  true,
 	"regiongrow/internal/distengine": true,
+	"regiongrow/internal/nodeprog":   true,
 	"regiongrow/internal/stream":     true,
 	"regiongrow/internal/transport":  true,
 	"regiongrow/internal/simdvm":     true,
