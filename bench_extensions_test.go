@@ -15,6 +15,7 @@ package regiongrow
 //	    split (how much does the paper's fixed iteration count cost?).
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -36,7 +37,7 @@ func BenchmarkExtension_HPFDistribution(b *testing.B) {
 		var seg *Segmentation
 		var err error
 		for i := 0; i < b.N; i++ {
-			seg, err = eng.Segment(im, cfg)
+			seg, err = eng.SegmentContext(context.Background(), im, cfg, core.Run{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -74,7 +75,7 @@ func BenchmarkScaling_DataParallelPE(b *testing.B) {
 			var seg *Segmentation
 			var err error
 			for i := 0; i < b.N; i++ {
-				seg, err = eng.Segment(im, cfg)
+				seg, err = eng.SegmentContext(context.Background(), im, cfg, core.Run{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -97,7 +98,7 @@ func BenchmarkScaling_MessagePassingNodes(b *testing.B) {
 			var seg *Segmentation
 			var err error
 			for i := 0; i < b.N; i++ {
-				seg, err = eng.Segment(im, cfg)
+				seg, err = eng.SegmentContext(context.Background(), im, cfg, core.Run{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -116,7 +117,7 @@ func BenchmarkAblation_SerialMerge(b *testing.B) {
 		var seg *Segmentation
 		var err error
 		for i := 0; i < b.N; i++ {
-			seg, err = SegmentSerial(im, Config{Threshold: 10})
+			seg, err = SegmentSerial(context.Background(), im, Config{Threshold: 10})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -124,10 +125,11 @@ func BenchmarkAblation_SerialMerge(b *testing.B) {
 		b.ReportMetric(float64(seg.MergeIterations), "merge-iters")
 	})
 	b.Run("mutual-parallel", func(b *testing.B) {
+		seq := sessionOf(b, SequentialEngine)
 		var seg *Segmentation
 		var err error
 		for i := 0; i < b.N; i++ {
-			seg, err = Segment(im, Config{Threshold: 10, Tie: RandomTie, Seed: 1})
+			seg, err = seq.Segment(context.Background(), im, Config{Threshold: 10, Tie: RandomTie, Seed: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -150,10 +152,11 @@ func BenchmarkAblation_SplitCap(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			cfg := Config{Threshold: 10, Tie: RandomTie, Seed: 1, MaxSquare: tc.cap}
+			seq := sessionOf(b, SequentialEngine)
 			var seg *core.Segmentation
 			var err error
 			for i := 0; i < b.N; i++ {
-				seg, err = Segment(im, cfg)
+				seg, err = seq.Segment(context.Background(), im, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -24,7 +24,7 @@ func recolourMap(seg *Segmentation, im *Image) *Image {
 func recolourFixture(b *testing.B) (*Segmentation, *Image) {
 	b.Helper()
 	im := GeneratePaperImage(Image6Tool256)
-	seg, err := Segment(im, Config{Threshold: 10, Tie: RandomTie, Seed: 1})
+	seg, err := segmentKind(SequentialEngine, im, Config{Threshold: 10, Tie: RandomTie, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func BenchmarkRecolourMap(b *testing.B) {
 func TestRecolourMatchesMapBaseline(t *testing.T) {
 	for _, id := range AllPaperImageIDs() {
 		im := GeneratePaperImage(id)
-		seg, err := Segment(im, Config{Threshold: 10, Tie: RandomTie, Seed: 1})
+		seg, err := segmentKind(SequentialEngine, im, Config{Threshold: 10, Tie: RandomTie, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

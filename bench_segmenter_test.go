@@ -76,7 +76,7 @@ func BenchmarkSegmentOneShot(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := (core.Sequential{}).Segment(im, cfg); err != nil {
+		if _, err := (core.Sequential{}).SegmentContext(context.Background(), im, cfg, core.Run{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -19,6 +19,7 @@ package regiongrow
 // (sim-split-s, sim-merge-s, merge-iters); ns/op measures the host.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -30,17 +31,15 @@ import (
 // image, attaching the simulated stage times the table reports.
 func benchTable(b *testing.B, id PaperImageID) {
 	im := GeneratePaperImage(id)
-	for _, kind := range AllEngineKinds() {
+	for _, kind := range tableKinds() {
 		b.Run(kind.String(), func(b *testing.B) {
-			eng, err := NewEngine(kind)
-			if err != nil {
-				b.Fatal(err)
-			}
+			eng := engineOf(b, kind)
 			cfg := DefaultConfig()
 			var seg *Segmentation
+			var err error
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				seg, err = eng.Segment(im, cfg)
+				seg, err = eng.SegmentContext(context.Background(), im, cfg, core.Run{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -70,19 +69,16 @@ func BenchmarkFigure3_MergeComparison(b *testing.B) {
 	for _, id := range AllPaperImageIDs() {
 		images = append(images, GeneratePaperImage(id))
 	}
-	for _, kind := range AllEngineKinds() {
+	for _, kind := range tableKinds() {
 		b.Run(kind.String(), func(b *testing.B) {
-			eng, err := NewEngine(kind)
-			if err != nil {
-				b.Fatal(err)
-			}
+			eng := engineOf(b, kind)
 			cfg := DefaultConfig()
 			total := 0.0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				total = 0
 				for _, im := range images {
-					seg, err := eng.Segment(im, cfg)
+					seg, err := eng.SegmentContext(context.Background(), im, cfg, core.Run{})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -110,11 +106,12 @@ func BenchmarkAblation_TieBreaking(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/image%d", tc.name, int(id)), func(b *testing.B) {
 				im := GeneratePaperImage(id)
 				cfg := Config{Threshold: 10, Tie: tc.tie, Seed: 1}
+				seq := sessionOf(b, SequentialEngine)
 				var seg *Segmentation
 				var err error
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					seg, err = Segment(im, cfg)
+					seg, err = seq.Segment(context.Background(), im, cfg)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -138,15 +135,13 @@ func BenchmarkAblation_CommScheme(b *testing.B) {
 		for _, id := range []PaperImageID{Image1NestedRects128, Image4NestedRects256} {
 			b.Run(fmt.Sprintf("%s/image%d", kind, int(id)), func(b *testing.B) {
 				im := GeneratePaperImage(id)
-				eng, err := NewEngine(kind)
-				if err != nil {
-					b.Fatal(err)
-				}
+				eng := engineOf(b, kind)
 				cfg := DefaultConfig()
 				var seg *Segmentation
+				var err error
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					seg, err = eng.Segment(im, cfg)
+					seg, err = eng.SegmentContext(context.Background(), im, cfg, core.Run{})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -169,9 +164,10 @@ func BenchmarkSplitStage(b *testing.B) {
 				im = nestedAt(n)
 			}
 			cfg := Config{Threshold: 10}
+			seq := sessionOf(b, SequentialEngine)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Segment(im, cfg); err != nil {
+				if _, err := seq.Segment(context.Background(), im, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -200,10 +196,11 @@ func BenchmarkBaseline_CCL(b *testing.B) {
 		b.ReportMetric(float64(comps), "regions")
 	})
 	b.Run("split+merge", func(b *testing.B) {
+		seq := sessionOf(b, SequentialEngine)
 		var seg *core.Segmentation
 		var err error
 		for i := 0; i < b.N; i++ {
-			seg, err = Segment(im, Config{Threshold: 10, Tie: RandomTie, Seed: 1})
+			seg, err = seq.Segment(context.Background(), im, Config{Threshold: 10, Tie: RandomTie, Seed: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -234,20 +231,18 @@ func BenchmarkNativeVsSequential(b *testing.B) {
 	}
 	cfg := DefaultConfig()
 	for _, tc := range images {
-		ref, err := Segment(tc.im, cfg)
+		ref, err := segmentKind(SequentialEngine, tc.im, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		for _, kind := range []EngineKind{SequentialEngine, NativeParallel} {
 			b.Run(fmt.Sprintf("%s/%s", tc.name, kind), func(b *testing.B) {
-				eng, err := NewEngine(kind)
-				if err != nil {
-					b.Fatal(err)
-				}
+				eng := engineOf(b, kind)
 				var seg *Segmentation
+				var err error
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					seg, err = eng.Segment(tc.im, cfg)
+					seg, err = eng.SegmentContext(context.Background(), tc.im, cfg, core.Run{})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -270,14 +265,11 @@ func BenchmarkEngineWallTime(b *testing.B) {
 	im := GeneratePaperImage(Image2Rects128)
 	for _, kind := range []EngineKind{SequentialEngine, CM2DataParallel8K, CM5Async, NativeParallel} {
 		b.Run(kind.String(), func(b *testing.B) {
-			eng, err := NewEngine(kind)
-			if err != nil {
-				b.Fatal(err)
-			}
+			eng := engineOf(b, kind)
 			cfg := Config{Threshold: 10, Tie: SmallestIDTie}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.Segment(im, cfg); err != nil {
+				if _, err := eng.SegmentContext(context.Background(), im, cfg, core.Run{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -8,18 +8,13 @@ import (
 	"regiongrow/internal/quadsplit"
 )
 
-// allKindsForKeys enumerates every engine kind cache keys distinguish.
-func allKindsForKeys() []EngineKind {
-	return append([]EngineKind{SequentialEngine, NativeParallel}, AllEngineKinds()...)
-}
-
 // TestCacheKeyProperties is a property test over CacheKeyForHash:
 // canonically-equal configurations must collide (the seed is irrelevant
 // under deterministic ties; MaxSquare 0 and its resolved effective cap
 // are the same split), and differing engine kinds must never collide.
 func TestCacheKeyProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	kinds := allKindsForKeys()
+	kinds := AllEngineKinds()
 	dims := []int{16, 32, 64, 128, 177, 256} // incl. a non-power-of-two
 	for trial := 0; trial < 500; trial++ {
 		w := dims[rng.Intn(len(dims))]
@@ -75,7 +70,7 @@ func TestCacheKeyProperties(t *testing.T) {
 // String/ParseEngineKind, so engine kinds survive JSON round trips by
 // name and unknown values refuse to marshal.
 func TestEngineKindTextRoundTrip(t *testing.T) {
-	for _, k := range allKindsForKeys() {
+	for _, k := range AllEngineKinds() {
 		data, err := json.Marshal(k)
 		if err != nil {
 			t.Fatal(err)

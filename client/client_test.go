@@ -14,6 +14,15 @@ import (
 	"regiongrow/internal/server"
 )
 
+// segmentLocal runs the sequential reference engine in-process.
+func segmentLocal(im *regiongrow.Image, cfg regiongrow.Config) (*regiongrow.Segmentation, error) {
+	s, err := regiongrow.New(regiongrow.SequentialEngine)
+	if err != nil {
+		return nil, err
+	}
+	return s.Segment(context.Background(), im, cfg)
+}
+
 func newService(t *testing.T, opts server.Options) *client.Client {
 	t.Helper()
 	svc := server.New(opts)
@@ -38,7 +47,7 @@ func TestWaitByteIdenticalToLocalSegment(t *testing.T) {
 	cfg := regiongrow.Config{Threshold: 10, Tie: regiongrow.RandomTie, Seed: 1}
 	for _, id := range regiongrow.AllPaperImageIDs() {
 		im := regiongrow.GeneratePaperImage(id)
-		want, err := regiongrow.Segment(im, cfg)
+		want, err := segmentLocal(im, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +186,7 @@ func TestRecolouredMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg, err := regiongrow.Segment(im, cfg)
+	seg, err := segmentLocal(im, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

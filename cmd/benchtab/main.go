@@ -120,7 +120,10 @@ func main() {
 func serverExperiment(ctx context.Context, c *client.Client, id regiongrow.PaperImageID, cfg regiongrow.Config, native bool) (regiongrow.Experiment, error) {
 	exp := regiongrow.Experiment{Image: id}
 	for _, kind := range regiongrow.AllEngineKinds() {
-		mc, _ := kind.MachineConfig()
+		mc, ok := kind.MachineConfig()
+		if !ok {
+			continue // models no machine, so has no row in the paper's tables
+		}
 		res, err := serverRow(ctx, c, id, kind, regiongrow.ExperimentConfig(kind, cfg))
 		if err != nil {
 			return exp, err

@@ -79,7 +79,7 @@ func TestSIGTERMDrainsActiveJob(t *testing.T) {
 
 	im := pixmap.Generate(pixmap.Image3Circles128, pixmap.DefaultGenOptions())
 	cfg := core.Config{Threshold: 10, Tie: rag.SmallestID}
-	want, err := core.Sequential{}.Segment(im, cfg)
+	want, err := core.Sequential{}.SegmentContext(context.Background(), im, cfg, core.Run{})
 	if err != nil {
 		t.Fatal(err)
 	}

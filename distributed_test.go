@@ -32,7 +32,7 @@ func TestDistributedSegmenter(t *testing.T) {
 	im := GeneratePaperImage(Image2Rects128)
 	for _, tie := range []TiePolicy{SmallestIDTie, LargestIDTie, RandomTie} {
 		cfg := Config{Threshold: 10, Tie: tie, Seed: 3}
-		want, err := Segment(im, cfg)
+		want, err := segmentKind(SequentialEngine, im, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,9 +65,6 @@ func TestDistributedConstruction(t *testing.T) {
 		!strings.Contains(err.Error(), "Distributed") {
 		t.Errorf("WithClusterWorkers on sequential = %v, want a kind error", err)
 	}
-	if _, err := NewEngine(Distributed); err == nil || !strings.Contains(err.Error(), "WithClusterWorkers") {
-		t.Errorf("NewEngine(Distributed) = %v, want a WithClusterWorkers hint", err)
-	}
 }
 
 // TestClusterMembership: the Segmenter's membership surface — list,
@@ -99,7 +96,7 @@ func TestClusterMembership(t *testing.T) {
 	// The joined worker serves the next job of the live session.
 	im := GeneratePaperImage(Image3Circles128)
 	cfg := Config{Threshold: 10, Tie: SmallestIDTie}
-	want, err := Segment(im, cfg)
+	want, err := segmentKind(SequentialEngine, im, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,9 +82,13 @@ func ExampleSegmenter_observer() {
 
 // The basic flow: generate an evaluation image, segment it with the
 // sequential engine, inspect the result.
-func ExampleSegment() {
+func ExampleSegmenter_Segment() {
+	s, err := regiongrow.New(regiongrow.SequentialEngine)
+	if err != nil {
+		log.Fatal(err)
+	}
 	im := regiongrow.GeneratePaperImage(regiongrow.Image2Rects128)
-	seg, err := regiongrow.Segment(im, regiongrow.Config{
+	seg, err := s.Segment(context.Background(), im, regiongrow.Config{
 		Threshold: 10,
 		Tie:       regiongrow.RandomTie,
 		Seed:      1,
@@ -101,19 +105,24 @@ func ExampleSegment() {
 
 // Simulated machine engines report the stage times the paper's tables
 // measure; the segmentation itself is identical across engines.
-func ExampleNewEngine() {
+func ExampleNew() {
+	ctx := context.Background()
 	im := regiongrow.GeneratePaperImage(regiongrow.Image2Rects128)
 	cfg := regiongrow.Config{Threshold: 10, Tie: regiongrow.SmallestIDTie}
 
-	ref, err := regiongrow.Segment(im, cfg)
+	seq, err := regiongrow.New(regiongrow.SequentialEngine)
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng, err := regiongrow.NewEngine(regiongrow.CM5Async)
+	ref, err := seq.Segment(ctx, im, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	seg, err := eng.Segment(im, cfg)
+	cm5, err := regiongrow.New(regiongrow.CM5Async)
+	if err != nil {
+		log.Fatal(err)
+	}
+	seg, err := cm5.Segment(ctx, im, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -127,8 +136,12 @@ func ExampleNewEngine() {
 // Region statistics derive areas, centroids, perimeters, and the final
 // adjacency graph from any segmentation.
 func ExampleComputeRegionStats() {
+	s, err := regiongrow.New(regiongrow.SequentialEngine)
+	if err != nil {
+		log.Fatal(err)
+	}
 	im := regiongrow.GeneratePaperImage(regiongrow.Image1NestedRects128)
-	seg, err := regiongrow.Segment(im, regiongrow.Config{Threshold: 10, Tie: regiongrow.RandomTie, Seed: 1})
+	seg, err := s.Segment(context.Background(), im, regiongrow.Config{Threshold: 10, Tie: regiongrow.RandomTie, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -143,9 +156,13 @@ func ExampleComputeRegionStats() {
 
 // Validate checks the algorithm's postconditions on any segmentation.
 func ExampleValidate() {
+	s, err := regiongrow.New(regiongrow.SequentialEngine)
+	if err != nil {
+		log.Fatal(err)
+	}
 	im := regiongrow.GeneratePaperImage(regiongrow.Image6Tool256)
 	cfg := regiongrow.DefaultConfig()
-	seg, err := regiongrow.Segment(im, cfg)
+	seg, err := s.Segment(context.Background(), im, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

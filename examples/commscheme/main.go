@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,11 +14,12 @@ import (
 )
 
 func main() {
-	lpEng, err := regiongrow.NewEngine(regiongrow.CM5LinearPermutation)
+	ctx := context.Background()
+	lpSess, err := regiongrow.New(regiongrow.CM5LinearPermutation)
 	if err != nil {
 		log.Fatal(err)
 	}
-	asEng, err := regiongrow.NewEngine(regiongrow.CM5Async)
+	asSess, err := regiongrow.New(regiongrow.CM5Async)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -29,11 +31,11 @@ func main() {
 		im := regiongrow.GeneratePaperImage(id)
 		cfg := regiongrow.Config{Threshold: 10, Tie: regiongrow.RandomTie, Seed: 2}
 
-		lp, err := lpEng.Segment(im, cfg)
+		lp, err := lpSess.Segment(ctx, im, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
-		as, err := asEng.Segment(im, cfg)
+		as, err := asSess.Segment(ctx, im, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -15,7 +16,12 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	im := regiongrow.GeneratePaperImage(regiongrow.Image3Circles128)
+	seq, err := regiongrow.New(regiongrow.SequentialEngine)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	type run struct {
 		name string
@@ -30,13 +36,13 @@ func main() {
 		{"random ties", regiongrow.RandomTie},
 		{"smallest-id ties", regiongrow.SmallestIDTie},
 	} {
-		seg, err := regiongrow.Segment(im, regiongrow.Config{Threshold: 10, Tie: p.tie, Seed: 1})
+		seg, err := seq.Segment(ctx, im, regiongrow.Config{Threshold: 10, Tie: p.tie, Seed: 1})
 		if err != nil {
 			log.Fatal(err)
 		}
 		runs = append(runs, run{p.name, seg})
 	}
-	serial, err := regiongrow.SegmentSerial(im, regiongrow.Config{Threshold: 10})
+	serial, err := regiongrow.SegmentSerial(ctx, im, regiongrow.Config{Threshold: 10})
 	if err != nil {
 		log.Fatal(err)
 	}

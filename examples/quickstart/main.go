@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,7 +21,11 @@ func main() {
 		Tie:       regiongrow.RandomTie,
 		Seed:      1,
 	}
-	seg, err := regiongrow.Segment(im, cfg)
+	s, err := regiongrow.New(regiongrow.SequentialEngine)
+	if err != nil {
+		log.Fatal(err)
+	}
+	seg, err := s.Segment(context.Background(), im, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

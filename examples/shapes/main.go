@@ -13,8 +13,13 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
+	seq, err := regiongrow.New(regiongrow.SequentialEngine)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, id := range regiongrow.AllPaperImageIDs() {
-		exp, err := regiongrow.RunExperiment(context.Background(), id, regiongrow.DefaultConfig())
+		exp, err := regiongrow.RunExperiment(ctx, id, regiongrow.DefaultConfig())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -22,7 +27,7 @@ func main() {
 		fmt.Println()
 
 		im := regiongrow.GeneratePaperImage(id)
-		seg, err := regiongrow.Segment(im, regiongrow.DefaultConfig())
+		seg, err := seq.Segment(ctx, im, regiongrow.DefaultConfig())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -12,6 +13,11 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
+	seq, err := regiongrow.New(regiongrow.SequentialEngine)
+	if err != nil {
+		log.Fatal(err)
+	}
 	policies := []struct {
 		name string
 		tie  regiongrow.TiePolicy
@@ -27,7 +33,7 @@ func main() {
 		im := regiongrow.GeneratePaperImage(id)
 		for _, p := range policies {
 			cfg := regiongrow.Config{Threshold: 10, Tie: p.tie, Seed: 1}
-			seg, err := regiongrow.Segment(im, cfg)
+			seg, err := seq.Segment(ctx, im, cfg)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -49,7 +55,7 @@ func main() {
 	// The distribution of merges per iteration tells the same story.
 	im := regiongrow.GeneratePaperImage(regiongrow.Image1NestedRects128)
 	for _, p := range []regiongrow.TiePolicy{regiongrow.SmallestIDTie, regiongrow.RandomTie} {
-		seg, err := regiongrow.Segment(im, regiongrow.Config{Threshold: 10, Tie: p, Seed: 1})
+		seg, err := seq.Segment(ctx, im, regiongrow.Config{Threshold: 10, Tie: p, Seed: 1})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,21 +1,22 @@
 package regiongrow
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
-// TestSegmentNativeFacade: the facade-level native entry point matches the
-// sequential reference on a paper image, and the native engine kind's
-// MachineConfig reports no simulated machine.
+// TestSegmentNativeFacade: a native session matches the sequential
+// reference on a paper image, and the native engine kind's MachineConfig
+// reports no simulated machine.
 func TestSegmentNativeFacade(t *testing.T) {
 	im := GeneratePaperImage(Image3Circles128)
 	cfg := DefaultConfig()
-	want, err := Segment(im, cfg)
+	want, err := segmentKind(SequentialEngine, im, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SegmentNative(im, cfg)
+	got, err := segmentKind(NativeParallel, im, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func TestSegmentNativeFacade(t *testing.T) {
 
 func TestSegmentSerial(t *testing.T) {
 	im := GeneratePaperImage(Image2Rects128)
-	seg, err := SegmentSerial(im, Config{Threshold: 10})
+	seg, err := SegmentSerial(context.Background(), im, Config{Threshold: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestSegmentSerial(t *testing.T) {
 
 func TestRegionStatsFacade(t *testing.T) {
 	im := GeneratePaperImage(Image2Rects128)
-	seg, err := Segment(im, DefaultConfig())
+	seg, err := segmentKind(SequentialEngine, im, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestRegionStatsFacade(t *testing.T) {
 
 func TestRecolour(t *testing.T) {
 	im := GeneratePaperImage(Image1NestedRects128)
-	seg, err := Segment(im, DefaultConfig())
+	seg, err := segmentKind(SequentialEngine, im, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestSegmentationInvariantUnderFlips(t *testing.T) {
 	// horizontal/vertical mirroring and rotation: same number of regions
 	// with the same multiset of areas.
 	im := GeneratePaperImage(Image2Rects128)
-	base, err := Segment(im, Config{Threshold: 10, Tie: SmallestIDTie})
+	base, err := segmentKind(SequentialEngine, im, Config{Threshold: 10, Tie: SmallestIDTie})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestSegmentationInvariantUnderFlips(t *testing.T) {
 		"flipV":    im.FlipV(),
 		"rotate90": im.Rotate90(),
 	} {
-		seg, err := Segment(tr, Config{Threshold: 10, Tie: SmallestIDTie})
+		seg, err := segmentKind(SequentialEngine, tr, Config{Threshold: 10, Tie: SmallestIDTie})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,11 +163,11 @@ func TestUpscaledImageSameStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Segment(im, Config{Threshold: 10, Tie: SmallestIDTie})
+	a, err := segmentKind(SequentialEngine, im, Config{Threshold: 10, Tie: SmallestIDTie})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Segment(up, Config{Threshold: 10, Tie: SmallestIDTie})
+	b, err := segmentKind(SequentialEngine, up, Config{Threshold: 10, Tie: SmallestIDTie})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 
+	"regiongrow/internal/core"
 	"regiongrow/internal/machine"
 	"regiongrow/internal/stats"
 )
@@ -81,6 +82,10 @@ func RunExperiment(ctx context.Context, id PaperImageID, cfg Config) (Experiment
 	im := GeneratePaperImage(id)
 	exp := Experiment{Image: id}
 	for _, kind := range AllEngineKinds() {
+		mc, ok := kind.MachineConfig()
+		if !ok {
+			continue // models no machine, so has no row in the paper's tables
+		}
 		eng, err := New(kind)
 		if err != nil {
 			return exp, err
@@ -93,7 +98,6 @@ func RunExperiment(ctx context.Context, id PaperImageID, cfg Config) (Experiment
 		if err := Validate(seg, im, runCfg); err != nil {
 			return exp, fmt.Errorf("regiongrow: %v on %v produced invalid segmentation: %w", kind, id, err)
 		}
-		mc, _ := kind.MachineConfig()
 		exp.Rows = append(exp.Rows, stats.Row{
 			Config:     mc,
 			SplitSecs:  seg.SplitSim,
@@ -142,7 +146,7 @@ func ExperimentConfig(kind EngineKind, cfg Config) Config {
 // native engine's segmentations must match the sequential engine's for
 // equal seeds, so there is no per-model seed derivation).
 func NativeRow(ctx context.Context, id PaperImageID, cfg Config) (Row, error) {
-	return hostRow(ctx, nativeSession, "native", machine.HostNative, id, cfg)
+	return hostRow(ctx, NativeParallel, machine.HostNative, id, cfg)
 }
 
 // ClusterRow runs the distributed engine against the given
@@ -152,23 +156,23 @@ func NativeRow(ctx context.Context, id PaperImageID, cfg Config) (Row, error) {
 // WallSplit/WallMerge; the seed is used exactly as configured because the
 // distributed labels must match the sequential engine's.
 func ClusterRow(ctx context.Context, addrs []string, id PaperImageID, cfg Config) (Row, error) {
-	sess, err := New(Distributed, WithClusterWorkers(addrs))
+	return hostRow(ctx, Distributed, machine.HostCluster, id, cfg, WithClusterWorkers(addrs))
+}
+
+// hostRow runs a session of a host engine kind on one paper image,
+// validates the result, and returns its row with host wall times.
+func hostRow(ctx context.Context, kind EngineKind, mc machine.ConfigID, id PaperImageID, cfg Config, opts ...Option) (Row, error) {
+	sess, err := New(kind, opts...)
 	if err != nil {
 		return Row{}, err
 	}
-	return hostRow(ctx, sess, "dist", machine.HostCluster, id, cfg)
-}
-
-// hostRow runs a host engine's session on one paper image, validates the
-// result, and returns its row with host wall times.
-func hostRow(ctx context.Context, sess *Segmenter, name string, mc machine.ConfigID, id PaperImageID, cfg Config) (Row, error) {
 	im := GeneratePaperImage(id)
 	seg, err := sess.Segment(ctx, im, cfg)
 	if err != nil {
-		return Row{}, fmt.Errorf("regiongrow: %s on %v: %w", name, id, err)
+		return Row{}, fmt.Errorf("regiongrow: %v on %v: %w", kind, id, err)
 	}
 	if err := Validate(seg, im, cfg); err != nil {
-		return Row{}, fmt.Errorf("regiongrow: %s on %v produced invalid segmentation: %w", name, id, err)
+		return Row{}, fmt.Errorf("regiongrow: %v on %v produced invalid segmentation: %w", kind, id, err)
 	}
 	return Row{
 		Config:     mc,
@@ -177,6 +181,14 @@ func hostRow(ctx context.Context, sess *Segmenter, name string, mc machine.Confi
 		WallSplit:  seg.SplitWall.Seconds(),
 		WallMerge:  seg.MergeWall.Seconds(),
 	}, nil
+}
+
+// SegmentSerial runs the serial merge baseline (one merge per iteration —
+// the R−1 worst case of the paper's complexity analysis) with the
+// sequential split. Use it to quantify what parallel mutual merging buys;
+// cancelling ctx aborts it within one merge.
+func SegmentSerial(ctx context.Context, im *Image, cfg Config) (*Segmentation, error) {
+	return core.SerialBaseline{}.SegmentContext(ctx, im, cfg, core.Run{})
 }
 
 // RunExperimentWithNative runs the paper's five rows (RunExperiment) and

@@ -51,7 +51,7 @@ func TestFullMatrixSmallImages(t *testing.T) {
 			for _, tie := range []TiePolicy{SmallestIDTie, RandomTie} {
 				cfg := Config{Threshold: threshold, Tie: tie, Seed: 9, MaxSquare: 8}
 				name := fmt.Sprintf("%s/T=%d/%v", tc.name, threshold, tie)
-				ref, err := Segment(tc.im, cfg)
+				ref, err := segmentKind(SequentialEngine, tc.im, cfg)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -59,7 +59,7 @@ func TestFullMatrixSmallImages(t *testing.T) {
 					t.Fatalf("%s: sequential invalid: %v", name, err)
 				}
 				for _, eng := range engines {
-					seg, err := eng.Segment(tc.im, cfg)
+					seg, err := eng.SegmentContext(context.Background(), tc.im, cfg, core.Run{})
 					if err != nil {
 						t.Fatalf("%s/%s: %v", name, eng.Name(), err)
 					}
@@ -103,11 +103,11 @@ func TestNativeMatchesSequentialOnPaperImages(t *testing.T) {
 		im := GeneratePaperImage(id)
 		for _, tie := range []TiePolicy{SmallestIDTie, LargestIDTie, RandomTie} {
 			cfg := Config{Threshold: 10, Tie: tie, Seed: 1}
-			ref, err := Segment(im, cfg)
+			ref, err := segmentKind(SequentialEngine, im, cfg)
 			if err != nil {
 				t.Fatalf("%v/%v: %v", id, tie, err)
 			}
-			seg, err := SegmentNative(im, cfg)
+			seg, err := segmentKind(NativeParallel, im, cfg)
 			if err != nil {
 				t.Fatalf("%v/%v: %v", id, tie, err)
 			}
@@ -196,7 +196,7 @@ func TestSeedsChangeHistoryNotValidity(t *testing.T) {
 	counts := map[int]bool{}
 	for seed := uint64(1); seed <= 5; seed++ {
 		cfg := Config{Threshold: 10, Tie: RandomTie, Seed: seed}
-		seg, err := Segment(im, cfg)
+		seg, err := segmentKind(SequentialEngine, im, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

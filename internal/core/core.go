@@ -85,12 +85,15 @@ type CommStats struct {
 }
 
 // Engine runs the split-and-merge algorithm in one of the paper's
-// programming models.
+// programming models. It is the one contract every execution model
+// implements: cancellation via ctx (checked at split-pass and merge-round
+// boundaries — cancelling mid-run returns ctx.Err() within one
+// iteration), progress and buffer reuse via run.
 type Engine interface {
 	// Name identifies the engine in experiment records.
 	Name() string
-	// Segment produces the segmentation of the image under cfg.
-	Segment(im *pixmap.Image, cfg Config) (*Segmentation, error)
+	// SegmentContext produces the segmentation of the image under cfg.
+	SegmentContext(ctx context.Context, im *pixmap.Image, cfg Config, run Run) (*Segmentation, error)
 }
 
 // Sequential is the single-threaded reference engine.
@@ -99,21 +102,16 @@ type Sequential struct{}
 // Name implements Engine.
 func (Sequential) Name() string { return "sequential" }
 
-// Segment implements Engine: sequential split, then the shared RAG merge
-// kernel, then relabeling.
-func (e Sequential) Segment(im *pixmap.Image, cfg Config) (*Segmentation, error) {
-	return e.SegmentContext(context.Background(), im, cfg, Run{})
-}
-
-// SegmentContext implements ContextEngine: the same pipeline as Segment
-// with cancellation checked at every split pass and merge round, stage
-// events on run.Observer, and split buffers drawn from run.Scratch.
+// SegmentContext implements Engine: sequential split, then the shared RAG
+// merge kernel, then relabeling, with cancellation checked at every split
+// pass and merge round, stage events on run.Observer, and split buffers
+// drawn from run.Scratch.
 func (Sequential) SegmentContext(ctx context.Context, im *pixmap.Image, cfg Config, run Run) (*Segmentation, error) {
 	crit := cfg.Criterion()
 
 	run.Emit(StageEvent{Kind: EventSplitStart})
 	t0 := time.Now() //vet:timing stage wall-time for Stats; never reaches labels or wire bytes
-	sp, err := quadsplit.SplitCtx(ctx, im, crit,
+	sp, err := quadsplit.Split(ctx, im, crit,
 		quadsplit.Options{MaxSquare: cfg.MaxSquare, Scratch: run.SplitScratch()})
 	if err != nil {
 		return nil, err
@@ -122,13 +120,13 @@ func (Sequential) SegmentContext(ctx context.Context, im *pixmap.Image, cfg Conf
 	run.Emit(StageEvent{Kind: EventSplitDone, Iterations: sp.Iterations, Squares: sp.NumSquares})
 
 	t1 := time.Now() //vet:timing stage wall-time for Stats; never reaches labels or wire bytes
-	g, err := rag.BuildFromLabelsCtx(ctx, im, sp.Labels, crit)
+	g, err := rag.BuildFromLabels(ctx, im, sp.Labels, crit)
 	if err != nil {
 		return nil, err
 	}
 	run.Emit(StageEvent{Kind: EventGraphDone, Squares: sp.NumSquares})
 	asg := rag.NewAssignments()
-	stats, err := rag.DriveCtx(ctx, cfg.Tie,
+	stats, err := rag.Drive(ctx, cfg.Tie,
 		g.HasActive,
 		func(effective rag.TiePolicy, iter int) int {
 			merged := g.MergeIteration(effective, cfg.Seed, iter, asg)
@@ -201,18 +199,13 @@ type SerialBaseline struct{}
 // Name implements Engine.
 func (SerialBaseline) Name() string { return "serial-baseline" }
 
-// Segment implements Engine.
-func (e SerialBaseline) Segment(im *pixmap.Image, cfg Config) (*Segmentation, error) {
-	return e.SegmentContext(context.Background(), im, cfg, Run{})
-}
-
-// SegmentContext implements ContextEngine for the baseline: cancellation
+// SegmentContext implements Engine for the baseline: cancellation
 // at every one-merge iteration, the same stage events as the real engines.
 func (SerialBaseline) SegmentContext(ctx context.Context, im *pixmap.Image, cfg Config, run Run) (*Segmentation, error) {
 	crit := cfg.Criterion()
 	run.Emit(StageEvent{Kind: EventSplitStart})
 	t0 := time.Now() //vet:timing stage wall-time for Stats; never reaches labels or wire bytes
-	sp, err := quadsplit.SplitCtx(ctx, im, crit,
+	sp, err := quadsplit.Split(ctx, im, crit,
 		quadsplit.Options{MaxSquare: cfg.MaxSquare, Scratch: run.SplitScratch()})
 	if err != nil {
 		return nil, err
@@ -221,12 +214,12 @@ func (SerialBaseline) SegmentContext(ctx context.Context, im *pixmap.Image, cfg 
 	run.Emit(StageEvent{Kind: EventSplitDone, Iterations: sp.Iterations, Squares: sp.NumSquares})
 
 	t1 := time.Now() //vet:timing stage wall-time for Stats; never reaches labels or wire bytes
-	g, err := rag.BuildFromLabelsCtx(ctx, im, sp.Labels, crit)
+	g, err := rag.BuildFromLabels(ctx, im, sp.Labels, crit)
 	if err != nil {
 		return nil, err
 	}
 	run.Emit(StageEvent{Kind: EventGraphDone, Squares: sp.NumSquares})
-	stats, asg, err := g.MergeSerialCtx(ctx)
+	stats, asg, err := g.MergeSerial(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -248,10 +241,10 @@ func (SerialBaseline) SegmentContext(ctx context.Context, im *pixmap.Image, cfg 
 	return seg, nil
 }
 
-// Compile-time contract: both reference engines are context-aware.
+// Compile-time contract: both reference engines implement Engine.
 var (
-	_ ContextEngine = Sequential{}
-	_ ContextEngine = SerialBaseline{}
+	_ Engine = Sequential{}
+	_ Engine = SerialBaseline{}
 )
 
 // Validate checks the postconditions of a completed segmentation against

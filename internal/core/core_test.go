@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -9,9 +10,15 @@ import (
 	"regiongrow/internal/rag"
 )
 
+// runEngine runs eng once with a background context and a zero Run: no
+// observer, no pooled scratch.
+func runEngine(eng Engine, im *pixmap.Image, cfg Config) (*Segmentation, error) {
+	return eng.SegmentContext(context.Background(), im, cfg, Run{})
+}
+
 func segment(t *testing.T, im *pixmap.Image, cfg Config) *Segmentation {
 	t.Helper()
-	seg, err := Sequential{}.Segment(im, cfg)
+	seg, err := runEngine(Sequential{}, im, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +198,7 @@ func TestSequentialPostconditionsProperty(t *testing.T) {
 		}
 		tVal := int(tRaw % 64)
 		policy := []rag.TiePolicy{rag.SmallestID, rag.LargestID, rag.Random}[policyRaw%3]
-		seg, err := Sequential{}.Segment(im, Config{Threshold: tVal, Tie: policy, Seed: seed})
+		seg, err := runEngine(Sequential{}, im, Config{Threshold: tVal, Tie: policy, Seed: seed})
 		if err != nil {
 			return false
 		}

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
-	"regiongrow/internal/pixmap"
 	"regiongrow/internal/quadsplit"
 )
 
@@ -127,8 +125,7 @@ type Scratch struct {
 // Run is the per-call runtime environment of a segmentation: progress goes
 // to Observer (nil = no events) and Scratch offers reusable buffers (nil =
 // allocate fresh). Cancellation travels separately, on the ctx argument of
-// SegmentContext. The zero Run is valid and makes SegmentContext behave
-// exactly like Segment.
+// SegmentContext. The zero Run is valid: no events, fresh buffers.
 type Run struct {
 	Observer Observer
 	Scratch  *Scratch
@@ -148,14 +145,4 @@ func (r Run) SplitScratch() *quadsplit.Scratch {
 		return nil
 	}
 	return &r.Scratch.Split
-}
-
-// ContextEngine is the context-aware engine contract every execution model
-// implements: cancellation via ctx (checked at split-pass and merge-round
-// boundaries — cancelling mid-run returns ctx.Err() within one iteration),
-// progress and buffer reuse via run. SegmentContext with a background
-// context and a zero Run is equivalent to Segment, byte for byte.
-type ContextEngine interface {
-	Engine
-	SegmentContext(ctx context.Context, im *pixmap.Image, cfg Config, run Run) (*Segmentation, error)
 }

@@ -10,7 +10,7 @@ import (
 
 func TestSerialBaselineValid(t *testing.T) {
 	im := pixmap.Generate(pixmap.Image2Rects128, pixmap.DefaultGenOptions())
-	seg, err := SerialBaseline{}.Segment(im, Config{Threshold: 10})
+	seg, err := runEngine(SerialBaseline{}, im, Config{Threshold: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestSerialBaselineIterations(t *testing.T) {
 	// The serial baseline does exactly squares − regions merges, one per
 	// iteration.
 	im := pixmap.Generate(pixmap.Image2Rects128, pixmap.DefaultGenOptions())
-	seg, err := SerialBaseline{}.Segment(im, Config{Threshold: 10})
+	seg, err := runEngine(SerialBaseline{}, im, Config{Threshold: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestSerialBaselineIterations(t *testing.T) {
 		t.Fatalf("merge iterations = %d, want %d", seg.MergeIterations, want)
 	}
 	// And the parallel kernel is far below that.
-	par, err := Sequential{}.Segment(im, Config{Threshold: 10, Tie: rag.Random, Seed: 1})
+	par, err := runEngine(Sequential{}, im, Config{Threshold: 10, Tie: rag.Random, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +56,11 @@ func TestSerialBaselineSameRegionCountAsParallel(t *testing.T) {
 	// the final count.
 	for _, id := range []pixmap.PaperImageID{pixmap.Image1NestedRects128, pixmap.Image2Rects128} {
 		im := pixmap.Generate(id, pixmap.DefaultGenOptions())
-		a, err := SerialBaseline{}.Segment(im, Config{Threshold: 10})
+		a, err := runEngine(SerialBaseline{}, im, Config{Threshold: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Sequential{}.Segment(im, Config{Threshold: 10, Tie: rag.SmallestID})
+		b, err := runEngine(Sequential{}, im, Config{Threshold: 10, Tie: rag.SmallestID})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -94,7 +94,7 @@ func waitGoroutines(t *testing.T, before int) {
 func TestChaosScenarios(t *testing.T) {
 	im := pixmap.Generate(pixmap.Image3Circles128, pixmap.DefaultGenOptions())
 	cfg := core.Config{Threshold: 10, Tie: rag.Random, Seed: 1}
-	want, err := core.Sequential{}.Segment(im, cfg)
+	want, err := segment(core.Sequential{}, im, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestChaosScenarios(t *testing.T) {
 func TestChaosPartitionMidMerge(t *testing.T) {
 	im := pixmap.Generate(pixmap.Image3Circles128, pixmap.DefaultGenOptions())
 	cfg := core.Config{Threshold: 10, Tie: rag.Random, Seed: 1}
-	want, err := core.Sequential{}.Segment(im, cfg)
+	want, err := segment(core.Sequential{}, im, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestChaosPartitionMidMerge(t *testing.T) {
 func TestChaosDynamicMembership(t *testing.T) {
 	im := pixmap.Generate(pixmap.Image1NestedRects128, pixmap.DefaultGenOptions())
 	cfg := core.Config{Threshold: 10, Tie: rag.SmallestID}
-	want, err := core.Sequential{}.Segment(im, cfg)
+	want, err := segment(core.Sequential{}, im, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestChaosProcessWorkerKilledMidMerge(t *testing.T) {
 	}
 	im := pixmap.Generate(pixmap.Image3Circles128, pixmap.DefaultGenOptions())
 	cfg := core.Config{Threshold: 10, Tie: rag.Random, Seed: 1}
-	want, err := core.Sequential{}.Segment(im, cfg)
+	want, err := segment(core.Sequential{}, im, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

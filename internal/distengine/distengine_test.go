@@ -16,6 +16,12 @@ import (
 	"regiongrow/internal/rag"
 )
 
+// segment runs eng once with a background context and a zero core.Run:
+// no observer, no pooled scratch.
+func segment(eng core.Engine, im *pixmap.Image, cfg core.Config) (*core.Segmentation, error) {
+	return eng.SegmentContext(context.Background(), im, cfg, core.Run{})
+}
+
 // startCluster launches n in-process workers; see disttest.StartCluster
 // (shared with the facade and server suites).
 func startCluster(t testing.TB, n int) []string {
@@ -32,11 +38,11 @@ func TestDistMatchesSequential(t *testing.T) {
 		im := pixmap.Generate(id, pixmap.DefaultGenOptions())
 		for _, tie := range []rag.TiePolicy{rag.SmallestID, rag.LargestID, rag.Random} {
 			cfg := core.Config{Threshold: 10, Tie: tie, Seed: 1}
-			want, err := core.Sequential{}.Segment(im, cfg)
+			want, err := segment(core.Sequential{}, im, cfg)
 			if err != nil {
 				t.Fatalf("%v/%v sequential: %v", id, tie, err)
 			}
-			got, err := eng.Segment(im, cfg)
+			got, err := segment(eng, im, cfg)
 			if err != nil {
 				t.Fatalf("%v/%v dist: %v", id, tie, err)
 			}
@@ -65,13 +71,13 @@ func TestDistMatchesSequential(t *testing.T) {
 func TestDistWorkerCounts(t *testing.T) {
 	im := pixmap.Generate(pixmap.Image3Circles128, pixmap.DefaultGenOptions())
 	cfg := core.Config{Threshold: 10, Tie: rag.Random, Seed: 7}
-	want, err := core.Sequential{}.Segment(im, cfg)
+	want, err := segment(core.Sequential{}, im, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range []int{1, 2, 3, 5, 16} {
 		addrs := startCluster(t, n)
-		got, err := distengine.New(addrs).Segment(im, cfg)
+		got, err := segment(distengine.New(addrs), im, cfg)
 		if err != nil {
 			t.Fatalf("%d workers: %v", n, err)
 		}
@@ -93,12 +99,12 @@ func TestDistNarrowImage(t *testing.T) {
 		}
 	}
 	cfg := core.Config{Threshold: 10, Tie: rag.Random, Seed: 5}
-	want, err := core.Sequential{}.Segment(im, cfg)
+	want, err := segment(core.Sequential{}, im, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	addrs := startCluster(t, 9) // one worker per block, incl. the short band
-	got, err := distengine.New(addrs).Segment(im, cfg)
+	got, err := segment(distengine.New(addrs), im, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,11 +191,11 @@ func TestDistCancellation(t *testing.T) {
 	}
 
 	// The cluster is still serviceable.
-	want, err := core.Sequential{}.Segment(im, cfg)
+	want, err := segment(core.Sequential{}, im, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := eng.Segment(im, cfg)
+	got, err := segment(eng, im, cfg)
 	if err != nil {
 		t.Fatalf("post-cancel segment: %v", err)
 	}
@@ -217,7 +223,7 @@ func TestDistDialFailure(t *testing.T) {
 	eng := distengine.New([]string{"127.0.0.1:1"})
 	eng.SetTuning(distengine.Tuning{ProbeTimeout: 200 * time.Millisecond})
 	im := pixmap.Generate(pixmap.Image1NestedRects128, pixmap.DefaultGenOptions())
-	_, err := eng.Segment(im, core.Config{Threshold: 10})
+	_, err := segment(eng, im, core.Config{Threshold: 10})
 	if !errors.Is(err, distengine.ErrNoWorkers) {
 		t.Fatalf("err = %v, want ErrNoWorkers", err)
 	}
@@ -250,14 +256,14 @@ func TestDistWorkerDeath(t *testing.T) {
 	eng.SetTuning(distengine.Tuning{ProbeTimeout: 300 * time.Millisecond})
 	im := pixmap.Generate(pixmap.Image3Circles128, pixmap.DefaultGenOptions())
 	cfg := core.Config{Threshold: 10, Tie: rag.Random, Seed: 1}
-	want, err := core.Sequential{}.Segment(im, cfg)
+	want, err := segment(core.Sequential{}, im, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
 	var got *core.Segmentation
 	go func() {
-		seg, err := eng.Segment(im, cfg)
+		seg, err := segment(eng, im, cfg)
 		got = seg
 		done <- err
 	}()

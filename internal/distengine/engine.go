@@ -240,11 +240,6 @@ func (e *Engine) Name() string {
 	return fmt.Sprintf("distributed/%dw", len(e.Members()))
 }
 
-// Segment implements core.Engine.
-func (e *Engine) Segment(im *pixmap.Image, cfg core.Config) (*core.Segmentation, error) {
-	return e.SegmentContext(context.Background(), im, cfg, core.Run{})
-}
-
 // commCounters tallies the job's real communication, reported in
 // core.CommStats (the same block the simulated message-passing engine
 // fills from its cost model). Liveness pings are not communication of
@@ -254,7 +249,7 @@ type commCounters struct {
 	reduces, gathers, exchanges atomic.Int64
 }
 
-// SegmentContext implements core.ContextEngine. Cancelling ctx sends an
+// SegmentContext implements core.Engine. Cancelling ctx sends an
 // abort frame to every worker and tears the connections down; workers
 // abandon the job at their next collective (within one split/merge
 // iteration) and stay alive for the next one. All coordinator
@@ -642,4 +637,4 @@ func runWorker(rank int, wc transport.Conn, tun Tuning, starts []int, cap int, i
 	}
 }
 
-var _ core.ContextEngine = (*Engine)(nil)
+var _ core.Engine = (*Engine)(nil)

@@ -3,6 +3,7 @@ package distengine
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"net"
 	"sync"
@@ -45,7 +46,7 @@ func captureStreams(f *testing.F) [][]byte {
 	}()
 
 	im := pixmap.Generate(pixmap.Image1NestedRects128, pixmap.DefaultGenOptions())
-	if _, err := New(addrs).Segment(im, core.Config{Threshold: 10, Tie: rag.SmallestID}); err != nil {
+	if _, err := New(addrs).SegmentContext(context.Background(), im, core.Config{Threshold: 10, Tie: rag.SmallestID}, core.Run{}); err != nil {
 		f.Fatal(err)
 	}
 

@@ -90,11 +90,11 @@ func TestRandomGeometryMatchesSequential(t *testing.T) {
 			cfg := core.Config{Threshold: threshold, Tie: tie, Seed: g.Uint64(), MaxSquare: caps[g.Intn(len(caps))]}
 			workers := 1 + g.Intn(len(addrs))
 			name := fmt.Sprintf("trial %d: %dx%d %s, %d workers, %+v", trial, w, h, field, workers, cfg)
-			want, err := core.Sequential{}.Segment(im, cfg)
+			want, err := segment(core.Sequential{}, im, cfg)
 			if err != nil {
 				t.Fatalf("%s: sequential: %v", name, err)
 			}
-			got, err := distengine.NewOver(mem, addrs[:workers]).Segment(im, cfg)
+			got, err := segment(distengine.NewOver(mem, addrs[:workers]), im, cfg)
 			if err != nil {
 				t.Fatalf("%s: dist: %v", name, err)
 			}

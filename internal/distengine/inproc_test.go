@@ -28,11 +28,11 @@ func TestInProcMatchesSequential(t *testing.T) {
 		im := pixmap.Generate(id, pixmap.DefaultGenOptions())
 		for _, tie := range []rag.TiePolicy{rag.SmallestID, rag.LargestID, rag.Random} {
 			cfg := core.Config{Threshold: 10, Tie: tie, Seed: 1}
-			want, err := core.Sequential{}.Segment(im, cfg)
+			want, err := segment(core.Sequential{}, im, cfg)
 			if err != nil {
 				t.Fatalf("%v/%v sequential: %v", id, tie, err)
 			}
-			got, err := eng.Segment(im, cfg)
+			got, err := segment(eng, im, cfg)
 			if err != nil {
 				t.Fatalf("%v/%v in-proc: %v", id, tie, err)
 			}
@@ -59,14 +59,14 @@ func TestInProcMatchesSequential(t *testing.T) {
 func TestInProcWorkerCounts(t *testing.T) {
 	im := pixmap.Generate(pixmap.Image3Circles128, pixmap.DefaultGenOptions())
 	cfg := core.Config{Threshold: 10, Tie: rag.Random, Seed: 7}
-	want, err := core.Sequential{}.Segment(im, cfg)
+	want, err := segment(core.Sequential{}, im, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range []int{1, 2, 3, 5, 16} {
 		mem := transport.NewMem()
 		addrs := disttest.StartClusterOver(t, mem, n)
-		got, err := distengine.NewOver(mem, addrs).Segment(im, cfg)
+		got, err := segment(distengine.NewOver(mem, addrs), im, cfg)
 		if err != nil {
 			t.Fatalf("%d workers: %v", n, err)
 		}

@@ -75,11 +75,11 @@ func TestDistMultiProcess(t *testing.T) {
 
 	for _, tie := range []rag.TiePolicy{rag.SmallestID, rag.Random} {
 		cfg := core.Config{Threshold: 10, Tie: tie, Seed: 1}
-		want, err := core.Sequential{}.Segment(im, cfg)
+		want, err := segment(core.Sequential{}, im, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := eng.Segment(im, cfg)
+		got, err := segment(eng, im, cfg)
 		if err != nil {
 			t.Fatalf("tie %v: %v", tie, err)
 		}
@@ -105,7 +105,7 @@ func TestDistMultiProcess(t *testing.T) {
 			t.Fatalf("worker %d exited after job cancellation", i)
 		}
 	}
-	if _, err := eng.Segment(im, cfg); err != nil {
+	if _, err := segment(eng, im, cfg); err != nil {
 		t.Fatalf("post-cancel segment: %v", err)
 	}
 

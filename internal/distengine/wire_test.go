@@ -3,6 +3,7 @@ package distengine
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"net"
 	"sync"
 	"testing"
@@ -132,7 +133,7 @@ func TestWireByteStability(t *testing.T) {
 	cfg := core.Config{Threshold: 10, Tie: rag.Random, Seed: 7}
 	eng := New(addrs)
 	for run := 0; run < 2; run++ {
-		if _, err := eng.Segment(im, cfg); err != nil {
+		if _, err := eng.SegmentContext(context.Background(), im, cfg, core.Run{}); err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
 	}

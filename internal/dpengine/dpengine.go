@@ -44,12 +44,7 @@ func (e *Engine) Name() string { return "data-parallel/" + e.cfg.Short() }
 // Config returns the machine configuration the engine simulates.
 func (e *Engine) Config() machine.ConfigID { return e.cfg }
 
-// Segment implements core.Engine.
-func (e *Engine) Segment(im *pixmap.Image, cfg core.Config) (*core.Segmentation, error) {
-	return e.SegmentContext(context.Background(), im, cfg, core.Run{})
-}
-
-// SegmentContext implements core.ContextEngine: the simulated machine is
+// SegmentContext implements core.Engine: the simulated machine is
 // driven from the calling goroutine, so cancellation is a plain check at
 // every split level and merge round of the simulation loop.
 func (e *Engine) SegmentContext(ctx context.Context, im *pixmap.Image, cfg core.Config, run core.Run) (*core.Segmentation, error) {
@@ -316,7 +311,7 @@ func (e *Engine) merge(ctx context.Context, m *simdvm.Machine, im *pixmap.Image,
 	return out, stats, nil
 }
 
-var _ core.ContextEngine = (*Engine)(nil)
+var _ core.Engine = (*Engine)(nil)
 
 // sortDedupe sorts the directed edge array by (src, dst) and removes
 // parallel duplicates, returning the compacted arrays.

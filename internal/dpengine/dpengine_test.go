@@ -1,6 +1,7 @@
 package dpengine
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -10,6 +11,12 @@ import (
 	"regiongrow/internal/pixmap"
 	"regiongrow/internal/rag"
 )
+
+// segment runs eng once with a background context and a zero core.Run:
+// no observer, no pooled scratch.
+func segment(eng core.Engine, im *pixmap.Image, cfg core.Config) (*core.Segmentation, error) {
+	return eng.SegmentContext(context.Background(), im, cfg, core.Run{})
+}
 
 func newEngine(t *testing.T, cfg machine.ConfigID) *Engine {
 	t.Helper()
@@ -40,11 +47,11 @@ func TestName(t *testing.T) {
 // segmentations and statistics.
 func assertMatchesSequential(t *testing.T, e *Engine, im *pixmap.Image, cfg core.Config) {
 	t.Helper()
-	want, err := core.Sequential{}.Segment(im, cfg)
+	want, err := segment(core.Sequential{}, im, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.Segment(im, cfg)
+	got, err := segment(e, im, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +112,11 @@ func TestMatchesSequentialProperty(t *testing.T) {
 			Tie:       []rag.TiePolicy{rag.SmallestID, rag.LargestID, rag.Random}[policyRaw%3],
 			Seed:      seed,
 		}
-		want, err := core.Sequential{}.Segment(im, cfg)
+		want, err := segment(core.Sequential{}, im, cfg)
 		if err != nil {
 			return false
 		}
-		got, err := e.Segment(im, cfg)
+		got, err := segment(e, im, cfg)
 		if err != nil {
 			return false
 		}
@@ -140,7 +147,7 @@ func TestNonSquareImages(t *testing.T) {
 func TestSimulatedClocksPopulated(t *testing.T) {
 	e := newEngine(t, machine.CM2_8K)
 	im := pixmap.Generate(pixmap.Image2Rects128, pixmap.DefaultGenOptions())
-	seg, err := e.Segment(im, core.Config{Threshold: 10})
+	seg, err := segment(e, im, core.Config{Threshold: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +164,11 @@ func TestMoreProcessorsNotSlower(t *testing.T) {
 	// slower than on the 8K profile in simulated time.
 	im := pixmap.Generate(pixmap.Image1NestedRects128, pixmap.DefaultGenOptions())
 	cfg := core.Config{Threshold: 10, Tie: rag.SmallestID}
-	s8, err := newEngine(t, machine.CM2_8K).Segment(im, cfg)
+	s8, err := segment(newEngine(t, machine.CM2_8K), im, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s16, err := newEngine(t, machine.CM2_16K).Segment(im, cfg)
+	s16, err := segment(newEngine(t, machine.CM2_16K), im, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +185,7 @@ func TestNewWithProfile(t *testing.T) {
 	p.PE = 1024
 	e := NewWithProfile(machine.CM2_8K, p)
 	im := pixmap.Uniform(32, 5)
-	seg, err := e.Segment(im, core.Config{Threshold: 0})
+	seg, err := segment(e, im, core.Config{Threshold: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +196,7 @@ func TestNewWithProfile(t *testing.T) {
 
 func TestEmptyImage(t *testing.T) {
 	e := newEngine(t, machine.CM2_8K)
-	seg, err := e.Segment(pixmap.New(0, 0), core.Config{Threshold: 10})
+	seg, err := segment(e, pixmap.New(0, 0), core.Config{Threshold: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func TestSimulatedTimesGolden(t *testing.T) {
 				continue
 			}
 			im := pixmap.Generate(id, pixmap.DefaultGenOptions())
-			seg, err := e.Segment(im, core.Config{Threshold: 10, Tie: rag.Random, Seed: 1})
+			seg, err := segment(e, im, core.Config{Threshold: 10, Tie: rag.Random, Seed: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

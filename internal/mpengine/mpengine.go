@@ -75,12 +75,7 @@ func factor(q int) (p1, p2 int, err error) {
 	return p1, p2, nil
 }
 
-// Segment implements core.Engine.
-func (e *Engine) Segment(im *pixmap.Image, cfg core.Config) (*core.Segmentation, error) {
-	return e.SegmentContext(context.Background(), im, cfg, core.Run{})
-}
-
-// SegmentContext implements core.ContextEngine. Every node folds its view
+// SegmentContext implements core.Engine. Every node folds its view
 // of ctx into the max-reductions that already punctuate the split handoff
 // and each merge round, so all nodes abort together (within one iteration)
 // and the simulated cluster always joins — no goroutine outlives the call.
@@ -277,6 +272,6 @@ func (nd *node) Phase(p nodeprog.Phase, n int) {
 }
 
 var (
-	_ core.ContextEngine   = (*Engine)(nil)
+	_ core.Engine          = (*Engine)(nil)
 	_ nodeprog.Collectives = (*node)(nil)
 )

@@ -1,6 +1,7 @@
 package mpengine
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -10,6 +11,12 @@ import (
 	"regiongrow/internal/pixmap"
 	"regiongrow/internal/rag"
 )
+
+// segment runs eng once with a background context and a zero core.Run:
+// no observer, no pooled scratch.
+func segment(eng core.Engine, im *pixmap.Image, cfg core.Config) (*core.Segmentation, error) {
+	return eng.SegmentContext(context.Background(), im, cfg, core.Run{})
+}
 
 func newEngine(t *testing.T, cfg machine.ConfigID) *Engine {
 	t.Helper()
@@ -55,27 +62,27 @@ func TestFactor(t *testing.T) {
 func TestRejectsBadGeometry(t *testing.T) {
 	e := newEngine(t, machine.CM5_LP)
 	// 100 is not divisible by the 4×8 node grid.
-	if _, err := e.Segment(pixmap.Uniform(100, 5), core.Config{Threshold: 10}); err == nil {
+	if _, err := segment(e, pixmap.Uniform(100, 5), core.Config{Threshold: 10}); err == nil {
 		t.Fatal("accepted indivisible image")
 	}
 	// 32×32 on 32 nodes: tiles 8×4, but the default cap at N=32 is 4 —
 	// divisible, so this should work.
-	if _, err := e.Segment(pixmap.Uniform(32, 5), core.Config{Threshold: 10}); err != nil {
+	if _, err := segment(e, pixmap.Uniform(32, 5), core.Config{Threshold: 10}); err != nil {
 		t.Fatalf("32x32 rejected: %v", err)
 	}
 	// Cap 16 on 32×32: tile height 8 < 16 → misaligned.
-	if _, err := e.Segment(pixmap.Uniform(32, 5), core.Config{Threshold: 10, MaxSquare: 16}); err == nil {
+	if _, err := segment(e, pixmap.Uniform(32, 5), core.Config{Threshold: 10, MaxSquare: 16}); err == nil {
 		t.Fatal("accepted cap exceeding tile")
 	}
 }
 
 func assertMatchesSequential(t *testing.T, e *Engine, im *pixmap.Image, cfg core.Config) {
 	t.Helper()
-	want, err := core.Sequential{}.Segment(im, cfg)
+	want, err := segment(core.Sequential{}, im, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.Segment(im, cfg)
+	got, err := segment(e, im, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +128,11 @@ func TestMatchesSequentialAllPolicies(t *testing.T) {
 func TestSchemesProduceIdenticalResults(t *testing.T) {
 	im := pixmap.Generate(pixmap.Image3Circles128, pixmap.DefaultGenOptions())
 	cfg := core.Config{Threshold: 10, Tie: rag.Random, Seed: 11}
-	lp, err := newEngine(t, machine.CM5_LP).Segment(im, cfg)
+	lp, err := segment(newEngine(t, machine.CM5_LP), im, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	as, err := newEngine(t, machine.CM5_Async).Segment(im, cfg)
+	as, err := segment(newEngine(t, machine.CM5_Async), im, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,12 +153,12 @@ func TestCustomNodeCountsProperty(t *testing.T) {
 			im.Pix[i] &= 0x3F
 		}
 		cfg := core.Config{Threshold: int(tRaw % 40), Tie: rag.Random, Seed: seed, MaxSquare: 4}
-		want, err := core.Sequential{}.Segment(im, cfg)
+		want, err := segment(core.Sequential{}, im, cfg)
 		if err != nil {
 			return false
 		}
 		e := NewCustom(q, mpvm.Async, machine.Get(machine.CM5_Async))
-		got, err := e.Segment(im, cfg)
+		got, err := segment(e, im, cfg)
 		if err != nil {
 			return false
 		}
@@ -171,7 +178,7 @@ func TestSingleNodeCluster(t *testing.T) {
 func TestSimulatedClocksPopulated(t *testing.T) {
 	e := newEngine(t, machine.CM5_Async)
 	im := pixmap.Generate(pixmap.Image2Rects128, pixmap.DefaultGenOptions())
-	seg, err := e.Segment(im, core.Config{Threshold: 10})
+	seg, err := segment(e, im, core.Config{Threshold: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,11 +190,11 @@ func TestSimulatedClocksPopulated(t *testing.T) {
 func TestCommStatsPopulated(t *testing.T) {
 	im := pixmap.Generate(pixmap.Image2Rects128, pixmap.DefaultGenOptions())
 	cfg := core.Config{Threshold: 10, Tie: rag.Random, Seed: 4}
-	lp, err := newEngine(t, machine.CM5_LP).Segment(im, cfg)
+	lp, err := segment(newEngine(t, machine.CM5_LP), im, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	as, err := newEngine(t, machine.CM5_Async).Segment(im, cfg)
+	as, err := segment(newEngine(t, machine.CM5_Async), im, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package nodeprog
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -206,7 +207,9 @@ func (p *prog) split() int {
 	// The tile may legally re-resolve the cap smaller — exactly when the
 	// cap exceeds the tile's own dimensions, where no feasible square can
 	// reach either value.
-	res := quadsplit.Split(p.Tile, p.Crit, quadsplit.Options{MaxSquare: p.Cap})
+	// Cancellation travels through the collectives, so the local split
+	// runs under a context that never ends and cannot fail.
+	res, _ := quadsplit.Split(context.Background(), p.Tile, p.Crit, quadsplit.Options{MaxSquare: p.Cap})
 	// The F77 node code walks its tile once per level testing quad-blocks:
 	// ~8 scalar ops per pixel plus a fixed loop-setup cost per level.
 	p.c.Charge(p.tw * p.th * res.Iterations * 8)

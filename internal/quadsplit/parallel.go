@@ -30,19 +30,13 @@ var tileScratch = sync.Pool{New: func() any { return new(Scratch) }}
 // cap-aligned tiles independently and stitching the results. It produces a
 // Result identical to Split's for every image, criterion, and option set.
 // workers <= 1 (or an image spanned by a single tile) falls back to Split.
-func SplitParallel(im *pixmap.Image, crit homog.Criterion, opt Options, workers int) *Result {
-	res, _ := SplitParallelCtx(context.Background(), im, crit, opt, workers)
-	return res
-}
-
-// SplitParallelCtx is SplitParallel with cooperative cancellation: workers
-// check ctx at every tile boundary, stop picking up new tiles once it is
-// done, drain, and the call returns (nil, ctx.Err()). All worker
+// Workers check ctx at every tile boundary, stop picking up new tiles once
+// it is done, drain, and the call returns (nil, ctx.Err()). All worker
 // goroutines have exited by the time it returns, cancelled or not.
-func SplitParallelCtx(ctx context.Context, im *pixmap.Image, crit homog.Criterion, opt Options, workers int) (*Result, error) {
+func SplitParallel(ctx context.Context, im *pixmap.Image, crit homog.Criterion, opt Options, workers int) (*Result, error) {
 	w, h := im.W, im.H
 	if w == 0 || h == 0 || workers <= 1 {
-		return SplitCtx(ctx, im, crit, opt)
+		return Split(ctx, im, crit, opt)
 	}
 	cap := EffectiveCap(opt, w, h)
 	tile := cap
@@ -52,7 +46,7 @@ func SplitParallelCtx(ctx context.Context, im *pixmap.Image, crit homog.Criterio
 	tx := (w + tile - 1) / tile
 	ty := (h + tile - 1) / tile
 	if tx*ty == 1 {
-		return SplitCtx(ctx, im, crit, opt)
+		return Split(ctx, im, crit, opt)
 	}
 
 	res := &Result{
@@ -101,7 +95,10 @@ func SplitParallelCtx(ctx context.Context, im *pixmap.Image, crit homog.Criterio
 				if err != nil {
 					panic(err) // unreachable: tile geometry is in bounds
 				}
-				r := Split(sub, crit, Options{MaxSquare: cap, Scratch: sc})
+				r, err := Split(ctx, sub, crit, Options{MaxSquare: cap, Scratch: sc})
+				if err != nil {
+					continue // cancelled mid-tile; reported after the drain
+				}
 				outs[t] = tileOut{numSquares: r.NumSquares, combinedPerIter: r.CombinedPerIter}
 				// Re-anchor tile-local labels at the global NW pixel index.
 				for ly := 0; ly < th; ly++ {

@@ -1,6 +1,7 @@
 package quadsplit
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -28,10 +29,13 @@ func TestSplitParallelMatchesSequential(t *testing.T) {
 			for _, threshold := range []int{0, 10, 300} {
 				crit := homog.NewRange(threshold)
 				opt := Options{MaxSquare: maxSquare}
-				want := Split(im, crit, opt)
+				want := split(im, crit, opt)
 				for _, workers := range []int{1, 2, 3, 8} {
-					got := SplitParallel(im, crit, opt, workers)
+					got, err := SplitParallel(context.Background(), im, crit, opt, workers)
 					label := fmt.Sprintf("%s/cap=%d/T=%d/w=%d", name, maxSquare, threshold, workers)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
 					if err := sameResult(want, got); err != nil {
 						t.Errorf("%s: %v", label, err)
 					}

@@ -128,17 +128,10 @@ func prevPow2(v int) int {
 
 // Split runs the split stage sequentially. It is the reference
 // implementation against which the data-parallel and message-passing
-// engines are verified.
-func Split(im *pixmap.Image, crit homog.Criterion, opt Options) *Result {
-	res, _ := SplitCtx(context.Background(), im, crit, opt)
-	return res
-}
-
-// SplitCtx is Split with cooperative cancellation: the combining loop
-// checks ctx at every level boundary and returns (nil, ctx.Err()) when the
-// context is done. The labels it produces are byte-identical to Split's;
+// engines are verified. The combining loop checks ctx at every level
+// boundary and returns (nil, ctx.Err()) when the context is done;
 // cancellation never alters a completed result.
-func SplitCtx(ctx context.Context, im *pixmap.Image, crit homog.Criterion, opt Options) (*Result, error) {
+func Split(ctx context.Context, im *pixmap.Image, crit homog.Criterion, opt Options) (*Result, error) {
 	w, h := im.W, im.H
 	res := &Result{
 		W: w, H: h,

@@ -1,12 +1,20 @@
 package quadsplit
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
 	"regiongrow/internal/homog"
 	"regiongrow/internal/pixmap"
 )
+
+// split runs Split under a background context, which never cancels, so
+// the error it drops is always nil.
+func split(im *pixmap.Image, crit homog.Criterion, opt Options) *Result {
+	res, _ := Split(context.Background(), im, crit, opt)
+	return res
+}
 
 // paperFigure1 is the 4×4 image of the paper's Figure 1, evaluated with
 // threshold T=3.
@@ -29,7 +37,7 @@ func TestPaperFigure1(t *testing.T) {
 	// and SE 2×2 blocks are squares; the NE quadrant stays four 1×1
 	// squares (its range 5−1=4 exceeds T=3).
 	im := paperFigure1(t)
-	res := Split(im, homog.NewRange(3), Options{MaxSquare: Unbounded})
+	res := split(im, homog.NewRange(3), Options{MaxSquare: Unbounded})
 	if err := Validate(res, im, homog.NewRange(3)); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +68,7 @@ func TestPaperFigure1(t *testing.T) {
 func TestUniformImage(t *testing.T) {
 	// Whole image one square: log2(N) iterations, 1 square.
 	im := pixmap.Uniform(16, 9)
-	res := Split(im, homog.NewRange(0), Options{MaxSquare: Unbounded})
+	res := split(im, homog.NewRange(0), Options{MaxSquare: Unbounded})
 	if res.NumSquares != 1 {
 		t.Fatalf("squares = %d", res.NumSquares)
 	}
@@ -77,7 +85,7 @@ func TestUniformImage(t *testing.T) {
 func TestCheckerboardWorstCase(t *testing.T) {
 	// No 2×2 block is homogeneous: one iteration, N² squares.
 	im := pixmap.Checkerboard(8, 0, 255)
-	res := Split(im, homog.NewRange(10), Options{MaxSquare: Unbounded})
+	res := split(im, homog.NewRange(10), Options{MaxSquare: Unbounded})
 	if res.Iterations != 1 {
 		t.Fatalf("iterations = %d, want 1", res.Iterations)
 	}
@@ -90,7 +98,7 @@ func TestCapSemantics(t *testing.T) {
 	im := pixmap.Uniform(64, 7)
 	// Default cap is N/8 = 8 → squares of side 8, 64 of them, and
 	// log2(8)=3 iterations (every pass combines, stage stops at the cap).
-	res := Split(im, homog.NewRange(0), Options{})
+	res := split(im, homog.NewRange(0), Options{})
 	if res.MaxSquareUsed != 8 {
 		t.Fatalf("default cap = %d, want 8", res.MaxSquareUsed)
 	}
@@ -98,17 +106,17 @@ func TestCapSemantics(t *testing.T) {
 		t.Fatalf("squares=%d iterations=%d, want 64/3", res.NumSquares, res.Iterations)
 	}
 	// Explicit cap 16.
-	res = Split(im, homog.NewRange(0), Options{MaxSquare: 16})
+	res = split(im, homog.NewRange(0), Options{MaxSquare: 16})
 	if res.MaxSquareUsed != 16 || res.NumSquares != 16 {
 		t.Fatalf("cap 16: used=%d squares=%d", res.MaxSquareUsed, res.NumSquares)
 	}
 	// Non-power-of-two cap rounds down.
-	res = Split(im, homog.NewRange(0), Options{MaxSquare: 12})
+	res = split(im, homog.NewRange(0), Options{MaxSquare: 12})
 	if res.MaxSquareUsed != 8 {
 		t.Fatalf("cap 12 rounds to %d, want 8", res.MaxSquareUsed)
 	}
 	// Unbounded merges to the whole image.
-	res = Split(im, homog.NewRange(0), Options{MaxSquare: Unbounded})
+	res = split(im, homog.NewRange(0), Options{MaxSquare: Unbounded})
 	if res.NumSquares != 1 {
 		t.Fatalf("unbounded squares = %d", res.NumSquares)
 	}
@@ -140,7 +148,7 @@ func TestEffectiveCap(t *testing.T) {
 func TestNonSquareImage(t *testing.T) {
 	im := pixmap.New(24, 16) // not powers of two
 	im.FillRect(0, 0, 24, 16, 5)
-	res := Split(im, homog.NewRange(0), Options{MaxSquare: Unbounded})
+	res := split(im, homog.NewRange(0), Options{MaxSquare: Unbounded})
 	if err := Validate(res, im, homog.NewRange(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -157,12 +165,12 @@ func TestNonSquareImage(t *testing.T) {
 }
 
 func TestEmptyAndTinyImages(t *testing.T) {
-	res := Split(pixmap.New(0, 0), homog.NewRange(5), Options{})
+	res := split(pixmap.New(0, 0), homog.NewRange(5), Options{})
 	if res.NumSquares != 0 {
 		t.Fatal("empty image produced squares")
 	}
 	im := pixmap.Uniform(1, 3)
-	res = Split(im, homog.NewRange(5), Options{MaxSquare: Unbounded})
+	res = split(im, homog.NewRange(5), Options{MaxSquare: Unbounded})
 	if res.NumSquares != 1 || res.Iterations != 1 {
 		t.Fatalf("1x1 image: squares=%d iterations=%d", res.NumSquares, res.Iterations)
 	}
@@ -179,7 +187,7 @@ func TestSplitInvariantsOnRandomImages(t *testing.T) {
 		}
 		tVal := int(tRaw % 70)
 		capOpt := []int{0, Unbounded, 4, 16}[capRaw%4]
-		res := Split(im, homog.NewRange(tVal), Options{MaxSquare: capOpt})
+		res := split(im, homog.NewRange(tVal), Options{MaxSquare: capOpt})
 		return Validate(res, im, homog.NewRange(tVal)) == nil
 	}, &quick.Config{MaxCount: 40})
 	if err != nil {
@@ -189,8 +197,8 @@ func TestSplitInvariantsOnRandomImages(t *testing.T) {
 
 func TestSplitDeterministic(t *testing.T) {
 	im := pixmap.Generate(pixmap.Image3Circles128, pixmap.DefaultGenOptions())
-	a := Split(im, homog.NewRange(10), Options{})
-	b := Split(im, homog.NewRange(10), Options{})
+	a := split(im, homog.NewRange(10), Options{})
+	b := split(im, homog.NewRange(10), Options{})
 	for i := range a.Labels {
 		if a.Labels[i] != b.Labels[i] {
 			t.Fatal("split is not deterministic")
@@ -203,7 +211,7 @@ func TestPaperIterationCounts(t *testing.T) {
 	// every 256² image under the default cap.
 	for _, id := range pixmap.AllPaperImages() {
 		im := pixmap.Generate(id, pixmap.DefaultGenOptions())
-		res := Split(im, homog.NewRange(10), Options{})
+		res := split(im, homog.NewRange(10), Options{})
 		want := 4
 		if id.Size() == 256 {
 			want = 5
@@ -218,7 +226,7 @@ func TestCombinedPerIterMonotoneTermination(t *testing.T) {
 	// The recorded combine counts must be positive except possibly the
 	// final entry (the terminating pass).
 	im := pixmap.Generate(pixmap.Image2Rects128, pixmap.DefaultGenOptions())
-	res := Split(im, homog.NewRange(10), Options{MaxSquare: Unbounded})
+	res := split(im, homog.NewRange(10), Options{MaxSquare: Unbounded})
 	for i, c := range res.CombinedPerIter {
 		last := i == len(res.CombinedPerIter)-1
 		if c == 0 && !last {
@@ -229,7 +237,7 @@ func TestCombinedPerIterMonotoneTermination(t *testing.T) {
 
 func TestSquaresEnumerationMatchesLabels(t *testing.T) {
 	im := pixmap.Generate(pixmap.Image2Rects128, pixmap.DefaultGenOptions())
-	res := Split(im, homog.NewRange(10), Options{})
+	res := split(im, homog.NewRange(10), Options{})
 	squares := res.Squares(im)
 	if len(squares) != res.NumSquares {
 		t.Fatalf("Squares() returned %d, NumSquares = %d", len(squares), res.NumSquares)
@@ -249,7 +257,7 @@ func TestSquaresEnumerationMatchesLabels(t *testing.T) {
 func TestValidateCatchesCorruption(t *testing.T) {
 	im := pixmap.Generate(pixmap.Image2Rects128, pixmap.DefaultGenOptions())
 	crit := homog.NewRange(10)
-	res := Split(im, crit, Options{})
+	res := split(im, crit, Options{})
 	// Corrupt one pixel's label: points at a non-root.
 	res.Labels[5000] = res.Labels[5000] + 1
 	if Validate(res, im, crit) == nil {

@@ -13,7 +13,7 @@ func TestTopDownMatchesBottomUp(t *testing.T) {
 	for _, id := range []pixmap.PaperImageID{pixmap.Image1NestedRects128, pixmap.Image3Circles128} {
 		im := pixmap.Generate(id, pixmap.DefaultGenOptions())
 		crit := homog.NewRange(10)
-		bu := Split(im, crit, Options{})
+		bu := split(im, crit, Options{})
 		td := SplitTopDown(im, crit, Options{})
 		if bu.NumSquares != td.NumSquares {
 			t.Fatalf("%v: bottom-up %d squares, top-down %d", id, bu.NumSquares, td.NumSquares)
@@ -37,7 +37,7 @@ func TestTopDownMatchesBottomUpProperty(t *testing.T) {
 		}
 		crit := homog.NewRange(int(tRaw % 70))
 		opt := Options{MaxSquare: []int{0, Unbounded, 8}[capRaw%3]}
-		bu := Split(im, crit, opt)
+		bu := split(im, crit, opt)
 		td := SplitTopDown(im, crit, opt)
 		if bu.NumSquares != td.NumSquares {
 			return false
@@ -58,7 +58,7 @@ func TestTopDownNonSquareAndEmpty(t *testing.T) {
 	im := pixmap.New(24, 16)
 	im.FillRect(0, 0, 24, 16, 9)
 	crit := homog.NewRange(0)
-	bu := Split(im, crit, Options{MaxSquare: Unbounded})
+	bu := split(im, crit, Options{MaxSquare: Unbounded})
 	td := SplitTopDown(im, crit, Options{MaxSquare: Unbounded})
 	for i := range bu.Labels {
 		if bu.Labels[i] != td.Labels[i] {

@@ -15,7 +15,7 @@ func validBase(t *testing.T) (*Result, *pixmap.Image, homog.Criterion) {
 	t.Helper()
 	im := pixmap.Uniform(8, 5)
 	crit := homog.NewRange(0)
-	res := Split(im, crit, Options{MaxSquare: 4})
+	res := split(im, crit, Options{MaxSquare: 4})
 	if err := Validate(res, im, crit); err != nil {
 		t.Fatalf("base result invalid: %v", err)
 	}
@@ -81,7 +81,7 @@ func TestValidateMisalignedSquare(t *testing.T) {
 func TestValidateInhomogeneousSquare(t *testing.T) {
 	im := pixmap.Uniform(4, 5)
 	crit := homog.NewRange(0)
-	res := Split(im, crit, Options{MaxSquare: 2})
+	res := split(im, crit, Options{MaxSquare: 2})
 	im.Set(0, 0, 200) // corrupt the image after splitting
 	if err := Validate(res, im, crit); err == nil {
 		t.Fatal("inhomogeneous square accepted")

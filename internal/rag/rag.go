@@ -324,21 +324,16 @@ func (g *Graph) ContractSlots(keeper, loser int) {
 	g.contractSlots(int32(keeper), int32(loser))
 }
 
-// BuildFromLabels constructs the RAG of a labelled image: one vertex per
-// label with the interval of its pixels, one edge per 4-adjacent label
-// pair. This is how the merge stage receives the split stage's output.
-func BuildFromLabels(im *pixmap.Image, labels []int32, crit homog.Criterion) *Graph {
-	g, _ := BuildFromLabelsCtx(context.Background(), im, labels, crit)
-	return g
-}
-
-// buildCheckRows is how many image rows BuildFromLabelsCtx processes
+// buildCheckRows is how many image rows BuildFromLabels processes
 // between context checks — frequent enough that cancellation lands well
 // within one stage, rare enough to keep the check off the per-pixel path.
 const buildCheckRows = 64
 
-// BuildFromLabelsCtx is BuildFromLabels with cooperative cancellation,
-// checked every few rows; it returns (nil, ctx.Err()) when ctx is done.
+// BuildFromLabels constructs the RAG of a labelled image: one vertex per
+// label with the interval of its pixels, one edge per 4-adjacent label
+// pair. This is how the merge stage receives the split stage's output.
+// Cancellation is checked every few rows; it returns (nil, ctx.Err())
+// when ctx is done.
 //
 // The builder is run-length: label arrays out of the split stage are long
 // horizontal runs (one per square per row), so vertices accrue one
@@ -346,7 +341,7 @@ const buildCheckRows = 64
 // per pixel, horizontal edges one AddEdge per run boundary, and vertical
 // edges one AddEdge per overlap segment of the two rows' run structures.
 // The result is identical to the per-pixel build for arbitrary labels.
-func BuildFromLabelsCtx(ctx context.Context, im *pixmap.Image, labels []int32, crit homog.Criterion) (*Graph, error) {
+func BuildFromLabels(ctx context.Context, im *pixmap.Image, labels []int32, crit homog.Criterion) (*Graph, error) {
 	w, h := im.W, im.H
 	if len(labels) != w*h {
 		panic(fmt.Sprintf("rag: %d labels for %dx%d image", len(labels), w, h))
@@ -566,7 +561,11 @@ func (s MergeStats) TotalMerges() int {
 // while hasActive reports an active edge, forcing one SmallestID round
 // whenever the Random policy stalls (no merges despite active edges) three
 // times in a row so progress is guaranteed. iterate executes one round
-// under the effective policy and returns the number of pairs merged.
+// under the effective policy and returns the number of pairs merged. The
+// loop checks ctx before every round (including the first) and returns
+// the stats so far plus ctx.Err() when the context is done — cancelling
+// mid-merge therefore aborts within one iteration. A nil error means the
+// merge ran to completion.
 //
 // Engines differ only in *how* they evaluate an iteration (sequentially,
 // on a simulated machine, or fanned out over goroutines); the loop
@@ -576,17 +575,7 @@ func (s MergeStats) TotalMerges() int {
 // and mpengine still inline the same loop interleaved with their
 // simulated-cost accounting, with the cross-engine property tests pinning
 // them to these semantics.
-func Drive(policy TiePolicy, hasActive func() bool, iterate func(effective TiePolicy, iter int) int) MergeStats {
-	stats, _ := DriveCtx(context.Background(), policy, hasActive, iterate)
-	return stats
-}
-
-// DriveCtx is Drive with cooperative cancellation: the loop checks ctx
-// before every round (including the first) and returns the stats so far
-// plus ctx.Err() when the context is done — cancelling mid-merge therefore
-// aborts within one iteration. A nil error means the merge ran to
-// completion.
-func DriveCtx(ctx context.Context, policy TiePolicy, hasActive func() bool, iterate func(effective TiePolicy, iter int) int) (MergeStats, error) {
+func Drive(ctx context.Context, policy TiePolicy, hasActive func() bool, iterate func(effective TiePolicy, iter int) int) (MergeStats, error) {
 	var stats MergeStats
 	stalls := 0
 	for {
@@ -620,7 +609,8 @@ func DriveCtx(ctx context.Context, policy TiePolicy, hasActive func() bool, iter
 // Assignments.
 func (g *Graph) MergeAll(policy TiePolicy, seed uint64) (MergeStats, *Assignments) {
 	asg := NewAssignments()
-	stats := Drive(policy,
+	// A background context never cancels, so Drive cannot fail.
+	stats, _ := Drive(context.Background(), policy,
 		g.HasActive,
 		func(effective TiePolicy, iter int) int {
 			return g.MergeIteration(effective, seed, iter, asg)

@@ -1,12 +1,30 @@
 package rag
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
 	"regiongrow/internal/homog"
 	"regiongrow/internal/pixmap"
 )
+
+// The helpers below run the kernel under a background context, which never
+// cancels, so the errors they drop are always nil.
+
+func build(im *pixmap.Image, labels []int32, c homog.Criterion) *Graph {
+	g, _ := BuildFromLabels(context.Background(), im, labels, c)
+	return g
+}
+
+func mergeAll(g *Graph, policy TiePolicy, seed uint64) (MergeStats, *Assignments) {
+	return g.MergeAll(policy, seed)
+}
+
+func mergeSerial(g *Graph) (MergeStats, *Assignments) {
+	stats, asg, _ := g.MergeSerial(context.Background())
+	return stats, asg
+}
 
 func crit(t int) homog.Criterion { return homog.NewRange(t) }
 
@@ -17,7 +35,7 @@ func TestBuildFromLabelsSmall(t *testing.T) {
 		{12, 201},
 	})
 	labels := []int32{0, 1, 0, 1}
-	g := BuildFromLabels(im, labels, crit(5))
+	g := build(im, labels, crit(5))
 	if g.NumVertices() != 2 {
 		t.Fatalf("vertices = %d", g.NumVertices())
 	}
@@ -154,7 +172,7 @@ func stripesGraph(vals []uint8, t int) *Graph {
 	for i := range labels {
 		labels[i] = int32(i)
 	}
-	return BuildFromLabels(im, labels, crit(t))
+	return build(im, labels, crit(t))
 }
 
 func TestMergeAllChain(t *testing.T) {
@@ -162,7 +180,7 @@ func TestMergeAllChain(t *testing.T) {
 	// per iteration depends on tie policy but the result does not.
 	for _, policy := range []TiePolicy{SmallestID, LargestID, Random} {
 		g := stripesGraph([]uint8{5, 5, 5, 5}, 0)
-		stats, asg := g.MergeAll(policy, 3)
+		stats, asg := mergeAll(g, policy, 3)
 		if g.NumVertices() != 1 {
 			t.Fatalf("%v: vertices = %d, want 1", policy, g.NumVertices())
 		}
@@ -181,7 +199,7 @@ func TestMergeAllRespectsThreshold(t *testing.T) {
 	// 1×4 with values 0, 10, 20, 30 and T=10: chain merges would create
 	// ranges over 10, so merging is limited.
 	g := stripesGraph([]uint8{0, 10, 20, 30}, 10)
-	g.MergeAll(SmallestID, 0)
+	mergeAll(g, SmallestID, 0)
 	// Whatever merged, every surviving vertex is homogeneous and no
 	// active edge remains.
 	for s := 0; s < g.Slots(); s++ {
@@ -225,7 +243,7 @@ func TestMergeTermination(t *testing.T) {
 			vals[i] = 100
 		}
 		g := stripesGraph(vals, 0)
-		stats, _ := g.MergeAll(Random, seed)
+		stats, _ := mergeAll(g, Random, seed)
 		return g.NumVertices() == 1 && stats.Iterations <= n*4+12
 	}, &quick.Config{MaxCount: 60})
 	if err != nil {
@@ -247,8 +265,8 @@ func TestMergePostconditions(t *testing.T) {
 		for i := range labels {
 			labels[i] = int32(i)
 		}
-		g := BuildFromLabels(im, labels, crit(tVal))
-		g.MergeAll(policy, seed)
+		g := build(im, labels, crit(tVal))
+		mergeAll(g, policy, seed)
 		if g.ActiveEdges() != 0 {
 			return false
 		}
@@ -314,7 +332,7 @@ func TestSmallestIDNeverStalls(t *testing.T) {
 		for i := range labels {
 			labels[i] = int32(i)
 		}
-		g := BuildFromLabels(im, labels, crit(10))
+		g := build(im, labels, crit(10))
 		asg := NewAssignments()
 		for iter := 1; g.ActiveEdges() > 0; iter++ {
 			if merged := g.MergeIteration(SmallestID, 0, iter, asg); merged == 0 {

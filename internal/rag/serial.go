@@ -9,6 +9,7 @@ import (
 // globally best active edge — so a region built from R squares needs R−1
 // iterations, versus log R in the best parallel case. The benchmark
 // harness uses it to quantify how much parallel mutual merging buys.
+// Cancellation is checked before every one-merge iteration.
 //
 // The "best" edge is the active edge minimising (weight, smaller ID,
 // larger ID), making the baseline deterministic. It returns the same
@@ -16,14 +17,7 @@ import (
 // comparable; the final segmentation is always valid but may differ from
 // the mutual-merge segmentation when merge order affects attainable
 // unions.
-func (g *Graph) MergeSerial() (MergeStats, *Assignments) {
-	stats, asg, _ := g.MergeSerialCtx(context.Background())
-	return stats, asg
-}
-
-// MergeSerialCtx is MergeSerial with cooperative cancellation, checked
-// before every one-merge iteration.
-func (g *Graph) MergeSerialCtx(ctx context.Context) (MergeStats, *Assignments, error) {
+func (g *Graph) MergeSerial(ctx context.Context) (MergeStats, *Assignments, error) {
 	var stats MergeStats
 	asg := NewAssignments()
 	for {

@@ -18,7 +18,7 @@ func TestMergeSerialChain(t *testing.T) {
 			vals[i] = 7
 		}
 		g := stripesGraph(vals, 0)
-		stats, asg := g.MergeSerial()
+		stats, asg := mergeSerial(g)
 		if stats.Iterations != n-1 {
 			t.Fatalf("n=%d: iterations = %d, want %d", n, stats.Iterations, n-1)
 		}
@@ -44,8 +44,8 @@ func TestMergeSerialPostconditions(t *testing.T) {
 		for i := range labels {
 			labels[i] = int32(i)
 		}
-		g := BuildFromLabels(im, labels, crit(tVal))
-		stats, _ := g.MergeSerial()
+		g := build(im, labels, crit(tVal))
+		stats, _ := mergeSerial(g)
 		if g.ActiveEdges() != 0 {
 			return false
 		}
@@ -76,8 +76,8 @@ func TestMergeSerialDeterministic(t *testing.T) {
 		labels[i] = int32(i)
 	}
 	run := func() []int32 {
-		g := BuildFromLabels(im, labels, crit(12))
-		_, asg := g.MergeSerial()
+		g := build(im, labels, crit(12))
+		_, asg := mergeSerial(g)
 		return asg.Relabel(labels)
 	}
 	a, b := run(), run()
@@ -99,12 +99,12 @@ func TestMergeSerialNeedsManyMoreIterations(t *testing.T) {
 		for i := range labels {
 			labels[i] = int32(i)
 		}
-		return labels, BuildFromLabels(im, labels, homog.NewRange(10))
+		return labels, build(im, labels, homog.NewRange(10))
 	}
 	_, gSerial := labelsOf()
-	serial, _ := gSerial.MergeSerial()
+	serial, _ := mergeSerial(gSerial)
 	_, gPar := labelsOf()
-	parallel, _ := gPar.MergeAll(Random, 1)
+	parallel, _ := mergeAll(gPar, Random, 1)
 	if serial.Iterations <= parallel.Iterations*5 {
 		t.Fatalf("serial %d iterations vs parallel %d: expected a large gap",
 			serial.Iterations, parallel.Iterations)
@@ -117,7 +117,7 @@ func TestMergeSerialNeedsManyMoreIterations(t *testing.T) {
 
 func TestMergeSerialEmptyGraph(t *testing.T) {
 	g := NewGraph(crit(5))
-	stats, _ := g.MergeSerial()
+	stats, _ := mergeSerial(g)
 	if stats.Iterations != 0 {
 		t.Fatal("empty graph merged")
 	}

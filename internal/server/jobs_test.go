@@ -447,7 +447,7 @@ func TestBatchMultipart(t *testing.T) {
 // localFinalRegions runs the reference engine locally for comparison.
 func localFinalRegions(t *testing.T, id regiongrow.PaperImageID, cfg regiongrow.Config) int {
 	t.Helper()
-	seg, err := regiongrow.Segment(regiongrow.GeneratePaperImage(id), cfg)
+	seg, err := segmentLocal(regiongrow.GeneratePaperImage(id), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

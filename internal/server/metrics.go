@@ -67,7 +67,8 @@ func (h *histogram) snapshot() HistogramStats {
 
 // metrics aggregates the service counters exposed on /v1/stats. Per-engine
 // histograms are pre-allocated for every engine kind at construction, so
-// the map is read-only afterwards and needs no lock.
+// the map is read-only afterwards and needs no lock; a kind the server
+// does not serve keeps an empty histogram, which snapshots omit.
 type metrics struct {
 	instance string
 	// start anchors both stats clocks: its wall reading is served as
@@ -87,19 +88,9 @@ type metrics struct {
 	perEngine          map[string]*histogram
 }
 
-// allKinds enumerates every engine kind the service accepts
-// unconditionally — the base of the single list both the per-kind
-// Segmenter table and the histogram pre-allocation build from, so they
-// can never drift apart. Server.New appends Distributed when cluster
-// workers are configured.
-func allKinds() []regiongrow.EngineKind {
-	return append(regiongrow.AllEngineKinds(),
-		regiongrow.SequentialEngine, regiongrow.NativeParallel)
-}
-
-func newMetrics(instance string, kinds []regiongrow.EngineKind) *metrics {
+func newMetrics(instance string) *metrics {
 	m := &metrics{instance: instance, start: time.Now(), perEngine: make(map[string]*histogram)}
-	for _, k := range kinds {
+	for _, k := range regiongrow.AllEngineKinds() {
 		m.perEngine[k.String()] = &histogram{}
 	}
 	return m

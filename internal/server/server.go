@@ -108,21 +108,20 @@ type Server struct {
 // New builds a Server and starts its worker pool.
 func New(opts Options) *Server {
 	opts = opts.withDefaults()
-	kinds := allKinds()
-	if len(opts.ClusterWorkers) > 0 {
-		kinds = append(kinds, regiongrow.Distributed)
-	}
 	s := &Server{
 		opts:       opts,
 		cache:      newResultCache(opts.CacheEntries),
-		metrics:    newMetrics(opts.Instance, kinds),
+		metrics:    newMetrics(opts.Instance),
 		jobs:       newJobStore(opts.JobCapacity, opts.JobTTL),
 		mux:        http.NewServeMux(),
 		segmenters: make(map[regiongrow.EngineKind]*regiongrow.Segmenter),
 	}
-	for _, k := range kinds {
+	for _, k := range regiongrow.AllEngineKinds() {
 		var kopts []regiongrow.Option
 		if k == regiongrow.Distributed {
+			if len(opts.ClusterWorkers) == 0 {
+				continue // served only when cluster workers are configured
+			}
 			kopts = append(kopts, regiongrow.WithClusterWorkers(opts.ClusterWorkers))
 		}
 		sg, err := regiongrow.New(k, kopts...)
@@ -174,16 +173,8 @@ type finisher interface{ finish() }
 // session for its engine kind. (The pool worker releases the job
 // tracker's stage gauge after any SegmentFunc returns.)
 func (s *Server) segment(ctx context.Context, im *regiongrow.Image, cfg regiongrow.Config, kind regiongrow.EngineKind, obs regiongrow.Observer) (*regiongrow.Segmentation, error) {
-	sg, ok := s.segmenters[kind]
-	if !ok {
-		// Unreachable via HTTP (ParseEngineKind gates kinds), kept for
-		// direct Pool users.
-		var err error
-		if sg, err = regiongrow.New(kind); err != nil {
-			return nil, err
-		}
-	}
-	return sg.SegmentObserved(ctx, im, cfg, obs)
+	// Every submission path checks kind against s.segmenters first.
+	return s.segmenters[kind].SegmentObserved(ctx, im, cfg, obs)
 }
 
 // Handler returns the service's routing handler.

@@ -16,6 +16,15 @@ import (
 	"regiongrow"
 )
 
+// segmentLocal runs the sequential reference engine in-process.
+func segmentLocal(im *regiongrow.Image, cfg regiongrow.Config) (*regiongrow.Segmentation, error) {
+	s, err := regiongrow.New(regiongrow.SequentialEngine)
+	if err != nil {
+		return nil, err
+	}
+	return s.Segment(context.Background(), im, cfg)
+}
+
 func paperPGM(t *testing.T, id regiongrow.PaperImageID) (*regiongrow.Image, []byte) {
 	t.Helper()
 	im := regiongrow.GeneratePaperImage(id)
@@ -62,7 +71,7 @@ func TestSegmentPGMRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	seg, err := regiongrow.Segment(im, regiongrow.Config{Threshold: 10, Tie: regiongrow.RandomTie, Seed: 1})
+	seg, err := segmentLocal(im, regiongrow.Config{Threshold: 10, Tie: regiongrow.RandomTie, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +128,7 @@ func decodeSegment(t *testing.T, resp *http.Response) segmentJSON {
 func TestSegmentJSONMatchesLibrary(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	im, pgm := paperPGM(t, regiongrow.Image1NestedRects128)
-	seg, err := regiongrow.Segment(im, regiongrow.Config{Threshold: 10, Tie: regiongrow.RandomTie, Seed: 1})
+	seg, err := segmentLocal(im, regiongrow.Config{Threshold: 10, Tie: regiongrow.RandomTie, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

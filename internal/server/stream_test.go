@@ -44,7 +44,7 @@ func TestJobStreamPGMRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	seg, err := regiongrow.Segment(im, regiongrow.Config{Threshold: 10, Tie: regiongrow.RandomTie, Seed: 1})
+	seg, err := segmentLocal(im, regiongrow.Config{Threshold: 10, Tie: regiongrow.RandomTie, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestJobStreamLabels(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	seg, err := regiongrow.Segment(im, regiongrow.Config{Threshold: 10, Tie: regiongrow.SmallestIDTie, Seed: 1})
+	seg, err := segmentLocal(im, regiongrow.Config{Threshold: 10, Tie: regiongrow.SmallestIDTie, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

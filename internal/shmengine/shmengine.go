@@ -38,12 +38,7 @@ func (e *Engine) Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Segment implements core.Engine.
-func (e *Engine) Segment(im *pixmap.Image, cfg core.Config) (*core.Segmentation, error) {
-	return e.SegmentContext(context.Background(), im, cfg, core.Run{})
-}
-
-// SegmentContext implements core.ContextEngine: tile workers check ctx at
+// SegmentContext implements core.Engine: tile workers check ctx at
 // tile boundaries, the RAG build at band boundaries, and the merge driver
 // before every round, so cancellation lands within one iteration and every
 // worker goroutine has drained by the time the error returns.
@@ -53,7 +48,7 @@ func (e *Engine) SegmentContext(ctx context.Context, im *pixmap.Image, cfg core.
 
 	run.Emit(core.StageEvent{Kind: core.EventSplitStart})
 	t0 := time.Now() //vet:timing stage wall-time for Stats; never reaches labels or wire bytes
-	sp, err := quadsplit.SplitParallelCtx(ctx, im, crit,
+	sp, err := quadsplit.SplitParallel(ctx, im, crit,
 		quadsplit.Options{MaxSquare: cfg.MaxSquare, Scratch: run.SplitScratch()}, workers)
 	if err != nil {
 		return nil, err
@@ -157,7 +152,7 @@ func buildRAG(ctx context.Context, im *pixmap.Image, labels []int32, crit homog.
 			band := &pixmap.Image{W: w, H: y1 - y0, Pix: im.Pix[y0*w : y1*w]}
 			// Cancellation is checked inside the builder; a cancelled band
 			// stays nil and is discarded below.
-			bg, err := rag.BuildFromLabelsCtx(ctx, band, labels[y0*w:y1*w], crit)
+			bg, err := rag.BuildFromLabels(ctx, band, labels[y0*w:y1*w], crit)
 			if err != nil {
 				return
 			}
@@ -199,7 +194,7 @@ func buildRAG(ctx context.Context, im *pixmap.Image, labels []int32, crit homog.
 func mergeAll(ctx context.Context, g *rag.Graph, policy rag.TiePolicy, seed uint64, workers int, run core.Run) (rag.MergeStats, *rag.Assignments, error) {
 	asg := rag.NewAssignments()
 	var choices []int32 // slot-indexed scratch reused across rounds
-	stats, err := rag.DriveCtx(ctx, policy,
+	stats, err := rag.Drive(ctx, policy,
 		func() bool { return hasActiveEdge(g, workers) },
 		func(effective rag.TiePolicy, iter int) int {
 			var merged int
@@ -287,4 +282,4 @@ func relabel(labels []int32, g *rag.Graph, asg *rag.Assignments, workers int) []
 	return out
 }
 
-var _ core.ContextEngine = (*Engine)(nil)
+var _ core.Engine = (*Engine)(nil)

@@ -1,6 +1,7 @@
 package shmengine
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -8,6 +9,12 @@ import (
 	"regiongrow/internal/pixmap"
 	"regiongrow/internal/rag"
 )
+
+// segment runs eng once with a background context and a zero core.Run:
+// no observer, no pooled scratch.
+func segment(eng core.Engine, im *pixmap.Image, cfg core.Config) (*core.Segmentation, error) {
+	return eng.SegmentContext(context.Background(), im, cfg, core.Run{})
+}
 
 // TestMatchesSequential is the engine's defining property: byte-identical
 // segmentations to core.Sequential — labels and the full statistics the
@@ -28,13 +35,13 @@ func TestMatchesSequential(t *testing.T) {
 			for _, tie := range []rag.TiePolicy{rag.SmallestID, rag.LargestID, rag.Random} {
 				for _, seed := range []uint64{1, 42} {
 					cfg := core.Config{Threshold: threshold, Tie: tie, Seed: seed}
-					want, err := core.Sequential{}.Segment(im, cfg)
+					want, err := segment(core.Sequential{}, im, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
 					for _, workers := range []int{1, 2, 3, 7} {
 						label := fmt.Sprintf("%s/T=%d/%v/seed=%d/w=%d", name, threshold, tie, seed, workers)
-						got, err := NewWithWorkers(workers).Segment(im, cfg)
+						got, err := segment(NewWithWorkers(workers), im, cfg)
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}
@@ -83,11 +90,11 @@ func TestMaxSquareOptions(t *testing.T) {
 	im := pixmap.Generate(pixmap.Image2Rects128, pixmap.DefaultGenOptions())
 	for _, maxSquare := range []int{0, 1, 8, -1} {
 		cfg := core.Config{Threshold: 10, Tie: rag.Random, Seed: 5, MaxSquare: maxSquare}
-		want, err := core.Sequential{}.Segment(im, cfg)
+		want, err := segment(core.Sequential{}, im, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := NewWithWorkers(4).Segment(im, cfg)
+		got, err := segment(NewWithWorkers(4), im, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,11 +110,11 @@ func TestEmptyAndTinyImages(t *testing.T) {
 			im.Pix[i] = uint8(i * 37)
 		}
 		cfg := core.Config{Threshold: 10, Tie: rag.Random, Seed: 1}
-		want, err := core.Sequential{}.Segment(im, cfg)
+		want, err := segment(core.Sequential{}, im, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := NewWithWorkers(4).Segment(im, cfg)
+		got, err := segment(NewWithWorkers(4), im, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -106,7 +106,7 @@ func Segment(ctx context.Context, r io.Reader, w io.Writer, cfg core.Config, run
 
 	t1 := time.Now() //vet:timing stage wall-time for Result; never reaches labels or output bytes
 	asg := rag.NewAssignments()
-	mstats, err := rag.DriveCtx(ctx, cfg.Tie,
+	mstats, err := rag.Drive(ctx, cfg.Tie,
 		g.HasActive,
 		func(effective rag.TiePolicy, iter int) int {
 			merged := g.MergeIteration(effective, cfg.Seed, iter, asg)
@@ -159,7 +159,7 @@ func ingest(ctx context.Context, sr *pixmap.StreamReader, spool *os.File, g *rag
 		// may legally re-resolve it smaller (see distengine's identical
 		// local split), so the band split equals the global split within
 		// the band.
-		sp, err := quadsplit.SplitCtx(ctx, band, crit, quadsplit.Options{MaxSquare: cap, Scratch: sc})
+		sp, err := quadsplit.Split(ctx, band, crit, quadsplit.Options{MaxSquare: cap, Scratch: sc})
 		if err != nil {
 			return nil, err
 		}

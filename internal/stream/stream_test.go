@@ -16,7 +16,7 @@ import (
 // sequentialLabels runs the in-memory reference engine.
 func sequentialSeg(t *testing.T, im *pixmap.Image, cfg core.Config) *core.Segmentation {
 	t.Helper()
-	seg, err := core.Sequential{}.Segment(im, cfg)
+	seg, err := core.Sequential{}.SegmentContext(context.Background(), im, cfg, core.Run{})
 	if err != nil {
 		t.Fatal(err)
 	}

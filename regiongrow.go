@@ -36,10 +36,6 @@
 // All engines produce identical segmentations for the same Config — the
 // property-based test suite enforces it — so the engine choice affects
 // only the simulated machine times reported in the Segmentation.
-//
-// The package-level one-shots (Segment, SegmentSerial, SegmentNative) and
-// NewEngine remain as thin deprecated shims over Segmenter sessions,
-// consolidated in compat.go.
 package regiongrow
 
 import (
@@ -159,15 +155,6 @@ func (k EngineKind) String() string {
 	}
 }
 
-// parseableEngineKinds is every kind ParseEngineKind accepts: the five
-// simulated configurations of AllEngineKinds plus the kinds that model
-// no machine. Its order is the order enumerated in parse errors.
-func parseableEngineKinds() []EngineKind {
-	return []EngineKind{SequentialEngine, CM2DataParallel8K,
-		CM2DataParallel16K, CM5DataParallel, CM5LinearPermutation, CM5Async,
-		NativeParallel, Distributed}
-}
-
 // enumerate renders a parse error's valid-choice list ("a, b, or c") from
 // the same enumerations the parse functions match against, so the message
 // cannot drift from what is actually accepted.
@@ -184,7 +171,7 @@ func enumerate(names []string) string {
 // ParseEngineKind resolves the names printed by String. Matching is
 // case-insensitive; the error enumerates every valid name.
 func ParseEngineKind(s string) (EngineKind, error) {
-	kinds := parseableEngineKinds()
+	kinds := AllEngineKinds()
 	names := make([]string, len(kinds))
 	for i, k := range kinds {
 		if strings.EqualFold(k.String(), s) {
@@ -277,12 +264,15 @@ func (k EngineKind) MachineConfig() (machine.ConfigID, bool) {
 // Config.MaxSquare.
 const Unbounded = quadsplit.Unbounded
 
-// AllEngineKinds lists the five simulated configurations in the order of
-// the paper's tables. SequentialEngine and NativeParallel are not included:
-// they model no machine, so they have no row in the paper's tables.
+// AllEngineKinds lists every engine kind in declaration order — the set
+// ParseEngineKind accepts, in the order its errors enumerate. The five
+// simulated configurations appear in the order of the paper's tables;
+// code that builds those tables keeps only the kinds with a
+// MachineConfig.
 func AllEngineKinds() []EngineKind {
-	return []EngineKind{CM2DataParallel8K, CM2DataParallel16K,
-		CM5DataParallel, CM5LinearPermutation, CM5Async}
+	return []EngineKind{SequentialEngine, CM2DataParallel8K,
+		CM2DataParallel16K, CM5DataParallel, CM5LinearPermutation, CM5Async,
+		NativeParallel, Distributed}
 }
 
 // AllTiePolicies lists every tie policy in declaration order — the set

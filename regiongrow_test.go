@@ -3,17 +3,72 @@ package regiongrow
 import (
 	"context"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// TestEngineKindRoundTrip: every engine kind — the five simulated
-// configurations plus the sequential and native engines — has a stable
-// name that survives a String/ParseEngineKind round trip; unknown names
-// are rejected with a descriptive error.
+// sessionOf constructs a session of the given kind or fails the test.
+func sessionOf(tb testing.TB, kind EngineKind) *Segmenter {
+	tb.Helper()
+	s, err := New(kind)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// engineOf returns the engine behind a fresh session of the given kind,
+// for callers that run it directly: unpooled, with no observer.
+func engineOf(tb testing.TB, kind EngineKind) Engine {
+	tb.Helper()
+	return sessionOf(tb, kind).Engine()
+}
+
+// segmentKind runs one segmentation on a fresh session of the given kind.
+func segmentKind(kind EngineKind, im *Image, cfg Config) (*Segmentation, error) {
+	s, err := New(kind)
+	if err != nil {
+		return nil, err
+	}
+	return s.Segment(context.Background(), im, cfg)
+}
+
+// tableKinds lists the kinds with a row in the paper's tables: those
+// that simulate a machine configuration.
+func tableKinds() []EngineKind {
+	var kinds []EngineKind
+	for _, k := range AllEngineKinds() {
+		if _, ok := k.MachineConfig(); ok {
+			kinds = append(kinds, k)
+		}
+	}
+	return kinds
+}
+
+// TestAllEngineKindsIsTheOneList: AllEngineKinds holds every kind with a
+// stable name, once each and in declaration order, and exactly five of
+// them — the paper's machine configurations — report a MachineConfig.
+func TestAllEngineKindsIsTheOneList(t *testing.T) {
+	var named []EngineKind
+	for k := EngineKind(-16); k < 256; k++ {
+		if !strings.HasPrefix(k.String(), "EngineKind(") {
+			named = append(named, k)
+		}
+	}
+	if got := AllEngineKinds(); !slices.Equal(got, named) {
+		t.Fatalf("AllEngineKinds() = %v, want every named kind in declaration order %v", got, named)
+	}
+	if n := len(tableKinds()); n != 5 {
+		t.Fatalf("%d kinds report a MachineConfig, want the paper's 5", n)
+	}
+}
+
+// TestEngineKindRoundTrip: every engine kind has a stable name that
+// survives a String/ParseEngineKind round trip; unknown names are
+// rejected with a descriptive error.
 func TestEngineKindRoundTrip(t *testing.T) {
-	kinds := append([]EngineKind{SequentialEngine, NativeParallel, Distributed}, AllEngineKinds()...)
-	for _, k := range kinds {
+	for _, k := range AllEngineKinds() {
 		name := k.String()
 		if name == "" || strings.HasPrefix(name, "EngineKind(") {
 			t.Errorf("kind %d has no stable name: %q", int(k), name)
@@ -38,6 +93,76 @@ func TestEngineKindRoundTrip(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), "unknown engine") || !strings.Contains(err.Error(), "native") {
 			t.Errorf("ParseEngineKind(%q) error not descriptive: %v", bad, err)
+		}
+	}
+}
+
+// TestEnumerationsRoundTrip: every value the All* enumerations list
+// parses back to itself through the matching Parse function — upper,
+// lower, and mixed case — so the enumerations and the parsers cannot
+// drift apart.
+func TestEnumerationsRoundTrip(t *testing.T) {
+	for _, k := range AllEngineKinds() {
+		for _, s := range []string{k.String(), strings.ToUpper(k.String())} {
+			got, err := ParseEngineKind(s)
+			if err != nil || got != k {
+				t.Errorf("ParseEngineKind(%q) = %v, %v; want %v", s, got, err, k)
+			}
+		}
+	}
+	if len(AllTiePolicies()) != 3 {
+		t.Fatalf("AllTiePolicies() has %d entries, want 3", len(AllTiePolicies()))
+	}
+	for _, p := range AllTiePolicies() {
+		for _, s := range []string{p.String(), strings.ToUpper(p.String())} {
+			got, err := ParseTiePolicy(s)
+			if err != nil || got != p {
+				t.Errorf("ParseTiePolicy(%q) = %v, %v; want %v", s, got, err, p)
+			}
+		}
+	}
+	ids := AllPaperImageIDs()
+	if len(ids) != 6 {
+		t.Fatalf("AllPaperImageIDs() has %d entries, want 6", len(ids))
+	}
+	for _, id := range ids {
+		for _, s := range []string{id.ShortName(), strings.ToUpper(id.ShortName())} {
+			got, err := ParsePaperImageID(s)
+			if err != nil || got != id {
+				t.Errorf("ParsePaperImageID(%q) = %v, %v; want %v", s, got, err, id)
+			}
+		}
+	}
+}
+
+// TestParseErrorsEnumerateChoices: a failed parse names every valid
+// choice, derived from the same enumeration the parser matches against.
+func TestParseErrorsEnumerateChoices(t *testing.T) {
+	if _, err := ParseEngineKind("warp-drive"); err == nil {
+		t.Fatal("bogus engine parsed")
+	} else {
+		for _, k := range AllEngineKinds() {
+			if !strings.Contains(err.Error(), k.String()) {
+				t.Errorf("ParseEngineKind error omits %q: %v", k, err)
+			}
+		}
+	}
+	if _, err := ParseTiePolicy("coin-flip"); err == nil {
+		t.Fatal("bogus tie policy parsed")
+	} else {
+		for _, p := range AllTiePolicies() {
+			if !strings.Contains(err.Error(), p.String()) {
+				t.Errorf("ParseTiePolicy error omits %q: %v", p, err)
+			}
+		}
+	}
+	if _, err := ParsePaperImageID("image9"); err == nil {
+		t.Fatal("bogus paper image parsed")
+	} else {
+		for _, id := range AllPaperImageIDs() {
+			if !strings.Contains(err.Error(), id.ShortName()) {
+				t.Errorf("ParsePaperImageID error omits %q: %v", id.ShortName(), err)
+			}
 		}
 	}
 }
@@ -131,36 +256,39 @@ func TestCanonicalizeConfigAndCacheKey(t *testing.T) {
 	}
 }
 
+// TestMachineConfig: exactly the simulated CM kinds report a machine
+// configuration; sequential, native and dist model no machine.
 func TestMachineConfig(t *testing.T) {
-	if _, ok := SequentialEngine.MachineConfig(); ok {
-		t.Fatal("sequential should have no machine config")
-	}
-	if _, ok := NativeParallel.MachineConfig(); ok {
-		t.Fatal("native should have no machine config")
-	}
 	for _, k := range AllEngineKinds() {
-		if _, ok := k.MachineConfig(); !ok {
-			t.Errorf("%v missing machine config", k)
+		_, ok := k.MachineConfig()
+		if want := strings.HasPrefix(k.String(), "cm"); ok != want {
+			t.Errorf("%v: MachineConfig reported %v, want %v", k, ok, want)
 		}
 	}
 }
 
-func TestNewEngineAllKinds(t *testing.T) {
-	for _, k := range append([]EngineKind{SequentialEngine, NativeParallel}, AllEngineKinds()...) {
-		eng, err := NewEngine(k)
-		if err != nil || eng == nil {
-			t.Errorf("NewEngine(%v): %v", k, err)
+// TestNewAllKinds: New builds every kind but Distributed (which needs
+// WithClusterWorkers; see TestDistributedSegmenter) and rejects unknown
+// kinds.
+func TestNewAllKinds(t *testing.T) {
+	for _, k := range AllEngineKinds() {
+		if k == Distributed {
+			continue
+		}
+		s, err := New(k)
+		if err != nil || s.Engine() == nil {
+			t.Errorf("New(%v): %v", k, err)
 		}
 	}
-	if _, err := NewEngine(EngineKind(99)); err == nil {
-		t.Fatal("NewEngine(99) succeeded")
+	if _, err := New(EngineKind(99)); err == nil {
+		t.Fatal("New(99) succeeded")
 	}
 }
 
 func TestQuickstartFlow(t *testing.T) {
 	im := GeneratePaperImage(Image2Rects128)
 	cfg := Config{Threshold: 10, Tie: RandomTie, Seed: 1}
-	seg, err := Segment(im, cfg)
+	seg, err := segmentKind(SequentialEngine, im, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,16 +351,15 @@ func TestCrossEngineEquivalence(t *testing.T) {
 	im := GeneratePaperImage(Image3Circles128)
 	for _, tie := range []TiePolicy{SmallestIDTie, RandomTie} {
 		cfg := Config{Threshold: 10, Tie: tie, Seed: 1234}
-		ref, err := Segment(im, cfg)
+		ref, err := segmentKind(SequentialEngine, im, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, k := range append([]EngineKind{NativeParallel}, AllEngineKinds()...) {
-			eng, err := NewEngine(k)
-			if err != nil {
-				t.Fatal(err)
+		for _, k := range AllEngineKinds() {
+			if k == SequentialEngine || k == Distributed {
+				continue // the reference itself; dist is TestDistributedSegmenter's
 			}
-			seg, err := eng.Segment(im, cfg)
+			seg, err := segmentKind(k, im, cfg)
 			if err != nil {
 				t.Fatalf("%v: %v", k, err)
 			}
@@ -250,11 +377,11 @@ func TestTiePolicyAblation(t *testing.T) {
 	// The paper's claim C1: random tie-breaking yields more merges per
 	// iteration (fewer iterations) than smallest-ID on their inputs.
 	im := GeneratePaperImage(Image1NestedRects128)
-	smallest, err := Segment(im, Config{Threshold: 10, Tie: SmallestIDTie})
+	smallest, err := segmentKind(SequentialEngine, im, Config{Threshold: 10, Tie: SmallestIDTie})
 	if err != nil {
 		t.Fatal(err)
 	}
-	random, err := Segment(im, Config{Threshold: 10, Tie: RandomTie, Seed: 1})
+	random, err := segmentKind(SequentialEngine, im, Config{Threshold: 10, Tie: RandomTie, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,8 @@ import (
 
 	"regiongrow/internal/core"
 	"regiongrow/internal/distengine"
+	"regiongrow/internal/dpengine"
+	"regiongrow/internal/mpengine"
 	"regiongrow/internal/shmengine"
 )
 
@@ -47,12 +49,12 @@ const (
 //
 // A Segmenter is safe for concurrent use; each call draws its own buffer
 // set from the pool. Pooling never affects results: the property-based
-// test suite pins pooled reuse byte-identical to fresh one-shot runs
+// test suite pins pooled reuse byte-identical to fresh unpooled runs
 // across all paper images, tie policies, and engines, so the determinism
 // and cache-key invariants (CacheKey, CanonicalizeConfig) are untouched.
 type Segmenter struct {
 	kind     EngineKind
-	eng      core.ContextEngine
+	eng      core.Engine
 	defaults Config
 	observer Observer
 	pooling  bool
@@ -162,20 +164,25 @@ func WithClusterWorkers(addrs []string) Option {
 // progress observer, and buffer pooling; see the Option constructors.
 func New(kind EngineKind, opts ...Option) (*Segmenter, error) {
 	s := &Segmenter{kind: kind, pooling: true}
-	if kind != Distributed {
-		// The Distributed engine is constructed by WithClusterWorkers —
-		// it is the one kind that cannot exist without configuration.
-		eng, err := NewEngine(kind)
-		if err != nil {
-			return nil, err
-		}
-		ce, ok := eng.(core.ContextEngine)
-		if !ok {
-			// Unreachable: every shipped engine is context-aware; the
-			// assertion guards future engine additions.
-			return nil, fmt.Errorf("regiongrow: engine %v does not support contexts", kind)
-		}
-		s.eng = ce
+	mc, _ := kind.MachineConfig()
+	var err error
+	switch kind {
+	case SequentialEngine:
+		s.eng = core.Sequential{}
+	case CM2DataParallel8K, CM2DataParallel16K, CM5DataParallel:
+		s.eng, err = dpengine.New(mc)
+	case CM5LinearPermutation, CM5Async:
+		s.eng, err = mpengine.New(mc)
+	case NativeParallel:
+		s.eng = shmengine.New()
+	case Distributed:
+		// Constructed by WithClusterWorkers: it is the one kind that
+		// cannot exist without configuration.
+	default:
+		return nil, fmt.Errorf("regiongrow: unknown engine kind %d", int(kind))
+	}
+	if err != nil {
+		return nil, err
 	}
 	s.scratch.New = func() any { return new(core.Scratch) }
 	for _, opt := range opts {
@@ -278,8 +285,8 @@ func (s *Segmenter) effectiveConfig(cfg Config) Config {
 // Segment runs one segmentation under the session's engine, defaults, and
 // observer. Cancelling ctx aborts the run within one split/merge
 // iteration and returns ctx.Err(); the segmentation is then nil. Results
-// are independent of pooling and identical to the package-level one-shots
-// for the same effective Config.
+// are independent of pooling and identical to an unpooled run of the same
+// engine for the same effective Config.
 func (s *Segmenter) Segment(ctx context.Context, im *Image, cfg Config) (*Segmentation, error) {
 	return s.SegmentObserved(ctx, im, cfg, s.observer)
 }

@@ -9,15 +9,11 @@ import (
 	"regiongrow/internal/core"
 )
 
-// freshReference runs a throwaway context-free engine — no Segmenter, no
-// pooling — as the ground truth pooled runs must match byte for byte.
+// freshReference runs a throwaway engine directly — no session pool, no
+// observer — as the ground truth pooled runs must match byte for byte.
 func freshReference(t *testing.T, kind EngineKind, im *Image, cfg Config) *Segmentation {
 	t.Helper()
-	eng, err := NewEngine(kind)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seg, err := eng.Segment(im, cfg)
+	seg, err := engineOf(t, kind).SegmentContext(context.Background(), im, cfg, core.Run{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,30 +265,5 @@ func TestSegmenterWithWorkers(t *testing.T) {
 		if !ref.EqualLabels(seg) {
 			t.Fatalf("native with %d workers differs from sequential reference", n)
 		}
-	}
-}
-
-// TestShimsRouteThroughSegmenter: the deprecated package-level one-shots
-// remain byte-identical to direct engine runs.
-func TestShimsRouteThroughSegmenter(t *testing.T) {
-	im := GeneratePaperImage(Image2Rects128)
-	cfg := Config{Threshold: 10, Tie: RandomTie, Seed: 3}
-	ref, err := core.Sequential{}.Segment(im, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaShim, err := Segment(im, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ref.EqualLabels(viaShim) {
-		t.Fatal("Segment shim differs from core.Sequential")
-	}
-	viaNative, err := SegmentNative(im, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ref.EqualLabels(viaNative) {
-		t.Fatal("SegmentNative shim differs from core.Sequential")
 	}
 }

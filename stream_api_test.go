@@ -13,7 +13,7 @@ import (
 func TestSegmentStreamMatchesSequential(t *testing.T) {
 	im := GeneratePaperImage(Image3Circles128)
 	cfg := Config{Threshold: 10, Tie: RandomTie, Seed: 1}
-	seg, err := Segment(im, cfg)
+	seg, err := segmentKind(SequentialEngine, im, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
