@@ -103,10 +103,21 @@ type Sequential struct{}
 func (Sequential) Name() string { return "sequential" }
 
 // SegmentContext implements Engine: sequential split, then the shared RAG
-// merge kernel, then relabeling, with cancellation checked at every split
-// pass and merge round, stage events on run.Observer, and split buffers
-// drawn from run.Scratch.
+// merge kernel (one stage event per merge round), then relabeling.
 func (Sequential) SegmentContext(ctx context.Context, im *pixmap.Image, cfg Config, run Run) (*Segmentation, error) {
+	return segmentSequential(ctx, im, cfg, run, func(g *rag.Graph) (rag.MergeStats, *rag.Assignments, error) {
+		return g.MergeAll(ctx, cfg.Tie, cfg.Seed, func(iter, merged int) {
+			run.Emit(StageEvent{Kind: EventMergeIteration, Iteration: iter, Merges: merged})
+		})
+	})
+}
+
+// segmentSequential is the single-threaded pipeline both reference
+// engines share: split (checking ctx at every pass, buffers from
+// run.Scratch), graph build, the engine's merge stage, relabeling, and
+// the region summary, with the stage events around them.
+func segmentSequential(ctx context.Context, im *pixmap.Image, cfg Config, run Run,
+	merge func(g *rag.Graph) (rag.MergeStats, *rag.Assignments, error)) (*Segmentation, error) {
 	crit := cfg.Criterion()
 
 	run.Emit(StageEvent{Kind: EventSplitStart})
@@ -125,14 +136,7 @@ func (Sequential) SegmentContext(ctx context.Context, im *pixmap.Image, cfg Conf
 		return nil, err
 	}
 	run.Emit(StageEvent{Kind: EventGraphDone, Squares: sp.NumSquares})
-	asg := rag.NewAssignments()
-	stats, err := rag.Drive(ctx, cfg.Tie,
-		g.HasActive,
-		func(effective rag.TiePolicy, iter int) int {
-			merged := g.MergeIteration(effective, cfg.Seed, iter, asg)
-			run.Emit(StageEvent{Kind: EventMergeIteration, Iteration: iter, Merges: merged})
-			return merged
-		})
+	stats, asg, err := merge(g)
 	if err != nil {
 		return nil, err
 	}
@@ -199,46 +203,13 @@ type SerialBaseline struct{}
 // Name implements Engine.
 func (SerialBaseline) Name() string { return "serial-baseline" }
 
-// SegmentContext implements Engine for the baseline: cancellation
-// at every one-merge iteration, the same stage events as the real engines.
+// SegmentContext implements Engine for the baseline: cancellation at
+// every one-merge iteration, the same split and completion events as the
+// real engines.
 func (SerialBaseline) SegmentContext(ctx context.Context, im *pixmap.Image, cfg Config, run Run) (*Segmentation, error) {
-	crit := cfg.Criterion()
-	run.Emit(StageEvent{Kind: EventSplitStart})
-	t0 := time.Now() //vet:timing stage wall-time for Stats; never reaches labels or wire bytes
-	sp, err := quadsplit.Split(ctx, im, crit,
-		quadsplit.Options{MaxSquare: cfg.MaxSquare, Scratch: run.SplitScratch()})
-	if err != nil {
-		return nil, err
-	}
-	splitWall := time.Since(t0) //vet:timing stage wall-time for Stats; never reaches labels or wire bytes
-	run.Emit(StageEvent{Kind: EventSplitDone, Iterations: sp.Iterations, Squares: sp.NumSquares})
-
-	t1 := time.Now() //vet:timing stage wall-time for Stats; never reaches labels or wire bytes
-	g, err := rag.BuildFromLabels(ctx, im, sp.Labels, crit)
-	if err != nil {
-		return nil, err
-	}
-	run.Emit(StageEvent{Kind: EventGraphDone, Squares: sp.NumSquares})
-	stats, asg, err := g.MergeSerial(ctx)
-	if err != nil {
-		return nil, err
-	}
-	labels := asg.Relabel(sp.Labels)
-	mergeWall := time.Since(t1) //vet:timing stage wall-time for Stats; never reaches labels or wire bytes
-
-	seg := &Segmentation{
-		W: im.W, H: im.H,
-		Labels:            labels,
-		SplitIterations:   sp.Iterations,
-		MergeIterations:   stats.Iterations,
-		SquaresAfterSplit: sp.NumSquares,
-		MergesPerIter:     stats.MergesPerIter,
-		SplitWall:         splitWall,
-		MergeWall:         mergeWall,
-	}
-	seg.FillRegions(im)
-	run.Emit(StageEvent{Kind: EventMergeDone, Iterations: stats.Iterations, Regions: seg.FinalRegions})
-	return seg, nil
+	return segmentSequential(ctx, im, cfg, run, func(g *rag.Graph) (rag.MergeStats, *rag.Assignments, error) {
+		return g.MergeSerial(ctx)
+	})
 }
 
 // Compile-time contract: both reference engines implement Engine.

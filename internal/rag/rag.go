@@ -572,9 +572,9 @@ func (s MergeStats) TotalMerges() int {
 // semantics — iteration numbering, stall accounting, forced resolutions —
 // live here so engines sharing the driver cannot drift apart. MergeAll
 // (the sequential kernel) and the native shmengine run on it; dpengine
-// and mpengine still inline the same loop interleaved with their
-// simulated-cost accounting, with the cross-engine property tests pinning
-// them to these semantics.
+// and nodeprog still inline the same loop interleaved with their
+// simulated-cost accounting and collectives, with the cross-engine
+// property tests pinning them to these semantics.
 func Drive(ctx context.Context, policy TiePolicy, hasActive func() bool, iterate func(effective TiePolicy, iter int) int) (MergeStats, error) {
 	var stats MergeStats
 	stalls := 0
@@ -602,20 +602,24 @@ func Drive(ctx context.Context, policy TiePolicy, hasActive func() bool, iterate
 	}
 }
 
-// MergeAll runs merge iterations until no active edges remain, mutating the
-// graph. It returns per-iteration statistics; the mapping from every
-// original vertex ID ever merged into another to its surviving
-// representative's ID is available through Find on the returned
-// Assignments.
-func (g *Graph) MergeAll(policy TiePolicy, seed uint64) (MergeStats, *Assignments) {
+// MergeAll is the sequential merge stage: it runs merge iterations on
+// Drive until no active edges remain, mutating the graph, and calls
+// onRound (if non-nil) after every round with its 1-based number and
+// merge count. It returns per-iteration statistics and the Assignments
+// mapping every original vertex ID ever merged into another to its
+// surviving representative's ID; on cancellation it returns ctx.Err().
+func (g *Graph) MergeAll(ctx context.Context, policy TiePolicy, seed uint64, onRound func(iter, merged int)) (MergeStats, *Assignments, error) {
 	asg := NewAssignments()
-	// A background context never cancels, so Drive cannot fail.
-	stats, _ := Drive(context.Background(), policy,
+	stats, err := Drive(ctx, policy,
 		g.HasActive,
 		func(effective TiePolicy, iter int) int {
-			return g.MergeIteration(effective, seed, iter, asg)
+			merged := g.MergeIteration(effective, seed, iter, asg)
+			if onRound != nil {
+				onRound(iter, merged)
+			}
+			return merged
 		})
-	return stats, asg
+	return stats, asg, err
 }
 
 // MergeIteration executes one round: compute all choices, merge mutual

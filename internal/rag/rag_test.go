@@ -18,7 +18,8 @@ func build(im *pixmap.Image, labels []int32, c homog.Criterion) *Graph {
 }
 
 func mergeAll(g *Graph, policy TiePolicy, seed uint64) (MergeStats, *Assignments) {
-	return g.MergeAll(policy, seed)
+	stats, asg, _ := g.MergeAll(context.Background(), policy, seed, nil)
+	return stats, asg
 }
 
 func mergeSerial(g *Graph) (MergeStats, *Assignments) {

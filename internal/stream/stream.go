@@ -105,14 +105,9 @@ func Segment(ctx context.Context, r io.Reader, w io.Writer, cfg core.Config, run
 	run.Emit(core.StageEvent{Kind: core.EventGraphDone, Squares: res.SquaresAfterSplit})
 
 	t1 := time.Now() //vet:timing stage wall-time for Result; never reaches labels or output bytes
-	asg := rag.NewAssignments()
-	mstats, err := rag.Drive(ctx, cfg.Tie,
-		g.HasActive,
-		func(effective rag.TiePolicy, iter int) int {
-			merged := g.MergeIteration(effective, cfg.Seed, iter, asg)
-			run.Emit(core.StageEvent{Kind: core.EventMergeIteration, Iteration: iter, Merges: merged})
-			return merged
-		})
+	mstats, asg, err := g.MergeAll(ctx, cfg.Tie, cfg.Seed, func(iter, merged int) {
+		run.Emit(core.StageEvent{Kind: core.EventMergeIteration, Iteration: iter, Merges: merged})
+	})
 	if err != nil {
 		return nil, err
 	}
