@@ -57,7 +57,6 @@ type Segmenter struct {
 	eng      core.Engine
 	defaults Config
 	observer Observer
-	pooling  bool
 	scratch  sync.Pool // of *core.Scratch
 }
 
@@ -116,16 +115,6 @@ func WithObserver(o Observer) Option {
 	}
 }
 
-// WithBufferPool enables or disables the session's scratch-buffer pool.
-// It is on by default; disable it when calls vary wildly in image size and
-// retaining high-water-mark buffers is worse than reallocating.
-func WithBufferPool(enabled bool) Option {
-	return func(s *Segmenter) error {
-		s.pooling = enabled
-		return nil
-	}
-}
-
 // WithWorkers fixes the native engine's worker-pool size (0 follows
 // GOMAXPROCS). It is an error on any other engine kind — the simulated
 // kinds model fixed machine configurations.
@@ -161,9 +150,10 @@ func WithClusterWorkers(addrs []string) Option {
 
 // New constructs a reusable Segmenter for the engine kind. Options set
 // session defaults (tie policy, threshold, seed, square cap), the
-// progress observer, and buffer pooling; see the Option constructors.
+// progress observer, and the engine's workers; see the Option
+// constructors.
 func New(kind EngineKind, opts ...Option) (*Segmenter, error) {
-	s := &Segmenter{kind: kind, pooling: true}
+	s := &Segmenter{kind: kind}
 	mc, _ := kind.MachineConfig()
 	var err error
 	switch kind {
@@ -298,11 +288,7 @@ func (s *Segmenter) SegmentObserved(ctx context.Context, im *Image, cfg Config, 
 	if obs == nil {
 		obs = s.observer
 	}
-	run := core.Run{Observer: obs}
-	if s.pooling {
-		sc := s.scratch.Get().(*core.Scratch)
-		defer s.scratch.Put(sc)
-		run.Scratch = sc
-	}
-	return s.eng.SegmentContext(ctx, im, s.effectiveConfig(cfg), run)
+	sc := s.scratch.Get().(*core.Scratch)
+	defer s.scratch.Put(sc)
+	return s.eng.SegmentContext(ctx, im, s.effectiveConfig(cfg), core.Run{Observer: obs, Scratch: sc})
 }

@@ -53,23 +53,6 @@ func TestSegmenterPooledReuseByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSegmenterPoolingDisabled: WithBufferPool(false) is still correct.
-func TestSegmenterPoolingDisabled(t *testing.T) {
-	s, err := New(SequentialEngine, WithBufferPool(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	im := GeneratePaperImage(Image3Circles128)
-	cfg := Config{Threshold: 10, Tie: RandomTie, Seed: 1}
-	seg, err := s.Segment(context.Background(), im, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !freshReference(t, SequentialEngine, im, cfg).EqualLabels(seg) {
-		t.Fatal("unpooled Segmenter labels differ from fresh run")
-	}
-}
-
 // TestSegmenterConcurrentUse: one pooled Segmenter shared by concurrent
 // callers (the server's usage pattern) produces correct results for every
 // caller. Run under -race this also proves the pool handoff is clean.
