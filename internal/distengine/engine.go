@@ -180,10 +180,6 @@ func (e *Engine) RemoveMember(addr string) bool {
 	return false
 }
 
-// Addrs returns the configured worker addresses (alias of Members, kept
-// for the original fixed-membership API).
-func (e *Engine) Addrs() []string { return e.Members() }
-
 // MemberHealth is one member's probe outcome.
 type MemberHealth struct {
 	Addr    string

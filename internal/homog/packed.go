@@ -78,12 +78,6 @@ func RowMinMax(row []uint8) (lo, hi uint8) {
 	return lo, hi
 }
 
-// RowInterval is RowMinMax as an Interval.
-func RowInterval(row []uint8) Interval {
-	lo, hi := RowMinMax(row)
-	return Interval{Lo: lo, Hi: hi}
-}
-
 // RowsMinMax writes the element-wise minimum and maximum of two
 // equal-length pixel rows into minDst and maxDst (each at least len(a)).
 // It is the vertical half of a 2×2 block reduction: quadsplit feeds two

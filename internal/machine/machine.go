@@ -57,9 +57,6 @@ type Profile struct {
 // String implements fmt.Stringer.
 func (p *Profile) String() string { return p.Name }
 
-// Nodes returns the node count for message-passing profiles (same as PE).
-func (p *Profile) Nodes() int { return p.PE }
-
 // ElemOp returns the cost of one elementwise data-parallel operation over
 // n virtual elements.
 func (p *Profile) ElemOp(n int) float64 {

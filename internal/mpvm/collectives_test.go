@@ -7,88 +7,6 @@ import (
 	"regiongrow/internal/prand"
 )
 
-func TestBroadcast(t *testing.T) {
-	_, _, err := Run(4, prof(), func(n *Node) error {
-		var payload []int32
-		if n.Rank == 2 {
-			payload = []int32{11, 22}
-		}
-		got := n.Broadcast(2, payload)
-		if len(got) != 2 || got[0] != 11 || got[1] != 22 {
-			return fmt.Errorf("rank %d got %v", n.Rank, got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBroadcastRepeated(t *testing.T) {
-	_, _, err := Run(3, prof(), func(n *Node) error {
-		for round := 0; round < 4; round++ {
-			root := round % 3
-			var payload []int32
-			if n.Rank == root {
-				payload = []int32{int32(round * 100)}
-			}
-			got := n.Broadcast(root, payload)
-			if len(got) != 1 || got[0] != int32(round*100) {
-				return fmt.Errorf("round %d rank %d got %v", round, n.Rank, got)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestScanSum(t *testing.T) {
-	_, _, err := Run(5, prof(), func(n *Node) error {
-		got := n.ScanSum(n.Rank + 1) // contributions 1..5
-		want := (n.Rank + 1) * (n.Rank + 2) / 2
-		if got != want {
-			return fmt.Errorf("rank %d scan = %d, want %d", n.Rank, got, want)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGatherTo(t *testing.T) {
-	_, _, err := Run(4, prof(), func(n *Node) error {
-		out := n.GatherTo(1, []int32{int32(n.Rank * 3)})
-		if n.Rank != 1 {
-			if out != nil {
-				return fmt.Errorf("non-root received data")
-			}
-			return nil
-		}
-		for r := 0; r < 4; r++ {
-			if len(out[r]) != 1 || out[r][0] != int32(r*3) {
-				return fmt.Errorf("root saw %v from %d", out[r], r)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestInvalidRootPanicsPropagate(t *testing.T) {
-	_, _, err := Run(2, prof(), func(n *Node) error {
-		n.Broadcast(7, nil)
-		return nil
-	})
-	if err == nil {
-		t.Fatal("invalid root accepted")
-	}
-}
-
 // TestMixedCollectiveStress interleaves every collective kind under random
 // per-node compute skew — the failure-injection test for the barrier and
 // episode machinery (a lost wakeup or stale buffer shows up as a wrong
@@ -98,7 +16,7 @@ func TestMixedCollectiveStress(t *testing.T) {
 		g := prand.New(uint64(n.Rank) + 99)
 		for round := 0; round < 50; round++ {
 			n.Charge(g.Intn(5000)) // skew simulated clocks
-			switch round % 5 {
+			switch round % 3 {
 			case 0:
 				if got := n.AllReduceSum(1); got != 8 {
 					return fmt.Errorf("round %d: sum %d", round, got)
@@ -111,19 +29,6 @@ func TestMixedCollectiveStress(t *testing.T) {
 					}
 				}
 			case 2:
-				root := round % 8
-				var p []int32
-				if n.Rank == root {
-					p = []int32{int32(round)}
-				}
-				if got := n.Broadcast(root, p); got[0] != int32(round) {
-					return fmt.Errorf("round %d: bcast %v", round, got)
-				}
-			case 3:
-				if got := n.ScanSum(2); got != 2*(n.Rank+1) {
-					return fmt.Errorf("round %d: scan %d", round, got)
-				}
-			case 4:
 				if got := n.AllReduceMax(n.Rank * round); got != 7*round {
 					return fmt.Errorf("round %d: max %d", round, got)
 				}

@@ -330,15 +330,6 @@ func (n *Node) AllReduceSum(v int) int {
 	return out
 }
 
-// AllReduceOr performs a global boolean OR reduction.
-func (n *Node) AllReduceOr(v bool) bool {
-	x := 0
-	if v {
-		x = 1
-	}
-	return n.AllReduceMax(x) > 0
-}
-
 // Exchange performs the paper's irregular all-to-many communication:
 // out[d] is the payload for node d (nil/absent entries mean nothing to
 // send). It returns the received payloads indexed by source rank.

@@ -175,12 +175,6 @@ func TestAllReduce(t *testing.T) {
 		if got := n.AllReduceSum(n.Rank); got != 6 {
 			return fmt.Errorf("sum = %d", got)
 		}
-		if got := n.AllReduceOr(n.Rank == 2); !got {
-			return fmt.Errorf("or = %v", got)
-		}
-		if got := n.AllReduceOr(false); got {
-			return fmt.Errorf("or(false) = %v", got)
-		}
 		return nil
 	})
 	if err != nil {

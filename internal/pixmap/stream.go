@@ -129,9 +129,6 @@ func (sw *StreamWriter) WriteRows(pix []uint8) error {
 	return nil
 }
 
-// RowsWritten returns how many rows have been written so far.
-func (sw *StreamWriter) RowsWritten() int { return sw.row }
-
 // Close flushes the stream and fails if fewer rows than declared were
 // written — a truncated result must never look like a success.
 func (sw *StreamWriter) Close() error {

@@ -20,11 +20,6 @@ func Hash3(a, b, c uint64) uint64 {
 	return splitmix64(Hash2(a, b) ^ (c * 0xd6e8feb86659fd93))
 }
 
-// Hash4 hashes four words into one well-mixed word.
-func Hash4(a, b, c, d uint64) uint64 {
-	return splitmix64(Hash3(a, b, c) ^ (d * 0xca01f9dd45c4b2fb))
-}
-
 // Gen is a sequential SplitMix64 generator. The zero value is a valid
 // generator seeded with 0.
 type Gen struct {

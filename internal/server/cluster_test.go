@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"regiongrow"
 	"regiongrow/client"
 	"regiongrow/internal/distengine/disttest"
 )
@@ -185,15 +184,5 @@ func TestClusterWithoutCluster(t *testing.T) {
 	}
 	if _, err := c.ClusterJoin(context.Background(), "127.0.0.1:1"); !errors.Is(err, client.ErrNoCluster) {
 		t.Fatalf("join on cluster-less server: %v, want ErrNoCluster", err)
-	}
-}
-
-// TestServingEngineKindsUnchanged pins the serving shortlist: dist is
-// opt-in per deployment, so it is not in the unconditional list.
-func TestServingEngineKindsUnchanged(t *testing.T) {
-	for _, k := range ServingEngineKinds() {
-		if k == regiongrow.Distributed {
-			t.Fatal("Distributed must not be in the unconditional serving list")
-		}
 	}
 }

@@ -200,10 +200,3 @@ func (s *Server) Stats() Stats { return s.metrics.snapshot(s.pool, s.cache, s.jo
 // Instance returns this server's stable instance ID (Options.Instance, or
 // the random ID minted when none was configured).
 func (s *Server) Instance() string { return s.opts.Instance }
-
-// ServingEngineKinds lists the engines worth putting behind the server:
-// every kind works, but the simulated CM kinds exist to report machine
-// cost-model times, not to serve throughput.
-func ServingEngineKinds() []regiongrow.EngineKind {
-	return []regiongrow.EngineKind{regiongrow.SequentialEngine, regiongrow.NativeParallel}
-}

@@ -7,28 +7,6 @@ import "sort"
 // on; here they execute sequentially or tiled on the host but are charged
 // at their parallel cost (log-depth for scans, log²-depth for sort).
 
-// ScanAddExclusive returns the exclusive prefix sum: out(i) = Σ_{j<i} a(j).
-func (a *Vec) ScanAddExclusive() *Vec {
-	out := a.m.NewVec(len(a.v))
-	a.m.chargeScan(len(a.v))
-	var sum int32
-	for i, x := range a.v {
-		out.v[i] = sum
-		sum += x
-	}
-	return out
-}
-
-// SumValue reduces the vector to the sum of its elements.
-func (a *Vec) SumValue() int32 {
-	a.m.chargeScan(len(a.v))
-	var sum int32
-	for _, x := range a.v {
-		sum += x
-	}
-	return sum
-}
-
 // MaxValue reduces to the maximum element. Panics on empty vectors.
 func (a *Vec) MaxValue() int32 {
 	if len(a.v) == 0 {

@@ -9,24 +9,11 @@ import (
 )
 
 // Machine is the data-parallel execution context: it owns the cost profile,
-// the simulated clock, operation counters, and the goroutine-tiling width.
+// the simulated clock, and the goroutine-tiling width.
 type Machine struct {
 	prof    *machine.Profile
 	workers int
 	clock   float64
-	counts  Counters
-}
-
-// Counters tallies the primitive operations a machine has executed,
-// mirroring the cost categories of machine.Profile.
-type Counters struct {
-	ElemOps   int64 // elementwise operations
-	NewsOps   int64 // grid shifts
-	RouterOps int64 // gathers/scatters
-	ScanOps   int64 // scans, segmented scans, reductions
-	SortOps   int64 // sort operations
-	Elements  int64 // total elements touched by elementwise ops
-	Routed    int64 // total elements moved through the router
 }
 
 // New returns a machine with the given cost profile, tiling work across
@@ -48,49 +35,29 @@ func (m *Machine) Profile() *machine.Profile { return m.prof }
 // last ResetClock.
 func (m *Machine) Clock() float64 { return m.clock }
 
-// ResetClock zeroes the simulated clock and counters.
+// ResetClock zeroes the simulated clock.
 func (m *Machine) ResetClock() {
 	m.clock = 0
-	m.counts = Counters{}
-}
-
-// Counts returns a copy of the operation counters.
-func (m *Machine) Counts() Counters { return m.counts }
-
-// ChargeScalar adds front-end scalar work (n operations) to the clock.
-// The CM front end executes scalar control code between parallel ops.
-func (m *Machine) ChargeScalar(n int) {
-	m.clock += float64(n) * m.prof.TElem
 }
 
 func (m *Machine) chargeElem(n int) {
 	m.clock += m.prof.ElemOp(n)
-	m.counts.ElemOps++
-	m.counts.Elements += int64(n)
 }
 
 func (m *Machine) chargeNews(n, dist int) {
 	m.clock += m.prof.NewsOp(n, dist)
-	m.counts.NewsOps++
-	m.counts.Elements += int64(n)
 }
 
 func (m *Machine) chargeRouter(n int) {
 	m.clock += m.prof.RouterOp(n)
-	m.counts.RouterOps++
-	m.counts.Routed += int64(n)
 }
 
 func (m *Machine) chargeScan(n int) {
 	m.clock += m.prof.ScanOp(n)
-	m.counts.ScanOps++
-	m.counts.Elements += int64(n)
 }
 
 func (m *Machine) chargeSort(n int) {
 	m.clock += m.prof.SortOp(n)
-	m.counts.SortOps++
-	m.counts.Elements += int64(n)
 }
 
 // parTile is the minimum number of elements per operation before the

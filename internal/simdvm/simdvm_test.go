@@ -262,18 +262,11 @@ func TestScatterCombining(t *testing.T) {
 	}
 }
 
-func TestScans(t *testing.T) {
+func TestMaxValue(t *testing.T) {
 	m := testMachine()
 	v := m.VecFromSlice([]int32{3, 1, 4, 1, 5})
-	scan := v.ScanAddExclusive()
-	want := []int32{0, 3, 4, 8, 9}
-	for i := range want {
-		if scan.At(i) != want[i] {
-			t.Fatalf("ScanAddExclusive = %v", scan.Data())
-		}
-	}
-	if v.SumValue() != 14 || v.MaxValue() != 5 {
-		t.Fatal("Sum/Max wrong")
+	if v.MaxValue() != 5 {
+		t.Fatal("Max wrong")
 	}
 }
 
@@ -438,7 +431,7 @@ func TestHashChoiceMatchesPrand(t *testing.T) {
 	}
 }
 
-func TestClockAndCounters(t *testing.T) {
+func TestClock(t *testing.T) {
 	m := testMachine()
 	if m.Clock() != 0 {
 		t.Fatal("fresh machine clock not zero")
@@ -446,21 +439,12 @@ func TestClockAndCounters(t *testing.T) {
 	g := m.NewGrid(8, 8)
 	g.Fill(1)
 	g.EOShiftX(2, 0)
-	g.Flatten().SumValue()
-	c := m.Counts()
-	if c.ElemOps == 0 || c.NewsOps != 1 || c.ScanOps != 1 {
-		t.Fatalf("counters = %+v", c)
-	}
+	g.Flatten().MaxValue()
 	if m.Clock() <= 0 {
 		t.Fatal("clock did not advance")
 	}
-	before := m.Clock()
-	m.ChargeScalar(100)
-	if m.Clock() <= before {
-		t.Fatal("ChargeScalar did not advance clock")
-	}
 	m.ResetClock()
-	if m.Clock() != 0 || m.Counts().ElemOps != 0 {
+	if m.Clock() != 0 {
 		t.Fatal("ResetClock incomplete")
 	}
 }
