@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// TestSegmentNativeFacade: a native session matches the sequential
+// TestNativeSessionFacade: a native session matches the sequential
 // reference on a paper image, and the native engine kind's MachineConfig
 // reports no simulated machine.
-func TestSegmentNativeFacade(t *testing.T) {
+func TestNativeSessionFacade(t *testing.T) {
 	im := GeneratePaperImage(Image3Circles128)
 	cfg := DefaultConfig()
 	want, err := segmentKind(SequentialEngine, im, cfg)

@@ -14,7 +14,7 @@
 // worker observes at its next collective — within one split/merge
 // iteration.
 //
-// The coordinator side (Engine) implements core.ContextEngine, so it
+// The coordinator side (Engine) implements core.Engine, so it
 // plugs into the regiongrow.Segmenter facade as the Distributed kind; the
 // worker side (ServeWorker) is wrapped by cmd/regiongrow-worker. Labels
 // are byte-identical to the sequential engine for every Config: band

@@ -13,8 +13,8 @@
 // the live frontier strip, the RAG (one vertex per square, not per
 // pixel), and the spool survive a band.
 //
-// The merge stage then runs the exact sequential kernel — rag.DriveCtx
-// driving Graph.MergeIteration rounds over the fully assembled graph — so
+// The merge stage then runs the exact sequential kernel — Graph.MergeAll
+// over the fully assembled graph — so
 // iteration numbering, stall-forced resolutions, and Random-tie draws are
 // identical to the in-memory engines, making the emitted labels
 // byte-identical to theirs. A second pass replays the spool band by band,

@@ -35,9 +35,9 @@ import (
 	"regiongrow/tools/regiongrowvet/internal/vetutil"
 )
 
-// scope is the set of packages that implement core.ContextEngine plus
-// the kernels that carry their cancellation (quadsplit's split passes,
-// rag's merge-loop driver).
+// scope is the set of packages that implement core.Engine plus the
+// kernels that carry their cancellation (quadsplit's split passes, rag's
+// merge-loop driver).
 var scope = map[string]bool{
 	"regiongrow":                     true,
 	"regiongrow/internal/core":       true,
@@ -113,7 +113,7 @@ func isContextType(t types.Type) bool {
 // checkBody walks a function body and reports outermost for loops that
 // do module work without ctx discipline. Function literals start a fresh
 // scope and are not checked (their loops run under whatever contract
-// their call site has — typically a DriveCtx iterate callback whose
+// their call site has — typically a rag.Drive iterate callback whose
 // driver checks ctx per round).
 func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
 	var walk func(n ast.Node) bool
