@@ -2,8 +2,11 @@ package regiongrow
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
+
+	"regiongrow/internal/machine"
 )
 
 // TestNativeSessionFacade: a native session matches the sequential
@@ -45,6 +48,68 @@ func TestSegmentSerial(t *testing.T) {
 	}
 	if err := Validate(seg, im, Config{Threshold: 10}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSegmentSerialOneMergePerIteration: the harness baseline merges one
+// pair per iteration, so it needs exactly squares − regions iterations —
+// the paper's R−1 bound — and reaches the sequential engine's region
+// count on a clean paper image.
+func TestSegmentSerialOneMergePerIteration(t *testing.T) {
+	im := GeneratePaperImage(Image1NestedRects128)
+	cfg := Config{Threshold: 10}
+	seg, err := SegmentSerial(context.Background(), im, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range seg.MergesPerIter {
+		if m != 1 {
+			t.Fatalf("iteration %d merged %d pairs, want 1", i+1, m)
+		}
+	}
+	if want := seg.SquaresAfterSplit - seg.FinalRegions; seg.MergeIterations != want {
+		t.Fatalf("merge iterations = %d, want %d", seg.MergeIterations, want)
+	}
+	ref, err := segmentKind(SequentialEngine, im, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seg.FinalRegions != ref.FinalRegions || seg.SplitIterations != ref.SplitIterations {
+		t.Fatalf("baseline %d regions / %d split passes, sequential %d / %d",
+			seg.FinalRegions, seg.SplitIterations, ref.FinalRegions, ref.SplitIterations)
+	}
+}
+
+func TestSegmentSerialCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	seg, err := SegmentSerial(ctx, GeneratePaperImage(Image2Rects128), Config{Threshold: 10})
+	if !errors.Is(err, context.Canceled) || seg != nil {
+		t.Fatalf("SegmentSerial on a cancelled ctx = %v, %v; want nil, context.Canceled", seg, err)
+	}
+}
+
+// TestNativeRowMatchesSession: the harness's native row reports the
+// iteration counts of a native session on the same image and config,
+// under the host-native configuration ID, and passes cancellation
+// through.
+func TestNativeRowMatchesSession(t *testing.T) {
+	cfg := DefaultConfig()
+	row, err := NativeRow(context.Background(), Image3Circles128, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg, err := segmentKind(NativeParallel, GeneratePaperImage(Image3Circles128), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row.Config != machine.HostNative || row.SplitIters != seg.SplitIterations || row.MergeIters != seg.MergeIterations {
+		t.Fatalf("row %+v, session split %d / merge %d iterations", row, seg.SplitIterations, seg.MergeIterations)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := NativeRow(ctx, Image3Circles128, cfg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("NativeRow on a cancelled ctx = %v, want context.Canceled", err)
 	}
 }
 

@@ -1,0 +1,238 @@
+package rag
+
+import (
+	"context"
+	"errors"
+	"slices"
+	"testing"
+
+	"regiongrow/internal/pixmap"
+)
+
+// countdownCtx reports no error for its first n Err calls and
+// context.Canceled from then on, so a test can cancel a loop at an exact
+// check without racing a goroutine.
+type countdownCtx struct {
+	context.Context
+	n int
+}
+
+func (c *countdownCtx) Err() error {
+	if c.n <= 0 {
+		return context.Canceled
+	}
+	c.n--
+	return nil
+}
+
+func cancelled() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}
+
+// pixelGraph is the one-vertex-per-pixel graph of a small random image
+// with few grey levels, so MergeAll runs several rounds.
+func pixelGraph(seed uint64) *Graph {
+	im := pixmap.Random(12, seed)
+	for i := range im.Pix {
+		im.Pix[i] &= 0x0F
+	}
+	labels := make([]int32, len(im.Pix))
+	for i := range labels {
+		labels[i] = int32(i)
+	}
+	return build(im, labels, crit(6))
+}
+
+func TestBuildFromLabelsCancelled(t *testing.T) {
+	im := pixmap.Random(16, 1)
+	labels := make([]int32, len(im.Pix))
+	for i := range labels {
+		labels[i] = int32(i)
+	}
+	g, err := BuildFromLabels(cancelled(), im, labels, crit(10))
+	if !errors.Is(err, context.Canceled) || g != nil {
+		t.Fatalf("BuildFromLabels on a cancelled ctx = %v, %v; want nil, context.Canceled", g, err)
+	}
+}
+
+// TestDriveCancelledBeforeFirstRound: Drive checks ctx before the first
+// round, so a cancelled run never evaluates an iteration.
+func TestDriveCancelledBeforeFirstRound(t *testing.T) {
+	calls := 0
+	stats, err := Drive(cancelled(), Random,
+		func() bool { return true },
+		func(TiePolicy, int) int { calls++; return 1 })
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if calls != 0 || stats.Iterations != 0 {
+		t.Fatalf("cancelled Drive ran %d rounds (stats %+v)", calls, stats)
+	}
+}
+
+// TestDriveStopsWithinOneRound: cancelling during round k returns the
+// stats of exactly k rounds.
+func TestDriveStopsWithinOneRound(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	stats, err := Drive(ctx, SmallestID,
+		func() bool { return true },
+		func(_ TiePolicy, iter int) int {
+			if iter == 2 {
+				cancel()
+			}
+			return 1
+		})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if stats.Iterations != 2 || !slices.Equal(stats.MergesPerIter, []int{1, 1}) {
+		t.Fatalf("stats = %+v, want two one-merge rounds", stats)
+	}
+}
+
+// TestDriveForcesSmallestIDAfterThreeStalls pins the stall accounting
+// every engine shares: under Random, the round after three merge-free
+// rounds runs SmallestID and counts as a forced resolution; SmallestID
+// itself is never forced.
+func TestDriveForcesSmallestIDAfterThreeStalls(t *testing.T) {
+	for _, policy := range []TiePolicy{Random, SmallestID} {
+		var seen []TiePolicy
+		rounds := 0
+		stats, err := Drive(context.Background(), policy,
+			func() bool { return rounds < 4 },
+			func(effective TiePolicy, iter int) int {
+				rounds++
+				if iter != rounds {
+					t.Fatalf("%v: round %d numbered %d", policy, rounds, iter)
+				}
+				seen = append(seen, effective)
+				if rounds == 4 {
+					return 1
+				}
+				return 0
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []TiePolicy{policy, policy, policy, SmallestID}
+		wantForced := 1
+		if policy == SmallestID {
+			wantForced = 0
+		}
+		if !slices.Equal(seen, want) || stats.ForcedResolutions != wantForced {
+			t.Fatalf("%v: policies %v, forced %d; want %v, %d", policy, seen, stats.ForcedResolutions, want, wantForced)
+		}
+		if !slices.Equal(stats.MergesPerIter, []int{0, 0, 0, 1}) {
+			t.Fatalf("%v: merges per round %v", policy, stats.MergesPerIter)
+		}
+	}
+}
+
+// TestMergeAllOnRoundReportsEveryRound: onRound sees every round once, in
+// order, with the merge count the returned stats record for it.
+func TestMergeAllOnRoundReportsEveryRound(t *testing.T) {
+	for _, policy := range AllTiePolicies() {
+		g := pixelGraph(7)
+		var iters, merges []int
+		stats, _, err := g.MergeAll(context.Background(), policy, 11, func(iter, merged int) {
+			iters = append(iters, iter)
+			merges = append(merges, merged)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Iterations < 2 {
+			t.Fatalf("%v: only %d rounds; the test graph should need several", policy, stats.Iterations)
+		}
+		for i, it := range iters {
+			if it != i+1 {
+				t.Fatalf("%v: round %d reported as %d", policy, i+1, it)
+			}
+		}
+		if len(iters) != stats.Iterations || !slices.Equal(merges, stats.MergesPerIter) {
+			t.Fatalf("%v: onRound saw %v, stats record %v", policy, merges, stats.MergesPerIter)
+		}
+	}
+}
+
+// TestMergeAllMatchesWithoutCallback: observing the rounds does not change
+// the merge.
+func TestMergeAllMatchesWithoutCallback(t *testing.T) {
+	g1, g2 := pixelGraph(3), pixelGraph(3)
+	s1, a1 := mergeAll(g1, Random, 5)
+	s2, a2, err := g2.MergeAll(context.Background(), Random, 5, func(int, int) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(s1.MergesPerIter, s2.MergesPerIter) || s1.ForcedResolutions != s2.ForcedResolutions {
+		t.Fatalf("stats differ: %+v vs %+v", s1, s2)
+	}
+	for id := int32(0); id < 144; id++ {
+		if a1.Find(id) != a2.Find(id) {
+			t.Fatalf("Find(%d) = %d vs %d", id, a1.Find(id), a2.Find(id))
+		}
+	}
+}
+
+func TestMergeAllCancelled(t *testing.T) {
+	g := pixelGraph(7)
+	before := g.NumVertices()
+	stats, _, err := g.MergeAll(cancelled(), Random, 1, func(int, int) {
+		t.Fatal("onRound called on a cancelled run")
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if stats.Iterations != 0 || g.NumVertices() != before {
+		t.Fatalf("cancelled MergeAll changed the graph: %d rounds, %d→%d vertices", stats.Iterations, before, g.NumVertices())
+	}
+}
+
+// TestMergeAllCancelFromOnRound: cancelling from the round callback — the
+// path a cancelling observer takes — stops after that round, and the
+// returned assignments hold that round's merges.
+func TestMergeAllCancelFromOnRound(t *testing.T) {
+	g := pixelGraph(7)
+	before := g.NumVertices()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	stats, asg, err := g.MergeAll(ctx, SmallestID, 0, func(iter, merged int) { cancel() })
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if stats.Iterations != 1 {
+		t.Fatalf("ran %d rounds after cancelling in round 1", stats.Iterations)
+	}
+	absorbed := 0
+	for id := int32(0); id < int32(before); id++ {
+		if asg.Find(id) != id {
+			absorbed++
+		}
+	}
+	if absorbed != stats.MergesPerIter[0] || g.NumVertices() != before-absorbed {
+		t.Fatalf("assignments record %d merges, round 1 made %d, %d→%d vertices",
+			absorbed, stats.MergesPerIter[0], before, g.NumVertices())
+	}
+}
+
+// TestMergeSerialStopsWithinOneMerge: the baseline checks ctx before every
+// one-merge iteration.
+func TestMergeSerialStopsWithinOneMerge(t *testing.T) {
+	vals := make([]uint8, 9)
+	for i := range vals {
+		vals[i] = 7
+	}
+	for _, allowed := range []int{0, 3} {
+		g := stripesGraph(vals, 0)
+		stats, _, err := g.MergeSerial(&countdownCtx{Context: context.Background(), n: allowed})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("allowed %d: err = %v, want context.Canceled", allowed, err)
+		}
+		if stats.Iterations != allowed || g.NumVertices() != len(vals)-allowed {
+			t.Fatalf("allowed %d checks: %d merges, %d vertices left", allowed, stats.Iterations, g.NumVertices())
+		}
+	}
+}

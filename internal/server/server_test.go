@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -582,6 +583,54 @@ func TestHealthzAndStats(t *testing.T) {
 	}
 	if st.Queue.Workers < 1 || st.Queue.Capacity < 1 {
 		t.Fatalf("stats queue = %+v", st.Queue)
+	}
+}
+
+// TestStatsEnginesListOnlyServedKinds pins the key set of /v1/stats
+// engines: every kind has a histogram from the start, but only kinds that
+// completed a segmentation are listed, and a rejected dist request on a
+// cluster-less server lists nothing.
+func TestStatsEnginesListOnlyServedKinds(t *testing.T) {
+	svc, ts := newTestServer(t, Options{})
+	_, pgm := paperPGM(t, regiongrow.Image1NestedRects128)
+	if got := svc.Stats().Engines; len(got) != 0 {
+		t.Fatalf("fresh server lists engines %v", got)
+	}
+	decodeSegment(t, postSegment(t, ts, "?engine=native", pgm))
+	decodeSegment(t, postSegment(t, ts, "?engine=sequential", pgm))
+	resp := postSegment(t, ts, "?engine=dist", pgm)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("dist on a cluster-less server: status %d, want 400", resp.StatusCode)
+	}
+	got := svc.Stats().Engines
+	if len(got) != 2 || got["native"].Count != 1 || got["sequential"].Count != 1 {
+		t.Fatalf("stats engines = %+v, want exactly native and sequential, one run each", got)
+	}
+}
+
+// TestLocalKindsServedWithoutCluster: a server started without cluster
+// workers accepts every engine kind but dist, so every request that
+// passes parameter parsing has a session to run on.
+func TestLocalKindsServedWithoutCluster(t *testing.T) {
+	svc, _ := newTestServer(t, Options{})
+	for _, k := range regiongrow.AllEngineKinds() {
+		_, err := svc.parseSegmentParams(url.Values{"engine": {k.String()}})
+		if k == regiongrow.Distributed {
+			if err == nil {
+				t.Error("dist accepted without cluster workers")
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%v rejected: %v", k, err)
+		}
+		if _, ok := svc.segmenters[k]; !ok {
+			t.Errorf("%v has no session", k)
+		}
+	}
+	if len(svc.segmenters) != len(regiongrow.AllEngineKinds())-1 {
+		t.Fatalf("%d sessions, want one per local kind", len(svc.segmenters))
 	}
 }
 

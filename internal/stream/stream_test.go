@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -187,6 +188,42 @@ func TestStreamObserverEvents(t *testing.T) {
 	for i := range want {
 		if kinds[i] != want[i] {
 			t.Fatalf("event %d = %v, want %v", i, kinds[i], want[i])
+		}
+	}
+}
+
+// TestStreamMergeEventsMatchSequential: the streaming engine runs the same
+// merge loop as the in-memory reference, so under every tie policy its
+// per-round merge events — round numbers and merge counts — equal the
+// sequential engine's, even when the image arrives in many bands.
+func TestStreamMergeEventsMatchSequential(t *testing.T) {
+	im := pixmap.Generate(pixmap.Image3Circles128, pixmap.DefaultGenOptions())
+	var pgm bytes.Buffer
+	if err := pixmap.WritePGM(&pgm, im); err != nil {
+		t.Fatal(err)
+	}
+	rounds := func(evs *[]core.StageEvent) core.Run {
+		return core.Run{Observer: core.ObserverFunc(func(ev core.StageEvent) {
+			if ev.Kind == core.EventMergeIteration {
+				*evs = append(*evs, ev)
+			}
+		})}
+	}
+	for _, tie := range rag.AllTiePolicies() {
+		cfg := core.Config{Threshold: 10, Tie: tie, Seed: 9}
+		var want, got []core.StageEvent
+		if _, err := (core.Sequential{}).SegmentContext(context.Background(), im, cfg, rounds(&want)); err != nil {
+			t.Fatal(err)
+		}
+		res, err := Segment(context.Background(), bytes.NewReader(pgm.Bytes()), &bytes.Buffer{}, cfg, rounds(&got), Options{BandRows: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Bands < 2 {
+			t.Fatalf("%v: image arrived in %d band(s); the test needs several", tie, res.Bands)
+		}
+		if len(want) == 0 || !slices.Equal(got, want) {
+			t.Fatalf("%v: stream merge events %+v, sequential %+v", tie, got, want)
 		}
 	}
 }

@@ -285,6 +285,27 @@ func TestNewAllKinds(t *testing.T) {
 	}
 }
 
+// TestNewBuildsEachKindItsOwnEngine: New maps every local kind to its own
+// engine — no two kinds share an engine name — and the session reports
+// the kind it was built for.
+func TestNewBuildsEachKindItsOwnEngine(t *testing.T) {
+	seen := make(map[string]EngineKind)
+	for _, k := range AllEngineKinds() {
+		if k == Distributed {
+			continue
+		}
+		s := sessionOf(t, k)
+		if s.Kind() != k {
+			t.Errorf("New(%v).Kind() = %v", k, s.Kind())
+		}
+		name := s.Engine().Name()
+		if prev, dup := seen[name]; dup {
+			t.Errorf("%v and %v both run engine %q", prev, k, name)
+		}
+		seen[name] = k
+	}
+}
+
 func TestQuickstartFlow(t *testing.T) {
 	im := GeneratePaperImage(Image2Rects128)
 	cfg := Config{Threshold: 10, Tie: RandomTie, Seed: 1}
