@@ -85,6 +85,37 @@ func frames(t *testing.T, stream []byte) []struct {
 	}
 }
 
+// startTappedWorkers launches n workers on loopback TCP listeners that
+// tap every accepted connection. The cleanup registered on t closes the
+// listeners and waits for the serve loops to drain.
+func startTappedWorkers(t *testing.T, n int) ([]string, []*tapListener) {
+	t.Helper()
+	addrs := make([]string, n)
+	taps := make([]*tapListener, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tl := &tapListener{Listener: l}
+		taps[i] = tl
+		addrs[i] = l.Addr().String()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = ServeWorker(transport.WrapListener(tl))
+		}()
+	}
+	t.Cleanup(func() {
+		for _, tl := range taps {
+			tl.Listener.Close()
+		}
+		wg.Wait()
+	})
+	return addrs, taps
+}
+
 // maskWall zeroes the SplitWallNanos field of a result payload (offset 16,
 // 8 bytes — the only wall-clock value on the wire) so the rest of the
 // frame can be compared byte for byte.
@@ -105,29 +136,7 @@ func maskWall(p []byte) []byte {
 // order. Only the result frame's wall-clock field may differ.
 func TestWireByteStability(t *testing.T) {
 	const workers = 2
-	addrs := make([]string, workers)
-	taps := make([]*tapListener, workers)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		tl := &tapListener{Listener: l}
-		taps[i] = tl
-		addrs[i] = l.Addr().String()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = ServeWorker(transport.WrapListener(tl))
-		}()
-	}
-	defer wg.Wait()
-	defer func() {
-		for _, tl := range taps {
-			tl.Listener.Close()
-		}
-	}()
+	addrs, taps := startTappedWorkers(t, workers)
 
 	im := pixmap.Generate(pixmap.Image3Circles128, pixmap.DefaultGenOptions())
 	cfg := core.Config{Threshold: 10, Tie: rag.Random, Seed: 7}
