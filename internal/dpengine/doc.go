@@ -16,7 +16,7 @@
 //     parallel edges are removed with a sort/dedupe/pack round.
 //  5. Steps 3–4 repeat while any active edge remains.
 //
-// All randomness is the hash-based draw of rag.PickTied, so the engine's
-// segmentations are identical to the sequential engine's for every tie
-// policy and seed — a property the test suite enforces.
+// All randomness is the hash-based tie draw of rag's choice kernel, so
+// the engine's segmentations are identical to the sequential engine's for
+// every tie policy and seed — a property the test suite enforces.
 package dpengine

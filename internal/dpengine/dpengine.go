@@ -248,7 +248,7 @@ func (e *Engine) merge(ctx context.Context, m *simdvm.Machine, im *pixmap.Image,
 
 		// Step 3b: per-source best neighbour by segmented min-scan; the
 		// edge array is sorted by (src, dst), so ties are ranked in
-		// ascending destination order, matching rag.PickTied.
+		// ascending destination order, matching rag's sorted tie list.
 		starts := src.SegStarts()
 		segMin := wt.SegMinBroadcast(starts, active, inf)
 		isTied := active.And(wt.Eq(segMin))

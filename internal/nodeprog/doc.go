@@ -9,19 +9,25 @@
 //     boundaries at multiples of the split cap.
 //  1. Each node splits its tile independently. No split square crosses a
 //     cap-aligned boundary, so the local splits are the global split.
-//  2. Each node builds its local graph; boundary strips (labels plus
-//     region intervals) exchanged with the grid neighbours add the
-//     cross-tile edges.
-//  3. Nodes choose for the vertices they own, route each choice to the
-//     chosen vertex's owner, and detect mutual pairs.
+//  2. Each node builds its local graph on a rag arena: the vertices it
+//     owns take the first slots, in ascending ID order. Boundary strips
+//     (labels plus region intervals) exchanged with the grid neighbours
+//     add the cross-tile edges and, after the owned slots, ghosts: the
+//     neighbours other nodes own.
+//  3. Nodes choose for the vertices they own, route each remote choice to
+//     the chosen vertex's owner, and detect mutual pairs.
 //  4. Merge events (representative, loser, new interval) are gathered on
-//     every node, which relabels its edges; each loser's adjacency is
-//     handed to its representative's owner.
+//     every node. Each owned loser's adjacency is handed to its
+//     representative's owner, and every loser a node knows is contracted
+//     into its representative, which becomes a ghost if it was unknown.
 //  5. Steps 3–4 repeat while any node still has an active edge.
 //
 // A region is owned by the node whose tile holds its anchor pixel, and the
-// representative (smaller ID) of a merge keeps its owner. Choices use
-// rag.PickTied, so labels equal the sequential engine's. Every payload is
-// built in ascending ID order, so what a node sends never depends on Go's
-// map order or on goroutine scheduling.
+// representative (smaller ID) of a merge keeps its owner. An owned
+// vertex's neighbour list is exact, so the cost-model charges, which count
+// adjacency entries, match the paper's. Choices use rag's choice kernel,
+// so labels equal the sequential engine's. Every payload is built in
+// ascending ID order, so what a node sends never depends on Go's map order
+// or on goroutine scheduling. A collective result no correct peer could
+// produce is an error, never a panic.
 package nodeprog

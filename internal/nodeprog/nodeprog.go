@@ -1,8 +1,10 @@
 package nodeprog
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -90,9 +92,10 @@ type Grid struct {
 	XStarts, YStarts []int
 }
 
-func (g Grid) cols() int  { return len(g.XStarts) - 1 }
-func (g Grid) rows() int  { return len(g.YStarts) - 1 }
-func (g Grid) width() int { return g.XStarts[len(g.XStarts)-1] }
+func (g Grid) cols() int   { return len(g.XStarts) - 1 }
+func (g Grid) rows() int   { return len(g.YStarts) - 1 }
+func (g Grid) width() int  { return g.XStarts[len(g.XStarts)-1] }
+func (g Grid) height() int { return g.YStarts[len(g.YStarts)-1] }
 
 // tile returns rank's tile origin and size.
 func (g Grid) tile(rank int) (x0, y0, w, h int) {
@@ -101,9 +104,13 @@ func (g Grid) tile(rank int) (x0, y0, w, h int) {
 }
 
 // owner returns the rank whose tile holds pixel id (a region's ID is its
-// anchor pixel, so this is the region's owner).
+// anchor pixel, so this is the region's owner), or −1 for an ID outside
+// the image.
 func (g Grid) owner(id int32) int {
 	w := g.width()
+	if id < 0 || int(id) >= w*g.height() {
+		return -1
+	}
 	x, y := int(id)%w, int(id)/w
 	col := sort.Search(g.cols(), func(c int) bool { return g.XStarts[c+1] > x })
 	row := sort.Search(g.rows(), func(r int) bool { return g.YStarts[r+1] > y })
@@ -137,37 +144,53 @@ type Result struct {
 	Labels []int32
 }
 
-// prog is the per-node program state.
+// noSlot marks an empty entry of a slot-indexed scratch array.
+const noSlot int32 = -1
+
+// prog is the per-node program state. The node's graph is a rag arena:
+// the owned vertices take slots [0, nOwned) in ascending ID order, and
+// ghosts — neighbours owned by other ranks — are appended after them. An
+// owned vertex's neighbour list is exact; a ghost's lists its owned
+// neighbours plus, harmlessly, edges to other ghosts it inherited by
+// absorbing an owned loser, which no count includes.
 type prog struct {
 	c Collectives
 	Node
 	x0, y0, tw, th int
 
-	labels   []int32                      // tile labels carrying global region IDs
-	ownedIDs []int32                      // owned vertex IDs, ascending
-	iv       map[int32]homog.Interval     // intervals of every known vertex
-	adj      map[int32]map[int32]struct{} // adjacency of owned vertices
+	labels []int32 // tile labels carrying global region IDs
+	g      *rag.Graph
+	nOwned int
 
 	asg   *rag.Assignments
 	stats rag.MergeStats
+
+	// Slot-indexed round scratch.
+	choice []int32 // owned slot → chosen slot, or noSlot
+	suitor []bool  // owned slot → its remote choice chose it back
+	repOf  []int32 // loser slot → representative slot; noSlot between rounds
+	pairs  []int32 // flat (loser slot, representative slot) of known losers
+	tied   []int32
+	nbrs   []int32
 }
 
 // Run executes the paper's message-passing node program on c: split the
 // tile, stitch the graph across tile borders, merge until no active edge
 // remains anywhere, and resolve the tile's labels. It returns the first
-// error a collective reports.
+// error a collective reports, or an error for a collective result no
+// correct peer could have produced.
 func Run(c Collectives, n Node) (*Result, error) {
 	t0 := time.Now() //vet:timing stage wall-time for Stats; never reaches labels or messages
 	p := &prog{c: c, Node: n}
 	p.x0, p.y0, p.tw, p.th = n.Grid.tile(n.Rank)
 	res := &Result{}
 
-	levels := p.split()
+	levels, squares := p.split()
 	var err error
 	if res.SplitIterations, err = c.AllReduceMax(levels); err != nil {
 		return nil, err
 	}
-	if res.Squares, err = c.AllReduceSum(len(p.ownedIDs)); err != nil {
+	if res.Squares, err = c.AllReduceSum(squares); err != nil {
 		return nil, err
 	}
 	c.Phase(PhaseSplitAgreed, 0)
@@ -186,7 +209,8 @@ func Run(c Collectives, n Node) (*Result, error) {
 		return nil, err
 	}
 	res.Merge = p.stats
-	res.Labels = p.writeLabels()
+	res.Labels = p.asg.Relabel(p.labels)
+	c.Charge(p.tw * p.th * 2)
 	c.Phase(PhaseDone, 0)
 	return res, nil
 }
@@ -200,10 +224,10 @@ func (p *prog) emit(ev core.StageEvent) error {
 }
 
 // split is step 1: split the tile on its own and return the number of
-// levels executed. Tile boundaries are multiples of the cap and every
-// split square is cap-aligned with side ≤ cap, so the local split yields
-// exactly the global split's squares within the tile.
-func (p *prog) split() int {
+// levels executed and of squares. Tile boundaries are multiples of the cap
+// and every split square is cap-aligned with side ≤ cap, so the local
+// split yields exactly the global split's squares within the tile.
+func (p *prog) split() (levels, squares int) {
 	// The tile may legally re-resolve the cap smaller — exactly when the
 	// cap exceeds the tile's own dimensions, where no feasible square can
 	// reach either value.
@@ -215,48 +239,30 @@ func (p *prog) split() int {
 	p.c.Charge(p.tw * p.th * res.Iterations * 8)
 	p.c.Phase(PhaseSplit, res.Iterations)
 
-	// Owned vertices and their intervals. Squares reads the tile-local
-	// labels, so enumerate before globalising them below.
+	// Tile-local labels are anchor pixel indices in the tile, so a square
+	// is a pixel labelled with its own index; make them global region IDs
+	// in place.
 	w := p.Grid.width()
-	p.iv = make(map[int32]homog.Interval)
-	p.adj = make(map[int32]map[int32]struct{})
-	for _, sq := range res.Squares(p.Tile) {
-		gid := int32((p.y0+sq.Y)*w + p.x0 + sq.X)
-		p.iv[gid] = sq.IV
-		p.adj[gid] = make(map[int32]struct{})
-		p.ownedIDs = append(p.ownedIDs, gid)
-	}
-	sort.Slice(p.ownedIDs, func(i, j int) bool { return p.ownedIDs[i] < p.ownedIDs[j] })
-
-	// Tile-local labels are anchor pixel indices in the tile; make them
-	// global region IDs in place.
 	p.labels = res.Labels
 	for i, l := range p.labels {
+		if int(l) == i {
+			squares++
+		}
 		p.labels[i] = int32((p.y0+int(l)/p.tw)*w + p.x0 + int(l)%p.tw)
 	}
-	return res.Iterations
+	return res.Iterations, squares
 }
 
-// buildGraph is step 2: internal edges from the tile, cross edges from
-// boundary strips exchanged with the grid neighbours.
+// buildGraph is step 2: the tile's own graph, then cross edges from
+// boundary strips exchanged with the grid neighbours. Inside a tile,
+// row-major first appearance is ascending global ID, so the owned
+// vertices take slots [0, nOwned) in ID order.
 func (p *prog) buildGraph() error {
-	tw, th := p.tw, p.th
-	for ly := 0; ly < th; ly++ {
-		for lx := 0; lx < tw; lx++ {
-			a := p.labels[ly*tw+lx]
-			if lx+1 < tw {
-				if b := p.labels[ly*tw+lx+1]; a != b {
-					p.addEdge(a, b)
-				}
-			}
-			if ly+1 < th {
-				if b := p.labels[(ly+1)*tw+lx]; a != b {
-					p.addEdge(a, b)
-				}
-			}
-		}
-	}
-	p.c.Charge(tw * th * 4)
+	// Like the split, the build runs under a context that never ends and
+	// cannot fail.
+	p.g, _ = rag.BuildFromLabels(context.Background(), p.Tile, p.labels, p.Crit)
+	p.nOwned = p.g.Slots()
+	p.c.Charge(p.tw * p.th * 4)
 
 	// For each neighbour, send the (label, lo, hi) of my border pixels
 	// facing it; zip what it sends back into cross edges.
@@ -271,7 +277,7 @@ func (p *prog) buildGraph() error {
 		strip := p.border(Dir(d))
 		payload := make([]int32, 0, 3*len(strip))
 		for _, id := range strip {
-			iv := p.iv[id]
+			iv := p.g.IntervalOf(id)
 			payload = append(payload, id, int32(iv.Lo), int32(iv.Hi))
 		}
 		out = append(out, Strip{Dir: Dir(d), Peer: nr*p.Grid.cols() + nc, Data: payload})
@@ -288,12 +294,13 @@ func (p *prog) buildGraph() error {
 		}
 		for k, myID := range mine {
 			theirID := data[3*k]
-			if _, ok := p.iv[theirID]; !ok {
-				p.iv[theirID] = homog.Interval{Lo: uint8(data[3*k+1]), Hi: uint8(data[3*k+2])}
+			if p.Grid.owner(theirID) != s.Peer {
+				return fmt.Errorf("nodeprog: boundary strip from rank %d names vertex %d it does not own", s.Peer, theirID)
 			}
-			if myID != theirID {
-				p.addEdge(myID, theirID)
+			if !p.g.Contains(theirID) {
+				p.g.AddVertex(theirID, homog.Interval{Lo: uint8(data[3*k+1]), Hi: uint8(data[3*k+2])})
 			}
+			p.g.AddEdge(myID, theirID)
 		}
 	}
 	p.c.Phase(PhaseGraph, 0)
@@ -324,16 +331,6 @@ func (p *prog) border(d Dir) []int32 {
 	return out
 }
 
-// addEdge records adjacency on whichever endpoints this node owns.
-func (p *prog) addEdge(a, b int32) {
-	if s, ok := p.adj[a]; ok {
-		s[b] = struct{}{}
-	}
-	if s, ok := p.adj[b]; ok {
-		s[a] = struct{}{}
-	}
-}
-
 // mergeLoop is steps 3–5: merge rounds until no active edge remains
 // anywhere. The head reduction decides termination for every node at
 // once, and a cancellation surfaces from it (or from any other
@@ -350,10 +347,10 @@ func (p *prog) mergeLoop() error {
 		// A vertex has a choice exactly when it has an active edge, and
 		// every edge has an owned endpoint on some node, so the choices
 		// also answer the head question: any active edge anywhere?
-		choice, scanned, head := p.choose(policy, p.stats.Iterations+1)
+		chosen, scanned, head := p.choose(policy, p.stats.Iterations+1)
 		p.c.Charge(head * 4)
 		active := 0
-		if len(choice) > 0 {
+		if chosen > 0 {
 			active = 1
 		}
 		red, err := p.c.AllReduceMax(active)
@@ -369,8 +366,8 @@ func (p *prog) mergeLoop() error {
 			p.stats.ForcedResolutions++
 			stalls = 0
 		}
-		p.c.Charge(scanned*6 + len(choice)*4)
-		merged, err := p.mergeRound(choice)
+		p.c.Charge(scanned*6 + chosen*4)
+		merged, err := p.mergeRound()
 		if err != nil {
 			return err
 		}
@@ -383,237 +380,229 @@ func (p *prog) mergeLoop() error {
 	}
 }
 
-// choose is step 3a: the choice of every owned, alive vertex with an
-// active edge (rag.PickTied keeps the tie semantics identical to every
-// other engine). scanned counts the adjacency entries visited; head
-// counts those of the vertices up to the first with a choice, the cost
-// the model bills for the head test. Charging whole adjacency lists keeps
-// simulated times independent of map order.
-func (p *prog) choose(policy rag.TiePolicy, iter int) (choice map[int32]int32, scanned, head int) {
-	choice = make(map[int32]int32)
-	var tied []int32
-	for _, v := range p.ownedIDs {
-		adj, alive := p.adj[v]
-		if !alive {
+// choose is step 3a: fill p.choice with the choice of every owned, alive
+// vertex with an active edge and return how many there are. scanned
+// counts the adjacency entries visited; head counts those of the vertices
+// up to the first with a choice, the cost the model bills for the head
+// test. Both add whole adjacency lists.
+func (p *prog) choose(policy rag.TiePolicy, iter int) (chosen, scanned, head int) {
+	p.choice = slices.Grow(p.choice[:0], p.nOwned)[:p.nOwned]
+	for s := range p.choice {
+		p.choice[s] = noSlot
+		if !p.g.SlotAlive(s) {
 			continue
 		}
-		scanned += len(adj)
-		if len(choice) == 0 {
-			head += len(adj)
+		deg := len(p.g.SlotNeighbours(s))
+		scanned += deg
+		if chosen == 0 {
+			head += deg
 		}
-		bestW := -1
-		tied = tied[:0]
-		//vet:ordered min-reduction; the tie list is sorted inside rag.PickTied before any order-dependent use
-		for w := range adj {
-			if !p.Crit.Homogeneous(p.iv[v].Union(p.iv[w])) {
-				continue
-			}
-			switch wt := homog.Weight(p.iv[v], p.iv[w]); {
-			case bestW < 0 || wt < bestW:
-				bestW = wt
-				tied = append(tied[:0], w)
-			case wt == bestW:
-				tied = append(tied, w)
-			}
-		}
-		if bestW >= 0 {
-			choice[v] = rag.PickTied(tied, policy, p.Seed, iter, v)
+		var c int
+		c, p.tied = p.g.SlotChoice(s, policy, p.Seed, iter, p.tied)
+		if c >= 0 {
+			p.choice[s] = int32(c)
+			chosen++
 		}
 	}
-	return choice, scanned, head
+	return chosen, scanned, head
 }
 
 // mergeRound runs steps 3b–4 on this round's choices and returns the
 // global number of merges. Every payload is built in ascending ID order
 // so the bytes a node sends are the same run to run.
-func (p *prog) mergeRound(choice map[int32]int32) (int, error) {
-	// Step 3b: route each choice (v, w) to owner(w) so mutual pairs are
-	// detectable on both sides.
+func (p *prog) mergeRound() (int, error) {
+	g := p.g
+	// Step 3b: route each remote choice (v, w) to owner(w) so mutual
+	// pairs are detectable on both sides; a local one needs no message.
 	outbound := make(map[int][]int32)
-	suitors := make(map[int32][]int32) // chosen vertex -> suitors
-	for _, v := range p.ownedIDs {
-		w, ok := choice[v]
-		if !ok {
-			continue
-		}
-		if o := p.Grid.owner(w); o == p.Rank {
-			suitors[w] = append(suitors[w], v)
-		} else {
-			outbound[o] = append(outbound[o], v, w)
+	for s, c := range p.choice {
+		if c >= int32(p.nOwned) {
+			w := g.SlotID(int(c))
+			o := p.Grid.owner(w)
+			outbound[o] = append(outbound[o], g.SlotID(s), w)
 		}
 	}
 	in, err := p.c.Exchange(outbound)
 	if err != nil {
 		return 0, err
 	}
+	p.suitor = slices.Grow(p.suitor[:0], p.nOwned)[:p.nOwned]
+	clear(p.suitor)
 	for _, data := range in {
-		for i := 0; i+1 < len(data); i += 2 {
-			suitors[data[i+1]] = append(suitors[data[i+1]], data[i])
+		if len(data)%2 != 0 {
+			return 0, fmt.Errorf("nodeprog: suitor routing of odd length %d", len(data))
+		}
+		for i := 0; i < len(data); i += 2 {
+			s, ok := g.SlotOf(data[i+1])
+			if !ok || s >= p.nOwned {
+				return 0, fmt.Errorf("nodeprog: suitor for vertex %d, which rank %d does not own", data[i+1], p.Rank)
+			}
+			if c := p.choice[s]; c != noSlot && g.SlotID(int(c)) == data[i] {
+				p.suitor[s] = true
+			}
 		}
 	}
 
 	// Step 3c: mutual pairs. Both owners detect; the loser's owner emits
 	// the event.
 	var events []int32 // flat (rep, loser, lo, hi)
-	for _, v := range p.ownedIDs {
-		w, ok := choice[v]
-		if !ok || w >= v {
+	for s, c := range p.choice {
+		if c == noSlot || g.SlotID(int(c)) >= g.SlotID(s) {
 			continue // loser = max(v, w) = v emits
 		}
-		mutual := false
-		if p.Grid.owner(w) == p.Rank {
-			mutual = choice[w] == v
-		} else {
-			for _, s := range suitors[v] {
-				if s == w {
-					mutual = true
-					break
-				}
-			}
+		mutual := p.suitor[s]
+		if c < int32(p.nOwned) {
+			mutual = p.choice[c] == int32(s)
 		}
 		if mutual {
-			union := p.iv[v].Union(p.iv[w])
-			events = append(events, w, v, int32(union.Lo), int32(union.Hi))
+			union := g.SlotInterval(s).Union(g.SlotInterval(int(c)))
+			events = append(events, g.SlotID(int(c)), g.SlotID(s), int32(union.Lo), int32(union.Hi))
 		}
 	}
 
-	// Step 4a: concatenate the merge events everywhere and apply them.
+	// Step 4a: concatenate the merge events everywhere and record them.
 	all, err := p.c.AllGather(events)
 	if err != nil {
 		return 0, err
 	}
-	mergeMap := make(map[int32]int32)
-	merges := 0
-	for i := 0; i+3 < len(all); i += 4 {
-		rep, loser := all[i], all[i+1]
-		mergeMap[loser] = rep
-		// Every node records the representative's new interval: an edge
-		// relabeled to rep below needs it for future weights.
-		p.iv[rep] = homog.Interval{Lo: uint8(all[i+2]), Hi: uint8(all[i+3])}
-		p.asg.Record(loser, rep)
-		merges++
+	if len(all)%4 != 0 {
+		return 0, fmt.Errorf("nodeprog: %d merge-event values, not a multiple of 4", len(all))
 	}
+	if err := p.recordMerges(all); err != nil {
+		return 0, err
+	}
+	merges := len(all) / 4
 	p.c.Charge(merges * 8)
 	if err := p.emit(core.StageEvent{Kind: core.EventMergeIteration, Iteration: p.stats.Iterations, Merges: merges}); err != nil {
 		return 0, err
 	}
 
-	// Step 4b: relabel owned adjacency through this round's map. Mutual
-	// pairs form a matching, so one relabeling level suffices.
+	// Step 4b: relabeling an owned adjacency entry that names a loser is
+	// billed per entry: each known loser's owned neighbours.
 	relabeled := 0
-	//vet:ordered per-vertex set edits and a count are keyed and independent, so vertex visit order commutes
-	for v, adjSet := range p.adj {
-		var add, del []int32
-		//vet:ordered del/add are applied below as keyed set deletions/insertions, which commute
-		for w := range adjSet {
-			if r, ok := mergeMap[w]; ok {
-				del = append(del, w)
-				if r != v {
-					add = append(add, r)
-				}
-				relabeled++
-			}
-		}
-		for _, w := range del {
-			delete(adjSet, w)
-		}
-		for _, r := range add {
-			adjSet[r] = struct{}{}
-		}
+	for k := 0; k < len(p.pairs); k += 2 {
+		p.repOf[p.pairs[k]] = p.pairs[k+1]
+		owned, _ := slices.BinarySearch(g.SlotNeighbours(int(p.pairs[k])), int32(p.nOwned))
+		relabeled += owned
 	}
 	p.c.Charge(relabeled * 6)
 
-	// Step 4c: hand each absorbed loser's adjacency to its
-	// representative's owner.
-	losers := make([]int32, 0, len(mergeMap))
-	for loser := range mergeMap {
-		losers = append(losers, loser)
-	}
-	sort.Slice(losers, func(i, j int) bool { return losers[i] < losers[j] })
+	// Step 4c: hand each owned loser's adjacency to its representative's
+	// owner, then contract every known loser into its representative.
+	// Mutual pairs form a matching, so one level of representatives
+	// suffices.
 	handover := make(map[int][]int32)
-	for _, loser := range losers {
-		rep := mergeMap[loser]
-		adjSet, ok := p.adj[loser]
-		if !ok {
-			continue // not owned here
+	for k := 0; k < len(p.pairs); k += 2 {
+		sl, sr := int(p.pairs[k]), int(p.pairs[k+1])
+		if !g.SlotAlive(sl) || !g.SlotAlive(sr) {
+			return 0, fmt.Errorf("nodeprog: merge of %d into %d after one of them merged away this round", g.SlotID(sl), g.SlotID(sr))
 		}
-		if o := p.Grid.owner(rep); o == p.Rank {
-			repAdj := p.ownedAdj(rep)
-			//vet:ordered keyed set union commutes across iteration orders
-			for w := range adjSet {
-				if w != rep {
-					repAdj[w] = struct{}{}
-				}
-			}
-		} else {
-			ws := make([]int32, 0, len(adjSet))
-			for w := range adjSet {
-				ws = append(ws, w)
-			}
-			sort.Slice(ws, func(i, j int) bool { return ws[i] < ws[j] })
-			payload := []int32{rep, int32(len(adjSet))}
-			for _, w := range ws {
-				iv := p.iv[w]
-				payload = append(payload, w, int32(iv.Lo), int32(iv.Hi))
-			}
-			handover[o] = append(handover[o], payload...)
+		if sl < p.nOwned && sr >= p.nOwned {
+			o := p.Grid.owner(g.SlotID(sr))
+			handover[o] = p.appendHandover(handover[o], sl, sr)
 		}
-		delete(p.adj, loser)
+		g.ContractSlots(sr, sl)
+		p.repOf[sl] = noSlot // no list names sl any more
 	}
 	if in, err = p.c.Exchange(handover); err != nil {
 		return 0, err
 	}
 	for _, data := range in {
-		for i := 0; i < len(data); {
-			if i+1 >= len(data) || data[i+1] < 0 || i+2+3*int(data[i+1]) > len(data) {
-				return 0, fmt.Errorf("nodeprog: truncated adjacency handover")
-			}
-			rep, cnt := data[i], int(data[i+1])
-			i += 2
-			repAdj := p.ownedAdj(rep)
-			for ; cnt > 0; cnt, i = cnt-1, i+3 {
-				w := data[i]
-				if w == rep {
-					continue
-				}
-				// The sender relabeled through the same round's map, so
-				// every sender agrees on w's interval: first writer wins.
-				if _, ok := p.iv[w]; !ok {
-					p.iv[w] = homog.Interval{Lo: uint8(data[i+1]), Hi: uint8(data[i+2])}
-				}
-				repAdj[w] = struct{}{}
-			}
+		if err := p.applyHandover(data); err != nil {
+			return 0, err
 		}
-	}
-
-	// Losers no longer exist as vertices anywhere; drop their mirrors.
-	for loser := range mergeMap {
-		delete(p.iv, loser)
 	}
 	return merges, nil
 }
 
-// ownedAdj returns rep's adjacency set, creating it if rep has none yet.
-func (p *prog) ownedAdj(rep int32) map[int32]struct{} {
-	s := p.adj[rep]
-	if s == nil {
-		s = make(map[int32]struct{})
-		p.adj[rep] = s
+// recordMerges applies step 4a's merge events to this node's view: every
+// known representative takes its new interval (an edge relabeled to it
+// needs it for future weights), a representative this node does not know
+// but whose loser it does becomes a ghost, and every known loser is
+// queued in p.pairs with its representative. p.repOf grows to cover the
+// new ghosts.
+func (p *prog) recordMerges(all []int32) error {
+	g := p.g
+	p.pairs = p.pairs[:0]
+	for i := 0; i < len(all); i += 4 {
+		rep, loser := all[i], all[i+1]
+		if rep < 0 || rep >= loser || int(loser) >= p.Grid.width()*p.Grid.height() {
+			return fmt.Errorf("nodeprog: malformed merge event (%d, %d)", rep, loser)
+		}
+		p.asg.Record(loser, rep)
+		sl, knowLoser := g.SlotOf(loser)
+		if !g.Contains(rep) {
+			if !knowLoser {
+				continue
+			}
+			if p.Grid.owner(rep) == p.Rank {
+				return fmt.Errorf("nodeprog: merge into vertex %d, which rank %d owns but does not know", rep, p.Rank)
+			}
+		}
+		// AddVertex unions, which sets the interval: the merged one
+		// contains the old.
+		g.AddVertex(rep, homog.Interval{Lo: uint8(all[i+2]), Hi: uint8(all[i+3])})
+		if knowLoser {
+			sr, _ := g.SlotOf(rep)
+			p.pairs = append(p.pairs, int32(sl), int32(sr))
+		}
 	}
-	return s
+	for len(p.repOf) < g.Slots() {
+		p.repOf = append(p.repOf, noSlot)
+	}
+	return nil
 }
 
-// writeLabels resolves the tile's final labels in place.
-func (p *prog) writeLabels() []int32 {
-	cache := make(map[int32]int32)
-	for i, l := range p.labels {
-		r, ok := cache[l]
-		if !ok {
-			r = p.asg.Find(l)
-			cache[l] = r
+// appendHandover appends owned loser sl's handover to buf: its
+// representative, then its neighbours mapped through this round's
+// representatives, deduplicated and in ascending ID order, each with its
+// post-merge interval. The count includes the representative itself.
+func (p *prog) appendHandover(buf []int32, sl, sr int) []int32 {
+	g := p.g
+	p.nbrs = p.nbrs[:0]
+	for _, n := range g.SlotNeighbours(sl) {
+		if r := p.repOf[n]; r != noSlot {
+			n = r
 		}
-		p.labels[i] = r
+		p.nbrs = append(p.nbrs, n)
 	}
-	p.c.Charge(p.tw * p.th * 2)
-	return p.labels
+	slices.SortFunc(p.nbrs, func(a, b int32) int { return cmp.Compare(g.SlotID(int(a)), g.SlotID(int(b))) })
+	p.nbrs = slices.Compact(p.nbrs)
+	buf = append(buf, g.SlotID(sr), int32(len(p.nbrs)))
+	for _, n := range p.nbrs {
+		iv := g.SlotInterval(int(n))
+		buf = append(buf, g.SlotID(int(n)), int32(iv.Lo), int32(iv.Hi))
+	}
+	return buf
+}
+
+// applyHandover adds the adjacency other ranks handed over to owned
+// representatives. Every sender relabeled through the same round's
+// representatives, so all agree on a neighbour's interval.
+func (p *prog) applyHandover(data []int32) error {
+	g := p.g
+	for i := 0; i < len(data); {
+		if i+1 >= len(data) || data[i+1] < 0 || i+2+3*int(data[i+1]) > len(data) {
+			return fmt.Errorf("nodeprog: truncated adjacency handover")
+		}
+		rep, cnt := data[i], int(data[i+1])
+		if s, ok := g.SlotOf(rep); !ok || s >= p.nOwned {
+			return fmt.Errorf("nodeprog: adjacency handover for vertex %d, which rank %d does not own", rep, p.Rank)
+		}
+		i += 2
+		for ; cnt > 0; cnt, i = cnt-1, i+3 {
+			w := data[i]
+			if w == rep {
+				continue
+			}
+			if !g.Contains(w) {
+				if o := p.Grid.owner(w); o < 0 || o == p.Rank {
+					return fmt.Errorf("nodeprog: adjacency handover names vertex %d, unknown to its owner", w)
+				}
+				g.AddVertex(w, homog.Interval{Lo: uint8(data[i+1]), Hi: uint8(data[i+2])})
+			}
+			g.AddEdge(rep, w)
+		}
+	}
+	return nil
 }

@@ -289,6 +289,18 @@ func (g *Graph) Slots() int { return len(g.ids) }
 // SlotID returns the region ID held by slot s.
 func (g *Graph) SlotID(s int) int32 { return g.ids[s] }
 
+// SlotOf returns the slot of live region id, and false if id is not in
+// the graph.
+func (g *Graph) SlotOf(id int32) (int, bool) {
+	s, ok := g.slotOf[id]
+	return int(s), ok
+}
+
+// SlotNeighbours returns the live slot s's neighbour slots in ascending
+// slot order. The slice is the graph's own: read it, do not keep it
+// across a mutation.
+func (g *Graph) SlotNeighbours(s int) []int32 { return g.adj[s] }
+
 // SlotAlive reports whether slot s still holds a live region.
 func (g *Graph) SlotAlive(s int) bool { return g.alive[s] }
 
@@ -428,7 +440,7 @@ func (g *Graph) Absorb(other *Graph) {
 // It returns NoChoice when the region has no active neighbour.
 //
 // This function is the cross-engine contract: all engines enumerate tied
-// candidates as a set of IDs, PickTied sorts them ascending, and the
+// candidates as a set of IDs, pickTied sorts them ascending, and the
 // Random policy selects index Hash3(seed, iter, id) mod count among them,
 // so identical (seed, iter, graph) yields identical choices everywhere.
 func (g *Graph) Choose(id int32, policy TiePolicy, seed uint64, iter int) int32 {
@@ -507,14 +519,13 @@ func (g *Graph) slotChoice(s int32, policy TiePolicy, seed uint64, iter int, tie
 	if sole != noSlot {
 		return sole, tied
 	}
-	id := PickTied(tied, policy, seed, iter, g.ids[s])
+	id := pickTied(tied, policy, seed, iter, g.ids[s])
 	return g.slotOf[id], tied
 }
 
-// PickTied resolves a tie among candidate neighbour IDs for chooser id.
-// The slice may be reordered in place. Exported so the data-parallel and
-// message-passing engines can share the exact tie semantics.
-func PickTied(tied []int32, policy TiePolicy, seed uint64, iter int, id int32) int32 {
+// pickTied resolves a tie among candidate neighbour IDs for chooser id.
+// The slice may be reordered in place.
+func pickTied(tied []int32, policy TiePolicy, seed uint64, iter int, id int32) int32 {
 	if len(tied) == 0 {
 		return NoChoice
 	}

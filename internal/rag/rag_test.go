@@ -99,25 +99,25 @@ func TestChooseRespectsCriterion(t *testing.T) {
 
 func TestPickTiedPolicies(t *testing.T) {
 	tied := []int32{30, 10, 20}
-	if PickTied(append([]int32{}, tied...), SmallestID, 0, 1, 5) != 10 {
+	if pickTied(append([]int32{}, tied...), SmallestID, 0, 1, 5) != 10 {
 		t.Fatal("SmallestID wrong")
 	}
-	if PickTied(append([]int32{}, tied...), LargestID, 0, 1, 5) != 30 {
+	if pickTied(append([]int32{}, tied...), LargestID, 0, 1, 5) != 30 {
 		t.Fatal("LargestID wrong")
 	}
-	got := PickTied(append([]int32{}, tied...), Random, 7, 3, 5)
+	got := pickTied(append([]int32{}, tied...), Random, 7, 3, 5)
 	if got != 10 && got != 20 && got != 30 {
 		t.Fatalf("Random picked non-candidate %d", got)
 	}
 	// Random is a pure function of (seed, iter, id).
-	again := PickTied(append([]int32{}, tied...), Random, 7, 3, 5)
+	again := pickTied(append([]int32{}, tied...), Random, 7, 3, 5)
 	if got != again {
 		t.Fatal("Random tie pick is not deterministic")
 	}
-	if PickTied(nil, Random, 1, 1, 1) != NoChoice {
+	if pickTied(nil, Random, 1, 1, 1) != NoChoice {
 		t.Fatal("empty tie set should yield NoChoice")
 	}
-	if PickTied([]int32{42}, Random, 1, 1, 1) != 42 {
+	if pickTied([]int32{42}, Random, 1, 1, 1) != 42 {
 		t.Fatal("singleton tie set wrong")
 	}
 }
@@ -127,7 +127,7 @@ func TestPickTiedRandomVaries(t *testing.T) {
 	tied := []int32{1, 2, 3, 4, 5, 6, 7, 8}
 	seen := map[int32]bool{}
 	for iter := 1; iter <= 32; iter++ {
-		seen[PickTied(append([]int32{}, tied...), Random, 9, iter, 77)] = true
+		seen[pickTied(append([]int32{}, tied...), Random, 9, iter, 77)] = true
 	}
 	if len(seen) < 3 {
 		t.Fatalf("Random draws hit only %d distinct candidates over 32 iterations", len(seen))
