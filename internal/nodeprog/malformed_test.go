@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -228,13 +229,20 @@ func TestMalformedCollectiveResults(t *testing.T) {
 		rank    int
 		kind    string
 		corrupt func([]int32) []int32
+		want    string // in the error
 	}{
-		{"odd-length suitor routing", 0, "suitors", func(p []int32) []int32 { return append(p, p[0]) }},
-		{"suitor for a vertex not owned here", 0, "suitors", func(p []int32) []int32 { p[1] = p[0]; return p }},
-		{"handover for a vertex not owned here", 0, "handover", func(p []int32) []int32 { p[0] = lastPixel; return p }},
-		{"truncated handover", 0, "handover", func(p []int32) []int32 { return p[:len(p)-1] }},
-		{"merge events not a multiple of 4", 1, "gather", func(p []int32) []int32 { return append(p, 0) }},
-		{"short boundary strip", 1, "strip", func(p []int32) []int32 { return p[:len(p)-3] }},
+		{"odd-length suitor routing", 0, "suitors", func(p []int32) []int32 { return append(p, p[0]) }, "odd length"},
+		{"suitor for a vertex not owned here", 0, "suitors", func(p []int32) []int32 { p[1] = p[0]; return p }, "suitor for vertex"},
+		{"handover for a vertex not owned here", 0, "handover", func(p []int32) []int32 { p[0] = lastPixel; return p }, "handover for vertex"},
+		{"truncated handover", 0, "handover", func(p []int32) []int32 { return p[:len(p)-1] }, "truncated"},
+		{"merge events not a multiple of 4", 1, "gather", func(p []int32) []int32 { return append(p, 0) }, "not a multiple of 4"},
+		{"short boundary strip", 1, "strip", func(p []int32) []int32 { return p[:len(p)-3] }, "want 48"},
+		// IDs the program checks before they reach the arena.
+		{"strip naming a vertex its sender does not own", 1, "strip", func(p []int32) []int32 { p[0] = lastPixel; return p }, "it does not own"},
+		{"handover naming an unknown vertex of this rank", 0, "handover", func(p []int32) []int32 { p[len(p)-3] = 1; return p }, "unknown to its owner"},
+		{"merge event whose representative is the larger ID", 1, "gather", func(p []int32) []int32 { p[0], p[1] = p[1], p[0]; return p }, "malformed merge event"},
+		{"merge into an unknown vertex of this rank", 0, "gather", func(p []int32) []int32 { p[0] = 1; return p }, "owns but does not know"},
+		{"loser merged twice in one round", 0, "gather", func(p []int32) []int32 { return append(p, p...) }, "merged away this round"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -244,8 +252,8 @@ func TestMalformedCollectiveResults(t *testing.T) {
 			if !nodes[tc.rank].corrupted {
 				t.Fatalf("rank %d never received a %s result to corrupt", tc.rank, tc.kind)
 			}
-			if err := errs[tc.rank]; err == nil || errors.Is(err, errPeerLeft) {
-				t.Fatalf("rank %d: Run returned %v, want an error for the malformed result", tc.rank, err)
+			if err := errs[tc.rank]; err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("rank %d: Run returned %v, want an error containing %q", tc.rank, err, tc.want)
 			}
 		})
 	}
