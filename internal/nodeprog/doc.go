@@ -24,10 +24,10 @@
 //
 // A region is owned by the node whose tile holds its anchor pixel, and the
 // representative (smaller ID) of a merge keeps its owner. An owned
-// vertex's neighbour list is exact, so the cost-model charges, which count
-// adjacency entries, match the paper's. Choices use rag's choice kernel,
-// so labels equal the sequential engine's. Every payload is built in
-// ascending ID order, so what a node sends never depends on Go's map order
-// or on goroutine scheduling. A collective result no correct peer could
-// produce is an error, never a panic.
+// vertex's neighbour list is exact, and the cost model charges per entry
+// of such lists only. Choices use rag's choice kernel, so labels equal the
+// sequential engine's. Every payload is built in ascending ID order, so
+// what a node sends never depends on Go's map order or on goroutine
+// scheduling. A collective result no correct peer could produce is an
+// error, never a panic.
 package nodeprog
