@@ -164,6 +164,30 @@ func TestContract(t *testing.T) {
 	}
 }
 
+// TestSlotOfAndNeighbours: slots follow insertion order, neighbour lists
+// are ascending slots, and a contracted region has no slot.
+func TestSlotOfAndNeighbours(t *testing.T) {
+	g := NewGraph(crit(100))
+	for _, id := range []int32{30, 10, 20} {
+		g.AddVertex(id, homog.Interval{Lo: 5, Hi: 5})
+	}
+	g.AddEdge(30, 20)
+	g.AddEdge(30, 10)
+	if s, ok := g.SlotOf(20); !ok || s != 2 {
+		t.Fatalf("SlotOf(20) = %d, %v; want 2, true", s, ok)
+	}
+	if got := g.SlotNeighbours(0); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("SlotNeighbours(0) = %v, want [1 2]", got)
+	}
+	g.Contract(10, 30)
+	if _, ok := g.SlotOf(30); ok {
+		t.Fatal("SlotOf finds a contracted region")
+	}
+	if got := g.SlotNeighbours(1); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("keeper's SlotNeighbours = %v, want [2]", got)
+	}
+}
+
 // buildStripes builds a 1×n image of n distinct single-pixel regions with
 // values chosen so everything can merge under T.
 func stripesGraph(vals []uint8, t int) *Graph {
