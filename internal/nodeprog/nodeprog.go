@@ -165,13 +165,13 @@ type prog struct {
 	asg   *rag.Assignments
 	stats rag.MergeStats
 
-	// Slot-indexed round scratch.
+	// Round scratch, reused from round to round.
 	choice []int32 // owned slot → chosen slot, or noSlot
 	suitor []bool  // owned slot → its remote choice chose it back
 	repOf  []int32 // loser slot → representative slot; noSlot between rounds
 	pairs  []int32 // flat (loser slot, representative slot) of known losers
-	tied   []int32
-	nbrs   []int32
+	tied   []int32 // SlotChoice's tie list
+	nbrs   []int32 // a handover's neighbour slots
 }
 
 // Run executes the paper's message-passing node program on c: split the
@@ -262,6 +262,7 @@ func (p *prog) buildGraph() error {
 	// cannot fail.
 	p.g, _ = rag.BuildFromLabels(context.Background(), p.Tile, p.labels, p.Crit)
 	p.nOwned = p.g.Slots()
+	p.choice, p.suitor = make([]int32, p.nOwned), make([]bool, p.nOwned)
 	p.c.Charge(p.tw * p.th * 4)
 
 	// For each neighbour, send the (label, lo, hi) of my border pixels
@@ -386,7 +387,6 @@ func (p *prog) mergeLoop() error {
 // up to the first with a choice, the cost the model bills for the head
 // test. Both add whole adjacency lists.
 func (p *prog) choose(policy rag.TiePolicy, iter int) (chosen, scanned, head int) {
-	p.choice = slices.Grow(p.choice[:0], p.nOwned)[:p.nOwned]
 	for s := range p.choice {
 		p.choice[s] = noSlot
 		if !p.g.SlotAlive(s) {
@@ -426,7 +426,6 @@ func (p *prog) mergeRound() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	p.suitor = slices.Grow(p.suitor[:0], p.nOwned)[:p.nOwned]
 	clear(p.suitor)
 	for _, data := range in {
 		if len(data)%2 != 0 {
