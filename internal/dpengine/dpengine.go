@@ -219,33 +219,23 @@ func (e *Engine) merge(ctx context.Context, m *simdvm.Machine, im *pixmap.Image,
 	rep := m.IotaVec(n)
 	iota := m.IotaVec(n)
 
-	var stats rag.MergeStats
-	stalls := 0
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, stats, err
-		}
+	// Step 3a, before every round: edge weights and activity from
+	// endpoint intervals. wt and active carry into the round that follows.
+	var wt *simdvm.Vec
+	var active *simdvm.BoolVec
+	hasActive := func() bool {
 		if src.Len() == 0 {
-			break
+			return false
 		}
-		// Step 3a: edge weights and activity from endpoint intervals.
 		slo := vlo.Gather(src)
 		shi := vhi.Gather(src)
 		dlo := vlo.Gather(dst)
 		dhi := vhi.Gather(dst)
-		wt := shi.Max(dhi).Sub(slo.Min(dlo))
-		active := wt.LeC(t)
-		if !active.Any() {
-			break
-		}
-		stats.Iterations++
-		policy := cfg.Tie
-		if policy == rag.Random && stalls >= 3 {
-			policy = rag.SmallestID
-			stats.ForcedResolutions++
-			stalls = 0
-		}
-
+		wt = shi.Max(dhi).Sub(slo.Min(dlo))
+		active = wt.LeC(t)
+		return active.Any()
+	}
+	iterate := func(policy rag.TiePolicy, iter int) int {
 		// Step 3b: per-source best neighbour by segmented min-scan; the
 		// edge array is sorted by (src, dst), so ties are ranked in
 		// ascending destination order, matching rag's sorted tie list.
@@ -260,7 +250,7 @@ func (e *Engine) merge(ctx context.Context, m *simdvm.Machine, im *pixmap.Image,
 		case rag.LargestID:
 			k = count.AddC(-1)
 		case rag.Random:
-			k = src.HashChoice(cfg.Seed, stats.Iterations, count)
+			k = src.HashChoice(cfg.Seed, iter, count)
 		default:
 			panic(fmt.Sprintf("dpengine: unknown tie policy %v", policy))
 		}
@@ -288,19 +278,18 @@ func (e *Engine) merge(ctx context.Context, m *simdvm.Machine, im *pixmap.Image,
 		rep.AssignWhere(loser, choice)
 
 		merges := winner.Count()
-		stats.MergesPerIter = append(stats.MergesPerIter, merges)
-		run.Emit(core.StageEvent{Kind: core.EventMergeIteration, Iteration: stats.Iterations, Merges: merges})
-		if merges == 0 {
-			stalls++
-		} else {
-			stalls = 0
-		}
+		run.Emit(core.StageEvent{Kind: core.EventMergeIteration, Iteration: iter, Merges: merges})
 
 		src = rep.Gather(src)
 		dst = rep.Gather(dst)
 		keep := src.Ne(dst).And(active)
 		packed := m.Pack(keep, src, dst)
 		src, dst = sortDedupe(m, packed[0], packed[1])
+		return merges
+	}
+	stats, err := rag.Drive(ctx, cfg.Tie, hasActive, iterate)
+	if err != nil {
+		return nil, stats, err
 	}
 
 	// Resolve representative chains and map the split labels through them.

@@ -582,10 +582,10 @@ func (s MergeStats) TotalMerges() int {
 // on a simulated machine, or fanned out over goroutines); the loop
 // semantics — iteration numbering, stall accounting, forced resolutions —
 // live here so engines sharing the driver cannot drift apart. MergeAll
-// (the sequential kernel) and the native shmengine run on it; dpengine
-// and nodeprog still inline the same loop interleaved with their
-// simulated-cost accounting and collectives, with the cross-engine
-// property tests pinning them to these semantics.
+// (the sequential kernel), the native shmengine and dpengine run on it.
+// Only nodeprog still inlines the loop, because its activity test is a
+// collective every node must enter together; the cross-engine property
+// tests pin it to these semantics.
 func Drive(ctx context.Context, policy TiePolicy, hasActive func() bool, iterate func(effective TiePolicy, iter int) int) (MergeStats, error) {
 	var stats MergeStats
 	stalls := 0
