@@ -46,21 +46,13 @@ func BenchmarkExtension_HPFDistribution(b *testing.B) {
 		b.ReportMetric(seg.SplitSim, "sim-split-s")
 	}
 	b.Run("cm5-cmf", func(b *testing.B) {
-		eng, err := dpengine.New(machine.CM5_CMF)
-		if err != nil {
-			b.Fatal(err)
-		}
-		run(b, eng)
+		run(b, dpengine.New(machine.CM5_CMF))
 	})
 	b.Run("cm5-hpf-hypothetical", func(b *testing.B) {
 		run(b, dpengine.NewWithProfile(machine.CM5_CMF, machine.HPFHypothetical()))
 	})
 	b.Run("cm5-async", func(b *testing.B) {
-		eng, err := mpengine.New(machine.CM5_Async)
-		if err != nil {
-			b.Fatal(err)
-		}
-		run(b, eng)
+		run(b, mpengine.New(machine.CM5_Async))
 	})
 }
 

@@ -32,11 +32,7 @@ func TestFullMatrixSmallImages(t *testing.T) {
 	}
 	engines := []core.Engine{}
 	for _, mc := range []machine.ConfigID{machine.CM2_8K, machine.CM5_CMF} {
-		e, err := dpengine.New(mc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		engines = append(engines, e)
+		engines = append(engines, dpengine.New(mc))
 	}
 	engines = append(engines,
 		mpengine.NewCustom(4, mpvm.LP, machine.Get(machine.CM5_LP)),

@@ -23,12 +23,14 @@ type Engine struct {
 }
 
 // New returns a data-parallel engine simulating the given configuration
-// (CM2_8K, CM2_16K, or CM5_CMF).
-func New(cfg machine.ConfigID) (*Engine, error) {
+// (CM2_8K, CM2_16K, or CM5_CMF). A message-passing configuration is a
+// programming error — regiongrow.New maps each kind to its configuration
+// — and panics.
+func New(cfg machine.ConfigID) *Engine {
 	if cfg.IsMessagePassing() {
-		return nil, fmt.Errorf("dpengine: %v is a message-passing configuration", cfg)
+		panic(fmt.Sprintf("dpengine: %v is a message-passing configuration", cfg))
 	}
-	return &Engine{cfg: cfg, prof: machine.Get(cfg)}, nil
+	return &Engine{cfg: cfg, prof: machine.Get(cfg)}
 }
 
 // NewWithProfile returns a data-parallel engine with an explicit cost

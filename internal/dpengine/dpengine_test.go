@@ -18,23 +18,19 @@ func segment(eng core.Engine, im *pixmap.Image, cfg core.Config) (*core.Segmenta
 	return eng.SegmentContext(context.Background(), im, cfg, core.Run{})
 }
 
-func newEngine(t *testing.T, cfg machine.ConfigID) *Engine {
-	t.Helper()
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
-}
-
+// TestRejectsMessagePassingConfig: a configuration of the other model is a
+// programming error, so New panics instead of returning an engine.
 func TestRejectsMessagePassingConfig(t *testing.T) {
-	if _, err := New(machine.CM5_LP); err == nil {
-		t.Fatal("accepted an MP configuration")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("accepted an MP configuration")
+		}
+	}()
+	New(machine.CM5_LP)
 }
 
 func TestName(t *testing.T) {
-	e := newEngine(t, machine.CM2_8K)
+	e := New(machine.CM2_8K)
 	if e.Name() != "data-parallel/CM2-8K" {
 		t.Fatalf("Name = %q", e.Name())
 	}
@@ -81,7 +77,7 @@ func assertMatchesSequential(t *testing.T, e *Engine, im *pixmap.Image, cfg core
 }
 
 func TestMatchesSequentialOnPaperImages(t *testing.T) {
-	e := newEngine(t, machine.CM2_8K)
+	e := New(machine.CM2_8K)
 	for _, id := range pixmap.AllPaperImages() {
 		if testing.Short() && id.Size() == 256 {
 			continue
@@ -96,12 +92,12 @@ func TestMatchesSequentialOnPaperImages(t *testing.T) {
 func TestMatchesSequentialAcrossConfigs(t *testing.T) {
 	im := pixmap.Generate(pixmap.Image2Rects128, pixmap.DefaultGenOptions())
 	for _, mc := range []machine.ConfigID{machine.CM2_8K, machine.CM2_16K, machine.CM5_CMF} {
-		assertMatchesSequential(t, newEngine(t, mc), im, core.Config{Threshold: 10, Tie: rag.Random, Seed: 5})
+		assertMatchesSequential(t, New(mc), im, core.Config{Threshold: 10, Tie: rag.Random, Seed: 5})
 	}
 }
 
 func TestMatchesSequentialProperty(t *testing.T) {
-	e := newEngine(t, machine.CM2_8K)
+	e := New(machine.CM2_8K)
 	err := quick.Check(func(seed uint64, tRaw, policyRaw uint8) bool {
 		im := pixmap.Random(32, seed)
 		for i := range im.Pix {
@@ -128,7 +124,7 @@ func TestMatchesSequentialProperty(t *testing.T) {
 }
 
 func TestUnboundedCapAndThresholdExtremes(t *testing.T) {
-	e := newEngine(t, machine.CM2_16K)
+	e := New(machine.CM2_16K)
 	im := pixmap.Random(32, 3)
 	assertMatchesSequential(t, e, im, core.Config{Threshold: 255, MaxSquare: -1})
 	assertMatchesSequential(t, e, im, core.Config{Threshold: 0})
@@ -137,7 +133,7 @@ func TestUnboundedCapAndThresholdExtremes(t *testing.T) {
 }
 
 func TestNonSquareImages(t *testing.T) {
-	e := newEngine(t, machine.CM2_8K)
+	e := New(machine.CM2_8K)
 	im := pixmap.New(48, 16)
 	im.FillRect(0, 0, 48, 16, 30)
 	im.FillRect(10, 3, 37, 11, 90)
@@ -145,7 +141,7 @@ func TestNonSquareImages(t *testing.T) {
 }
 
 func TestSimulatedClocksPopulated(t *testing.T) {
-	e := newEngine(t, machine.CM2_8K)
+	e := New(machine.CM2_8K)
 	im := pixmap.Generate(pixmap.Image2Rects128, pixmap.DefaultGenOptions())
 	seg, err := segment(e, im, core.Config{Threshold: 10})
 	if err != nil {
@@ -164,11 +160,11 @@ func TestMoreProcessorsNotSlower(t *testing.T) {
 	// slower than on the 8K profile in simulated time.
 	im := pixmap.Generate(pixmap.Image1NestedRects128, pixmap.DefaultGenOptions())
 	cfg := core.Config{Threshold: 10, Tie: rag.SmallestID}
-	s8, err := segment(newEngine(t, machine.CM2_8K), im, cfg)
+	s8, err := segment(New(machine.CM2_8K), im, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s16, err := segment(newEngine(t, machine.CM2_16K), im, cfg)
+	s16, err := segment(New(machine.CM2_16K), im, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +191,7 @@ func TestNewWithProfile(t *testing.T) {
 }
 
 func TestEmptyImage(t *testing.T) {
-	e := newEngine(t, machine.CM2_8K)
+	e := New(machine.CM2_8K)
 	seg, err := segment(e, pixmap.New(0, 0), core.Config{Threshold: 10})
 	if err != nil {
 		t.Fatal(err)

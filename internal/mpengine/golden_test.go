@@ -91,7 +91,7 @@ func TestSimulatedTimesGolden(t *testing.T) {
 	cfg := core.Config{Threshold: 10, Tie: rag.Random, Seed: 1}
 	mcs := []machine.ConfigID{machine.CM5_LP, machine.CM5_Async}
 	for _, mc := range mcs {
-		e := newEngine(t, mc)
+		e := New(mc)
 		for _, id := range pixmap.AllPaperImages() {
 			if testing.Short() && id.Size() == 256 && !*update {
 				continue
@@ -100,7 +100,7 @@ func TestSimulatedTimesGolden(t *testing.T) {
 		}
 	}
 	for _, mc := range mcs {
-		scheme := newEngine(t, mc).Scheme()
+		scheme := New(mc).Scheme()
 		for _, nodes := range []int{4, 8, 16} {
 			e := NewCustom(nodes, scheme, machine.Get(mc))
 			for _, id := range []pixmap.PaperImageID{pixmap.Image1NestedRects128, pixmap.Image2Rects128, pixmap.Image3Circles128} {

@@ -35,15 +35,16 @@ type Engine struct {
 }
 
 // New returns a message-passing engine for CM5_LP or CM5_Async with the
-// paper's 32 nodes.
-func New(cfg machine.ConfigID) (*Engine, error) {
+// paper's 32 nodes. Any other configuration is a programming error —
+// regiongrow.New maps each kind to its configuration — and panics.
+func New(cfg machine.ConfigID) *Engine {
 	switch cfg {
 	case machine.CM5_LP:
-		return &Engine{scheme: mpvm.LP, nodes: 32, prof: machine.Get(cfg)}, nil
+		return &Engine{scheme: mpvm.LP, nodes: 32, prof: machine.Get(cfg)}
 	case machine.CM5_Async:
-		return &Engine{scheme: mpvm.Async, nodes: 32, prof: machine.Get(cfg)}, nil
+		return &Engine{scheme: mpvm.Async, nodes: 32, prof: machine.Get(cfg)}
 	default:
-		return nil, fmt.Errorf("mpengine: %v is not a message-passing configuration", cfg)
+		panic(fmt.Sprintf("mpengine: %v is not a message-passing configuration", cfg))
 	}
 }
 

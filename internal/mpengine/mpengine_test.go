@@ -18,26 +18,22 @@ func segment(eng core.Engine, im *pixmap.Image, cfg core.Config) (*core.Segmenta
 	return eng.SegmentContext(context.Background(), im, cfg, core.Run{})
 }
 
-func newEngine(t *testing.T, cfg machine.ConfigID) *Engine {
-	t.Helper()
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
-}
-
+// TestRejectsDataParallelConfig: a configuration of the other model is a
+// programming error, so New panics instead of returning an engine.
 func TestRejectsDataParallelConfig(t *testing.T) {
-	if _, err := New(machine.CM2_8K); err == nil {
-		t.Fatal("accepted a data-parallel configuration")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("accepted a data-parallel configuration")
+		}
+	}()
+	New(machine.CM2_8K)
 }
 
 func TestName(t *testing.T) {
-	if newEngine(t, machine.CM5_LP).Name() != "message-passing/32n-LP" {
-		t.Fatalf("Name = %q", newEngine(t, machine.CM5_LP).Name())
+	if New(machine.CM5_LP).Name() != "message-passing/32n-LP" {
+		t.Fatalf("Name = %q", New(machine.CM5_LP).Name())
 	}
-	if newEngine(t, machine.CM5_Async).Scheme() != mpvm.Async {
+	if New(machine.CM5_Async).Scheme() != mpvm.Async {
 		t.Fatal("Scheme wrong")
 	}
 }
@@ -60,7 +56,7 @@ func TestFactor(t *testing.T) {
 }
 
 func TestRejectsBadGeometry(t *testing.T) {
-	e := newEngine(t, machine.CM5_LP)
+	e := New(machine.CM5_LP)
 	// 100 is not divisible by the 4×8 node grid.
 	if _, err := segment(e, pixmap.Uniform(100, 5), core.Config{Threshold: 10}); err == nil {
 		t.Fatal("accepted indivisible image")
@@ -106,7 +102,7 @@ func assertMatchesSequential(t *testing.T, e *Engine, im *pixmap.Image, cfg core
 
 func TestMatchesSequentialOnPaperImages(t *testing.T) {
 	for _, mc := range []machine.ConfigID{machine.CM5_LP, machine.CM5_Async} {
-		e := newEngine(t, mc)
+		e := New(mc)
 		for _, id := range pixmap.AllPaperImages() {
 			if testing.Short() && id.Size() == 256 {
 				continue
@@ -118,7 +114,7 @@ func TestMatchesSequentialOnPaperImages(t *testing.T) {
 }
 
 func TestMatchesSequentialAllPolicies(t *testing.T) {
-	e := newEngine(t, machine.CM5_Async)
+	e := New(machine.CM5_Async)
 	im := pixmap.Generate(pixmap.Image2Rects128, pixmap.DefaultGenOptions())
 	for _, tie := range []rag.TiePolicy{rag.SmallestID, rag.LargestID, rag.Random} {
 		assertMatchesSequential(t, e, im, core.Config{Threshold: 10, Tie: tie, Seed: 3})
@@ -128,11 +124,11 @@ func TestMatchesSequentialAllPolicies(t *testing.T) {
 func TestSchemesProduceIdenticalResults(t *testing.T) {
 	im := pixmap.Generate(pixmap.Image3Circles128, pixmap.DefaultGenOptions())
 	cfg := core.Config{Threshold: 10, Tie: rag.Random, Seed: 11}
-	lp, err := segment(newEngine(t, machine.CM5_LP), im, cfg)
+	lp, err := segment(New(machine.CM5_LP), im, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	as, err := segment(newEngine(t, machine.CM5_Async), im, cfg)
+	as, err := segment(New(machine.CM5_Async), im, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +172,7 @@ func TestSingleNodeCluster(t *testing.T) {
 }
 
 func TestSimulatedClocksPopulated(t *testing.T) {
-	e := newEngine(t, machine.CM5_Async)
+	e := New(machine.CM5_Async)
 	im := pixmap.Generate(pixmap.Image2Rects128, pixmap.DefaultGenOptions())
 	seg, err := segment(e, im, core.Config{Threshold: 10})
 	if err != nil {
@@ -190,11 +186,11 @@ func TestSimulatedClocksPopulated(t *testing.T) {
 func TestCommStatsPopulated(t *testing.T) {
 	im := pixmap.Generate(pixmap.Image2Rects128, pixmap.DefaultGenOptions())
 	cfg := core.Config{Threshold: 10, Tie: rag.Random, Seed: 4}
-	lp, err := segment(newEngine(t, machine.CM5_LP), im, cfg)
+	lp, err := segment(New(machine.CM5_LP), im, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	as, err := segment(newEngine(t, machine.CM5_Async), im, cfg)
+	as, err := segment(New(machine.CM5_Async), im, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +213,7 @@ func TestCommStatsPopulated(t *testing.T) {
 }
 
 func TestUniformAndCheckerboard(t *testing.T) {
-	e := newEngine(t, machine.CM5_Async)
+	e := New(machine.CM5_Async)
 	assertMatchesSequential(t, e, pixmap.Uniform(128, 7), core.Config{Threshold: 0})
 	assertMatchesSequential(t, e, pixmap.Checkerboard(128, 0, 255), core.Config{Threshold: 10})
 }

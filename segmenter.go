@@ -155,14 +155,13 @@ func WithClusterWorkers(addrs []string) Option {
 func New(kind EngineKind, opts ...Option) (*Segmenter, error) {
 	s := &Segmenter{kind: kind}
 	mc, _ := kind.MachineConfig()
-	var err error
 	switch kind {
 	case SequentialEngine:
 		s.eng = core.Sequential{}
 	case CM2DataParallel8K, CM2DataParallel16K, CM5DataParallel:
-		s.eng, err = dpengine.New(mc)
+		s.eng = dpengine.New(mc)
 	case CM5LinearPermutation, CM5Async:
-		s.eng, err = mpengine.New(mc)
+		s.eng = mpengine.New(mc)
 	case NativeParallel:
 		s.eng = shmengine.New()
 	case Distributed:
@@ -170,9 +169,6 @@ func New(kind EngineKind, opts ...Option) (*Segmenter, error) {
 		// cannot exist without configuration.
 	default:
 		return nil, fmt.Errorf("regiongrow: unknown engine kind %d", int(kind))
-	}
-	if err != nil {
-		return nil, err
 	}
 	s.scratch.New = func() any { return new(core.Scratch) }
 	for _, opt := range opts {
