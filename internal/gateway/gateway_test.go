@@ -205,6 +205,35 @@ func TestGatewayBatchFanout(t *testing.T) {
 	}
 }
 
+// TestGatewayBatchRejectsUnknownFields: a manifest with a misspelled
+// field is refused alike by a backend and through the gateway, rather
+// than run at the edge under the default the misspelling hid, and no
+// job is submitted for it.
+func TestGatewayBatchRejectsUnknownFields(t *testing.T) {
+	addr, svc := newBackend(t, "b1", server.Options{})
+	_, gwURL, _ := newGateway(t, gateway.Options{Backends: []string{addr}})
+	const manifest = `{"items":[{"image":"image1","treshold":3}]}`
+	var bodies []string
+	for _, base := range []string{"http://" + addr, gwURL} {
+		resp, err := http.Post(base+"/v1/batch", "application/json", strings.NewReader(manifest))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%s), want 400", base, resp.StatusCode, body)
+		}
+		bodies = append(bodies, string(body))
+	}
+	if bodies[0] != bodies[1] {
+		t.Errorf("gateway error %q differs from the backend's %q", bodies[1], bodies[0])
+	}
+	if n := svc.Stats().Jobs.SubmittedTotal; n != 0 {
+		t.Fatalf("backend submitted_total = %d, want 0", n)
+	}
+}
+
 // TestGatewayFailoverOnDeadOwner: a submission whose home backend just
 // died is served by the clockwise-next replica within the same request,
 // and the failure ejects the dead backend from the ring immediately

@@ -90,12 +90,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	key, body, err := g.routingKey(w, r, p)
 	if err != nil {
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		http.Error(w, err.Error(), status)
+		server.BadRequest(w, err)
 		return
 	}
 	g.metrics.submitted.Add(1)
@@ -183,12 +178,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		items, err = g.batchManifest(r)
 	}
 	if err != nil {
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		http.Error(w, err.Error(), status)
+		server.BadRequest(w, err)
 		return
 	}
 	release, ok := g.admit(w, r, len(items))
@@ -214,11 +204,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}()
 	}
 	wg.Wait()
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusAccepted)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(client.BatchResponse{Jobs: results})
+	writeJSON(w, http.StatusAccepted, client.BatchResponse{Jobs: results})
 }
 
 // submitItem routes one batch item by its key and submits it through
@@ -267,16 +253,13 @@ func isTransportError(err error) bool {
 	return errors.As(err, &ue)
 }
 
-// batchManifest parses a JSON batch body into routable items, reusing
-// the server's own manifest-to-query translation so gateway and backend
-// cannot disagree on a field.
+// batchManifest parses a JSON batch body into routable items through
+// the server's own manifest decoder and item parser, so gateway and
+// backend cannot disagree on a field.
 func (g *Gateway) batchManifest(r *http.Request) ([]batchItem, error) {
-	var m client.BatchManifest
-	if err := json.NewDecoder(r.Body).Decode(&m); err != nil {
-		return nil, fmt.Errorf("decoding batch manifest: %w", err)
-	}
-	if len(m.Items) == 0 {
-		return nil, errors.New("batch manifest has no items")
+	m, err := server.DecodeBatchManifest(r.Body)
+	if err != nil {
+		return nil, err
 	}
 	items := make([]batchItem, len(m.Items))
 	for i, item := range m.Items {
@@ -286,14 +269,7 @@ func (g *Gateway) batchManifest(r *http.Request) ([]batchItem, error) {
 }
 
 func (g *Gateway) parseManifestItem(item client.BatchItem) batchItem {
-	p, err := server.ParseSegmentValues(server.BatchItemQuery(item))
-	if err != nil {
-		return batchItem{err: err}
-	}
-	if p.ImageName == "" {
-		return batchItem{err: errors.New("batch item names no image (JSON manifests segment the paper images; upload PGMs as a multipart batch)")}
-	}
-	id, err := regiongrow.ParsePaperImageID(p.ImageName)
+	p, id, err := server.ParseBatchItem(item)
 	if err != nil {
 		return batchItem{err: err}
 	}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
@@ -28,13 +27,6 @@ func (s *Server) clusterSegmenter(w http.ResponseWriter) (*regiongrow.Segmenter,
 	return sg, true
 }
 
-func writeClusterJSON(w http.ResponseWriter, doc any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(doc)
-}
-
 func (s *Server) handleClusterGet(w http.ResponseWriter, r *http.Request) {
 	sg, ok := s.clusterSegmenter(w)
 	if !ok {
@@ -53,7 +45,7 @@ func (s *Server) handleClusterGet(w http.ResponseWriter, r *http.Request) {
 	for i, m := range health {
 		st.Members[i] = client.ClusterMember{Addr: m.Addr, Healthy: m.Healthy}
 	}
-	writeClusterJSON(w, st)
+	writeJSON(w, http.StatusOK, st)
 }
 
 // clusterAddr extracts and lightly validates the addr parameter the join
@@ -109,5 +101,5 @@ func (s *Server) clusterUpdate(w http.ResponseWriter, sg *regiongrow.Segmenter, 
 		http.Error(w, fmt.Sprintf("reading membership: %v", err), http.StatusInternalServerError)
 		return
 	}
-	writeClusterJSON(w, client.ClusterUpdate{Changed: changed, Members: members})
+	writeJSON(w, http.StatusOK, client.ClusterUpdate{Changed: changed, Members: members})
 }

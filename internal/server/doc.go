@@ -1,7 +1,9 @@
 // Package server implements regiongrowd's HTTP segmentation service: an
-// asynchronous job API over a bounded persistent worker pool, an LRU
-// result cache, a TTL-bounded job-record store, and the handlers for
-// /v1/jobs, /v1/batch, /v1/segment, /v1/stats, and /healthz.
+// asynchronous job API over a bounded persistent worker pool (each job is
+// one closure that computes, warms the cache and settles its record on
+// its worker), an LRU result cache, a TTL-bounded job-record store, and
+// the handlers for /v1/jobs, /v1/batch, /v1/segment, /v1/stats, and
+// /healthz.
 //
 // The service accepts PGM uploads (or the paper's six evaluation images
 // by name). POST /v1/jobs enqueues a segmentation and answers 202 with a
@@ -30,8 +32,8 @@
 // answered 504 naming the stage reached) cancels the engine within one
 // split/merge iteration, unless Options.WarmAbandoned keeps abandoned
 // jobs running to warm the cache. Asynchronous jobs run detached until
-// they finish, hit the deadline, or are cancelled. Each job's stage
-// observer feeds its record's progress (and SSE followers) plus
-// /v1/stats' per-stage gauges, and the cancellation counters are split
-// by cause (disconnect vs deadline).
+// they finish, hit the deadline, or are cancelled. Each job's record is
+// its stage observer: it feeds the record's progress (and SSE followers)
+// plus /v1/stats' per-stage gauges, and the cancellation counters are
+// split by cause (disconnect vs deadline).
 package server

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -29,12 +28,8 @@ type segmentResponse struct {
 // segmentRequest is a parsed and validated segmentation request — the
 // common currency of /v1/segment, /v1/jobs, and /v1/batch.
 type segmentRequest struct {
-	im        *regiongrow.Image
-	imageName string
-	cfg       regiongrow.Config
-	kind      regiongrow.EngineKind
-	format    string // "json" or "pgm"
-	labels    bool
+	SegmentParams
+	im *regiongrow.Image
 }
 
 // SegmentParams is the validated form of the query parameters every
@@ -106,18 +101,18 @@ func (s *Server) parseSegmentParams(q url.Values) (*segmentRequest, error) {
 	if err != nil {
 		return nil, err
 	}
+	return s.newSegmentRequest(p)
+}
+
+// newSegmentRequest checks that the parsed parameters name an engine this
+// server runs.
+func (s *Server) newSegmentRequest(p SegmentParams) (*segmentRequest, error) {
 	if _, ok := s.segmenters[p.Kind]; !ok {
 		// Only the Distributed kind is conditional: it exists when the
 		// server was started with cluster workers.
 		return nil, fmt.Errorf("engine %q is not enabled on this server (start regiongrowd with -cluster host:port,... to serve it)", p.Kind)
 	}
-	return &segmentRequest{
-		imageName: p.ImageName,
-		cfg:       p.Config,
-		kind:      p.Kind,
-		format:    p.Format,
-		labels:    p.Labels,
-	}, nil
+	return &segmentRequest{SegmentParams: p}, nil
 }
 
 // parseSegmentRequest parses a full submission: the shared parameters
@@ -127,8 +122,8 @@ func (s *Server) parseSegmentRequest(r *http.Request) (*segmentRequest, error) {
 	if err != nil {
 		return nil, err
 	}
-	if req.imageName != "" {
-		id, err := regiongrow.ParsePaperImageID(req.imageName)
+	if req.ImageName != "" {
+		id, err := regiongrow.ParsePaperImageID(req.ImageName)
 		if err != nil {
 			return nil, err
 		}
@@ -153,12 +148,7 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 	req, err := s.parseSegmentRequest(r)
 	if err != nil {
 		s.metrics.failed.Add(1)
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		http.Error(w, err.Error(), status)
+		BadRequest(w, err)
 		return
 	}
 
@@ -182,133 +172,60 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 	}
 	// The record carries the real cancel, so a DELETE on the (normally
 	// unrevealed) job ID aborts a non-warm synchronous compute just like
-	// an async one. The job's monitor also fires it on completion, which
-	// is why the wait below re-checks the terminal signal before
-	// classifying a context wake-up.
+	// an async one.
 	e, err := s.startJob(runCtx, cancel, req, true)
-	switch {
-	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrStoreFull):
-		s.metrics.rejected.Add(1)
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "job queue full, retry later", http.StatusTooManyRequests)
-		return
-	case errors.Is(err, ErrClosed):
-		s.metrics.failed.Add(1)
-		http.Error(w, "server shutting down", http.StatusServiceUnavailable)
-		return
-	case err != nil:
-		s.metrics.failed.Add(1)
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+	if err != nil {
+		if !s.rejectSubmission(w, err) {
+			s.metrics.failed.Add(1)
+		}
 		return
 	}
-
-	deadline504 := func() {
+	defer e.release()
+	seg, err := e.wait(waitCtx)
+	switch {
+	case err == nil:
+	case errors.Is(err, context.DeadlineExceeded):
 		// The per-request deadline fired. Unless WarmAbandoned keeps the
 		// job running, the compute has been cancelled within one
 		// split/merge iteration; tell the client how far it got.
 		s.metrics.canceledDeadline.Add(1)
 		http.Error(w, fmt.Sprintf("deadline exceeded after %v during %s",
-			s.opts.RequestTimeout, e.tracker.StageString()), http.StatusGatewayTimeout)
-	}
-	defer e.release()
-	terminal := false
-	select {
-	case <-e.waitTerminal():
-		terminal = true
-	case <-waitCtx.Done():
-		// The monitor cancels waitCtx right after completing the record,
-		// so both channels may be ready; prefer the result over a
-		// spurious timeout/disconnect classification.
-		select {
-		case <-e.waitTerminal():
-			terminal = true
-		default:
-		}
-	}
-	var seg *regiongrow.Segmentation
-	if terminal {
-		var jobErr error
-		seg, jobErr = e.outcome()
-		switch {
-		case jobErr == nil:
-		case errors.Is(jobErr, context.DeadlineExceeded):
-			deadline504()
-			return
-		case errors.Is(jobErr, context.Canceled):
-			// The client went away. Nobody is listening for this
-			// response, and it is not a server failure; under
-			// WarmAbandoned the job still completes on its worker and
-			// warms the cache via the pool callback.
-			s.metrics.canceledDisconnect.Add(1)
-			return
-		default:
-			s.metrics.failed.Add(1)
-			http.Error(w, jobErr.Error(), http.StatusInternalServerError)
-			return
-		}
-	} else {
-		if errors.Is(waitCtx.Err(), context.DeadlineExceeded) {
-			deadline504()
-			return
-		}
+			s.opts.RequestTimeout, e.stageText()), http.StatusGatewayTimeout)
+		return
+	case errors.Is(err, context.Canceled):
+		// The client went away. Nobody is listening for this response,
+		// and it is not a server failure; under WarmAbandoned the job
+		// still completes on its worker and warms the cache.
 		s.metrics.canceledDisconnect.Add(1)
+		return
+	default:
+		s.metrics.failed.Add(1)
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	s.metrics.served.Add(1)
 
-	cacheState := e.cache
-	if req.format == "pgm" {
+	if req.Format == "pgm" {
 		w.Header().Set("Content-Type", "image/x-portable-graymap")
-		w.Header().Set("X-Cache", cacheState)
+		w.Header().Set("X-Cache", e.cache)
 		w.Header().Set("X-Final-Regions", strconv.Itoa(seg.FinalRegions))
-		if err := regiongrow.WritePGM(w, regiongrow.Recolour(seg, req.im)); err != nil {
-			// Headers are gone; nothing left to do but drop the conn.
-			return
-		}
+		// On a write error the headers are gone; nothing is left to do
+		// but drop the connection.
+		_ = regiongrow.WritePGM(w, regiongrow.Recolour(seg, req.im))
 		return
 	}
-
-	resp := segmentResponse{
-		Engine: req.kind.String(),
-		Cache:  cacheState,
-		Image: client.ImageMeta{
-			Name:   req.imageName,
-			Width:  req.im.W,
-			Height: req.im.H,
-			SHA256: e.imageHash,
-		},
-		Config: client.ConfigMeta{
-			Threshold: req.cfg.Threshold,
-			Tie:       req.cfg.Tie,
-			Seed:      req.cfg.Seed,
-			MaxSquare: req.cfg.MaxSquare,
-		},
-		Result: client.Result{
-			FinalRegions:      seg.FinalRegions,
-			SplitIterations:   seg.SplitIterations,
-			MergeIterations:   seg.MergeIterations,
-			SquaresAfterSplit: seg.SquaresAfterSplit,
-			SplitWallMs:       seg.SplitWall.Seconds() * 1e3,
-			MergeWallMs:       seg.MergeWall.Seconds() * 1e3,
-			SplitSimSecs:      seg.SplitSim,
-			MergeSimSecs:      seg.MergeSim,
-			Regions:           regiongrow.ComputeRegionStats(seg, req.im),
-		},
-	}
-	if req.labels {
-		resp.Result.Labels = seg.Labels
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(resp)
+	image, config := e.meta()
+	writeJSON(w, http.StatusOK, segmentResponse{
+		Engine: req.Kind.String(),
+		Cache:  e.cache,
+		Image:  image,
+		Config: config,
+		Result: *buildResult(seg, req.im, req.Labels),
+	})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(s.Stats())
+	writeJSON(w, http.StatusOK, s.Stats())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

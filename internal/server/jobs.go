@@ -11,28 +11,11 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"time"
 
 	"regiongrow"
 	"regiongrow/client"
 )
-
-// jobObserver fans one job's engine events out to the server-wide
-// progress gauges (tracker) and the job's record and SSE followers
-// (entry). The pool's result callback finalizes the tracker through the
-// finisher interface when compute truly ends.
-type jobObserver struct {
-	tracker *jobTracker
-	entry   *jobEntry
-}
-
-// Observe implements regiongrow.Observer.
-func (o *jobObserver) Observe(ev regiongrow.StageEvent) {
-	o.tracker.Observe(ev)
-	o.entry.observe(ev)
-}
-
-// finish implements finisher by releasing the tracker's stage gauge.
-func (o *jobObserver) finish() { o.tracker.finish() }
 
 // jobContext builds the lifecycle context of an asynchronous job:
 // detached from any HTTP request (the submitting connection ends at 202),
@@ -56,62 +39,97 @@ func (s *Server) jobContext() (context.Context, context.CancelFunc) {
 // to reach a terminal state.
 func (s *Server) startJob(ctx context.Context, cancel context.CancelFunc, req *segmentRequest, internal bool) (*jobEntry, error) {
 	hash := regiongrow.HashImage(req.im)
-	key := regiongrow.CacheKeyForHash(hash, req.im.W, req.im.H, req.cfg, req.kind)
-	e := newJobEntry(req, hash, s.opts.Instance, cancel, newJobTracker(&s.metrics.progress))
+	key := regiongrow.CacheKeyForHash(hash, req.im.W, req.im.H, req.Config, req.Kind)
+	e := newJobEntry(req, hash, s.opts.Instance, cancel, &s.metrics.progress)
 	e.internal = internal
-
-	if seg, ok := s.cache.Get(key); ok {
+	seg, hit := s.cache.Get(key)
+	if hit {
 		e.cache = "hit"
-		if err := s.jobs.add(e); err != nil {
-			cancel()
-			return nil, err
-		}
-		s.jobs.complete(e, seg, nil)
-		cancel()
-		return e, nil
 	}
-
 	if err := s.jobs.add(e); err != nil {
 		cancel()
 		return nil, err
 	}
-	done, err := s.pool.Enqueue(ctx, key, req.im, req.cfg, req.kind, &jobObserver{tracker: e.tracker, entry: e})
+	if hit {
+		s.jobs.complete(e, seg, nil)
+		cancel()
+		return e, nil
+	}
+	// The whole job runs on its worker, the one point where compute has
+	// truly ended under every policy and SegmentFunc: the cache warms and
+	// the record settles there, even for a warm-abandoned job whose client
+	// has gone. Cancelled compute settles the record with its context
+	// error and records nothing else.
+	err := s.pool.Enqueue(func() {
+		start := time.Now()
+		var seg *regiongrow.Segmentation
+		err := ctx.Err()
+		if err == nil {
+			seg, err = s.compute(ctx, req.im, req.Config, req.Kind, e)
+		}
+		if err == nil {
+			s.metrics.observe(req.Kind, time.Since(start))
+			s.cache.Put(key, seg)
+		}
+		s.jobs.complete(e, seg, err)
+		cancel()
+	})
 	if err != nil {
 		s.jobs.remove(e)
 		cancel()
 		return nil, err
 	}
-	s.jobWG.Add(1)
-	go func() {
-		defer s.jobWG.Done()
-		r := <-done
-		s.jobs.complete(e, r.Seg, r.Err)
-		cancel()
-	}()
 	return e, nil
 }
 
-// writeJob serves a record snapshot as indented JSON.
-func writeJob(w http.ResponseWriter, status int, rec client.Job) {
+// writeJSON serves v as indented JSON under status.
+func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(rec)
+	_ = enc.Encode(v)
 }
 
-// rejectSubmission translates submission-time errors to HTTP statuses.
-func (s *Server) rejectSubmission(w http.ResponseWriter, err error) {
+// BadRequest answers a submission whose parameters or body failed to
+// parse: 413 when the body outgrew its size limit, 400 otherwise. The
+// fleet gateway answers its own parse failures through it too.
+func BadRequest(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	http.Error(w, err.Error(), status)
+}
+
+// rejectSubmission translates submission-time errors to HTTP statuses. It
+// reports whether it answered 429, which every endpoint counts as
+// rejected; /v1/segment counts the 503 and 500 answers as failed.
+func (s *Server) rejectSubmission(w http.ResponseWriter, err error) (busy bool) {
 	switch {
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrStoreFull):
 		s.metrics.rejected.Add(1)
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, err.Error()+", retry later", http.StatusTooManyRequests)
+		return true
 	case errors.Is(err, ErrClosed):
 		http.Error(w, "server shutting down", http.StatusServiceUnavailable)
 	default:
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
+	return false
+}
+
+// lookupJob resolves the {id} path value to its record, answering 404
+// itself when there is none.
+func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) (*jobEntry, bool) {
+	id := r.PathValue("id")
+	e, ok := s.jobs.get(id)
+	if !ok {
+		http.Error(w, fmt.Sprintf("unknown job %q (expired, evicted, or never submitted)", id), http.StatusNotFound)
+	}
+	return e, ok
 }
 
 // handleJobSubmit answers POST /v1/jobs: parse the same body and
@@ -128,12 +146,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
 	req, err := s.parseSegmentRequest(r)
 	if err != nil {
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		http.Error(w, err.Error(), status)
+		BadRequest(w, err)
 		return
 	}
 	ctx, cancel := s.jobContext()
@@ -142,17 +155,14 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		s.rejectSubmission(w, err)
 		return
 	}
-	writeJob(w, http.StatusAccepted, e.snapshot())
+	writeJSON(w, http.StatusAccepted, e.snapshot())
 }
 
 // handleJobGet answers GET /v1/jobs/{id} with the current record.
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.jobs.get(r.PathValue("id"))
-	if !ok {
-		http.Error(w, fmt.Sprintf("unknown job %q (expired, evicted, or never submitted)", r.PathValue("id")), http.StatusNotFound)
-		return
+	if e, ok := s.lookupJob(w, r); ok {
+		writeJSON(w, http.StatusOK, e.snapshot())
 	}
-	writeJob(w, http.StatusOK, e.snapshot())
 }
 
 // handleJobDelete answers DELETE /v1/jobs/{id}: cancel the job's context
@@ -161,13 +171,10 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 // read running; the terminal canceled record follows on the event
 // stream). Terminal jobs are unaffected.
 func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.jobs.get(r.PathValue("id"))
-	if !ok {
-		http.Error(w, fmt.Sprintf("unknown job %q (expired, evicted, or never submitted)", r.PathValue("id")), http.StatusNotFound)
-		return
+	if e, ok := s.lookupJob(w, r); ok {
+		e.cancel()
+		writeJSON(w, http.StatusAccepted, e.snapshot())
 	}
-	e.cancel()
-	writeJob(w, http.StatusAccepted, e.snapshot())
 }
 
 // handleJobEvents answers GET /v1/jobs/{id}/events: the job's stage
@@ -183,9 +190,8 @@ func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
 //	event: done
 //	data: {<the same JSON record GET /v1/jobs/{id} serves>}
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.jobs.get(r.PathValue("id"))
+	e, ok := s.lookupJob(w, r)
 	if !ok {
-		http.Error(w, fmt.Sprintf("unknown job %q (expired, evicted, or never submitted)", r.PathValue("id")), http.StatusNotFound)
 		return
 	}
 	fl, ok := w.(http.Flusher)
@@ -247,19 +253,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		results, err = s.batchManifest(r)
 	}
 	if err != nil {
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		http.Error(w, err.Error(), status)
+		BadRequest(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusAccepted)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(client.BatchResponse{Jobs: results})
+	writeJSON(w, http.StatusAccepted, client.BatchResponse{Jobs: results})
 }
 
 // submitBatchItem runs one already-parsed item through the job machinery
@@ -281,14 +278,9 @@ func (s *Server) submitBatchItem(i int, req *segmentRequest, parseErr error) cli
 }
 
 func (s *Server) batchManifest(r *http.Request) ([]client.BatchResult, error) {
-	var m client.BatchManifest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&m); err != nil {
-		return nil, fmt.Errorf("decoding batch manifest: %w (want {\"items\":[{\"image\":\"image1\",…}]} or a multipart set of PGMs)", err)
-	}
-	if len(m.Items) == 0 {
-		return nil, errors.New("batch manifest has no items")
+	m, err := DecodeBatchManifest(r.Body)
+	if err != nil {
+		return nil, err
 	}
 	results := make([]client.BatchResult, 0, len(m.Items))
 	for i, item := range m.Items {
@@ -298,13 +290,44 @@ func (s *Server) batchManifest(r *http.Request) ([]client.BatchResult, error) {
 	return results, nil
 }
 
-// BatchItemQuery maps one batch-manifest item onto the /v1/jobs query
-// parameters it mirrors. Both the server (batchItemRequest) and the fleet
-// gateway (routing each item to its home backend) resolve items through
-// this one mapping plus ParseSegmentValues, so a manifest can never
-// default or validate differently from the query surface — or differently
-// at the edge than at the backend.
-func BatchItemQuery(item client.BatchItem) url.Values {
+// DecodeBatchManifest decodes a JSON batch body. It rejects unknown
+// fields, so a misspelled one never silently runs its item under the
+// defaults, and a manifest with no items. The server and the fleet
+// gateway both decode through it, so the edge accepts exactly the
+// manifests a backend accepts.
+func DecodeBatchManifest(r io.Reader) (client.BatchManifest, error) {
+	var m client.BatchManifest
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&m); err != nil {
+		return m, fmt.Errorf("decoding batch manifest: %w (want {\"items\":[{\"image\":\"image1\",…}]} or a multipart set of PGMs)", err)
+	}
+	if len(m.Items) == 0 {
+		return m, errors.New("batch manifest has no items")
+	}
+	return m, nil
+}
+
+// ParseBatchItem resolves one manifest item to its validated parameters
+// and the paper image it names. The item maps onto the /v1/jobs query
+// parameters it mirrors and goes through ParseSegmentValues, so a
+// manifest can never default or validate differently from the query
+// surface — or differently at the edge than at the backend.
+func ParseBatchItem(item client.BatchItem) (SegmentParams, regiongrow.PaperImageID, error) {
+	p, err := ParseSegmentValues(batchItemQuery(item))
+	if err != nil {
+		return p, 0, err
+	}
+	if p.ImageName == "" {
+		return p, 0, errors.New("batch item names no image (JSON manifests segment the paper images; upload PGMs as a multipart batch)")
+	}
+	id, err := regiongrow.ParsePaperImageID(p.ImageName)
+	return p, id, err
+}
+
+// batchItemQuery maps one manifest item onto the /v1/jobs query
+// parameters it mirrors.
+func batchItemQuery(item client.BatchItem) url.Values {
 	q := url.Values{}
 	if item.Engine != "" {
 		q.Set("engine", item.Engine)
@@ -328,17 +351,14 @@ func BatchItemQuery(item client.BatchItem) url.Values {
 	return q
 }
 
-// batchItemRequest resolves one manifest item through the shared
-// item-to-query mapping and the one shared parser.
+// batchItemRequest resolves one manifest item and checks its engine is
+// served here.
 func (s *Server) batchItemRequest(item client.BatchItem) (*segmentRequest, error) {
-	req, err := s.parseSegmentParams(BatchItemQuery(item))
+	p, id, err := ParseBatchItem(item)
 	if err != nil {
 		return nil, err
 	}
-	if req.imageName == "" {
-		return nil, errors.New("batch item names no image (JSON manifests segment the paper images; upload PGMs as a multipart batch)")
-	}
-	id, err := regiongrow.ParsePaperImageID(req.imageName)
+	req, err := s.newSegmentRequest(p)
 	if err != nil {
 		return nil, err
 	}
@@ -351,7 +371,7 @@ func (s *Server) batchMultipart(r *http.Request) ([]client.BatchResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if template.imageName != "" {
+	if template.ImageName != "" {
 		return nil, errors.New("multipart batches segment their uploaded PGMs; drop the image query parameter")
 	}
 	mr, err := r.MultipartReader()

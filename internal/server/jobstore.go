@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -22,15 +23,16 @@ import (
 // signal as a full queue).
 var ErrStoreFull = errors.New("server: job store full")
 
-// jobEntry is one job's record and broadcast hub: the engine's stage
-// observer appends wire events to it, SSE subscribers replay and follow
-// them, and the terminal state is what GET /v1/jobs/{id} serves. Entries
-// live in the Server's jobStore until TTL eviction.
+// jobEntry is one job's record, stage observer and broadcast hub: the
+// engine reports its stage events to it, which move the job between the
+// server-wide stage gauges and append wire events that SSE subscribers
+// replay and follow, and its terminal state is what GET /v1/jobs/{id}
+// serves. Entries live in the Server's jobStore until TTL eviction.
 //
-// Locking: fields under mu change on the worker (observe, complete) and
-// are read by handlers; created and the request-echo fields are immutable
-// after construction. finished and state are additionally written only
-// while the store's lock is also held, so the store can read them during
+// Locking: fields under mu change on the worker (Observe, complete) and
+// are read by handlers; created and the request echo are immutable after
+// construction. finished and state are additionally written only while
+// the store's lock is also held, so the store can read them during
 // eviction sweeps without taking every entry's lock.
 type jobEntry struct {
 	id      string
@@ -38,20 +40,17 @@ type jobEntry struct {
 	// cancel aborts the job's compute; DELETE /v1/jobs/{id} calls it.
 	// Never nil (cache-hit jobs get a no-op derivative).
 	cancel context.CancelFunc
-	// tracker feeds the server-wide per-stage gauges; handlers use its
-	// StageString for 504 responses on the synchronous path.
-	tracker *jobTracker
+	// progress holds the server-wide stage gauges and totals the job's
+	// events feed.
+	progress *progressMetrics
 	// doneEl is the entry's position in the store's eviction list once
 	// terminal; guarded by the store's lock, not mu.
 	doneEl *list.Element
 
 	// Request echo, immutable after construction.
-	kind      regiongrow.EngineKind
-	cfg       regiongrow.Config
-	imageName string
+	SegmentParams
 	imageHash string
 	w, h      int
-	labels    bool
 
 	// internal marks records registered by the synchronous path: their
 	// IDs are never revealed to a client, so no one will ever read their
@@ -85,8 +84,12 @@ type jobEntry struct {
 	// terminalJSON is the compact record snapshot frozen for the terminal
 	// SSE event, so every subscriber sees identical bytes.
 	terminalJSON []byte
-	// Progress accumulators fed by observe.
+	// Progress accumulators fed by Observe. stage is the wire stage
+	// ("queued", "split", "graph", "merge", "done"); gauge is the
+	// server-wide gauge the compute occupies, nil before split, after
+	// merge, and once the record is terminal.
 	stage                             string
+	gauge                             *atomic.Int64
 	splitIters, squares               int
 	mergeIter, mergesTotal, finalRegs int
 }
@@ -133,25 +136,22 @@ func ParseJobInstance(id string) (instance string, ok bool) {
 	return rest[:i], true
 }
 
-func newJobEntry(req *segmentRequest, imageHash, instance string, cancel context.CancelFunc, tracker *jobTracker) *jobEntry {
+func newJobEntry(req *segmentRequest, imageHash, instance string, cancel context.CancelFunc, progress *progressMetrics) *jobEntry {
 	return &jobEntry{
-		id:        newJobID(instance),
-		created:   time.Now(),
-		cancel:    cancel,
-		tracker:   tracker,
-		kind:      req.kind,
-		cfg:       req.cfg,
-		imageName: req.imageName,
-		imageHash: imageHash,
-		w:         req.im.W,
-		h:         req.im.H,
-		labels:    req.labels,
-		state:     client.StateQueued,
-		cache:     "miss",
-		stage:     "queued",
-		changed:   make(chan struct{}),
-		terminalc: make(chan struct{}),
-		im:        req.im,
+		id:            newJobID(instance),
+		created:       time.Now(),
+		cancel:        cancel,
+		progress:      progress,
+		SegmentParams: req.SegmentParams,
+		imageHash:     imageHash,
+		w:             req.im.W,
+		h:             req.im.H,
+		state:         client.StateQueued,
+		cache:         "miss",
+		stage:         "queued",
+		changed:       make(chan struct{}),
+		terminalc:     make(chan struct{}),
+		im:            req.im,
 	}
 }
 
@@ -161,11 +161,13 @@ func (e *jobEntry) bumpLocked() {
 	e.changed = make(chan struct{})
 }
 
-// observe records one engine stage event: the first one flips the record
-// to running, each updates the progress accumulators, and followers are
-// woken. It runs on the compute goroutine, so it must not block beyond
-// the short critical section.
-func (e *jobEntry) observe(ev regiongrow.StageEvent) {
+// Observe implements regiongrow.Observer: each stage event flips a queued
+// record to running, moves the job between the server-wide stage gauges,
+// updates the progress accumulators and totals, and wakes followers. It
+// runs on the compute goroutine, so it must not block beyond the short
+// critical section.
+func (e *jobEntry) Observe(ev regiongrow.StageEvent) {
+	p := e.progress
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.state == client.StateQueued {
@@ -175,28 +177,82 @@ func (e *jobEntry) observe(ev regiongrow.StageEvent) {
 	switch ev.Kind {
 	case regiongrow.EventSplitStart:
 		e.stage = "split"
+		e.occupyLocked(&p.inSplit)
 	case regiongrow.EventSplitDone:
 		e.stage = "graph"
 		e.splitIters = ev.Iterations
 		e.squares = ev.Squares
+		p.splitsDone.Add(1)
+		e.occupyLocked(&p.inGraph)
 	case regiongrow.EventGraphDone:
 		e.stage = "merge"
+		e.occupyLocked(&p.inMerge)
 	case regiongrow.EventMergeIteration:
 		e.mergeIter = ev.Iteration
 		e.mergesTotal += ev.Merges
+		p.mergeIters.Add(1)
+		p.mergesDone.Add(int64(ev.Merges))
 	case regiongrow.EventMergeDone:
 		e.stage = "done"
 		e.finalRegs = ev.Regions
+		e.occupyLocked(nil)
 	}
 	e.events = append(e.events, client.WireEvent(ev))
 	e.bumpLocked()
 }
 
-// waitTerminal exposes the terminal signal to handlers.
-func (e *jobEntry) waitTerminal() <-chan struct{} { return e.terminalc }
+// occupyLocked moves the job from the stage gauge it holds to g (nil for
+// none). Callers hold mu.
+func (e *jobEntry) occupyLocked(g *atomic.Int64) {
+	if e.gauge == g {
+		return
+	}
+	if e.gauge != nil {
+		e.gauge.Add(-1)
+	}
+	if g != nil {
+		g.Add(1)
+	}
+	e.gauge = g
+}
 
-// outcome returns the compute result once terminal.
-func (e *jobEntry) outcome() (*regiongrow.Segmentation, error) {
+// stageText names the furthest stage the job's compute reached, for the
+// 504 answer of a timed-out request. The wire stage "done" reads as
+// "result finalization": a deadline can genuinely win the race against a
+// merge that just finished — the engine was done, the response was not.
+func (e *jobEntry) stageText() string {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	switch e.stage {
+	case "split":
+		return "split"
+	case "graph":
+		return "graph build"
+	case "merge":
+		if e.mergeIter > 0 {
+			return fmt.Sprintf("merge (iteration %d)", e.mergeIter)
+		}
+		return "merge"
+	case "done":
+		return "result finalization"
+	default:
+		return "queued"
+	}
+}
+
+// wait blocks until the job is terminal or ctx ends, returning the
+// compute outcome or ctx's error. A job cancels its own context right
+// after completing, so when both are ready the outcome wins.
+func (e *jobEntry) wait(ctx context.Context) (*regiongrow.Segmentation, error) {
+	select {
+	case <-e.terminalc:
+	case <-ctx.Done():
+		select {
+		case <-e.terminalc:
+		default:
+			return nil, ctx.Err()
+		}
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.seg, e.err
@@ -222,26 +278,24 @@ func buildResult(seg *regiongrow.Segmentation, im *regiongrow.Image, labels bool
 	return r
 }
 
+// meta returns the request echo as the wire meta blocks the job record
+// and the /v1/segment response share.
+func (e *jobEntry) meta() (client.ImageMeta, client.ConfigMeta) {
+	return client.ImageMeta{Name: e.ImageName, Width: e.w, Height: e.h, SHA256: e.imageHash},
+		client.ConfigMeta{Threshold: e.Config.Threshold, Tie: e.Config.Tie, Seed: e.Config.Seed, MaxSquare: e.Config.MaxSquare}
+}
+
 // snapshotLocked builds the wire record. Callers hold mu.
 func (e *jobEntry) snapshotLocked() client.Job {
+	image, config := e.meta()
 	j := client.Job{
 		APIVersion: client.APIVersion,
 		ID:         e.id,
 		State:      e.state,
-		Engine:     e.kind,
+		Engine:     e.Kind,
 		Cache:      e.cache,
-		Image: client.ImageMeta{
-			Name:   e.imageName,
-			Width:  e.w,
-			Height: e.h,
-			SHA256: e.imageHash,
-		},
-		Config: client.ConfigMeta{
-			Threshold: e.cfg.Threshold,
-			Tie:       e.cfg.Tie,
-			Seed:      e.cfg.Seed,
-			MaxSquare: e.cfg.MaxSquare,
-		},
+		Image:      image,
+		Config:     config,
 		Progress: client.Progress{
 			Stage:           e.stage,
 			SplitIterations: e.splitIters,
@@ -355,15 +409,16 @@ func (st *jobStore) get(id string) (*jobEntry, bool) {
 
 // complete transitions an entry to its terminal state, classifies the
 // error (cancelled contexts read as canceled, deadline expiry and engine
-// errors as failed), freezes the record, wakes all followers, and files
-// the entry for TTL eviction. The retained image never outlives this
+// errors as failed), releases whatever stage gauge the compute still
+// holds, freezes the record, wakes all followers, and files the entry for
+// TTL eviction. The retained image never outlives this
 // call: successful public jobs have their wire Result (which needs the
 // pixels for region statistics) built here — off-lock, since the inputs
 // are settled — and every other terminal record drops the image unused.
 func (st *jobStore) complete(e *jobEntry, seg *regiongrow.Segmentation, err error) {
 	var result *client.Result
 	if err == nil && seg != nil && !e.internal {
-		result = buildResult(seg, e.im, e.labels)
+		result = buildResult(seg, e.im, e.Labels)
 	}
 	now := time.Now()
 	st.mu.Lock()
@@ -377,6 +432,7 @@ func (st *jobStore) complete(e *jobEntry, seg *regiongrow.Segmentation, err erro
 		e.seg = nil
 	}
 	e.finished = now
+	e.occupyLocked(nil)
 	switch {
 	case err == nil:
 		e.state = client.StateDone

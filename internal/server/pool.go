@@ -1,83 +1,30 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"regiongrow"
 )
 
 // Submission errors.
 var (
-	// ErrQueueFull is returned by Submit when the bounded job queue has no
+	// ErrQueueFull is returned by Enqueue when the bounded queue has no
 	// free slot; HTTP handlers translate it to 429 Too Many Requests.
 	ErrQueueFull = errors.New("server: job queue full")
-	// ErrClosed is returned by Submit after Close.
+	// ErrClosed is returned by Enqueue after Close.
 	ErrClosed = errors.New("server: pool closed")
 )
 
-// SegmentFunc segments one image under a context, reporting stage
-// progress to obs (which may be nil). The zero value of Options selects
-// the Server's pooled per-engine Segmenters; tests substitute stubs to
-// control timing.
-type SegmentFunc func(ctx context.Context, im *regiongrow.Image, cfg regiongrow.Config, kind regiongrow.EngineKind, obs regiongrow.Observer) (*regiongrow.Segmentation, error)
-
-type job struct {
-	// ctx governs the compute: the request context by default, or a
-	// detached (never-cancelled) derivative under the warm-abandoned
-	// policy.
-	ctx  context.Context
-	key  string
-	im   *regiongrow.Image
-	cfg  regiongrow.Config
-	kind regiongrow.EngineKind
-	obs  regiongrow.Observer
-	done chan Outcome
-}
-
-// Outcome is the terminal result of one enqueued job, delivered on the
-// channel Enqueue returns once a worker has finished with it.
-type Outcome struct {
-	Seg *regiongrow.Segmentation
-	Err error
-}
-
-// Result describes one completed job, delivered to the pool's onResult
-// callback on the worker goroutine — even when the submitter has already
-// abandoned the wait. Err carries the compute error; under the default
-// policy an abandoned job surfaces here with its context error, under
-// WarmAbandoned it completes and can warm the Server's cache. Obs is the
-// job's observer, handed back so the callback can finalize whatever
-// per-job tracking it set up, at the one point compute has truly ended.
-type Result struct {
-	Key     string
-	Kind    regiongrow.EngineKind
-	Seg     *regiongrow.Segmentation
-	Err     error
-	Elapsed time.Duration
-	Obs     regiongrow.Observer
-}
-
 // Pool is a bounded persistent worker pool: a fixed number of goroutines
-// drain a fixed-depth job queue. Submission is non-blocking — a full queue
-// rejects immediately with ErrQueueFull, which is the service's
-// backpressure signal — and Close drains every job already accepted before
-// returning, which is what makes graceful shutdown lossless.
-//
-// Each job carries its submitter's context into the compute: when the
-// submitter disconnects or its deadline fires, the engine aborts within
-// one split/merge iteration and the worker moves on. Constructing the
-// pool with warm=true restores the detached policy instead — abandoned
-// jobs run to completion so their results can still be cached.
+// run closures from a fixed-depth queue. Enqueue is non-blocking — a full
+// queue rejects immediately with ErrQueueFull, which is the service's
+// backpressure signal — and Close runs every closure already accepted
+// before returning, which is what makes graceful shutdown lossless. The
+// pool knows nothing of segmentation: each closure the Server enqueues
+// does one whole job, down to settling its record.
 type Pool struct {
-	jobs     chan *job
-	segment  SegmentFunc
-	onResult func(Result)
+	tasks    chan func()
 	workers  int
-	warm     bool
 	wg       sync.WaitGroup
 	mu       sync.RWMutex
 	closed   bool
@@ -86,24 +33,12 @@ type Pool struct {
 
 // NewPool starts workers goroutines over a queue of the given depth.
 // Non-positive workers or depth panic: the Server constructor is
-// responsible for defaulting them. fn must be non-nil. onResult, if
-// non-nil, runs on the worker goroutine for every job that reached a
-// worker, before the submitter is woken. warm selects the abandoned-job
-// policy described on Pool.
-func NewPool(workers, depth int, fn SegmentFunc, onResult func(Result), warm bool) *Pool {
+// responsible for defaulting them.
+func NewPool(workers, depth int) *Pool {
 	if workers <= 0 || depth <= 0 {
 		panic("server: NewPool needs positive workers and depth")
 	}
-	if fn == nil {
-		fn = freshSegment
-	}
-	p := &Pool{
-		jobs:     make(chan *job, depth),
-		segment:  fn,
-		onResult: onResult,
-		workers:  workers,
-		warm:     warm,
-	}
+	p := &Pool{tasks: make(chan func(), depth), workers: workers}
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go p.worker()
@@ -111,111 +46,48 @@ func NewPool(workers, depth int, fn SegmentFunc, onResult func(Result), warm boo
 	return p
 }
 
-// freshSegment is the fallback SegmentFunc for pools constructed without
-// one outside a Server: a throwaway Segmenter per job. The Server installs
-// its pooled per-engine sessions instead.
-func freshSegment(ctx context.Context, im *regiongrow.Image, cfg regiongrow.Config, kind regiongrow.EngineKind, obs regiongrow.Observer) (*regiongrow.Segmentation, error) {
-	s, err := regiongrow.New(kind)
-	if err != nil {
-		return nil, err
-	}
-	return s.SegmentObserved(ctx, im, cfg, obs)
-}
-
 func (p *Pool) worker() {
 	defer p.wg.Done()
-	for j := range p.jobs {
+	for task := range p.tasks {
 		p.inflight.Add(1)
-		start := time.Now()
-		var seg *regiongrow.Segmentation
-		err := j.ctx.Err()
-		if err == nil {
-			seg, err = p.segment(j.ctx, j.im, j.cfg, j.kind, j.obs)
-		}
-		elapsed := time.Since(start)
-		// The job counts as in flight until its result — including any
-		// per-job tracking finalized by the callback — is fully recorded.
-		if p.onResult != nil {
-			p.onResult(Result{Key: j.key, Kind: j.kind, Seg: seg, Err: err, Elapsed: elapsed, Obs: j.obs})
-		}
+		task()
 		p.inflight.Add(-1)
-		j.done <- Outcome{Seg: seg, Err: err}
 	}
 }
 
-// Enqueue places one segmentation on the queue without waiting for it:
-// the returned 1-buffered channel receives the outcome when a worker
-// finishes the job, whether or not anyone is listening by then. The
-// compute runs under runCtx exactly as given — the warm-abandoned policy
-// rewrites contexts only in Submit, whose waiter can silently vanish;
-// Enqueue callers own their job's lifecycle and cancel runCtx explicitly.
-// Enqueue returns ErrQueueFull when the queue has no free slot and
-// ErrClosed after Close; once it returns nil, an Outcome is guaranteed
-// (Close drains the queue before stopping the workers).
-func (p *Pool) Enqueue(runCtx context.Context, key string, im *regiongrow.Image, cfg regiongrow.Config, kind regiongrow.EngineKind, obs regiongrow.Observer) (<-chan Outcome, error) {
-	j := &job{ctx: runCtx, key: key, im: im, cfg: cfg, kind: kind, obs: obs, done: make(chan Outcome, 1)}
-	if err := p.push(j); err != nil {
-		return nil, err
-	}
-	return j.done, nil
-}
-
-// push is the non-blocking bounded enqueue both Enqueue and Submit go
-// through.
-func (p *Pool) push(j *job) error {
+// Enqueue places task on the queue without waiting for it. It returns
+// ErrQueueFull when the queue has no free slot and ErrClosed after Close;
+// once it returns nil, task is guaranteed to run (Close drains the queue
+// before stopping the workers).
+func (p *Pool) Enqueue(task func()) error {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if p.closed {
 		return ErrClosed
 	}
 	select {
-	case p.jobs <- j:
+	case p.tasks <- task:
 		return nil
 	default:
 		return ErrQueueFull
 	}
 }
 
-// Submit enqueues one segmentation and waits for its result. key is an
-// opaque tag handed back through the onResult callback; obs, if non-nil,
-// receives the job's stage events from the worker. Submit returns
-// ErrQueueFull without blocking when the queue is saturated, ErrClosed
-// after Close, and ctx.Err() when ctx ends first. Under the default
-// policy the job's compute shares ctx, so a disconnect or deadline also
-// cancels the engine within one iteration; under the warm policy only the
-// wait is abandoned and the job still runs to completion on its worker.
-func (p *Pool) Submit(ctx context.Context, key string, im *regiongrow.Image, cfg regiongrow.Config, kind regiongrow.EngineKind, obs regiongrow.Observer) (*regiongrow.Segmentation, error) {
-	runCtx := ctx
-	if p.warm {
-		runCtx = context.WithoutCancel(ctx)
-	}
-	done, err := p.Enqueue(runCtx, key, im, cfg, kind, obs)
-	if err != nil {
-		return nil, err
-	}
-	select {
-	case r := <-done:
-		return r.Seg, r.Err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// QueueDepth reports the number of jobs waiting for a worker.
-func (p *Pool) QueueDepth() int { return len(p.jobs) }
+// QueueDepth reports the number of closures waiting for a worker.
+func (p *Pool) QueueDepth() int { return len(p.tasks) }
 
 // QueueCapacity reports the configured queue depth.
-func (p *Pool) QueueCapacity() int { return cap(p.jobs) }
+func (p *Pool) QueueCapacity() int { return cap(p.tasks) }
 
-// InFlight reports the number of jobs currently executing on workers.
+// InFlight reports the number of closures currently running on workers.
 func (p *Pool) InFlight() int64 { return p.inflight.Load() }
 
 // Workers reports the worker count.
 func (p *Pool) Workers() int { return p.workers }
 
-// Close stops accepting work, lets the workers drain every already-queued
-// job, and returns when the last one has finished. Safe to call more than
-// once.
+// Close stops accepting work, lets the workers run every already-queued
+// closure, and returns when the last one has finished. Safe to call more
+// than once.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	if p.closed {
@@ -223,7 +95,7 @@ func (p *Pool) Close() {
 		return
 	}
 	p.closed = true
-	close(p.jobs)
+	close(p.tasks)
 	p.mu.Unlock()
 	p.wg.Wait()
 }

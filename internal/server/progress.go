@@ -1,141 +1,15 @@
 package server
 
-import (
-	"fmt"
-	"sync/atomic"
-
-	"regiongrow"
-)
-
-// Job stages, in order. The tracker moves through them on observer events;
-// stageQueued and stageDone carry no gauge.
-const (
-	stageQueued int32 = iota
-	stageSplit
-	stageGraph
-	stageMerge
-	stageDone
-)
+import "sync/atomic"
 
 // progressMetrics are the server-wide per-stage gauges and totals fed by
-// every job's tracker and served on /v1/stats. The gauges count jobs
+// every job's record and served on /v1/stats. The gauges count jobs
 // currently computing in each stage — including jobs whose client has
 // already gone under the warm-abandoned policy, since those still occupy
 // a worker.
 type progressMetrics struct {
 	inSplit, inGraph, inMerge          atomic.Int64
 	splitsDone, mergeIters, mergesDone atomic.Int64
-}
-
-func (p *progressMetrics) gauge(stage int32) *atomic.Int64 {
-	switch stage {
-	case stageSplit:
-		return &p.inSplit
-	case stageGraph:
-		return &p.inGraph
-	case stageMerge:
-		return &p.inMerge
-	default:
-		return nil
-	}
-}
-
-// jobTracker follows one job through its stages: it is the regiongrow
-// Observer handed to the engine, it keeps the server-wide gauges
-// consistent, and it answers "how far did this job get" for the 504
-// response of a timed-out request.
-//
-// Gauge consistency under abandonment: every stage transition decrements
-// the old stage's gauge and increments the new one, and the worker calls
-// finish (via the Server's SegmentFunc) when compute truly ends — whether
-// it completed, was cancelled, or outlived its client — so gauges can
-// never leak a stuck increment.
-type jobTracker struct {
-	p *progressMetrics
-	// stage is the gauge state: which in-stage gauge this job currently
-	// holds. reached is the monotonic record of how far compute got —
-	// finish releases the gauge but never touches reached, so a 504 for a
-	// timed-out request names the stage the job was in, not "done",
-	// however the response races the worker's cleanup.
-	stage     atomic.Int32
-	reached   atomic.Int32
-	mergeIter atomic.Int64
-}
-
-func newJobTracker(p *progressMetrics) *jobTracker { return &jobTracker{p: p} }
-
-func (t *jobTracker) moveGauge(next int32) {
-	old := t.stage.Swap(next)
-	if old == next {
-		return
-	}
-	if g := t.p.gauge(old); g != nil {
-		g.Add(-1)
-	}
-	if g := t.p.gauge(next); g != nil {
-		g.Add(1)
-	}
-}
-
-func (t *jobTracker) advance(next int32) {
-	for {
-		cur := t.reached.Load()
-		if next <= cur || t.reached.CompareAndSwap(cur, next) {
-			return
-		}
-	}
-}
-
-func (t *jobTracker) setStage(next int32) {
-	t.moveGauge(next)
-	t.advance(next)
-}
-
-// Observe implements regiongrow.Observer.
-func (t *jobTracker) Observe(ev regiongrow.StageEvent) {
-	switch ev.Kind {
-	case regiongrow.EventSplitStart:
-		t.setStage(stageSplit)
-	case regiongrow.EventSplitDone:
-		t.p.splitsDone.Add(1)
-		t.setStage(stageGraph)
-	case regiongrow.EventGraphDone:
-		t.setStage(stageMerge)
-	case regiongrow.EventMergeIteration:
-		t.mergeIter.Store(int64(ev.Iteration))
-		t.p.mergeIters.Add(1)
-		t.p.mergesDone.Add(int64(ev.Merges))
-	case regiongrow.EventMergeDone:
-		t.setStage(stageDone)
-	}
-}
-
-// finish marks the job's compute over, releasing whatever stage gauge it
-// still holds. Idempotent; safe if no event ever fired (stub engines,
-// jobs cancelled while queued).
-func (t *jobTracker) finish() { t.moveGauge(stageDone) }
-
-// StageString names the furthest stage the job's compute reached, for
-// error responses and logs. stageDone reads as "result finalization": the
-// only caller that formats an in-past-tense stage is the 504 handler, and
-// a deadline can genuinely win the race against a merge that just
-// finished — the engine was done, the response was not.
-func (t *jobTracker) StageString() string {
-	switch t.reached.Load() {
-	case stageSplit:
-		return "split"
-	case stageGraph:
-		return "graph build"
-	case stageMerge:
-		if k := t.mergeIter.Load(); k > 0 {
-			return fmt.Sprintf("merge (iteration %d)", k)
-		}
-		return "merge"
-	case stageDone:
-		return "result finalization"
-	default:
-		return "queued"
-	}
 }
 
 // ProgressStats is the per-stage progress block of /v1/stats, fed by the

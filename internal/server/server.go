@@ -4,11 +4,15 @@ import (
 	"context"
 	"net/http"
 	"runtime"
-	"sync"
 	"time"
 
 	"regiongrow"
 )
+
+// SegmentFunc segments one image under a context, reporting stage
+// progress to obs. Options.Segment substitutes one for the Server's
+// pooled per-engine Segmenters; tests use stubs to control timing.
+type SegmentFunc func(ctx context.Context, im *regiongrow.Image, cfg regiongrow.Config, kind regiongrow.EngineKind, obs regiongrow.Observer) (*regiongrow.Segmentation, error)
 
 // Options configure a Server. The zero value is serviceable: GOMAXPROCS
 // workers, a 64-deep queue, a 256-entry cache, 16 MiB uploads, real
@@ -96,9 +100,8 @@ type Server struct {
 	metrics *metrics
 	jobs    *jobStore
 	mux     *http.ServeMux
-	// jobWG tracks the per-job monitor goroutines that move records to
-	// their terminal state; Close waits for them after draining the pool.
-	jobWG sync.WaitGroup
+	// compute runs every job: Options.Segment, or the pooled sessions.
+	compute SegmentFunc
 	// segmenters are the long-lived per-engine sessions every job runs
 	// through: their buffer pools are what makes the steady-state
 	// cache-miss path allocate near zero for the split stage.
@@ -130,26 +133,11 @@ func New(opts Options) *Server {
 		}
 		s.segmenters[k] = sg
 	}
-	fn := opts.Segment
-	if fn == nil {
-		fn = s.segment
+	s.compute = opts.Segment
+	if s.compute == nil {
+		s.compute = s.segment
 	}
-	// Results are cached and observed from the worker, not the handler:
-	// under the warm-abandoned policy that is what lets a job whose client
-	// gave up still warm the cache. Only successful jobs are recorded —
-	// cancelled compute surfaces here with its context error and is
-	// dropped. The job's stage gauge is released here too: this callback
-	// runs on the worker after compute has truly ended, the only point
-	// correct under every policy and SegmentFunc.
-	s.pool = NewPool(opts.Workers, opts.QueueDepth, fn, func(r Result) {
-		if t, ok := r.Obs.(finisher); ok {
-			t.finish()
-		}
-		if r.Err == nil {
-			s.metrics.observe(r.Kind, r.Elapsed)
-			s.cache.Put(r.Key, r.Seg)
-		}
-	}, opts.WarmAbandoned)
+	s.pool = NewPool(opts.Workers, opts.QueueDepth)
 	s.mux.HandleFunc("POST /v1/segment", s.handleSegment)
 	s.mux.HandleFunc("POST /v1/jobs", s.handleJobSubmit)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobGet)
@@ -164,14 +152,8 @@ func New(opts Options) *Server {
 	return s
 }
 
-// finisher is implemented by observers that must be finalized on the
-// worker when compute truly ends — job trackers releasing their stage
-// gauge, whatever observer wraps them.
-type finisher interface{ finish() }
-
 // segment is the default SegmentFunc: route the job through the pooled
-// session for its engine kind. (The pool worker releases the job
-// tracker's stage gauge after any SegmentFunc returns.)
+// session for its engine kind.
 func (s *Server) segment(ctx context.Context, im *regiongrow.Image, cfg regiongrow.Config, kind regiongrow.EngineKind, obs regiongrow.Observer) (*regiongrow.Segmentation, error) {
 	// Every submission path checks kind against s.segmenters first.
 	return s.segmenters[kind].SegmentObserved(ctx, im, cfg, obs)
@@ -185,13 +167,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// Close stops the worker pool after draining accepted jobs, then waits
-// for every job record to settle into its terminal state. Call it after
-// http.Server.Shutdown has returned so no handler is still submitting.
-func (s *Server) Close() {
-	s.pool.Close()
-	s.jobWG.Wait()
-}
+// Close stops the worker pool after draining accepted jobs; each job
+// settles its own record on its worker, so every record is terminal when
+// Close returns. Call it after http.Server.Shutdown has returned so no
+// handler is still submitting.
+func (s *Server) Close() { s.pool.Close() }
 
 // Stats returns a point-in-time snapshot of the service counters — the
 // same document /v1/stats serves.

@@ -310,8 +310,8 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		t.Fatalf("Shutdown: %v", err)
 	}
 	svc.Close()
-	if _, err := svc.pool.Submit(context.Background(), "", nil, regiongrow.Config{}, regiongrow.SequentialEngine, nil); err != ErrClosed {
-		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
+	if err := svc.pool.Enqueue(func() {}); err != ErrClosed {
+		t.Fatalf("Enqueue after Close = %v, want ErrClosed", err)
 	}
 }
 
@@ -479,6 +479,58 @@ func TestRequestTimeout504(t *testing.T) {
 	}
 }
 
+// TestRequestTimeout504StageText pins the stage a 504 names after every
+// prefix of the engine's event sequence, and checks that each timed-out
+// job leaves all three stage gauges at zero once its worker is free.
+func TestRequestTimeout504StageText(t *testing.T) {
+	events := []regiongrow.StageEvent{
+		{Kind: regiongrow.EventSplitStart},
+		{Kind: regiongrow.EventSplitDone, Iterations: 4, Squares: 9},
+		{Kind: regiongrow.EventGraphDone, Squares: 9},
+		{Kind: regiongrow.EventMergeIteration, Iteration: 1, Merges: 3},
+		{Kind: regiongrow.EventMergeIteration, Iteration: 2, Merges: 2},
+		{Kind: regiongrow.EventMergeDone, Iterations: 2, Regions: 4},
+	}
+	for _, tc := range []struct {
+		emitted int
+		stage   string
+	}{
+		{0, "queued"},
+		{1, "split"},
+		{2, "graph build"},
+		{3, "merge"},
+		{5, "merge (iteration 2)"},
+		{6, "result finalization"},
+	} {
+		t.Run(tc.stage, func(t *testing.T) {
+			svc, ts := newTestServer(t, Options{
+				Workers:        1,
+				QueueDepth:     1,
+				CacheEntries:   -1,
+				RequestTimeout: 30 * time.Millisecond,
+				Segment: func(ctx context.Context, im *regiongrow.Image, cfg regiongrow.Config, kind regiongrow.EngineKind, obs regiongrow.Observer) (*regiongrow.Segmentation, error) {
+					for _, ev := range events[:tc.emitted] {
+						obs.Observe(ev)
+					}
+					<-ctx.Done()
+					return nil, ctx.Err()
+				},
+			})
+			resp := postSegment(t, ts, "?image=image1", nil)
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			want := "deadline exceeded after 30ms during " + tc.stage + "\n"
+			if resp.StatusCode != http.StatusGatewayTimeout || string(body) != want {
+				t.Fatalf("got %d %q, want 504 %q", resp.StatusCode, body, want)
+			}
+			waitFor(t, func() bool { return svc.pool.InFlight() == 0 })
+			if p := svc.Stats().Progress; p.InSplit != 0 || p.InGraph != 0 || p.InMerge != 0 {
+				t.Fatalf("stage gauges after the job ended: %+v", p)
+			}
+		})
+	}
+}
+
 // TestDisconnectCancelsComputeByDefault checks the default abandoned-job
 // policy: a client disconnect cancels the engine (the worker frees
 // without the job completing), nothing warms the cache, and the outcome
@@ -511,7 +563,7 @@ func TestDisconnectCancelsComputeByDefault(t *testing.T) {
 		t.Fatalf("canceled_disconnect=%d failed=%d, want 1 and 0",
 			st.Requests.CanceledDisconnect, st.Requests.Failed)
 	}
-	// The tracker's gauges must have been released when the worker
+	// The job's stage gauge must have been released when the worker
 	// finished with the cancelled job.
 	if p := st.Progress; p.InSplit != 0 || p.InGraph != 0 || p.InMerge != 0 {
 		t.Fatalf("stage gauges leaked after cancellation: %+v", p)
@@ -640,16 +692,16 @@ func TestPoolCloseDrainsQueue(t *testing.T) {
 	started := make(chan struct{}, 8)
 	release := make(chan struct{})
 	done := make(chan struct{}, 8)
-	fn := func(ctx context.Context, im *regiongrow.Image, cfg regiongrow.Config, kind regiongrow.EngineKind, obs regiongrow.Observer) (*regiongrow.Segmentation, error) {
+	task := func() {
 		started <- struct{}{}
 		<-release
 		done <- struct{}{}
-		return &regiongrow.Segmentation{W: 1, H: 1, Labels: []int32{0}}, nil
 	}
-	p := NewPool(1, 4, fn, nil, false)
-	im := regiongrow.NewImage(1, 1)
+	p := NewPool(1, 4)
 	for i := 0; i < 3; i++ {
-		go p.Submit(context.Background(), "", im, regiongrow.Config{}, regiongrow.SequentialEngine, nil)
+		if err := p.Enqueue(task); err != nil {
+			t.Fatal(err)
+		}
 	}
 	<-started
 	waitFor(t, func() bool { return p.QueueDepth() == 2 })
