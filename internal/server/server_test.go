@@ -480,8 +480,10 @@ func TestRequestTimeout504(t *testing.T) {
 }
 
 // TestRequestTimeout504StageText pins the stage a 504 names after every
-// prefix of the engine's event sequence, and checks that each timed-out
-// job leaves all three stage gauges at zero once its worker is free.
+// prefix of the engine's event sequence, under both abandonment
+// policies, and checks that each timed-out job leaves all three stage
+// gauges at zero once its worker is free: cancelled by the deadline by
+// default, run to completion under WarmAbandoned.
 func TestRequestTimeout504StageText(t *testing.T) {
 	events := []regiongrow.StageEvent{
 		{Kind: regiongrow.EventSplitStart},
@@ -491,43 +493,52 @@ func TestRequestTimeout504StageText(t *testing.T) {
 		{Kind: regiongrow.EventMergeIteration, Iteration: 2, Merges: 2},
 		{Kind: regiongrow.EventMergeDone, Iterations: 2, Regions: 4},
 	}
-	for _, tc := range []struct {
-		emitted int
-		stage   string
-	}{
-		{0, "queued"},
-		{1, "split"},
-		{2, "graph build"},
-		{3, "merge"},
-		{5, "merge (iteration 2)"},
-		{6, "result finalization"},
-	} {
-		t.Run(tc.stage, func(t *testing.T) {
-			svc, ts := newTestServer(t, Options{
-				Workers:        1,
-				QueueDepth:     1,
-				CacheEntries:   -1,
-				RequestTimeout: 30 * time.Millisecond,
-				Segment: func(ctx context.Context, im *regiongrow.Image, cfg regiongrow.Config, kind regiongrow.EngineKind, obs regiongrow.Observer) (*regiongrow.Segmentation, error) {
-					for _, ev := range events[:tc.emitted] {
-						obs.Observe(ev)
-					}
-					<-ctx.Done()
-					return nil, ctx.Err()
-				},
+	for _, warm := range []bool{false, true} {
+		for _, tc := range []struct {
+			emitted int
+			stage   string
+		}{
+			{0, "queued"},
+			{1, "split"},
+			{2, "graph build"},
+			{3, "merge"},
+			{5, "merge (iteration 2)"},
+			{6, "result finalization"},
+		} {
+			t.Run(fmt.Sprintf("warm=%v/%s", warm, tc.stage), func(t *testing.T) {
+				release := make(chan struct{})
+				svc, ts := newTestServer(t, Options{
+					Workers:        1,
+					QueueDepth:     1,
+					CacheEntries:   -1,
+					RequestTimeout: 30 * time.Millisecond,
+					WarmAbandoned:  warm,
+					Segment: func(ctx context.Context, im *regiongrow.Image, cfg regiongrow.Config, kind regiongrow.EngineKind, obs regiongrow.Observer) (*regiongrow.Segmentation, error) {
+						for _, ev := range events[:tc.emitted] {
+							obs.Observe(ev)
+						}
+						select {
+						case <-ctx.Done():
+							return nil, ctx.Err()
+						case <-release:
+							return &regiongrow.Segmentation{W: im.W, H: im.H, Labels: make([]int32, im.W*im.H)}, nil
+						}
+					},
+				})
+				resp := postSegment(t, ts, "?image=image1", nil)
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				close(release)
+				want := "deadline exceeded after 30ms during " + tc.stage + "\n"
+				if resp.StatusCode != http.StatusGatewayTimeout || string(body) != want {
+					t.Fatalf("got %d %q, want 504 %q", resp.StatusCode, body, want)
+				}
+				waitFor(t, func() bool { return svc.pool.InFlight() == 0 })
+				if p := svc.Stats().Progress; p.InSplit != 0 || p.InGraph != 0 || p.InMerge != 0 {
+					t.Fatalf("stage gauges after the job ended: %+v", p)
+				}
 			})
-			resp := postSegment(t, ts, "?image=image1", nil)
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			want := "deadline exceeded after 30ms during " + tc.stage + "\n"
-			if resp.StatusCode != http.StatusGatewayTimeout || string(body) != want {
-				t.Fatalf("got %d %q, want 504 %q", resp.StatusCode, body, want)
-			}
-			waitFor(t, func() bool { return svc.pool.InFlight() == 0 })
-			if p := svc.Stats().Progress; p.InSplit != 0 || p.InGraph != 0 || p.InMerge != 0 {
-				t.Fatalf("stage gauges after the job ended: %+v", p)
-			}
-		})
+		}
 	}
 }
 
