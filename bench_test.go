@@ -92,7 +92,9 @@ func BenchmarkFigure3_MergeComparison(b *testing.B) {
 }
 
 // BenchmarkAblation_TieBreaking quantifies claim C1: random tie-breaking
-// achieves more merges per iteration than ID-based tie-breaking.
+// achieves more merges per iteration than ID-based tie-breaking. It times
+// all 18 paper cells (three policies × six images) on the sequential
+// engine, whose time is mostly merge rounds.
 func BenchmarkAblation_TieBreaking(b *testing.B) {
 	for _, tc := range []struct {
 		name string
@@ -102,7 +104,7 @@ func BenchmarkAblation_TieBreaking(b *testing.B) {
 		{"largest-id", LargestIDTie},
 		{"random", RandomTie},
 	} {
-		for _, id := range []PaperImageID{Image1NestedRects128, Image3Circles128} {
+		for _, id := range AllPaperImageIDs() {
 			b.Run(fmt.Sprintf("%s/image%d", tc.name, int(id)), func(b *testing.B) {
 				im := GeneratePaperImage(id)
 				cfg := Config{Threshold: 10, Tie: tc.tie, Seed: 1}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -28,6 +30,26 @@ type Config struct {
 
 // Criterion returns the homogeneity criterion implied by the config.
 func (c Config) Criterion() homog.Criterion { return homog.NewRange(c.Threshold) }
+
+// ErrInvalidConfig is wrapped by the error of every entry point that
+// refuses a Config the engines cannot run.
+var ErrInvalidConfig = errors.New("regiongrow: invalid config")
+
+// Check returns an error wrapping ErrInvalidConfig when c has an unknown
+// tie policy, a negative threshold, or a square cap below Unbounded (−1);
+// every seed is valid. Entry points call it before any work, so a bad
+// value is refused up front instead of panicking inside an engine.
+func (c Config) Check() error {
+	switch {
+	case !slices.Contains(rag.AllTiePolicies(), c.Tie):
+		return fmt.Errorf("%w: unknown tie policy %d (want random, smallest-id, or largest-id)", ErrInvalidConfig, int(c.Tie))
+	case c.Threshold < 0:
+		return fmt.Errorf("%w: negative threshold %d", ErrInvalidConfig, c.Threshold)
+	case c.MaxSquare < quadsplit.Unbounded:
+		return fmt.Errorf("%w: max square %d (want -1 unbounded, 0 default, or a positive cap)", ErrInvalidConfig, c.MaxSquare)
+	}
+	return nil
+}
 
 // RegionInfo summarises one final region.
 type RegionInfo struct {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"time"
 
+	"regiongrow/internal/core"
+	"regiongrow/internal/rag"
 	"regiongrow/internal/transport"
 )
 
@@ -239,6 +241,9 @@ func decodeJob(p []byte) (*job, error) {
 	}
 	if j.Rank < 0 || j.Rank >= j.Workers {
 		return nil, fmt.Errorf("distengine: rank %d of %d workers", j.Rank, j.Workers)
+	}
+	if err := (core.Config{Threshold: j.Threshold, Tie: rag.TiePolicy(j.Tie), MaxSquare: j.Cap}).Check(); err != nil {
+		return nil, fmt.Errorf("distengine: job frame: %w", err)
 	}
 	rows := j.BandStarts[j.Rank+1] - j.BandStarts[j.Rank]
 	if rows < 0 || len(j.Pix) != rows*j.W {

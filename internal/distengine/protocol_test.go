@@ -1,6 +1,11 @@
 package distengine
 
-import "testing"
+import (
+	"errors"
+	"testing"
+
+	"regiongrow/internal/core"
+)
 
 // TestJobRoundTrip pins the job frame encoding.
 func TestJobRoundTrip(t *testing.T) {
@@ -45,6 +50,19 @@ func TestDecodeJobRejectsMalformed(t *testing.T) {
 	bad[3]++ // wrong protocol version
 	if _, err := decodeJob(bad); err == nil {
 		t.Error("wrong protocol version accepted")
+	}
+}
+
+// TestDecodeJobRejectsInvalidConfig: a well-formed frame carrying a tie
+// policy no engine knows is refused at decode, so it cannot panic a
+// worker.
+func TestDecodeJobRejectsInvalidConfig(t *testing.T) {
+	frame := (&job{
+		Rank: 0, Workers: 1, W: 2, H: 2, Cap: 1, Threshold: 1, Tie: 7,
+		BandStarts: []int{0, 2}, Pix: []byte{0, 1, 2, 3},
+	}).encode()
+	if _, err := decodeJob(frame); !errors.Is(err, core.ErrInvalidConfig) {
+		t.Fatalf("tie 7 frame: err = %v, want core.ErrInvalidConfig", err)
 	}
 }
 

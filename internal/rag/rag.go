@@ -106,9 +106,6 @@ type Graph struct {
 	alive  []bool          // slot → not yet contracted away
 	adj    [][]int32       // slot → sorted neighbour slots (live slots only)
 	nAlive int
-
-	choice []int32 // MergeIteration scratch: slot → chosen slot
-	tied   []int32 // tie-list scratch
 }
 
 // NewGraph returns an empty graph over the criterion.
@@ -180,15 +177,6 @@ func removeSorted(list []int32, x int32) []int32 {
 // NumVertices returns the current (live) vertex count.
 func (g *Graph) NumVertices() int { return g.nAlive }
 
-// NumEdges returns the current undirected edge count.
-func (g *Graph) NumEdges() int {
-	total := 0
-	for s := range g.adj {
-		total += len(g.adj[s]) // dead slots hold nil lists
-	}
-	return total / 2
-}
-
 // weightSlots returns the edge weight between two live slots: the pixel
 // range of the union of their intervals. The min/max union is exact for
 // every combination of operands (including the Empty sentinel), and the
@@ -208,40 +196,6 @@ func (g *Graph) activeSlots(a, b int32) bool {
 	return g.Crit.Homogeneous(homog.Interval{Lo: ulo, Hi: uhi})
 }
 
-// ActiveEdges counts edges satisfying the criterion.
-func (g *Graph) ActiveEdges() int {
-	total := 0
-	for s := range g.adj {
-		for _, n := range g.adj[s] {
-			if n > int32(s) && g.activeSlots(int32(s), n) {
-				total++
-			}
-		}
-	}
-	return total
-}
-
-// HasActive reports whether any edge satisfies the criterion, returning at
-// the first hit. Merge drivers use it as their loop condition: profiles
-// showed the full ActiveEdges count rivalling the choice scan itself, and
-// the drivers only ever need the boolean.
-func (g *Graph) HasActive() bool {
-	for s := range g.adj {
-		for _, n := range g.adj[s] {
-			if n > int32(s) && g.activeSlots(int32(s), n) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// Weight returns the edge weight between regions a and b: the pixel range
-// of the union of their intervals. Both regions must exist.
-func (g *Graph) Weight(a, b int32) int {
-	return homog.Weight(g.IntervalOf(a), g.IntervalOf(b))
-}
-
 // IntervalOf returns the current intensity interval of region id, which
 // must exist.
 func (g *Graph) IntervalOf(id int32) homog.Interval {
@@ -256,29 +210,6 @@ func (g *Graph) IntervalOf(id int32) homog.Interval {
 func (g *Graph) Contains(id int32) bool {
 	_, ok := g.slotOf[id]
 	return ok
-}
-
-// Degree returns the number of neighbours of region id, which must exist.
-func (g *Graph) Degree(id int32) int {
-	s, ok := g.slotOf[id]
-	if !ok {
-		panic(fmt.Sprintf("rag: Degree(%d) on missing vertex", id))
-	}
-	return len(g.adj[s])
-}
-
-// HasEdge reports whether regions a and b are adjacent; both must exist.
-func (g *Graph) HasEdge(a, b int32) bool {
-	sa, ok := g.slotOf[a]
-	if !ok {
-		panic(fmt.Sprintf("rag: HasEdge endpoint %d missing", a))
-	}
-	sb, ok := g.slotOf[b]
-	if !ok {
-		panic(fmt.Sprintf("rag: HasEdge endpoint %d missing", b))
-	}
-	_, found := slices.BinarySearch(g.adj[sa], sb)
-	return found
 }
 
 // Slots returns the arena size: live and dead slots together. Slot
@@ -320,14 +251,18 @@ func (g *Graph) SlotHasActive(s int) bool {
 	return false
 }
 
-// SlotChoice computes the merge choice of the live region in slot s,
-// returning the chosen neighbour's slot (or −1 for no choice) plus the
-// possibly-grown tie scratch. It is the slot-level form of Choose for
-// engines that fan the choice scan out over workers against a read-only
-// graph.
+// SlotChoice computes the merge choice of the live region in slot s: the
+// active neighbour with minimal edge weight, ties broken by policy. It
+// returns the chosen neighbour's slot (or −1 for no choice) plus the
+// possibly-grown tie scratch, which holds no live data between calls.
+// Engines that fan the choice scan out over workers call it against a
+// read-only graph; MergeAll runs the same scan and pick incrementally.
 func (g *Graph) SlotChoice(s int, policy TiePolicy, seed uint64, iter int, tied []int32) (int, []int32) {
-	c, tied := g.slotChoice(int32(s), policy, seed, iter, tied)
-	return int(c), tied
+	sole, tied := g.scan(int32(s), tied)
+	if len(tied) == 0 {
+		return int(sole), tied
+	}
+	return int(pickTied(tied, policy, seed, iter, g.ids[s])), tied
 }
 
 // ContractSlots merges the region in slot loser into the one in slot
@@ -435,42 +370,17 @@ func (g *Graph) Absorb(other *Graph) {
 	}
 }
 
-// Choose computes the merge choice of region id at the given iteration:
-// the active neighbour with minimal edge weight, ties broken by policy.
-// It returns NoChoice when the region has no active neighbour.
-//
-// This function is the cross-engine contract: all engines enumerate tied
-// candidates as a set of IDs, pickTied sorts them ascending, and the
-// Random policy selects index Hash3(seed, iter, id) mod count among them,
-// so identical (seed, iter, graph) yields identical choices everywhere.
-func (g *Graph) Choose(id int32, policy TiePolicy, seed uint64, iter int) int32 {
-	c, _ := g.ChooseBuf(id, policy, seed, iter, nil)
-	return c
-}
-
-// ChooseBuf is Choose with a caller-owned scratch slice for the tie list;
-// it returns the choice and the (possibly grown) scratch so a loop over
-// many vertices amortises the allocation. The returned slice holds no
-// live data between calls.
-func (g *Graph) ChooseBuf(id int32, policy TiePolicy, seed uint64, iter int, tied []int32) (int32, []int32) {
-	s, ok := g.slotOf[id]
-	if !ok {
-		panic(fmt.Sprintf("rag: Choose(%d) on missing vertex", id))
-	}
-	c, tied := g.slotChoice(s, policy, seed, iter, tied)
-	if c < 0 {
-		return NoChoice, tied
-	}
-	return g.ids[c], tied
-}
-
-// slotChoice is the choice kernel: a linear scan of slot s's sorted
-// neighbour list tracking the minimum weight. The single-best case (the
-// overwhelmingly common one) never touches the tie list or the ID map —
-// the winning slot rides along in sole. Weight and activity are plain
-// integer min/max chains with no data dependence between neighbours, so
-// the loop keeps multiple issue pipes busy.
-func (g *Graph) slotChoice(s int32, policy TiePolicy, seed uint64, iter int, tied []int32) (int32, []int32) {
+// scan is the first half of the choice kernel: a linear walk of slot s's
+// sorted neighbour list tracking the minimum active edge weight. It
+// returns the sole best neighbour's slot; or noSlot, with tied holding
+// every neighbour at the best weight (at least two) in ascending region-ID
+// order; or noSlot and an empty tied when s has no active edge. tied is
+// the caller's scratch, reset and possibly grown. The single-best case
+// (the overwhelmingly common one) never touches the tie list — the
+// winning slot rides along in sole. Weight and activity are plain integer
+// min/max chains with no data dependence between neighbours, so the loop
+// keeps multiple issue pipes busy.
+func (g *Graph) scan(s int32, tied []int32) (int32, []int32) {
 	adjList := g.adj[s]
 	lo0, hi0 := g.lo[s], g.hi[s]
 	los, his := g.lo, g.hi
@@ -488,10 +398,10 @@ func (g *Graph) slotChoice(s int32, policy TiePolicy, seed uint64, iter int, tie
 				tied = tied[:0]
 			} else if wt == bestW {
 				if sole != noSlot {
-					tied = append(tied, g.ids[sole])
+					tied = append(tied, sole)
 					sole = noSlot
 				}
-				tied = append(tied, g.ids[n])
+				tied = append(tied, n)
 			}
 		}
 	} else {
@@ -506,33 +416,35 @@ func (g *Graph) slotChoice(s int32, policy TiePolicy, seed uint64, iter int, tie
 				tied = tied[:0]
 			} else if wt == bestW {
 				if sole != noSlot {
-					tied = append(tied, g.ids[sole])
+					tied = append(tied, sole)
 					sole = noSlot
 				}
-				tied = append(tied, g.ids[n])
+				tied = append(tied, n)
 			}
 		}
 	}
-	if bestW < 0 {
-		return noSlot, tied
+	// Insertion sort: tie lists are short, and usually already in ID
+	// order, since slot order follows first appearance in raster order.
+	ids := g.ids
+	for i := 1; i < len(tied); i++ {
+		for j := i; j > 0 && ids[tied[j]] < ids[tied[j-1]]; j-- {
+			tied[j], tied[j-1] = tied[j-1], tied[j]
+		}
 	}
-	if sole != noSlot {
-		return sole, tied
-	}
-	id := pickTied(tied, policy, seed, iter, g.ids[s])
-	return g.slotOf[id], tied
+	return sole, tied
 }
 
-// pickTied resolves a tie among candidate neighbour IDs for chooser id.
-// The slice may be reordered in place.
+// pickTied is the second half of the choice kernel: it resolves a tie
+// for the chooser with region ID id among tied, the tied candidates in
+// ascending region-ID order. SmallestID takes the first, LargestID the
+// last, and Random index Hash3(seed, iter, id) mod len(tied). An unknown
+// policy panics rather than falling back to any of them.
+//
+// This is the cross-engine tie contract: every engine enumerates the tied
+// candidates of a region as a set, orders them by region ID, and resolves
+// them here, so identical (seed, iter, graph) yields identical choices
+// everywhere.
 func pickTied(tied []int32, policy TiePolicy, seed uint64, iter int, id int32) int32 {
-	if len(tied) == 0 {
-		return NoChoice
-	}
-	if len(tied) == 1 {
-		return tied[0]
-	}
-	slices.Sort(tied)
 	switch policy {
 	case SmallestID:
 		return tied[0]
@@ -619,12 +531,20 @@ func Drive(ctx context.Context, policy TiePolicy, hasActive func() bool, iterate
 // merge count. It returns per-iteration statistics and the Assignments
 // mapping every original vertex ID ever merged into another to its
 // surviving representative's ID; on cancellation it returns ctx.Err().
+//
+// The rounds are incremental but compute exactly the full-scan rounds
+// SlotChoice defines: each slot's choice persists across rounds and is
+// rescanned only when a contraction changed its scan inputs (see
+// merger.contract), tied slots re-pick from a cached tie list, and the
+// mutual-pair search starts only from slots whose choice was set this
+// round.
 func (g *Graph) MergeAll(ctx context.Context, policy TiePolicy, seed uint64, onRound func(iter, merged int)) (MergeStats, *Assignments, error) {
 	asg := NewAssignments()
-	stats, err := Drive(ctx, policy,
-		g.HasActive,
+	m := newMerger(g)
+	stats, err := Drive(ctx, policy, m.rescan,
 		func(effective TiePolicy, iter int) int {
-			merged := g.MergeIteration(effective, seed, iter, asg)
+			m.pick(effective, seed, iter)
+			merged := m.pairs(asg)
 			if onRound != nil {
 				onRound(iter, merged)
 			}
@@ -633,58 +553,10 @@ func (g *Graph) MergeAll(ctx context.Context, policy TiePolicy, seed uint64, onR
 	return stats, asg, err
 }
 
-// MergeIteration executes one round: compute all choices, merge mutual
-// pairs, contract. It returns the number of pairs merged and records the
-// unions in asg.
-//
-// The choice pass fills a slot-indexed array in stable slot order; the
-// merge pass then contracts each mutual pair exactly once, from the
-// endpoint with the smaller region ID. Mutual pairs are pairwise disjoint
-// (every region chooses at most one partner), so contracting them as they
-// are encountered is order-independent and byte-identical to collecting
-// and sorting the pairs first, as the previous map-based kernel did.
-func (g *Graph) MergeIteration(policy TiePolicy, seed uint64, iter int, asg *Assignments) int {
-	n := len(g.ids)
-	if cap(g.choice) < n {
-		g.choice = make([]int32, n)
-	}
-	choice := g.choice[:n]
-	tied := g.tied
-	for s := 0; s < n; s++ {
-		if !g.alive[s] {
-			choice[s] = noSlot
-			continue
-		}
-		choice[s], tied = g.slotChoice(int32(s), policy, seed, iter, tied)
-	}
-	g.tied = tied
-	merged := 0
-	for s := 0; s < n; s++ {
-		c := choice[s]
-		if c < 0 || int(choice[c]) != s || g.ids[s] >= g.ids[c] {
-			continue
-		}
-		g.contractSlots(int32(s), c)
-		asg.Record(g.ids[c], g.ids[s])
-		merged++
-	}
-	return merged
-}
-
-// Contract merges vertex loser=b into keeper=a (a < b by convention: the
-// region with the smaller ID becomes the representative). The keeper's
-// interval becomes the union; b's neighbours are re-pointed at a; the
-// self-edge is dropped; parallel edges coalesce via the sorted adjacency
-// lists.
-func (g *Graph) Contract(a, b int32) {
-	sa, oka := g.slotOf[a]
-	sb, okb := g.slotOf[b]
-	if !oka || !okb {
-		panic(fmt.Sprintf("rag: Contract(%d,%d) on missing vertex", a, b))
-	}
-	g.contractSlots(sa, sb)
-}
-
+// contractSlots merges the region in slot sb into the one in slot sa. The
+// keeper's interval becomes the union; sb's neighbours are re-pointed at
+// sa; the self-edge is dropped; parallel edges coalesce via the sorted
+// adjacency lists.
 func (g *Graph) contractSlots(sa, sb int32) {
 	g.lo[sa] = min(g.lo[sa], g.lo[sb])
 	g.hi[sa] = max(g.hi[sa], g.hi[sb])
@@ -700,7 +572,7 @@ func (g *Graph) contractSlots(sa, sb int32) {
 	g.adj[sb] = nil
 	g.alive[sb] = false
 	g.nAlive--
-	delete(g.slotOf, g.ids[sb]) // dead IDs must miss, so AddEdge/Contract still panic on them
+	delete(g.slotOf, g.ids[sb]) // dead IDs must miss, so AddEdge still panics on them
 }
 
 // Assignments tracks, over the whole merge stage, which representative each

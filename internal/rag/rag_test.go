@@ -2,6 +2,7 @@ package rag
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -29,6 +30,46 @@ func mergeSerial(g *Graph) (MergeStats, *Assignments) {
 
 func crit(t int) homog.Criterion { return homog.NewRange(t) }
 
+// slotOf is SlotOf for a region the test knows is live.
+func slotOf(t *testing.T, g *Graph, id int32) int {
+	t.Helper()
+	s, ok := g.SlotOf(id)
+	if !ok {
+		t.Fatalf("region %d is not in the graph", id)
+	}
+	return s
+}
+
+// numEdges counts the graph's undirected edges; dead slots hold none.
+func numEdges(g *Graph) int {
+	total := 0
+	for s := 0; s < g.Slots(); s++ {
+		total += len(g.SlotNeighbours(s))
+	}
+	return total / 2
+}
+
+// hasActiveEdge reports whether any live slot has an active edge.
+func hasActiveEdge(g *Graph) bool {
+	for s := 0; s < g.Slots(); s++ {
+		if g.SlotAlive(s) && g.SlotHasActive(s) {
+			return true
+		}
+	}
+	return false
+}
+
+// choiceOf is the merge choice of live region id as a region ID, or
+// NoChoice.
+func choiceOf(t *testing.T, g *Graph, id int32, policy TiePolicy, seed uint64, iter int) int32 {
+	t.Helper()
+	c, _ := g.SlotChoice(slotOf(t, g, id), policy, seed, iter, nil)
+	if c < 0 {
+		return NoChoice
+	}
+	return g.SlotID(c)
+}
+
 func TestBuildFromLabelsSmall(t *testing.T) {
 	// 2×2 image, two vertical stripes.
 	im, _ := pixmap.FromRows([][]uint8{
@@ -40,17 +81,17 @@ func TestBuildFromLabelsSmall(t *testing.T) {
 	if g.NumVertices() != 2 {
 		t.Fatalf("vertices = %d", g.NumVertices())
 	}
-	if g.NumEdges() != 1 {
-		t.Fatalf("edges = %d", g.NumEdges())
+	if numEdges(g) != 1 {
+		t.Fatalf("edges = %d", numEdges(g))
 	}
 	iv0 := g.IntervalOf(0)
 	if iv0.Lo != 10 || iv0.Hi != 12 {
 		t.Fatalf("vertex 0 interval %v", iv0)
 	}
-	if g.Weight(0, 1) != 191 {
-		t.Fatalf("weight = %d", g.Weight(0, 1))
+	if w := homog.Weight(g.SlotInterval(slotOf(t, g, 0)), g.SlotInterval(slotOf(t, g, 1))); w != 191 {
+		t.Fatalf("weight = %d", w)
 	}
-	if g.ActiveEdges() != 0 {
+	if hasActiveEdge(g) {
 		t.Fatal("inhomogeneous edge counted active")
 	}
 }
@@ -59,7 +100,7 @@ func TestAddEdgeSelfIgnored(t *testing.T) {
 	g := NewGraph(crit(5))
 	g.AddVertex(1, homog.Point(5))
 	g.AddEdge(1, 1)
-	if g.NumEdges() != 0 {
+	if numEdges(g) != 0 {
 		t.Fatal("self edge recorded")
 	}
 }
@@ -82,7 +123,7 @@ func TestChooseMinWeight(t *testing.T) {
 	g.AddVertex(2, homog.Interval{Lo: 55, Hi: 55}) // weight 5
 	g.AddEdge(0, 1)
 	g.AddEdge(0, 2)
-	if c := g.Choose(0, SmallestID, 0, 1); c != 2 {
+	if c := choiceOf(t, g, 0, SmallestID, 0, 1); c != 2 {
 		t.Fatalf("choice = %d, want 2 (lowest weight)", c)
 	}
 }
@@ -92,13 +133,13 @@ func TestChooseRespectsCriterion(t *testing.T) {
 	g.AddVertex(0, homog.Interval{Lo: 50, Hi: 50})
 	g.AddVertex(1, homog.Interval{Lo: 60, Hi: 60})
 	g.AddEdge(0, 1)
-	if c := g.Choose(0, SmallestID, 0, 1); c != NoChoice {
+	if c := choiceOf(t, g, 0, SmallestID, 0, 1); c != NoChoice {
 		t.Fatalf("choice = %d, want NoChoice", c)
 	}
 }
 
 func TestPickTiedPolicies(t *testing.T) {
-	tied := []int32{30, 10, 20}
+	tied := []int32{10, 20, 30} // candidates arrive in ascending ID order
 	if pickTied(append([]int32{}, tied...), SmallestID, 0, 1, 5) != 10 {
 		t.Fatal("SmallestID wrong")
 	}
@@ -114,12 +155,20 @@ func TestPickTiedPolicies(t *testing.T) {
 	if got != again {
 		t.Fatal("Random tie pick is not deterministic")
 	}
-	if pickTied(nil, Random, 1, 1, 1) != NoChoice {
-		t.Fatal("empty tie set should yield NoChoice")
-	}
 	if pickTied([]int32{42}, Random, 1, 1, 1) != 42 {
 		t.Fatal("singleton tie set wrong")
 	}
+}
+
+// TestPickTiedUnknownPolicyPanics: an unknown policy is a bug, never a
+// silent fall-through to one of the real policies.
+func TestPickTiedUnknownPolicyPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("pickTied under TiePolicy(7) did not panic")
+		}
+	}()
+	pickTied([]int32{10, 20}, TiePolicy(7), 1, 1, 5)
 }
 
 func TestPickTiedRandomVaries(t *testing.T) {
@@ -142,7 +191,7 @@ func TestContract(t *testing.T) {
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 2)
 	g.AddEdge(0, 2)
-	g.Contract(0, 1)
+	g.ContractSlots(slotOf(t, g, 0), slotOf(t, g, 1))
 	if g.NumVertices() != 2 {
 		t.Fatalf("vertices after contract = %d", g.NumVertices())
 	}
@@ -150,17 +199,17 @@ func TestContract(t *testing.T) {
 	if iv0.Lo != 10 || iv0.Hi != 40 {
 		t.Fatalf("merged interval %v", iv0)
 	}
-	if !g.HasEdge(0, 2) {
+	if !slices.Contains(g.SlotNeighbours(slotOf(t, g, 0)), int32(slotOf(t, g, 2))) {
 		t.Fatal("neighbour of loser not inherited")
 	}
 	if g.Contains(1) {
 		t.Fatal("loser still present")
 	}
-	if g.Degree(2) != 1 {
-		t.Fatalf("third party degree = %d, want 1 (still points at loser?)", g.Degree(2))
+	if d := len(g.SlotNeighbours(slotOf(t, g, 2))); d != 1 {
+		t.Fatalf("third party degree = %d, want 1 (still points at loser?)", d)
 	}
-	if g.NumEdges() != 1 {
-		t.Fatalf("edges after contract = %d (parallel edge not coalesced?)", g.NumEdges())
+	if numEdges(g) != 1 {
+		t.Fatalf("edges after contract = %d (parallel edge not coalesced?)", numEdges(g))
 	}
 }
 
@@ -179,7 +228,7 @@ func TestSlotOfAndNeighbours(t *testing.T) {
 	if got := g.SlotNeighbours(0); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("SlotNeighbours(0) = %v, want [1 2]", got)
 	}
-	g.Contract(10, 30)
+	g.ContractSlots(slotOf(t, g, 10), slotOf(t, g, 30))
 	if _, ok := g.SlotOf(30); ok {
 		t.Fatal("SlotOf finds a contracted region")
 	}
@@ -235,7 +284,7 @@ func TestMergeAllRespectsThreshold(t *testing.T) {
 			t.Fatalf("vertex %d has range %d", g.SlotID(s), iv.Range())
 		}
 	}
-	if g.ActiveEdges() != 0 {
+	if hasActiveEdge(g) {
 		t.Fatal("active edges remain after MergeAll")
 	}
 }
@@ -246,16 +295,26 @@ func TestMergeIterationMutualOnly(t *testing.T) {
 	// middle. With SmallestID, middle (id 1) picks id 0; id 0 picks id 1:
 	// merge (0,1). Vertex 2 picks 1 but 1 picked 0: no merge for 2.
 	g := stripesGraph([]uint8{0, 4, 8}, 8)
-	asg := NewAssignments()
-	merged := g.MergeIteration(SmallestID, 0, 1, asg)
-	if merged != 1 {
-		t.Fatalf("merged = %d, want 1", merged)
+	rounds := 0
+	if _, _, err := g.MergeAll(context.Background(), SmallestID, 0, func(iter, merged int) {
+		rounds++
+		if iter != 1 {
+			return
+		}
+		if merged != 1 {
+			t.Fatalf("merged = %d, want 1", merged)
+		}
+		if !g.Contains(0) {
+			t.Fatal("vertex 0 should survive as representative")
+		}
+		if g.Contains(1) {
+			t.Fatal("vertex 1 should be absorbed")
+		}
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if !g.Contains(0) {
-		t.Fatal("vertex 0 should survive as representative")
-	}
-	if g.Contains(1) {
-		t.Fatal("vertex 1 should be absorbed")
+	if rounds == 0 {
+		t.Fatal("MergeAll ran no round")
 	}
 }
 
@@ -292,7 +351,7 @@ func TestMergePostconditions(t *testing.T) {
 		}
 		g := build(im, labels, crit(tVal))
 		mergeAll(g, policy, seed)
-		if g.ActiveEdges() != 0 {
+		if hasActiveEdge(g) {
 			return false
 		}
 		for s := 0; s < g.Slots(); s++ {
@@ -358,16 +417,16 @@ func TestSmallestIDNeverStalls(t *testing.T) {
 			labels[i] = int32(i)
 		}
 		g := build(im, labels, crit(10))
-		asg := NewAssignments()
-		for iter := 1; g.ActiveEdges() > 0; iter++ {
-			if merged := g.MergeIteration(SmallestID, 0, iter, asg); merged == 0 {
-				return false
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		ok := true
+		_, _, err := g.MergeAll(ctx, SmallestID, 0, func(iter, merged int) {
+			if merged == 0 || iter > 200 {
+				ok = false
+				cancel() // a stall would otherwise loop for ever
 			}
-			if iter > 200 {
-				return false
-			}
-		}
-		return true
+		})
+		return err == nil && ok && !hasActiveEdge(g)
 	}, &quick.Config{MaxCount: 40})
 	if err != nil {
 		t.Fatal(err)

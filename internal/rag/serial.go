@@ -24,22 +24,24 @@ func (g *Graph) MergeSerial(ctx context.Context) (MergeStats, *Assignments, erro
 		if err := ctx.Err(); err != nil {
 			return stats, asg, err
 		}
-		a, b, found := g.bestActiveEdge()
+		k, l, found := g.bestActiveEdge()
 		if !found {
 			break
 		}
 		stats.Iterations++
-		g.Contract(a, b)
-		asg.Record(b, a)
+		g.contractSlots(k, l)
+		asg.Record(g.ids[l], g.ids[k])
 		stats.MergesPerIter = append(stats.MergesPerIter, 1)
 	}
 	return stats, asg, nil
 }
 
 // bestActiveEdge scans for the active edge minimising (weight, min ID,
-// max ID). The scan walks the arena in slot order; the tie-break is a
-// total order over edges, so any visitation order yields the same winner.
-func (g *Graph) bestActiveEdge() (a, b int32, found bool) {
+// max ID) and returns its endpoints' slots, the smaller-ID one (the
+// keeper) first. The scan walks the arena in slot order; the tie-break is
+// a total order over edges, so any visitation order yields the same
+// winner.
+func (g *Graph) bestActiveEdge() (keeper, loser int32, found bool) {
 	bestW := -1
 	for s := range g.adj {
 		for _, n := range g.adj[s] {
@@ -50,16 +52,16 @@ func (g *Graph) bestActiveEdge() (a, b int32, found bool) {
 				continue
 			}
 			wt := g.weightSlots(int32(s), n)
-			v, w := g.ids[s], g.ids[n]
-			if v > w {
-				v, w = w, v
+			k, l := int32(s), n
+			if g.ids[k] > g.ids[l] {
+				k, l = l, k
 			}
-			if !found || wt < bestW || (wt == bestW && less(v, w, a, b)) {
-				bestW, a, b, found = wt, v, w, true
+			if !found || wt < bestW || (wt == bestW && less(g.ids[k], g.ids[l], g.ids[keeper], g.ids[loser])) {
+				bestW, keeper, loser, found = wt, k, l, true
 			}
 		}
 	}
-	return a, b, found
+	return keeper, loser, found
 }
 
 // less orders edge (v,w) before edge (a,b) lexicographically.

@@ -46,7 +46,7 @@ func TestMergeSerialPostconditions(t *testing.T) {
 		}
 		g := build(im, labels, crit(tVal))
 		stats, _ := mergeSerial(g)
-		if g.ActiveEdges() != 0 {
+		if hasActiveEdge(g) {
 			return false
 		}
 		for _, m := range stats.MergesPerIter {

@@ -12,10 +12,10 @@
 //   - each merge round computes every region's best-neighbour choice on a
 //     worker pool sized to GOMAXPROCS, then contracts the mutual pairs.
 //
-// Determinism is free by construction: every tie-break in rag.Choose is a
-// pure function of (seed, iteration, region id), so the parallel schedule
-// cannot change any decision, and the engine produces byte-identical
-// segmentations to core.Sequential for every configuration. The test suite
-// enforces that property across images, thresholds, tie policies, and
-// worker counts.
+// Determinism is free by construction: every tie-break rag.SlotChoice
+// makes is a pure function of (seed, iteration, region id), so the
+// parallel schedule cannot change any decision, and the engine produces
+// byte-identical segmentations to core.Sequential for every configuration.
+// The test suite enforces that property across images, thresholds, tie
+// policies, and worker counts.
 package shmengine

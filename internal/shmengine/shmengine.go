@@ -222,9 +222,9 @@ func hasActiveEdge(g *rag.Graph, workers int) bool {
 
 // mergeIteration executes one merge round: parallel choice computation
 // into a slot-indexed array, then mutual-pair detection and contraction of
-// the (disjoint) pairs from the smaller-ID endpoint — exactly the
-// rag.MergeIteration semantics, so the result is byte-identical to the
-// sequential kernel. It returns the number of pairs merged and the
+// the (disjoint) pairs from the smaller-ID endpoint — the full-scan round
+// rag.MergeAll computes incrementally, so the result is byte-identical to
+// the sequential kernel. It returns the number of pairs merged and the
 // (possibly grown) choice scratch.
 func mergeIteration(g *rag.Graph, policy rag.TiePolicy, seed uint64, iter int, asg *rag.Assignments, workers int, choices []int32) (int, []int32) {
 	n := g.Slots()

@@ -93,6 +93,13 @@ func GeneratePaperImage(id PaperImageID) *Image {
 // Config parameterises a segmentation run; see core.Config.
 type Config = core.Config
 
+// ErrInvalidConfig is wrapped by the error every entry point (Segment,
+// SegmentStream, the With* options, a cluster worker's job decoder)
+// returns for a Config the engines cannot run: an unknown tie policy, a
+// negative threshold, or a square cap below Unbounded. Match it with
+// errors.Is.
+var ErrInvalidConfig = core.ErrInvalidConfig
+
 // Segmentation is a completed segmentation; see core.Segmentation.
 type Segmentation = core.Segmentation
 

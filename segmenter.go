@@ -64,23 +64,22 @@ type Segmenter struct {
 type Option func(*Segmenter) error
 
 // WithTie sets the session's default tie policy, used when Segment is
-// called with a zero Config.
+// called with a zero Config. An unknown policy is an error wrapping
+// ErrInvalidConfig.
 func WithTie(p TiePolicy) Option {
 	return func(s *Segmenter) error {
 		s.defaults.Tie = p
-		return nil
+		return s.defaults.Check()
 	}
 }
 
 // WithThreshold sets the session's default homogeneity threshold, used
-// when Segment is called with a zero Config.
+// when Segment is called with a zero Config. A negative threshold is an
+// error wrapping ErrInvalidConfig.
 func WithThreshold(t int) Option {
 	return func(s *Segmenter) error {
-		if t < 0 {
-			return fmt.Errorf("regiongrow: negative threshold %d", t)
-		}
 		s.defaults.Threshold = t
-		return nil
+		return s.defaults.Check()
 	}
 }
 
@@ -95,14 +94,12 @@ func WithSeed(seed uint64) Option {
 
 // WithMaxSquare sets the session's default split square cap. It applies
 // when the per-call Config leaves MaxSquare at 0 (which otherwise selects
-// the paper's N/8 rule), so an explicit per-call cap always wins.
+// the paper's N/8 rule), so an explicit per-call cap always wins. A cap
+// below Unbounded is an error wrapping ErrInvalidConfig.
 func WithMaxSquare(n int) Option {
 	return func(s *Segmenter) error {
-		if n < Unbounded {
-			return fmt.Errorf("regiongrow: bad max square %d (want -1 unbounded, 0 default, or a positive cap)", n)
-		}
 		s.defaults.MaxSquare = n
-		return nil
+		return s.defaults.Check()
 	}
 }
 
@@ -269,10 +266,11 @@ func (s *Segmenter) effectiveConfig(cfg Config) Config {
 }
 
 // Segment runs one segmentation under the session's engine, defaults, and
-// observer. Cancelling ctx aborts the run within one split/merge
-// iteration and returns ctx.Err(); the segmentation is then nil. Results
-// are independent of pooling and identical to an unpooled run of the same
-// engine for the same effective Config.
+// observer. An effective Config that fails Config.Check is refused with
+// that error before any work. Cancelling ctx aborts the run within one
+// split/merge iteration and returns ctx.Err(); the segmentation is then
+// nil. Results are independent of pooling and identical to an unpooled
+// run of the same engine for the same effective Config.
 func (s *Segmenter) Segment(ctx context.Context, im *Image, cfg Config) (*Segmentation, error) {
 	return s.SegmentObserved(ctx, im, cfg, s.observer)
 }
@@ -281,10 +279,14 @@ func (s *Segmenter) Segment(ctx context.Context, im *Image, cfg Config) (*Segmen
 // the session observer) — the hook a server uses to track per-job
 // progress while sharing one pooled Segmenter across requests.
 func (s *Segmenter) SegmentObserved(ctx context.Context, im *Image, cfg Config, obs Observer) (*Segmentation, error) {
+	cfg = s.effectiveConfig(cfg)
+	if err := cfg.Check(); err != nil {
+		return nil, err
+	}
 	if obs == nil {
 		obs = s.observer
 	}
 	sc := s.scratch.Get().(*core.Scratch)
 	defer s.scratch.Put(sc)
-	return s.eng.SegmentContext(ctx, im, s.effectiveConfig(cfg), core.Run{Observer: obs, Scratch: sc})
+	return s.eng.SegmentContext(ctx, im, cfg, core.Run{Observer: obs, Scratch: sc})
 }

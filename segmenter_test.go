@@ -2,6 +2,7 @@ package regiongrow
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -227,6 +228,54 @@ func TestSegmenterOptionErrors(t *testing.T) {
 	}
 	if _, err := New(EngineKind(99)); err == nil {
 		t.Error("unknown engine kind did not error")
+	}
+}
+
+// badConfigs holds one Config per field Config.Check refuses.
+var badConfigs = map[string]Config{
+	"tie":       {Threshold: 10, Tie: TiePolicy(7)},
+	"threshold": {Threshold: -3},
+	"maxsquare": {Threshold: 10, MaxSquare: -2},
+}
+
+// TestSegmentRefusesInvalidConfig: every local engine kind refuses each
+// invalid field with ErrInvalidConfig before any stage runs, instead of
+// panicking inside the engine (on NativeParallel, on a worker goroutine).
+func TestSegmentRefusesInvalidConfig(t *testing.T) {
+	im := GeneratePaperImage(Image1NestedRects128)
+	for _, kind := range AllEngineKinds() {
+		if kind == Distributed {
+			continue // needs a cluster; decodeJob's check covers its workers
+		}
+		s, err := New(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for field, cfg := range badConfigs {
+			events := 0
+			obs := ObserverFunc(func(StageEvent) { events++ })
+			seg, err := s.SegmentObserved(context.Background(), im, cfg, obs)
+			if !errors.Is(err, ErrInvalidConfig) || seg != nil {
+				t.Errorf("%v, bad %s: got %v, %v; want nil, ErrInvalidConfig", kind, field, seg, err)
+			}
+			if events != 0 {
+				t.Errorf("%v, bad %s: %d stage events before the refusal", kind, field, events)
+			}
+		}
+	}
+}
+
+// TestOptionsRefuseInvalidConfig: each default-setting option refuses its
+// field's invalid values with ErrInvalidConfig.
+func TestOptionsRefuseInvalidConfig(t *testing.T) {
+	for name, opt := range map[string]Option{
+		"WithTie(9)":        WithTie(TiePolicy(9)),
+		"WithThreshold(-1)": WithThreshold(-1),
+		"WithMaxSquare(-2)": WithMaxSquare(-2),
+	} {
+		if _, err := New(SequentialEngine, opt); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("New(SequentialEngine, %s) = %v, want ErrInvalidConfig", name, err)
+		}
 	}
 }
 

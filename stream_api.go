@@ -86,10 +86,14 @@ func WithStreamObserver(o Observer) StreamOption {
 // an int32) and produces output byte-identical to running the sequential
 // engine on the same image with the same cfg.
 //
-// The standard engine contract applies: cancelling ctx aborts the run
+// The standard engine contract applies: a cfg that fails Config.Check is
+// refused with that error before r is read, cancelling ctx aborts the run
 // within one band or merge iteration and returns ctx.Err(), and a
 // WithStreamObserver hook receives the usual stage events.
 func SegmentStream(ctx context.Context, r io.Reader, w io.Writer, cfg Config, opts ...StreamOption) (*StreamResult, error) {
+	if err := cfg.Check(); err != nil {
+		return nil, err
+	}
 	var s streamSettings
 	//vet:noctx option setters are O(1) field validation; stream.Segment carries the cancellation
 	for _, opt := range opts {

@@ -3,6 +3,7 @@ package regiongrow
 import (
 	"bytes"
 	"context"
+	"errors"
 	"testing"
 )
 
@@ -86,6 +87,28 @@ func TestSegmentStreamObserver(t *testing.T) {
 	}
 	if _, err := SegmentStream(ctx, &pgm, &bytes.Buffer{}, Config{Threshold: 10}); err != context.Canceled {
 		t.Fatalf("cancelled stream returned %v, want context.Canceled", err)
+	}
+}
+
+// unreadable fails the test on any Read.
+type unreadable struct{ t *testing.T }
+
+func (u unreadable) Read([]byte) (int, error) {
+	u.t.Error("SegmentStream read its input despite an invalid config")
+	return 0, errors.New("unreadable")
+}
+
+// TestSegmentStreamRefusesInvalidConfig: each invalid field is refused
+// with ErrInvalidConfig before the input is read.
+func TestSegmentStreamRefusesInvalidConfig(t *testing.T) {
+	for field, cfg := range badConfigs {
+		var out bytes.Buffer
+		if _, err := SegmentStream(context.Background(), unreadable{t}, &out, cfg); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("bad %s: err = %v, want ErrInvalidConfig", field, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("bad %s: wrote %d bytes", field, out.Len())
+		}
 	}
 }
 
