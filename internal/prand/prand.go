@@ -16,8 +16,12 @@ func Hash2(a, b uint64) uint64 {
 }
 
 // Hash3 hashes three words into one well-mixed word.
-func Hash3(a, b, c uint64) uint64 {
-	return splitmix64(Hash2(a, b) ^ (c * 0xd6e8feb86659fd93))
+func Hash3(a, b, c uint64) uint64 { return Mix(Hash2(a, b), c) }
+
+// Mix folds c into h = Hash2(a, b), giving Hash3(a, b, c): a caller
+// hashing many c under one (a, b) computes Hash2 once.
+func Mix(h, c uint64) uint64 {
+	return splitmix64(h ^ (c * 0xd6e8feb86659fd93))
 }
 
 // Gen is a sequential SplitMix64 generator. The zero value is a valid

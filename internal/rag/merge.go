@@ -1,29 +1,40 @@
 package rag
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"regiongrow/internal/prand"
+)
 
 // merger is MergeAll's state across rounds. A slot's scan reads only its
 // adjacency list and the intervals of itself and its neighbours, so its
 // choice persists from round to round and is recomputed only after a
 // contraction changed one of those inputs.
 type merger struct {
-	g *Graph
+	g      *Graph
+	policy TiePolicy // MergeAll's policy, not a round's effective one
+	seed   uint64
+	// effective and round are the current round's effective policy and
+	// prand.Hash2(seed, iter), which the picks read.
+	effective TiePolicy
+	round     uint64
 	// choice holds each slot's current choice: a neighbour slot; noSlot
 	// when the slot has no active edge or is dead; or, when its best
-	// weight is a real tie, tieTag(o) for its tie record at ties[o].
+	// weight is a real tie under Random, tieTag(o) for its tie record at
+	// ties[o], from which chosen draws the round's pick.
 	choice []int32
-	// ties holds the tie records, each [slot, pick, k, then the k tied
-	// slots in ascending region-ID order]. Retiring a record overwrites
-	// its slot with noSlot; such stale records, stale words in total, are
+	// ties holds the tie records, each [slot, k, then the k tied slots
+	// in ascending region-ID order]. Retiring a record overwrites its
+	// slot with noSlot; such stale records, stale words in total, are
 	// dropped when a record does not fit and a quarter of the buffer is
 	// stale.
 	ties    []int32
 	stale   int
-	dirty   bitset    // slots to rescan before the next round
-	fresh   bitset    // slots whose choice was set this round
-	nActive int       // live slots with a choice: those with an active edge
-	prev    TiePolicy // last round's effective policy; −1 before round 1
-	tied    []int32   // scan's tie-list scratch
+	dirty   bitset  // slots to rescan before the next round
+	fresh   bitset  // slots whose choice was set this round
+	tied    bitset  // slots with a tie record
+	nActive int     // live slots with a choice: those with an active edge
+	scratch []int32 // scan's tie list
 }
 
 // tieTag encodes tie-record offset o as a choice value below noSlot;
@@ -31,13 +42,14 @@ type merger struct {
 // with.
 func tieTag(o int) int32          { return int32(-2 - o) }
 func tieOffset(c int32) int       { return int(-2 - c) }
-func tieLen(rec []int32) int      { return 3 + int(rec[2]) }
-func tieList(rec []int32) []int32 { return rec[3:tieLen(rec)] }
+func tieLen(rec []int32) int      { return 2 + int(rec[1]) }
+func tieList(rec []int32) []int32 { return rec[2:tieLen(rec)] }
 
 // newMerger marks every live slot for its first scan.
-func newMerger(g *Graph) *merger {
+func newMerger(g *Graph, policy TiePolicy, seed uint64) *merger {
 	n := len(g.ids)
-	m := &merger{g: g, choice: make([]int32, n), dirty: newBitset(n), fresh: newBitset(n), prev: -1}
+	m := &merger{g: g, policy: policy, seed: seed, choice: make([]int32, n),
+		dirty: newBitset(n), fresh: newBitset(n), tied: newBitset(n)}
 	for s := range m.choice {
 		m.choice[s] = noSlot
 		if g.alive[s] {
@@ -61,12 +73,17 @@ func (m *merger) rescan() bool {
 		had := m.choice[s] != noSlot
 		m.retire(s)
 		var sole int32
-		sole, m.tied = g.scan(s, m.tied)
+		sole, m.scratch = g.scan(s, m.scratch)
 		switch {
 		case sole != noSlot:
 			m.choice[s] = sole
-		case len(m.tied) > 0:
-			m.choice[s] = m.addTie(s, m.tied)
+		case len(m.scratch) > 0 && m.policy == Random:
+			m.choice[s] = m.addTie(s, m.scratch)
+		case len(m.scratch) > 0:
+			// SmallestID and LargestID are never forced to switch and
+			// their draw ignores the round, so the pick holds while s
+			// stays clean and the tie list need not be kept.
+			m.choice[s] = pickTied(m.scratch, m.policy, 0, g.ids[s])
 		}
 		has := m.choice[s] != noSlot
 		if has {
@@ -83,49 +100,29 @@ func (m *merger) rescan() bool {
 	return m.nActive > 0
 }
 
-// pick resolves this round's ties under the effective policy. A clean
-// tied slot keeps last round's pick unless the draw depends on the round
-// (Random) or the policy changed since the previous round (a forced
-// SmallestID round, and the round after it); then every tied slot
-// re-picks and joins the fresh set. Slots rescanned this round always
-// pick.
-func (m *merger) pick(policy TiePolicy, seed uint64, iter int) {
-	ids := m.g.ids
-	if policy == Random || policy != m.prev {
-		for o := 0; o < len(m.ties); {
-			rec := m.ties[o:]
-			if s := rec[0]; s != noSlot {
-				rec[1] = pickTied(tieList(rec), policy, seed, iter, ids[s])
-				m.fresh.set(s)
-			}
-			o += tieLen(rec)
-		}
-	} else {
-		for s := range m.fresh.all {
-			if c := m.choice[s]; c < noSlot {
-				rec := m.ties[tieOffset(c):]
-				rec[1] = pickTied(tieList(rec), policy, seed, iter, ids[s])
-			}
-		}
-	}
-	m.prev = policy
-}
-
-// chosen returns slot s's chosen neighbour, or noSlot.
+// chosen returns slot s's chosen neighbour, or noSlot. A tied slot draws
+// its pick from its cached tie list under the round's effective policy.
 func (m *merger) chosen(s int32) int32 {
-	if c := m.choice[s]; c < noSlot {
-		return m.ties[tieOffset(c)+1]
+	c := m.choice[s]
+	if c < noSlot {
+		return pickTied(tieList(m.ties[tieOffset(c):]), m.effective, m.round, m.g.ids[s])
 	}
-	return m.choice[s]
+	return c
 }
 
-// pairs contracts every mutual pair into its smaller-ID endpoint and
-// returns how many it merged. The search starts only from fresh slots:
-// two slots whose choices were both set in earlier rounds chose each
-// other last round too, and a mutual pair always merges in its round.
-// Mutual pairs are disjoint and contraction is a set operation, so the
-// order of contraction does not change the resulting graph.
-func (m *merger) pairs(asg *Assignments) int {
+// pairs merges round iter under the effective policy: it contracts every
+// mutual pair into its smaller-ID endpoint and returns how many it
+// merged. The search starts only from the fresh slots and, since a
+// Random draw changes every round and a forced SmallestID round switches
+// the policy, from every tied slot. Two other slots chose each other
+// last round too, and a mutual pair always merges in its round. Mutual
+// pairs are disjoint and contraction is a set operation, so the order of
+// contraction does not change the resulting graph.
+func (m *merger) pairs(effective TiePolicy, iter int, asg *Assignments) int {
+	m.effective, m.round = effective, prand.Hash2(m.seed, uint64(iter))
+	for i, w := range m.tied {
+		m.fresh[i] |= w
+	}
 	ids := m.g.ids
 	merged := 0
 	for s := range m.fresh.all {
@@ -173,6 +170,7 @@ func (m *merger) retire(s int32) {
 		rec := m.ties[tieOffset(c):]
 		rec[0] = noSlot
 		m.stale += tieLen(rec)
+		m.tied.unset(s)
 	}
 	m.choice[s] = noSlot
 }
@@ -180,15 +178,23 @@ func (m *merger) retire(s int32) {
 // addTie appends slot s's tie record and returns the tag its choice
 // carries. When the record does not fit and at least a quarter of the
 // buffer is stale, the stale records are dropped first, so compaction
-// costs amortised O(1) per word appended; otherwise the buffer grows.
+// costs amortised O(1) per word appended. Otherwise the buffer doubles,
+// starting at one word per slot: a Random run's first round then
+// allocates a few buffers instead of the dozen append's gentler growth
+// would, which showed up as GC time.
 func (m *merger) addTie(s int32, tied []int32) int32 {
-	need := 3 + len(tied)
+	need := 2 + len(tied)
 	if len(m.ties)+need > cap(m.ties) && 4*m.stale >= len(m.ties) {
 		m.compact()
 	}
+	if len(m.ties)+need > cap(m.ties) {
+		grown := make([]int32, len(m.ties), max(2*cap(m.ties), len(m.ties)+need, len(m.choice)))
+		copy(grown, m.ties)
+		m.ties = grown
+	}
 	o := len(m.ties)
-	m.ties = append(m.ties, s, noSlot, int32(len(tied)))
-	m.ties = append(m.ties, tied...)
+	m.ties = append(append(m.ties, s, int32(len(tied))), tied...)
+	m.tied.set(s)
 	return tieTag(o)
 }
 
@@ -215,7 +221,8 @@ type bitset []uint64
 
 func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 
-func (b bitset) set(s int32) { b[s>>6] |= 1 << (s & 63) }
+func (b bitset) set(s int32)   { b[s>>6] |= 1 << (s & 63) }
+func (b bitset) unset(s int32) { b[s>>6] &^= 1 << (s & 63) }
 
 // all yields the members in ascending order: range over b.all.
 func (b bitset) all(yield func(int32) bool) {

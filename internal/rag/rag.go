@@ -262,7 +262,7 @@ func (g *Graph) SlotChoice(s int, policy TiePolicy, seed uint64, iter int, tied 
 	if len(tied) == 0 {
 		return int(sole), tied
 	}
-	return int(pickTied(tied, policy, seed, iter, g.ids[s])), tied
+	return int(pickTied(tied, policy, prand.Hash2(seed, uint64(iter)), g.ids[s])), tied
 }
 
 // ContractSlots merges the region in slot loser into the one in slot
@@ -437,21 +437,23 @@ func (g *Graph) scan(s int32, tied []int32) (int32, []int32) {
 // pickTied is the second half of the choice kernel: it resolves a tie
 // for the chooser with region ID id among tied, the tied candidates in
 // ascending region-ID order. SmallestID takes the first, LargestID the
-// last, and Random index Hash3(seed, iter, id) mod len(tied). An unknown
-// policy panics rather than falling back to any of them.
+// last, and Random index Hash3(seed, iter, id) mod len(tied), computed
+// as prand.Mix(round, id) from round = prand.Hash2(seed, iter), which
+// the deterministic policies ignore. An unknown policy panics rather
+// than falling back to any of them.
 //
 // This is the cross-engine tie contract: every engine enumerates the tied
 // candidates of a region as a set, orders them by region ID, and resolves
 // them here, so identical (seed, iter, graph) yields identical choices
 // everywhere.
-func pickTied(tied []int32, policy TiePolicy, seed uint64, iter int, id int32) int32 {
+func pickTied(tied []int32, policy TiePolicy, round uint64, id int32) int32 {
 	switch policy {
 	case SmallestID:
 		return tied[0]
 	case LargestID:
 		return tied[len(tied)-1]
 	case Random:
-		k := prand.Hash3(seed, uint64(iter), uint64(uint32(id))) % uint64(len(tied))
+		k := prand.Mix(round, uint64(uint32(id))) % uint64(len(tied))
 		return tied[k]
 	default:
 		panic(fmt.Sprintf("rag: unknown tie policy %d", int(policy)))
@@ -535,16 +537,15 @@ func Drive(ctx context.Context, policy TiePolicy, hasActive func() bool, iterate
 // The rounds are incremental but compute exactly the full-scan rounds
 // SlotChoice defines: each slot's choice persists across rounds and is
 // rescanned only when a contraction changed its scan inputs (see
-// merger.contract), tied slots re-pick from a cached tie list, and the
-// mutual-pair search starts only from slots whose choice was set this
-// round.
+// merger.contract), under Random tied slots re-pick from a cached tie
+// list, and the mutual-pair search starts only from slots whose choice
+// was set this round.
 func (g *Graph) MergeAll(ctx context.Context, policy TiePolicy, seed uint64, onRound func(iter, merged int)) (MergeStats, *Assignments, error) {
 	asg := NewAssignments()
-	m := newMerger(g)
+	m := newMerger(g, policy, seed)
 	stats, err := Drive(ctx, policy, m.rescan,
 		func(effective TiePolicy, iter int) int {
-			m.pick(effective, seed, iter)
-			merged := m.pairs(asg)
+			merged := m.pairs(effective, iter, asg)
 			if onRound != nil {
 				onRound(iter, merged)
 			}

@@ -8,6 +8,7 @@ import (
 
 	"regiongrow/internal/homog"
 	"regiongrow/internal/pixmap"
+	"regiongrow/internal/prand"
 )
 
 // The helpers below run the kernel under a background context, which never
@@ -138,24 +139,27 @@ func TestChooseRespectsCriterion(t *testing.T) {
 	}
 }
 
+// round is the pick's round hash for (seed, iter).
+func round(seed uint64, iter int) uint64 { return prand.Hash2(seed, uint64(iter)) }
+
 func TestPickTiedPolicies(t *testing.T) {
 	tied := []int32{10, 20, 30} // candidates arrive in ascending ID order
-	if pickTied(append([]int32{}, tied...), SmallestID, 0, 1, 5) != 10 {
+	if pickTied(append([]int32{}, tied...), SmallestID, round(0, 1), 5) != 10 {
 		t.Fatal("SmallestID wrong")
 	}
-	if pickTied(append([]int32{}, tied...), LargestID, 0, 1, 5) != 30 {
+	if pickTied(append([]int32{}, tied...), LargestID, round(0, 1), 5) != 30 {
 		t.Fatal("LargestID wrong")
 	}
-	got := pickTied(append([]int32{}, tied...), Random, 7, 3, 5)
+	got := pickTied(append([]int32{}, tied...), Random, round(7, 3), 5)
 	if got != 10 && got != 20 && got != 30 {
 		t.Fatalf("Random picked non-candidate %d", got)
 	}
 	// Random is a pure function of (seed, iter, id).
-	again := pickTied(append([]int32{}, tied...), Random, 7, 3, 5)
+	again := pickTied(append([]int32{}, tied...), Random, round(7, 3), 5)
 	if got != again {
 		t.Fatal("Random tie pick is not deterministic")
 	}
-	if pickTied([]int32{42}, Random, 1, 1, 1) != 42 {
+	if pickTied([]int32{42}, Random, round(1, 1), 1) != 42 {
 		t.Fatal("singleton tie set wrong")
 	}
 }
@@ -168,7 +172,7 @@ func TestPickTiedUnknownPolicyPanics(t *testing.T) {
 			t.Fatal("pickTied under TiePolicy(7) did not panic")
 		}
 	}()
-	pickTied([]int32{10, 20}, TiePolicy(7), 1, 1, 5)
+	pickTied([]int32{10, 20}, TiePolicy(7), round(1, 1), 5)
 }
 
 func TestPickTiedRandomVaries(t *testing.T) {
@@ -176,7 +180,7 @@ func TestPickTiedRandomVaries(t *testing.T) {
 	tied := []int32{1, 2, 3, 4, 5, 6, 7, 8}
 	seen := map[int32]bool{}
 	for iter := 1; iter <= 32; iter++ {
-		seen[pickTied(append([]int32{}, tied...), Random, 9, iter, 77)] = true
+		seen[pickTied(append([]int32{}, tied...), Random, round(9, iter), 77)] = true
 	}
 	if len(seen) < 3 {
 		t.Fatalf("Random draws hit only %d distinct candidates over 32 iterations", len(seen))
