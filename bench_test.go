@@ -212,11 +212,11 @@ func BenchmarkBaseline_CCL(b *testing.B) {
 }
 
 // BenchmarkNativeVsSequential compares host wall time of the native
-// shared-memory engine against the single-threaded reference on the
-// paper's 128px and 256px images plus a 512px upscale — the speedup
-// benchmark for the native engine (run with GOMAXPROCS >= 4 to see the
-// worker pool pay off; ns/op is the metric to compare between the
-// sequential/ and native/ variants of each image).
+// engine against the single-threaded reference on the paper's 128px and
+// 256px images plus a 512px upscale — the speedup benchmark for the
+// native engine (only its split and graph build run on GOMAXPROCS
+// goroutines, so the gap is at most theirs; ns/op is the metric to
+// compare between the sequential/ and native/ variants of each image).
 func BenchmarkNativeVsSequential(b *testing.B) {
 	im512, err := GeneratePaperImage(Image6Tool256).Upsample(2)
 	if err != nil {

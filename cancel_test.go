@@ -131,9 +131,10 @@ func TestCancelMidMerge(t *testing.T) {
 }
 
 // TestCancelLeaksNoGoroutines drives the two engines that spawn real
-// goroutines (the native worker pool and the simulated message-passing
-// cluster) through mid-merge cancellations and checks the goroutine count
-// settles back to its baseline: cancelled workers and nodes all drain.
+// goroutines (the native split and graph-build workers and the
+// simulated message-passing cluster) through mid-merge cancellations and
+// checks the goroutine count settles back to its baseline: cancelled
+// workers and nodes all drain.
 func TestCancelLeaksNoGoroutines(t *testing.T) {
 	im, cfg := cancelImage()
 	baseline := runtime.NumGoroutine()

@@ -11,12 +11,12 @@
 //
 // Engines: sequential (default), cm2-8k, cm2-16k, cm5-cmf, cm5-lp,
 // cm5-async, native, dist. The CM engines additionally report simulated
-// machine times; native runs the algorithm on host goroutines (GOMAXPROCS
-// workers); dist coordinates real regiongrow-worker processes over TCP
-// (-cluster lists their addresses and implies -engine dist when no engine
-// is named). With -timeout, a run exceeding the duration is cancelled
-// (within one split/merge iteration) and the command exits non-zero
-// naming the stage it reached.
+// machine times; native runs the split and graph build on host
+// goroutines (GOMAXPROCS workers); dist coordinates real
+// regiongrow-worker processes over TCP (-cluster lists their addresses
+// and implies -engine dist when no engine is named). With -timeout, a
+// run exceeding the duration is cancelled (within one split/merge
+// iteration) and the command exits non-zero naming the stage it reached.
 //
 // With -stream, the image is segmented incrementally in O(band) memory —
 // the full raster never exists in the process — accepting inputs far

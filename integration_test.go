@@ -11,7 +11,6 @@ import (
 	"regiongrow/internal/mpengine"
 	"regiongrow/internal/mpvm"
 	"regiongrow/internal/pixmap"
-	"regiongrow/internal/shmengine"
 )
 
 // TestFullMatrixSmallImages drives every engine (plus custom node counts
@@ -37,8 +36,8 @@ func TestFullMatrixSmallImages(t *testing.T) {
 	engines = append(engines,
 		mpengine.NewCustom(4, mpvm.LP, machine.Get(machine.CM5_LP)),
 		mpengine.NewCustom(8, mpvm.Async, machine.Get(machine.CM5_Async)),
-		shmengine.New(),
-		shmengine.NewWithWorkers(3),
+		core.Native{},
+		core.Native{Workers: 3},
 		core.SerialBaseline{},
 	)
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"time"
@@ -124,28 +125,56 @@ type Sequential struct{}
 // Name implements Engine.
 func (Sequential) Name() string { return "sequential" }
 
-// SegmentContext implements Engine: sequential split, then the shared RAG
-// merge kernel (one stage event per merge round), then relabeling.
+// SegmentContext implements Engine: the pipeline on one goroutine, with
+// the shared RAG merge kernel (one stage event per merge round).
 func (Sequential) SegmentContext(ctx context.Context, im *pixmap.Image, cfg Config, run Run) (*Segmentation, error) {
-	return segmentSequential(ctx, im, cfg, run, func(g *rag.Graph) (rag.MergeStats, *rag.Assignments, error) {
-		return g.MergeAll(ctx, cfg.Tie, cfg.Seed, func(iter, merged int) {
-			run.Emit(StageEvent{Kind: EventMergeIteration, Iteration: iter, Merges: merged})
-		})
+	return pipeline(ctx, im, cfg, run, 1, mergeRounds)
+}
+
+// Native is the host-parallel engine: Sequential's pipeline with the
+// split and the graph build run on Workers goroutines. The merge rounds
+// and the relabel are Sequential's, so its output is too.
+type Native struct {
+	// Workers is the goroutine count; ≤ 0 follows GOMAXPROCS.
+	Workers int
+}
+
+// Name implements Engine.
+func (Native) Name() string { return "native" }
+
+// SegmentContext implements Engine: split tiles and graph bands check
+// ctx, and every worker goroutine has drained by the time an error
+// returns.
+func (n Native) SegmentContext(ctx context.Context, im *pixmap.Image, cfg Config, run Run) (*Segmentation, error) {
+	workers := n.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return pipeline(ctx, im, cfg, run, workers, mergeRounds)
+}
+
+// mergeRounds is the merge stage of Sequential and Native: the mutual
+// best-neighbour rounds, one stage event per round.
+func mergeRounds(ctx context.Context, g *rag.Graph, cfg Config, run Run) (rag.MergeStats, *rag.Assignments, error) {
+	return g.MergeAll(ctx, cfg.Tie, cfg.Seed, func(iter, merged int) {
+		run.Emit(StageEvent{Kind: EventMergeIteration, Iteration: iter, Merges: merged})
 	})
 }
 
-// segmentSequential is the single-threaded pipeline both reference
-// engines share: split (checking ctx at every pass, buffers from
-// run.Scratch), graph build, the engine's merge stage, relabeling, and
-// the region summary, with the stage events around them.
-func segmentSequential(ctx context.Context, im *pixmap.Image, cfg Config, run Run,
-	merge func(g *rag.Graph) (rag.MergeStats, *rag.Assignments, error)) (*Segmentation, error) {
+// pipeline is the one host pipeline every host engine runs: split
+// (checking ctx at every pass, buffers from run.Scratch), graph build,
+// the engine's merge stage, relabeling, and the region summary, with the
+// stage events around them. The split and the graph build run on workers
+// goroutines; at one worker they are quadsplit.Split and
+// rag.BuildFromLabels.
+func pipeline(ctx context.Context, im *pixmap.Image, cfg Config, run Run, workers int,
+	merge func(ctx context.Context, g *rag.Graph, cfg Config, run Run) (rag.MergeStats, *rag.Assignments, error)) (*Segmentation, error) {
 	crit := cfg.Criterion()
 
 	run.Emit(StageEvent{Kind: EventSplitStart})
 	t0 := time.Now() //vet:timing stage wall-time for Stats; never reaches labels or wire bytes
-	sp, err := quadsplit.Split(ctx, im, crit,
-		quadsplit.Options{MaxSquare: cfg.MaxSquare, Scratch: run.SplitScratch()})
+	sp, err := quadsplit.SplitParallel(ctx, im, crit,
+		quadsplit.Options{MaxSquare: cfg.MaxSquare, Scratch: run.SplitScratch()}, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -153,12 +182,12 @@ func segmentSequential(ctx context.Context, im *pixmap.Image, cfg Config, run Ru
 	run.Emit(StageEvent{Kind: EventSplitDone, Iterations: sp.Iterations, Squares: sp.NumSquares})
 
 	t1 := time.Now() //vet:timing stage wall-time for Stats; never reaches labels or wire bytes
-	g, err := rag.BuildFromLabels(ctx, im, sp.Labels, crit)
+	g, err := rag.BuildParallel(ctx, im, sp.Labels, crit, workers)
 	if err != nil {
 		return nil, err
 	}
 	run.Emit(StageEvent{Kind: EventGraphDone, Squares: sp.NumSquares})
-	stats, asg, err := merge(g)
+	stats, asg, err := merge(ctx, g, cfg, run)
 	if err != nil {
 		return nil, err
 	}
@@ -229,14 +258,15 @@ func (SerialBaseline) Name() string { return "serial-baseline" }
 // every one-merge iteration, the same split and completion events as the
 // real engines.
 func (SerialBaseline) SegmentContext(ctx context.Context, im *pixmap.Image, cfg Config, run Run) (*Segmentation, error) {
-	return segmentSequential(ctx, im, cfg, run, func(g *rag.Graph) (rag.MergeStats, *rag.Assignments, error) {
+	return pipeline(ctx, im, cfg, run, 1, func(ctx context.Context, g *rag.Graph, _ Config, _ Run) (rag.MergeStats, *rag.Assignments, error) {
 		return g.MergeSerial(ctx)
 	})
 }
 
-// Compile-time contract: both reference engines implement Engine.
+// Compile-time contract: the host engines implement Engine.
 var (
 	_ Engine = Sequential{}
+	_ Engine = Native{}
 	_ Engine = SerialBaseline{}
 )
 

@@ -1,26 +1,22 @@
-package shmengine
+package core
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
-	"regiongrow/internal/core"
 	"regiongrow/internal/pixmap"
 	"regiongrow/internal/rag"
 )
 
-// segment runs eng once with a background context and a zero core.Run:
-// no observer, no pooled scratch.
-func segment(eng core.Engine, im *pixmap.Image, cfg core.Config) (*core.Segmentation, error) {
-	return eng.SegmentContext(context.Background(), im, cfg, core.Run{})
-}
-
-// TestMatchesSequential is the engine's defining property: byte-identical
-// segmentations to core.Sequential — labels and the full statistics the
+// TestMatchesSequential is Native's defining property: byte-identical
+// segmentations to Sequential — labels and the full statistics the
 // paper's tables report — across images (including non-square and
-// non-power-of-two), thresholds, tie policies, seeds, and worker counts.
+// non-power-of-two), thresholds, tie policies, seeds, and worker counts,
+// where 0 and −1 follow GOMAXPROCS.
 func TestMatchesSequential(t *testing.T) {
+	if name := (Native{}).Name(); name != "native" {
+		t.Fatalf("engine name %q", name)
+	}
 	images := map[string]*pixmap.Image{
 		"uniform32":  pixmap.Uniform(32, 80),
 		"checker64":  pixmap.Checkerboard(64, 0, 255),
@@ -34,19 +30,19 @@ func TestMatchesSequential(t *testing.T) {
 		for _, threshold := range []int{0, 10, 60} {
 			for _, tie := range []rag.TiePolicy{rag.SmallestID, rag.LargestID, rag.Random} {
 				for _, seed := range []uint64{1, 42} {
-					cfg := core.Config{Threshold: threshold, Tie: tie, Seed: seed}
-					want, err := segment(core.Sequential{}, im, cfg)
+					cfg := Config{Threshold: threshold, Tie: tie, Seed: seed}
+					want, err := runEngine(Sequential{}, im, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					for _, workers := range []int{1, 2, 3, 7} {
+					for _, workers := range []int{1, 2, 3, 7, 0, -1} {
 						label := fmt.Sprintf("%s/T=%d/%v/seed=%d/w=%d", name, threshold, tie, seed, workers)
-						got, err := segment(NewWithWorkers(workers), im, cfg)
+						got, err := runEngine(Native{Workers: workers}, im, cfg)
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}
 						checkEqual(t, label, want, got)
-						if err := core.Validate(got, im, cfg.Criterion()); err != nil {
+						if err := Validate(got, im, cfg.Criterion()); err != nil {
 							t.Errorf("%s: invalid: %v", label, err)
 						}
 					}
@@ -59,7 +55,7 @@ func TestMatchesSequential(t *testing.T) {
 	}
 }
 
-func checkEqual(t *testing.T, label string, want, got *core.Segmentation) {
+func checkEqual(t *testing.T, label string, want, got *Segmentation) {
 	t.Helper()
 	if !want.EqualLabels(got) {
 		t.Errorf("%s: labels differ from sequential", label)
@@ -89,12 +85,12 @@ func checkEqual(t *testing.T, label string, want, got *core.Segmentation) {
 func TestMaxSquareOptions(t *testing.T) {
 	im := pixmap.Generate(pixmap.Image2Rects128, pixmap.DefaultGenOptions())
 	for _, maxSquare := range []int{0, 1, 8, -1} {
-		cfg := core.Config{Threshold: 10, Tie: rag.Random, Seed: 5, MaxSquare: maxSquare}
-		want, err := segment(core.Sequential{}, im, cfg)
+		cfg := Config{Threshold: 10, Tie: rag.Random, Seed: 5, MaxSquare: maxSquare}
+		want, err := runEngine(Sequential{}, im, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := segment(NewWithWorkers(4), im, cfg)
+		got, err := runEngine(Native{Workers: 4}, im, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,32 +105,16 @@ func TestEmptyAndTinyImages(t *testing.T) {
 		for i := range im.Pix {
 			im.Pix[i] = uint8(i * 37)
 		}
-		cfg := core.Config{Threshold: 10, Tie: rag.Random, Seed: 1}
-		want, err := segment(core.Sequential{}, im, cfg)
+		cfg := Config{Threshold: 10, Tie: rag.Random, Seed: 1}
+		want, err := runEngine(Sequential{}, im, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := segment(NewWithWorkers(4), im, cfg)
+		got, err := runEngine(Native{Workers: 4}, im, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkEqual(t, fmt.Sprintf("%dx%d", dims[0], dims[1]), want, got)
-	}
-}
-
-// TestWorkersDefault checks the GOMAXPROCS-following default pool.
-func TestWorkersDefault(t *testing.T) {
-	if New().Workers() < 1 {
-		t.Fatal("default worker pool empty")
-	}
-	if NewWithWorkers(6).Workers() != 6 {
-		t.Fatal("explicit worker count ignored")
-	}
-	if NewWithWorkers(0).Workers() < 1 {
-		t.Fatal("zero workers should follow GOMAXPROCS")
-	}
-	if New().Name() != "native" {
-		t.Fatalf("engine name %q", New().Name())
 	}
 }
 

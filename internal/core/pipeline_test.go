@@ -14,33 +14,35 @@ func record(evs *[]StageEvent) Run {
 	return Run{Observer: ObserverFunc(func(ev StageEvent) { *evs = append(*evs, ev) })}
 }
 
-// TestSequentialEventStream pins every payload the reference engine
-// emits: the split and graph events carry the split result, one merge
-// event per round carries that round's merge count, and the final event
-// carries the totals of the returned Segmentation.
+// TestSequentialEventStream pins every payload the mutual-merge host
+// engines emit: the split and graph events carry the split result, one
+// merge event per round carries that round's merge count, and the final
+// event carries the totals of the returned Segmentation.
 func TestSequentialEventStream(t *testing.T) {
 	im := pixmap.Generate(pixmap.Image3Circles128, pixmap.DefaultGenOptions())
-	var evs []StageEvent
-	seg, err := Sequential{}.SegmentContext(context.Background(), im,
-		Config{Threshold: 10, Tie: rag.Random, Seed: 2}, record(&evs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []StageEvent{
-		{Kind: EventSplitStart},
-		{Kind: EventSplitDone, Iterations: seg.SplitIterations, Squares: seg.SquaresAfterSplit},
-		{Kind: EventGraphDone, Squares: seg.SquaresAfterSplit},
-	}
-	for i, m := range seg.MergesPerIter {
-		want = append(want, StageEvent{Kind: EventMergeIteration, Iteration: i + 1, Merges: m})
-	}
-	want = append(want, StageEvent{Kind: EventMergeDone, Iterations: seg.MergeIterations, Regions: seg.FinalRegions})
-	if len(evs) != len(want) {
-		t.Fatalf("got %d events, want %d: %+v", len(evs), len(want), evs)
-	}
-	for i := range want {
-		if evs[i] != want[i] {
-			t.Fatalf("event %d = %+v, want %+v", i, evs[i], want[i])
+	for _, eng := range []Engine{Sequential{}, Native{Workers: 1}, Native{Workers: 2}, Native{Workers: 3}} {
+		var evs []StageEvent
+		seg, err := eng.SegmentContext(context.Background(), im,
+			Config{Threshold: 10, Tie: rag.Random, Seed: 2}, record(&evs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []StageEvent{
+			{Kind: EventSplitStart},
+			{Kind: EventSplitDone, Iterations: seg.SplitIterations, Squares: seg.SquaresAfterSplit},
+			{Kind: EventGraphDone, Squares: seg.SquaresAfterSplit},
+		}
+		for i, m := range seg.MergesPerIter {
+			want = append(want, StageEvent{Kind: EventMergeIteration, Iteration: i + 1, Merges: m})
+		}
+		want = append(want, StageEvent{Kind: EventMergeDone, Iterations: seg.MergeIterations, Regions: seg.FinalRegions})
+		if len(evs) != len(want) {
+			t.Fatalf("%+v: got %d events, want %d: %+v", eng, len(evs), len(want), evs)
+		}
+		for i := range want {
+			if evs[i] != want[i] {
+				t.Fatalf("%+v: event %d = %+v, want %+v", eng, i, evs[i], want[i])
+			}
 		}
 	}
 }

@@ -10,8 +10,8 @@
 // regions merge exactly when they pick each other; the smaller ID becomes
 // the representative.
 //
-// The kernel here defines the *semantics* all three engines (sequential,
-// data parallel, message passing) must agree on. Choices are pure functions
+// The kernel here defines the *semantics* every engine (the host
+// pipeline, data parallel, message passing, distributed) must agree on. Choices are pure functions
 // of (graph state, policy, seed, iteration), so engines that evaluate them
 // with different parallel schedules still produce identical segmentations.
 package rag

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 
 	"regiongrow/internal/homog"
 	"regiongrow/internal/pixmap"
@@ -71,9 +72,6 @@ func (p *TiePolicy) UnmarshalText(text []byte) error {
 	}
 	return fmt.Errorf("rag: unknown tie policy %q (want random, smallest-id, or largest-id)", text)
 }
-
-// NoChoice marks a vertex with no mergeable neighbour.
-const NoChoice int32 = -1
 
 // noSlot marks a slot with no merge choice in slot-indexed choice arrays.
 const noSlot int32 = -1
@@ -240,23 +238,12 @@ func (g *Graph) SlotInterval(s int) homog.Interval {
 	return homog.Interval{Lo: g.lo[s], Hi: g.hi[s]}
 }
 
-// SlotHasActive reports whether the live region in slot s has at least one
-// active incident edge.
-func (g *Graph) SlotHasActive(s int) bool {
-	for _, n := range g.adj[s] {
-		if g.activeSlots(int32(s), n) {
-			return true
-		}
-	}
-	return false
-}
-
 // SlotChoice computes the merge choice of the live region in slot s: the
 // active neighbour with minimal edge weight, ties broken by policy. It
 // returns the chosen neighbour's slot (or −1 for no choice) plus the
 // possibly-grown tie scratch, which holds no live data between calls.
-// Engines that fan the choice scan out over workers call it against a
-// read-only graph; MergeAll runs the same scan and pick incrementally.
+// nodeprog calls it for every owned slot each round; MergeAll runs the
+// same scan and pick incrementally.
 func (g *Graph) SlotChoice(s int, policy TiePolicy, seed uint64, iter int, tied []int32) (int, []int32) {
 	sole, tied := g.scan(int32(s), tied)
 	if len(tied) == 0 {
@@ -350,11 +337,62 @@ func BuildFromLabels(ctx context.Context, im *pixmap.Image, labels []int32, crit
 	return g, nil
 }
 
-// Absorb grafts every live vertex and edge of other into g, unioning
-// intervals of IDs present in both. Engines that build partial graphs per
-// image band use it to assemble the global graph; the graft order follows
-// other's stable slot order, so assembly is deterministic.
-func (g *Graph) Absorb(other *Graph) {
+// BuildParallel is BuildFromLabels on one goroutine per row band, at
+// most workers of them. Each band's graph holds the vertices and edges
+// of its rows. Grafting the band graphs in band order unions the
+// intervals of regions that span a band boundary, and stitching adds the
+// edges that cross one, which gives BuildFromLabels's graph over the
+// whole image, slot for slot: a region's slot still follows its first
+// appearance in raster order. With one band it is that graph. Each band
+// checks ctx as BuildFromLabels does; it returns (nil, ctx.Err()) when
+// ctx is done.
+func BuildParallel(ctx context.Context, im *pixmap.Image, labels []int32, crit homog.Criterion, workers int) (*Graph, error) {
+	w, h := im.W, im.H
+	bands := min(workers, h)
+	if bands <= 1 {
+		return BuildFromLabels(ctx, im, labels, crit)
+	}
+	if len(labels) != w*h {
+		panic(fmt.Sprintf("rag: %d labels for %dx%d image", len(labels), w, h))
+	}
+	rows := (h + bands - 1) / bands // the last band takes the remainder
+	parts := make([]*Graph, (h+rows-1)/rows)
+	var wg sync.WaitGroup
+	for b := range parts {
+		y0, y1 := b*rows, min((b+1)*rows, h)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			band := &pixmap.Image{W: w, H: y1 - y0, Pix: im.Pix[y0*w : y1*w]}
+			// A cancelled band stays nil; the ctx check below discards it.
+			parts[b], _ = BuildFromLabels(ctx, band, labels[y0*w:y1*w], crit)
+		}()
+	}
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+
+	// Band 0's slots come first.
+	g := parts[0]
+	//vet:noctx bounded graft of at most workers-1 partial graphs, right after the ctx check above; cannot block
+	for _, p := range parts[1:] {
+		g.absorb(p)
+	}
+	//vet:noctx bounded stitch over at most workers-1 band boundaries, right after the ctx check above; cannot block
+	for y := rows; y < h; y += rows {
+		above, below := labels[(y-1)*w:y*w], labels[y*w:(y+1)*w]
+		for x, a := range above {
+			g.AddEdge(a, below[x])
+		}
+	}
+	return g, nil
+}
+
+// absorb grafts every live vertex and edge of other into g, unioning
+// intervals of IDs present in both. The graft follows other's stable
+// slot order, so BuildParallel's assembly is deterministic.
+func (g *Graph) absorb(other *Graph) {
 	for s, id := range other.ids {
 		if !other.alive[s] {
 			continue
@@ -492,11 +530,11 @@ func (s MergeStats) TotalMerges() int {
 // mid-merge therefore aborts within one iteration. A nil error means the
 // merge ran to completion.
 //
-// Engines differ only in *how* they evaluate an iteration (sequentially,
-// on a simulated machine, or fanned out over goroutines); the loop
-// semantics — iteration numbering, stall accounting, forced resolutions —
-// live here so engines sharing the driver cannot drift apart. MergeAll
-// (the sequential kernel), the native shmengine and dpengine run on it.
+// Engines differ only in *how* they evaluate an iteration (incrementally
+// on the host, or on a simulated machine); the loop semantics —
+// iteration numbering, stall accounting, forced resolutions — live here
+// so engines sharing the driver cannot drift apart. MergeAll (the merge
+// kernel of the host engines and of stream) and dpengine run on it.
 // Only nodeprog still inlines the loop, because its activity test is a
 // collective every node must enter together; the cross-engine property
 // tests pin it to these semantics.
@@ -610,7 +648,7 @@ func (a *Assignments) Find(id int32) int32 {
 func (a *Assignments) Relabel(labels []int32) []int32 {
 	out := make([]int32, len(labels))
 	cache := make(map[int32]int32)
-	lastLab, lastRoot := NoChoice, NoChoice // labels are pixel indices, never negative
+	lastLab, lastRoot := int32(-1), int32(-1) // labels are pixel indices, never negative
 	for i, lab := range labels {
 		if lab == lastLab {
 			out[i] = lastRoot

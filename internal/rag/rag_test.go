@@ -50,10 +50,11 @@ func numEdges(g *Graph) int {
 	return total / 2
 }
 
-// hasActiveEdge reports whether any live slot has an active edge.
+// hasActiveEdge reports whether any slot has an active edge: a slot has
+// a choice exactly when it has one, and dead slots have no edges.
 func hasActiveEdge(g *Graph) bool {
 	for s := 0; s < g.Slots(); s++ {
-		if g.SlotAlive(s) && g.SlotHasActive(s) {
+		if c, _ := g.SlotChoice(s, SmallestID, 0, 0, nil); c >= 0 {
 			return true
 		}
 	}
@@ -61,12 +62,12 @@ func hasActiveEdge(g *Graph) bool {
 }
 
 // choiceOf is the merge choice of live region id as a region ID, or
-// NoChoice.
+// noSlot.
 func choiceOf(t *testing.T, g *Graph, id int32, policy TiePolicy, seed uint64, iter int) int32 {
 	t.Helper()
 	c, _ := g.SlotChoice(slotOf(t, g, id), policy, seed, iter, nil)
 	if c < 0 {
-		return NoChoice
+		return noSlot
 	}
 	return g.SlotID(c)
 }
@@ -134,8 +135,8 @@ func TestChooseRespectsCriterion(t *testing.T) {
 	g.AddVertex(0, homog.Interval{Lo: 50, Hi: 50})
 	g.AddVertex(1, homog.Interval{Lo: 60, Hi: 60})
 	g.AddEdge(0, 1)
-	if c := choiceOf(t, g, 0, SmallestID, 0, 1); c != NoChoice {
-		t.Fatalf("choice = %d, want NoChoice", c)
+	if c := choiceOf(t, g, 0, SmallestID, 0, 1); c != noSlot {
+		t.Fatalf("choice = %d, want none", c)
 	}
 }
 

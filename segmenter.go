@@ -9,7 +9,6 @@ import (
 	"regiongrow/internal/distengine"
 	"regiongrow/internal/dpengine"
 	"regiongrow/internal/mpengine"
-	"regiongrow/internal/shmengine"
 )
 
 // Observer receives typed stage events during a segmentation run: split
@@ -112,7 +111,7 @@ func WithObserver(o Observer) Option {
 	}
 }
 
-// WithWorkers fixes the native engine's worker-pool size (0 follows
+// WithWorkers fixes the native engine's worker count (0 follows
 // GOMAXPROCS). It is an error on any other engine kind — the simulated
 // kinds model fixed machine configurations.
 func WithWorkers(n int) Option {
@@ -123,7 +122,7 @@ func WithWorkers(n int) Option {
 		if n < 0 {
 			return fmt.Errorf("regiongrow: negative worker count %d", n)
 		}
-		s.eng = shmengine.NewWithWorkers(n)
+		s.eng = core.Native{Workers: n}
 		return nil
 	}
 }
@@ -160,7 +159,7 @@ func New(kind EngineKind, opts ...Option) (*Segmenter, error) {
 	case CM5LinearPermutation, CM5Async:
 		s.eng = mpengine.New(mc)
 	case NativeParallel:
-		s.eng = shmengine.New()
+		s.eng = core.Native{}
 	case Distributed:
 		// Constructed by WithClusterWorkers: it is the one kind that
 		// cannot exist without configuration.

@@ -45,7 +45,6 @@ var scope = map[string]bool{
 	"regiongrow/internal/rag":        true,
 	"regiongrow/internal/dpengine":   true,
 	"regiongrow/internal/mpengine":   true,
-	"regiongrow/internal/shmengine":  true,
 	"regiongrow/internal/distengine": true,
 	"regiongrow/internal/stream":     true,
 }

@@ -55,7 +55,6 @@ var scope = map[string]bool{
 	"regiongrow/internal/stats":      true,
 	"regiongrow/internal/dpengine":   true,
 	"regiongrow/internal/mpengine":   true,
-	"regiongrow/internal/shmengine":  true,
 	"regiongrow/internal/distengine": true,
 	"regiongrow/internal/nodeprog":   true,
 	"regiongrow/internal/stream":     true,
