@@ -52,12 +52,10 @@ func (c Config) Check() error {
 	return nil
 }
 
-// RegionInfo summarises one final region.
-type RegionInfo struct {
-	ID   int32
-	IV   homog.Interval
-	Area int
-}
+// RegionInfo summarises one final region: its ID, intensity interval and
+// area. It is the region the merged graph reports, so the host pipeline
+// takes its list straight from the arena.
+type RegionInfo = rag.Region
 
 // Segmentation is the result of a full split+merge run.
 type Segmentation struct {
@@ -155,7 +153,7 @@ func (n Native) SegmentContext(ctx context.Context, im *pixmap.Image, cfg Config
 
 // mergeRounds is the merge stage of Sequential and Native: the mutual
 // best-neighbour rounds, one stage event per round.
-func mergeRounds(ctx context.Context, g *rag.Graph, cfg Config, run Run) (rag.MergeStats, *rag.Assignments, error) {
+func mergeRounds(ctx context.Context, g *rag.Graph, cfg Config, run Run) (rag.MergeStats, error) {
 	return g.MergeAll(ctx, cfg.Tie, cfg.Seed, func(iter, merged int) {
 		run.Emit(StageEvent{Kind: EventMergeIteration, Iteration: iter, Merges: merged})
 	})
@@ -163,12 +161,13 @@ func mergeRounds(ctx context.Context, g *rag.Graph, cfg Config, run Run) (rag.Me
 
 // pipeline is the one host pipeline every host engine runs: split
 // (checking ctx at every pass, buffers from run.Scratch), graph build,
-// the engine's merge stage, relabeling, and the region summary, with the
-// stage events around them. The split and the graph build run on workers
-// goroutines; at one worker they are quadsplit.Split and
-// rag.BuildFromLabels.
+// the engine's merge stage, and the finalize, with the stage events
+// around them. The split and the graph build run on workers goroutines;
+// at one worker they are quadsplit.Split and rag.BuildFromLabels. The
+// finalize reads the labels and the region list off the merged graph
+// (rag.Graph.Relabel), with no per-pixel map pass.
 func pipeline(ctx context.Context, im *pixmap.Image, cfg Config, run Run, workers int,
-	merge func(ctx context.Context, g *rag.Graph, cfg Config, run Run) (rag.MergeStats, *rag.Assignments, error)) (*Segmentation, error) {
+	merge func(ctx context.Context, g *rag.Graph, cfg Config, run Run) (rag.MergeStats, error)) (*Segmentation, error) {
 	crit := cfg.Criterion()
 
 	run.Emit(StageEvent{Kind: EventSplitStart})
@@ -187,41 +186,53 @@ func pipeline(ctx context.Context, im *pixmap.Image, cfg Config, run Run, worker
 		return nil, err
 	}
 	run.Emit(StageEvent{Kind: EventGraphDone, Squares: sp.NumSquares})
-	stats, asg, err := merge(ctx, g, cfg, run)
+	stats, err := merge(ctx, g, cfg, run)
 	if err != nil {
 		return nil, err
 	}
-	labels := asg.Relabel(sp.Labels)
+	labels, regions := g.Relabel(sp.Labels, im.W)
 	mergeWall := time.Since(t1) //vet:timing stage wall-time for Stats; never reaches labels or wire bytes
 
 	seg := &Segmentation{
 		W: im.W, H: im.H,
 		Labels:            labels,
+		Regions:           regions,
 		SplitIterations:   sp.Iterations,
 		MergeIterations:   stats.Iterations,
 		SquaresAfterSplit: sp.NumSquares,
+		FinalRegions:      len(regions),
 		MergesPerIter:     stats.MergesPerIter,
 		ForcedResolutions: stats.ForcedResolutions,
 		SplitWall:         splitWall,
 		MergeWall:         mergeWall,
 	}
-	seg.FillRegions(im)
 	run.Emit(StageEvent{Kind: EventMergeDone, Iterations: stats.Iterations, Regions: seg.FinalRegions})
 	return seg, nil
 }
 
 // FillRegions recomputes the Regions list and FinalRegions count from the
-// label array. Engines call it after producing Labels.
+// label array, for the engines that assemble labels without a final
+// graph (dpengine, mpengine, distengine). It walks each row's label
+// runs: one map access and one packed min/max scan per run, not a map
+// update per pixel.
 func (s *Segmentation) FillRegions(im *pixmap.Image) {
 	info := make(map[int32]*RegionInfo)
-	for i, lab := range s.Labels {
-		ri, ok := info[lab]
-		if !ok {
-			ri = &RegionInfo{ID: lab, IV: homog.Empty()}
-			info[lab] = ri
+	for y := 0; y < im.H; y++ {
+		row, pix := s.Labels[y*im.W:(y+1)*im.W], im.Pix[y*im.W:(y+1)*im.W]
+		for x := 0; x < len(row); {
+			lab, x0 := row[x], x
+			for x < len(row) && row[x] == lab {
+				x++
+			}
+			ri, ok := info[lab]
+			if !ok {
+				ri = &RegionInfo{ID: lab, IV: homog.Empty()}
+				info[lab] = ri
+			}
+			lo, hi := homog.RowMinMax(pix[x0:x])
+			ri.Area += x - x0
+			ri.IV = ri.IV.Union(homog.Interval{Lo: lo, Hi: hi})
 		}
-		ri.Area++
-		ri.IV = ri.IV.Union(homog.Point(im.Pix[i]))
 	}
 	s.Regions = s.Regions[:0]
 	for _, ri := range info {
@@ -258,7 +269,7 @@ func (SerialBaseline) Name() string { return "serial-baseline" }
 // every one-merge iteration, the same split and completion events as the
 // real engines.
 func (SerialBaseline) SegmentContext(ctx context.Context, im *pixmap.Image, cfg Config, run Run) (*Segmentation, error) {
-	return pipeline(ctx, im, cfg, run, 1, func(ctx context.Context, g *rag.Graph, _ Config, _ Run) (rag.MergeStats, *rag.Assignments, error) {
+	return pipeline(ctx, im, cfg, run, 1, func(ctx context.Context, g *rag.Graph, _ Config, _ Run) (rag.MergeStats, error) {
 		return g.MergeSerial(ctx)
 	})
 }

@@ -174,22 +174,6 @@ func TestValidateCatchesInhomogeneousRegion(t *testing.T) {
 	}
 }
 
-func TestFillRegions(t *testing.T) {
-	im := pixmap.New(2, 2)
-	copy(im.Pix, []uint8{1, 1, 9, 9})
-	seg := &Segmentation{W: 2, H: 2, Labels: []int32{0, 0, 2, 2}}
-	seg.FillRegions(im)
-	if seg.FinalRegions != 2 || len(seg.Regions) != 2 {
-		t.Fatalf("regions = %d", seg.FinalRegions)
-	}
-	if seg.Regions[0].ID != 0 || seg.Regions[0].Area != 2 || seg.Regions[0].IV.Hi != 1 {
-		t.Fatalf("region 0 = %+v", seg.Regions[0])
-	}
-	if seg.Regions[1].ID != 2 || seg.Regions[1].IV.Lo != 9 {
-		t.Fatalf("region 1 = %+v", seg.Regions[1])
-	}
-}
-
 func TestSequentialPostconditionsProperty(t *testing.T) {
 	err := quick.Check(func(seed uint64, tRaw, policyRaw uint8) bool {
 		im := pixmap.Random(24, seed)

@@ -162,7 +162,7 @@ type prog struct {
 	g      *rag.Graph
 	nOwned int
 
-	asg   *rag.Assignments
+	asg   *assignments
 	stats rag.MergeStats
 
 	// Round scratch, reused from round to round.
@@ -209,7 +209,7 @@ func Run(c Collectives, n Node) (*Result, error) {
 		return nil, err
 	}
 	res.Merge = p.stats
-	res.Labels = p.asg.Relabel(p.labels)
+	res.Labels = p.asg.relabel(p.labels)
 	c.Charge(p.tw * p.th * 2)
 	c.Phase(PhaseDone, 0)
 	return res, nil
@@ -337,7 +337,7 @@ func (p *prog) border(d Dir) []int32 {
 // once, and a cancellation surfaces from it (or from any other
 // collective) so all nodes leave within one round.
 func (p *prog) mergeLoop() error {
-	p.asg = rag.NewAssignments()
+	p.asg = newAssignments()
 	stalls := 0
 	for {
 		policy := p.Tie
@@ -528,7 +528,7 @@ func (p *prog) recordMerges(all []int32) error {
 		if rep < 0 || rep >= loser || int(loser) >= p.Grid.width()*p.Grid.height() {
 			return fmt.Errorf("nodeprog: malformed merge event (%d, %d)", rep, loser)
 		}
-		p.asg.Record(loser, rep)
+		p.asg.record(loser, rep)
 		sl, knowLoser := g.SlotOf(loser)
 		if !g.Contains(rep) {
 			if !knowLoser {

@@ -31,18 +31,20 @@ func cancelled() context.Context {
 	return ctx
 }
 
-// pixelGraph is the one-vertex-per-pixel graph of a small random image
-// with few grey levels, so MergeAll runs several rounds.
-func pixelGraph(seed uint64) *Graph {
+// pixelImage is a small random image with few grey levels.
+func pixelImage(seed uint64) *pixmap.Image {
 	im := pixmap.Random(12, seed)
 	for i := range im.Pix {
 		im.Pix[i] &= 0x0F
 	}
-	labels := make([]int32, len(im.Pix))
-	for i := range labels {
-		labels[i] = int32(i)
-	}
-	return build(im, labels, crit(6))
+	return im
+}
+
+// pixelGraph is the one-vertex-per-pixel graph of pixelImage(seed), so
+// MergeAll runs several rounds.
+func pixelGraph(seed uint64) *Graph {
+	im := pixelImage(seed)
+	return build(im, pixelLabels(len(im.Pix)), crit(6))
 }
 
 func TestBuildFromLabelsCancelled(t *testing.T) {
@@ -137,7 +139,7 @@ func TestMergeAllOnRoundReportsEveryRound(t *testing.T) {
 	for _, policy := range AllTiePolicies() {
 		g := pixelGraph(7)
 		var iters, merges []int
-		stats, _, err := g.MergeAll(context.Background(), policy, 11, func(iter, merged int) {
+		stats, err := g.MergeAll(context.Background(), policy, 11, func(iter, merged int) {
 			iters = append(iters, iter)
 			merges = append(merges, merged)
 		})
@@ -159,28 +161,28 @@ func TestMergeAllOnRoundReportsEveryRound(t *testing.T) {
 }
 
 // TestMergeAllMatchesWithoutCallback: observing the rounds does not change
-// the merge.
+// the merge: with and without a callback, the arena resolves the pixels
+// as the reference loop's merges do.
 func TestMergeAllMatchesWithoutCallback(t *testing.T) {
 	g1, g2 := pixelGraph(3), pixelGraph(3)
-	s1, a1 := mergeAll(g1, Random, 5)
-	s2, a2, err := g2.MergeAll(context.Background(), Random, 5, func(int, int) {})
+	s1 := mergeAll(g1, Random, 5)
+	s2, err := g2.MergeAll(context.Background(), Random, 5, func(int, int) {})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !slices.Equal(s1.MergesPerIter, s2.MergesPerIter) || s1.ForcedResolutions != s2.ForcedResolutions {
 		t.Fatalf("stats differ: %+v vs %+v", s1, s2)
 	}
-	for id := int32(0); id < 144; id++ {
-		if a1.Find(id) != a2.Find(id) {
-			t.Fatalf("Find(%d) = %d vs %d", id, a1.Find(id), a2.Find(id))
-		}
-	}
+	_, ref := referenceMergeAll(pixelGraph(3), Random, 5)
+	im, labels := pixelImage(3), pixelLabels(144)
+	checkRelabel(t, "without callback", g1, im, labels, ref)
+	checkRelabel(t, "with callback", g2, im, labels, ref)
 }
 
 func TestMergeAllCancelled(t *testing.T) {
 	g := pixelGraph(7)
 	before := g.NumVertices()
-	stats, _, err := g.MergeAll(cancelled(), Random, 1, func(int, int) {
+	stats, err := g.MergeAll(cancelled(), Random, 1, func(int, int) {
 		t.Fatal("onRound called on a cancelled run")
 	})
 	if !errors.Is(err, context.Canceled) {
@@ -193,28 +195,36 @@ func TestMergeAllCancelled(t *testing.T) {
 
 // TestMergeAllCancelFromOnRound: cancelling from the round callback — the
 // path a cancelling observer takes — stops after that round, and the
-// returned assignments hold that round's merges.
+// relabel shows exactly that round's merges: each joined two one-pixel
+// regions.
 func TestMergeAllCancelFromOnRound(t *testing.T) {
 	g := pixelGraph(7)
 	before := g.NumVertices()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	stats, asg, err := g.MergeAll(ctx, SmallestID, 0, func(iter, merged int) { cancel() })
+	stats, err := g.MergeAll(ctx, SmallestID, 0, func(iter, merged int) { cancel() })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if stats.Iterations != 1 {
 		t.Fatalf("ran %d rounds after cancelling in round 1", stats.Iterations)
 	}
-	absorbed := 0
-	for id := int32(0); id < int32(before); id++ {
-		if asg.Find(id) != id {
+	labels, regions := g.Relabel(pixelLabels(before), 12)
+	absorbed, pairs := 0, 0
+	for i, id := range labels {
+		if id != int32(i) {
 			absorbed++
 		}
 	}
-	if absorbed != stats.MergesPerIter[0] || g.NumVertices() != before-absorbed {
-		t.Fatalf("assignments record %d merges, round 1 made %d, %d→%d vertices",
-			absorbed, stats.MergesPerIter[0], before, g.NumVertices())
+	for _, r := range regions {
+		if r.Area == 2 {
+			pairs++
+		}
+	}
+	merged := stats.MergesPerIter[0]
+	if absorbed != merged || pairs != merged || len(regions) != before-merged || g.NumVertices() != before-merged {
+		t.Fatalf("round 1 made %d merges; relabel moved %d pixels into %d two-pixel regions, %d regions, %d→%d vertices",
+			merged, absorbed, pairs, len(regions), before, g.NumVertices())
 	}
 }
 
@@ -227,7 +237,7 @@ func TestMergeSerialStopsWithinOneMerge(t *testing.T) {
 	}
 	for _, allowed := range []int{0, 3} {
 		g := stripesGraph(vals, 0)
-		stats, _, err := g.MergeSerial(&countdownCtx{Context: context.Background(), n: allowed})
+		stats, err := g.MergeSerial(&countdownCtx{Context: context.Background(), n: allowed})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("allowed %d: err = %v, want context.Canceled", allowed, err)
 		}

@@ -1,8 +1,10 @@
 package rag
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -15,9 +17,10 @@ import (
 // referenceMergeAll is the full-scan merge loop MergeAll must reproduce:
 // Drive, with every round computing every live slot's SlotChoice and
 // contracting the mutual pairs into their smaller-ID endpoint, and an
-// activity test that scans every live slot.
-func referenceMergeAll(g *Graph, policy TiePolicy, seed uint64) (MergeStats, *Assignments) {
-	asg := NewAssignments()
+// activity test that scans every live slot. It records its merges in an
+// ID map of its own, which checkRelabel resolves pixel by pixel.
+func referenceMergeAll(g *Graph, policy TiePolicy, seed uint64) (MergeStats, idMap) {
+	ref := idMap{}
 	choice := make([]int32, g.Slots())
 	var tied []int32
 	stats, _ := Drive(context.Background(), policy, func() bool { return hasActiveEdge(g) },
@@ -35,20 +38,82 @@ func referenceMergeAll(g *Graph, policy TiePolicy, seed uint64) (MergeStats, *As
 				if c < 0 || int(choice[c]) != s || g.SlotID(s) >= g.SlotID(int(c)) {
 					continue
 				}
+				ref[g.SlotID(int(c))] = g.SlotID(s)
 				g.ContractSlots(s, int(c))
-				asg.Record(g.SlotID(int(c)), g.SlotID(s))
 				merged++
 			}
 			return merged
 		})
-	return stats, asg
+	return stats, ref
+}
+
+// idMap is a reference record of merges: a merged-away region ID → the
+// ID it merged into.
+type idMap map[int32]int32
+
+// resolve maps every label to its final region ID, one pixel at a time,
+// remembering each label's walk along the chain.
+func (m idMap) resolve(labels []int32) []int32 {
+	out := make([]int32, len(labels))
+	final := map[int32]int32{}
+	for i, lab := range labels {
+		id, ok := final[lab]
+		if !ok {
+			for id = lab; ; {
+				next, ok := m[id]
+				if !ok {
+					break
+				}
+				id = next
+			}
+			final[lab] = id
+		}
+		out[i] = id
+	}
+	return out
+}
+
+// pixelRegions is the per-pixel region summary of a final label raster:
+// one map update per pixel, regions in ascending ID order, nil for none.
+func pixelRegions(im *pixmap.Image, labels []int32) []Region {
+	info := map[int32]*Region{}
+	for i, lab := range labels {
+		r, ok := info[lab]
+		if !ok {
+			r = &Region{ID: lab, IV: homog.Empty()}
+			info[lab] = r
+		}
+		r.Area++
+		r.IV = r.IV.Union(homog.Point(im.Pix[i]))
+	}
+	var out []Region
+	for _, r := range info {
+		out = append(out, *r)
+	}
+	slices.SortFunc(out, func(a, b Region) int { return cmp.Compare(a.ID, b.ID) })
+	return out
+}
+
+// checkRelabel fails t unless g's Relabel of labels (the raster g was
+// built from over im) gives the labels ref resolves to, and the regions
+// a per-pixel pass over them gives.
+func checkRelabel(t *testing.T, name string, g *Graph, im *pixmap.Image, labels []int32, ref idMap) {
+	t.Helper()
+	got, regions := g.Relabel(labels, im.W)
+	want := ref.resolve(labels)
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: labels %v, reference %v", name, got, want)
+	}
+	if wantRegions := pixelRegions(im, want); !reflect.DeepEqual(regions, wantRegions) {
+		t.Fatalf("%s: regions %+v, reference %+v", name, regions, wantRegions)
+	}
 }
 
 // crossCheck splits im under (threshold, maxSquare), merges the split's
 // graph with MergeAll and with referenceMergeAll, and fails t unless the
-// two agree on every round's merge count, the forced resolutions and the
-// relabelled output, and MergeAll leaves no live slot with an active
-// edge. It returns the number of forced rounds.
+// two agree on every round's merge count and the forced resolutions, the
+// arena's relabel matches the reference's merges, and MergeAll leaves no
+// live slot with an active edge. It returns the number of forced rounds.
 func crossCheck(t *testing.T, im *pixmap.Image, threshold, maxSquare int, policy TiePolicy, seed uint64) int {
 	t.Helper()
 	c := homog.NewRange(threshold)
@@ -56,17 +121,15 @@ func crossCheck(t *testing.T, im *pixmap.Image, threshold, maxSquare int, policy
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, ref := build(im, sp.Labels, c), build(im, sp.Labels, c)
-	got, asg := mergeAll(g, policy, seed)
-	want, refAsg := referenceMergeAll(ref, policy, seed)
+	g, refGraph := build(im, sp.Labels, c), build(im, sp.Labels, c)
+	got := mergeAll(g, policy, seed)
+	want, ref := referenceMergeAll(refGraph, policy, seed)
 	name := fmt.Sprintf("%dx%d T=%d cap=%d %v seed=%d", im.W, im.H, threshold, maxSquare, policy, seed)
 	if !slices.Equal(got.MergesPerIter, want.MergesPerIter) || got.ForcedResolutions != want.ForcedResolutions {
 		t.Fatalf("%s: merges per round %v, forced %d; reference %v, forced %d",
 			name, got.MergesPerIter, got.ForcedResolutions, want.MergesPerIter, want.ForcedResolutions)
 	}
-	if !slices.Equal(asg.Relabel(sp.Labels), refAsg.Relabel(sp.Labels)) {
-		t.Fatalf("%s: labels differ from the reference", name)
-	}
+	checkRelabel(t, name, g, im, sp.Labels, ref)
 	if hasActiveEdge(g) {
 		t.Fatalf("%s: an active edge survived MergeAll", name)
 	}
@@ -201,5 +264,57 @@ func FuzzMergeAll(f *testing.F) {
 	f.Fuzz(func(t *testing.T, w, h, levels, step, threshold, maxSquare, tie uint8, seed uint64, pix []byte) {
 		im := fuzzImage(w, h, levels, step, pix)
 		crossCheck(t, im, int(threshold%21), int(maxSquare%9), AllTiePolicies()[tie%3], seed)
+	})
+}
+
+// FuzzRelabel checks the relabel on arbitrary label rasters, which split
+// labels never are: a label may take any value and recur in places that
+// do not touch, so a run that does not continue the run above may carry
+// a label already resolved. It builds the graph of a w×h raster (1–8
+// each) whose labels are palette entries base + stride·k, k < n, applies
+// an arbitrary sequence of contractions of adjacent live slots, and
+// requires Relabel's labels and regions to equal the per-pixel reference
+// over the contractions' ID map.
+func FuzzRelabel(f *testing.F) {
+	// Label 7 recurs on both sides of the 4s, so its second run on row 0
+	// resolves a label already seen; the 4s continue runs above.
+	f.Add(uint8(4), uint8(2), uint8(3), int32(7), int32(-3), []byte{0, 1, 0, 2, 0, 1, 1, 2}, []byte{9, 9, 200, 3, 5, 6, 7, 8}, []byte{0, 0, 1, 1})
+	f.Add(uint8(7), uint8(7), uint8(2), int32(1<<30), int32(1<<29), prandBytes(64, 2), prandBytes(64, 3), prandBytes(16, 4))
+	f.Fuzz(func(t *testing.T, w, h, n uint8, base, stride int32, lab, pix, ops []byte) {
+		im := pixmap.New(1+int(w%8), 1+int(h%8))
+		labels := make([]int32, len(im.Pix))
+		for i := range labels {
+			k := 0
+			if i < len(lab) {
+				k = int(lab[i] % (1 + n%8))
+			}
+			labels[i] = base + stride*int32(k)
+			if i < len(pix) {
+				im.Pix[i] = pix[i]
+			}
+		}
+		g := build(im, labels, crit(255))
+		g.startRecord()
+		ref := idMap{}
+		for i := 0; i+1 < len(ops); i += 2 {
+			var live []int
+			for s := 0; s < g.Slots(); s++ {
+				if g.SlotAlive(s) {
+					live = append(live, s)
+				}
+			}
+			s := live[int(ops[i])%len(live)]
+			nbrs := g.SlotNeighbours(s)
+			if len(nbrs) == 0 {
+				continue
+			}
+			k, l := s, int(nbrs[int(ops[i+1]>>1)%len(nbrs)])
+			if ops[i+1]&1 == 1 {
+				k, l = l, k
+			}
+			ref[g.SlotID(l)] = g.SlotID(k)
+			g.ContractSlots(k, l)
+		}
+		checkRelabel(t, fmt.Sprintf("%dx%d labels %v ops %v", im.W, im.H, labels, ops), g, im, labels, ref)
 	})
 }

@@ -118,7 +118,7 @@ func (m *merger) chosen(s int32) int32 {
 // last round too, and a mutual pair always merges in its round. Mutual
 // pairs are disjoint and contraction is a set operation, so the order of
 // contraction does not change the resulting graph.
-func (m *merger) pairs(effective TiePolicy, iter int, asg *Assignments) int {
+func (m *merger) pairs(effective TiePolicy, iter int) int {
 	m.effective, m.round = effective, prand.Hash2(m.seed, uint64(iter))
 	for i, w := range m.tied {
 		m.fresh[i] |= w
@@ -135,7 +135,6 @@ func (m *merger) pairs(effective TiePolicy, iter int, asg *Assignments) int {
 			k, l = l, k
 		}
 		m.contract(k, l)
-		asg.Record(ids[l], ids[k])
 		merged++
 	}
 	clear(m.fresh)

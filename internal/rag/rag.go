@@ -1,6 +1,7 @@
 package rag
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -86,6 +87,12 @@ const noSlot int32 = -1
 // endpoint intervals, which is exactly how the engines keep them
 // consistent under contraction.
 //
+// The arena is also the record of the merge. MergeAll and MergeSerial
+// allocate a contraction record when merging starts, each slot naming the
+// slot it was contracted into, and a dead ID keeps its slot in the ID
+// map, so Relabel and RootSlot resolve any region the graph ever held.
+// Every other lookup by ID sees live regions only.
+//
 // The layout is profile-driven: with the earlier map-of-pointers
 // representation the sequential kernel spent the majority of its merge
 // time in Go map iteration and hashing. The arena turns the choice scan
@@ -98,12 +105,16 @@ type Graph struct {
 	// arithmetic instead of an interface call per edge.
 	thr int
 
-	slotOf map[int32]int32 // live region ID → slot
+	slotOf map[int32]int32 // region ID → slot, dead regions included
 	ids    []int32         // slot → region ID
 	lo, hi []uint8         // slot → intensity interval bounds
 	alive  []bool          // slot → not yet contracted away
 	adj    [][]int32       // slot → sorted neighbour slots (live slots only)
 	nAlive int
+	// parent is the contraction record: slot → the slot it was contracted
+	// into, itself while live. It is nil until merging starts, so building
+	// a graph (and nodeprog, which keeps its own record) never pays for it.
+	parent []int32
 }
 
 // NewGraph returns an empty graph over the criterion.
@@ -115,10 +126,11 @@ func NewGraph(crit homog.Criterion) *Graph {
 	return g
 }
 
-// AddVertex inserts a region with the given interval. Re-adding an ID
-// unions the intervals (useful when assembling from partial scans).
+// AddVertex inserts a region with the given interval. Re-adding a live ID
+// unions the intervals (useful when assembling from partial scans); a
+// dead ID gets a new slot.
 func (g *Graph) AddVertex(id int32, iv homog.Interval) {
-	if s, ok := g.slotOf[id]; ok {
+	if s, ok := g.live(id); ok {
 		// Branch-free union: exact even against the Empty sentinel
 		// {MaxIntensity, 0}, whose bounds are absorbed by min/max.
 		g.lo[s] = min(g.lo[s], iv.Lo)
@@ -132,20 +144,29 @@ func (g *Graph) AddVertex(id int32, iv homog.Interval) {
 	g.hi = append(g.hi, iv.Hi)
 	g.alive = append(g.alive, true)
 	g.adj = append(g.adj, nil)
+	if g.parent != nil {
+		g.parent = append(g.parent, s)
+	}
 	g.nAlive++
 }
 
+// live returns the slot of region id if it is live.
+func (g *Graph) live(id int32) (int32, bool) {
+	s, ok := g.slotOf[id]
+	return s, ok && g.alive[s]
+}
+
 // AddEdge records adjacency between regions a and b. Self-edges are
-// ignored; parallel edges coalesce. Both endpoints must exist.
+// ignored; parallel edges coalesce. Both endpoints must be live.
 func (g *Graph) AddEdge(a, b int32) {
 	if a == b {
 		return
 	}
-	sa, ok := g.slotOf[a]
+	sa, ok := g.live(a)
 	if !ok {
 		panic(fmt.Sprintf("rag: AddEdge endpoint %d missing", a))
 	}
-	sb, ok := g.slotOf[b]
+	sb, ok := g.live(b)
 	if !ok {
 		panic(fmt.Sprintf("rag: AddEdge endpoint %d missing", b))
 	}
@@ -195,9 +216,9 @@ func (g *Graph) activeSlots(a, b int32) bool {
 }
 
 // IntervalOf returns the current intensity interval of region id, which
-// must exist.
+// must be live.
 func (g *Graph) IntervalOf(id int32) homog.Interval {
-	s, ok := g.slotOf[id]
+	s, ok := g.live(id)
 	if !ok {
 		panic(fmt.Sprintf("rag: IntervalOf(%d) on missing vertex", id))
 	}
@@ -206,7 +227,7 @@ func (g *Graph) IntervalOf(id int32) homog.Interval {
 
 // Contains reports whether region id is (still) in the graph.
 func (g *Graph) Contains(id int32) bool {
-	_, ok := g.slotOf[id]
+	_, ok := g.live(id)
 	return ok
 }
 
@@ -221,7 +242,7 @@ func (g *Graph) SlotID(s int) int32 { return g.ids[s] }
 // SlotOf returns the slot of live region id, and false if id is not in
 // the graph.
 func (g *Graph) SlotOf(id int32) (int, bool) {
-	s, ok := g.slotOf[id]
+	s, ok := g.live(id)
 	return int(s), ok
 }
 
@@ -253,7 +274,8 @@ func (g *Graph) SlotChoice(s int, policy TiePolicy, seed uint64, iter int, tied 
 }
 
 // ContractSlots merges the region in slot loser into the one in slot
-// keeper (both live).
+// keeper (both live). It records the contraction only once merging has
+// started (see Relabel); on its own it allocates no record.
 func (g *Graph) ContractSlots(keeper, loser int) {
 	g.contractSlots(int32(keeper), int32(loser))
 }
@@ -568,9 +590,9 @@ func Drive(ctx context.Context, policy TiePolicy, hasActive func() bool, iterate
 // MergeAll is the sequential merge stage: it runs merge iterations on
 // Drive until no active edges remain, mutating the graph, and calls
 // onRound (if non-nil) after every round with its 1-based number and
-// merge count. It returns per-iteration statistics and the Assignments
-// mapping every original vertex ID ever merged into another to its
-// surviving representative's ID; on cancellation it returns ctx.Err().
+// merge count. It returns per-iteration statistics; on cancellation it
+// returns ctx.Err(). Every contraction lands in the graph's contraction
+// record, from which Relabel and RootSlot resolve the final regions.
 //
 // The rounds are incremental but compute exactly the full-scan rounds
 // SlotChoice defines: each slot's choice persists across rounds and is
@@ -578,24 +600,35 @@ func Drive(ctx context.Context, policy TiePolicy, hasActive func() bool, iterate
 // merger.contract), under Random tied slots re-pick from a cached tie
 // list, and the mutual-pair search starts only from slots whose choice
 // was set this round.
-func (g *Graph) MergeAll(ctx context.Context, policy TiePolicy, seed uint64, onRound func(iter, merged int)) (MergeStats, *Assignments, error) {
-	asg := NewAssignments()
+func (g *Graph) MergeAll(ctx context.Context, policy TiePolicy, seed uint64, onRound func(iter, merged int)) (MergeStats, error) {
+	g.startRecord()
 	m := newMerger(g, policy, seed)
-	stats, err := Drive(ctx, policy, m.rescan,
+	return Drive(ctx, policy, m.rescan,
 		func(effective TiePolicy, iter int) int {
-			merged := m.pairs(effective, iter, asg)
+			merged := m.pairs(effective, iter)
 			if onRound != nil {
 				onRound(iter, merged)
 			}
 			return merged
 		})
-	return stats, asg, err
+}
+
+// startRecord allocates the contraction record, every slot its own root,
+// unless merging already started once.
+func (g *Graph) startRecord() {
+	if g.parent != nil {
+		return
+	}
+	g.parent = make([]int32, len(g.ids))
+	for s := range g.parent {
+		g.parent[s] = int32(s)
+	}
 }
 
 // contractSlots merges the region in slot sb into the one in slot sa. The
 // keeper's interval becomes the union; sb's neighbours are re-pointed at
 // sa; the self-edge is dropped; parallel edges coalesce via the sorted
-// adjacency lists.
+// adjacency lists. sb's ID keeps its slot, dead, for the relabel.
 func (g *Graph) contractSlots(sa, sb int32) {
 	g.lo[sa] = min(g.lo[sa], g.lo[sb])
 	g.hi[sa] = max(g.hi[sa], g.hi[sb])
@@ -611,56 +644,97 @@ func (g *Graph) contractSlots(sa, sb int32) {
 	g.adj[sb] = nil
 	g.alive[sb] = false
 	g.nAlive--
-	delete(g.slotOf, g.ids[sb]) // dead IDs must miss, so AddEdge still panics on them
-}
-
-// Assignments tracks, over the whole merge stage, which representative each
-// original region ended up in. It is a union-find keyed by region ID.
-type Assignments struct {
-	parent map[int32]int32
-}
-
-// NewAssignments returns an empty assignment table.
-func NewAssignments() *Assignments { return &Assignments{parent: make(map[int32]int32)} }
-
-// Record notes that region `from` merged into representative `into`.
-func (a *Assignments) Record(from, into int32) { a.parent[from] = into }
-
-// Find returns the final representative of region id.
-func (a *Assignments) Find(id int32) int32 {
-	for {
-		p, ok := a.parent[id]
-		if !ok {
-			return id
-		}
-		// Path compression: safe because Record only ever adds roots.
-		if gp, ok := a.parent[p]; ok {
-			a.parent[id] = gp
-		}
-		id = p
+	if g.parent != nil {
+		g.parent[sb] = sa
 	}
 }
 
-// Relabel maps split-stage labels through the assignments, producing the
-// final per-pixel segmentation labels. Split labels arrive in long
-// horizontal runs, so a last-label fast path keeps most pixels off the
-// cache map entirely.
-func (a *Assignments) Relabel(labels []int32) []int32 {
+// Region is one live region of a merged graph: its ID, its intensity
+// interval, and its area in pixels of the labels Relabel resolved.
+type Region struct {
+	ID   int32
+	IV   homog.Interval
+	Area int
+}
+
+// root returns the live slot that slot s was contracted into, halving
+// the path on the way.
+func (g *Graph) root(s int32) int32 {
+	p := g.parent
+	if p == nil {
+		return s
+	}
+	for p[s] != s {
+		p[s] = p[p[s]]
+		s = p[s]
+	}
+	return s
+}
+
+// RootSlot returns the slot of the live region that the region first
+// held by slot s ended up in: s itself while it is live.
+func (g *Graph) RootSlot(s int) int { return int(g.root(int32(s))) }
+
+// Relabel resolves a label raster the graph was built from, w labels a
+// row, to the final regions. It returns each pixel's final region ID and
+// the live regions in ascending ID order with the area the raster gives
+// them, or nil when there are none.
+//
+// It walks each row's label runs. A run that continues the run directly
+// above it (a run of the same label starts at the same x) reuses that
+// run's root; any other run resolves its label through the ID map and
+// the contraction record.
+// Either way the root's ID is written over the run and the run's length
+// is added to the root's area. Split labels run square by square, so
+// resolving costs one ID lookup per square, and the region list costs
+// one pass over the slots, not over the pixels.
+func (g *Graph) Relabel(labels []int32, w int) ([]int32, []Region) {
 	out := make([]int32, len(labels))
-	cache := make(map[int32]int32)
-	lastLab, lastRoot := int32(-1), int32(-1) // labels are pixel indices, never negative
-	for i, lab := range labels {
-		if lab == lastLab {
-			out[i] = lastRoot
-			continue
-		}
-		r, ok := cache[lab]
-		if !ok {
-			r = a.Find(lab)
-			cache[lab] = r
-		}
-		out[i] = r
-		lastLab, lastRoot = lab, r
+	if len(labels) == 0 {
+		return out, nil
 	}
-	return out
+	if w <= 0 || len(labels)%w != 0 {
+		panic(fmt.Sprintf("rag: %d labels in rows of %d", len(labels), w))
+	}
+	area := make([]int32, len(g.ids))
+	runRoot := make([]int32, w) // root of the run starting at x in the row above
+	for y0 := 0; y0 < len(labels); y0 += w {
+		row, dst := labels[y0:y0+w], out[y0:y0+w]
+		var above []int32
+		if y0 > 0 {
+			above = labels[y0-w : y0]
+		}
+		for x := 0; x < w; {
+			lab := row[x]
+			var r int32
+			if above != nil && above[x] == lab && (x == 0 || above[x-1] != lab) {
+				r = runRoot[x]
+			} else {
+				s, ok := g.slotOf[lab]
+				if !ok {
+					panic(fmt.Sprintf("rag: Relabel label %d not in the graph", lab))
+				}
+				r = g.root(s)
+			}
+			runRoot[x] = r
+			id, x0 := g.ids[r], x
+			for ; x < w && row[x] == lab; x++ {
+				dst[x] = id
+			}
+			area[r] += int32(x - x0)
+		}
+	}
+	if g.nAlive == 0 {
+		return out, nil
+	}
+	regions := make([]Region, 0, g.nAlive)
+	for s, alive := range g.alive {
+		if alive {
+			regions = append(regions, Region{ID: g.ids[s], IV: g.SlotInterval(s), Area: int(area[s])})
+		}
+	}
+	// Slot order is ID order when IDs are anchor pixel indices; other
+	// labels may need the sort.
+	slices.SortFunc(regions, func(a, b Region) int { return cmp.Compare(a.ID, b.ID) })
+	return out, regions
 }

@@ -19,14 +19,14 @@ func build(im *pixmap.Image, labels []int32, c homog.Criterion) *Graph {
 	return g
 }
 
-func mergeAll(g *Graph, policy TiePolicy, seed uint64) (MergeStats, *Assignments) {
-	stats, asg, _ := g.MergeAll(context.Background(), policy, seed, nil)
-	return stats, asg
+func mergeAll(g *Graph, policy TiePolicy, seed uint64) MergeStats {
+	stats, _ := g.MergeAll(context.Background(), policy, seed, nil)
+	return stats
 }
 
-func mergeSerial(g *Graph) (MergeStats, *Assignments) {
-	stats, asg, _ := g.MergeSerial(context.Background())
-	return stats, asg
+func mergeSerial(g *Graph) MergeStats {
+	stats, _ := g.MergeSerial(context.Background())
+	return stats
 }
 
 func crit(t int) homog.Criterion { return homog.NewRange(t) }
@@ -242,35 +242,42 @@ func TestSlotOfAndNeighbours(t *testing.T) {
 	}
 }
 
-// buildStripes builds a 1×n image of n distinct single-pixel regions with
-// values chosen so everything can merge under T.
-func stripesGraph(vals []uint8, t int) *Graph {
-	im := pixmap.New(len(vals), 1)
-	copy(im.Pix, vals)
-	labels := make([]int32, len(vals))
+// pixelLabels labels every pixel of a w×h image as its own region.
+func pixelLabels(n int) []int32 {
+	labels := make([]int32, n)
 	for i := range labels {
 		labels[i] = int32(i)
 	}
-	return build(im, labels, crit(t))
+	return labels
+}
+
+// stripes is a 1×n image of the given values, every pixel its own region.
+func stripes(vals []uint8) *pixmap.Image {
+	im := pixmap.New(len(vals), 1)
+	copy(im.Pix, vals)
+	return im
+}
+
+// stripesGraph builds the graph of stripes(vals) under threshold t.
+func stripesGraph(vals []uint8, t int) *Graph {
+	return build(stripes(vals), pixelLabels(len(vals)), crit(t))
 }
 
 func TestMergeAllChain(t *testing.T) {
 	// Four pixels of equal value merge to one region; the exact pairing
 	// per iteration depends on tie policy but the result does not.
+	vals := []uint8{5, 5, 5, 5}
 	for _, policy := range []TiePolicy{SmallestID, LargestID, Random} {
-		g := stripesGraph([]uint8{5, 5, 5, 5}, 0)
-		stats, asg := mergeAll(g, policy, 3)
+		g := stripesGraph(vals, 0)
+		stats := mergeAll(g, policy, 3)
 		if g.NumVertices() != 1 {
 			t.Fatalf("%v: vertices = %d, want 1", policy, g.NumVertices())
 		}
 		if stats.TotalMerges() != 3 {
 			t.Fatalf("%v: merges = %d, want 3", policy, stats.TotalMerges())
 		}
-		for i := int32(0); i < 4; i++ {
-			if asg.Find(i) != 0 {
-				t.Fatalf("%v: Find(%d) = %d, want 0", policy, i, asg.Find(i))
-			}
-		}
+		ref := idMap{1: 0, 2: 0, 3: 0}
+		checkRelabel(t, policy.String(), g, stripes(vals), pixelLabels(len(vals)), ref)
 	}
 }
 
@@ -301,7 +308,7 @@ func TestMergeIterationMutualOnly(t *testing.T) {
 	// merge (0,1). Vertex 2 picks 1 but 1 picked 0: no merge for 2.
 	g := stripesGraph([]uint8{0, 4, 8}, 8)
 	rounds := 0
-	if _, _, err := g.MergeAll(context.Background(), SmallestID, 0, func(iter, merged int) {
+	if _, err := g.MergeAll(context.Background(), SmallestID, 0, func(iter, merged int) {
 		rounds++
 		if iter != 1 {
 			return
@@ -332,7 +339,7 @@ func TestMergeTermination(t *testing.T) {
 			vals[i] = 100
 		}
 		g := stripesGraph(vals, 0)
-		stats, _ := mergeAll(g, Random, seed)
+		stats := mergeAll(g, Random, seed)
 		return g.NumVertices() == 1 && stats.Iterations <= n*4+12
 	}, &quick.Config{MaxCount: 60})
 	if err != nil {
@@ -371,35 +378,6 @@ func TestMergePostconditions(t *testing.T) {
 	}
 }
 
-func TestAssignmentsRelabel(t *testing.T) {
-	asg := NewAssignments()
-	asg.Record(3, 1)
-	asg.Record(1, 0)
-	asg.Record(7, 5)
-	labels := []int32{0, 1, 2, 3, 5, 7}
-	out := asg.Relabel(labels)
-	want := []int32{0, 0, 2, 0, 5, 5}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("Relabel = %v, want %v", out, want)
-		}
-	}
-}
-
-func TestAssignmentsFindChains(t *testing.T) {
-	asg := NewAssignments()
-	// Chain 5 -> 4 -> 3 -> 0 built over several "iterations".
-	asg.Record(5, 4)
-	asg.Record(4, 3)
-	asg.Record(3, 0)
-	if asg.Find(5) != 0 || asg.Find(4) != 0 || asg.Find(3) != 0 || asg.Find(0) != 0 {
-		t.Fatal("chain resolution wrong")
-	}
-	if asg.Find(99) != 99 {
-		t.Fatal("unmerged id should map to itself")
-	}
-}
-
 func TestTiePolicyString(t *testing.T) {
 	if SmallestID.String() != "smallest-id" || LargestID.String() != "largest-id" || Random.String() != "random" {
 		t.Fatal("policy names wrong")
@@ -425,7 +403,7 @@ func TestSmallestIDNeverStalls(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		ok := true
-		_, _, err := g.MergeAll(ctx, SmallestID, 0, func(iter, merged int) {
+		_, err := g.MergeAll(ctx, SmallestID, 0, func(iter, merged int) {
 			if merged == 0 || iter > 200 {
 				ok = false
 				cancel() // a stall would otherwise loop for ever

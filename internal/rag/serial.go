@@ -13,27 +13,25 @@ import (
 //
 // The "best" edge is the active edge minimising (weight, smaller ID,
 // larger ID), making the baseline deterministic. It returns the same
-// style of statistics and assignments as MergeAll so results remain
-// comparable; the final segmentation is always valid but may differ from
-// the mutual-merge segmentation when merge order affects attainable
-// unions.
-func (g *Graph) MergeSerial(ctx context.Context) (MergeStats, *Assignments, error) {
+// style of statistics as MergeAll and records its contractions the same
+// way, so results remain comparable; the final segmentation is always
+// valid but may differ from the mutual-merge segmentation when merge
+// order affects attainable unions.
+func (g *Graph) MergeSerial(ctx context.Context) (MergeStats, error) {
 	var stats MergeStats
-	asg := NewAssignments()
+	g.startRecord()
 	for {
 		if err := ctx.Err(); err != nil {
-			return stats, asg, err
+			return stats, err
 		}
 		k, l, found := g.bestActiveEdge()
 		if !found {
-			break
+			return stats, nil
 		}
 		stats.Iterations++
 		g.contractSlots(k, l)
-		asg.Record(g.ids[l], g.ids[k])
 		stats.MergesPerIter = append(stats.MergesPerIter, 1)
 	}
-	return stats, asg, nil
 }
 
 // bestActiveEdge scans for the active edge minimising (weight, min ID,

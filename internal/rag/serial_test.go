@@ -8,6 +8,37 @@ import (
 	"regiongrow/internal/pixmap"
 )
 
+// referenceMergeSerial is the loop MergeSerial must reproduce, over the
+// exported slot API: every iteration contracts the active edge minimising
+// (weight, smaller ID, larger ID) into its smaller-ID endpoint. It
+// records its merges in an ID map of its own.
+func referenceMergeSerial(g *Graph) idMap {
+	ref := idMap{}
+	for {
+		found, bestW, bk, bl := false, 0, 0, 0
+		for s := 0; s < g.Slots(); s++ {
+			for _, n := range g.SlotNeighbours(s) { // dead slots have none
+				k, l := s, int(n)
+				if g.SlotID(l) < g.SlotID(k) {
+					continue // visit each edge once, from its smaller ID
+				}
+				iv := g.SlotInterval(k).Union(g.SlotInterval(l))
+				if !g.Crit.Homogeneous(iv) {
+					continue
+				}
+				if wt := iv.Range(); !found || wt < bestW || wt == bestW && less(g.SlotID(k), g.SlotID(l), g.SlotID(bk), g.SlotID(bl)) {
+					found, bestW, bk, bl = true, wt, k, l
+				}
+			}
+		}
+		if !found {
+			return ref
+		}
+		ref[g.SlotID(bl)] = g.SlotID(bk)
+		g.ContractSlots(bk, bl)
+	}
+}
+
 func TestMergeSerialChain(t *testing.T) {
 	// R equal squares merge in exactly R−1 iterations — the paper's
 	// worst-case bound, which for the serial baseline is also the best
@@ -18,18 +49,15 @@ func TestMergeSerialChain(t *testing.T) {
 			vals[i] = 7
 		}
 		g := stripesGraph(vals, 0)
-		stats, asg := mergeSerial(g)
+		stats := mergeSerial(g)
 		if stats.Iterations != n-1 {
 			t.Fatalf("n=%d: iterations = %d, want %d", n, stats.Iterations, n-1)
 		}
 		if g.NumVertices() != 1 {
 			t.Fatalf("n=%d: %d vertices remain", n, g.NumVertices())
 		}
-		for i := 0; i < n; i++ {
-			if asg.Find(int32(i)) != 0 {
-				t.Fatalf("n=%d: Find(%d) = %d", n, i, asg.Find(int32(i)))
-			}
-		}
+		ref := referenceMergeSerial(stripesGraph(vals, 0))
+		checkRelabel(t, "chain", g, stripes(vals), pixelLabels(n), ref)
 	}
 }
 
@@ -40,12 +68,8 @@ func TestMergeSerialPostconditions(t *testing.T) {
 			im.Pix[i] &= 0x1F
 		}
 		tVal := int(tRaw % 40)
-		labels := make([]int32, 100)
-		for i := range labels {
-			labels[i] = int32(i)
-		}
-		g := build(im, labels, crit(tVal))
-		stats, _ := mergeSerial(g)
+		g := build(im, pixelLabels(100), crit(tVal))
+		stats := mergeSerial(g)
 		if hasActiveEdge(g) {
 			return false
 		}
@@ -66,25 +90,19 @@ func TestMergeSerialPostconditions(t *testing.T) {
 	}
 }
 
+// TestMergeSerialDeterministic: two runs resolve every pixel as the
+// reference loop does.
 func TestMergeSerialDeterministic(t *testing.T) {
 	im := pixmap.Random(12, 7)
 	for i := range im.Pix {
 		im.Pix[i] &= 0x1F
 	}
-	labels := make([]int32, 144)
-	for i := range labels {
-		labels[i] = int32(i)
-	}
-	run := func() []int32 {
+	labels := pixelLabels(144)
+	ref := referenceMergeSerial(build(im, labels, crit(12)))
+	for run := 0; run < 2; run++ {
 		g := build(im, labels, crit(12))
-		_, asg := mergeSerial(g)
-		return asg.Relabel(labels)
-	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("serial merge is not deterministic")
-		}
+		mergeSerial(g)
+		checkRelabel(t, "serial", g, im, labels, ref)
 	}
 }
 
@@ -94,17 +112,9 @@ func TestMergeSerialNeedsManyMoreIterations(t *testing.T) {
 	im := pixmap.New(32, 32)
 	im.FillRect(0, 0, 32, 32, 20)
 	im.FillRect(5, 5, 27, 27, 90)
-	labelsOf := func() ([]int32, *Graph) {
-		labels := make([]int32, len(im.Pix))
-		for i := range labels {
-			labels[i] = int32(i)
-		}
-		return labels, build(im, labels, homog.NewRange(10))
-	}
-	_, gSerial := labelsOf()
-	serial, _ := mergeSerial(gSerial)
-	_, gPar := labelsOf()
-	parallel, _ := mergeAll(gPar, Random, 1)
+	graph := func() *Graph { return build(im, pixelLabels(len(im.Pix)), homog.NewRange(10)) }
+	serial := mergeSerial(graph())
+	parallel := mergeAll(graph(), Random, 1)
 	if serial.Iterations <= parallel.Iterations*5 {
 		t.Fatalf("serial %d iterations vs parallel %d: expected a large gap",
 			serial.Iterations, parallel.Iterations)
@@ -117,8 +127,11 @@ func TestMergeSerialNeedsManyMoreIterations(t *testing.T) {
 
 func TestMergeSerialEmptyGraph(t *testing.T) {
 	g := NewGraph(crit(5))
-	stats, _ := mergeSerial(g)
+	stats := mergeSerial(g)
 	if stats.Iterations != 0 {
 		t.Fatal("empty graph merged")
+	}
+	if labels, regions := g.Relabel(nil, 0); len(labels) != 0 || regions != nil {
+		t.Fatalf("empty relabel = %v, %v; want no labels and nil regions", labels, regions)
 	}
 }

@@ -105,7 +105,7 @@ func Segment(ctx context.Context, r io.Reader, w io.Writer, cfg core.Config, run
 	run.Emit(core.StageEvent{Kind: core.EventGraphDone, Squares: res.SquaresAfterSplit})
 
 	t1 := time.Now() //vet:timing stage wall-time for Result; never reaches labels or output bytes
-	mstats, asg, err := g.MergeAll(ctx, cfg.Tie, cfg.Seed, func(iter, merged int) {
+	mstats, err := g.MergeAll(ctx, cfg.Tie, cfg.Seed, func(iter, merged int) {
 		run.Emit(core.StageEvent{Kind: core.EventMergeIteration, Iteration: iter, Merges: merged})
 	})
 	if err != nil {
@@ -116,7 +116,7 @@ func Segment(ctx context.Context, r io.Reader, w io.Writer, cfg core.Config, run
 	res.ForcedResolutions = mstats.ForcedResolutions
 	res.FinalRegions = g.NumVertices()
 
-	if err := emit(ctx, w, spool, g, asg, res, bandSquares, bandRows, opt.Output); err != nil {
+	if err := emit(ctx, w, spool, g, res, bandSquares, bandRows, opt.Output); err != nil {
 		return nil, err
 	}
 	res.MergeWall = time.Since(t1) //vet:timing stage wall-time for Result; never reaches labels or output bytes
@@ -127,7 +127,9 @@ func Segment(ctx context.Context, r io.Reader, w io.Writer, cfg core.Config, run
 // ingest runs pass 1: stream bands in, split each, assemble the global
 // RAG incrementally (stitching across band boundaries through the
 // retained frontier row), and spill each band's square list to the spool.
-// It returns the per-band square counts that delimit the spool on replay.
+// Every square is a new vertex, so spool record k is the vertex in graph
+// slot k. It returns the per-band square counts that delimit the spool on
+// replay.
 func ingest(ctx context.Context, sr *pixmap.StreamReader, spool *os.File, g *rag.Graph, res *Result, cfg core.Config, run core.Run, cap, bandRows int) ([]int, error) {
 	width, height := res.W, res.H
 	run.Emit(core.StageEvent{Kind: core.EventSplitStart})
@@ -213,29 +215,14 @@ func ingest(ctx context.Context, sr *pixmap.StreamReader, spool *os.File, g *rag
 }
 
 // emit runs pass 2: replay the spool band by band, resolve every square's
-// final region through the merge assignments, and stream the output.
-func emit(ctx context.Context, w io.Writer, spool *os.File, g *rag.Graph, asg *rag.Assignments, res *Result, bandSquares []int, bandRows int, output Output) error {
+// final region through the graph's contraction record (record k is slot
+// k), and stream the output.
+func emit(ctx context.Context, w io.Writer, spool *os.File, g *rag.Graph, res *Result, bandSquares []int, bandRows int, output Output) error {
 	width, height := res.W, res.H
 	if _, err := spool.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("stream: rewinding spool: %w", err)
 	}
 	rd := bufio.NewReaderSize(spool, 1<<16)
-
-	// Shade table for recoloured output. Graph vertex intervals are exact
-	// pixel unions (square intervals union under contraction), so the
-	// midpoints match Recolour on the in-memory segmentation.
-	var shade map[int32]uint8
-	if output == OutputRecolour {
-		shade = make(map[int32]uint8, g.NumVertices())
-		//vet:noctx bounded in-memory scan over graph slots; the per-row emit loop below carries the ctx checks
-		for s := 0; s < g.Slots(); s++ {
-			if !g.SlotAlive(s) {
-				continue
-			}
-			iv := g.SlotInterval(s)
-			shade[g.SlotID(s)] = uint8((int(iv.Lo) + int(iv.Hi)) / 2)
-		}
-	}
 
 	var pgm *pixmap.StreamWriter
 	var bw *bufio.Writer
@@ -258,9 +245,8 @@ func emit(ctx context.Context, w io.Writer, spool *os.File, g *rag.Graph, asg *r
 		return fmt.Errorf("stream: unknown output format %d", int(output))
 	}
 
-	find := make(map[int32]int32, g.NumVertices())
 	var rec [spoolRecordSize]byte
-	y0 := 0
+	y0, slot := 0, 0
 	for bi, count := range bandSquares {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -272,18 +258,22 @@ func emit(ctx context.Context, w io.Writer, spool *os.File, g *rag.Graph, asg *r
 			}
 			gid := int32(binary.LittleEndian.Uint32(rec[0:4]))
 			size := int(binary.LittleEndian.Uint32(rec[4:8]))
-			final, ok := find[gid]
-			if !ok {
-				final = asg.Find(gid)
-				find[gid] = final
+			if slot >= g.Slots() || g.SlotID(slot) != gid {
+				return fmt.Errorf("stream: spool record %d names square %d, not graph slot %d's", slot, gid, slot)
 			}
+			root := g.RootSlot(slot)
+			slot++
 			x := int(gid) % width
 			ly := int(gid)/width - y0
 			if ly < 0 || ly+size > bh || x+size > width {
 				return fmt.Errorf("stream: spool square (%d,%d,%d) outside band %d", x, ly, size, bi)
 			}
 			if output == OutputRecolour {
-				s := shade[final]
+				// Graph vertex intervals are exact pixel unions (square
+				// intervals union under contraction), so the midpoint
+				// matches Recolour on the in-memory segmentation.
+				iv := g.SlotInterval(root)
+				s := uint8((int(iv.Lo) + int(iv.Hi)) / 2)
 				for yy := ly; yy < ly+size; yy++ {
 					row := yy * width
 					for xx := x; xx < x+size; xx++ {
@@ -291,6 +281,7 @@ func emit(ctx context.Context, w io.Writer, spool *os.File, g *rag.Graph, asg *r
 					}
 				}
 			} else {
+				final := g.SlotID(root)
 				for yy := ly; yy < ly+size; yy++ {
 					row := yy * width
 					for xx := x; xx < x+size; xx++ {
