@@ -98,7 +98,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 64, "job queue depth (full queue answers 429)")
-	cache := flag.Int("cache", 256, "LRU result cache entries (negative disables)")
+	cache := flag.Int("cache", 256, "LRU result cache entries, each a segmentation's labels plus its region statistics (negative disables)")
 	maxBody := flag.Int64("maxbody", 16<<20, "maximum PGM upload size in bytes")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain timeout")
 	timeout := flag.Duration("timeout", 0, "per-request compute deadline; exceeding it answers 504 with the stage reached (0 = no limit)")

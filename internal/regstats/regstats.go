@@ -1,10 +1,12 @@
 package regstats
 
 import (
+	"cmp"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"regiongrow/internal/homog"
 	"regiongrow/internal/pixmap"
@@ -39,82 +41,196 @@ func (r *Region) IV() homog.Interval { return homog.Interval{Lo: r.Lo, Hi: r.Hi}
 // Compute derives the statistics of every region of a labelled image,
 // returned in ascending ID order. It panics if labels does not match the
 // image geometry.
+//
+// It walks each row's maximal label runs rather than its pixels. A row
+// whose labels equal the row above's reuses that row's run list and has
+// no vertical boundary; any other row merges its run list with the row
+// above's to find the edges between different regions. Adjacent pairs are
+// packed into uint64s, sorted once, and handed out per region.
 func Compute(im *pixmap.Image, labels []int32) []Region {
 	if len(labels) != im.W*im.H {
 		panic(fmt.Sprintf("regstats: %d labels for %dx%d image", len(labels), im.W, im.H))
 	}
-	acc := make(map[int32]*Region)
-	sumX := make(map[int32]int64)
-	sumY := make(map[int32]int64)
-	sumV := make(map[int32]int64)
-	nbr := make(map[int32]map[int32]struct{})
-
-	get := func(lab int32, x, y int) *Region {
-		r, ok := acc[lab]
-		if !ok {
-			r = &Region{ID: lab, BBox: [4]int{x, y, x + 1, y + 1}, Lo: 255, Hi: 0}
-			acc[lab] = r
-			nbr[lab] = make(map[int32]struct{})
-		}
-		return r
-	}
+	w := walk{index: make(map[int32]int32)}
+	var above, cur []run
 	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			i := y*im.W + x
-			lab := labels[i]
-			r := get(lab, x, y)
-			r.Area++
-			v := im.Pix[i]
-			if v < r.Lo {
-				r.Lo = v
-			}
-			if v > r.Hi {
-				r.Hi = v
-			}
-			if x < r.BBox[0] {
-				r.BBox[0] = x
-			}
-			if y < r.BBox[1] {
-				r.BBox[1] = y
-			}
-			if x+1 > r.BBox[2] {
-				r.BBox[2] = x + 1
-			}
-			if y+1 > r.BBox[3] {
-				r.BBox[3] = y + 1
-			}
-			sumX[lab] += int64(x)
-			sumY[lab] += int64(y)
-			sumV[lab] += int64(v)
-			// Perimeter and adjacency over the 4-neighbourhood.
-			for _, d := range [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
-				nx, ny := x+d[0], y+d[1]
-				if !im.In(nx, ny) {
-					r.Perimeter++
-					continue
-				}
-				nl := labels[ny*im.W+nx]
-				if nl != lab {
-					r.Perimeter++
-					nbr[lab][nl] = struct{}{}
-				}
+		row, pix := labels[y*im.W:(y+1)*im.W], im.Pix[y*im.W:(y+1)*im.W]
+		border := 0 // image borders above and below the row
+		if y == 0 {
+			border++
+		}
+		if y == im.H-1 {
+			border++
+		}
+		var aboveRow []int32
+		if y > 0 {
+			aboveRow = labels[(y-1)*im.W : y*im.W]
+			if slices.Equal(row, aboveRow) {
+				// The runs of the row above, with its horizontal pairs
+				// already recorded and no vertical boundary between them.
+				w.add(above, pix, y, border)
+				continue
 			}
 		}
+		cur = w.runs(cur[:0], row, above, aboveRow, y)
+		w.add(cur, pix, y, border)
+		w.vertical(above, cur)
+		above, cur = cur, above
 	}
-	out := make([]Region, 0, len(acc))
-	for lab, r := range acc {
-		r.CentroidX = float64(sumX[lab]) / float64(r.Area)
-		r.CentroidY = float64(sumY[lab]) / float64(r.Area)
-		r.Mean = float64(sumV[lab]) / float64(r.Area)
-		ns := make([]int32, 0, len(nbr[lab]))
-		for n := range nbr[lab] {
-			ns = append(ns, n)
+	return w.regions()
+}
+
+// run is one maximal run of a label within a row: pixels [x0, x1) of the
+// region at index reg of the walk's accumulators.
+type run struct{ x0, x1, reg int32 }
+
+// accum is one region under construction.
+type accum struct {
+	Region
+	sumX, sumY, sumV int64
+}
+
+// walk holds the state of one Compute call.
+type walk struct {
+	acc   []accum         // regions in first-appearance order
+	index map[int32]int32 // label -> index into acc
+	pairs []uint64        // packed adjacent pairs, both directions, with repeats
+}
+
+// signBit flips an int32 label into a uint32 key with the same order.
+const signBit = 1 << 31
+
+// runs appends the maximal runs of row to dst, resolving each run's
+// region, and records the pair of every two consecutive runs. A run takes
+// its region from the run above that covers its first pixel when that
+// pixel's label matches; only a run whose label is not found there costs
+// a map lookup.
+func (w *walk) runs(dst []run, row []int32, above []run, aboveRow []int32, y int) []run {
+	k := 0 // the run of above covering x0
+	for x := 0; x < len(row); {
+		lab, x0 := row[x], x
+		for x++; x < len(row) && row[x] == lab; x++ {
 		}
-		sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-		r.Neighbors = ns
-		out = append(out, *r)
+		var reg int32
+		if aboveRow != nil && aboveRow[x0] == lab {
+			for above[k].x1 <= int32(x0) {
+				k++
+			}
+			reg = above[k].reg
+		} else {
+			reg = w.region(lab, x0, y)
+		}
+		if len(dst) > 0 {
+			w.pair(dst[len(dst)-1].reg, reg)
+		}
+		dst = append(dst, run{x0: int32(x0), x1: int32(x), reg: reg})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return dst
+}
+
+// region returns the accumulator index of lab, appending a new region
+// first seen at (x0, y) when there is none.
+func (w *walk) region(lab int32, x0, y int) int32 {
+	if i, ok := w.index[lab]; ok {
+		return i
+	}
+	i := int32(len(w.acc))
+	w.index[lab] = i
+	w.acc = append(w.acc, accum{Region: Region{ID: lab, BBox: [4]int{x0, y, x0 + 1, y + 1}, Lo: 255, Hi: 0}})
+	return i
+}
+
+// add folds the runs of row y into their regions. border counts the image
+// borders above and below the row: each run's pixels face them with an
+// edge apiece. Runs are maximal, so both ends of a run face the image
+// border or another label.
+func (w *walk) add(runs []run, pix []uint8, y, border int) {
+	for _, r := range runs {
+		a := &w.acc[r.reg]
+		x0, x1 := int(r.x0), int(r.x1)
+		n := x1 - x0
+		a.Area += n
+		a.BBox[0] = min(a.BBox[0], x0)
+		a.BBox[2] = max(a.BBox[2], x1)
+		a.BBox[3] = y + 1
+		lo, hi := homog.RowMinMax(pix[x0:x1])
+		a.Lo, a.Hi = min(a.Lo, lo), max(a.Hi, hi)
+		a.sumV += rowSum(pix[x0:x1])
+		a.sumX += int64(n * (x0 + x1 - 1) / 2)
+		a.sumY += int64(n * y)
+		a.Perimeter += 2 + border*n
+	}
+}
+
+// rowSum returns the sum of a pixel row. It adds eight pixels at a time:
+// one add folds byte pairs into 16-bit lanes of at most 510, and one
+// multiply sums the four lanes into the top 16 bits.
+func rowSum(row []uint8) int64 {
+	const m = 0x00FF00FF00FF00FF
+	var s uint64
+	i := 0
+	for ; i+8 <= len(row); i += 8 {
+		w := binary.LittleEndian.Uint64(row[i:])
+		w = w&m + w>>8&m
+		s += w * 0x0001000100010001 >> 48
+	}
+	for ; i < len(row); i++ {
+		s += uint64(row[i])
+	}
+	return int64(s)
+}
+
+// vertical merges the run lists of two consecutive rows: each overlap of
+// two different regions is that many edges on both perimeters, and makes
+// the two adjacent.
+func (w *walk) vertical(above, cur []run) {
+	for i, j := 0, 0; i < len(above) && j < len(cur); {
+		a, b := above[i], cur[j]
+		if a.reg != b.reg {
+			n := int(min(a.x1, b.x1) - max(a.x0, b.x0))
+			w.acc[a.reg].Perimeter += n
+			w.acc[b.reg].Perimeter += n
+			w.pair(a.reg, b.reg)
+		}
+		if a.x1 <= b.x1 {
+			i++
+		}
+		if b.x1 <= a.x1 {
+			j++
+		}
+	}
+}
+
+// pair records that regions a and b (accumulator indices) are adjacent.
+func (w *walk) pair(a, b int32) {
+	ka, kb := uint64(uint32(w.acc[a].ID)^signBit), uint64(uint32(w.acc[b].ID)^signBit)
+	w.pairs = append(w.pairs, ka<<32|kb, kb<<32|ka)
+}
+
+// regions finishes the accumulators in ascending ID order and hands each
+// its run of the sorted pairs as its neighbour list.
+func (w *walk) regions() []Region {
+	out := make([]Region, len(w.acc))
+	for i := range w.acc {
+		a := &w.acc[i]
+		out[i] = a.Region
+		area := float64(a.Area)
+		out[i].CentroidX = float64(a.sumX) / area
+		out[i].CentroidY = float64(a.sumY) / area
+		out[i].Mean = float64(a.sumV) / area
+	}
+	slices.SortFunc(out, func(a, b Region) int { return cmp.Compare(a.ID, b.ID) })
+	slices.Sort(w.pairs)
+	pairs := slices.Compact(w.pairs)
+	nbrs := make([]int32, len(pairs))
+	k := 0
+	for i := range out {
+		key, lo := uint32(out[i].ID)^signBit, k
+		for ; k < len(pairs) && uint32(pairs[k]>>32) == key; k++ {
+			nbrs[k] = int32(uint32(pairs[k]) ^ signBit)
+		}
+		out[i].Neighbors = nbrs[lo:k:k]
+	}
 	return out
 }
 

@@ -50,16 +50,34 @@ func TestComputeBasics(t *testing.T) {
 func TestComputeAreasCover(t *testing.T) {
 	im := pixmap.Random(16, 3)
 	labels := make([]int32, 256)
-	for i := range labels {
-		labels[i] = int32(i % 7 * 0) // single region
-	}
-	rs := Compute(im, labels)
+	rs := Compute(im, labels) // all zero: a single region
 	if len(rs) != 1 || rs[0].Area != 256 {
 		t.Fatalf("single region stats wrong: %+v", rs)
 	}
 	// Border-only perimeter: 4×16.
 	if rs[0].Perimeter != 64 {
 		t.Fatalf("perimeter = %d", rs[0].Perimeter)
+	}
+}
+
+// TestRowSum checks the word-at-a-time sum against a plain loop at every
+// length and alignment up to 40 pixels, on bright pixels that would carry
+// across lanes if a lane were too narrow.
+func TestRowSum(t *testing.T) {
+	row := make([]uint8, 48)
+	for i := range row {
+		row[i] = uint8(255 - i%7)
+	}
+	for lo := 0; lo < 8; lo++ {
+		for n := 0; n <= 40; n++ {
+			want := int64(0)
+			for _, v := range row[lo : lo+n] {
+				want += int64(v)
+			}
+			if got := rowSum(row[lo : lo+n]); got != want {
+				t.Fatalf("rowSum(row[%d:%d]) = %d, want %d", lo, lo+n, got, want)
+			}
+		}
 	}
 }
 

@@ -8,12 +8,13 @@ import (
 	"regiongrow"
 )
 
-// resultCache is a fixed-capacity LRU over completed segmentations, keyed
-// by regiongrow.CacheKey — (image content hash, canonicalized config,
-// engine kind). Caching full results is sound precisely because every
-// engine is deterministic: equal keys imply byte-identical output, so a
-// cached Segmentation can be served verbatim. Cached values are shared
-// across requests and must be treated as immutable.
+// resultCache is a fixed-capacity LRU over completed segmentations and
+// their region statistics, keyed by regiongrow.CacheKey — (image content
+// hash, canonicalized config, engine kind). Caching full results is sound
+// precisely because every engine is deterministic: equal keys imply
+// byte-identical output, so a cached answer can be served verbatim.
+// Cached values are shared across requests and must be treated as
+// immutable.
 type resultCache struct {
 	mu     sync.Mutex
 	cap    int
@@ -25,7 +26,17 @@ type resultCache struct {
 
 type cacheEntry struct {
 	key string
-	seg *regiongrow.Segmentation
+	ans *answer
+}
+
+// answer is one completed segmentation together with its region
+// statistics, which the pool worker computes once, right after the
+// segmentation, so that no reply recomputes them. It is what the cache
+// stores and what a finished job record carries; both halves are shared
+// and read-only.
+type answer struct {
+	seg     *regiongrow.Segmentation
+	regions []regiongrow.RegionStat
 }
 
 // newResultCache returns an LRU holding up to capacity entries. A
@@ -39,9 +50,9 @@ func newResultCache(capacity int) *resultCache {
 	}
 }
 
-// Get returns the cached segmentation for key, marking it most recently
-// used, and records a hit or miss.
-func (c *resultCache) Get(key string) (*regiongrow.Segmentation, bool) {
+// Get returns the cached answer for key, marking it most recently used,
+// and records a hit or miss.
+func (c *resultCache) Get(key string) (*answer, bool) {
 	if c.cap <= 0 {
 		c.misses.Add(1)
 		return nil, false
@@ -51,7 +62,7 @@ func (c *resultCache) Get(key string) (*regiongrow.Segmentation, bool) {
 	if el, ok := c.byKey[key]; ok {
 		c.ll.MoveToFront(el)
 		c.hits.Add(1)
-		return el.Value.(*cacheEntry).seg, true
+		return el.Value.(*cacheEntry).ans, true
 	}
 	c.misses.Add(1)
 	return nil, false
@@ -59,18 +70,18 @@ func (c *resultCache) Get(key string) (*regiongrow.Segmentation, bool) {
 
 // Put inserts (or refreshes) key, evicting the least recently used entry
 // when the cache is full.
-func (c *resultCache) Put(key string, seg *regiongrow.Segmentation) {
+func (c *resultCache) Put(key string, ans *answer) {
 	if c.cap <= 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
-		el.Value.(*cacheEntry).seg = seg
+		el.Value.(*cacheEntry).ans = ans
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.byKey[key] = c.ll.PushFront(&cacheEntry{key: key, seg: seg})
+	c.byKey[key] = c.ll.PushFront(&cacheEntry{key: key, ans: ans})
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)

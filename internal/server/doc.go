@@ -1,7 +1,8 @@
 // Package server implements regiongrowd's HTTP segmentation service: an
 // asynchronous job API over a bounded persistent worker pool (each job is
-// one closure that computes, warms the cache and settles its record on
-// its worker), an LRU result cache, a TTL-bounded job-record store, and
+// one closure that computes, derives the region statistics, warms the
+// cache and settles its record on its worker), an LRU result cache, a
+// TTL-bounded job-record store, and
 // the handlers for /v1/jobs, /v1/batch, /v1/segment, /v1/stats, and
 // /healthz.
 //
@@ -20,7 +21,8 @@
 // Results are cached by (image content hash, canonicalized config,
 // engine kind) — sound because every engine is deterministic, so equal
 // keys imply byte-identical output; a resubmitted job completes from the
-// cache without computing. A full job queue — or a job store full of
+// cache without computing. An entry holds the segmentation and its region
+// statistics, so a hit recomputes nothing. A full job queue — or a job store full of
 // unfinished work — rejects new submissions with 429 Too Many Requests
 // rather than queueing unboundedly; finished records are evicted after
 // Options.JobTTL (or oldest-finished-first at Options.JobCapacity), and

@@ -181,7 +181,7 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer e.release()
-	seg, err := e.wait(waitCtx)
+	ans, err := e.wait(waitCtx)
 	switch {
 	case err == nil:
 	case errors.Is(err, context.DeadlineExceeded):
@@ -208,10 +208,10 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 	if req.Format == "pgm" {
 		w.Header().Set("Content-Type", "image/x-portable-graymap")
 		w.Header().Set("X-Cache", e.cache)
-		w.Header().Set("X-Final-Regions", strconv.Itoa(seg.FinalRegions))
+		w.Header().Set("X-Final-Regions", strconv.Itoa(ans.seg.FinalRegions))
 		// On a write error the headers are gone; nothing is left to do
 		// but drop the connection.
-		_ = regiongrow.WritePGM(w, regiongrow.Recolour(seg, req.im))
+		_ = regiongrow.WritePGM(w, regiongrow.Recolour(ans.seg, req.im))
 		return
 	}
 	image, config := e.meta()
@@ -220,7 +220,7 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 		Cache:  e.cache,
 		Image:  image,
 		Config: config,
-		Result: *buildResult(seg, req.im, req.Labels),
+		Result: *buildResult(ans, req.Labels),
 	})
 }
 

@@ -42,7 +42,7 @@ func (s *Server) startJob(ctx context.Context, cancel context.CancelFunc, req *s
 	key := regiongrow.CacheKeyForHash(hash, req.im.W, req.im.H, req.Config, req.Kind)
 	e := newJobEntry(req, hash, s.opts.Instance, cancel, &s.metrics.progress)
 	e.internal = internal
-	seg, hit := s.cache.Get(key)
+	ans, hit := s.cache.Get(key)
 	if hit {
 		e.cache = "hit"
 	}
@@ -51,27 +51,30 @@ func (s *Server) startJob(ctx context.Context, cancel context.CancelFunc, req *s
 		return nil, err
 	}
 	if hit {
-		s.jobs.complete(e, seg, nil)
+		s.jobs.complete(e, ans, nil)
 		cancel()
 		return e, nil
 	}
 	// The whole job runs on its worker, the one point where compute has
-	// truly ended under every policy and SegmentFunc: the cache warms and
-	// the record settles there, even for a warm-abandoned job whose client
-	// has gone. Cancelled compute settles the record with its context
-	// error and records nothing else.
+	// truly ended under every policy and SegmentFunc: the region
+	// statistics are computed, the cache warms and the record settles
+	// there, even for a warm-abandoned job whose client has gone.
+	// Cancelled compute settles the record with its context error and
+	// records nothing else.
 	err := s.pool.Enqueue(func() {
 		start := time.Now()
 		var seg *regiongrow.Segmentation
+		var ans *answer
 		err := ctx.Err()
 		if err == nil {
 			seg, err = s.compute(ctx, req.im, req.Config, req.Kind, e)
 		}
 		if err == nil {
 			s.metrics.observe(req.Kind, time.Since(start))
-			s.cache.Put(key, seg)
+			ans = &answer{seg: seg, regions: regiongrow.ComputeRegionStats(seg, req.im)}
+			s.cache.Put(key, ans)
 		}
-		s.jobs.complete(e, seg, err)
+		s.jobs.complete(e, ans, err)
 		cancel()
 	})
 	if err != nil {

@@ -630,3 +630,111 @@ func TestJobQueueFull429(t *testing.T) {
 	release <- struct{}{}
 	release <- struct{}{}
 }
+
+// TestEveryAnswerPathServesRegionStats: the region statistics the pool
+// worker computes once per result reach the client unchanged on every
+// answer path. Each answer's result.regions must equal
+// ComputeRegionStats of a local sequential run: a /v1/segment JSON miss
+// and its hit; a JSON hit on a key a format=pgm miss computed (statistics
+// the PGM reply never sent); an async job's miss and hit read back
+// through GET /v1/jobs/{id}; a manifest and a multipart batch item. A
+// server with caching disabled must answer the same, all misses.
+func TestEveryAnswerPathServesRegionStats(t *testing.T) {
+	cfg := regiongrow.Config{Threshold: 10, Tie: regiongrow.RandomTie, Seed: 1}
+	want := make(map[regiongrow.PaperImageID][]byte)
+	for _, id := range regiongrow.AllPaperImageIDs() {
+		im := regiongrow.GeneratePaperImage(id)
+		seg, err := segmentLocal(im, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[id], err = json.Marshal(regiongrow.ComputeRegionStats(seg, im)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, cacheEntries := range []int{0, -1} {
+		_, ts := newTestServer(t, Options{CacheEntries: cacheEntries})
+		c := testClient(t, ts.URL)
+		ctx := context.Background()
+		hit := "hit"
+		if cacheEntries < 0 {
+			hit = "miss"
+		}
+		check := func(path, wantCache string, id regiongrow.PaperImageID, body []byte) {
+			t.Helper()
+			var doc struct {
+				Cache  string `json:"cache"`
+				Result struct {
+					Regions json.RawMessage `json:"regions"`
+				} `json:"result"`
+			}
+			if err := json.Unmarshal(body, &doc); err != nil {
+				t.Fatalf("cache=%d %s: decoding %q: %v", cacheEntries, path, body, err)
+			}
+			var got bytes.Buffer
+			if err := json.Compact(&got, doc.Result.Regions); err != nil {
+				t.Fatalf("cache=%d %s: %v", cacheEntries, path, err)
+			}
+			if doc.Cache != wantCache {
+				t.Errorf("cache=%d %s: cache %q, want %q", cacheEntries, path, doc.Cache, wantCache)
+			}
+			if !bytes.Equal(got.Bytes(), want[id]) {
+				t.Errorf("cache=%d %s: regions differ from ComputeRegionStats\n got %s\nwant %s", cacheEntries, path, got.Bytes(), want[id])
+			}
+		}
+		segment := func(query string) []byte {
+			t.Helper()
+			resp := postSegment(t, ts, query, nil)
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("cache=%d POST /v1/segment%s: status %d, %v: %s", cacheEntries, query, resp.StatusCode, err, body)
+			}
+			return body
+		}
+		record := func(id string) []byte {
+			t.Helper()
+			if _, err := c.Wait(ctx, id); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("cache=%d GET /v1/jobs/%s: status %d, %v: %s", cacheEntries, id, resp.StatusCode, err, body)
+			}
+			return body
+		}
+
+		check("segment miss", "miss", regiongrow.Image1NestedRects128, segment("?image=image1"))
+		check("segment hit", hit, regiongrow.Image1NestedRects128, segment("?image=image1"))
+
+		segment("?image=image2&format=pgm")
+		check("JSON after a PGM miss", hit, regiongrow.Image2Rects128, segment("?image=image2"))
+
+		job := client.JobRequest{PaperImage: "image3", Engine: regiongrow.SequentialEngine, Config: cfg}
+		for _, cache := range []string{"miss", hit} {
+			j, err := c.Submit(ctx, job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("job "+cache, cache, regiongrow.Image3Circles128, record(j.ID))
+		}
+
+		batch, err := c.Batch(ctx, []client.JobRequest{{PaperImage: "image4", Engine: regiongrow.SequentialEngine, Config: cfg}})
+		if err != nil || batch[0].Error != "" {
+			t.Fatalf("cache=%d manifest batch: %v %+v", cacheEntries, err, batch)
+		}
+		check("manifest item", "miss", regiongrow.Image4NestedRects256, record(batch[0].ID))
+
+		batch, err = c.BatchImages(ctx, []*regiongrow.Image{regiongrow.GeneratePaperImage(regiongrow.Image5Rects256)},
+			client.JobRequest{Engine: regiongrow.SequentialEngine, Config: cfg})
+		if err != nil || batch[0].Error != "" {
+			t.Fatalf("cache=%d multipart batch: %v %+v", cacheEntries, err, batch)
+		}
+		check("multipart item", "miss", regiongrow.Image5Rects256, record(batch[0].ID))
+	}
+}

@@ -54,9 +54,9 @@ type jobEntry struct {
 
 	// internal marks records registered by the synchronous path: their
 	// IDs are never revealed to a client, so no one will ever read their
-	// wire Result — complete skips building it and drops the retained
-	// image immediately, keeping /v1/segment's memory (and its cache-hit
-	// throughput) what it was before the job machinery existed.
+	// wire Result — complete skips building it, keeping /v1/segment's
+	// memory (and its cache-hit throughput) what it was before the job
+	// machinery existed.
 	internal bool
 
 	mu    sync.Mutex
@@ -72,14 +72,11 @@ type jobEntry struct {
 	terminalc chan struct{}
 	started   time.Time
 	finished  time.Time
-	// seg is held from completion until the synchronous waiter has read
+	// ans is held from completion until the synchronous waiter has read
 	// it (release) — async records drop it as soon as the wire Result is
 	// built, so a terminal record pins only its wire form.
-	seg *regiongrow.Segmentation
-	err error
-	// im is retained only while the job can still need region statistics:
-	// complete drops it for every terminal state.
-	im     *regiongrow.Image
+	ans    *answer
+	err    error
 	result *client.Result
 	// terminalJSON is the compact record snapshot frozen for the terminal
 	// SSE event, so every subscriber sees identical bytes.
@@ -151,7 +148,6 @@ func newJobEntry(req *segmentRequest, imageHash, instance string, cancel context
 		stage:         "queued",
 		changed:       make(chan struct{}),
 		terminalc:     make(chan struct{}),
-		im:            req.im,
 	}
 }
 
@@ -243,7 +239,7 @@ func (e *jobEntry) stageText() string {
 // wait blocks until the job is terminal or ctx ends, returning the
 // compute outcome or ctx's error. A job cancels its own context right
 // after completing, so when both are ready the outcome wins.
-func (e *jobEntry) wait(ctx context.Context) (*regiongrow.Segmentation, error) {
+func (e *jobEntry) wait(ctx context.Context) (*answer, error) {
 	select {
 	case <-e.terminalc:
 	case <-ctx.Done():
@@ -255,12 +251,14 @@ func (e *jobEntry) wait(ctx context.Context) (*regiongrow.Segmentation, error) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.seg, e.err
+	return e.ans, e.err
 }
 
-// buildResult derives the wire Result (region statistics, label raster
-// if requested) of a completed segmentation.
-func buildResult(seg *regiongrow.Segmentation, im *regiongrow.Image, labels bool) *client.Result {
+// buildResult derives the wire Result of a completed segmentation: its
+// counters and wall times, the region statistics the worker computed with
+// it, and the label raster if requested. It does no per-pixel work.
+func buildResult(ans *answer, labels bool) *client.Result {
+	seg := ans.seg
 	r := &client.Result{
 		FinalRegions:      seg.FinalRegions,
 		SplitIterations:   seg.SplitIterations,
@@ -270,7 +268,7 @@ func buildResult(seg *regiongrow.Segmentation, im *regiongrow.Image, labels bool
 		MergeWallMs:       seg.MergeWall.Seconds() * 1e3,
 		SplitSimSecs:      seg.SplitSim,
 		MergeSimSecs:      seg.MergeSim,
-		Regions:           regiongrow.ComputeRegionStats(seg, im),
+		Regions:           ans.regions,
 	}
 	if labels {
 		r.Labels = seg.Labels
@@ -321,12 +319,12 @@ func (e *jobEntry) snapshot() client.Job {
 	return e.snapshotLocked()
 }
 
-// release drops the segmentation once the synchronous waiter has served
-// it, so a sync record pins nothing beyond its wire form for the TTL.
+// release drops the answer once the synchronous waiter has served it, so
+// a sync record pins nothing beyond its wire form for the TTL.
 func (e *jobEntry) release() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.seg = nil
+	e.ans = nil
 }
 
 // terminalFrame returns the SSE terminal event name and its frozen data
@@ -411,25 +409,22 @@ func (st *jobStore) get(id string) (*jobEntry, bool) {
 // error (cancelled contexts read as canceled, deadline expiry and engine
 // errors as failed), releases whatever stage gauge the compute still
 // holds, freezes the record, wakes all followers, and files the entry for
-// TTL eviction. The retained image never outlives this
-// call: successful public jobs have their wire Result (which needs the
-// pixels for region statistics) built here — off-lock, since the inputs
-// are settled — and every other terminal record drops the image unused.
-func (st *jobStore) complete(e *jobEntry, seg *regiongrow.Segmentation, err error) {
+// TTL eviction. Successful public jobs have their wire Result built here,
+// off-lock since the answer is settled.
+func (st *jobStore) complete(e *jobEntry, ans *answer, err error) {
 	var result *client.Result
-	if err == nil && seg != nil && !e.internal {
-		result = buildResult(seg, e.im, e.Labels)
+	if err == nil && ans != nil && !e.internal {
+		result = buildResult(ans, e.Labels)
 	}
 	now := time.Now()
 	st.mu.Lock()
 	e.mu.Lock()
-	e.seg, e.err = seg, err
+	e.ans, e.err = ans, err
 	e.result = result
-	e.im = nil
 	if result != nil {
 		// Async records serve the wire form only; the raw segmentation
 		// would just pin label arrays past the cache's own bounds.
-		e.seg = nil
+		e.ans = nil
 	}
 	e.finished = now
 	e.occupyLocked(nil)

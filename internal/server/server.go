@@ -25,7 +25,8 @@ type Options struct {
 	// selects 64. When the queue is full, /v1/segment returns 429.
 	QueueDepth int
 	// CacheEntries bounds the LRU result cache; 0 selects 256, negative
-	// disables caching.
+	// disables caching. An entry holds one segmentation (its label
+	// raster, 4 bytes a pixel) and its region statistics.
 	CacheEntries int
 	// MaxBodyBytes bounds PGM uploads; <=0 selects 16 MiB.
 	MaxBodyBytes int64
