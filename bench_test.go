@@ -24,6 +24,7 @@ import (
 	"testing"
 
 	"regiongrow/internal/core"
+	"regiongrow/internal/pixmap"
 	"regiongrow/internal/unionfind"
 )
 
@@ -157,14 +158,12 @@ func BenchmarkAblation_CommScheme(b *testing.B) {
 
 // BenchmarkSplitStage measures split-stage scaling with image size on the
 // sequential engine (the paper's split complexity is O(N²/P + log P);
-// sequentially that is O(N² log N) worst case, O(N²) with the cap).
+// sequentially that is O(N² log N) worst case, O(N²) with the cap). The
+// noise-512 row is the worst case for the split's square list: nearly
+// every square of a 512² random image is a single pixel.
 func BenchmarkSplitStage(b *testing.B) {
-	for _, n := range []int{64, 128, 256, 512} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			im := GeneratePaperImage(Image1NestedRects128)
-			if n != 128 {
-				im = nestedAt(n)
-			}
+	run := func(name string, im *Image) {
+		b.Run(name, func(b *testing.B) {
 			cfg := Config{Threshold: 10}
 			seq := sessionOf(b, SequentialEngine)
 			b.ResetTimer()
@@ -175,6 +174,14 @@ func BenchmarkSplitStage(b *testing.B) {
 			}
 		})
 	}
+	for _, n := range []int{64, 128, 256, 512} {
+		im := GeneratePaperImage(Image1NestedRects128)
+		if n != 128 {
+			im = nestedAt(n)
+		}
+		run(fmt.Sprintf("n=%d", n), im)
+	}
+	run("noise-512", pixmap.Random(512, 1))
 }
 
 // nestedAt builds a nested-rectangles image at an arbitrary size.

@@ -130,8 +130,8 @@ func (Sequential) SegmentContext(ctx context.Context, im *pixmap.Image, cfg Conf
 }
 
 // Native is the host-parallel engine: Sequential's pipeline with the
-// split and the graph build run on Workers goroutines. The merge rounds
-// and the relabel are Sequential's, so its output is too.
+// split run tile by tile on Workers goroutines. The graph build, the
+// merge rounds and the relabel are Sequential's, so its output is too.
 type Native struct {
 	// Workers is the goroutine count; ≤ 0 follows GOMAXPROCS.
 	Workers int
@@ -140,9 +140,8 @@ type Native struct {
 // Name implements Engine.
 func (Native) Name() string { return "native" }
 
-// SegmentContext implements Engine: split tiles and graph bands check
-// ctx, and every worker goroutine has drained by the time an error
-// returns.
+// SegmentContext implements Engine: split tiles check ctx, and every
+// worker goroutine has drained by the time an error returns.
 func (n Native) SegmentContext(ctx context.Context, im *pixmap.Image, cfg Config, run Run) (*Segmentation, error) {
 	workers := n.Workers
 	if workers <= 0 {
@@ -162,10 +161,11 @@ func mergeRounds(ctx context.Context, g *rag.Graph, cfg Config, run Run) (rag.Me
 // pipeline is the one host pipeline every host engine runs: split
 // (checking ctx at every pass, buffers from run.Scratch), graph build,
 // the engine's merge stage, and the finalize, with the stage events
-// around them. The split and the graph build run on workers goroutines;
-// at one worker they are quadsplit.Split and rag.BuildFromLabels. The
-// finalize reads the labels and the region list off the merged graph
-// (rag.Graph.Relabel), with no per-pixel map pass.
+// around them. The split runs on workers goroutines; at one worker it is
+// quadsplit.Split. The graph is built from the split's square list
+// (rag.Graph.AddSquares), and the finalize reads the labels and the
+// region list off the merged graph (rag.Graph.Relabel), with no
+// per-pixel map pass.
 func pipeline(ctx context.Context, im *pixmap.Image, cfg Config, run Run, workers int,
 	merge func(ctx context.Context, g *rag.Graph, cfg Config, run Run) (rag.MergeStats, error)) (*Segmentation, error) {
 	crit := cfg.Criterion()
@@ -181,8 +181,8 @@ func pipeline(ctx context.Context, im *pixmap.Image, cfg Config, run Run, worker
 	run.Emit(StageEvent{Kind: EventSplitDone, Iterations: sp.Iterations, Squares: sp.NumSquares})
 
 	t1 := time.Now() //vet:timing stage wall-time for Stats; never reaches labels or wire bytes
-	g, err := rag.BuildParallel(ctx, im, sp.Labels, crit, workers)
-	if err != nil {
+	g := rag.NewGraph(crit)
+	if err := g.AddSquares(ctx, sp.Squares, sp.Labels, im.W, 0); err != nil {
 		return nil, err
 	}
 	run.Emit(StageEvent{Kind: EventGraphDone, Squares: sp.NumSquares})

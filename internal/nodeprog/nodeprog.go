@@ -158,9 +158,10 @@ type prog struct {
 	Node
 	x0, y0, tw, th int
 
-	labels []int32 // tile labels carrying global region IDs
-	g      *rag.Graph
-	nOwned int
+	labels  []int32            // tile labels carrying global region IDs
+	squares []quadsplit.Square // the tile split's list, until buildGraph
+	g       *rag.Graph
+	nOwned  int
 
 	asg   *assignments
 	stats rag.MergeStats
@@ -239,28 +240,27 @@ func (p *prog) split() (levels, squares int) {
 	p.c.Charge(p.tw * p.th * res.Iterations * 8)
 	p.c.Phase(PhaseSplit, res.Iterations)
 
-	// Tile-local labels are anchor pixel indices in the tile, so a square
-	// is a pixel labelled with its own index; make them global region IDs
-	// in place.
+	// Tile-local labels are anchor pixel indices in the tile; make them
+	// global region IDs in place. The square list keeps its tile-local
+	// IDs: they index the labels, which is how buildGraph reads them.
 	w := p.Grid.width()
-	p.labels = res.Labels
+	p.labels, p.squares = res.Labels, res.Squares
 	for i, l := range p.labels {
-		if int(l) == i {
-			squares++
-		}
 		p.labels[i] = int32((p.y0+int(l)/p.tw)*w + p.x0 + int(l)%p.tw)
 	}
-	return res.Iterations, squares
+	return res.Iterations, res.NumSquares
 }
 
-// buildGraph is step 2: the tile's own graph, then cross edges from
-// boundary strips exchanged with the grid neighbours. Inside a tile,
-// row-major first appearance is ascending global ID, so the owned
-// vertices take slots [0, nOwned) in ID order.
+// buildGraph is step 2: the tile's own graph, from the split's square
+// list, then cross edges from boundary strips exchanged with the grid
+// neighbours. Inside a tile, list order is ascending global ID, so the
+// owned vertices take slots [0, nOwned) in ID order.
 func (p *prog) buildGraph() error {
 	// Like the split, the build runs under a context that never ends and
-	// cannot fail.
-	p.g, _ = rag.BuildFromLabels(context.Background(), p.Tile, p.labels, p.Crit)
+	// cannot fail. The list is not needed past it.
+	p.g = rag.NewGraph(p.Crit)
+	_ = p.g.AddSquares(context.Background(), p.squares, p.labels, p.tw, 0)
+	p.squares = nil
 	p.nOwned = p.g.Slots()
 	p.choice, p.suitor = make([]int32, p.nOwned), make([]bool, p.nOwned)
 	p.c.Charge(p.tw * p.th * 4)

@@ -8,6 +8,19 @@
 // image is one square, when a pass combines nothing, or when the square
 // size cap is reached.
 //
+// # The output
+//
+// A Result holds the label raster (every pixel carries its square's ID,
+// the linear index of the square's north-west pixel) and the square
+// list: every square once, in ascending ID order, as an 8-byte Square
+// (ID, intensity interval, log2 of the side). The list is what the graph
+// builds read (rag.Graph.AddSquares); its intervals are the ones the
+// level passes computed, so no later stage rescans a square's pixels.
+// The claim that produces both walks the image row by row: a block lies
+// inside a larger square exactly when its parent block is solid, so it
+// keeps no per-pixel claim state, and it meets the north-west corners in
+// raster order, so the list needs no sort.
+//
 // # The size cap
 //
 // In the paper's tables, split iteration counts and split times are

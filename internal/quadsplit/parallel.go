@@ -2,7 +2,7 @@
 // than the effective cap, and every square is aligned to its own size, so
 // no square can straddle a grid line at a multiple of the cap. Partitioning
 // the image into cap-aligned tiles and splitting each tile independently
-// therefore produces exactly the labels, sizes, and per-level combine
+// therefore produces exactly the labels, squares, and per-level combine
 // counts of the global algorithm — which is what makes a native
 // shared-memory split both easy and byte-identical to the reference.
 package quadsplit
@@ -10,6 +10,7 @@ package quadsplit
 import (
 	"context"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"regiongrow/internal/homog"
@@ -22,8 +23,9 @@ import (
 const minTile = 32
 
 // tileScratch pools the per-tile buffer sets of SplitParallel workers.
-// Tile results are consumed (copied into the global result) before the
-// scratch returns to the pool, so pooled reuse cannot alias a live result.
+// Tile results are consumed (labels and square list copied out) before
+// the scratch returns to the pool, so pooled reuse cannot alias a live
+// result.
 var tileScratch = sync.Pool{New: func() any { return new(Scratch) }}
 
 // SplitParallel runs the split stage on `workers` goroutines by splitting
@@ -55,14 +57,12 @@ func SplitParallel(ctx context.Context, im *pixmap.Image, crit homog.Criterion, 
 	}
 	if sc := opt.Scratch; sc != nil {
 		res.Labels = grownInt32(&sc.labels, w*h)
-		res.Size = grownInt32(&sc.size, w*h)
 	} else {
 		res.Labels = make([]int32, w*h)
-		res.Size = make([]int32, w*h)
 	}
 
 	type tileOut struct {
-		numSquares      int
+		squares         []Square // the tile's list, at global IDs
 		combinedPerIter []int
 	}
 	outs := make([]tileOut, tx*ty)
@@ -99,18 +99,23 @@ func SplitParallel(ctx context.Context, im *pixmap.Image, crit homog.Criterion, 
 				if err != nil {
 					continue // cancelled mid-tile; reported after the drain
 				}
-				outs[t] = tileOut{numSquares: r.NumSquares, combinedPerIter: r.CombinedPerIter}
-				// Re-anchor tile-local labels at the global NW pixel index.
+				// Re-anchor tile-local labels and square IDs at the global NW
+				// pixel index, copying both out of the pooled scratch.
+				anchor := func(ll int32) int32 {
+					return int32((y0+int(ll)/tw)*w + x0 + int(ll)%tw)
+				}
 				for ly := 0; ly < th; ly++ {
-					grow := (y0 + ly) * w
-					for lx := 0; lx < tw; lx++ {
-						ll := r.Labels[ly*tw+lx]
-						llx, lly := int(ll)%tw, int(ll)/tw
-						gi := grow + x0 + lx
-						res.Labels[gi] = int32((y0+lly)*w + x0 + llx)
-						res.Size[gi] = r.Size[ly*tw+lx]
+					grow := (y0+ly)*w + x0
+					for lx, ll := range r.Labels[ly*tw : ly*tw+tw] {
+						res.Labels[grow+lx] = anchor(ll)
 					}
 				}
+				squares := make([]Square, len(r.Squares))
+				for k, sq := range r.Squares {
+					sq.ID = anchor(sq.ID)
+					squares[k] = sq
+				}
+				outs[t] = tileOut{squares: squares, combinedPerIter: r.CombinedPerIter}
 			}
 		}()
 	}
@@ -130,7 +135,7 @@ func SplitParallel(ctx context.Context, im *pixmap.Image, crit homog.Criterion, 
 	maxLevel := bits.Len(uint(cap)) - 1
 	combined := make([]int, maxLevel+1)
 	for _, o := range outs {
-		res.NumSquares += o.numSquares
+		res.NumSquares += len(o.squares)
 		for i, c := range o.combinedPerIter {
 			if i+1 <= maxLevel {
 				combined[i+1] += c
@@ -148,5 +153,35 @@ func SplitParallel(ctx context.Context, im *pixmap.Image, crit homog.Criterion, 
 		res.Iterations = 1
 		res.CombinedPerIter = append(res.CombinedPerIter, 0)
 	}
+
+	// Interleave the tile lists into global ID order, which is raster
+	// order: within a tile row, image row y takes each tile's squares
+	// whose top row is y, west tile first. Every tile list is in ID
+	// order, so one cursor per tile makes this a merge with no sort.
+	var list []Square
+	if sc := opt.Scratch; sc != nil {
+		list = sc.squares[:0]
+	}
+	list = slices.Grow(list, res.NumSquares)
+	cur := make([]int, tx)
+	for row := 0; row < ty; row++ {
+		tiles := outs[row*tx : row*tx+tx]
+		clear(cur)
+		for y := row * tile; y < min(row*tile+tile, h); y++ {
+			end := (y + 1) * w
+			for i, o := range tiles {
+				c := cur[i]
+				for c < len(o.squares) && int(o.squares[c].ID) < end {
+					c++
+				}
+				list = append(list, o.squares[cur[i]:c]...)
+				cur[i] = c
+			}
+		}
+	}
+	if sc := opt.Scratch; sc != nil {
+		sc.squares = list
+	}
+	res.Squares = list
 	return res, nil
 }

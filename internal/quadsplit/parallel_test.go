@@ -3,6 +3,7 @@ package quadsplit
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"regiongrow/internal/homog"
@@ -10,9 +11,10 @@ import (
 )
 
 // TestSplitParallelMatchesSequential requires SplitParallel to reproduce
-// the sequential Result — labels, sizes, iteration counts, per-level
+// the sequential Result — labels, square list, iteration counts, per-level
 // combine counts, and square count — across image shapes (including
-// non-power-of-two and non-square), caps, and worker counts.
+// non-power-of-two and non-square), caps, and worker counts, with and
+// without a Scratch.
 func TestSplitParallelMatchesSequential(t *testing.T) {
 	images := map[string]*pixmap.Image{
 		"uniform64":   pixmap.Uniform(64, 100),
@@ -31,6 +33,9 @@ func TestSplitParallelMatchesSequential(t *testing.T) {
 				opt := Options{MaxSquare: maxSquare}
 				want := split(im, crit, opt)
 				for _, workers := range []int{1, 2, 3, 8} {
+					if workers == 3 {
+						opt.Scratch = new(Scratch)
+					}
 					got, err := SplitParallel(context.Background(), im, crit, opt, workers)
 					label := fmt.Sprintf("%s/cap=%d/T=%d/w=%d", name, maxSquare, threshold, workers)
 					if err != nil {
@@ -73,9 +78,9 @@ func sameResult(want, got *Result) error {
 		if want.Labels[i] != got.Labels[i] {
 			return fmt.Errorf("label[%d] = %d, want %d", i, got.Labels[i], want.Labels[i])
 		}
-		if want.Size[i] != got.Size[i] {
-			return fmt.Errorf("size[%d] = %d, want %d", i, got.Size[i], want.Size[i])
-		}
+	}
+	if !slices.Equal(want.Squares, got.Squares) {
+		return fmt.Errorf("square list differs: %d squares, want %d", len(got.Squares), len(want.Squares))
 	}
 	return nil
 }

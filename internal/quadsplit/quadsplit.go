@@ -1,9 +1,11 @@
 package quadsplit
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"regiongrow/internal/homog"
 	"regiongrow/internal/pixmap"
@@ -20,7 +22,7 @@ type Options struct {
 	// other value is rounded down to a power of two.
 	MaxSquare int
 	// Scratch, when non-nil, supplies reusable buffers for the result's
-	// label/size arrays and the pixel-level working set. The returned
+	// labels and square list and the level-1 working set. The returned
 	// Result then aliases the scratch: the caller owns both and must not
 	// start another split with the same Scratch while the Result is live.
 	Scratch *Scratch
@@ -31,11 +33,11 @@ type Options struct {
 // across runs, which is what lets a pooled caller split same-size images
 // with near-zero allocation. A Scratch serves one split at a time.
 type Scratch struct {
-	labels, size []int32
-	iv           []homog.Interval
-	solid        []bool
-	claimed      []bool
-	rows         []uint8 // packed level-1 row scratch: 2·W bytes
+	labels  []int32
+	squares []Square
+	iv      []homog.Interval
+	solid   []bool
+	rows    []uint8 // packed level-1 row scratch: 2·W bytes
 }
 
 // grownInt32 returns buf resized to n, reallocating only on growth.
@@ -71,24 +73,28 @@ func grownU8(buf *[]uint8, n int) []uint8 {
 	return *buf
 }
 
-// Square describes one homogeneous square region: its north-west corner,
-// side length, and intensity interval.
+// Square is one homogeneous square region as the split records it, in
+// eight bytes: its ID, the linear index of its north-west pixel in the
+// split image (the paper's array encoding), its intensity interval, and
+// the log2 of its side.
 type Square struct {
-	X, Y, Size int
-	IV         homog.Interval
+	ID   int32
+	IV   homog.Interval
+	Log2 uint8
 }
 
-// ID returns the region identifier: the linear index of the square's
-// north-west pixel in a width-w image, the paper's array encoding.
-func (s Square) ID(w int) int32 { return int32(s.Y*w + s.X) }
+// Side returns the square's side length.
+func (s Square) Side() int { return 1 << s.Log2 }
 
 // Result is the outcome of the split stage.
 type Result struct {
 	W, H int
 	// Labels holds, for every pixel, the ID of its square region.
 	Labels []int32
-	// Size holds, for every pixel, the side of its square region.
-	Size []int32
+	// Squares lists every square once, in ascending ID order: raster
+	// order of the north-west corners, which is the order in which a
+	// graph build meets them.
+	Squares []Square
 	// Iterations is the number of combining passes executed, counting a
 	// final pass that combines nothing (the paper's convention: the best
 	// case, an image with no combinable pixels, costs one iteration).
@@ -139,10 +145,8 @@ func Split(ctx context.Context, im *pixmap.Image, crit homog.Criterion, opt Opti
 	}
 	if sc := opt.Scratch; sc != nil {
 		res.Labels = grownInt32(&sc.labels, w*h)
-		res.Size = grownInt32(&sc.size, w*h)
 	} else {
 		res.Labels = make([]int32, w*h)
-		res.Size = make([]int32, w*h)
 	}
 	if w == 0 || h == 0 {
 		return res, nil
@@ -274,73 +278,62 @@ func Split(ctx context.Context, im *pixmap.Image, crit homog.Criterion, opt Opti
 		res.CombinedPerIter = append(res.CombinedPerIter, 0)
 	}
 
-	// Label every pixel with the largest solid block containing it,
-	// scanning levels top-down so each pixel is claimed once.
-	var claimed []bool
+	// Claim, row by row. A solid block's four children are solid, so a
+	// block lies inside a larger square exactly when its parent block is
+	// solid: the square covering pixel (x, y) is the block reached by
+	// climbing the levels while the parent is solid, and a pixel outside
+	// every solid level-1 block is a 1×1 square. Each step labels the
+	// square's run in this row and records the square on its top row.
+	// The walk meets north-west corners in raster order, so the list
+	// comes out in ascending ID order with no sort. Its length is known
+	// up front: each solid block is a square or one of the four children
+	// of a solid block a level up, so the pixels' w·h squares lose three
+	// for every solid block at every level.
+	n := w * h
+	for _, c := range res.CombinedPerIter {
+		n -= 3 * c
+	}
+	var list []Square
 	if sc := opt.Scratch; sc != nil {
-		claimed = grownBool(&sc.claimed, w*h)
-		clear(claimed)
-	} else {
-		claimed = make([]bool, w*h)
+		list = sc.squares[:0]
 	}
-	for l := top; l >= 1; l-- {
-		s := 1 << l
-		lv := &levels[l]
-		for by := 0; by < lv.bh; by++ {
-			for bx := 0; bx < lv.bw; bx++ {
-				if !lv.solid[by*lv.bw+bx] {
-					continue
+	list = slices.Grow(list, n)
+	//vet:noctx bounded row walk that cannot block; ctx was checked at every split level above
+	for y := 0; y < h; y++ {
+		row := res.Labels[y*w : y*w+w]
+		for x := 0; x < w; {
+			l := 0
+			for l < top {
+				up := &levels[l+1]
+				if !up.solid[(y>>(l+1))*up.bw+x>>(l+1)] {
+					break
 				}
-				x0, y0 := bx*s, by*s
-				if claimed[y0*w+x0] {
-					continue
-				}
-				id := int32(y0*w + x0)
-				res.NumSquares++
-				for y := y0; y < y0+s; y++ {
-					row := y * w
-					for x := x0; x < x0+s; x++ {
-						res.Labels[row+x] = id
-						res.Size[row+x] = int32(s)
-						claimed[row+x] = true
-					}
-				}
+				l++
 			}
+			s := 1 << l
+			y0 := y &^ (s - 1)
+			id := int32(y0*w + x)
+			run := row[x : x+s]
+			for i := range run {
+				run[i] = id
+			}
+			if y0 == y {
+				iv := homog.Point(im.Pix[y*w+x])
+				if l > 0 {
+					lv := &levels[l]
+					iv = lv.iv[(y>>l)*lv.bw+x>>l]
+				}
+				list = append(list, Square{ID: id, IV: iv, Log2: uint8(l)})
+			}
+			x += s
 		}
 	}
-	// Pixel level, implicitly: every still-unclaimed pixel is its own
-	// 1×1 square (level 0 is always solid, so no solidity check needed).
-	//vet:noctx bounded per-pixel sweep that cannot block; ctx was checked at every split level above
-	for i := range claimed {
-		if !claimed[i] {
-			res.Labels[i] = int32(i)
-			res.Size[i] = 1
-			res.NumSquares++
-		}
+	if sc := opt.Scratch; sc != nil {
+		sc.squares = list
 	}
+	res.Squares = list
+	res.NumSquares = len(list)
 	return res, nil
-}
-
-// Squares enumerates the square regions in north-west raster order.
-func (r *Result) Squares(im *pixmap.Image) []Square {
-	var out []Square
-	for y := 0; y < r.H; y++ {
-		for x := 0; x < r.W; x++ {
-			i := y*r.W + x
-			if r.Labels[i] != int32(i) {
-				continue
-			}
-			s := int(r.Size[i])
-			iv := homog.Empty()
-			for yy := y; yy < y+s; yy++ {
-				for xx := x; xx < x+s; xx++ {
-					iv = iv.Union(homog.Point(im.At(xx, yy)))
-				}
-			}
-			out = append(out, Square{X: x, Y: y, Size: s, IV: iv})
-		}
-	}
-	return out
 }
 
 // Validate checks the structural invariants of a split result against the
@@ -349,16 +342,23 @@ func (r *Result) Squares(im *pixmap.Image) []Square {
 // Invariants:
 //  1. Every pixel is labelled with the ID of a square whose NW pixel
 //     carries that same label (labels are well formed).
-//  2. Squares are power-of-two sized, aligned to their size, within the
-//     image, and within the cap.
-//  3. Every square is homogeneous under crit.
-//  4. Maximality: if the four siblings of an aligned quad-block are all
+//  2. The square list holds NumSquares entries in strictly ascending ID
+//     order, every pixel of each square carries the square's ID, and the
+//     areas sum to W·H, so the list tiles the image exactly.
+//  3. Squares are aligned to their power-of-two size, within the image,
+//     and within the cap.
+//  4. Every recorded interval is the union of its square's pixels, and
+//     every square is homogeneous under crit.
+//  5. Maximality: if the four siblings of an aligned quad-block are all
 //     squares of equal size < cap, their union is not homogeneous
 //     (otherwise the split would have combined them).
 func Validate(r *Result, im *pixmap.Image, crit homog.Criterion) error {
 	w, h := r.W, r.H
 	if w != im.W || h != im.H {
 		return fmt.Errorf("quadsplit: result %dx%d does not match image %dx%d", w, h, im.W, im.H)
+	}
+	if len(r.Labels) != w*h {
+		return fmt.Errorf("quadsplit: %d labels for a %dx%d image", len(r.Labels), w, h)
 	}
 	for i, lab := range r.Labels {
 		if lab < 0 || int(lab) >= w*h {
@@ -368,61 +368,68 @@ func Validate(r *Result, im *pixmap.Image, crit homog.Criterion) error {
 			return fmt.Errorf("quadsplit: pixel %d labelled %d, but %d is not a region root", i, lab, lab)
 		}
 	}
-	squares := r.Squares(im)
-	bySize := make(map[[3]int]Square, len(squares)) // key: x, y, size
+	if len(r.Squares) != r.NumSquares {
+		return fmt.Errorf("quadsplit: %d squares listed, NumSquares = %d", len(r.Squares), r.NumSquares)
+	}
 	area := 0
-	for _, s := range squares {
-		if s.Size <= 0 || s.Size&(s.Size-1) != 0 {
-			return fmt.Errorf("quadsplit: square at (%d,%d) has non-power-of-two size %d", s.X, s.Y, s.Size)
+	for k, s := range r.Squares {
+		if k > 0 && s.ID <= r.Squares[k-1].ID {
+			return fmt.Errorf("quadsplit: square %d has ID %d, not above square %d's %d", k, s.ID, k-1, r.Squares[k-1].ID)
 		}
-		if s.Size > r.MaxSquareUsed {
-			return fmt.Errorf("quadsplit: square at (%d,%d) size %d exceeds cap %d", s.X, s.Y, s.Size, r.MaxSquareUsed)
+		if s.ID < 0 || int(s.ID) >= w*h {
+			return fmt.Errorf("quadsplit: square %d has out-of-range ID %d", k, s.ID)
 		}
-		if s.X%s.Size != 0 || s.Y%s.Size != 0 {
-			return fmt.Errorf("quadsplit: square at (%d,%d) size %d is misaligned", s.X, s.Y, s.Size)
+		x, y, size := int(s.ID)%w, int(s.ID)/w, s.Side()
+		if size <= 0 || size > r.MaxSquareUsed {
+			return fmt.Errorf("quadsplit: square at (%d,%d) of side 2^%d exceeds cap %d", x, y, s.Log2, r.MaxSquareUsed)
 		}
-		if s.X+s.Size > w || s.Y+s.Size > h {
-			return fmt.Errorf("quadsplit: square at (%d,%d) size %d exceeds image", s.X, s.Y, s.Size)
+		if x%size != 0 || y%size != 0 {
+			return fmt.Errorf("quadsplit: square at (%d,%d) size %d is misaligned", x, y, size)
 		}
-		if !crit.Homogeneous(s.IV) {
-			return fmt.Errorf("quadsplit: square at (%d,%d) size %d is inhomogeneous: %v", s.X, s.Y, s.Size, s.IV)
+		if x+size > w || y+size > h {
+			return fmt.Errorf("quadsplit: square at (%d,%d) size %d exceeds image", x, y, size)
 		}
-		// Check the square's pixels all carry its label.
-		id := s.ID(w)
-		for y := s.Y; y < s.Y+s.Size; y++ {
-			for x := s.X; x < s.X+s.Size; x++ {
-				if r.Labels[y*w+x] != id {
-					return fmt.Errorf("quadsplit: pixel (%d,%d) not labelled by enclosing square (%d,%d,%d)", x, y, s.X, s.Y, s.Size)
+		iv := homog.Empty()
+		for yy := y; yy < y+size; yy++ {
+			for xx := x; xx < x+size; xx++ {
+				if r.Labels[yy*w+xx] != s.ID {
+					return fmt.Errorf("quadsplit: pixel (%d,%d) not labelled by enclosing square (%d,%d,%d)", xx, yy, x, y, size)
 				}
+				iv = iv.Union(homog.Point(im.Pix[yy*w+xx]))
 			}
 		}
-		bySize[[3]int{s.X, s.Y, s.Size}] = s
-		area += s.Size * s.Size
+		if iv != s.IV {
+			return fmt.Errorf("quadsplit: square at (%d,%d) size %d records interval %v, its pixels span %v", x, y, size, s.IV, iv)
+		}
+		if !crit.Homogeneous(iv) {
+			return fmt.Errorf("quadsplit: square at (%d,%d) size %d is inhomogeneous: %v", x, y, size, iv)
+		}
+		area += size * size
 	}
 	if area != w*h {
 		return fmt.Errorf("quadsplit: squares cover %d pixels, image has %d", area, w*h)
 	}
 	// Maximality of sibling quads.
-	for _, s := range squares {
-		if s.Size >= r.MaxSquareUsed {
+	for _, s := range r.Squares {
+		x, y, size := int(s.ID)%w, int(s.ID)/w, s.Side()
+		if size >= r.MaxSquareUsed {
 			continue
 		}
-		if s.X%(2*s.Size) != 0 || s.Y%(2*s.Size) != 0 {
-			continue // s is not the NW sibling
+		if x%(2*size) != 0 || y%(2*size) != 0 || x+2*size > w || y+2*size > h {
+			continue // s is not the NW sibling of a quad inside the image
 		}
-		sib := [3][2]int{{s.X + s.Size, s.Y}, {s.X, s.Y + s.Size}, {s.X + s.Size, s.Y + s.Size}}
 		union := s.IV
 		all := true
-		for _, p := range sib {
-			q, ok := bySize[[3]int{p[0], p[1], s.Size}]
-			if !ok {
+		for _, id := range [3]int{y*w + x + size, (y+size)*w + x, (y+size)*w + x + size} {
+			k, ok := slices.BinarySearchFunc(r.Squares, int32(id), func(q Square, id int32) int { return cmp.Compare(q.ID, id) })
+			if !ok || r.Squares[k].Log2 != s.Log2 {
 				all = false
 				break
 			}
-			union = union.Union(q.IV)
+			union = union.Union(r.Squares[k].IV)
 		}
 		if all && crit.Homogeneous(union) {
-			return fmt.Errorf("quadsplit: quad at (%d,%d) size %d should have been combined", s.X, s.Y, 2*s.Size)
+			return fmt.Errorf("quadsplit: quad at (%d,%d) size %d should have been combined", x, y, 2*size)
 		}
 	}
 	return nil

@@ -2,8 +2,11 @@ package quadsplit
 
 import (
 	"context"
+	"fmt"
+	"math/bits"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"regiongrow/internal/homog"
 	"regiongrow/internal/pixmap"
@@ -45,8 +48,8 @@ func TestPaperFigure1(t *testing.T) {
 		t.Fatalf("squares = %d, want 7 (three 2x2 + four 1x1)", res.NumSquares)
 	}
 	sizes := map[int]int{}
-	for _, s := range res.Squares(im) {
-		sizes[s.Size]++
+	for _, s := range res.Squares {
+		sizes[s.Side()]++
 	}
 	if sizes[2] != 3 || sizes[1] != 4 {
 		t.Fatalf("size histogram = %v", sizes)
@@ -153,11 +156,9 @@ func TestNonSquareImage(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Largest square is 16 (fits height); 24 = 16 + 8.
-	maxSize := int32(0)
-	for _, s := range res.Size {
-		if s > maxSize {
-			maxSize = s
-		}
+	maxSize := 0
+	for _, s := range res.Squares {
+		maxSize = max(maxSize, s.Side())
 	}
 	if maxSize != 16 {
 		t.Fatalf("largest square = %d, want 16", maxSize)
@@ -235,22 +236,96 @@ func TestCombinedPerIterMonotoneTermination(t *testing.T) {
 	}
 }
 
-func TestSquaresEnumerationMatchesLabels(t *testing.T) {
-	im := pixmap.Generate(pixmap.Image2Rects128, pixmap.DefaultGenOptions())
-	res := split(im, homog.NewRange(10), Options{})
-	squares := res.Squares(im)
-	if len(squares) != res.NumSquares {
-		t.Fatalf("Squares() returned %d, NumSquares = %d", len(squares), res.NumSquares)
+// enumerate is the per-pixel reading of a split's labels that the
+// recorded list must equal: every pixel labelled with its own index is a
+// square's root, in raster order; the side is the length of the root's
+// run in its row, and the interval the union of the square's pixels.
+func enumerate(r *Result, im *pixmap.Image) []Square {
+	var out []Square
+	for i, lab := range r.Labels {
+		if lab != int32(i) {
+			continue
+		}
+		x, y, side := i%r.W, i/r.W, 1
+		for x+side < r.W && r.Labels[i+side] == lab {
+			side++
+		}
+		iv := homog.Empty()
+		for yy := y; yy < y+side; yy++ {
+			for xx := x; xx < x+side; xx++ {
+				iv = iv.Union(homog.Point(im.At(xx, yy)))
+			}
+		}
+		out = append(out, Square{ID: lab, IV: iv, Log2: uint8(bits.TrailingZeros(uint(side)))})
 	}
-	area := 0
-	for _, s := range squares {
-		area += s.Size * s.Size
-		if res.Labels[s.ID(im.W)] != s.ID(im.W) {
-			t.Fatal("square origin is not a root label")
+	return out
+}
+
+// sameList reports the first difference between a recorded list and the
+// per-pixel enumeration of the same result.
+func sameList(r *Result, im *pixmap.Image) error {
+	want := enumerate(r, im)
+	if len(r.Squares) != len(want) {
+		return fmt.Errorf("%d squares listed, the labels hold %d", len(r.Squares), len(want))
+	}
+	for k, s := range r.Squares {
+		if s != want[k] {
+			return fmt.Errorf("square %d is %+v, the labels give %+v", k, s, want[k])
 		}
 	}
-	if area != im.W*im.H {
-		t.Fatalf("squares cover %d px of %d", area, im.W*im.H)
+	return nil
+}
+
+// TestSquareIsEightBytes pins the list record's size: the split writes
+// one per square, so on a noise image, where nearly every pixel is a
+// square, the list costs this much per pixel.
+func TestSquareIsEightBytes(t *testing.T) {
+	if n := unsafe.Sizeof(Square{}); n != 8 {
+		t.Fatalf("Square is %d bytes, want 8", n)
+	}
+}
+
+// TestSquaresEnumerationMatchesLabels requires the recorded list to
+// equal the per-pixel enumeration of the labels, and to pass Validate,
+// on a paper image and on random images of small odd geometries under
+// several thresholds and caps, with and without a Scratch (reused across
+// the cases, so a stale longer list would show).
+func TestSquaresEnumerationMatchesLabels(t *testing.T) {
+	im := pixmap.Generate(pixmap.Image2Rects128, pixmap.DefaultGenOptions())
+	if err := sameList(split(im, homog.NewRange(10), Options{}), im); err != nil {
+		t.Fatal(err)
+	}
+	sc := new(Scratch)
+	for seed := uint64(0); seed < 12; seed++ {
+		for _, dims := range [][2]int{{1, 1}, {1, 9}, {9, 1}, {7, 5}, {16, 16}, {33, 17}, {40, 64}} {
+			im := oddRandom(dims[0], dims[1], seed)
+			for i := range im.Pix {
+				im.Pix[i] &= 0x1F
+			}
+			for _, threshold := range []int{0, 8, 20, 40} {
+				for _, maxSquare := range []int{0, 1, 2, 8, Unbounded} {
+					crit := homog.NewRange(threshold)
+					name := fmt.Sprintf("seed=%d/%dx%d/T=%d/cap=%d", seed, dims[0], dims[1], threshold, maxSquare)
+					for _, opt := range []Options{{MaxSquare: maxSquare}, {MaxSquare: maxSquare, Scratch: sc}} {
+						res := split(im, crit, opt)
+						if err := sameList(res, im); err != nil {
+							t.Fatalf("%s scratch=%t: %v", name, opt.Scratch != nil, err)
+						}
+						// Split sizes the list by this count.
+						n := len(im.Pix)
+						for _, c := range res.CombinedPerIter {
+							n -= 3 * c
+						}
+						if n != res.NumSquares {
+							t.Fatalf("%s: %d squares, but w·h − 3·%v = %d", name, res.NumSquares, res.CombinedPerIter, n)
+						}
+						if err := Validate(res, im, crit); err != nil {
+							t.Fatalf("%s scratch=%t: %v", name, opt.Scratch != nil, err)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

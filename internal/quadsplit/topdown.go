@@ -1,6 +1,10 @@
 package quadsplit
 
 import (
+	"cmp"
+	"math/bits"
+	"slices"
+
 	"regiongrow/internal/homog"
 	"regiongrow/internal/pixmap"
 )
@@ -22,7 +26,6 @@ func SplitTopDown(im *pixmap.Image, crit homog.Criterion, opt Options) *Result {
 	res := &Result{
 		W: w, H: h,
 		Labels:        make([]int32, w*h),
-		Size:          make([]int32, w*h),
 		MaxSquareUsed: EffectiveCap(opt, w, h),
 	}
 	if w == 0 || h == 0 {
@@ -36,15 +39,15 @@ func SplitTopDown(im *pixmap.Image, crit homog.Criterion, opt Options) *Result {
 			s.recurse(x, y, cap)
 		}
 	}
+	// The recursion claims squares in Z order; the list is in ID order.
+	slices.SortFunc(res.Squares, func(a, b Square) int { return cmp.Compare(a.ID, b.ID) })
 	// The bottom-up pass count equals log2(cap / smallest-split-to size)
 	// + 1 when anything combined; reuse its semantics by re-deriving from
 	// the produced sizes: iterations = log2(largest square) + 1 capped at
 	// log2(cap), minimum 1. A pass that combined nothing still counts.
 	largest := 1
-	for _, sz := range res.Size {
-		if int(sz) > largest {
-			largest = int(sz)
-		}
+	for _, sq := range res.Squares {
+		largest = max(largest, sq.Side())
 	}
 	iters := 0
 	for 1<<iters < largest {
@@ -73,7 +76,7 @@ func (s *topDown) recurse(x, y, size int) {
 		return
 	}
 	if size == 1 {
-		s.claim(x, y, 1)
+		s.claim(x, y, 1, homog.Point(s.im.At(x, y)))
 		return
 	}
 	if x+size <= s.im.W && y+size <= s.im.H {
@@ -84,7 +87,7 @@ func (s *topDown) recurse(x, y, size int) {
 			}
 		}
 		if s.crit.Homogeneous(iv) {
-			s.claim(x, y, size)
+			s.claim(x, y, size, iv)
 			return
 		}
 	}
@@ -95,14 +98,14 @@ func (s *topDown) recurse(x, y, size int) {
 	s.recurse(x+half, y+half, half)
 }
 
-func (s *topDown) claim(x, y, size int) {
+func (s *topDown) claim(x, y, size int, iv homog.Interval) {
 	id := int32(y*s.im.W + x)
 	s.res.NumSquares++
+	s.res.Squares = append(s.res.Squares, Square{ID: id, IV: iv, Log2: uint8(bits.TrailingZeros(uint(size)))})
 	for yy := y; yy < y+size; yy++ {
 		row := yy * s.im.W
 		for xx := x; xx < x+size; xx++ {
 			s.res.Labels[row+xx] = id
-			s.res.Size[row+xx] = int32(size)
 		}
 	}
 }

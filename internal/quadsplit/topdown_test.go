@@ -1,6 +1,7 @@
 package quadsplit
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -19,9 +20,12 @@ func TestTopDownMatchesBottomUp(t *testing.T) {
 			t.Fatalf("%v: bottom-up %d squares, top-down %d", id, bu.NumSquares, td.NumSquares)
 		}
 		for i := range bu.Labels {
-			if bu.Labels[i] != td.Labels[i] || bu.Size[i] != td.Size[i] {
+			if bu.Labels[i] != td.Labels[i] {
 				t.Fatalf("%v: partitions differ at pixel %d", id, i)
 			}
+		}
+		if !slices.Equal(bu.Squares, td.Squares) {
+			t.Fatalf("%v: square lists differ", id)
 		}
 		if bu.Iterations != td.Iterations {
 			t.Fatalf("%v: iteration accounting differs: %d vs %d", id, bu.Iterations, td.Iterations)
@@ -47,7 +51,7 @@ func TestTopDownMatchesBottomUpProperty(t *testing.T) {
 				return false
 			}
 		}
-		return Validate(td, im, crit) == nil
+		return slices.Equal(bu.Squares, td.Squares) && Validate(td, im, crit) == nil
 	}, &quick.Config{MaxCount: 30})
 	if err != nil {
 		t.Fatal(err)

@@ -25,7 +25,7 @@ func validBase(t *testing.T) (*Result, *pixmap.Image, homog.Criterion) {
 func cloneResult(r *Result) *Result {
 	out := *r
 	out.Labels = append([]int32{}, r.Labels...)
-	out.Size = append([]int32{}, r.Size...)
+	out.Squares = append([]Square{}, r.Squares...)
 	return &out
 }
 
@@ -72,7 +72,7 @@ func TestValidateMisalignedSquare(t *testing.T) {
 			bad.Labels[im.Index(x, y)] = root
 		}
 	}
-	bad.Size[root] = 2
+	bad.Squares[1].ID, bad.Squares[1].Log2 = root, 1
 	if err := Validate(bad, im, crit); err == nil {
 		t.Fatal("misaligned/incoherent square accepted")
 	}
@@ -95,17 +95,83 @@ func TestValidateMissedCombine(t *testing.T) {
 	res := &Result{
 		W: 4, H: 4,
 		Labels:        make([]int32, 16),
-		Size:          make([]int32, 16),
 		Iterations:    1,
 		NumSquares:    16,
 		MaxSquareUsed: 4,
 	}
 	for i := range res.Labels {
 		res.Labels[i] = int32(i)
-		res.Size[i] = 1
+		res.Squares = append(res.Squares, Square{ID: int32(i), IV: homog.Point(im.Pix[i])})
 	}
 	err := Validate(res, im, crit)
 	if err == nil || !strings.Contains(err.Error(), "should have been combined") {
 		t.Fatalf("maximality violation not caught: %v", err)
+	}
+}
+
+// listBase is a split of a random image with squares of several sizes,
+// so list corruptions have neighbours to collide with.
+func listBase(t *testing.T) (*Result, *pixmap.Image, homog.Criterion) {
+	t.Helper()
+	im := oddRandom(16, 12, 3)
+	for i := range im.Pix {
+		im.Pix[i] &= 0x0F
+	}
+	crit := homog.NewRange(10)
+	res := split(im, crit, Options{MaxSquare: 8})
+	if err := Validate(res, im, crit); err != nil {
+		t.Fatalf("base result invalid: %v", err)
+	}
+	if res.NumSquares < 3 || res.NumSquares == len(im.Pix) {
+		t.Fatalf("base split has %d squares; the test needs a mix of sizes", res.NumSquares)
+	}
+	return res, im, crit
+}
+
+func TestValidateWrongNumSquares(t *testing.T) {
+	res, im, crit := listBase(t)
+	for _, n := range []int{res.NumSquares - 1, res.NumSquares + 1} {
+		bad := cloneResult(res)
+		bad.NumSquares = n
+		if err := Validate(bad, im, crit); err == nil || !strings.Contains(err.Error(), "NumSquares") {
+			t.Fatalf("NumSquares %d of %d listed: err = %v", n, res.NumSquares, err)
+		}
+	}
+}
+
+func TestValidateWrongRecordedInterval(t *testing.T) {
+	res, im, crit := listBase(t)
+	k := len(res.Squares) / 2
+	for _, iv := range []homog.Interval{
+		{Lo: res.Squares[k].IV.Lo, Hi: res.Squares[k].IV.Hi + 1},
+		{Lo: res.Squares[k].IV.Lo + 1, Hi: res.Squares[k].IV.Hi + 1},
+	} {
+		bad := cloneResult(res)
+		bad.Squares[k].IV = iv
+		if err := Validate(bad, im, crit); err == nil || !strings.Contains(err.Error(), "records interval") {
+			t.Fatalf("square %d recorded as %v: err = %v", k, iv, err)
+		}
+	}
+}
+
+func TestValidateSwappedSquares(t *testing.T) {
+	res, im, crit := listBase(t)
+	bad := cloneResult(res)
+	k := len(bad.Squares) / 2
+	bad.Squares[k], bad.Squares[k+1] = bad.Squares[k+1], bad.Squares[k]
+	if err := Validate(bad, im, crit); err == nil || !strings.Contains(err.Error(), "not above") {
+		t.Fatalf("swapped squares %d and %d: err = %v", k, k+1, err)
+	}
+}
+
+func TestValidateDroppedSquare(t *testing.T) {
+	res, im, crit := listBase(t)
+	for _, k := range []int{0, len(res.Squares) / 2, len(res.Squares) - 1} {
+		bad := cloneResult(res)
+		bad.Squares = append(bad.Squares[:k], bad.Squares[k+1:]...)
+		bad.NumSquares--
+		if err := Validate(bad, im, crit); err == nil || !strings.Contains(err.Error(), "cover") {
+			t.Fatalf("square %d dropped: err = %v", k, err)
+		}
 	}
 }

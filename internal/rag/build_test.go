@@ -8,17 +8,147 @@ import (
 	"slices"
 	"testing"
 
+	"regiongrow/internal/homog"
 	"regiongrow/internal/pixmap"
 	"regiongrow/internal/quadsplit"
 )
 
-// TestBuildParallelMatchesBuildFromLabels requires the band build to
-// reproduce the single build's arena exactly — slot IDs in order,
+// buildCheckRows is how many image rows BuildFromLabels processes
+// between context checks — frequent enough that cancellation lands well
+// within one stage, rare enough to keep the check off the per-pixel path.
+const buildCheckRows = 64
+
+// BuildFromLabels constructs the RAG of a labelled image: one vertex per
+// label with the interval of its pixels, one edge per 4-adjacent label
+// pair. It is the tests' reference build: AddSquares must reproduce its
+// arena on every split, and it accepts arbitrary label rasters, which
+// FuzzRelabel feeds it. Cancellation is checked every few rows; it
+// returns (nil, ctx.Err()) when ctx is done.
+//
+// The builder is run-length: vertices accrue one interval union per row
+// run of a label, horizontal edges one AddEdge per run boundary, and
+// vertical edges one AddEdge per overlap segment of the two rows' run
+// structures. The result is identical to the per-pixel build for
+// arbitrary labels.
+func BuildFromLabels(ctx context.Context, im *pixmap.Image, labels []int32, crit homog.Criterion) (*Graph, error) {
+	w, h := im.W, im.H
+	if len(labels) != w*h {
+		panic(fmt.Sprintf("rag: %d labels for %dx%d image", len(labels), w, h))
+	}
+	g := NewGraph(crit)
+	for y := 0; y < h; y++ {
+		if y%buildCheckRows == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		row := labels[y*w : y*w+w]
+		pix := im.Pix[y*w : y*w+w]
+		for x := 0; x < w; {
+			lab := row[x]
+			x1 := x + 1
+			for x1 < w && row[x1] == lab {
+				x1++
+			}
+			lo, hi := homog.RowMinMax(pix[x:x1])
+			g.AddVertex(lab, homog.Interval{Lo: lo, Hi: hi})
+			x = x1
+		}
+	}
+	for y := 0; y < h; y++ {
+		if y%buildCheckRows == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		row := labels[y*w : y*w+w]
+		for x := 0; x+1 < w; {
+			lab := row[x]
+			x1 := x + 1
+			for x1 < w && row[x1] == lab {
+				x1++
+			}
+			if x1 < w {
+				g.AddEdge(lab, row[x1]) // runs end exactly at label changes
+			}
+			x = x1
+		}
+		if y+1 >= h {
+			continue
+		}
+		rowB := labels[(y+1)*w : (y+2)*w]
+		for x := 0; x < w; {
+			la, lb := row[x], rowB[x]
+			x1 := x + 1
+			for x1 < w && row[x1] == la && rowB[x1] == lb {
+				x1++
+			}
+			if la != lb {
+				g.AddEdge(la, lb)
+			}
+			x = x1
+		}
+	}
+	return g, nil
+}
+
+// squareGraph is the graph the pipelines build from a split: its squares
+// added to an empty graph at offset 0.
+func squareGraph(t *testing.T, sp *quadsplit.Result, c homog.Criterion) *Graph {
+	t.Helper()
+	g := NewGraph(c)
+	if err := g.AddSquares(context.Background(), sp.Squares, sp.Labels, sp.W, 0); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// bandGraph builds im's graph the way stream's pass 1 does: split each
+// band of bandRows rows on its own, add the band's squares at its offset,
+// and stitch the band's first row to the previous band's last row with
+// one AddEdge per overlap run.
+func bandGraph(t *testing.T, im *pixmap.Image, c homog.Criterion, maxSquare, bandRows int) *Graph {
+	t.Helper()
+	g := NewGraph(c)
+	w := im.W
+	var frontier []int32
+	for y0 := 0; y0 < im.H; y0 += bandRows {
+		bh := min(bandRows, im.H-y0)
+		band, err := im.SubImage(0, y0, w, bh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, err := quadsplit.Split(context.Background(), band, c, quadsplit.Options{MaxSquare: maxSquare})
+		if err != nil {
+			t.Fatal(err)
+		}
+		off := int32(y0 * w)
+		if err := g.AddSquares(context.Background(), sp.Squares, sp.Labels, w, off); err != nil {
+			t.Fatal(err)
+		}
+		for x := 0; x < len(frontier); {
+			a, b := frontier[x], sp.Labels[x]+off
+			for x < w && frontier[x] == a && sp.Labels[x]+off == b {
+				x++
+			}
+			g.AddEdge(a, b)
+		}
+		frontier = slices.Clone(sp.Labels[(bh-1)*w:])
+		for x := range frontier {
+			frontier[x] += off
+		}
+	}
+	return g
+}
+
+// TestAddSquaresMatchesBuildFromLabels requires the square build to
+// reproduce the label build's arena exactly — slot IDs in order,
 // intervals, liveness and every adjacency list — across image shapes
-// (empty, single-pixel, tall, wide, odd), split caps (whose squares then
-// often span band boundaries) and worker counts, and to return
-// (nil, ctx.Err()) on a cancelled context.
-func TestBuildParallelMatchesBuildFromLabels(t *testing.T) {
+// (empty, single-pixel, tall, wide, odd) and split caps, three ways: the
+// whole image at offset 0, as core does; full-width bands at their row
+// offsets, stitched, as stream does; and a tile whose labels are already
+// global, as nodeprog does.
+func TestAddSquaresMatchesBuildFromLabels(t *testing.T) {
 	images := map[string]*pixmap.Image{
 		"0x0":        pixmap.New(0, 0),
 		"0x9":        pixmap.New(0, 9),
@@ -32,30 +162,52 @@ func TestBuildParallelMatchesBuildFromLabels(t *testing.T) {
 	c := crit(10)
 	for name, im := range images {
 		for _, maxSquare := range []int{0, 1, 2, 8, 16, quadsplit.Unbounded} {
+			label := fmt.Sprintf("%s/cap=%d", name, maxSquare)
 			sp, err := quadsplit.Split(context.Background(), im, c, quadsplit.Options{MaxSquare: maxSquare})
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := build(im, sp.Labels, c)
-			for _, workers := range []int{1, 2, 3, 7, 64} {
-				label := fmt.Sprintf("%s/cap=%d/w=%d", name, maxSquare, workers)
-				got, err := BuildParallel(context.Background(), im, sp.Labels, c, workers)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
+			if err := sameArena(want, squareGraph(t, sp, c)); err != nil {
+				t.Errorf("%s: %v", label, err)
+			}
+			cap := sp.MaxSquareUsed
+			for _, bandRows := range []int{cap, 3 * cap} {
+				if err := sameArena(want, bandGraph(t, im, c, cap, bandRows)); err != nil {
+					t.Errorf("%s/bands of %d rows: %v", label, bandRows, err)
 				}
-				if err := sameArena(want, got); err != nil {
-					t.Errorf("%s: %v", label, err)
-				}
-				if im.H == 0 {
-					continue // no row to check the context at, as in BuildFromLabels
-				}
-				got, err = BuildParallel(cancelled(), im, sp.Labels, c, workers)
-				if !errors.Is(err, context.Canceled) || got != nil {
-					t.Errorf("%s: cancelled build = %v, %v; want nil, context.Canceled", label, got, err)
-				}
+			}
+			if err := tileMatches(im, c, cap); err != nil {
+				t.Errorf("%s/tile: %v", label, err)
 			}
 		}
 	}
+}
+
+// tileMatches builds the graph of im's south-east cap-aligned tile the
+// way nodeprog does — the tile split on its own, its labels made global
+// in place, its squares added at offset 0 — and compares it with the
+// label build over the same global labels.
+func tileMatches(im *pixmap.Image, c homog.Criterion, cap int) error {
+	x0, y0 := cap*(im.W/cap/2), cap*(im.H/cap/2)
+	tw, th := im.W-x0, im.H-y0
+	tile, err := im.SubImage(x0, y0, tw, th)
+	if err != nil {
+		return err
+	}
+	sp, err := quadsplit.Split(context.Background(), tile, c, quadsplit.Options{MaxSquare: cap})
+	if err != nil {
+		return err
+	}
+	for i, l := range sp.Labels {
+		sp.Labels[i] = int32((y0+int(l)/tw)*im.W + x0 + int(l)%tw)
+	}
+	want := build(tile, sp.Labels, c)
+	got := NewGraph(c)
+	if err := got.AddSquares(context.Background(), sp.Squares, sp.Labels, tw, 0); err != nil {
+		return err
+	}
+	return sameArena(want, got)
 }
 
 // sameArena reports the first difference between two graphs' arenas.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"regiongrow/internal/pixmap"
+	"regiongrow/internal/quadsplit"
 )
 
 // countdownCtx reports no error for its first n Err calls and
@@ -56,6 +57,30 @@ func TestBuildFromLabelsCancelled(t *testing.T) {
 	g, err := BuildFromLabels(cancelled(), im, labels, crit(10))
 	if !errors.Is(err, context.Canceled) || g != nil {
 		t.Fatalf("BuildFromLabels on a cancelled ctx = %v, %v; want nil, context.Canceled", g, err)
+	}
+}
+
+// TestAddSquaresCancelled: a cancelled context stops the square build
+// before it adds anything, and a context that becomes done after the
+// first check stops it a few thousand squares in, with context.Canceled
+// both times.
+func TestAddSquaresCancelled(t *testing.T) {
+	im := pixmap.Random(128, 1)
+	sp, err := quadsplit.Split(context.Background(), im, crit(0), quadsplit.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sp.Squares) <= 2*addCheckSquares {
+		t.Fatalf("the split has %d squares; the test needs more than %d", len(sp.Squares), 2*addCheckSquares)
+	}
+	g := NewGraph(crit(0))
+	if err := g.AddSquares(cancelled(), sp.Squares, sp.Labels, im.W, 0); !errors.Is(err, context.Canceled) || g.Slots() != 0 {
+		t.Fatalf("AddSquares on a cancelled ctx = %v with %d slots; want context.Canceled and none", err, g.Slots())
+	}
+	g = NewGraph(crit(0))
+	err = g.AddSquares(&countdownCtx{Context: context.Background(), n: 1}, sp.Squares, sp.Labels, im.W, 0)
+	if !errors.Is(err, context.Canceled) || g.Slots() != addCheckSquares {
+		t.Fatalf("AddSquares cancelled after one check = %v with %d slots; want context.Canceled and %d", err, g.Slots(), addCheckSquares)
 	}
 }
 

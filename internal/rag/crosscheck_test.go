@@ -109,11 +109,13 @@ func checkRelabel(t *testing.T, name string, g *Graph, im *pixmap.Image, labels 
 	}
 }
 
-// crossCheck splits im under (threshold, maxSquare), merges the split's
-// graph with MergeAll and with referenceMergeAll, and fails t unless the
-// two agree on every round's merge count and the forced resolutions, the
-// arena's relabel matches the reference's merges, and MergeAll leaves no
-// live slot with an active edge. It returns the number of forced rounds.
+// crossCheck splits im under (threshold, maxSquare), builds the split's
+// graph from its squares, and requires its arena to equal the label
+// build's. It then merges the square graph with MergeAll and the label
+// graph with referenceMergeAll, and fails t unless the two agree on every
+// round's merge count and the forced resolutions, the arena's relabel
+// matches the reference's merges, and MergeAll leaves no live slot with
+// an active edge. It returns the number of forced rounds.
 func crossCheck(t *testing.T, im *pixmap.Image, threshold, maxSquare int, policy TiePolicy, seed uint64) int {
 	t.Helper()
 	c := homog.NewRange(threshold)
@@ -121,10 +123,13 @@ func crossCheck(t *testing.T, im *pixmap.Image, threshold, maxSquare int, policy
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, refGraph := build(im, sp.Labels, c), build(im, sp.Labels, c)
+	name := fmt.Sprintf("%dx%d T=%d cap=%d %v seed=%d", im.W, im.H, threshold, maxSquare, policy, seed)
+	g, refGraph := squareGraph(t, sp, c), build(im, sp.Labels, c)
+	if err := sameArena(refGraph, g); err != nil {
+		t.Fatalf("%s: square build: %v", name, err)
+	}
 	got := mergeAll(g, policy, seed)
 	want, ref := referenceMergeAll(refGraph, policy, seed)
-	name := fmt.Sprintf("%dx%d T=%d cap=%d %v seed=%d", im.W, im.H, threshold, maxSquare, policy, seed)
 	if !slices.Equal(got.MergesPerIter, want.MergesPerIter) || got.ForcedResolutions != want.ForcedResolutions {
 		t.Fatalf("%s: merges per round %v, forced %d; reference %v, forced %d",
 			name, got.MergesPerIter, got.ForcedResolutions, want.MergesPerIter, want.ForcedResolutions)

@@ -6,11 +6,10 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 
 	"regiongrow/internal/homog"
-	"regiongrow/internal/pixmap"
 	"regiongrow/internal/prand"
+	"regiongrow/internal/quadsplit"
 )
 
 // TiePolicy selects how a region breaks ties among equally attractive
@@ -280,154 +279,74 @@ func (g *Graph) ContractSlots(keeper, loser int) {
 	g.contractSlots(int32(keeper), int32(loser))
 }
 
-// buildCheckRows is how many image rows BuildFromLabels processes
-// between context checks — frequent enough that cancellation lands well
-// within one stage, rare enough to keep the check off the per-pixel path.
-const buildCheckRows = 64
+// addCheckSquares is how many squares AddSquares adds between context
+// checks — frequent enough that cancellation lands well within one
+// stage, rare enough to keep the check off the per-square path.
+const addCheckSquares = 4096
 
-// BuildFromLabels constructs the RAG of a labelled image: one vertex per
-// label with the interval of its pixels, one edge per 4-adjacent label
-// pair. This is how the merge stage receives the split stage's output.
-// Cancellation is checked every few rows; it returns (nil, ctx.Err())
-// when ctx is done.
+// AddSquares adds a split's squares to g: one vertex per square, in list
+// order, then the edges each square meets along its east column and its
+// south row. labels is the split's label raster, w labels a row, and a
+// square's list ID is its north-west pixel's index in it. The graph ID of
+// that square, and of every neighbour, is its label plus off. So a whole
+// image builds at off 0, a full-width band whose first row is image row
+// y0 at off y0·w, and a tile whose labels are already global at off 0.
+// Cancellation is checked every few thousand squares; it returns
+// ctx.Err() when ctx is done.
 //
-// The builder is run-length: label arrays out of the split stage are long
-// horizontal runs (one per square per row), so vertices accrue one
-// interval union per run (via the packed SWAR row scan) instead of one
-// per pixel, horizontal edges one AddEdge per run boundary, and vertical
-// edges one AddEdge per overlap segment of the two rows' run structures.
-// The result is identical to the per-pixel build for arbitrary labels.
-func BuildFromLabels(ctx context.Context, im *pixmap.Image, labels []int32, crit homog.Criterion) (*Graph, error) {
-	w, h := im.W, im.H
-	if len(labels) != w*h {
-		panic(fmt.Sprintf("rag: %d labels for %dx%d image", len(labels), w, h))
+// This is the graph of the split's labels, slot for slot, as a build
+// that scans the labels row by row would make it (rag's tests keep one,
+// BuildFromLabels, as the reference). The list is in ID order, which is
+// the order in which a row scan meets the squares; every 4-adjacent
+// pixel pair with different labels lies on the east column or the south
+// row of one of its two squares, so the edge sets agree; and a square's
+// recorded interval is the union of its pixels. Each neighbour costs one
+// AddEdge per run of its label along the border, not one per pixel.
+func (g *Graph) AddSquares(ctx context.Context, squares []quadsplit.Square, labels []int32, w int, off int32) error {
+	if len(squares) == 0 {
+		return nil
 	}
-	g := NewGraph(crit)
-	for y := 0; y < h; y++ {
-		if y%buildCheckRows == 0 {
+	if w <= 0 || len(labels)%w != 0 {
+		panic(fmt.Sprintf("rag: %d labels in rows of %d", len(labels), w))
+	}
+	h := len(labels) / w
+	for k, sq := range squares {
+		if k%addCheckSquares == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return err
 			}
 		}
-		row := labels[y*w : y*w+w]
-		pix := im.Pix[y*w : y*w+w]
-		for x := 0; x < w; {
-			lab := row[x]
-			x1 := x + 1
-			for x1 < w && row[x1] == lab {
-				x1++
-			}
-			lo, hi := homog.RowMinMax(pix[x:x1])
-			g.AddVertex(lab, homog.Interval{Lo: lo, Hi: hi})
-			x = x1
-		}
+		g.AddVertex(labels[sq.ID]+off, sq.IV)
 	}
-	for y := 0; y < h; y++ {
-		if y%buildCheckRows == 0 {
+	for k, sq := range squares {
+		if k%addCheckSquares == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return err
 			}
 		}
-		row := labels[y*w : y*w+w]
-		for x := 0; x+1 < w; {
-			lab := row[x]
-			x1 := x + 1
-			for x1 < w && row[x1] == lab {
-				x1++
+		p, side := int(sq.ID), sq.Side()
+		x, y := p%w, p/w
+		a := labels[p] + off
+		if x+side < w {
+			prev := a
+			for i := p + side; i < p+side+side*w; i += w {
+				if b := labels[i] + off; b != prev {
+					g.AddEdge(a, b)
+					prev = b
+				}
 			}
-			if x1 < w {
-				g.AddEdge(lab, row[x1]) // runs end exactly at label changes
-			}
-			x = x1
 		}
-		if y+1 >= h {
-			continue
-		}
-		rowB := labels[(y+1)*w : (y+2)*w]
-		for x := 0; x < w; {
-			la, lb := row[x], rowB[x]
-			x1 := x + 1
-			for x1 < w && row[x1] == la && rowB[x1] == lb {
-				x1++
-			}
-			if la != lb {
-				g.AddEdge(la, lb)
-			}
-			x = x1
-		}
-	}
-	return g, nil
-}
-
-// BuildParallel is BuildFromLabels on one goroutine per row band, at
-// most workers of them. Each band's graph holds the vertices and edges
-// of its rows. Grafting the band graphs in band order unions the
-// intervals of regions that span a band boundary, and stitching adds the
-// edges that cross one, which gives BuildFromLabels's graph over the
-// whole image, slot for slot: a region's slot still follows its first
-// appearance in raster order. With one band it is that graph. Each band
-// checks ctx as BuildFromLabels does; it returns (nil, ctx.Err()) when
-// ctx is done.
-func BuildParallel(ctx context.Context, im *pixmap.Image, labels []int32, crit homog.Criterion, workers int) (*Graph, error) {
-	w, h := im.W, im.H
-	bands := min(workers, h)
-	if bands <= 1 {
-		return BuildFromLabels(ctx, im, labels, crit)
-	}
-	if len(labels) != w*h {
-		panic(fmt.Sprintf("rag: %d labels for %dx%d image", len(labels), w, h))
-	}
-	rows := (h + bands - 1) / bands // the last band takes the remainder
-	parts := make([]*Graph, (h+rows-1)/rows)
-	var wg sync.WaitGroup
-	for b := range parts {
-		y0, y1 := b*rows, min((b+1)*rows, h)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			band := &pixmap.Image{W: w, H: y1 - y0, Pix: im.Pix[y0*w : y1*w]}
-			// A cancelled band stays nil; the ctx check below discards it.
-			parts[b], _ = BuildFromLabels(ctx, band, labels[y0*w:y1*w], crit)
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	// Band 0's slots come first.
-	g := parts[0]
-	//vet:noctx bounded graft of at most workers-1 partial graphs, right after the ctx check above; cannot block
-	for _, p := range parts[1:] {
-		g.absorb(p)
-	}
-	//vet:noctx bounded stitch over at most workers-1 band boundaries, right after the ctx check above; cannot block
-	for y := rows; y < h; y += rows {
-		above, below := labels[(y-1)*w:y*w], labels[y*w:(y+1)*w]
-		for x, a := range above {
-			g.AddEdge(a, below[x])
-		}
-	}
-	return g, nil
-}
-
-// absorb grafts every live vertex and edge of other into g, unioning
-// intervals of IDs present in both. The graft follows other's stable
-// slot order, so BuildParallel's assembly is deterministic.
-func (g *Graph) absorb(other *Graph) {
-	for s, id := range other.ids {
-		if !other.alive[s] {
-			continue
-		}
-		g.AddVertex(id, homog.Interval{Lo: other.lo[s], Hi: other.hi[s]})
-	}
-	for s := range other.ids {
-		for _, n := range other.adj[s] {
-			if n > int32(s) {
-				g.AddEdge(other.ids[s], other.ids[n])
+		if y+side < h {
+			prev := a
+			for _, b := range labels[p+side*w : p+side*w+side] {
+				if b += off; b != prev {
+					g.AddEdge(a, b)
+					prev = b
+				}
 			}
 		}
 	}
+	return nil
 }
 
 // scan is the first half of the choice kernel: a linear walk of slot s's

@@ -6,10 +6,11 @@
 // of the effective split cap. Cap alignment means no split square crosses
 // a band boundary, so splitting each band independently reproduces
 // exactly the global split (the same argument distengine's workers rely
-// on). Each band's squares join one global region adjacency graph —
-// intra-band edges from the band's labels, inter-band edges stitched
-// against the retained previous-band boundary row — and the band's square
-// list spills to a temp-file spool before its pixels are retired. Only
+// on). Each band's square list joins one global region adjacency graph —
+// intra-band edges found along each square's east column and south row of
+// the band's labels, inter-band edges stitched against the retained
+// previous-band boundary row — and spills to a temp-file spool before the
+// band's pixels are retired. Only
 // the live frontier strip, the RAG (one vertex per square, not per
 // pixel), and the spool survive a band.
 //

@@ -69,8 +69,10 @@ const spoolRecordSize = 8
 // merge round, stage events go to run.Observer.
 //
 // Peak memory is O(band + squares): one pixel band, the frontier strip,
-// and the region graph — never the full raster or label map. Labels are
-// byte-identical to the sequential engine's for the same cfg.
+// and the region graph — never the full raster or label map. Each band's
+// split adds a transient 4 B per pixel of band labels and 8 B per square
+// of list, both dead once the band is in the graph and the spool. Labels
+// are byte-identical to the sequential engine's for the same cfg.
 func Segment(ctx context.Context, r io.Reader, w io.Writer, cfg core.Config, run core.Run, opt Options) (*Result, error) {
 	sr, err := pixmap.NewStreamReader(r)
 	if err != nil {
@@ -124,12 +126,11 @@ func Segment(ctx context.Context, r io.Reader, w io.Writer, cfg core.Config, run
 	return res, nil
 }
 
-// ingest runs pass 1: stream bands in, split each, assemble the global
-// RAG incrementally (stitching across band boundaries through the
-// retained frontier row), and spill each band's square list to the spool.
-// Every square is a new vertex, so spool record k is the vertex in graph
-// slot k. It returns the per-band square counts that delimit the spool on
-// replay.
+// ingest runs pass 1: stream bands in, split each, add the band's square
+// list to the global RAG (stitching across band boundaries through the
+// retained frontier row), and spill the list to the spool. Every square
+// is a new vertex, so spool record k is the vertex in graph slot k. It
+// returns the per-band square counts that delimit the spool on replay.
 func ingest(ctx context.Context, sr *pixmap.StreamReader, spool *os.File, g *rag.Graph, res *Result, cfg core.Config, run core.Run, cap, bandRows int) ([]int, error) {
 	width, height := res.W, res.H
 	run.Emit(core.StageEvent{Kind: core.EventSplitStart})
@@ -163,45 +164,37 @@ func ingest(ctx context.Context, sr *pixmap.StreamReader, spool *os.File, g *rag
 		res.SplitIterations = max(res.SplitIterations, sp.Iterations)
 		res.SquaresAfterSplit += sp.NumSquares
 
-		// Vertices with global IDs, spilled to the spool as they appear.
-		for _, sq := range sp.Squares(band) {
-			gid := int32((y0+sq.Y)*width + sq.X)
-			g.AddVertex(gid, sq.IV)
-			binary.LittleEndian.PutUint32(rec[0:4], uint32(gid))
-			binary.LittleEndian.PutUint32(rec[4:8], uint32(sq.Size))
+		// The band's squares and the edges inside the band join the graph
+		// at global IDs (band-local index + off); spool record k is list
+		// entry k.
+		off := int32(y0 * width)
+		if err := g.AddSquares(ctx, sp.Squares, sp.Labels, width, off); err != nil {
+			return nil, err
+		}
+		for _, sq := range sp.Squares {
+			binary.LittleEndian.PutUint32(rec[0:4], uint32(sq.ID+off))
+			binary.LittleEndian.PutUint32(rec[4:8], uint32(sq.Side()))
 			if _, err := sw.Write(rec[:]); err != nil {
 				return nil, fmt.Errorf("stream: writing spool: %w", err)
 			}
 		}
 		bandSquares = append(bandSquares, sp.NumSquares)
 
-		// Intra-band adjacency, shifted into global ID space.
-		off := int32(y0 * width)
+		// Stitch the band's first row to the previous band's boundary row,
+		// one edge per overlap run, then retire the band: only the new
+		// frontier strip survives.
 		labels := sp.Labels
-		for ly := 0; ly < bh; ly++ {
-			row := ly * width
-			for lx := 0; lx < width; lx++ {
-				a := labels[row+lx]
-				if lx+1 < width {
-					if b := labels[row+lx+1]; a != b {
-						g.AddEdge(a+off, b+off)
-					}
+		if y0 > 0 {
+			for x := 0; x < width; {
+				a, b := frontier[x], labels[x]
+				for x < width && frontier[x] == a && labels[x] == b {
+					x++
 				}
-				if ly+1 < bh {
-					if b := labels[row+width+lx]; a != b {
-						g.AddEdge(a+off, b+off)
-					}
-				}
+				g.AddEdge(a, b+off)
 			}
 		}
-		// Stitch against the previous band's boundary row, then retire the
-		// band: only the new frontier strip survives.
-		for lx := 0; lx < width; lx++ {
-			b := labels[lx] + off
-			if y0 > 0 && frontier[lx] != b {
-				g.AddEdge(frontier[lx], b)
-			}
-			frontier[lx] = labels[(bh-1)*width+lx] + off
+		for x, l := range labels[(bh-1)*width:] {
+			frontier[x] = l + off
 		}
 		y0 += bh
 		res.Bands++

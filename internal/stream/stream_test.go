@@ -10,6 +10,7 @@ import (
 
 	"regiongrow/internal/core"
 	"regiongrow/internal/pixmap"
+	"regiongrow/internal/prand"
 	"regiongrow/internal/quadsplit"
 	"regiongrow/internal/rag"
 )
@@ -279,4 +280,83 @@ func TestEncodeLabelsGuards(t *testing.T) {
 	if err := EncodeLabels(&bytes.Buffer{}, 2, 2, make([]int32, 3)); err == nil {
 		t.Fatal("encoded a mis-sized label raster")
 	}
+}
+
+// fuzzImage decodes FuzzStreamMatchesSequential's image, w×h. Noise takes
+// pixel i from pix[i] over five grey levels three apart (0 past its end);
+// plateaus fill the image with pix[0], then draw one rectangle per five
+// further bytes (corner, extent, grey level), clipped to the image.
+func fuzzImage(w, h int, plateau bool, pix []byte) *pixmap.Image {
+	im := pixmap.New(w, h)
+	if !plateau {
+		for i := range im.Pix {
+			if i < len(pix) {
+				im.Pix[i] = pix[i] % 5 * 3
+			}
+		}
+		return im
+	}
+	if len(pix) > 0 {
+		im.FillRect(0, 0, w, h, pix[0]%64)
+	}
+	for r := pix[min(1, len(pix)):]; len(r) >= 5; r = r[5:] {
+		x0, y0 := int(r[0])%w, int(r[1])%h
+		im.FillRect(x0, y0, x0+1+int(r[2])%w, y0+1+int(r[3])%h, r[4]%64)
+	}
+	return im
+}
+
+// FuzzStreamMatchesSequential is the stream's generative oracle: on any
+// W×H image (1–48 each) of noise or plateau pixels, under square caps 0,
+// 1, 2, 8 and Unbounded, any threshold 0–20, tie policy and seed, and
+// any band height from 0 to H plus the cap, both streamed outputs must be
+// byte-equal to the sequential engine's: its labels through
+// EncodeLabels, and its recolouring through WritePGM. Odd widths, short
+// last bands that re-resolve the cap, and cap 1 all lie in that space;
+// the corpus starts from one of each.
+func FuzzStreamMatchesSequential(f *testing.F) {
+	f.Add(uint8(36), uint8(22), false, uint8(3), uint8(16), uint8(10), uint8(2), uint64(1), prandBytes(37*23, 1))
+	f.Add(uint8(4), uint8(39), true, uint8(4), uint8(0), uint8(6), uint8(0), uint64(2), prandBytes(26, 2))
+	f.Add(uint8(16), uint8(8), false, uint8(1), uint8(3), uint8(3), uint8(1), uint64(3), prandBytes(17*9, 3))
+	f.Add(uint8(47), uint8(47), true, uint8(2), uint8(50), uint8(20), uint8(2), uint64(4), prandBytes(41, 4))
+	f.Fuzz(func(t *testing.T, w, h uint8, plateau bool, capSel, bandRows, threshold, tie uint8, seed uint64, pix []byte) {
+		im := fuzzImage(1+int(w%48), 1+int(h%48), plateau, pix)
+		cfg := core.Config{
+			Threshold: int(threshold % 21),
+			Tie:       rag.AllTiePolicies()[tie%3],
+			Seed:      seed,
+			MaxSquare: []int{0, 1, 2, 8, quadsplit.Unbounded}[capSel%5],
+		}
+		cap := quadsplit.EffectiveCap(quadsplit.Options{MaxSquare: cfg.MaxSquare}, im.W, im.H)
+		rows := int(bandRows) % (im.H + cap + 1)
+		var pgm bytes.Buffer
+		if err := pixmap.WritePGM(&pgm, im); err != nil {
+			t.Fatal(err)
+		}
+		seg := sequentialSeg(t, im, cfg)
+		name := fmt.Sprintf("%dx%d plateau=%t %+v bands of %d rows", im.W, im.H, plateau, cfg, rows)
+		for _, out := range []struct {
+			format Output
+			want   []byte
+		}{{OutputLabels, labelBytes(t, seg)}, {OutputRecolour, recolourBytes(t, seg, im)}} {
+			var got bytes.Buffer
+			if _, err := Segment(context.Background(), bytes.NewReader(pgm.Bytes()), &got, cfg, core.Run{},
+				Options{BandRows: rows, Output: out.format}); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !bytes.Equal(got.Bytes(), out.want) {
+				t.Fatalf("%s: output %d differs from the sequential engine's", name, out.format)
+			}
+		}
+	})
+}
+
+// prandBytes returns n bytes of prand stream seed.
+func prandBytes(n int, seed uint64) []byte {
+	r := prand.New(seed)
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(r.Uint64())
+	}
+	return b
 }
