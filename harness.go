@@ -186,8 +186,12 @@ func hostRow(ctx context.Context, kind EngineKind, mc machine.ConfigID, id Paper
 // SegmentSerial runs the serial merge baseline (one merge per iteration —
 // the R−1 worst case of the paper's complexity analysis) with the
 // sequential split. Use it to quantify what parallel mutual merging buys;
-// cancelling ctx aborts it within one merge.
+// cancelling ctx aborts it within one merge. A cfg that fails
+// Config.Check is refused with that error before any work.
 func SegmentSerial(ctx context.Context, im *Image, cfg Config) (*Segmentation, error) {
+	if err := cfg.Check(); err != nil {
+		return nil, err
+	}
 	return core.SerialBaseline{}.SegmentContext(ctx, im, cfg, core.Run{})
 }
 

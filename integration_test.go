@@ -6,11 +6,16 @@ import (
 	"testing"
 
 	"regiongrow/internal/core"
+	"regiongrow/internal/distengine"
+	"regiongrow/internal/distengine/disttest"
 	"regiongrow/internal/dpengine"
 	"regiongrow/internal/machine"
 	"regiongrow/internal/mpengine"
 	"regiongrow/internal/mpvm"
 	"regiongrow/internal/pixmap"
+	"regiongrow/internal/prand"
+	"regiongrow/internal/quadsplit"
+	"regiongrow/internal/transport"
 )
 
 // TestFullMatrixSmallImages drives every engine (plus custom node counts
@@ -73,6 +78,127 @@ func TestFullMatrixSmallImages(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fuzzField builds FuzzEnginesMatchSequential's w×h image around
+// threshold T, as distengine's randomField does. kind picks plateaus of
+// bw×bh blocks whose levels lie a step of T−1 to T+1 apart, a ramp
+// rising by that step per column and k steps per row, or noise over
+// 0..2T+1. The bytes of pix pick the step, block size, levels, slope and
+// noise (0 past its end).
+func fuzzField(w, h, threshold int, kind uint8, pix []byte) (*pixmap.Image, string) {
+	at := func(i int) int {
+		if i < len(pix) {
+			return int(pix[i])
+		}
+		return 0
+	}
+	im := pixmap.New(w, h)
+	step := max(threshold-1+at(0)%3, 0)
+	switch kind % 3 {
+	case 0:
+		bw, bh := 1+at(1)%8, 1+at(2)%8
+		cols := (w + bw - 1) / bw
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				im.Pix[y*w+x] = uint8(at(3+y/bh*cols+x/bw) % 6 * step)
+			}
+		}
+		return im, fmt.Sprintf("plateau %dx%d step %d", bw, bh, step)
+	case 1:
+		k := at(1) % 3
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				im.Pix[y*w+x] = uint8((x + k*y) * step)
+			}
+		}
+		return im, fmt.Sprintf("ramp k=%d step %d", k, step)
+	default:
+		for i := range im.Pix {
+			im.Pix[i] = uint8(at(1+i) % (2*threshold + 2))
+		}
+		return im, "noise"
+	}
+}
+
+// prandBytes returns n bytes of prand stream seed.
+func prandBytes(n int, seed uint64) []byte {
+	r := prand.New(seed)
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(r.Uint64())
+	}
+	return b
+}
+
+// FuzzEnginesMatchSequential is the cross-engine generative oracle. On
+// any W×H field (1–48 each) of plateaus, a ramp or noise built around
+// the threshold, under T 0–20 or 255, square caps 0, 1, 2, 8 and
+// Unbounded, any tie policy and any seed, every engine's labels must be
+// byte-identical to the sequential engine's and pass core.Validate:
+// Native at 1–3 workers; dpengine on its three machines; mpengine on 4
+// nodes under LP and Async, where its 2×2 node grid and the cap divide
+// the image; and distengine over an in-process transport at 1–3 workers,
+// all on one cluster. SerialBaseline merges in another order, so it must
+// pass core.Validate only.
+func FuzzEnginesMatchSequential(f *testing.F) {
+	mem := transport.NewMem()
+	addrs := disttest.StartClusterOver(f, mem, 3)
+	engines := []core.Engine{
+		core.Native{Workers: 1}, core.Native{Workers: 2}, core.Native{Workers: 3},
+		dpengine.New(machine.CM2_8K), dpengine.New(machine.CM2_16K), dpengine.New(machine.CM5_CMF),
+	}
+	for n := 1; n <= len(addrs); n++ {
+		engines = append(engines, distengine.NewOver(mem, addrs[:n]))
+	}
+	gridEngines := []core.Engine{
+		mpengine.NewCustom(4, mpvm.LP, machine.Get(machine.CM5_LP)),
+		mpengine.NewCustom(4, mpvm.Async, machine.Get(machine.CM5_Async)),
+	}
+	f.Add(uint8(31), uint8(31), uint8(0), uint8(10), uint8(3), uint8(2), uint64(1), []byte{1, 4, 4, 0, 1, 2, 3, 4, 5, 0, 2})
+	f.Add(uint8(23), uint8(40), uint8(1), uint8(3), uint8(0), uint8(0), uint64(2), []byte{2, 1})
+	f.Add(uint8(15), uint8(7), uint8(2), uint8(6), uint8(1), uint8(1), uint64(3), prandBytes(16*8+1, 3))
+	f.Add(uint8(47), uint8(1), uint8(2), uint8(21), uint8(4), uint8(2), uint64(4), prandBytes(48, 4))
+	f.Add(uint8(1), uint8(1), uint8(0), uint8(0), uint8(2), uint8(0), uint64(5), []byte{})
+	f.Fuzz(func(t *testing.T, w, h, kind, tSel, capSel, tie uint8, seed uint64, pix []byte) {
+		threshold := int(tSel % 22)
+		if threshold == 21 {
+			threshold = 255
+		}
+		im, field := fuzzField(1+int(w%48), 1+int(h%48), threshold, kind, pix)
+		cfg := Config{
+			Threshold: threshold,
+			Tie:       AllTiePolicies()[tie%3],
+			Seed:      seed,
+			MaxSquare: []int{0, 1, 2, 8, Unbounded}[capSel%5],
+		}
+		name := fmt.Sprintf("%dx%d %s %+v", im.W, im.H, field, cfg)
+		ctx := context.Background()
+		want, err := core.Sequential{}.SegmentContext(ctx, im, cfg, core.Run{})
+		if err != nil {
+			t.Fatalf("%s: sequential: %v", name, err)
+		}
+		if err := core.Validate(want, im, threshold); err != nil {
+			t.Fatalf("%s: sequential: %v", name, err)
+		}
+		run := engines
+		cap := quadsplit.EffectiveCap(quadsplit.Options{MaxSquare: cfg.MaxSquare}, im.W, im.H)
+		if im.W%2 == 0 && im.H%2 == 0 && im.W/2%cap == 0 && im.H/2%cap == 0 {
+			run = append(run[:len(run):len(run)], gridEngines...)
+		}
+		for _, eng := range append(run[:len(run):len(run)], core.SerialBaseline{}) {
+			got, err := eng.SegmentContext(ctx, im, cfg, core.Run{})
+			if err != nil {
+				t.Fatalf("%s: %s: %v", name, eng.Name(), err)
+			}
+			if err := core.Validate(got, im, threshold); err != nil {
+				t.Fatalf("%s: %s: %v", name, eng.Name(), err)
+			}
+			if _, serial := eng.(core.SerialBaseline); !serial && !got.EqualLabels(want) {
+				t.Fatalf("%s: %s: labels differ from sequential", name, eng.Name())
+			}
+		}
+	})
 }
 
 func maskLow(im *pixmap.Image) *pixmap.Image {

@@ -29,9 +29,6 @@ type Config struct {
 	MaxSquare int
 }
 
-// Criterion returns the homogeneity criterion implied by the config.
-func (c Config) Criterion() homog.Criterion { return homog.NewRange(c.Threshold) }
-
 // ErrInvalidConfig is wrapped by the error of every entry point that
 // refuses a Config the engines cannot run.
 var ErrInvalidConfig = errors.New("regiongrow: invalid config")
@@ -168,12 +165,10 @@ func mergeRounds(ctx context.Context, g *rag.Graph, cfg Config, run Run) (rag.Me
 // per-pixel map pass.
 func pipeline(ctx context.Context, im *pixmap.Image, cfg Config, run Run, workers int,
 	merge func(ctx context.Context, g *rag.Graph, cfg Config, run Run) (rag.MergeStats, error)) (*Segmentation, error) {
-	crit := cfg.Criterion()
-
 	run.Emit(StageEvent{Kind: EventSplitStart})
 	t0 := time.Now() //vet:timing stage wall-time for Stats; never reaches labels or wire bytes
-	sp, err := quadsplit.SplitParallel(ctx, im, crit,
-		quadsplit.Options{MaxSquare: cfg.MaxSquare, Scratch: run.SplitScratch()}, workers)
+	sp, err := quadsplit.SplitParallel(ctx, im, cfg.Threshold,
+		quadsplit.Options{MaxSquare: cfg.MaxSquare, Scratch: run.Scratch}, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -181,7 +176,7 @@ func pipeline(ctx context.Context, im *pixmap.Image, cfg Config, run Run, worker
 	run.Emit(StageEvent{Kind: EventSplitDone, Iterations: sp.Iterations, Squares: sp.NumSquares})
 
 	t1 := time.Now() //vet:timing stage wall-time for Stats; never reaches labels or wire bytes
-	g := rag.NewGraph(crit)
+	g := rag.NewGraph(cfg.Threshold)
 	if err := g.AddSquares(ctx, sp.Squares, sp.Labels, im.W, 0); err != nil {
 		return nil, err
 	}
@@ -282,17 +277,17 @@ var (
 )
 
 // Validate checks the postconditions of a completed segmentation against
-// the source image:
+// the source image under threshold T:
 //
 //  1. labels form a partition and each region's ID is the minimum pixel
 //     index at which its label occurs;
 //  2. every region is 4-connected;
-//  3. every region satisfies the homogeneity criterion over its actual
-//     pixels;
-//  4. termination: no two 4-adjacent regions could still merge (the union
-//     of their intervals violates the criterion) — the defining property
-//     of a finished merge stage.
-func Validate(s *Segmentation, im *pixmap.Image, crit homog.Criterion) error {
+//  3. every region's pixel range, over its actual pixels, is at most
+//     threshold;
+//  4. termination: no two 4-adjacent regions could still merge (the range
+//     of the union of their intervals exceeds threshold) — the defining
+//     property of a finished merge stage.
+func Validate(s *Segmentation, im *pixmap.Image, threshold int) error {
 	if s.W != im.W || s.H != im.H || len(s.Labels) != im.W*im.H {
 		return fmt.Errorf("core: segmentation shape %dx%d/%d does not match image %dx%d",
 			s.W, s.H, len(s.Labels), im.W, im.H)
@@ -340,7 +335,7 @@ func Validate(s *Segmentation, im *pixmap.Image, crit homog.Criterion) error {
 		ivs[lab] = iv.Union(homog.Point(im.Pix[i]))
 	}
 	for lab, iv := range ivs {
-		if !crit.Homogeneous(iv) {
+		if iv.Range() > threshold {
 			return fmt.Errorf("core: region %d inhomogeneous: %v", lab, iv)
 		}
 	}
@@ -369,7 +364,7 @@ func Validate(s *Segmentation, im *pixmap.Image, crit homog.Criterion) error {
 					continue
 				}
 				seen[p] = struct{}{}
-				if crit.Homogeneous(ivs[a].Union(ivs[b])) {
+				if ivs[a].Union(ivs[b]).Range() <= threshold {
 					return fmt.Errorf("core: adjacent regions %d and %d could still merge (%v ∪ %v)",
 						a, b, ivs[a], ivs[b])
 				}

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"regiongrow/internal/homog"
 	"regiongrow/internal/pixmap"
 	"regiongrow/internal/rag"
 )
@@ -40,7 +39,7 @@ func TestPaperImageRegionCounts(t *testing.T) {
 		if seg.FinalRegions != n {
 			t.Errorf("%v: %d final regions, want %d", id, seg.FinalRegions, n)
 		}
-		if err := Validate(seg, im, homog.NewRange(10)); err != nil {
+		if err := Validate(seg, im, 10); err != nil {
 			t.Errorf("%v: %v", id, err)
 		}
 	}
@@ -114,7 +113,7 @@ func TestDeterminism(t *testing.T) {
 	c := segment(t, im, Config{Threshold: 10, Tie: rag.Random, Seed: 43})
 	// Different seeds may legitimately produce different label histories;
 	// both must be valid.
-	if err := Validate(c, im, homog.NewRange(10)); err != nil {
+	if err := Validate(c, im, 10); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -122,18 +121,18 @@ func TestDeterminism(t *testing.T) {
 func TestValidateAcceptsAndRejects(t *testing.T) {
 	im := pixmap.Generate(pixmap.Image2Rects128, pixmap.DefaultGenOptions())
 	seg := segment(t, im, Config{Threshold: 10})
-	if err := Validate(seg, im, homog.NewRange(10)); err != nil {
+	if err := Validate(seg, im, 10); err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt: relabel one pixel to a fresh id that is not its min index.
 	bad := *seg
 	bad.Labels = append([]int32{}, seg.Labels...)
 	bad.Labels[len(bad.Labels)-1] = 7
-	if Validate(&bad, im, homog.NewRange(10)) == nil {
+	if Validate(&bad, im, 10) == nil {
 		t.Fatal("Validate accepted corrupted labels")
 	}
 	// Shape mismatch.
-	if Validate(seg, pixmap.New(4, 4), homog.NewRange(10)) == nil {
+	if Validate(seg, pixmap.New(4, 4), 10) == nil {
 		t.Fatal("Validate accepted shape mismatch")
 	}
 }
@@ -148,7 +147,7 @@ func TestValidateCatchesDisconnectedRegion(t *testing.T) {
 		1, 1, 0, // disconnected reuse of label 0
 	}}
 	seg.FillRegions(im)
-	if Validate(seg, im, homog.NewRange(255)) == nil {
+	if Validate(seg, im, 255) == nil {
 		t.Fatal("Validate accepted a disconnected region")
 	}
 }
@@ -159,7 +158,7 @@ func TestValidateCatchesMergeableNeighbours(t *testing.T) {
 	im := pixmap.Uniform(2, 9)
 	seg := &Segmentation{W: 2, H: 2, Labels: []int32{0, 1, 0, 1}}
 	seg.FillRegions(im)
-	if Validate(seg, im, homog.NewRange(10)) == nil {
+	if Validate(seg, im, 10) == nil {
 		t.Fatal("Validate accepted unmerged mergeable neighbours")
 	}
 }
@@ -169,8 +168,36 @@ func TestValidateCatchesInhomogeneousRegion(t *testing.T) {
 	im.Pix[0], im.Pix[1] = 0, 200
 	seg := &Segmentation{W: 2, H: 1, Labels: []int32{0, 0}}
 	seg.FillRegions(im)
-	if Validate(seg, im, homog.NewRange(10)) == nil {
+	if Validate(seg, im, 10) == nil {
 		t.Fatal("Validate accepted an inhomogeneous region")
+	}
+}
+
+// TestValidateThresholdBoundary: on a 2×1 image of pixels 0 and r,
+// Validate accepts one region of range r = T and rejects two regions
+// whose union has range T, which should have merged; at r = T+1 it
+// rejects the one region and accepts the two. Range T+1 has no uint8
+// image once T ≥ 255. The empty image validates under every T.
+func TestValidateThresholdBoundary(t *testing.T) {
+	for _, threshold := range []int{0, 1, 254, 255, 300} {
+		if err := Validate(&Segmentation{Labels: []int32{}}, pixmap.New(0, 0), threshold); err != nil {
+			t.Errorf("T=%d, empty image: %v", threshold, err)
+		}
+		check := func(r int, labels []int32, valid bool) {
+			im := pixmap.New(2, 1)
+			im.Pix[1] = uint8(r)
+			seg := &Segmentation{W: 2, H: 1, Labels: labels}
+			seg.FillRegions(im)
+			if err := Validate(seg, im, threshold); (err == nil) != valid {
+				t.Errorf("T=%d, range %d, labels %v: Validate = %v, want valid %t", threshold, r, labels, err, valid)
+			}
+		}
+		check(min(threshold, 255), []int32{0, 0}, true)
+		check(min(threshold, 255), []int32{0, 1}, false)
+		if threshold < 255 {
+			check(threshold+1, []int32{0, 0}, false)
+			check(threshold+1, []int32{0, 1}, true)
+		}
 	}
 }
 
@@ -186,7 +213,7 @@ func TestSequentialPostconditionsProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return Validate(seg, im, homog.NewRange(tVal)) == nil
+		return Validate(seg, im, tVal) == nil
 	}, &quick.Config{MaxCount: 30})
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +225,7 @@ func TestEmptyImage(t *testing.T) {
 	if seg.FinalRegions != 0 {
 		t.Fatalf("empty image: %d regions", seg.FinalRegions)
 	}
-	if err := Validate(seg, pixmap.New(0, 0), homog.NewRange(10)); err != nil {
+	if err := Validate(seg, pixmap.New(0, 0), 10); err != nil {
 		t.Fatal(err)
 	}
 }

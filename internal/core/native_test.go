@@ -42,7 +42,7 @@ func TestMatchesSequential(t *testing.T) {
 							t.Fatalf("%s: %v", label, err)
 						}
 						checkEqual(t, label, want, got)
-						if err := Validate(got, im, cfg.Criterion()); err != nil {
+						if err := Validate(got, im, cfg.Threshold); err != nil {
 							t.Errorf("%s: invalid: %v", label, err)
 						}
 					}

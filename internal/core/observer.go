@@ -112,23 +112,17 @@ type ObserverFunc func(StageEvent)
 // Observe implements Observer.
 func (f ObserverFunc) Observe(ev StageEvent) { f(ev) }
 
-// Scratch holds reusable per-run buffers. A Scratch must serve at most one
-// run at a time; the Segmenter façade keeps a sync.Pool of them so
-// repeated runs on same-size images stop reallocating the split stage's
-// label and level arrays.
-type Scratch struct {
-	// Split is the split stage's buffer set, passed to quadsplit via
-	// Options.Scratch.
-	Split quadsplit.Scratch
-}
-
 // Run is the per-call runtime environment of a segmentation: progress goes
-// to Observer (nil = no events) and Scratch offers reusable buffers (nil =
-// allocate fresh). Cancellation travels separately, on the ctx argument of
-// SegmentContext. The zero Run is valid: no events, fresh buffers.
+// to Observer (nil = no events) and Scratch offers the split stage's
+// reusable buffers (nil = allocate fresh), which engines hand to
+// quadsplit.Options.Scratch. A Scratch serves one run at a time; the
+// Segmenter façade keeps a sync.Pool of them so repeated runs on
+// same-size images stop reallocating the split's label and level arrays.
+// Cancellation travels separately, on the ctx argument of SegmentContext.
+// The zero Run is valid: no events, fresh buffers.
 type Run struct {
 	Observer Observer
-	Scratch  *Scratch
+	Scratch  *quadsplit.Scratch
 }
 
 // Emit delivers ev to the run's observer, if any.
@@ -136,13 +130,4 @@ func (r Run) Emit(ev StageEvent) {
 	if r.Observer != nil {
 		r.Observer.Observe(ev)
 	}
-}
-
-// SplitScratch returns the run's split buffer set, or nil when the run has
-// no scratch — the value engines hand to quadsplit.Options.Scratch.
-func (r Run) SplitScratch() *quadsplit.Scratch {
-	if r.Scratch == nil {
-		return nil
-	}
-	return &r.Scratch.Split
 }

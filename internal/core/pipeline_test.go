@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"regiongrow/internal/pixmap"
+	"regiongrow/internal/quadsplit"
 	"regiongrow/internal/rag"
 )
 
@@ -116,11 +117,11 @@ func TestCancelAtGraphDoneAbortsMerge(t *testing.T) {
 	}
 }
 
-// TestScratchReuseByteIdentical: one Scratch carried across runs of
-// different image sizes leaves both reference engines' labels identical
-// to fresh-buffer runs.
+// TestScratchReuseByteIdentical: one split Scratch carried across runs
+// of different image sizes leaves both reference engines' labels
+// identical to fresh-buffer runs.
 func TestScratchReuseByteIdentical(t *testing.T) {
-	sc := &Scratch{}
+	sc := &quadsplit.Scratch{}
 	ids := []pixmap.PaperImageID{pixmap.Image4NestedRects256, pixmap.Image2Rects128, pixmap.Image3Circles128}
 	for _, eng := range []Engine{Sequential{}, SerialBaseline{}} {
 		for _, id := range ids {

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"regiongrow/internal/homog"
 	"regiongrow/internal/pixmap"
 	"regiongrow/internal/rag"
 )
@@ -14,7 +13,7 @@ func TestSerialBaselineValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Validate(seg, im, homog.NewRange(10)); err != nil {
+	if err := Validate(seg, im, 10); err != nil {
 		t.Fatal(err)
 	}
 	if seg.FinalRegions != 7 {

@@ -111,7 +111,7 @@ func TestRandomGeometryMatchesSequential(t *testing.T) {
 					got.MergeIterations, want.MergeIterations,
 					got.FinalRegions, want.FinalRegions)
 			}
-			if err := core.Validate(got, im, cfg.Criterion()); err != nil {
+			if err := core.Validate(got, im, cfg.Threshold); err != nil {
 				t.Errorf("%s: %v", name, err)
 			}
 		}

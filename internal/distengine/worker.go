@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"regiongrow/internal/core"
-	"regiongrow/internal/homog"
 	"regiongrow/internal/nodeprog"
 	"regiongrow/internal/pixmap"
 	"regiongrow/internal/rag"
@@ -327,13 +326,13 @@ var _ nodeprog.Collectives = (*link)(nil)
 // is row j.Rank of a one-column grid whose rows are the job's bands.
 func runBand(j *job, lk *link) (*workerResult, error) {
 	res, err := nodeprog.Run(lk, nodeprog.Node{
-		Grid: nodeprog.Grid{XStarts: []int{0, j.W}, YStarts: j.BandStarts},
-		Rank: j.Rank,
-		Tile: &pixmap.Image{W: j.W, H: j.BandStarts[j.Rank+1] - j.BandStarts[j.Rank], Pix: j.Pix},
-		Cap:  j.Cap,
-		Crit: homog.NewRange(j.Threshold),
-		Tie:  rag.TiePolicy(j.Tie),
-		Seed: j.Seed,
+		Grid:      nodeprog.Grid{XStarts: []int{0, j.W}, YStarts: j.BandStarts},
+		Rank:      j.Rank,
+		Tile:      &pixmap.Image{W: j.W, H: j.BandStarts[j.Rank+1] - j.BandStarts[j.Rank], Pix: j.Pix},
+		Cap:       j.Cap,
+		Threshold: j.Threshold,
+		Tie:       rag.TiePolicy(j.Tie),
+		Seed:      j.Seed,
 	})
 	if err != nil {
 		return nil, err

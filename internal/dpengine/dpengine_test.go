@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"regiongrow/internal/core"
-	"regiongrow/internal/homog"
 	"regiongrow/internal/machine"
 	"regiongrow/internal/pixmap"
 	"regiongrow/internal/rag"
@@ -71,7 +70,7 @@ func assertMatchesSequential(t *testing.T, e *Engine, im *pixmap.Image, cfg core
 			t.Fatalf("merges in iteration %d: %d vs %d", i+1, m, got.MergesPerIter[i])
 		}
 	}
-	if err := core.Validate(got, im, cfg.Criterion()); err != nil {
+	if err := core.Validate(got, im, cfg.Threshold); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -185,7 +184,7 @@ func TestNewWithProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := core.Validate(seg, im, homog.NewRange(0)); err != nil {
+	if err := core.Validate(seg, im, 0); err != nil {
 		t.Fatal(err)
 	}
 }

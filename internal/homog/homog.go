@@ -49,9 +49,6 @@ func (iv Interval) Range() int {
 	return int(iv.Hi) - int(iv.Lo)
 }
 
-// Contains reports whether intensity v lies in the interval.
-func (iv Interval) Contains(v uint8) bool { return v >= iv.Lo && v <= iv.Hi }
-
 // String formats the interval for diagnostics.
 func (iv Interval) String() string {
 	if iv.IsEmpty() {
@@ -59,41 +56,3 @@ func (iv Interval) String() string {
 	}
 	return fmt.Sprintf("[%d,%d]", iv.Lo, iv.Hi)
 }
-
-// Criterion decides whether a (union of) region(s) with a given intensity
-// interval is homogeneous. Implementations must be monotone: if an interval
-// is not homogeneous, no superset of it is. Monotonicity is what guarantees
-// the split stage's early exit and the merge stage's edge de-activation are
-// sound.
-type Criterion interface {
-	// Homogeneous reports whether a region whose pixels span iv satisfies
-	// the criterion.
-	Homogeneous(iv Interval) bool
-	// String describes the criterion for logs and experiment records.
-	String() string
-}
-
-// RangeCriterion is the paper's pixel-range criterion: Hi−Lo ≤ T.
-type RangeCriterion struct {
-	T int
-}
-
-// NewRange returns the pixel-range criterion with threshold t.
-// It panics if t is negative.
-func NewRange(t int) RangeCriterion {
-	if t < 0 {
-		panic(fmt.Sprintf("homog: negative threshold %d", t))
-	}
-	return RangeCriterion{T: t}
-}
-
-// Homogeneous implements Criterion.
-func (c RangeCriterion) Homogeneous(iv Interval) bool { return iv.Range() <= c.T }
-
-// String implements Criterion.
-func (c RangeCriterion) String() string { return fmt.Sprintf("range<=%d", c.T) }
-
-// Weight returns the merge-stage edge weight for two regions with intervals
-// a and b: the pixel range of their union. Only edges with Weight ≤ T are
-// active under RangeCriterion{T}.
-func Weight(a, b Interval) int { return a.Union(b).Range() }

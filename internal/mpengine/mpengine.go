@@ -112,7 +112,7 @@ func (e *Engine) SegmentContext(ctx context.Context, im *pixmap.Image, cfg core.
 		nd := &node{n: n, e: e, ctx: ctx, run: run}
 		res, err := nodeprog.Run(nd, nodeprog.Node{
 			Grid: grid, Rank: n.Rank, Tile: tile, Cap: cap,
-			Crit: cfg.Criterion(), Tie: cfg.Tie, Seed: cfg.Seed,
+			Threshold: cfg.Threshold, Tie: cfg.Tie, Seed: cfg.Seed,
 		})
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return err // every node saw the same reduction and returns too

@@ -95,7 +95,7 @@ func assertMatchesSequential(t *testing.T, e *Engine, im *pixmap.Image, cfg core
 			want.MergeIterations, got.MergeIterations,
 			want.FinalRegions, got.FinalRegions)
 	}
-	if err := core.Validate(got, im, cfg.Criterion()); err != nil {
+	if err := core.Validate(got, im, cfg.Threshold); err != nil {
 		t.Fatal(err)
 	}
 }

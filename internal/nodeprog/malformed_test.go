@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"regiongrow/internal/core"
-	"regiongrow/internal/homog"
 	"regiongrow/internal/pixmap"
 	"regiongrow/internal/rag"
 )
@@ -191,7 +190,7 @@ func runFake(nodes []*fakeNode) ([]*Result, []error) {
 			}()
 			res[r], errs[r] = Run(nd, Node{
 				Grid: grid, Rank: r, Tile: pixmap.New(w, h/2), Cap: 4,
-				Crit: homog.NewRange(10), Tie: rag.SmallestID, Seed: 1,
+				Threshold: 10, Tie: rag.SmallestID, Seed: 1,
 			})
 		}()
 	}

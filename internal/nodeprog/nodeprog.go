@@ -125,10 +125,12 @@ type Node struct {
 	Tile *pixmap.Image
 	// Cap is the effective split-square cap, resolved against the whole
 	// image.
-	Cap  int
-	Crit homog.Criterion
-	Tie  rag.TiePolicy
-	Seed uint64
+	Cap int
+	// Threshold is T: a square or a merge is homogeneous when its pixel
+	// range is at most Threshold.
+	Threshold int
+	Tie       rag.TiePolicy
+	Seed      uint64
 }
 
 // Result is one node's outcome. Every field but Labels and SplitWall is
@@ -234,7 +236,7 @@ func (p *prog) split() (levels, squares int) {
 	// reach either value.
 	// Cancellation travels through the collectives, so the local split
 	// runs under a context that never ends and cannot fail.
-	res, _ := quadsplit.Split(context.Background(), p.Tile, p.Crit, quadsplit.Options{MaxSquare: p.Cap})
+	res, _ := quadsplit.Split(context.Background(), p.Tile, p.Threshold, quadsplit.Options{MaxSquare: p.Cap})
 	// The F77 node code walks its tile once per level testing quad-blocks:
 	// ~8 scalar ops per pixel plus a fixed loop-setup cost per level.
 	p.c.Charge(p.tw * p.th * res.Iterations * 8)
@@ -258,7 +260,7 @@ func (p *prog) split() (levels, squares int) {
 func (p *prog) buildGraph() error {
 	// Like the split, the build runs under a context that never ends and
 	// cannot fail. The list is not needed past it.
-	p.g = rag.NewGraph(p.Crit)
+	p.g = rag.NewGraph(p.Threshold)
 	_ = p.g.AddSquares(context.Background(), p.squares, p.labels, p.tw, 0)
 	p.squares = nil
 	p.nOwned = p.g.Slots()

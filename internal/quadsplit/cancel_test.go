@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"regiongrow/internal/homog"
 	"regiongrow/internal/pixmap"
 )
 
@@ -32,7 +31,7 @@ func cancelled() context.Context {
 }
 
 func TestSplitCancelled(t *testing.T) {
-	res, err := Split(cancelled(), pixmap.Uniform(64, 9), homog.NewRange(10), Options{})
+	res, err := Split(cancelled(), pixmap.Uniform(64, 9), 10, Options{})
 	if !errors.Is(err, context.Canceled) || res != nil {
 		t.Fatalf("Split on a cancelled ctx = %v, %v; want nil, context.Canceled", res, err)
 	}
@@ -43,12 +42,12 @@ func TestSplitCancelled(t *testing.T) {
 // levels the image has left.
 func TestSplitChecksEveryLevel(t *testing.T) {
 	im := pixmap.Uniform(64, 9)
-	full := split(im, homog.NewRange(10), Options{})
+	full := split(im, 10, Options{})
 	if full.Iterations < 3 {
 		t.Fatalf("uniform 64×64 split ran %d levels; the test needs several", full.Iterations)
 	}
 	// Two checks pass: the entry check and level 1's.
-	res, err := Split(&countdownCtx{Context: context.Background(), n: 2}, im, homog.NewRange(10), Options{})
+	res, err := Split(&countdownCtx{Context: context.Background(), n: 2}, im, 10, Options{})
 	if !errors.Is(err, context.Canceled) || res != nil {
 		t.Fatalf("Split cancelled after level 1 = %v, %v; want nil, context.Canceled", res, err)
 	}
@@ -56,7 +55,7 @@ func TestSplitChecksEveryLevel(t *testing.T) {
 
 func TestSplitParallelCancelled(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		res, err := SplitParallel(cancelled(), pixmap.Random(96, 5), homog.NewRange(10), Options{MaxSquare: 16}, workers)
+		res, err := SplitParallel(cancelled(), pixmap.Random(96, 5), 10, Options{MaxSquare: 16}, workers)
 		if !errors.Is(err, context.Canceled) || res != nil {
 			t.Fatalf("workers=%d: SplitParallel on a cancelled ctx = %v, %v; want nil, context.Canceled", workers, res, err)
 		}

@@ -3,10 +3,11 @@
 // maximal homogeneous square regions.
 //
 // Every pixel starts as a 1×1 homogeneous square. Pass l combines aligned
-// 2×2 groups of solid 2^(l−1)-squares into 2^l-squares when the union
-// satisfies the homogeneity criterion. The stage terminates when the whole
-// image is one square, when a pass combines nothing, or when the square
-// size cap is reached.
+// 2×2 groups of solid 2^(l−1)-squares into 2^l-squares when the union's
+// pixel range is at most the threshold T, the paper's one homogeneity
+// test, which Split takes as a plain int. The stage terminates when the
+// whole image is one square, when a pass combines nothing, or when the
+// square size cap is reached.
 //
 // # The output
 //

@@ -13,7 +13,6 @@ import (
 	"slices"
 	"sync"
 
-	"regiongrow/internal/homog"
 	"regiongrow/internal/pixmap"
 )
 
@@ -30,15 +29,15 @@ var tileScratch = sync.Pool{New: func() any { return new(Scratch) }}
 
 // SplitParallel runs the split stage on `workers` goroutines by splitting
 // cap-aligned tiles independently and stitching the results. It produces a
-// Result identical to Split's for every image, criterion, and option set.
+// Result identical to Split's for every image, threshold, and option set.
 // workers <= 1 (or an image spanned by a single tile) falls back to Split.
 // Workers check ctx at every tile boundary, stop picking up new tiles once
 // it is done, drain, and the call returns (nil, ctx.Err()). All worker
 // goroutines have exited by the time it returns, cancelled or not.
-func SplitParallel(ctx context.Context, im *pixmap.Image, crit homog.Criterion, opt Options, workers int) (*Result, error) {
+func SplitParallel(ctx context.Context, im *pixmap.Image, threshold int, opt Options, workers int) (*Result, error) {
 	w, h := im.W, im.H
 	if w == 0 || h == 0 || workers <= 1 {
-		return Split(ctx, im, crit, opt)
+		return Split(ctx, im, threshold, opt)
 	}
 	cap := EffectiveCap(opt, w, h)
 	tile := cap
@@ -48,7 +47,7 @@ func SplitParallel(ctx context.Context, im *pixmap.Image, crit homog.Criterion, 
 	tx := (w + tile - 1) / tile
 	ty := (h + tile - 1) / tile
 	if tx*ty == 1 {
-		return Split(ctx, im, crit, opt)
+		return Split(ctx, im, threshold, opt)
 	}
 
 	res := &Result{
@@ -95,7 +94,7 @@ func SplitParallel(ctx context.Context, im *pixmap.Image, crit homog.Criterion, 
 				if err != nil {
 					panic(err) // unreachable: tile geometry is in bounds
 				}
-				r, err := Split(ctx, sub, crit, Options{MaxSquare: cap, Scratch: sc})
+				r, err := Split(ctx, sub, threshold, Options{MaxSquare: cap, Scratch: sc})
 				if err != nil {
 					continue // cancelled mid-tile; reported after the drain
 				}

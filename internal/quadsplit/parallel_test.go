@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"regiongrow/internal/homog"
 	"regiongrow/internal/pixmap"
 )
 
@@ -29,14 +28,13 @@ func TestSplitParallelMatchesSequential(t *testing.T) {
 	for name, im := range images {
 		for _, maxSquare := range []int{0, 1, 8, 16, Unbounded} {
 			for _, threshold := range []int{0, 10, 300} {
-				crit := homog.NewRange(threshold)
 				opt := Options{MaxSquare: maxSquare}
-				want := split(im, crit, opt)
+				want := split(im, threshold, opt)
 				for _, workers := range []int{1, 2, 3, 8} {
 					if workers == 3 {
 						opt.Scratch = new(Scratch)
 					}
-					got, err := SplitParallel(context.Background(), im, crit, opt, workers)
+					got, err := SplitParallel(context.Background(), im, threshold, opt, workers)
 					label := fmt.Sprintf("%s/cap=%d/T=%d/w=%d", name, maxSquare, threshold, workers)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
@@ -44,7 +42,7 @@ func TestSplitParallelMatchesSequential(t *testing.T) {
 					if err := sameResult(want, got); err != nil {
 						t.Errorf("%s: %v", label, err)
 					}
-					if err := Validate(got, im, crit); err != nil {
+					if err := Validate(got, im, threshold); err != nil {
 						t.Errorf("%s: invalid: %v", label, err)
 					}
 				}

@@ -132,12 +132,13 @@ func prevPow2(v int) int {
 	return 1 << (bits.Len(uint(v)) - 1)
 }
 
-// Split runs the split stage sequentially. It is the reference
+// Split runs the split stage sequentially under threshold T: a block
+// combines when its pixel range is at most threshold. It is the reference
 // implementation against which the data-parallel and message-passing
 // engines are verified. The combining loop checks ctx at every level
 // boundary and returns (nil, ctx.Err()) when the context is done;
 // cancellation never alters a completed result.
-func Split(ctx context.Context, im *pixmap.Image, crit homog.Criterion, opt Options) (*Result, error) {
+func Split(ctx context.Context, im *pixmap.Image, threshold int, opt Options) (*Result, error) {
 	w, h := im.W, im.H
 	res := &Result{
 		W: w, H: h,
@@ -186,7 +187,7 @@ func Split(ctx context.Context, im *pixmap.Image, crit homog.Criterion, opt Opti
 		if l == 1 {
 			// 2×2 pixel blocks, straight from the raster: the vertical
 			// min/max of each row pair runs 8 pixels per uint64 word
-			// (homog.RowsMinMax), the horizontal pair fold and criterion
+			// (homog.RowsMinMax), the horizontal pair fold and range
 			// test then run per block. These are the only buffers worth
 			// pooling now, so they draw from the Scratch.
 			var vlo, vhi []uint8
@@ -213,9 +214,8 @@ func Split(ctx context.Context, im *pixmap.Image, crit homog.Criterion, opt Opti
 				for bx := 0; bx < fullBW; bx++ {
 					lo := min(vlo[2*bx], vlo[2*bx+1])
 					hi := max(vhi[2*bx], vhi[2*bx+1])
-					union := homog.Interval{Lo: lo, Hi: hi}
-					if crit.Homogeneous(union) {
-						cur.iv[base+bx] = union
+					if int(hi)-int(lo) <= threshold {
+						cur.iv[base+bx] = homog.Interval{Lo: lo, Hi: hi}
 						cur.solid[base+bx] = true
 						combined++
 					}
@@ -246,14 +246,12 @@ func Split(ctx context.Context, im *pixmap.Image, crit homog.Criterion, opt Opti
 					}
 					// Branch-free 4-way union: solid children are never
 					// empty, so the min/max form is the exact union.
-					union := homog.Interval{
-						Lo: min(min(prev.iv[c0].Lo, prev.iv[c1].Lo), min(prev.iv[c2].Lo, prev.iv[c3].Lo)),
-						Hi: max(max(prev.iv[c0].Hi, prev.iv[c1].Hi), max(prev.iv[c2].Hi, prev.iv[c3].Hi)),
-					}
-					if !crit.Homogeneous(union) {
+					lo := min(min(prev.iv[c0].Lo, prev.iv[c1].Lo), min(prev.iv[c2].Lo, prev.iv[c3].Lo))
+					hi := max(max(prev.iv[c0].Hi, prev.iv[c1].Hi), max(prev.iv[c2].Hi, prev.iv[c3].Hi))
+					if int(hi)-int(lo) > threshold {
 						continue
 					}
-					cur.iv[i] = union
+					cur.iv[i] = homog.Interval{Lo: lo, Hi: hi}
 					cur.solid[i] = true
 					combined++
 				}
@@ -337,7 +335,7 @@ func Split(ctx context.Context, im *pixmap.Image, crit homog.Criterion, opt Opti
 }
 
 // Validate checks the structural invariants of a split result against the
-// source image and criterion. It returns the first violation found.
+// source image and threshold T. It returns the first violation found.
 //
 // Invariants:
 //  1. Every pixel is labelled with the ID of a square whose NW pixel
@@ -348,11 +346,11 @@ func Split(ctx context.Context, im *pixmap.Image, crit homog.Criterion, opt Opti
 //  3. Squares are aligned to their power-of-two size, within the image,
 //     and within the cap.
 //  4. Every recorded interval is the union of its square's pixels, and
-//     every square is homogeneous under crit.
+//     every square's pixel range is at most threshold.
 //  5. Maximality: if the four siblings of an aligned quad-block are all
-//     squares of equal size < cap, their union is not homogeneous
+//     squares of equal size < cap, their union's range exceeds threshold
 //     (otherwise the split would have combined them).
-func Validate(r *Result, im *pixmap.Image, crit homog.Criterion) error {
+func Validate(r *Result, im *pixmap.Image, threshold int) error {
 	w, h := r.W, r.H
 	if w != im.W || h != im.H {
 		return fmt.Errorf("quadsplit: result %dx%d does not match image %dx%d", w, h, im.W, im.H)
@@ -401,7 +399,7 @@ func Validate(r *Result, im *pixmap.Image, crit homog.Criterion) error {
 		if iv != s.IV {
 			return fmt.Errorf("quadsplit: square at (%d,%d) size %d records interval %v, its pixels span %v", x, y, size, s.IV, iv)
 		}
-		if !crit.Homogeneous(iv) {
+		if iv.Range() > threshold {
 			return fmt.Errorf("quadsplit: square at (%d,%d) size %d is inhomogeneous: %v", x, y, size, iv)
 		}
 		area += size * size
@@ -428,7 +426,7 @@ func Validate(r *Result, im *pixmap.Image, crit homog.Criterion) error {
 			}
 			union = union.Union(r.Squares[k].IV)
 		}
-		if all && crit.Homogeneous(union) {
+		if all && union.Range() <= threshold {
 			return fmt.Errorf("quadsplit: quad at (%d,%d) size %d should have been combined", x, y, 2*size)
 		}
 	}

@@ -14,8 +14,8 @@ import (
 
 // split runs Split under a background context, which never cancels, so
 // the error it drops is always nil.
-func split(im *pixmap.Image, crit homog.Criterion, opt Options) *Result {
-	res, _ := Split(context.Background(), im, crit, opt)
+func split(im *pixmap.Image, threshold int, opt Options) *Result {
+	res, _ := Split(context.Background(), im, threshold, opt)
 	return res
 }
 
@@ -40,8 +40,8 @@ func TestPaperFigure1(t *testing.T) {
 	// and SE 2×2 blocks are squares; the NE quadrant stays four 1×1
 	// squares (its range 5−1=4 exceeds T=3).
 	im := paperFigure1(t)
-	res := split(im, homog.NewRange(3), Options{MaxSquare: Unbounded})
-	if err := Validate(res, im, homog.NewRange(3)); err != nil {
+	res := split(im, 3, Options{MaxSquare: Unbounded})
+	if err := Validate(res, im, 3); err != nil {
 		t.Fatal(err)
 	}
 	if res.NumSquares != 7 {
@@ -71,7 +71,7 @@ func TestPaperFigure1(t *testing.T) {
 func TestUniformImage(t *testing.T) {
 	// Whole image one square: log2(N) iterations, 1 square.
 	im := pixmap.Uniform(16, 9)
-	res := split(im, homog.NewRange(0), Options{MaxSquare: Unbounded})
+	res := split(im, 0, Options{MaxSquare: Unbounded})
 	if res.NumSquares != 1 {
 		t.Fatalf("squares = %d", res.NumSquares)
 	}
@@ -88,7 +88,7 @@ func TestUniformImage(t *testing.T) {
 func TestCheckerboardWorstCase(t *testing.T) {
 	// No 2×2 block is homogeneous: one iteration, N² squares.
 	im := pixmap.Checkerboard(8, 0, 255)
-	res := split(im, homog.NewRange(10), Options{MaxSquare: Unbounded})
+	res := split(im, 10, Options{MaxSquare: Unbounded})
 	if res.Iterations != 1 {
 		t.Fatalf("iterations = %d, want 1", res.Iterations)
 	}
@@ -101,7 +101,7 @@ func TestCapSemantics(t *testing.T) {
 	im := pixmap.Uniform(64, 7)
 	// Default cap is N/8 = 8 → squares of side 8, 64 of them, and
 	// log2(8)=3 iterations (every pass combines, stage stops at the cap).
-	res := split(im, homog.NewRange(0), Options{})
+	res := split(im, 0, Options{})
 	if res.MaxSquareUsed != 8 {
 		t.Fatalf("default cap = %d, want 8", res.MaxSquareUsed)
 	}
@@ -109,17 +109,17 @@ func TestCapSemantics(t *testing.T) {
 		t.Fatalf("squares=%d iterations=%d, want 64/3", res.NumSquares, res.Iterations)
 	}
 	// Explicit cap 16.
-	res = split(im, homog.NewRange(0), Options{MaxSquare: 16})
+	res = split(im, 0, Options{MaxSquare: 16})
 	if res.MaxSquareUsed != 16 || res.NumSquares != 16 {
 		t.Fatalf("cap 16: used=%d squares=%d", res.MaxSquareUsed, res.NumSquares)
 	}
 	// Non-power-of-two cap rounds down.
-	res = split(im, homog.NewRange(0), Options{MaxSquare: 12})
+	res = split(im, 0, Options{MaxSquare: 12})
 	if res.MaxSquareUsed != 8 {
 		t.Fatalf("cap 12 rounds to %d, want 8", res.MaxSquareUsed)
 	}
 	// Unbounded merges to the whole image.
-	res = split(im, homog.NewRange(0), Options{MaxSquare: Unbounded})
+	res = split(im, 0, Options{MaxSquare: Unbounded})
 	if res.NumSquares != 1 {
 		t.Fatalf("unbounded squares = %d", res.NumSquares)
 	}
@@ -148,11 +148,69 @@ func TestEffectiveCap(t *testing.T) {
 	}
 }
 
+// boundaryThresholds are the thresholds the boundary tests run: the
+// smallest two, the largest two a uint8 range can reach, and one beyond.
+var boundaryThresholds = []int{0, 1, 254, 255, 300}
+
+// quadOf returns the side×side image whose four quadrants are uniform at
+// 0, 0, 0 and r: a 2×2 block of range r at side 2, and at side 4 a quad
+// of four range-0 blocks whose union has range r.
+func quadOf(side int, r uint8) *pixmap.Image {
+	im := pixmap.New(side, side)
+	h := side / 2
+	im.FillRect(h, h, side, side, r)
+	return im
+}
+
+// TestThresholdBoundary: a 2×2 block (level 1) and a 4×4 quad (level 2)
+// of range exactly T combine into one square, and Validate accepts the
+// result under T; range T+1 stays four squares, which Validate accepts
+// under T and rejects under T+1, where they should have combined. A
+// square of range T+1 is rejected under T. Range T+1 has no uint8 image
+// once T ≥ 255, and range 255 must combine under every such T. The empty
+// image, whose interval is empty, validates under every T.
+func TestThresholdBoundary(t *testing.T) {
+	for _, threshold := range boundaryThresholds {
+		empty := pixmap.New(0, 0)
+		if err := Validate(split(empty, threshold, Options{}), empty, threshold); err != nil {
+			t.Errorf("T=%d/0x0: %v", threshold, err)
+		}
+		for _, side := range []int{2, 4} {
+			name := fmt.Sprintf("T=%d/%dx%d", threshold, side, side)
+			im := quadOf(side, uint8(min(threshold, 255)))
+			res := split(im, threshold, Options{MaxSquare: Unbounded})
+			if res.NumSquares != 1 {
+				t.Errorf("%s: range %d left %d squares, want 1", name, min(threshold, 255), res.NumSquares)
+			}
+			if err := Validate(res, im, threshold); err != nil {
+				t.Errorf("%s: range %d: %v", name, min(threshold, 255), err)
+			}
+			if threshold >= 255 {
+				continue
+			}
+			im = quadOf(side, uint8(threshold+1))
+			res = split(im, threshold, Options{MaxSquare: Unbounded})
+			if res.NumSquares != 4 {
+				t.Errorf("%s: range %d left %d squares, want 4", name, threshold+1, res.NumSquares)
+			}
+			if err := Validate(res, im, threshold); err != nil {
+				t.Errorf("%s: range %d: %v", name, threshold+1, err)
+			}
+			if Validate(res, im, threshold+1) == nil {
+				t.Errorf("%s: Validate under T+1 accepted four squares of range T+1 that combine", name)
+			}
+			if Validate(split(im, threshold+1, Options{MaxSquare: Unbounded}), im, threshold) == nil {
+				t.Errorf("%s: Validate accepted a square of range T+1", name)
+			}
+		}
+	}
+}
+
 func TestNonSquareImage(t *testing.T) {
 	im := pixmap.New(24, 16) // not powers of two
 	im.FillRect(0, 0, 24, 16, 5)
-	res := split(im, homog.NewRange(0), Options{MaxSquare: Unbounded})
-	if err := Validate(res, im, homog.NewRange(0)); err != nil {
+	res := split(im, 0, Options{MaxSquare: Unbounded})
+	if err := Validate(res, im, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Largest square is 16 (fits height); 24 = 16 + 8.
@@ -166,12 +224,12 @@ func TestNonSquareImage(t *testing.T) {
 }
 
 func TestEmptyAndTinyImages(t *testing.T) {
-	res := split(pixmap.New(0, 0), homog.NewRange(5), Options{})
+	res := split(pixmap.New(0, 0), 5, Options{})
 	if res.NumSquares != 0 {
 		t.Fatal("empty image produced squares")
 	}
 	im := pixmap.Uniform(1, 3)
-	res = split(im, homog.NewRange(5), Options{MaxSquare: Unbounded})
+	res = split(im, 5, Options{MaxSquare: Unbounded})
 	if res.NumSquares != 1 || res.Iterations != 1 {
 		t.Fatalf("1x1 image: squares=%d iterations=%d", res.NumSquares, res.Iterations)
 	}
@@ -188,8 +246,8 @@ func TestSplitInvariantsOnRandomImages(t *testing.T) {
 		}
 		tVal := int(tRaw % 70)
 		capOpt := []int{0, Unbounded, 4, 16}[capRaw%4]
-		res := split(im, homog.NewRange(tVal), Options{MaxSquare: capOpt})
-		return Validate(res, im, homog.NewRange(tVal)) == nil
+		res := split(im, tVal, Options{MaxSquare: capOpt})
+		return Validate(res, im, tVal) == nil
 	}, &quick.Config{MaxCount: 40})
 	if err != nil {
 		t.Fatal(err)
@@ -198,8 +256,8 @@ func TestSplitInvariantsOnRandomImages(t *testing.T) {
 
 func TestSplitDeterministic(t *testing.T) {
 	im := pixmap.Generate(pixmap.Image3Circles128, pixmap.DefaultGenOptions())
-	a := split(im, homog.NewRange(10), Options{})
-	b := split(im, homog.NewRange(10), Options{})
+	a := split(im, 10, Options{})
+	b := split(im, 10, Options{})
 	for i := range a.Labels {
 		if a.Labels[i] != b.Labels[i] {
 			t.Fatal("split is not deterministic")
@@ -212,7 +270,7 @@ func TestPaperIterationCounts(t *testing.T) {
 	// every 256² image under the default cap.
 	for _, id := range pixmap.AllPaperImages() {
 		im := pixmap.Generate(id, pixmap.DefaultGenOptions())
-		res := split(im, homog.NewRange(10), Options{})
+		res := split(im, 10, Options{})
 		want := 4
 		if id.Size() == 256 {
 			want = 5
@@ -227,7 +285,7 @@ func TestCombinedPerIterMonotoneTermination(t *testing.T) {
 	// The recorded combine counts must be positive except possibly the
 	// final entry (the terminating pass).
 	im := pixmap.Generate(pixmap.Image2Rects128, pixmap.DefaultGenOptions())
-	res := split(im, homog.NewRange(10), Options{MaxSquare: Unbounded})
+	res := split(im, 10, Options{MaxSquare: Unbounded})
 	for i, c := range res.CombinedPerIter {
 		last := i == len(res.CombinedPerIter)-1
 		if c == 0 && !last {
@@ -292,7 +350,7 @@ func TestSquareIsEightBytes(t *testing.T) {
 // the cases, so a stale longer list would show).
 func TestSquaresEnumerationMatchesLabels(t *testing.T) {
 	im := pixmap.Generate(pixmap.Image2Rects128, pixmap.DefaultGenOptions())
-	if err := sameList(split(im, homog.NewRange(10), Options{}), im); err != nil {
+	if err := sameList(split(im, 10, Options{}), im); err != nil {
 		t.Fatal(err)
 	}
 	sc := new(Scratch)
@@ -304,10 +362,9 @@ func TestSquaresEnumerationMatchesLabels(t *testing.T) {
 			}
 			for _, threshold := range []int{0, 8, 20, 40} {
 				for _, maxSquare := range []int{0, 1, 2, 8, Unbounded} {
-					crit := homog.NewRange(threshold)
 					name := fmt.Sprintf("seed=%d/%dx%d/T=%d/cap=%d", seed, dims[0], dims[1], threshold, maxSquare)
 					for _, opt := range []Options{{MaxSquare: maxSquare}, {MaxSquare: maxSquare, Scratch: sc}} {
-						res := split(im, crit, opt)
+						res := split(im, threshold, opt)
 						if err := sameList(res, im); err != nil {
 							t.Fatalf("%s scratch=%t: %v", name, opt.Scratch != nil, err)
 						}
@@ -319,7 +376,7 @@ func TestSquaresEnumerationMatchesLabels(t *testing.T) {
 						if n != res.NumSquares {
 							t.Fatalf("%s: %d squares, but w·h − 3·%v = %d", name, res.NumSquares, res.CombinedPerIter, n)
 						}
-						if err := Validate(res, im, crit); err != nil {
+						if err := Validate(res, im, threshold); err != nil {
 							t.Fatalf("%s scratch=%t: %v", name, opt.Scratch != nil, err)
 						}
 					}
@@ -331,11 +388,11 @@ func TestSquaresEnumerationMatchesLabels(t *testing.T) {
 
 func TestValidateCatchesCorruption(t *testing.T) {
 	im := pixmap.Generate(pixmap.Image2Rects128, pixmap.DefaultGenOptions())
-	crit := homog.NewRange(10)
-	res := split(im, crit, Options{})
+	threshold := 10
+	res := split(im, threshold, Options{})
 	// Corrupt one pixel's label: points at a non-root.
 	res.Labels[5000] = res.Labels[5000] + 1
-	if Validate(res, im, crit) == nil {
+	if Validate(res, im, threshold) == nil {
 		t.Fatal("Validate accepted corrupted labels")
 	}
 }

@@ -1,6 +1,8 @@
 package quadsplit
 
 import (
+	"cmp"
+	"math/bits"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -9,13 +11,113 @@ import (
 	"regiongrow/internal/pixmap"
 )
 
+// SplitTopDown is the original Horowitz–Pavlidis formulation of the split
+// stage: start from the largest aligned block and recursively quarter any
+// block that is incomplete or inhomogeneous. It produces exactly the same
+// set of maximal homogeneous squares as the paper's bottom-up combining
+// pass (a block is a leaf in the recursion iff it is homogeneous and its
+// parent quad is not — the same maximality condition). The engines use
+// the bottom-up form because it maps to data-parallel strided
+// operations; these tests keep this one as the reference it must equal.
+//
+// Iterations reports the recursion depth explored below the cap plus the
+// terminal level, mirroring the bottom-up pass count so the two variants
+// are comparable.
+func SplitTopDown(im *pixmap.Image, threshold int, opt Options) *Result {
+	w, h := im.W, im.H
+	res := &Result{
+		W: w, H: h,
+		Labels:        make([]int32, w*h),
+		MaxSquareUsed: EffectiveCap(opt, w, h),
+	}
+	if w == 0 || h == 0 {
+		return res
+	}
+	s := &topDown{im: im, threshold: threshold, res: res}
+	// Tile the image with cap-sized blocks and recurse into each.
+	cap := res.MaxSquareUsed
+	for y := 0; y < h; y += cap {
+		for x := 0; x < w; x += cap {
+			s.recurse(x, y, cap)
+		}
+	}
+	// The recursion claims squares in Z order; the list is in ID order.
+	slices.SortFunc(res.Squares, func(a, b Square) int { return cmp.Compare(a.ID, b.ID) })
+	// The bottom-up pass count equals log2(cap / smallest-split-to size)
+	// + 1 when anything combined; reuse its semantics by re-deriving from
+	// the produced sizes: iterations = log2(largest square) + 1 capped at
+	// log2(cap), minimum 1. A pass that combined nothing still counts.
+	largest := 1
+	for _, sq := range res.Squares {
+		largest = max(largest, sq.Side())
+	}
+	iters := 0
+	for 1<<iters < largest {
+		iters++
+	}
+	if largest < cap {
+		iters++ // the pass that failed to combine further
+	}
+	if iters == 0 {
+		iters = 1
+	}
+	res.Iterations = iters
+	return res
+}
+
+type topDown struct {
+	im        *pixmap.Image
+	threshold int
+	res       *Result
+}
+
+// recurse claims block (x, y, size) if it is fully inside the image and
+// homogeneous; otherwise it quarters. Size-1 blocks are always claimed.
+func (s *topDown) recurse(x, y, size int) {
+	if x >= s.im.W || y >= s.im.H {
+		return
+	}
+	if size == 1 {
+		s.claim(x, y, 1, homog.Point(s.im.At(x, y)))
+		return
+	}
+	if x+size <= s.im.W && y+size <= s.im.H {
+		iv := homog.Empty()
+		for yy := y; yy < y+size; yy++ {
+			for xx := x; xx < x+size; xx++ {
+				iv = iv.Union(homog.Point(s.im.At(xx, yy)))
+			}
+		}
+		if iv.Range() <= s.threshold {
+			s.claim(x, y, size, iv)
+			return
+		}
+	}
+	half := size / 2
+	s.recurse(x, y, half)
+	s.recurse(x+half, y, half)
+	s.recurse(x, y+half, half)
+	s.recurse(x+half, y+half, half)
+}
+
+func (s *topDown) claim(x, y, size int, iv homog.Interval) {
+	id := int32(y*s.im.W + x)
+	s.res.NumSquares++
+	s.res.Squares = append(s.res.Squares, Square{ID: id, IV: iv, Log2: uint8(bits.TrailingZeros(uint(size)))})
+	for yy := y; yy < y+size; yy++ {
+		row := yy * s.im.W
+		for xx := x; xx < x+size; xx++ {
+			s.res.Labels[row+xx] = id
+		}
+	}
+}
+
 func TestTopDownMatchesBottomUp(t *testing.T) {
 	// The two formulations define the same maximal-square partition.
 	for _, id := range []pixmap.PaperImageID{pixmap.Image1NestedRects128, pixmap.Image3Circles128} {
 		im := pixmap.Generate(id, pixmap.DefaultGenOptions())
-		crit := homog.NewRange(10)
-		bu := split(im, crit, Options{})
-		td := SplitTopDown(im, crit, Options{})
+		bu := split(im, 10, Options{})
+		td := SplitTopDown(im, 10, Options{})
 		if bu.NumSquares != td.NumSquares {
 			t.Fatalf("%v: bottom-up %d squares, top-down %d", id, bu.NumSquares, td.NumSquares)
 		}
@@ -39,10 +141,10 @@ func TestTopDownMatchesBottomUpProperty(t *testing.T) {
 		for i := range im.Pix {
 			im.Pix[i] &= 0x3F
 		}
-		crit := homog.NewRange(int(tRaw % 70))
+		threshold := int(tRaw % 70)
 		opt := Options{MaxSquare: []int{0, Unbounded, 8}[capRaw%3]}
-		bu := split(im, crit, opt)
-		td := SplitTopDown(im, crit, opt)
+		bu := split(im, threshold, opt)
+		td := SplitTopDown(im, threshold, opt)
 		if bu.NumSquares != td.NumSquares {
 			return false
 		}
@@ -51,7 +153,7 @@ func TestTopDownMatchesBottomUpProperty(t *testing.T) {
 				return false
 			}
 		}
-		return slices.Equal(bu.Squares, td.Squares) && Validate(td, im, crit) == nil
+		return slices.Equal(bu.Squares, td.Squares) && Validate(td, im, threshold) == nil
 	}, &quick.Config{MaxCount: 30})
 	if err != nil {
 		t.Fatal(err)
@@ -61,15 +163,14 @@ func TestTopDownMatchesBottomUpProperty(t *testing.T) {
 func TestTopDownNonSquareAndEmpty(t *testing.T) {
 	im := pixmap.New(24, 16)
 	im.FillRect(0, 0, 24, 16, 9)
-	crit := homog.NewRange(0)
-	bu := split(im, crit, Options{MaxSquare: Unbounded})
-	td := SplitTopDown(im, crit, Options{MaxSquare: Unbounded})
+	bu := split(im, 0, Options{MaxSquare: Unbounded})
+	td := SplitTopDown(im, 0, Options{MaxSquare: Unbounded})
 	for i := range bu.Labels {
 		if bu.Labels[i] != td.Labels[i] {
 			t.Fatal("non-square image partitions differ")
 		}
 	}
-	empty := SplitTopDown(pixmap.New(0, 0), crit, Options{})
+	empty := SplitTopDown(pixmap.New(0, 0), 0, Options{})
 	if empty.NumSquares != 0 {
 		t.Fatal("empty image produced squares")
 	}

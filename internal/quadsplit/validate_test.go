@@ -11,15 +11,15 @@ import (
 // Negative-path tests for Validate: each structural invariant must be
 // individually enforced.
 
-func validBase(t *testing.T) (*Result, *pixmap.Image, homog.Criterion) {
+func validBase(t *testing.T) (*Result, *pixmap.Image, int) {
 	t.Helper()
 	im := pixmap.Uniform(8, 5)
-	crit := homog.NewRange(0)
-	res := split(im, crit, Options{MaxSquare: 4})
-	if err := Validate(res, im, crit); err != nil {
+	threshold := 0
+	res := split(im, threshold, Options{MaxSquare: 4})
+	if err := Validate(res, im, threshold); err != nil {
 		t.Fatalf("base result invalid: %v", err)
 	}
-	return res, im, crit
+	return res, im, threshold
 }
 
 func cloneResult(r *Result) *Result {
@@ -30,38 +30,38 @@ func cloneResult(r *Result) *Result {
 }
 
 func TestValidateShapeMismatch(t *testing.T) {
-	res, _, crit := validBase(t)
+	res, _, threshold := validBase(t)
 	other := pixmap.Uniform(4, 5)
-	if err := Validate(res, other, crit); err == nil || !strings.Contains(err.Error(), "match") {
+	if err := Validate(res, other, threshold); err == nil || !strings.Contains(err.Error(), "match") {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestValidateOutOfRangeLabel(t *testing.T) {
-	res, im, crit := validBase(t)
+	res, im, threshold := validBase(t)
 	bad := cloneResult(res)
 	bad.Labels[3] = 9999
-	if err := Validate(bad, im, crit); err == nil {
+	if err := Validate(bad, im, threshold); err == nil {
 		t.Fatal("out-of-range label accepted")
 	}
 	bad.Labels[3] = -1
-	if err := Validate(bad, im, crit); err == nil {
+	if err := Validate(bad, im, threshold); err == nil {
 		t.Fatal("negative label accepted")
 	}
 }
 
 func TestValidateNonRootLabel(t *testing.T) {
-	res, im, crit := validBase(t)
+	res, im, threshold := validBase(t)
 	bad := cloneResult(res)
 	// Point a pixel at a non-root pixel (one whose own label differs).
 	bad.Labels[0] = 1 // pixel 1 is interior to the square rooted at 0
-	if err := Validate(bad, im, crit); err == nil {
+	if err := Validate(bad, im, threshold); err == nil {
 		t.Fatal("non-root label accepted")
 	}
 }
 
 func TestValidateMisalignedSquare(t *testing.T) {
-	res, im, crit := validBase(t)
+	res, im, threshold := validBase(t)
 	bad := cloneResult(res)
 	// Fabricate a "square" at a misaligned origin: relabel the 4×4 block
 	// at (4,0) to root at pixel (5,0) — the root pixel's label must point
@@ -73,17 +73,17 @@ func TestValidateMisalignedSquare(t *testing.T) {
 		}
 	}
 	bad.Squares[1].ID, bad.Squares[1].Log2 = root, 1
-	if err := Validate(bad, im, crit); err == nil {
+	if err := Validate(bad, im, threshold); err == nil {
 		t.Fatal("misaligned/incoherent square accepted")
 	}
 }
 
 func TestValidateInhomogeneousSquare(t *testing.T) {
 	im := pixmap.Uniform(4, 5)
-	crit := homog.NewRange(0)
-	res := split(im, crit, Options{MaxSquare: 2})
+	threshold := 0
+	res := split(im, threshold, Options{MaxSquare: 2})
 	im.Set(0, 0, 200) // corrupt the image after splitting
-	if err := Validate(res, im, crit); err == nil {
+	if err := Validate(res, im, threshold); err == nil {
 		t.Fatal("inhomogeneous square accepted")
 	}
 }
@@ -91,7 +91,7 @@ func TestValidateInhomogeneousSquare(t *testing.T) {
 func TestValidateMissedCombine(t *testing.T) {
 	// An all-1×1 labelling of a uniform image violates maximality.
 	im := pixmap.Uniform(4, 5)
-	crit := homog.NewRange(0)
+	threshold := 0
 	res := &Result{
 		W: 4, H: 4,
 		Labels:        make([]int32, 16),
@@ -103,7 +103,7 @@ func TestValidateMissedCombine(t *testing.T) {
 		res.Labels[i] = int32(i)
 		res.Squares = append(res.Squares, Square{ID: int32(i), IV: homog.Point(im.Pix[i])})
 	}
-	err := Validate(res, im, crit)
+	err := Validate(res, im, threshold)
 	if err == nil || !strings.Contains(err.Error(), "should have been combined") {
 		t.Fatalf("maximality violation not caught: %v", err)
 	}
@@ -111,36 +111,36 @@ func TestValidateMissedCombine(t *testing.T) {
 
 // listBase is a split of a random image with squares of several sizes,
 // so list corruptions have neighbours to collide with.
-func listBase(t *testing.T) (*Result, *pixmap.Image, homog.Criterion) {
+func listBase(t *testing.T) (*Result, *pixmap.Image, int) {
 	t.Helper()
 	im := oddRandom(16, 12, 3)
 	for i := range im.Pix {
 		im.Pix[i] &= 0x0F
 	}
-	crit := homog.NewRange(10)
-	res := split(im, crit, Options{MaxSquare: 8})
-	if err := Validate(res, im, crit); err != nil {
+	threshold := 10
+	res := split(im, threshold, Options{MaxSquare: 8})
+	if err := Validate(res, im, threshold); err != nil {
 		t.Fatalf("base result invalid: %v", err)
 	}
 	if res.NumSquares < 3 || res.NumSquares == len(im.Pix) {
 		t.Fatalf("base split has %d squares; the test needs a mix of sizes", res.NumSquares)
 	}
-	return res, im, crit
+	return res, im, threshold
 }
 
 func TestValidateWrongNumSquares(t *testing.T) {
-	res, im, crit := listBase(t)
+	res, im, threshold := listBase(t)
 	for _, n := range []int{res.NumSquares - 1, res.NumSquares + 1} {
 		bad := cloneResult(res)
 		bad.NumSquares = n
-		if err := Validate(bad, im, crit); err == nil || !strings.Contains(err.Error(), "NumSquares") {
+		if err := Validate(bad, im, threshold); err == nil || !strings.Contains(err.Error(), "NumSquares") {
 			t.Fatalf("NumSquares %d of %d listed: err = %v", n, res.NumSquares, err)
 		}
 	}
 }
 
 func TestValidateWrongRecordedInterval(t *testing.T) {
-	res, im, crit := listBase(t)
+	res, im, threshold := listBase(t)
 	k := len(res.Squares) / 2
 	for _, iv := range []homog.Interval{
 		{Lo: res.Squares[k].IV.Lo, Hi: res.Squares[k].IV.Hi + 1},
@@ -148,29 +148,29 @@ func TestValidateWrongRecordedInterval(t *testing.T) {
 	} {
 		bad := cloneResult(res)
 		bad.Squares[k].IV = iv
-		if err := Validate(bad, im, crit); err == nil || !strings.Contains(err.Error(), "records interval") {
+		if err := Validate(bad, im, threshold); err == nil || !strings.Contains(err.Error(), "records interval") {
 			t.Fatalf("square %d recorded as %v: err = %v", k, iv, err)
 		}
 	}
 }
 
 func TestValidateSwappedSquares(t *testing.T) {
-	res, im, crit := listBase(t)
+	res, im, threshold := listBase(t)
 	bad := cloneResult(res)
 	k := len(bad.Squares) / 2
 	bad.Squares[k], bad.Squares[k+1] = bad.Squares[k+1], bad.Squares[k]
-	if err := Validate(bad, im, crit); err == nil || !strings.Contains(err.Error(), "not above") {
+	if err := Validate(bad, im, threshold); err == nil || !strings.Contains(err.Error(), "not above") {
 		t.Fatalf("swapped squares %d and %d: err = %v", k, k+1, err)
 	}
 }
 
 func TestValidateDroppedSquare(t *testing.T) {
-	res, im, crit := listBase(t)
+	res, im, threshold := listBase(t)
 	for _, k := range []int{0, len(res.Squares) / 2, len(res.Squares) - 1} {
 		bad := cloneResult(res)
 		bad.Squares = append(bad.Squares[:k], bad.Squares[k+1:]...)
 		bad.NumSquares--
-		if err := Validate(bad, im, crit); err == nil || !strings.Contains(err.Error(), "cover") {
+		if err := Validate(bad, im, threshold); err == nil || !strings.Contains(err.Error(), "cover") {
 			t.Fatalf("square %d dropped: err = %v", k, err)
 		}
 	}

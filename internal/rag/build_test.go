@@ -30,12 +30,12 @@ const buildCheckRows = 64
 // vertical edges one AddEdge per overlap segment of the two rows' run
 // structures. The result is identical to the per-pixel build for
 // arbitrary labels.
-func BuildFromLabels(ctx context.Context, im *pixmap.Image, labels []int32, crit homog.Criterion) (*Graph, error) {
+func BuildFromLabels(ctx context.Context, im *pixmap.Image, labels []int32, threshold int) (*Graph, error) {
 	w, h := im.W, im.H
 	if len(labels) != w*h {
 		panic(fmt.Sprintf("rag: %d labels for %dx%d image", len(labels), w, h))
 	}
-	g := NewGraph(crit)
+	g := NewGraph(threshold)
 	for y := 0; y < h; y++ {
 		if y%buildCheckRows == 0 {
 			if err := ctx.Err(); err != nil {
@@ -94,9 +94,9 @@ func BuildFromLabels(ctx context.Context, im *pixmap.Image, labels []int32, crit
 
 // squareGraph is the graph the pipelines build from a split: its squares
 // added to an empty graph at offset 0.
-func squareGraph(t *testing.T, sp *quadsplit.Result, c homog.Criterion) *Graph {
+func squareGraph(t *testing.T, sp *quadsplit.Result, threshold int) *Graph {
 	t.Helper()
-	g := NewGraph(c)
+	g := NewGraph(threshold)
 	if err := g.AddSquares(context.Background(), sp.Squares, sp.Labels, sp.W, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -107,9 +107,9 @@ func squareGraph(t *testing.T, sp *quadsplit.Result, c homog.Criterion) *Graph {
 // band of bandRows rows on its own, add the band's squares at its offset,
 // and stitch the band's first row to the previous band's last row with
 // one AddEdge per overlap run.
-func bandGraph(t *testing.T, im *pixmap.Image, c homog.Criterion, maxSquare, bandRows int) *Graph {
+func bandGraph(t *testing.T, im *pixmap.Image, threshold, maxSquare, bandRows int) *Graph {
 	t.Helper()
-	g := NewGraph(c)
+	g := NewGraph(threshold)
 	w := im.W
 	var frontier []int32
 	for y0 := 0; y0 < im.H; y0 += bandRows {
@@ -118,7 +118,7 @@ func bandGraph(t *testing.T, im *pixmap.Image, c homog.Criterion, maxSquare, ban
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp, err := quadsplit.Split(context.Background(), band, c, quadsplit.Options{MaxSquare: maxSquare})
+		sp, err := quadsplit.Split(context.Background(), band, threshold, quadsplit.Options{MaxSquare: maxSquare})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,25 +159,25 @@ func TestAddSquaresMatchesBuildFromLabels(t *testing.T) {
 		"random96":   pixmap.Random(96, 11),
 		"circles128": pixmap.Generate(pixmap.Image3Circles128, pixmap.DefaultGenOptions()),
 	}
-	c := crit(10)
+	const threshold = 10
 	for name, im := range images {
 		for _, maxSquare := range []int{0, 1, 2, 8, 16, quadsplit.Unbounded} {
 			label := fmt.Sprintf("%s/cap=%d", name, maxSquare)
-			sp, err := quadsplit.Split(context.Background(), im, c, quadsplit.Options{MaxSquare: maxSquare})
+			sp, err := quadsplit.Split(context.Background(), im, threshold, quadsplit.Options{MaxSquare: maxSquare})
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := build(im, sp.Labels, c)
-			if err := sameArena(want, squareGraph(t, sp, c)); err != nil {
+			want := build(im, sp.Labels, threshold)
+			if err := sameArena(want, squareGraph(t, sp, threshold)); err != nil {
 				t.Errorf("%s: %v", label, err)
 			}
 			cap := sp.MaxSquareUsed
 			for _, bandRows := range []int{cap, 3 * cap} {
-				if err := sameArena(want, bandGraph(t, im, c, cap, bandRows)); err != nil {
+				if err := sameArena(want, bandGraph(t, im, threshold, cap, bandRows)); err != nil {
 					t.Errorf("%s/bands of %d rows: %v", label, bandRows, err)
 				}
 			}
-			if err := tileMatches(im, c, cap); err != nil {
+			if err := tileMatches(im, threshold, cap); err != nil {
 				t.Errorf("%s/tile: %v", label, err)
 			}
 		}
@@ -188,22 +188,22 @@ func TestAddSquaresMatchesBuildFromLabels(t *testing.T) {
 // way nodeprog does — the tile split on its own, its labels made global
 // in place, its squares added at offset 0 — and compares it with the
 // label build over the same global labels.
-func tileMatches(im *pixmap.Image, c homog.Criterion, cap int) error {
+func tileMatches(im *pixmap.Image, threshold, cap int) error {
 	x0, y0 := cap*(im.W/cap/2), cap*(im.H/cap/2)
 	tw, th := im.W-x0, im.H-y0
 	tile, err := im.SubImage(x0, y0, tw, th)
 	if err != nil {
 		return err
 	}
-	sp, err := quadsplit.Split(context.Background(), tile, c, quadsplit.Options{MaxSquare: cap})
+	sp, err := quadsplit.Split(context.Background(), tile, threshold, quadsplit.Options{MaxSquare: cap})
 	if err != nil {
 		return err
 	}
 	for i, l := range sp.Labels {
 		sp.Labels[i] = int32((y0+int(l)/tw)*im.W + x0 + int(l)%tw)
 	}
-	want := build(tile, sp.Labels, c)
-	got := NewGraph(c)
+	want := build(tile, sp.Labels, threshold)
+	got := NewGraph(threshold)
 	if err := got.AddSquares(context.Background(), sp.Squares, sp.Labels, tw, 0); err != nil {
 		return err
 	}
@@ -221,8 +221,8 @@ func sameArena(want, got *Graph) error {
 		return errors.New("slot liveness differs")
 	case !maps.Equal(got.slotOf, want.slotOf):
 		return errors.New("region-to-slot maps differ")
-	case got.Crit != want.Crit || got.thr != want.thr:
-		return errors.New("criteria differ")
+	case got.thr != want.thr:
+		return errors.New("thresholds differ")
 	}
 	for s, adj := range want.adj {
 		if !slices.Equal(got.adj[s], adj) {

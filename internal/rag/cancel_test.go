@@ -45,7 +45,7 @@ func pixelImage(seed uint64) *pixmap.Image {
 // MergeAll runs several rounds.
 func pixelGraph(seed uint64) *Graph {
 	im := pixelImage(seed)
-	return build(im, pixelLabels(len(im.Pix)), crit(6))
+	return build(im, pixelLabels(len(im.Pix)), 6)
 }
 
 func TestBuildFromLabelsCancelled(t *testing.T) {
@@ -54,7 +54,7 @@ func TestBuildFromLabelsCancelled(t *testing.T) {
 	for i := range labels {
 		labels[i] = int32(i)
 	}
-	g, err := BuildFromLabels(cancelled(), im, labels, crit(10))
+	g, err := BuildFromLabels(cancelled(), im, labels, 10)
 	if !errors.Is(err, context.Canceled) || g != nil {
 		t.Fatalf("BuildFromLabels on a cancelled ctx = %v, %v; want nil, context.Canceled", g, err)
 	}
@@ -66,18 +66,18 @@ func TestBuildFromLabelsCancelled(t *testing.T) {
 // both times.
 func TestAddSquaresCancelled(t *testing.T) {
 	im := pixmap.Random(128, 1)
-	sp, err := quadsplit.Split(context.Background(), im, crit(0), quadsplit.Options{})
+	sp, err := quadsplit.Split(context.Background(), im, 0, quadsplit.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sp.Squares) <= 2*addCheckSquares {
 		t.Fatalf("the split has %d squares; the test needs more than %d", len(sp.Squares), 2*addCheckSquares)
 	}
-	g := NewGraph(crit(0))
+	g := NewGraph(0)
 	if err := g.AddSquares(cancelled(), sp.Squares, sp.Labels, im.W, 0); !errors.Is(err, context.Canceled) || g.Slots() != 0 {
 		t.Fatalf("AddSquares on a cancelled ctx = %v with %d slots; want context.Canceled and none", err, g.Slots())
 	}
-	g = NewGraph(crit(0))
+	g = NewGraph(0)
 	err = g.AddSquares(&countdownCtx{Context: context.Background(), n: 1}, sp.Squares, sp.Labels, im.W, 0)
 	if !errors.Is(err, context.Canceled) || g.Slots() != addCheckSquares {
 		t.Fatalf("AddSquares cancelled after one check = %v with %d slots; want context.Canceled and %d", err, g.Slots(), addCheckSquares)

@@ -118,13 +118,12 @@ func checkRelabel(t *testing.T, name string, g *Graph, im *pixmap.Image, labels 
 // an active edge. It returns the number of forced rounds.
 func crossCheck(t *testing.T, im *pixmap.Image, threshold, maxSquare int, policy TiePolicy, seed uint64) int {
 	t.Helper()
-	c := homog.NewRange(threshold)
-	sp, err := quadsplit.Split(context.Background(), im, c, quadsplit.Options{MaxSquare: maxSquare})
+	sp, err := quadsplit.Split(context.Background(), im, threshold, quadsplit.Options{MaxSquare: maxSquare})
 	if err != nil {
 		t.Fatal(err)
 	}
 	name := fmt.Sprintf("%dx%d T=%d cap=%d %v seed=%d", im.W, im.H, threshold, maxSquare, policy, seed)
-	g, refGraph := squareGraph(t, sp, c), build(im, sp.Labels, c)
+	g, refGraph := squareGraph(t, sp, threshold), build(im, sp.Labels, threshold)
 	if err := sameArena(refGraph, g); err != nil {
 		t.Fatalf("%s: square build: %v", name, err)
 	}
@@ -298,7 +297,7 @@ func FuzzRelabel(f *testing.F) {
 				im.Pix[i] = pix[i]
 			}
 		}
-		g := build(im, labels, crit(255))
+		g := build(im, labels, 255)
 		g.startRecord()
 		ref := idMap{}
 		for i := 0; i+1 < len(ops); i += 2 {

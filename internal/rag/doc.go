@@ -4,8 +4,9 @@
 // The region growing problem is reformulated as a weighted undirected graph
 // problem: vertices are regions, an edge joins two regions sharing a
 // boundary, and the weight of edge (v,w) is the pixel range of the union of
-// the two regions' intensity intervals. Only edges whose weight satisfies
-// the homogeneity criterion are active. Each iteration every region picks
+// the two regions' intensity intervals. Only edges whose weight is at most
+// the threshold T are active: the paper's one homogeneity test, which
+// NewGraph takes as a plain int. Each iteration every region picks
 // its best active neighbour (minimum weight, ties broken by policy); two
 // regions merge exactly when they pick each other; the smaller ID becomes
 // the representative.

@@ -97,11 +97,8 @@ const noSlot int32 = -1
 // time in Go map iteration and hashing. The arena turns the choice scan
 // into linear walks over int32 and uint8 slices.
 type Graph struct {
-	Crit homog.Criterion
-
-	// thr is the RangeCriterion threshold when Crit is one, else −1. The
-	// hot loops then test edge activity as weight ≤ thr with pure integer
-	// arithmetic instead of an interface call per edge.
+	// thr is the threshold T: an edge is active when its weight is at
+	// most thr, a pure integer test in the hot loops.
 	thr int
 
 	slotOf map[int32]int32 // region ID → slot, dead regions included
@@ -116,13 +113,10 @@ type Graph struct {
 	parent []int32
 }
 
-// NewGraph returns an empty graph over the criterion.
-func NewGraph(crit homog.Criterion) *Graph {
-	g := &Graph{Crit: crit, thr: -1, slotOf: make(map[int32]int32)}
-	if rc, ok := crit.(homog.RangeCriterion); ok {
-		g.thr = rc.T
-	}
-	return g
+// NewGraph returns an empty graph whose edges are active at weights up
+// to threshold.
+func NewGraph(threshold int) *Graph {
+	return &Graph{thr: threshold, slotOf: make(map[int32]int32)}
 }
 
 // AddVertex inserts a region with the given interval. Re-adding a live ID
@@ -202,16 +196,6 @@ func (g *Graph) NumVertices() int { return g.nAlive }
 // 0" convention when both endpoints are empty.
 func (g *Graph) weightSlots(a, b int32) int {
 	return max(int(max(g.hi[a], g.hi[b]))-int(min(g.lo[a], g.lo[b])), 0)
-}
-
-// activeSlots reports whether the edge between two live slots satisfies
-// the criterion.
-func (g *Graph) activeSlots(a, b int32) bool {
-	if g.thr >= 0 {
-		return g.weightSlots(a, b) <= g.thr
-	}
-	ulo, uhi := min(g.lo[a], g.lo[b]), max(g.hi[a], g.hi[b])
-	return g.Crit.Homogeneous(homog.Interval{Lo: ulo, Hi: uhi})
 }
 
 // IntervalOf returns the current intensity interval of region id, which
@@ -366,40 +350,21 @@ func (g *Graph) scan(s int32, tied []int32) (int32, []int32) {
 	bestW := -1
 	sole := noSlot
 	tied = tied[:0]
-	if thr := g.thr; thr >= 0 {
-		for _, n := range adjList {
-			wt := max(int(max(hi0, his[n]))-int(min(lo0, los[n])), 0)
-			if wt > thr {
-				continue
-			}
-			if bestW < 0 || wt < bestW {
-				bestW, sole = wt, n
-				tied = tied[:0]
-			} else if wt == bestW {
-				if sole != noSlot {
-					tied = append(tied, sole)
-					sole = noSlot
-				}
-				tied = append(tied, n)
-			}
+	thr := g.thr
+	for _, n := range adjList {
+		wt := max(int(max(hi0, his[n]))-int(min(lo0, los[n])), 0)
+		if wt > thr {
+			continue
 		}
-	} else {
-		for _, n := range adjList {
-			ulo, uhi := min(lo0, los[n]), max(hi0, his[n])
-			if !g.Crit.Homogeneous(homog.Interval{Lo: ulo, Hi: uhi}) {
-				continue
+		if bestW < 0 || wt < bestW {
+			bestW, sole = wt, n
+			tied = tied[:0]
+		} else if wt == bestW {
+			if sole != noSlot {
+				tied = append(tied, sole)
+				sole = noSlot
 			}
-			wt := max(int(uhi)-int(ulo), 0)
-			if bestW < 0 || wt < bestW {
-				bestW, sole = wt, n
-				tied = tied[:0]
-			} else if wt == bestW {
-				if sole != noSlot {
-					tied = append(tied, sole)
-					sole = noSlot
-				}
-				tied = append(tied, n)
-			}
+			tied = append(tied, n)
 		}
 	}
 	// Insertion sort: tie lists are short, and usually already in ID

@@ -14,8 +14,8 @@ import (
 // The helpers below run the kernel under a background context, which never
 // cancels, so the errors they drop are always nil.
 
-func build(im *pixmap.Image, labels []int32, c homog.Criterion) *Graph {
-	g, _ := BuildFromLabels(context.Background(), im, labels, c)
+func build(im *pixmap.Image, labels []int32, threshold int) *Graph {
+	g, _ := BuildFromLabels(context.Background(), im, labels, threshold)
 	return g
 }
 
@@ -28,8 +28,6 @@ func mergeSerial(g *Graph) MergeStats {
 	stats, _ := g.MergeSerial(context.Background())
 	return stats
 }
-
-func crit(t int) homog.Criterion { return homog.NewRange(t) }
 
 // slotOf is SlotOf for a region the test knows is live.
 func slotOf(t *testing.T, g *Graph, id int32) int {
@@ -79,7 +77,7 @@ func TestBuildFromLabelsSmall(t *testing.T) {
 		{12, 201},
 	})
 	labels := []int32{0, 1, 0, 1}
-	g := build(im, labels, crit(5))
+	g := build(im, labels, 5)
 	if g.NumVertices() != 2 {
 		t.Fatalf("vertices = %d", g.NumVertices())
 	}
@@ -90,7 +88,7 @@ func TestBuildFromLabelsSmall(t *testing.T) {
 	if iv0.Lo != 10 || iv0.Hi != 12 {
 		t.Fatalf("vertex 0 interval %v", iv0)
 	}
-	if w := homog.Weight(g.SlotInterval(slotOf(t, g, 0)), g.SlotInterval(slotOf(t, g, 1))); w != 191 {
+	if w := g.SlotInterval(slotOf(t, g, 0)).Union(g.SlotInterval(slotOf(t, g, 1))).Range(); w != 191 {
 		t.Fatalf("weight = %d", w)
 	}
 	if hasActiveEdge(g) {
@@ -99,7 +97,7 @@ func TestBuildFromLabelsSmall(t *testing.T) {
 }
 
 func TestAddEdgeSelfIgnored(t *testing.T) {
-	g := NewGraph(crit(5))
+	g := NewGraph(5)
 	g.AddVertex(1, homog.Point(5))
 	g.AddEdge(1, 1)
 	if numEdges(g) != 0 {
@@ -108,7 +106,7 @@ func TestAddEdgeSelfIgnored(t *testing.T) {
 }
 
 func TestAddEdgePanicsOnMissingVertex(t *testing.T) {
-	g := NewGraph(crit(5))
+	g := NewGraph(5)
 	g.AddVertex(1, homog.Point(5))
 	defer func() {
 		if recover() == nil {
@@ -119,7 +117,7 @@ func TestAddEdgePanicsOnMissingVertex(t *testing.T) {
 }
 
 func TestChooseMinWeight(t *testing.T) {
-	g := NewGraph(crit(100))
+	g := NewGraph(100)
 	g.AddVertex(0, homog.Interval{Lo: 50, Hi: 50})
 	g.AddVertex(1, homog.Interval{Lo: 60, Hi: 60}) // weight 10
 	g.AddVertex(2, homog.Interval{Lo: 55, Hi: 55}) // weight 5
@@ -130,13 +128,40 @@ func TestChooseMinWeight(t *testing.T) {
 	}
 }
 
+// TestChooseRespectsCriterion: SlotChoice sees an edge of weight exactly
+// T and no edge of weight T+1, and an edge between two empty intervals
+// has weight 0, so it is active under every T. Weight T+1 has no uint8
+// interval once T ≥ 255, where weight 255 must be active.
 func TestChooseRespectsCriterion(t *testing.T) {
-	g := NewGraph(crit(3))
-	g.AddVertex(0, homog.Interval{Lo: 50, Hi: 50})
-	g.AddVertex(1, homog.Interval{Lo: 60, Hi: 60})
-	g.AddEdge(0, 1)
-	if c := choiceOf(t, g, 0, SmallestID, 0, 1); c != noSlot {
-		t.Fatalf("choice = %d, want none", c)
+	type row struct {
+		threshold int
+		a, b      homog.Interval
+		active    bool
+	}
+	rows := []row{
+		{3, homog.Point(50), homog.Point(60), false},
+		{3, homog.Point(50), homog.Point(53), true},
+	}
+	for _, threshold := range []int{0, 1, 254, 255, 300} {
+		rows = append(rows,
+			row{threshold, homog.Point(0), homog.Interval{Lo: 0, Hi: uint8(min(threshold, 255))}, true},
+			row{threshold, homog.Empty(), homog.Empty(), true})
+		if threshold < 255 {
+			rows = append(rows, row{threshold, homog.Point(0), homog.Point(uint8(threshold + 1)), false})
+		}
+	}
+	for _, r := range rows {
+		g := NewGraph(r.threshold)
+		g.AddVertex(0, r.a)
+		g.AddVertex(1, r.b)
+		g.AddEdge(0, 1)
+		want := noSlot
+		if r.active {
+			want = 1
+		}
+		if got := choiceOf(t, g, 0, SmallestID, 0, 1); got != want {
+			t.Errorf("T=%d, %v and %v: choice = %d, want %d", r.threshold, r.a, r.b, got, want)
+		}
 	}
 }
 
@@ -189,7 +214,7 @@ func TestPickTiedRandomVaries(t *testing.T) {
 }
 
 func TestContract(t *testing.T) {
-	g := NewGraph(crit(100))
+	g := NewGraph(100)
 	g.AddVertex(0, homog.Interval{Lo: 10, Hi: 20})
 	g.AddVertex(1, homog.Interval{Lo: 30, Hi: 40})
 	g.AddVertex(2, homog.Interval{Lo: 50, Hi: 60})
@@ -221,7 +246,7 @@ func TestContract(t *testing.T) {
 // TestSlotOfAndNeighbours: slots follow insertion order, neighbour lists
 // are ascending slots, and a contracted region has no slot.
 func TestSlotOfAndNeighbours(t *testing.T) {
-	g := NewGraph(crit(100))
+	g := NewGraph(100)
 	for _, id := range []int32{30, 10, 20} {
 		g.AddVertex(id, homog.Interval{Lo: 5, Hi: 5})
 	}
@@ -260,7 +285,7 @@ func stripes(vals []uint8) *pixmap.Image {
 
 // stripesGraph builds the graph of stripes(vals) under threshold t.
 func stripesGraph(vals []uint8, t int) *Graph {
-	return build(stripes(vals), pixelLabels(len(vals)), crit(t))
+	return build(stripes(vals), pixelLabels(len(vals)), t)
 }
 
 func TestMergeAllChain(t *testing.T) {
@@ -361,7 +386,7 @@ func TestMergePostconditions(t *testing.T) {
 		for i := range labels {
 			labels[i] = int32(i)
 		}
-		g := build(im, labels, crit(tVal))
+		g := build(im, labels, tVal)
 		mergeAll(g, policy, seed)
 		if hasActiveEdge(g) {
 			return false
@@ -399,7 +424,7 @@ func TestSmallestIDNeverStalls(t *testing.T) {
 		for i := range labels {
 			labels[i] = int32(i)
 		}
-		g := build(im, labels, crit(10))
+		g := build(im, labels, 10)
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		ok := true

@@ -46,10 +46,10 @@ func (g *Graph) bestActiveEdge() (keeper, loser int32, found bool) {
 			if n < int32(s) {
 				continue // visit each undirected edge once
 			}
-			if !g.activeSlots(int32(s), n) {
-				continue
-			}
 			wt := g.weightSlots(int32(s), n)
+			if wt > g.thr {
+				continue // inactive
+			}
 			k, l := int32(s), n
 			if g.ids[k] > g.ids[l] {
 				k, l = l, k

@@ -4,15 +4,15 @@ import (
 	"testing"
 	"testing/quick"
 
-	"regiongrow/internal/homog"
 	"regiongrow/internal/pixmap"
 )
 
 // referenceMergeSerial is the loop MergeSerial must reproduce, over the
 // exported slot API: every iteration contracts the active edge minimising
-// (weight, smaller ID, larger ID) into its smaller-ID endpoint. It
+// (weight, smaller ID, larger ID) into its smaller-ID endpoint, an edge
+// being active when its weight is at most threshold, the graph's. It
 // records its merges in an ID map of its own.
-func referenceMergeSerial(g *Graph) idMap {
+func referenceMergeSerial(g *Graph, threshold int) idMap {
 	ref := idMap{}
 	for {
 		found, bestW, bk, bl := false, 0, 0, 0
@@ -22,11 +22,11 @@ func referenceMergeSerial(g *Graph) idMap {
 				if g.SlotID(l) < g.SlotID(k) {
 					continue // visit each edge once, from its smaller ID
 				}
-				iv := g.SlotInterval(k).Union(g.SlotInterval(l))
-				if !g.Crit.Homogeneous(iv) {
+				wt := g.SlotInterval(k).Union(g.SlotInterval(l)).Range()
+				if wt > threshold {
 					continue
 				}
-				if wt := iv.Range(); !found || wt < bestW || wt == bestW && less(g.SlotID(k), g.SlotID(l), g.SlotID(bk), g.SlotID(bl)) {
+				if !found || wt < bestW || wt == bestW && less(g.SlotID(k), g.SlotID(l), g.SlotID(bk), g.SlotID(bl)) {
 					found, bestW, bk, bl = true, wt, k, l
 				}
 			}
@@ -56,7 +56,7 @@ func TestMergeSerialChain(t *testing.T) {
 		if g.NumVertices() != 1 {
 			t.Fatalf("n=%d: %d vertices remain", n, g.NumVertices())
 		}
-		ref := referenceMergeSerial(stripesGraph(vals, 0))
+		ref := referenceMergeSerial(stripesGraph(vals, 0), 0)
 		checkRelabel(t, "chain", g, stripes(vals), pixelLabels(n), ref)
 	}
 }
@@ -68,7 +68,7 @@ func TestMergeSerialPostconditions(t *testing.T) {
 			im.Pix[i] &= 0x1F
 		}
 		tVal := int(tRaw % 40)
-		g := build(im, pixelLabels(100), crit(tVal))
+		g := build(im, pixelLabels(100), tVal)
 		stats := mergeSerial(g)
 		if hasActiveEdge(g) {
 			return false
@@ -98,9 +98,9 @@ func TestMergeSerialDeterministic(t *testing.T) {
 		im.Pix[i] &= 0x1F
 	}
 	labels := pixelLabels(144)
-	ref := referenceMergeSerial(build(im, labels, crit(12)))
+	ref := referenceMergeSerial(build(im, labels, 12), 12)
 	for run := 0; run < 2; run++ {
-		g := build(im, labels, crit(12))
+		g := build(im, labels, 12)
 		mergeSerial(g)
 		checkRelabel(t, "serial", g, im, labels, ref)
 	}
@@ -112,7 +112,7 @@ func TestMergeSerialNeedsManyMoreIterations(t *testing.T) {
 	im := pixmap.New(32, 32)
 	im.FillRect(0, 0, 32, 32, 20)
 	im.FillRect(5, 5, 27, 27, 90)
-	graph := func() *Graph { return build(im, pixelLabels(len(im.Pix)), homog.NewRange(10)) }
+	graph := func() *Graph { return build(im, pixelLabels(len(im.Pix)), 10) }
 	serial := mergeSerial(graph())
 	parallel := mergeAll(graph(), Random, 1)
 	if serial.Iterations <= parallel.Iterations*5 {
@@ -126,7 +126,7 @@ func TestMergeSerialNeedsManyMoreIterations(t *testing.T) {
 }
 
 func TestMergeSerialEmptyGraph(t *testing.T) {
-	g := NewGraph(crit(5))
+	g := NewGraph(5)
 	stats := mergeSerial(g)
 	if stats.Iterations != 0 {
 		t.Fatal("empty graph merged")

@@ -86,7 +86,6 @@ func Segment(ctx context.Context, r io.Reader, w io.Writer, cfg core.Config, run
 		return res, writeEmpty(w, width, height, opt.Output)
 	}
 
-	crit := cfg.Criterion()
 	cap := quadsplit.EffectiveCap(quadsplit.Options{MaxSquare: cfg.MaxSquare}, width, height)
 	bandRows := max(opt.BandRows/cap, 1) * cap
 
@@ -99,7 +98,7 @@ func Segment(ctx context.Context, r io.Reader, w io.Writer, cfg core.Config, run
 		os.Remove(spool.Name())
 	}()
 
-	g := rag.NewGraph(crit)
+	g := rag.NewGraph(cfg.Threshold)
 	bandSquares, err := ingest(ctx, sr, spool, g, res, cfg, run, cap, bandRows)
 	if err != nil {
 		return nil, err
@@ -141,8 +140,6 @@ func ingest(ctx context.Context, sr *pixmap.StreamReader, spool *os.File, g *rag
 	frontier := make([]int32, width) // previous band's last row, global labels
 	var bandSquares []int
 	var rec [spoolRecordSize]byte
-	crit := cfg.Criterion()
-	sc := run.SplitScratch()
 
 	for y0 := 0; y0 < height; {
 		if err := ctx.Err(); err != nil {
@@ -157,7 +154,7 @@ func ingest(ctx context.Context, sr *pixmap.StreamReader, spool *os.File, g *rag
 		// may legally re-resolve it smaller (see distengine's identical
 		// local split), so the band split equals the global split within
 		// the band.
-		sp, err := quadsplit.Split(ctx, band, crit, quadsplit.Options{MaxSquare: cap, Scratch: sc})
+		sp, err := quadsplit.Split(ctx, band, cfg.Threshold, quadsplit.Options{MaxSquare: cap, Scratch: run.Scratch})
 		if err != nil {
 			return nil, err
 		}

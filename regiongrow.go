@@ -334,9 +334,13 @@ func Recolour(seg *Segmentation, im *Image) *Image {
 
 // Validate checks a segmentation's postconditions against its source
 // image: valid partition, connected regions, per-region homogeneity, and
-// no remaining mergeable adjacent pair.
+// no remaining mergeable adjacent pair. A cfg that fails Config.Check is
+// refused with that error before any check runs.
 func Validate(seg *Segmentation, im *Image, cfg Config) error {
-	return core.Validate(seg, im, cfg.Criterion())
+	if err := cfg.Check(); err != nil {
+		return err
+	}
+	return core.Validate(seg, im, cfg.Threshold)
 }
 
 // CanonicalizeConfig normalizes cfg so that semantically equivalent

@@ -9,6 +9,7 @@ import (
 	"regiongrow/internal/distengine"
 	"regiongrow/internal/dpengine"
 	"regiongrow/internal/mpengine"
+	"regiongrow/internal/quadsplit"
 )
 
 // Observer receives typed stage events during a segmentation run: split
@@ -56,7 +57,7 @@ type Segmenter struct {
 	eng      core.Engine
 	defaults Config
 	observer Observer
-	scratch  sync.Pool // of *core.Scratch
+	scratch  sync.Pool // of *quadsplit.Scratch
 }
 
 // Option configures a Segmenter at construction time.
@@ -166,7 +167,7 @@ func New(kind EngineKind, opts ...Option) (*Segmenter, error) {
 	default:
 		return nil, fmt.Errorf("regiongrow: unknown engine kind %d", int(kind))
 	}
-	s.scratch.New = func() any { return new(core.Scratch) }
+	s.scratch.New = func() any { return new(quadsplit.Scratch) }
 	for _, opt := range opts {
 		if err := opt(s); err != nil {
 			return nil, err
@@ -285,7 +286,7 @@ func (s *Segmenter) SegmentObserved(ctx context.Context, im *Image, cfg Config, 
 	if obs == nil {
 		obs = s.observer
 	}
-	sc := s.scratch.Get().(*core.Scratch)
+	sc := s.scratch.Get().(*quadsplit.Scratch)
 	defer s.scratch.Put(sc)
 	return s.eng.SegmentContext(ctx, im, cfg, core.Run{Observer: obs, Scratch: sc})
 }

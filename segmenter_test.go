@@ -238,11 +238,25 @@ var badConfigs = map[string]Config{
 	"maxsquare": {Threshold: 10, MaxSquare: -2},
 }
 
-// TestSegmentRefusesInvalidConfig: every local engine kind refuses each
-// invalid field with ErrInvalidConfig before any stage runs, instead of
-// panicking inside the engine (on NativeParallel, on a worker goroutine).
+// TestSegmentRefusesInvalidConfig: every local engine kind, SegmentSerial
+// and Validate refuse each invalid field with ErrInvalidConfig before any
+// work, instead of panicking inside an engine (on NativeParallel, on a
+// worker goroutine) or judging the segmentation under a threshold no
+// engine runs.
 func TestSegmentRefusesInvalidConfig(t *testing.T) {
 	im := GeneratePaperImage(Image1NestedRects128)
+	valid, err := segmentKind(SequentialEngine, im, Config{Threshold: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for field, cfg := range badConfigs {
+		if seg, err := SegmentSerial(context.Background(), im, cfg); !errors.Is(err, ErrInvalidConfig) || seg != nil {
+			t.Errorf("SegmentSerial, bad %s: got %v, %v; want nil, ErrInvalidConfig", field, seg, err)
+		}
+		if err := Validate(valid, im, cfg); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("Validate, bad %s: got %v; want ErrInvalidConfig", field, err)
+		}
+	}
 	for _, kind := range AllEngineKinds() {
 		if kind == Distributed {
 			continue // needs a cluster; decodeJob's check covers its workers
