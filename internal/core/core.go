@@ -173,19 +173,19 @@ func pipeline(ctx context.Context, im *pixmap.Image, cfg Config, run Run, worker
 		return nil, err
 	}
 	splitWall := time.Since(t0) //vet:timing stage wall-time for Stats; never reaches labels or wire bytes
-	run.Emit(StageEvent{Kind: EventSplitDone, Iterations: sp.Iterations, Squares: sp.NumSquares})
+	run.Emit(StageEvent{Kind: EventSplitDone, Iterations: sp.Iterations, Squares: len(sp.Squares)})
 
 	t1 := time.Now() //vet:timing stage wall-time for Stats; never reaches labels or wire bytes
 	g := rag.NewGraph(cfg.Threshold)
-	if err := g.AddSquares(ctx, sp.Squares, sp.Labels, im.W, 0); err != nil {
+	if err := g.AddSquares(ctx, sp.Squares, sp.Labels, im.W, 0, im.W); err != nil {
 		return nil, err
 	}
-	run.Emit(StageEvent{Kind: EventGraphDone, Squares: sp.NumSquares})
+	run.Emit(StageEvent{Kind: EventGraphDone, Squares: len(sp.Squares)})
 	stats, err := merge(ctx, g, cfg, run)
 	if err != nil {
 		return nil, err
 	}
-	labels, regions := g.Relabel(sp.Labels, im.W)
+	labels, regions := g.Relabel(sp.Labels)
 	mergeWall := time.Since(t1) //vet:timing stage wall-time for Stats; never reaches labels or wire bytes
 
 	seg := &Segmentation{
@@ -194,7 +194,7 @@ func pipeline(ctx context.Context, im *pixmap.Image, cfg Config, run Run, worker
 		Regions:           regions,
 		SplitIterations:   sp.Iterations,
 		MergeIterations:   stats.Iterations,
-		SquaresAfterSplit: sp.NumSquares,
+		SquaresAfterSplit: len(sp.Squares),
 		FinalRegions:      len(regions),
 		MergesPerIter:     stats.MergesPerIter,
 		ForcedResolutions: stats.ForcedResolutions,

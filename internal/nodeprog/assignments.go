@@ -28,26 +28,3 @@ func (a *assignments) find(id int32) int32 {
 		id = p
 	}
 }
-
-// relabel maps tile labels through the assignments, producing the final
-// per-pixel labels. Split labels arrive in long horizontal runs, so a
-// last-label fast path keeps most pixels off the cache map entirely.
-func (a *assignments) relabel(labels []int32) []int32 {
-	out := make([]int32, len(labels))
-	cache := make(map[int32]int32)
-	lastLab, lastRoot := int32(-1), int32(-1) // labels are pixel indices, never negative
-	for i, lab := range labels {
-		if lab == lastLab {
-			out[i] = lastRoot
-			continue
-		}
-		r, ok := cache[lab]
-		if !ok {
-			r = a.find(lab)
-			cache[lab] = r
-		}
-		out[i] = r
-		lastLab, lastRoot = lab, r
-	}
-	return out
-}

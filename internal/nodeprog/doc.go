@@ -10,10 +10,11 @@
 //  1. Each node splits its tile independently. No split square crosses a
 //     cap-aligned boundary, so the local splits are the global split.
 //  2. Each node builds its local graph on a rag arena: the vertices it
-//     owns take the first slots, in ascending ID order. Boundary strips
-//     (labels plus region intervals) exchanged with the grid neighbours
-//     add the cross-tile edges and, after the owned slots, ghosts: the
-//     neighbours other nodes own.
+//     owns take the first slots, in ascending ID order, so the tile's
+//     split labels are owned slots. Boundary strips (the border
+//     vertices' region IDs and intervals) exchanged with the grid
+//     neighbours add the cross-tile edges and, after the owned slots,
+//     ghosts: the neighbours other nodes own.
 //  3. Nodes choose for the vertices they own, route each remote choice to
 //     the chosen vertex's owner, and detect mutual pairs.
 //  4. Merge events (representative, loser, new interval) are gathered on
@@ -23,7 +24,9 @@
 //  5. Steps 3–4 repeat while any node still has an active edge.
 //
 // A region is owned by the node whose tile holds its anchor pixel, and the
-// representative (smaller ID) of a merge keeps its owner. An owned
+// representative (smaller ID) of a merge keeps its owner. Messages name
+// regions by ID, so each node keeps an ID → slot map of the vertices it
+// has held; the rag arena itself is slot-only. An owned
 // vertex's neighbour list is exact, and the cost model charges per entry
 // of such lists only. Choices use rag's choice kernel, so labels equal the
 // sequential engine's. Every payload is built in ascending ID order, so

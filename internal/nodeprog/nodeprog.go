@@ -154,16 +154,18 @@ const noSlot int32 = -1
 // ghosts — neighbours owned by other ranks — are appended after them. An
 // owned vertex's neighbour list is exact; a ghost's lists its owned
 // neighbours plus, harmlessly, edges to other ghosts it inherited by
-// absorbing an owned loser, which no count includes.
+// absorbing an owned loser, which no count includes. Other nodes name
+// vertices by region ID, so the node keeps the one ID → slot map.
 type prog struct {
 	c Collectives
 	Node
 	x0, y0, tw, th int
 
-	labels  []int32            // tile labels carrying global region IDs
+	labels  []int32            // tile labels: the owned vertices' slots
 	squares []quadsplit.Square // the tile split's list, until buildGraph
 	g       *rag.Graph
 	nOwned  int
+	slotOf  map[int32]int32 // region ID → slot, of every vertex the node has held
 
 	asg   *assignments
 	stats rag.MergeStats
@@ -212,7 +214,7 @@ func Run(c Collectives, n Node) (*Result, error) {
 		return nil, err
 	}
 	res.Merge = p.stats
-	res.Labels = p.asg.relabel(p.labels)
+	res.Labels = p.resolve()
 	c.Charge(p.tw * p.th * 2)
 	c.Phase(PhaseDone, 0)
 	return res, nil
@@ -241,34 +243,34 @@ func (p *prog) split() (levels, squares int) {
 	// ~8 scalar ops per pixel plus a fixed loop-setup cost per level.
 	p.c.Charge(p.tw * p.th * res.Iterations * 8)
 	p.c.Phase(PhaseSplit, res.Iterations)
-
-	// Tile-local labels are anchor pixel indices in the tile; make them
-	// global region IDs in place. The square list keeps its tile-local
-	// IDs: they index the labels, which is how buildGraph reads them.
-	w := p.Grid.width()
+	// The labels are list slots, which buildGraph makes the owned slots;
+	// the list keeps its tile-local IDs, which index the labels.
 	p.labels, p.squares = res.Labels, res.Squares
-	for i, l := range p.labels {
-		p.labels[i] = int32((p.y0+int(l)/p.tw)*w + p.x0 + int(l)%p.tw)
-	}
-	return res.Iterations, res.NumSquares
+	return res.Iterations, len(res.Squares)
 }
 
 // buildGraph is step 2: the tile's own graph, from the split's square
 // list, then cross edges from boundary strips exchanged with the grid
 // neighbours. Inside a tile, list order is ascending global ID, so the
-// owned vertices take slots [0, nOwned) in ID order.
+// owned vertices take slots [0, nOwned) in ID order, and a tile label is
+// its pixel's owned slot.
 func (p *prog) buildGraph() error {
 	// Like the split, the build runs under a context that never ends and
 	// cannot fail. The list is not needed past it.
+	w := p.Grid.width()
 	p.g = rag.NewGraph(p.Threshold)
-	_ = p.g.AddSquares(context.Background(), p.squares, p.labels, p.tw, 0)
+	_ = p.g.AddSquares(context.Background(), p.squares, p.labels, p.tw, p.y0*w+p.x0, w)
 	p.squares = nil
 	p.nOwned = p.g.Slots()
+	p.slotOf = make(map[int32]int32, p.nOwned)
+	for s := range p.nOwned {
+		p.slotOf[p.g.SlotID(s)] = int32(s)
+	}
 	p.choice, p.suitor = make([]int32, p.nOwned), make([]bool, p.nOwned)
 	p.c.Charge(p.tw * p.th * 4)
 
-	// For each neighbour, send the (label, lo, hi) of my border pixels
-	// facing it; zip what it sends back into cross edges.
+	// For each neighbour, send the (ID, lo, hi) of the vertices of my
+	// border pixels facing it; zip what it sends back into cross edges.
 	row, col := p.Rank/p.Grid.cols(), p.Rank%p.Grid.cols()
 	steps := [...]struct{ drow, dcol int }{East: {0, 1}, West: {0, -1}, South: {1, 0}, North: {-1, 0}}
 	var out []Strip
@@ -279,9 +281,9 @@ func (p *prog) buildGraph() error {
 		}
 		strip := p.border(Dir(d))
 		payload := make([]int32, 0, 3*len(strip))
-		for _, id := range strip {
-			iv := p.g.IntervalOf(id)
-			payload = append(payload, id, int32(iv.Lo), int32(iv.Hi))
+		for _, s := range strip {
+			iv := p.g.SlotInterval(int(s))
+			payload = append(payload, p.g.SlotID(int(s)), int32(iv.Lo), int32(iv.Hi))
 		}
 		out = append(out, Strip{Dir: Dir(d), Peer: nr*p.Grid.cols() + nc, Data: payload})
 	}
@@ -295,19 +297,33 @@ func (p *prog) buildGraph() error {
 		if len(data) != 3*len(mine) {
 			return fmt.Errorf("nodeprog: boundary strip of %d values from rank %d, want %d", len(data), s.Peer, 3*len(mine))
 		}
-		for k, myID := range mine {
+		for k, mySlot := range mine {
 			theirID := data[3*k]
 			if p.Grid.owner(theirID) != s.Peer {
 				return fmt.Errorf("nodeprog: boundary strip from rank %d names vertex %d it does not own", s.Peer, theirID)
 			}
-			if !p.g.Contains(theirID) {
-				p.g.AddVertex(theirID, homog.Interval{Lo: uint8(data[3*k+1]), Hi: uint8(data[3*k+2])})
-			}
-			p.g.AddEdge(myID, theirID)
+			p.g.AddEdge(mySlot, p.ghost(theirID, data[3*k+1], data[3*k+2]))
 		}
 	}
 	p.c.Phase(PhaseGraph, 0)
 	return nil
+}
+
+// live returns the slot of region id if the node holds it live.
+func (p *prog) live(id int32) (int32, bool) {
+	s, ok := p.slotOf[id]
+	return s, ok && p.g.SlotAlive(int(s))
+}
+
+// ghost returns the slot of live region id, first adding it with the
+// interval [lo, hi] if the node does not hold it live.
+func (p *prog) ghost(id, lo, hi int32) int32 {
+	s, ok := p.live(id)
+	if !ok {
+		s = p.g.AddVertex(id, homog.Interval{Lo: uint8(lo), Hi: uint8(hi)})
+		p.slotOf[id] = s
+	}
+	return s
 }
 
 // border returns, pixel by pixel, the labels along side d of the tile:
@@ -434,8 +450,8 @@ func (p *prog) mergeRound() (int, error) {
 			return 0, fmt.Errorf("nodeprog: suitor routing of odd length %d", len(data))
 		}
 		for i := 0; i < len(data); i += 2 {
-			s, ok := g.SlotOf(data[i+1])
-			if !ok || s >= p.nOwned {
+			s, ok := p.live(data[i+1])
+			if !ok || int(s) >= p.nOwned {
 				return 0, fmt.Errorf("nodeprog: suitor for vertex %d, which rank %d does not own", data[i+1], p.Rank)
 			}
 			if c := p.choice[s]; c != noSlot && g.SlotID(int(c)) == data[i] {
@@ -531,21 +547,21 @@ func (p *prog) recordMerges(all []int32) error {
 			return fmt.Errorf("nodeprog: malformed merge event (%d, %d)", rep, loser)
 		}
 		p.asg.record(loser, rep)
-		sl, knowLoser := g.SlotOf(loser)
-		if !g.Contains(rep) {
-			if !knowLoser {
-				continue
-			}
-			if p.Grid.owner(rep) == p.Rank {
-				return fmt.Errorf("nodeprog: merge into vertex %d, which rank %d owns but does not know", rep, p.Rank)
-			}
+		sl, knowLoser := p.live(loser)
+		sr, knowRep := p.live(rep)
+		switch {
+		case knowRep:
+			// The union sets the interval: the merged one contains the old.
+			g.UnionInterval(sr, homog.Interval{Lo: uint8(all[i+2]), Hi: uint8(all[i+3])})
+		case !knowLoser:
+			continue
+		case p.Grid.owner(rep) == p.Rank:
+			return fmt.Errorf("nodeprog: merge into vertex %d, which rank %d owns but does not know", rep, p.Rank)
+		default:
+			sr = p.ghost(rep, all[i+2], all[i+3])
 		}
-		// AddVertex unions, which sets the interval: the merged one
-		// contains the old.
-		g.AddVertex(rep, homog.Interval{Lo: uint8(all[i+2]), Hi: uint8(all[i+3])})
 		if knowLoser {
-			sr, _ := g.SlotOf(rep)
-			p.pairs = append(p.pairs, int32(sl), int32(sr))
+			p.pairs = append(p.pairs, sl, sr)
 		}
 	}
 	for len(p.repOf) < g.Slots() {
@@ -587,7 +603,8 @@ func (p *prog) applyHandover(data []int32) error {
 			return fmt.Errorf("nodeprog: truncated adjacency handover")
 		}
 		rep, cnt := data[i], int(data[i+1])
-		if s, ok := g.SlotOf(rep); !ok || s >= p.nOwned {
+		sr, ok := p.live(rep)
+		if !ok || int(sr) >= p.nOwned {
 			return fmt.Errorf("nodeprog: adjacency handover for vertex %d, which rank %d does not own", rep, p.Rank)
 		}
 		i += 2
@@ -596,14 +613,27 @@ func (p *prog) applyHandover(data []int32) error {
 			if w == rep {
 				continue
 			}
-			if !g.Contains(w) {
+			if _, ok := p.live(w); !ok {
 				if o := p.Grid.owner(w); o < 0 || o == p.Rank {
 					return fmt.Errorf("nodeprog: adjacency handover names vertex %d, unknown to its owner", w)
 				}
-				g.AddVertex(w, homog.Interval{Lo: uint8(data[i+1]), Hi: uint8(data[i+2])})
 			}
-			g.AddEdge(rep, w)
+			g.AddEdge(sr, p.ghost(w, data[i+1], data[i+2]))
 		}
 	}
 	return nil
+}
+
+// resolve is the label write-back: each owned slot's final region, found
+// once through the merge record, gathered over the tile's labels in
+// place.
+func (p *prog) resolve() []int32 {
+	final := make([]int32, p.nOwned)
+	for s := range final {
+		final[s] = p.asg.find(p.g.SlotID(s))
+	}
+	for i, s := range p.labels {
+		p.labels[i] = final[s]
+	}
+	return p.labels
 }

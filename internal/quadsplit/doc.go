@@ -11,16 +11,18 @@
 //
 // # The output
 //
-// A Result holds the label raster (every pixel carries its square's ID,
-// the linear index of the square's north-west pixel) and the square
-// list: every square once, in ascending ID order, as an 8-byte Square
-// (ID, intensity interval, log2 of the side). The list is what the graph
-// builds read (rag.Graph.AddSquares); its intervals are the ones the
-// level passes computed, so no later stage rescans a square's pixels.
-// The claim that produces both walks the image row by row: a block lies
-// inside a larger square exactly when its parent block is solid, so it
-// keeps no per-pixel claim state, and it meets the north-west corners in
-// raster order, so the list needs no sort.
+// A Result holds the square list: every square once, in ascending ID
+// order, as an 8-byte Square (ID, the linear index of the square's
+// north-west pixel; intensity interval; log2 of the side). It also holds
+// the label raster, where every pixel carries its square's slot, the
+// square's index in the list. The list is what the graph builds read
+// (rag.Graph.AddSquares), and a square's slot in the list is its slot in
+// the graph; its intervals are the ones the level passes computed, so no
+// later stage rescans a square's pixels. The claim that produces both
+// walks the image row by row: a block lies inside a larger square exactly
+// when its parent block is solid, so it keeps no per-pixel claim state,
+// and it meets the north-west corners in raster order, so the list needs
+// no sort.
 //
 // # The size cap
 //

@@ -98,20 +98,15 @@ func SplitParallel(ctx context.Context, im *pixmap.Image, threshold int, opt Opt
 				if err != nil {
 					continue // cancelled mid-tile; reported after the drain
 				}
-				// Re-anchor tile-local labels and square IDs at the global NW
-				// pixel index, copying both out of the pooled scratch.
-				anchor := func(ll int32) int32 {
-					return int32((y0+int(ll)/tw)*w + x0 + int(ll)%tw)
-				}
+				// Copy the labels out of the pooled scratch as they are,
+				// tile slots that the interleave below makes global, and
+				// re-anchor the square IDs at the global NW pixel index.
 				for ly := 0; ly < th; ly++ {
-					grow := (y0+ly)*w + x0
-					for lx, ll := range r.Labels[ly*tw : ly*tw+tw] {
-						res.Labels[grow+lx] = anchor(ll)
-					}
+					copy(res.Labels[(y0+ly)*w+x0:][:tw], r.Labels[ly*tw:])
 				}
 				squares := make([]Square, len(r.Squares))
 				for k, sq := range r.Squares {
-					sq.ID = anchor(sq.ID)
+					sq.ID = int32((y0+int(sq.ID)/tw)*w + x0 + int(sq.ID)%tw)
 					squares[k] = sq
 				}
 				outs[t] = tileOut{squares: squares, combinedPerIter: r.CombinedPerIter}
@@ -133,8 +128,9 @@ func SplitParallel(ctx context.Context, im *pixmap.Image, threshold int, opt Opt
 	// above, so it cannot trigger here.
 	maxLevel := bits.Len(uint(cap)) - 1
 	combined := make([]int, maxLevel+1)
+	n := 0
 	for _, o := range outs {
-		res.NumSquares += len(o.squares)
+		n += len(o.squares)
 		for i, c := range o.combinedPerIter {
 			if i+1 <= maxLevel {
 				combined[i+1] += c
@@ -156,25 +152,36 @@ func SplitParallel(ctx context.Context, im *pixmap.Image, threshold int, opt Opt
 	// Interleave the tile lists into global ID order, which is raster
 	// order: within a tile row, image row y takes each tile's squares
 	// whose top row is y, west tile first. Every tile list is in ID
-	// order, so one cursor per tile makes this a merge with no sort.
+	// order, so one cursor per tile makes this a merge with no sort. Each
+	// square taken gets its global slot in the tile's slot map, and every
+	// square that meets row y starts on or above it, so row y's tile
+	// labels can then be rewritten through the map.
 	var list []Square
 	if sc := opt.Scratch; sc != nil {
 		list = sc.squares[:0]
 	}
-	list = slices.Grow(list, res.NumSquares)
+	list = slices.Grow(list, n)
 	cur := make([]int, tx)
+	slots := make([][]int32, tx) // tile slot → global slot, per tile of the row
 	for row := 0; row < ty; row++ {
 		tiles := outs[row*tx : row*tx+tx]
 		clear(cur)
+		for i, o := range tiles {
+			slots[i] = slices.Grow(slots[i][:0], len(o.squares))[:len(o.squares)]
+		}
 		for y := row * tile; y < min(row*tile+tile, h); y++ {
-			end := (y + 1) * w
+			end := int32((y + 1) * w)
 			for i, o := range tiles {
-				c := cur[i]
-				for c < len(o.squares) && int(o.squares[c].ID) < end {
-					c++
+				c, slot := cur[i], slots[i]
+				for ; c < len(o.squares) && o.squares[c].ID < end; c++ {
+					slot[c] = int32(len(list))
+					list = append(list, o.squares[c])
 				}
-				list = append(list, o.squares[cur[i]:c]...)
 				cur[i] = c
+				labels := res.Labels[y*w+i*tile : y*w+min(i*tile+tile, w)]
+				for x, l := range labels {
+					labels[x] = slot[l]
+				}
 			}
 		}
 	}

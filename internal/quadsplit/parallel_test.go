@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"regiongrow/internal/pixmap"
+	"regiongrow/internal/prand"
 )
 
 // TestSplitParallelMatchesSequential requires SplitParallel to reproduce
@@ -51,15 +52,92 @@ func TestSplitParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// fuzzImage decodes FuzzSplitParallelMatchesSplit's w×h image. Noise
+// takes pixel i from pix[i], and past its end from prand stream seed,
+// over five grey levels three apart; plateaus fill the image with pix[0],
+// then draw one rectangle per five further bytes (corner, extent, grey
+// level), clipped to the image.
+func fuzzImage(w, h int, plateau bool, seed uint64, pix []byte) *pixmap.Image {
+	im := pixmap.New(w, h)
+	if !plateau {
+		r := prand.New(seed)
+		for i := range im.Pix {
+			b := byte(r.Uint64())
+			if i < len(pix) {
+				b = pix[i]
+			}
+			im.Pix[i] = b % 5 * 3
+		}
+		return im
+	}
+	if len(pix) > 0 {
+		im.FillRect(0, 0, w, h, pix[0]%64)
+	}
+	for r := pix[min(1, len(pix)):]; len(r) >= 5; r = r[5:] {
+		x0, y0 := int(r[0])%w, int(r[1])%h
+		im.FillRect(x0, y0, x0+1+int(r[2])%w, y0+1+int(r[3])%h, r[4]%64)
+	}
+	return im
+}
+
+// FuzzSplitParallelMatchesSplit is the tile-parallel split's generative
+// oracle: on any W×H image (1–160 each, up to 5×5 tiles of the minimum
+// side) of noise or plateau pixels, under square caps 0, 1, 2, 4, 8 and
+// Unbounded, any threshold 0–20 or 255, and 2–4 workers, SplitParallel
+// must give Split's Result and pass Validate. With reuse set, its Scratch
+// first serves a split of a larger noise image, so a stale label or list
+// entry would show.
+func FuzzSplitParallelMatchesSplit(f *testing.F) {
+	f.Add(uint8(159), uint8(159), false, uint8(4), uint8(10), uint8(2), false, uint64(1), []byte(nil))
+	f.Add(uint8(99), uint8(36), true, uint8(5), uint8(21), uint8(0), true, uint64(2), prandBytes(41, 2))
+	f.Add(uint8(32), uint8(129), false, uint8(1), uint8(0), uint8(1), true, uint64(3), prandBytes(64, 3))
+	f.Add(uint8(70), uint8(65), true, uint8(0), uint8(6), uint8(2), false, uint64(4), prandBytes(26, 4))
+	f.Fuzz(func(t *testing.T, w, h uint8, plateau bool, capSel, threshold, workers uint8, reuse bool, seed uint64, pix []byte) {
+		im := fuzzImage(1+int(w)%160, 1+int(h)%160, plateau, seed, pix)
+		thr := int(threshold % 22)
+		if thr == 21 {
+			thr = 255
+		}
+		opt := Options{MaxSquare: []int{0, 1, 2, 4, 8, Unbounded}[capSel%6]}
+		n := 2 + int(workers%3)
+		name := fmt.Sprintf("%dx%d plateau=%t cap=%d T=%d workers=%d reuse=%t", im.W, im.H, plateau, opt.MaxSquare, thr, n, reuse)
+		want := split(im, thr, opt)
+		if reuse {
+			opt.Scratch = new(Scratch)
+			stale := fuzzImage(im.W+33, im.H+17, false, seed+1, nil)
+			if _, err := SplitParallel(context.Background(), stale, thr, opt, n); err != nil {
+				t.Fatalf("%s: stale split: %v", name, err)
+			}
+		}
+		got, err := SplitParallel(context.Background(), im, thr, opt, n)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := sameResult(want, got); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := Validate(got, im, thr); err != nil {
+			t.Fatalf("%s: invalid: %v", name, err)
+		}
+	})
+}
+
+// prandBytes returns n bytes of prand stream seed.
+func prandBytes(n int, seed uint64) []byte {
+	r := prand.New(seed)
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(r.Uint64())
+	}
+	return b
+}
+
 func sameResult(want, got *Result) error {
 	if want.W != got.W || want.H != got.H {
 		return fmt.Errorf("dims %dx%d, want %dx%d", got.W, got.H, want.W, want.H)
 	}
 	if want.Iterations != got.Iterations {
 		return fmt.Errorf("iterations %d, want %d", got.Iterations, want.Iterations)
-	}
-	if want.NumSquares != got.NumSquares {
-		return fmt.Errorf("squares %d, want %d", got.NumSquares, want.NumSquares)
 	}
 	if want.MaxSquareUsed != got.MaxSquareUsed {
 		return fmt.Errorf("cap %d, want %d", got.MaxSquareUsed, want.MaxSquareUsed)

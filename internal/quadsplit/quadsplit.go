@@ -1,7 +1,6 @@
 package quadsplit
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math/bits"
@@ -89,11 +88,13 @@ func (s Square) Side() int { return 1 << s.Log2 }
 // Result is the outcome of the split stage.
 type Result struct {
 	W, H int
-	// Labels holds, for every pixel, the ID of its square region.
+	// Labels holds, for every pixel, its square's slot: the square's
+	// index in Squares.
 	Labels []int32
 	// Squares lists every square once, in ascending ID order: raster
 	// order of the north-west corners, which is the order in which a
-	// graph build meets them.
+	// graph build meets them, so a square's index is also its slot in
+	// the graph built from the list.
 	Squares []Square
 	// Iterations is the number of combining passes executed, counting a
 	// final pass that combines nothing (the paper's convention: the best
@@ -101,8 +102,6 @@ type Result struct {
 	Iterations int
 	// CombinedPerIter records how many quad-blocks each pass combined.
 	CombinedPerIter []int
-	// NumSquares is the number of square regions produced.
-	NumSquares int
 	// MaxSquareUsed is the effective cap after defaulting.
 	MaxSquareUsed int
 }
@@ -280,10 +279,11 @@ func Split(ctx context.Context, im *pixmap.Image, threshold int, opt Options) (*
 	// block lies inside a larger square exactly when its parent block is
 	// solid: the square covering pixel (x, y) is the block reached by
 	// climbing the levels while the parent is solid, and a pixel outside
-	// every solid level-1 block is a 1×1 square. Each step labels the
-	// square's run in this row and records the square on its top row.
-	// The walk meets north-west corners in raster order, so the list
-	// comes out in ascending ID order with no sort. Its length is known
+	// every solid level-1 block is a 1×1 square. On the square's top row
+	// the step records the square and labels its run with the square's
+	// slot; on its other rows it copies the run from the row above. The
+	// walk meets north-west corners in raster order, so the list comes
+	// out in ascending ID order with no sort. Its length is known
 	// up front: each solid block is a square or one of the four children
 	// of a solid block a level up, so the pixels' w·h squares lose three
 	// for every solid block at every level.
@@ -309,19 +309,19 @@ func Split(ctx context.Context, im *pixmap.Image, threshold int, opt Options) (*
 				l++
 			}
 			s := 1 << l
-			y0 := y &^ (s - 1)
-			id := int32(y0*w + x)
 			run := row[x : x+s]
-			for i := range run {
-				run[i] = id
-			}
-			if y0 == y {
+			if y&(s-1) != 0 {
+				copy(run, res.Labels[(y-1)*w+x:])
+			} else {
 				iv := homog.Point(im.Pix[y*w+x])
 				if l > 0 {
 					lv := &levels[l]
 					iv = lv.iv[(y>>l)*lv.bw+x>>l]
 				}
-				list = append(list, Square{ID: id, IV: iv, Log2: uint8(l)})
+				for i := range run {
+					run[i] = int32(len(list))
+				}
+				list = append(list, Square{ID: int32(y*w + x), IV: iv, Log2: uint8(l)})
 			}
 			x += s
 		}
@@ -330,7 +330,6 @@ func Split(ctx context.Context, im *pixmap.Image, threshold int, opt Options) (*
 		sc.squares = list
 	}
 	res.Squares = list
-	res.NumSquares = len(list)
 	return res, nil
 }
 
@@ -338,16 +337,14 @@ func Split(ctx context.Context, im *pixmap.Image, threshold int, opt Options) (*
 // source image and threshold T. It returns the first violation found.
 //
 // Invariants:
-//  1. Every pixel is labelled with the ID of a square whose NW pixel
-//     carries that same label (labels are well formed).
-//  2. The square list holds NumSquares entries in strictly ascending ID
-//     order, every pixel of each square carries the square's ID, and the
-//     areas sum to W·H, so the list tiles the image exactly.
-//  3. Squares are aligned to their power-of-two size, within the image,
-//     and within the cap.
-//  4. Every recorded interval is the union of its square's pixels, and
+//  1. The square list is in strictly ascending ID order; every square is
+//     aligned to its power-of-two size, within the image and within the
+//     cap; and the areas sum to W·H.
+//  2. Every label is a slot of the list, and every pixel of square k
+//     carries k. With the area sum, the list tiles the image exactly.
+//  3. Every recorded interval is the union of its square's pixels, and
 //     every square's pixel range is at most threshold.
-//  5. Maximality: if the four siblings of an aligned quad-block are all
+//  4. Maximality: if the four siblings of an aligned quad-block are all
 //     squares of equal size < cap, their union's range exceeds threshold
 //     (otherwise the split would have combined them).
 func Validate(r *Result, im *pixmap.Image, threshold int) error {
@@ -357,17 +354,6 @@ func Validate(r *Result, im *pixmap.Image, threshold int) error {
 	}
 	if len(r.Labels) != w*h {
 		return fmt.Errorf("quadsplit: %d labels for a %dx%d image", len(r.Labels), w, h)
-	}
-	for i, lab := range r.Labels {
-		if lab < 0 || int(lab) >= w*h {
-			return fmt.Errorf("quadsplit: pixel %d has out-of-range label %d", i, lab)
-		}
-		if r.Labels[lab] != lab {
-			return fmt.Errorf("quadsplit: pixel %d labelled %d, but %d is not a region root", i, lab, lab)
-		}
-	}
-	if len(r.Squares) != r.NumSquares {
-		return fmt.Errorf("quadsplit: %d squares listed, NumSquares = %d", len(r.Squares), r.NumSquares)
 	}
 	area := 0
 	for k, s := range r.Squares {
@@ -387,11 +373,23 @@ func Validate(r *Result, im *pixmap.Image, threshold int) error {
 		if x+size > w || y+size > h {
 			return fmt.Errorf("quadsplit: square at (%d,%d) size %d exceeds image", x, y, size)
 		}
+		area += size * size
+	}
+	if area != w*h {
+		return fmt.Errorf("quadsplit: squares cover %d pixels, image has %d", area, w*h)
+	}
+	for i, lab := range r.Labels {
+		if lab < 0 || int(lab) >= len(r.Squares) {
+			return fmt.Errorf("quadsplit: pixel %d has label %d, not a slot of the %d squares", i, lab, len(r.Squares))
+		}
+	}
+	for k, s := range r.Squares {
+		x, y, size := int(s.ID)%w, int(s.ID)/w, s.Side()
 		iv := homog.Empty()
 		for yy := y; yy < y+size; yy++ {
 			for xx := x; xx < x+size; xx++ {
-				if r.Labels[yy*w+xx] != s.ID {
-					return fmt.Errorf("quadsplit: pixel (%d,%d) not labelled by enclosing square (%d,%d,%d)", xx, yy, x, y, size)
+				if r.Labels[yy*w+xx] != int32(k) {
+					return fmt.Errorf("quadsplit: pixel (%d,%d) not labelled by enclosing square %d (%d,%d,%d)", xx, yy, k, x, y, size)
 				}
 				iv = iv.Union(homog.Point(im.Pix[yy*w+xx]))
 			}
@@ -402,10 +400,6 @@ func Validate(r *Result, im *pixmap.Image, threshold int) error {
 		if iv.Range() > threshold {
 			return fmt.Errorf("quadsplit: square at (%d,%d) size %d is inhomogeneous: %v", x, y, size, iv)
 		}
-		area += size * size
-	}
-	if area != w*h {
-		return fmt.Errorf("quadsplit: squares cover %d pixels, image has %d", area, w*h)
 	}
 	// Maximality of sibling quads.
 	for _, s := range r.Squares {
@@ -419,12 +413,12 @@ func Validate(r *Result, im *pixmap.Image, threshold int) error {
 		union := s.IV
 		all := true
 		for _, id := range [3]int{y*w + x + size, (y+size)*w + x, (y+size)*w + x + size} {
-			k, ok := slices.BinarySearchFunc(r.Squares, int32(id), func(q Square, id int32) int { return cmp.Compare(q.ID, id) })
-			if !ok || r.Squares[k].Log2 != s.Log2 {
+			q := r.Squares[r.Labels[id]]
+			if q.ID != int32(id) || q.Log2 != s.Log2 {
 				all = false
 				break
 			}
-			union = union.Union(r.Squares[k].IV)
+			union = union.Union(q.IV)
 		}
 		if all && union.Range() <= threshold {
 			return fmt.Errorf("quadsplit: quad at (%d,%d) size %d should have been combined", x, y, 2*size)

@@ -44,8 +44,8 @@ func TestPaperFigure1(t *testing.T) {
 	if err := Validate(res, im, 3); err != nil {
 		t.Fatal(err)
 	}
-	if res.NumSquares != 7 {
-		t.Fatalf("squares = %d, want 7 (three 2x2 + four 1x1)", res.NumSquares)
+	if len(res.Squares) != 7 {
+		t.Fatalf("squares = %d, want 7 (three 2x2 + four 1x1)", len(res.Squares))
 	}
 	sizes := map[int]int{}
 	for _, s := range res.Squares {
@@ -60,10 +60,11 @@ func TestPaperFigure1(t *testing.T) {
 		t.Fatalf("iterations = %d, want 2", res.Iterations)
 	}
 	// The NE quadrant pixels label themselves.
+	labels := ids(res)
 	for _, p := range [][2]int{{2, 0}, {3, 0}, {2, 1}, {3, 1}} {
 		i := im.Index(p[0], p[1])
-		if res.Labels[i] != int32(i) {
-			t.Errorf("NE pixel (%d,%d) labelled %d, want itself", p[0], p[1], res.Labels[i])
+		if labels[i] != int32(i) {
+			t.Errorf("NE pixel (%d,%d) labelled %d, want itself", p[0], p[1], labels[i])
 		}
 	}
 }
@@ -72,8 +73,8 @@ func TestUniformImage(t *testing.T) {
 	// Whole image one square: log2(N) iterations, 1 square.
 	im := pixmap.Uniform(16, 9)
 	res := split(im, 0, Options{MaxSquare: Unbounded})
-	if res.NumSquares != 1 {
-		t.Fatalf("squares = %d", res.NumSquares)
+	if len(res.Squares) != 1 {
+		t.Fatalf("squares = %d", len(res.Squares))
 	}
 	if res.Iterations != 4 {
 		t.Fatalf("iterations = %d, want log2(16)=4", res.Iterations)
@@ -92,8 +93,8 @@ func TestCheckerboardWorstCase(t *testing.T) {
 	if res.Iterations != 1 {
 		t.Fatalf("iterations = %d, want 1", res.Iterations)
 	}
-	if res.NumSquares != 64 {
-		t.Fatalf("squares = %d, want 64", res.NumSquares)
+	if len(res.Squares) != 64 {
+		t.Fatalf("squares = %d, want 64", len(res.Squares))
 	}
 }
 
@@ -105,13 +106,13 @@ func TestCapSemantics(t *testing.T) {
 	if res.MaxSquareUsed != 8 {
 		t.Fatalf("default cap = %d, want 8", res.MaxSquareUsed)
 	}
-	if res.NumSquares != 64 || res.Iterations != 3 {
-		t.Fatalf("squares=%d iterations=%d, want 64/3", res.NumSquares, res.Iterations)
+	if len(res.Squares) != 64 || res.Iterations != 3 {
+		t.Fatalf("squares=%d iterations=%d, want 64/3", len(res.Squares), res.Iterations)
 	}
 	// Explicit cap 16.
 	res = split(im, 0, Options{MaxSquare: 16})
-	if res.MaxSquareUsed != 16 || res.NumSquares != 16 {
-		t.Fatalf("cap 16: used=%d squares=%d", res.MaxSquareUsed, res.NumSquares)
+	if res.MaxSquareUsed != 16 || len(res.Squares) != 16 {
+		t.Fatalf("cap 16: used=%d squares=%d", res.MaxSquareUsed, len(res.Squares))
 	}
 	// Non-power-of-two cap rounds down.
 	res = split(im, 0, Options{MaxSquare: 12})
@@ -120,8 +121,8 @@ func TestCapSemantics(t *testing.T) {
 	}
 	// Unbounded merges to the whole image.
 	res = split(im, 0, Options{MaxSquare: Unbounded})
-	if res.NumSquares != 1 {
-		t.Fatalf("unbounded squares = %d", res.NumSquares)
+	if len(res.Squares) != 1 {
+		t.Fatalf("unbounded squares = %d", len(res.Squares))
 	}
 }
 
@@ -179,8 +180,8 @@ func TestThresholdBoundary(t *testing.T) {
 			name := fmt.Sprintf("T=%d/%dx%d", threshold, side, side)
 			im := quadOf(side, uint8(min(threshold, 255)))
 			res := split(im, threshold, Options{MaxSquare: Unbounded})
-			if res.NumSquares != 1 {
-				t.Errorf("%s: range %d left %d squares, want 1", name, min(threshold, 255), res.NumSquares)
+			if len(res.Squares) != 1 {
+				t.Errorf("%s: range %d left %d squares, want 1", name, min(threshold, 255), len(res.Squares))
 			}
 			if err := Validate(res, im, threshold); err != nil {
 				t.Errorf("%s: range %d: %v", name, min(threshold, 255), err)
@@ -190,8 +191,8 @@ func TestThresholdBoundary(t *testing.T) {
 			}
 			im = quadOf(side, uint8(threshold+1))
 			res = split(im, threshold, Options{MaxSquare: Unbounded})
-			if res.NumSquares != 4 {
-				t.Errorf("%s: range %d left %d squares, want 4", name, threshold+1, res.NumSquares)
+			if len(res.Squares) != 4 {
+				t.Errorf("%s: range %d left %d squares, want 4", name, threshold+1, len(res.Squares))
 			}
 			if err := Validate(res, im, threshold); err != nil {
 				t.Errorf("%s: range %d: %v", name, threshold+1, err)
@@ -225,13 +226,13 @@ func TestNonSquareImage(t *testing.T) {
 
 func TestEmptyAndTinyImages(t *testing.T) {
 	res := split(pixmap.New(0, 0), 5, Options{})
-	if res.NumSquares != 0 {
+	if len(res.Squares) != 0 {
 		t.Fatal("empty image produced squares")
 	}
 	im := pixmap.Uniform(1, 3)
 	res = split(im, 5, Options{MaxSquare: Unbounded})
-	if res.NumSquares != 1 || res.Iterations != 1 {
-		t.Fatalf("1x1 image: squares=%d iterations=%d", res.NumSquares, res.Iterations)
+	if len(res.Squares) != 1 || res.Iterations != 1 {
+		t.Fatalf("1x1 image: squares=%d iterations=%d", len(res.Squares), res.Iterations)
 	}
 }
 
@@ -294,18 +295,30 @@ func TestCombinedPerIterMonotoneTermination(t *testing.T) {
 	}
 }
 
-// enumerate is the per-pixel reading of a split's labels that the
-// recorded list must equal: every pixel labelled with its own index is a
-// square's root, in raster order; the side is the length of the root's
-// run in its row, and the interval the union of the square's pixels.
+// ids maps a result's slot labels through its list to square IDs: each
+// pixel then carries the index of its square's north-west pixel.
+func ids(r *Result) []int32 {
+	out := make([]int32, len(r.Labels))
+	for i, lab := range r.Labels {
+		out[i] = r.Squares[lab].ID
+	}
+	return out
+}
+
+// enumerate is the per-pixel reading of a split's labels, mapped to square
+// IDs, that the recorded list must equal: every pixel labelled with its
+// own index is a square's root, in raster order; the side is the length
+// of the root's run in its row, and the interval the union of the
+// square's pixels.
 func enumerate(r *Result, im *pixmap.Image) []Square {
 	var out []Square
-	for i, lab := range r.Labels {
+	labels := ids(r)
+	for i, lab := range labels {
 		if lab != int32(i) {
 			continue
 		}
 		x, y, side := i%r.W, i/r.W, 1
-		for x+side < r.W && r.Labels[i+side] == lab {
+		for x+side < r.W && labels[i+side] == lab {
 			side++
 		}
 		iv := homog.Empty()
@@ -373,8 +386,8 @@ func TestSquaresEnumerationMatchesLabels(t *testing.T) {
 						for _, c := range res.CombinedPerIter {
 							n -= 3 * c
 						}
-						if n != res.NumSquares {
-							t.Fatalf("%s: %d squares, but w·h − 3·%v = %d", name, res.NumSquares, res.CombinedPerIter, n)
+						if n != len(res.Squares) {
+							t.Fatalf("%s: %d squares, but w·h − 3·%v = %d", name, len(res.Squares), res.CombinedPerIter, n)
 						}
 						if err := Validate(res, im, threshold); err != nil {
 							t.Fatalf("%s scratch=%t: %v", name, opt.Scratch != nil, err)

@@ -41,8 +41,18 @@ func SplitTopDown(im *pixmap.Image, threshold int, opt Options) *Result {
 			s.recurse(x, y, cap)
 		}
 	}
-	// The recursion claims squares in Z order; the list is in ID order.
+	// The recursion claims squares in Z order; the list is in ID order,
+	// and each square's pixels carry its slot in it.
 	slices.SortFunc(res.Squares, func(a, b Square) int { return cmp.Compare(a.ID, b.ID) })
+	for k, sq := range res.Squares {
+		x, y := int(sq.ID)%w, int(sq.ID)/w
+		for yy := y; yy < y+sq.Side(); yy++ {
+			row := res.Labels[yy*w+x:]
+			for xx := range sq.Side() {
+				row[xx] = int32(k)
+			}
+		}
+	}
 	// The bottom-up pass count equals log2(cap / smallest-split-to size)
 	// + 1 when anything combined; reuse its semantics by re-deriving from
 	// the produced sizes: iterations = log2(largest square) + 1 capped at
@@ -102,14 +112,7 @@ func (s *topDown) recurse(x, y, size int) {
 
 func (s *topDown) claim(x, y, size int, iv homog.Interval) {
 	id := int32(y*s.im.W + x)
-	s.res.NumSquares++
 	s.res.Squares = append(s.res.Squares, Square{ID: id, IV: iv, Log2: uint8(bits.TrailingZeros(uint(size)))})
-	for yy := y; yy < y+size; yy++ {
-		row := yy * s.im.W
-		for xx := x; xx < x+size; xx++ {
-			s.res.Labels[row+xx] = id
-		}
-	}
 }
 
 func TestTopDownMatchesBottomUp(t *testing.T) {
@@ -118,13 +121,11 @@ func TestTopDownMatchesBottomUp(t *testing.T) {
 		im := pixmap.Generate(id, pixmap.DefaultGenOptions())
 		bu := split(im, 10, Options{})
 		td := SplitTopDown(im, 10, Options{})
-		if bu.NumSquares != td.NumSquares {
-			t.Fatalf("%v: bottom-up %d squares, top-down %d", id, bu.NumSquares, td.NumSquares)
+		if len(bu.Squares) != len(td.Squares) {
+			t.Fatalf("%v: bottom-up %d squares, top-down %d", id, len(bu.Squares), len(td.Squares))
 		}
-		for i := range bu.Labels {
-			if bu.Labels[i] != td.Labels[i] {
-				t.Fatalf("%v: partitions differ at pixel %d", id, i)
-			}
+		if !slices.Equal(ids(bu), ids(td)) {
+			t.Fatalf("%v: partitions differ", id)
 		}
 		if !slices.Equal(bu.Squares, td.Squares) {
 			t.Fatalf("%v: square lists differ", id)
@@ -145,13 +146,8 @@ func TestTopDownMatchesBottomUpProperty(t *testing.T) {
 		opt := Options{MaxSquare: []int{0, Unbounded, 8}[capRaw%3]}
 		bu := split(im, threshold, opt)
 		td := SplitTopDown(im, threshold, opt)
-		if bu.NumSquares != td.NumSquares {
+		if len(bu.Squares) != len(td.Squares) || !slices.Equal(ids(bu), ids(td)) {
 			return false
-		}
-		for i := range bu.Labels {
-			if bu.Labels[i] != td.Labels[i] {
-				return false
-			}
 		}
 		return slices.Equal(bu.Squares, td.Squares) && Validate(td, im, threshold) == nil
 	}, &quick.Config{MaxCount: 30})
@@ -165,13 +161,11 @@ func TestTopDownNonSquareAndEmpty(t *testing.T) {
 	im.FillRect(0, 0, 24, 16, 9)
 	bu := split(im, 0, Options{MaxSquare: Unbounded})
 	td := SplitTopDown(im, 0, Options{MaxSquare: Unbounded})
-	for i := range bu.Labels {
-		if bu.Labels[i] != td.Labels[i] {
-			t.Fatal("non-square image partitions differ")
-		}
+	if !slices.Equal(ids(bu), ids(td)) {
+		t.Fatal("non-square image partitions differ")
 	}
 	empty := SplitTopDown(pixmap.New(0, 0), 0, Options{})
-	if empty.NumSquares != 0 {
+	if len(empty.Squares) != 0 {
 		t.Fatal("empty image produced squares")
 	}
 }

@@ -40,7 +40,7 @@ func TestValidateShapeMismatch(t *testing.T) {
 func TestValidateOutOfRangeLabel(t *testing.T) {
 	res, im, threshold := validBase(t)
 	bad := cloneResult(res)
-	bad.Labels[3] = 9999
+	bad.Labels[3] = int32(len(bad.Squares))
 	if err := Validate(bad, im, threshold); err == nil {
 		t.Fatal("out-of-range label accepted")
 	}
@@ -53,8 +53,8 @@ func TestValidateOutOfRangeLabel(t *testing.T) {
 func TestValidateNonRootLabel(t *testing.T) {
 	res, im, threshold := validBase(t)
 	bad := cloneResult(res)
-	// Point a pixel at a non-root pixel (one whose own label differs).
-	bad.Labels[0] = 1 // pixel 1 is interior to the square rooted at 0
+	// Label a pixel with a listed square that does not cover it.
+	bad.Labels[0] = 1 // pixel 0 lies in square 0; square 1 is the 4×4 at (4,0)
 	if err := Validate(bad, im, threshold); err == nil {
 		t.Fatal("non-root label accepted")
 	}
@@ -63,16 +63,10 @@ func TestValidateNonRootLabel(t *testing.T) {
 func TestValidateMisalignedSquare(t *testing.T) {
 	res, im, threshold := validBase(t)
 	bad := cloneResult(res)
-	// Fabricate a "square" at a misaligned origin: relabel the 4×4 block
-	// at (4,0) to root at pixel (5,0) — the root pixel's label must point
-	// at itself for the well-formedness check, so rewrite the block.
-	root := int32(im.Index(5, 0))
-	for y := 0; y < 4; y++ {
-		for x := 5; x < 8; x++ {
-			bad.Labels[im.Index(x, y)] = root
-		}
-	}
-	bad.Squares[1].ID, bad.Squares[1].Log2 = root, 1
+	// Fabricate a "square" at a misaligned origin: move square 1, the 4×4
+	// block at (4,0), to pixel (5,0) with side 2. The labels are checked
+	// after the list, so they can stay as they are.
+	bad.Squares[1].ID, bad.Squares[1].Log2 = int32(im.Index(5, 0)), 1
 	if err := Validate(bad, im, threshold); err == nil {
 		t.Fatal("misaligned/incoherent square accepted")
 	}
@@ -96,7 +90,6 @@ func TestValidateMissedCombine(t *testing.T) {
 		W: 4, H: 4,
 		Labels:        make([]int32, 16),
 		Iterations:    1,
-		NumSquares:    16,
 		MaxSquareUsed: 4,
 	}
 	for i := range res.Labels {
@@ -122,21 +115,10 @@ func listBase(t *testing.T) (*Result, *pixmap.Image, int) {
 	if err := Validate(res, im, threshold); err != nil {
 		t.Fatalf("base result invalid: %v", err)
 	}
-	if res.NumSquares < 3 || res.NumSquares == len(im.Pix) {
-		t.Fatalf("base split has %d squares; the test needs a mix of sizes", res.NumSquares)
+	if len(res.Squares) < 3 || len(res.Squares) == len(im.Pix) {
+		t.Fatalf("base split has %d squares; the test needs a mix of sizes", len(res.Squares))
 	}
 	return res, im, threshold
-}
-
-func TestValidateWrongNumSquares(t *testing.T) {
-	res, im, threshold := listBase(t)
-	for _, n := range []int{res.NumSquares - 1, res.NumSquares + 1} {
-		bad := cloneResult(res)
-		bad.NumSquares = n
-		if err := Validate(bad, im, threshold); err == nil || !strings.Contains(err.Error(), "NumSquares") {
-			t.Fatalf("NumSquares %d of %d listed: err = %v", n, res.NumSquares, err)
-		}
-	}
 }
 
 func TestValidateWrongRecordedInterval(t *testing.T) {
@@ -169,7 +151,6 @@ func TestValidateDroppedSquare(t *testing.T) {
 	for _, k := range []int{0, len(res.Squares) / 2, len(res.Squares) - 1} {
 		bad := cloneResult(res)
 		bad.Squares = append(bad.Squares[:k], bad.Squares[k+1:]...)
-		bad.NumSquares--
 		if err := Validate(bad, im, threshold); err == nil || !strings.Contains(err.Error(), "cover") {
 			t.Fatalf("square %d dropped: err = %v", k, err)
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"testing"
 
@@ -19,11 +18,13 @@ import (
 const buildCheckRows = 64
 
 // BuildFromLabels constructs the RAG of a labelled image: one vertex per
-// label with the interval of its pixels, one edge per 4-adjacent label
-// pair. It is the tests' reference build: AddSquares must reproduce its
-// arena on every split, and it accepts arbitrary label rasters, which
-// FuzzRelabel feeds it. Cancellation is checked every few rows; it
-// returns (nil, ctx.Err()) when ctx is done.
+// label, whose region ID is the label, with the interval of its pixels,
+// one edge per 4-adjacent label pair. A label's slot is its rank in order
+// of first appearance in raster order, found through the build's own
+// label-to-slot map. It is the tests' reference build: AddSquares must
+// reproduce its arena on every split, and it accepts arbitrary label
+// rasters, which FuzzRelabel feeds it. Cancellation is checked every few
+// rows; it returns (nil, ctx.Err()) when ctx is done.
 //
 // The builder is run-length: vertices accrue one interval union per row
 // run of a label, horizontal edges one AddEdge per run boundary, and
@@ -36,6 +37,7 @@ func BuildFromLabels(ctx context.Context, im *pixmap.Image, labels []int32, thre
 		panic(fmt.Sprintf("rag: %d labels for %dx%d image", len(labels), w, h))
 	}
 	g := NewGraph(threshold)
+	slotOf := make(map[int32]int32)
 	for y := 0; y < h; y++ {
 		if y%buildCheckRows == 0 {
 			if err := ctx.Err(); err != nil {
@@ -51,7 +53,12 @@ func BuildFromLabels(ctx context.Context, im *pixmap.Image, labels []int32, thre
 				x1++
 			}
 			lo, hi := homog.RowMinMax(pix[x:x1])
-			g.AddVertex(lab, homog.Interval{Lo: lo, Hi: hi})
+			iv := homog.Interval{Lo: lo, Hi: hi}
+			if s, ok := slotOf[lab]; ok {
+				g.UnionInterval(s, iv)
+			} else {
+				slotOf[lab] = g.AddVertex(lab, iv)
+			}
 			x = x1
 		}
 	}
@@ -69,7 +76,7 @@ func BuildFromLabels(ctx context.Context, im *pixmap.Image, labels []int32, thre
 				x1++
 			}
 			if x1 < w {
-				g.AddEdge(lab, row[x1]) // runs end exactly at label changes
+				g.AddEdge(slotOf[lab], slotOf[row[x1]]) // runs end exactly at label changes
 			}
 			x = x1
 		}
@@ -84,7 +91,7 @@ func BuildFromLabels(ctx context.Context, im *pixmap.Image, labels []int32, thre
 				x1++
 			}
 			if la != lb {
-				g.AddEdge(la, lb)
+				g.AddEdge(slotOf[la], slotOf[lb])
 			}
 			x = x1
 		}
@@ -93,20 +100,32 @@ func BuildFromLabels(ctx context.Context, im *pixmap.Image, labels []int32, thre
 }
 
 // squareGraph is the graph the pipelines build from a split: its squares
-// added to an empty graph at offset 0.
+// added to an empty graph at origin 0 and stride W.
 func squareGraph(t *testing.T, sp *quadsplit.Result, threshold int) *Graph {
 	t.Helper()
 	g := NewGraph(threshold)
-	if err := g.AddSquares(context.Background(), sp.Squares, sp.Labels, sp.W, 0); err != nil {
+	if err := g.AddSquares(context.Background(), sp.Squares, sp.Labels, sp.W, 0, sp.W); err != nil {
 		t.Fatal(err)
 	}
 	return g
 }
 
+// squareIDs maps a split's slot labels to the region IDs that AddSquares
+// gives their squares at (origin, stride): the label raster
+// BuildFromLabels must build the same arena from.
+func squareIDs(sp *quadsplit.Result, origin, stride int) []int32 {
+	out := make([]int32, len(sp.Labels))
+	for i, lab := range sp.Labels {
+		p := int(sp.Squares[lab].ID)
+		out[i] = int32(origin + p/sp.W*stride + p%sp.W)
+	}
+	return out
+}
+
 // bandGraph builds im's graph the way stream's pass 1 does: split each
-// band of bandRows rows on its own, add the band's squares at its offset,
-// and stitch the band's first row to the previous band's last row with
-// one AddEdge per overlap run.
+// band of bandRows rows on its own, add the band's squares at its first
+// row's origin after the slots already held, and stitch the band's first
+// row to the previous band's last row with one AddEdge per overlap run.
 func bandGraph(t *testing.T, im *pixmap.Image, threshold, maxSquare, bandRows int) *Graph {
 	t.Helper()
 	g := NewGraph(threshold)
@@ -122,20 +141,20 @@ func bandGraph(t *testing.T, im *pixmap.Image, threshold, maxSquare, bandRows in
 		if err != nil {
 			t.Fatal(err)
 		}
-		off := int32(y0 * w)
-		if err := g.AddSquares(context.Background(), sp.Squares, sp.Labels, w, off); err != nil {
+		base := int32(g.Slots())
+		if err := g.AddSquares(context.Background(), sp.Squares, sp.Labels, w, y0*w, w); err != nil {
 			t.Fatal(err)
 		}
 		for x := 0; x < len(frontier); {
-			a, b := frontier[x], sp.Labels[x]+off
-			for x < w && frontier[x] == a && sp.Labels[x]+off == b {
+			a, b := frontier[x], sp.Labels[x]+base
+			for x < w && frontier[x] == a && sp.Labels[x]+base == b {
 				x++
 			}
 			g.AddEdge(a, b)
 		}
 		frontier = slices.Clone(sp.Labels[(bh-1)*w:])
 		for x := range frontier {
-			frontier[x] += off
+			frontier[x] += base
 		}
 	}
 	return g
@@ -145,9 +164,9 @@ func bandGraph(t *testing.T, im *pixmap.Image, threshold, maxSquare, bandRows in
 // reproduce the label build's arena exactly — slot IDs in order,
 // intervals, liveness and every adjacency list — across image shapes
 // (empty, single-pixel, tall, wide, odd) and split caps, three ways: the
-// whole image at offset 0, as core does; full-width bands at their row
-// offsets, stitched, as stream does; and a tile whose labels are already
-// global, as nodeprog does.
+// whole image at origin 0, as core does; full-width bands at their row
+// origins, stitched, as stream does; and a tile at its origin with the
+// image's stride, as nodeprog does.
 func TestAddSquaresMatchesBuildFromLabels(t *testing.T) {
 	images := map[string]*pixmap.Image{
 		"0x0":        pixmap.New(0, 0),
@@ -167,7 +186,7 @@ func TestAddSquaresMatchesBuildFromLabels(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := build(im, sp.Labels, threshold)
+			want := build(im, squareIDs(sp, 0, im.W), threshold)
 			if err := sameArena(want, squareGraph(t, sp, threshold)); err != nil {
 				t.Errorf("%s: %v", label, err)
 			}
@@ -185,9 +204,9 @@ func TestAddSquaresMatchesBuildFromLabels(t *testing.T) {
 }
 
 // tileMatches builds the graph of im's south-east cap-aligned tile the
-// way nodeprog does — the tile split on its own, its labels made global
-// in place, its squares added at offset 0 — and compares it with the
-// label build over the same global labels.
+// way nodeprog does — the tile split on its own, its squares added at the
+// tile's origin with the image's stride — and compares it with the label
+// build over the tile's labels mapped to the same global IDs.
 func tileMatches(im *pixmap.Image, threshold, cap int) error {
 	x0, y0 := cap*(im.W/cap/2), cap*(im.H/cap/2)
 	tw, th := im.W-x0, im.H-y0
@@ -199,12 +218,9 @@ func tileMatches(im *pixmap.Image, threshold, cap int) error {
 	if err != nil {
 		return err
 	}
-	for i, l := range sp.Labels {
-		sp.Labels[i] = int32((y0+int(l)/tw)*im.W + x0 + int(l)%tw)
-	}
-	want := build(tile, sp.Labels, threshold)
+	want := build(tile, squareIDs(sp, y0*im.W+x0, im.W), threshold)
 	got := NewGraph(threshold)
-	if err := got.AddSquares(context.Background(), sp.Squares, sp.Labels, tw, 0); err != nil {
+	if err := got.AddSquares(context.Background(), sp.Squares, sp.Labels, tw, y0*im.W+x0, im.W); err != nil {
 		return err
 	}
 	return sameArena(want, got)
@@ -219,8 +235,6 @@ func sameArena(want, got *Graph) error {
 		return errors.New("slot intervals differ")
 	case !slices.Equal(got.alive, want.alive) || got.nAlive != want.nAlive:
 		return errors.New("slot liveness differs")
-	case !maps.Equal(got.slotOf, want.slotOf):
-		return errors.New("region-to-slot maps differ")
 	case got.thr != want.thr:
 		return errors.New("thresholds differ")
 	}

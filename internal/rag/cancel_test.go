@@ -74,11 +74,11 @@ func TestAddSquaresCancelled(t *testing.T) {
 		t.Fatalf("the split has %d squares; the test needs more than %d", len(sp.Squares), 2*addCheckSquares)
 	}
 	g := NewGraph(0)
-	if err := g.AddSquares(cancelled(), sp.Squares, sp.Labels, im.W, 0); !errors.Is(err, context.Canceled) || g.Slots() != 0 {
+	if err := g.AddSquares(cancelled(), sp.Squares, sp.Labels, im.W, 0, im.W); !errors.Is(err, context.Canceled) || g.Slots() != 0 {
 		t.Fatalf("AddSquares on a cancelled ctx = %v with %d slots; want context.Canceled and none", err, g.Slots())
 	}
 	g = NewGraph(0)
-	err = g.AddSquares(&countdownCtx{Context: context.Background(), n: 1}, sp.Squares, sp.Labels, im.W, 0)
+	err = g.AddSquares(&countdownCtx{Context: context.Background(), n: 1}, sp.Squares, sp.Labels, im.W, 0, im.W)
 	if !errors.Is(err, context.Canceled) || g.Slots() != addCheckSquares {
 		t.Fatalf("AddSquares cancelled after one check = %v with %d slots; want context.Canceled and %d", err, g.Slots(), addCheckSquares)
 	}
@@ -234,7 +234,7 @@ func TestMergeAllCancelFromOnRound(t *testing.T) {
 	if stats.Iterations != 1 {
 		t.Fatalf("ran %d rounds after cancelling in round 1", stats.Iterations)
 	}
-	labels, regions := g.Relabel(pixelLabels(before), 12)
+	labels, regions := g.Relabel(pixelLabels(before))
 	absorbed, pairs := 0, 0
 	for i, id := range labels {
 		if id != int32(i) {

@@ -94,13 +94,18 @@ func pixelRegions(im *pixmap.Image, labels []int32) []Region {
 	return out
 }
 
-// checkRelabel fails t unless g's Relabel of labels (the raster g was
-// built from over im) gives the labels ref resolves to, and the regions
-// a per-pixel pass over them gives.
-func checkRelabel(t *testing.T, name string, g *Graph, im *pixmap.Image, labels []int32, ref idMap) {
+// checkRelabel fails t unless g's Relabel of slots (a raster of g's
+// slots over im, such as the one g was built from) gives the labels ref
+// resolves the slots' region IDs to, and the regions a per-pixel pass
+// over them gives.
+func checkRelabel(t *testing.T, name string, g *Graph, im *pixmap.Image, slots []int32, ref idMap) {
 	t.Helper()
-	got, regions := g.Relabel(labels, im.W)
-	want := ref.resolve(labels)
+	got, regions := g.Relabel(slots)
+	ids := make([]int32, len(slots))
+	for i, s := range slots {
+		ids[i] = g.SlotID(int(s))
+	}
+	want := ref.resolve(ids)
 	if !slices.Equal(got, want) {
 		t.Fatalf("%s: labels %v, reference %v", name, got, want)
 	}
@@ -123,7 +128,7 @@ func crossCheck(t *testing.T, im *pixmap.Image, threshold, maxSquare int, policy
 		t.Fatal(err)
 	}
 	name := fmt.Sprintf("%dx%d T=%d cap=%d %v seed=%d", im.W, im.H, threshold, maxSquare, policy, seed)
-	g, refGraph := squareGraph(t, sp, threshold), build(im, sp.Labels, threshold)
+	g, refGraph := squareGraph(t, sp, threshold), build(im, squareIDs(sp, 0, im.W), threshold)
 	if err := sameArena(refGraph, g); err != nil {
 		t.Fatalf("%s: square build: %v", name, err)
 	}
@@ -273,15 +278,15 @@ func FuzzMergeAll(f *testing.F) {
 
 // FuzzRelabel checks the relabel on arbitrary label rasters, which split
 // labels never are: a label may take any value and recur in places that
-// do not touch, so a run that does not continue the run above may carry
-// a label already resolved. It builds the graph of a w×h raster (1–8
-// each) whose labels are palette entries base + stride·k, k < n, applies
-// an arbitrary sequence of contractions of adjacent live slots, and
-// requires Relabel's labels and regions to equal the per-pixel reference
-// over the contractions' ID map.
+// do not touch, so a run may carry a slot already resolved. It builds the
+// reference graph of a w×h raster (1–8 each) whose labels are palette
+// entries base + stride·k, k < n, applies an arbitrary sequence of
+// contractions of adjacent live slots, maps the raster to the graph's
+// slots, and requires Relabel's labels and regions to equal the per-pixel
+// reference over the contractions' ID map.
 func FuzzRelabel(f *testing.F) {
 	// Label 7 recurs on both sides of the 4s, so its second run on row 0
-	// resolves a label already seen; the 4s continue runs above.
+	// resolves a slot already seen.
 	f.Add(uint8(4), uint8(2), uint8(3), int32(7), int32(-3), []byte{0, 1, 0, 2, 0, 1, 1, 2}, []byte{9, 9, 200, 3, 5, 6, 7, 8}, []byte{0, 0, 1, 1})
 	f.Add(uint8(7), uint8(7), uint8(2), int32(1<<30), int32(1<<29), prandBytes(64, 2), prandBytes(64, 3), prandBytes(16, 4))
 	f.Fuzz(func(t *testing.T, w, h, n uint8, base, stride int32, lab, pix, ops []byte) {
@@ -319,6 +324,14 @@ func FuzzRelabel(f *testing.F) {
 			ref[g.SlotID(l)] = g.SlotID(k)
 			g.ContractSlots(k, l)
 		}
-		checkRelabel(t, fmt.Sprintf("%dx%d labels %v ops %v", im.W, im.H, labels, ops), g, im, labels, ref)
+		slotOf := map[int32]int32{}
+		for s := 0; s < g.Slots(); s++ {
+			slotOf[g.SlotID(s)] = int32(s)
+		}
+		slots := make([]int32, len(labels))
+		for i, lab := range labels {
+			slots[i] = slotOf[lab]
+		}
+		checkRelabel(t, fmt.Sprintf("%dx%d labels %v ops %v", im.W, im.H, labels, ops), g, im, slots, ref)
 	})
 }

@@ -11,6 +11,12 @@
 // regions merge exactly when they pick each other; the smaller ID becomes
 // the representative.
 //
+// A Graph names its vertices by slot, a dense index into its arena, and
+// has no lookup by region ID. A split's labels are list slots, so a graph
+// built from the split's squares (Graph.AddSquares) needs none: a label
+// offset by the slots held before the build is a graph slot, and Relabel
+// resolves the labels through the arena's contraction record.
+//
 // The kernel here defines the *semantics* every engine (the host
 // pipeline, data parallel, message passing, distributed) must agree on. Choices are pure functions
 // of (graph state, policy, seed, iteration), so engines that evaluate them

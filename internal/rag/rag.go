@@ -77,8 +77,10 @@ func (p *TiePolicy) UnmarshalText(text []byte) error {
 const noSlot int32 = -1
 
 // Graph is a mutable region adjacency graph stored as a flat arena:
-// parallel slices indexed by a dense slot number, plus one map translating
-// region IDs (the linear pixel index of a region's origin) to slots.
+// parallel slices indexed by a dense slot number. Every vertex keeps its
+// region ID (the linear pixel index of the region's origin), which the
+// tie contract orders by, but the graph never looks a region up by ID:
+// its builders, its merges and its relabel name regions by slot.
 // Contraction never compacts the arena — a merged-away region just goes
 // dead in place — so slot numbers are stable for the graph's lifetime and
 // adjacency can be held as sorted []int32 slot lists instead of per-vertex
@@ -88,9 +90,8 @@ const noSlot int32 = -1
 //
 // The arena is also the record of the merge. MergeAll and MergeSerial
 // allocate a contraction record when merging starts, each slot naming the
-// slot it was contracted into, and a dead ID keeps its slot in the ID
-// map, so Relabel and RootSlot resolve any region the graph ever held.
-// Every other lookup by ID sees live regions only.
+// slot it was contracted into, so Relabel and RootSlot resolve any slot
+// the graph ever held.
 //
 // The layout is profile-driven: with the earlier map-of-pointers
 // representation the sequential kernel spent the majority of its merge
@@ -101,11 +102,10 @@ type Graph struct {
 	// most thr, a pure integer test in the hot loops.
 	thr int
 
-	slotOf map[int32]int32 // region ID → slot, dead regions included
-	ids    []int32         // slot → region ID
-	lo, hi []uint8         // slot → intensity interval bounds
-	alive  []bool          // slot → not yet contracted away
-	adj    [][]int32       // slot → sorted neighbour slots (live slots only)
+	ids    []int32   // slot → region ID
+	lo, hi []uint8   // slot → intensity interval bounds
+	alive  []bool    // slot → not yet contracted away
+	adj    [][]int32 // slot → sorted neighbour slots (live slots only)
 	nAlive int
 	// parent is the contraction record: slot → the slot it was contracted
 	// into, itself while live. It is nil until merging starts, so building
@@ -116,22 +116,13 @@ type Graph struct {
 // NewGraph returns an empty graph whose edges are active at weights up
 // to threshold.
 func NewGraph(threshold int) *Graph {
-	return &Graph{thr: threshold, slotOf: make(map[int32]int32)}
+	return &Graph{thr: threshold}
 }
 
-// AddVertex inserts a region with the given interval. Re-adding a live ID
-// unions the intervals (useful when assembling from partial scans); a
-// dead ID gets a new slot.
-func (g *Graph) AddVertex(id int32, iv homog.Interval) {
-	if s, ok := g.live(id); ok {
-		// Branch-free union: exact even against the Empty sentinel
-		// {MaxIntensity, 0}, whose bounds are absorbed by min/max.
-		g.lo[s] = min(g.lo[s], iv.Lo)
-		g.hi[s] = max(g.hi[s], iv.Hi)
-		return
-	}
+// AddVertex appends a region with the given ID and interval and returns
+// its slot, the next one of the arena.
+func (g *Graph) AddVertex(id int32, iv homog.Interval) int32 {
 	s := int32(len(g.ids))
-	g.slotOf[id] = s
 	g.ids = append(g.ids, id)
 	g.lo = append(g.lo, iv.Lo)
 	g.hi = append(g.hi, iv.Hi)
@@ -141,30 +132,30 @@ func (g *Graph) AddVertex(id int32, iv homog.Interval) {
 		g.parent = append(g.parent, s)
 	}
 	g.nAlive++
+	return s
 }
 
-// live returns the slot of region id if it is live.
-func (g *Graph) live(id int32) (int32, bool) {
-	s, ok := g.slotOf[id]
-	return s, ok && g.alive[s]
+// UnionInterval widens slot s's interval to its union with iv.
+func (g *Graph) UnionInterval(s int32, iv homog.Interval) {
+	// Branch-free union: exact even against the Empty sentinel
+	// {MaxIntensity, 0}, whose bounds are absorbed by min/max.
+	g.lo[s] = min(g.lo[s], iv.Lo)
+	g.hi[s] = max(g.hi[s], iv.Hi)
 }
 
-// AddEdge records adjacency between regions a and b. Self-edges are
-// ignored; parallel edges coalesce. Both endpoints must be live.
+// AddEdge records adjacency between slots a and b. Self-edges are
+// ignored; parallel edges coalesce. Both endpoints must be live slots.
 func (g *Graph) AddEdge(a, b int32) {
 	if a == b {
 		return
 	}
-	sa, ok := g.live(a)
-	if !ok {
-		panic(fmt.Sprintf("rag: AddEdge endpoint %d missing", a))
+	for _, s := range [2]int32{a, b} {
+		if s < 0 || int(s) >= len(g.alive) || !g.alive[s] {
+			panic(fmt.Sprintf("rag: AddEdge endpoint %d is not a live slot of %d", s, len(g.alive)))
+		}
 	}
-	sb, ok := g.live(b)
-	if !ok {
-		panic(fmt.Sprintf("rag: AddEdge endpoint %d missing", b))
-	}
-	g.adj[sa] = insertSorted(g.adj[sa], sb)
-	g.adj[sb] = insertSorted(g.adj[sb], sa)
+	g.adj[a] = insertSorted(g.adj[a], b)
+	g.adj[b] = insertSorted(g.adj[b], a)
 }
 
 // insertSorted adds x to a sorted slot list, keeping it sorted and
@@ -198,22 +189,6 @@ func (g *Graph) weightSlots(a, b int32) int {
 	return max(int(max(g.hi[a], g.hi[b]))-int(min(g.lo[a], g.lo[b])), 0)
 }
 
-// IntervalOf returns the current intensity interval of region id, which
-// must be live.
-func (g *Graph) IntervalOf(id int32) homog.Interval {
-	s, ok := g.live(id)
-	if !ok {
-		panic(fmt.Sprintf("rag: IntervalOf(%d) on missing vertex", id))
-	}
-	return homog.Interval{Lo: g.lo[s], Hi: g.hi[s]}
-}
-
-// Contains reports whether region id is (still) in the graph.
-func (g *Graph) Contains(id int32) bool {
-	_, ok := g.live(id)
-	return ok
-}
-
 // Slots returns the arena size: live and dead slots together. Slot
 // numbers are stable, so engines iterate 0..Slots() and filter with
 // SlotAlive; the order is insertion order and identical on every run.
@@ -221,13 +196,6 @@ func (g *Graph) Slots() int { return len(g.ids) }
 
 // SlotID returns the region ID held by slot s.
 func (g *Graph) SlotID(s int) int32 { return g.ids[s] }
-
-// SlotOf returns the slot of live region id, and false if id is not in
-// the graph.
-func (g *Graph) SlotOf(id int32) (int, bool) {
-	s, ok := g.live(id)
-	return int(s), ok
-}
 
 // SlotNeighbours returns the live slot s's neighbour slots in ascending
 // slot order. The slice is the graph's own: read it, do not keep it
@@ -270,11 +238,13 @@ const addCheckSquares = 4096
 
 // AddSquares adds a split's squares to g: one vertex per square, in list
 // order, then the edges each square meets along its east column and its
-// south row. labels is the split's label raster, w labels a row, and a
-// square's list ID is its north-west pixel's index in it. The graph ID of
-// that square, and of every neighbour, is its label plus off. So a whole
-// image builds at off 0, a full-width band whose first row is image row
-// y0 at off y0·w, and a tile whose labels are already global at off 0.
+// south row. labels is the split's label raster, w labels a row; each
+// label is a slot of the list, and a square's list ID is its north-west
+// pixel's index in the raster. A square at raster index p gets the region
+// ID origin + (p/w)·stride + p%w, and the square in list slot k graph
+// slot base+k, where base is Slots() before the call. So a whole image
+// builds at (0, W), a full-width band whose first row is image row y0 at
+// (y0·W, W), and a tile at (x0, y0) of a W-wide image at (y0·W+x0, W).
 // Cancellation is checked every few thousand squares; it returns
 // ctx.Err() when ctx is done.
 //
@@ -286,7 +256,7 @@ const addCheckSquares = 4096
 // row of one of its two squares, so the edge sets agree; and a square's
 // recorded interval is the union of its pixels. Each neighbour costs one
 // AddEdge per run of its label along the border, not one per pixel.
-func (g *Graph) AddSquares(ctx context.Context, squares []quadsplit.Square, labels []int32, w int, off int32) error {
+func (g *Graph) AddSquares(ctx context.Context, squares []quadsplit.Square, labels []int32, w int, origin, stride int) error {
 	if len(squares) == 0 {
 		return nil
 	}
@@ -294,13 +264,15 @@ func (g *Graph) AddSquares(ctx context.Context, squares []quadsplit.Square, labe
 		panic(fmt.Sprintf("rag: %d labels in rows of %d", len(labels), w))
 	}
 	h := len(labels) / w
+	base := int32(len(g.ids))
 	for k, sq := range squares {
 		if k%addCheckSquares == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		g.AddVertex(labels[sq.ID]+off, sq.IV)
+		p := int(sq.ID)
+		g.AddVertex(int32(origin+p/w*stride+p%w), sq.IV)
 	}
 	for k, sq := range squares {
 		if k%addCheckSquares == 0 {
@@ -310,11 +282,11 @@ func (g *Graph) AddSquares(ctx context.Context, squares []quadsplit.Square, labe
 		}
 		p, side := int(sq.ID), sq.Side()
 		x, y := p%w, p/w
-		a := labels[p] + off
+		a := base + int32(k)
 		if x+side < w {
 			prev := a
 			for i := p + side; i < p+side+side*w; i += w {
-				if b := labels[i] + off; b != prev {
+				if b := base + labels[i]; b != prev {
 					g.AddEdge(a, b)
 					prev = b
 				}
@@ -323,7 +295,7 @@ func (g *Graph) AddSquares(ctx context.Context, squares []quadsplit.Square, labe
 		if y+side < h {
 			prev := a
 			for _, b := range labels[p+side*w : p+side*w+side] {
-				if b += off; b != prev {
+				if b += base; b != prev {
 					g.AddEdge(a, b)
 					prev = b
 				}
@@ -512,7 +484,7 @@ func (g *Graph) startRecord() {
 // contractSlots merges the region in slot sb into the one in slot sa. The
 // keeper's interval becomes the union; sb's neighbours are re-pointed at
 // sa; the self-edge is dropped; parallel edges coalesce via the sorted
-// adjacency lists. sb's ID keeps its slot, dead, for the relabel.
+// adjacency lists. sb stays in the arena, dead, for the relabel.
 func (g *Graph) contractSlots(sa, sb int32) {
 	g.lo[sa] = min(g.lo[sa], g.lo[sb])
 	g.hi[sa] = max(g.hi[sa], g.hi[sb])
@@ -559,54 +531,34 @@ func (g *Graph) root(s int32) int32 {
 // held by slot s ended up in: s itself while it is live.
 func (g *Graph) RootSlot(s int) int { return int(g.root(int32(s))) }
 
-// Relabel resolves a label raster the graph was built from, w labels a
-// row, to the final regions. It returns each pixel's final region ID and
-// the live regions in ascending ID order with the area the raster gives
-// them, or nil when there are none.
+// Relabel resolves a raster of the graph's slots, such as the split
+// labels the graph was built from, to the final regions. It returns each
+// pixel's final region ID and the live regions in ascending ID order with
+// the area the raster gives them, or nil when there are none. A label
+// that is not a slot of the graph panics.
 //
-// It walks each row's label runs. A run that continues the run directly
-// above it (a run of the same label starts at the same x) reuses that
-// run's root; any other run resolves its label through the ID map and
-// the contraction record.
-// Either way the root's ID is written over the run and the run's length
-// is added to the root's area. Split labels run square by square, so
-// resolving costs one ID lookup per square, and the region list costs
-// one pass over the slots, not over the pixels.
-func (g *Graph) Relabel(labels []int32, w int) ([]int32, []Region) {
+// It walks the raster's runs of equal labels: each run resolves its slot
+// through the contraction record, writes the root's ID over the run and
+// adds the run's length to the root's area. Split labels run square by
+// square, and the region list costs one pass over the slots, not over
+// the pixels.
+func (g *Graph) Relabel(labels []int32) ([]int32, []Region) {
 	out := make([]int32, len(labels))
 	if len(labels) == 0 {
 		return out, nil
 	}
-	if w <= 0 || len(labels)%w != 0 {
-		panic(fmt.Sprintf("rag: %d labels in rows of %d", len(labels), w))
-	}
 	area := make([]int32, len(g.ids))
-	runRoot := make([]int32, w) // root of the run starting at x in the row above
-	for y0 := 0; y0 < len(labels); y0 += w {
-		row, dst := labels[y0:y0+w], out[y0:y0+w]
-		var above []int32
-		if y0 > 0 {
-			above = labels[y0-w : y0]
+	for i := 0; i < len(labels); {
+		lab := labels[i]
+		if lab < 0 || int(lab) >= len(g.ids) {
+			panic(fmt.Sprintf("rag: Relabel label %d is not a slot of %d", lab, len(g.ids)))
 		}
-		for x := 0; x < w; {
-			lab := row[x]
-			var r int32
-			if above != nil && above[x] == lab && (x == 0 || above[x-1] != lab) {
-				r = runRoot[x]
-			} else {
-				s, ok := g.slotOf[lab]
-				if !ok {
-					panic(fmt.Sprintf("rag: Relabel label %d not in the graph", lab))
-				}
-				r = g.root(s)
-			}
-			runRoot[x] = r
-			id, x0 := g.ids[r], x
-			for ; x < w && row[x] == lab; x++ {
-				dst[x] = id
-			}
-			area[r] += int32(x - x0)
+		r := g.root(lab)
+		id, i0 := g.ids[r], i
+		for ; i < len(labels) && labels[i] == lab; i++ {
+			out[i] = id
 		}
+		area[r] += int32(i - i0)
 	}
 	if g.nAlive == 0 {
 		return out, nil
@@ -617,8 +569,8 @@ func (g *Graph) Relabel(labels []int32, w int) ([]int32, []Region) {
 			regions = append(regions, Region{ID: g.ids[s], IV: g.SlotInterval(s), Area: int(area[s])})
 		}
 	}
-	// Slot order is ID order when IDs are anchor pixel indices; other
-	// labels may need the sort.
+	// Slot order is ID order for a graph built from split squares; other
+	// builds may need the sort.
 	slices.SortFunc(regions, func(a, b Region) int { return cmp.Compare(a.ID, b.ID) })
 	return out, regions
 }

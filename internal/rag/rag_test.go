@@ -3,6 +3,7 @@ package rag
 import (
 	"context"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -29,14 +30,31 @@ func mergeSerial(g *Graph) MergeStats {
 	return stats
 }
 
-// slotOf is SlotOf for a region the test knows is live.
+// liveSlot returns the live slot holding region id, if any. The graph
+// has no lookup by ID, so it scans the arena.
+func liveSlot(g *Graph, id int32) (int, bool) {
+	for s := 0; s < g.Slots(); s++ {
+		if g.SlotAlive(s) && g.SlotID(s) == id {
+			return s, true
+		}
+	}
+	return -1, false
+}
+
+// slotOf is liveSlot for a region the test knows is live.
 func slotOf(t *testing.T, g *Graph, id int32) int {
 	t.Helper()
-	s, ok := g.SlotOf(id)
+	s, ok := liveSlot(g, id)
 	if !ok {
 		t.Fatalf("region %d is not in the graph", id)
 	}
 	return s
+}
+
+// contains reports whether region id is live in g.
+func contains(g *Graph, id int32) bool {
+	_, ok := liveSlot(g, id)
+	return ok
 }
 
 // numEdges counts the graph's undirected edges; dead slots hold none.
@@ -84,7 +102,7 @@ func TestBuildFromLabelsSmall(t *testing.T) {
 	if numEdges(g) != 1 {
 		t.Fatalf("edges = %d", numEdges(g))
 	}
-	iv0 := g.IntervalOf(0)
+	iv0 := g.SlotInterval(slotOf(t, g, 0))
 	if iv0.Lo != 10 || iv0.Hi != 12 {
 		t.Fatalf("vertex 0 interval %v", iv0)
 	}
@@ -98,22 +116,48 @@ func TestBuildFromLabelsSmall(t *testing.T) {
 
 func TestAddEdgeSelfIgnored(t *testing.T) {
 	g := NewGraph(5)
-	g.AddVertex(1, homog.Point(5))
-	g.AddEdge(1, 1)
+	s := g.AddVertex(1, homog.Point(5))
+	g.AddEdge(s, s)
 	if numEdges(g) != 0 {
 		t.Fatal("self edge recorded")
 	}
 }
 
-func TestAddEdgePanicsOnMissingVertex(t *testing.T) {
-	g := NewGraph(5)
-	g.AddVertex(1, homog.Point(5))
+// ragPanic fails t unless f panics with a message of rag's own.
+func ragPanic(t *testing.T, f func()) {
+	t.Helper()
 	defer func() {
-		if recover() == nil {
-			t.Fatal("AddEdge with missing endpoint did not panic")
+		r := recover()
+		if msg, _ := r.(string); !strings.HasPrefix(msg, "rag: ") {
+			t.Fatalf("panic %v, want a rag message", r)
 		}
 	}()
-	g.AddEdge(1, 2)
+	f()
+}
+
+// TestAddEdgePanicsOnMissingVertex: an edge to a slot that was contracted
+// away, or that the graph never held, panics with rag's message.
+func TestAddEdgePanicsOnMissingVertex(t *testing.T) {
+	g := NewGraph(5)
+	a := g.AddVertex(1, homog.Point(5))
+	b := g.AddVertex(2, homog.Point(5))
+	c := g.AddVertex(3, homog.Point(5))
+	g.AddEdge(a, b)
+	g.ContractSlots(int(a), int(b))
+	for _, s := range []int32{b, 3, -1} {
+		ragPanic(t, func() { g.AddEdge(c, s) })
+	}
+}
+
+// TestRelabelRejectsForeignLabel: a label that is not a slot of the graph
+// panics with rag's message, never a bare index panic.
+func TestRelabelRejectsForeignLabel(t *testing.T) {
+	g := NewGraph(5)
+	g.AddVertex(0, homog.Point(5))
+	g.AddVertex(1, homog.Point(5))
+	for _, lab := range []int32{2, -1} {
+		ragPanic(t, func() { g.Relabel([]int32{0, 1, lab}) })
+	}
 }
 
 func TestChooseMinWeight(t *testing.T) {
@@ -225,14 +269,14 @@ func TestContract(t *testing.T) {
 	if g.NumVertices() != 2 {
 		t.Fatalf("vertices after contract = %d", g.NumVertices())
 	}
-	iv0 := g.IntervalOf(0)
+	iv0 := g.SlotInterval(slotOf(t, g, 0))
 	if iv0.Lo != 10 || iv0.Hi != 40 {
 		t.Fatalf("merged interval %v", iv0)
 	}
 	if !slices.Contains(g.SlotNeighbours(slotOf(t, g, 0)), int32(slotOf(t, g, 2))) {
 		t.Fatal("neighbour of loser not inherited")
 	}
-	if g.Contains(1) {
+	if contains(g, 1) {
 		t.Fatal("loser still present")
 	}
 	if d := len(g.SlotNeighbours(slotOf(t, g, 2))); d != 1 {
@@ -244,23 +288,22 @@ func TestContract(t *testing.T) {
 }
 
 // TestSlotOfAndNeighbours: slots follow insertion order, neighbour lists
-// are ascending slots, and a contracted region has no slot.
+// are ascending slots, and a contracted region's slot is dead.
 func TestSlotOfAndNeighbours(t *testing.T) {
 	g := NewGraph(100)
-	for _, id := range []int32{30, 10, 20} {
-		g.AddVertex(id, homog.Interval{Lo: 5, Hi: 5})
+	for k, id := range []int32{30, 10, 20} {
+		if s := g.AddVertex(id, homog.Interval{Lo: 5, Hi: 5}); s != int32(k) || g.SlotID(k) != id {
+			t.Fatalf("AddVertex(%d) = %d holding %d; want slot %d", id, s, g.SlotID(int(s)), k)
+		}
 	}
-	g.AddEdge(30, 20)
-	g.AddEdge(30, 10)
-	if s, ok := g.SlotOf(20); !ok || s != 2 {
-		t.Fatalf("SlotOf(20) = %d, %v; want 2, true", s, ok)
-	}
+	g.AddEdge(0, 2) // 30–20
+	g.AddEdge(0, 1) // 30–10
 	if got := g.SlotNeighbours(0); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("SlotNeighbours(0) = %v, want [1 2]", got)
 	}
 	g.ContractSlots(slotOf(t, g, 10), slotOf(t, g, 30))
-	if _, ok := g.SlotOf(30); ok {
-		t.Fatal("SlotOf finds a contracted region")
+	if g.SlotAlive(0) || contains(g, 30) {
+		t.Fatal("a contracted region is still live")
 	}
 	if got := g.SlotNeighbours(1); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("keeper's SlotNeighbours = %v, want [2]", got)
@@ -341,10 +384,10 @@ func TestMergeIterationMutualOnly(t *testing.T) {
 		if merged != 1 {
 			t.Fatalf("merged = %d, want 1", merged)
 		}
-		if !g.Contains(0) {
+		if !contains(g, 0) {
 			t.Fatal("vertex 0 should survive as representative")
 		}
-		if g.Contains(1) {
+		if contains(g, 1) {
 			t.Fatal("vertex 1 should be absorbed")
 		}
 	}); err != nil {

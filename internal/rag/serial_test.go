@@ -131,7 +131,7 @@ func TestMergeSerialEmptyGraph(t *testing.T) {
 	if stats.Iterations != 0 {
 		t.Fatal("empty graph merged")
 	}
-	if labels, regions := g.Relabel(nil, 0); len(labels) != 0 || regions != nil {
+	if labels, regions := g.Relabel(nil); len(labels) != 0 || regions != nil {
 		t.Fatalf("empty relabel = %v, %v; want no labels and nil regions", labels, regions)
 	}
 }

@@ -137,7 +137,7 @@ func ingest(ctx context.Context, sr *pixmap.StreamReader, spool *os.File, g *rag
 
 	sw := bufio.NewWriterSize(spool, 1<<16)
 	bandPix := make([]uint8, width*bandRows)
-	frontier := make([]int32, width) // previous band's last row, global labels
+	frontier := make([]int32, width) // previous band's last row, as graph slots
 	var bandSquares []int
 	var rec [spoolRecordSize]byte
 
@@ -159,23 +159,23 @@ func ingest(ctx context.Context, sr *pixmap.StreamReader, spool *os.File, g *rag
 			return nil, err
 		}
 		res.SplitIterations = max(res.SplitIterations, sp.Iterations)
-		res.SquaresAfterSplit += sp.NumSquares
+		res.SquaresAfterSplit += len(sp.Squares)
 
 		// The band's squares and the edges inside the band join the graph
-		// at global IDs (band-local index + off); spool record k is list
-		// entry k.
-		off := int32(y0 * width)
-		if err := g.AddSquares(ctx, sp.Squares, sp.Labels, width, off); err != nil {
+		// after the slots already held, at global IDs (band-local index +
+		// the band's origin); spool record k is list entry k.
+		base := int32(g.Slots())
+		if err := g.AddSquares(ctx, sp.Squares, sp.Labels, width, y0*width, width); err != nil {
 			return nil, err
 		}
 		for _, sq := range sp.Squares {
-			binary.LittleEndian.PutUint32(rec[0:4], uint32(sq.ID+off))
+			binary.LittleEndian.PutUint32(rec[0:4], uint32(int(sq.ID)+y0*width))
 			binary.LittleEndian.PutUint32(rec[4:8], uint32(sq.Side()))
 			if _, err := sw.Write(rec[:]); err != nil {
 				return nil, fmt.Errorf("stream: writing spool: %w", err)
 			}
 		}
-		bandSquares = append(bandSquares, sp.NumSquares)
+		bandSquares = append(bandSquares, len(sp.Squares))
 
 		// Stitch the band's first row to the previous band's boundary row,
 		// one edge per overlap run, then retire the band: only the new
@@ -187,11 +187,11 @@ func ingest(ctx context.Context, sr *pixmap.StreamReader, spool *os.File, g *rag
 				for x < width && frontier[x] == a && labels[x] == b {
 					x++
 				}
-				g.AddEdge(a, b+off)
+				g.AddEdge(a, b+base)
 			}
 		}
 		for x, l := range labels[(bh-1)*width:] {
-			frontier[x] = l + off
+			frontier[x] = l + base
 		}
 		y0 += bh
 		res.Bands++
