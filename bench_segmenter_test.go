@@ -83,7 +83,7 @@ func BenchmarkSegmentOneShot(b *testing.B) {
 }
 
 // BenchmarkSegmenterReuseNative is the native-engine variant of the reuse
-// benchmark (tile scratch rides a pool of its own).
+// benchmark (its split runs in row bands on GOMAXPROCS goroutines).
 func BenchmarkSegmenterReuseNative(b *testing.B) {
 	s, err := New(NativeParallel)
 	if err != nil {

@@ -99,7 +99,7 @@ func main() {
 	serverURL := flag.String("server", "", "segment via a regiongrowd service at this base URL instead of a local engine")
 	cluster := flag.String("cluster", "", "comma-separated regiongrow-worker addresses for the dist engine (implies -engine dist)")
 	streamMode := flag.Bool("stream", false, "segment incrementally in bounded memory (output byte-identical to sequential; needs -o and/or -labels)")
-	bandRows := flag.Int("bandrows", 0, "stream mode band height in rows (0 = one split cap per band, the minimum-memory setting)")
+	bandRows := flag.Int("bandrows", 0, "stream mode band height in rows, limited to the image height (0 = one split cap per band, the minimum-memory setting)")
 	out := flag.String("o", "", "write recoloured segmentation to this PGM path")
 	labelsPath := flag.String("labels", "", "write the raw label raster (RGLS wire format) to this path")
 	dotPath := flag.String("dot", "", "write the final region adjacency graph as Graphviz DOT")

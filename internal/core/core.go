@@ -127,8 +127,9 @@ func (Sequential) SegmentContext(ctx context.Context, im *pixmap.Image, cfg Conf
 }
 
 // Native is the host-parallel engine: Sequential's pipeline with the
-// split run tile by tile on Workers goroutines. The graph build, the
-// merge rounds and the relabel are Sequential's, so its output is too.
+// split's level passes and claim run in cap-aligned row bands on Workers
+// goroutines. The graph build, the merge rounds and the relabel are
+// Sequential's, so its output is too.
 type Native struct {
 	// Workers is the goroutine count; ≤ 0 follows GOMAXPROCS.
 	Workers int
@@ -137,8 +138,9 @@ type Native struct {
 // Name implements Engine.
 func (Native) Name() string { return "native" }
 
-// SegmentContext implements Engine: split tiles check ctx, and every
-// worker goroutine has drained by the time an error returns.
+// SegmentContext implements Engine: the split checks ctx between its
+// level passes, and every band goroutine has exited by the time it
+// returns.
 func (n Native) SegmentContext(ctx context.Context, im *pixmap.Image, cfg Config, run Run) (*Segmentation, error) {
 	workers := n.Workers
 	if workers <= 0 {
@@ -158,17 +160,17 @@ func mergeRounds(ctx context.Context, g *rag.Graph, cfg Config, run Run) (rag.Me
 // pipeline is the one host pipeline every host engine runs: split
 // (checking ctx at every pass, buffers from run.Scratch), graph build,
 // the engine's merge stage, and the finalize, with the stage events
-// around them. The split runs on workers goroutines; at one worker it is
-// quadsplit.Split. The graph is built from the split's square list
-// (rag.Graph.AddSquares), and the finalize reads the labels and the
-// region list off the merged graph (rag.Graph.Relabel), with no
-// per-pixel map pass.
+// around them. The split runs in at most workers row bands, one
+// goroutine each (quadsplit.Options.Workers). The graph is built from
+// the split's square list (rag.Graph.AddSquares), and the finalize reads
+// the labels and the region list off the merged graph
+// (rag.Graph.Relabel), with no per-pixel map pass.
 func pipeline(ctx context.Context, im *pixmap.Image, cfg Config, run Run, workers int,
 	merge func(ctx context.Context, g *rag.Graph, cfg Config, run Run) (rag.MergeStats, error)) (*Segmentation, error) {
 	run.Emit(StageEvent{Kind: EventSplitStart})
 	t0 := time.Now() //vet:timing stage wall-time for Stats; never reaches labels or wire bytes
-	sp, err := quadsplit.SplitParallel(ctx, im, cfg.Threshold,
-		quadsplit.Options{MaxSquare: cfg.MaxSquare, Scratch: run.Scratch}, workers)
+	sp, err := quadsplit.Split(ctx, im, cfg.Threshold,
+		quadsplit.Options{MaxSquare: cfg.MaxSquare, Workers: workers, Scratch: run.Scratch})
 	if err != nil {
 		return nil, err
 	}

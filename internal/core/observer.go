@@ -117,7 +117,7 @@ func (f ObserverFunc) Observe(ev StageEvent) { f(ev) }
 // reusable buffers (nil = allocate fresh), which engines hand to
 // quadsplit.Options.Scratch. A Scratch serves one run at a time; the
 // Segmenter façade keeps a sync.Pool of them so repeated runs on
-// same-size images stop reallocating the split's label and level arrays.
+// same-size images stop reallocating the split's labels and square list.
 // Cancellation travels separately, on the ctx argument of SegmentContext.
 // The zero Run is valid: no events, fresh buffers.
 type Run struct {

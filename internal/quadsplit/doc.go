@@ -24,6 +24,21 @@
 // and it meets the north-west corners in raster order, so the list needs
 // no sort.
 //
+// # Row bands
+//
+// No square is larger than the cap, and every square is aligned to its
+// own side, so no square crosses a row that is a multiple of the cap.
+// Split cuts the image into at most Options.Workers full-width bands,
+// each a whole number of cap rows tall, and runs each level pass band by
+// band on goroutines. A band holds whole blocks at every level, so its
+// pass combines exactly the global pass's blocks inside it, and the
+// termination rule, read on the calling goroutine from the summed
+// counts, stops every band at the global level. Each band's square count
+// is then known (its pixels, less three per solid block), so a prefix
+// sum gives each band its first slot, and the bands claim straight into
+// the shared labels and list: the result is the same for every band
+// count.
+//
 // # The size cap
 //
 // In the paper's tables, split iteration counts and split times are

@@ -10,11 +10,11 @@ import (
 	"regiongrow/internal/prand"
 )
 
-// TestSplitParallelMatchesSequential requires SplitParallel to reproduce
-// the sequential Result — labels, square list, iteration counts, per-level
-// combine counts, and square count — across image shapes (including
-// non-power-of-two and non-square), caps, and worker counts, with and
-// without a Scratch.
+// TestSplitParallelMatchesSequential requires the split on several
+// workers to reproduce the one-band Result — labels, square list,
+// iteration counts and per-level combine counts — across image shapes
+// (including non-power-of-two and non-square), caps, and worker counts,
+// with and without a Scratch, and to pass Validate.
 func TestSplitParallelMatchesSequential(t *testing.T) {
 	images := map[string]*pixmap.Image{
 		"uniform64":   pixmap.Uniform(64, 100),
@@ -29,13 +29,14 @@ func TestSplitParallelMatchesSequential(t *testing.T) {
 	for name, im := range images {
 		for _, maxSquare := range []int{0, 1, 8, 16, Unbounded} {
 			for _, threshold := range []int{0, 10, 300} {
+				want := split(im, threshold, Options{MaxSquare: maxSquare, Workers: 1})
 				opt := Options{MaxSquare: maxSquare}
-				want := split(im, threshold, opt)
 				for _, workers := range []int{1, 2, 3, 8} {
 					if workers == 3 {
 						opt.Scratch = new(Scratch)
 					}
-					got, err := SplitParallel(context.Background(), im, threshold, opt, workers)
+					opt.Workers = workers
+					got, err := Split(context.Background(), im, threshold, opt)
 					label := fmt.Sprintf("%s/cap=%d/T=%d/w=%d", name, maxSquare, threshold, workers)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
@@ -52,7 +53,7 @@ func TestSplitParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// fuzzImage decodes FuzzSplitParallelMatchesSplit's w×h image. Noise
+// fuzzImage decodes FuzzSplitBandsMatchOneBand's w×h image. Noise
 // takes pixel i from pix[i], and past its end from prand stream seed,
 // over five grey levels three apart; plateaus fill the image with pix[0],
 // then draw one rectangle per five further bytes (corner, extent, grey
@@ -80,14 +81,13 @@ func fuzzImage(w, h int, plateau bool, seed uint64, pix []byte) *pixmap.Image {
 	return im
 }
 
-// FuzzSplitParallelMatchesSplit is the tile-parallel split's generative
-// oracle: on any W×H image (1–160 each, up to 5×5 tiles of the minimum
-// side) of noise or plateau pixels, under square caps 0, 1, 2, 4, 8 and
-// Unbounded, any threshold 0–20 or 255, and 2–4 workers, SplitParallel
-// must give Split's Result and pass Validate. With reuse set, its Scratch
-// first serves a split of a larger noise image, so a stale label or list
-// entry would show.
-func FuzzSplitParallelMatchesSplit(f *testing.F) {
+// FuzzSplitBandsMatchOneBand is the banded split's generative oracle: on
+// any W×H image (1–160 each) of noise or plateau pixels, under square
+// caps 0, 1, 2, 4, 8 and Unbounded, any threshold 0–20 or 255, and 2–4
+// workers, Split must give its one-band Result and pass Validate. With
+// reuse set, its Scratch first serves a split of a larger noise image, so
+// a stale label or list entry would show.
+func FuzzSplitBandsMatchOneBand(f *testing.F) {
 	f.Add(uint8(159), uint8(159), false, uint8(4), uint8(10), uint8(2), false, uint64(1), []byte(nil))
 	f.Add(uint8(99), uint8(36), true, uint8(5), uint8(21), uint8(0), true, uint64(2), prandBytes(41, 2))
 	f.Add(uint8(32), uint8(129), false, uint8(1), uint8(0), uint8(1), true, uint64(3), prandBytes(64, 3))
@@ -101,15 +101,16 @@ func FuzzSplitParallelMatchesSplit(f *testing.F) {
 		opt := Options{MaxSquare: []int{0, 1, 2, 4, 8, Unbounded}[capSel%6]}
 		n := 2 + int(workers%3)
 		name := fmt.Sprintf("%dx%d plateau=%t cap=%d T=%d workers=%d reuse=%t", im.W, im.H, plateau, opt.MaxSquare, thr, n, reuse)
-		want := split(im, thr, opt)
+		want := split(im, thr, Options{MaxSquare: opt.MaxSquare, Workers: 1})
+		opt.Workers = n
 		if reuse {
 			opt.Scratch = new(Scratch)
 			stale := fuzzImage(im.W+33, im.H+17, false, seed+1, nil)
-			if _, err := SplitParallel(context.Background(), stale, thr, opt, n); err != nil {
+			if _, err := Split(context.Background(), stale, thr, opt); err != nil {
 				t.Fatalf("%s: stale split: %v", name, err)
 			}
 		}
-		got, err := SplitParallel(context.Background(), im, thr, opt, n)
+		got, err := Split(context.Background(), im, thr, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"slices"
+	"sync"
 
 	"regiongrow/internal/homog"
 	"regiongrow/internal/pixmap"
@@ -20,53 +20,34 @@ type Options struct {
 	// the larger image dimension; Unbounded (−1) removes the cap. Any
 	// other value is rounded down to a power of two.
 	MaxSquare int
+	// Workers bounds the goroutines the split runs on: the image is cut
+	// into at most Workers full-width bands, each a whole number of cap
+	// rows tall, and every level pass and the claim run band by band on
+	// goroutines. A value ≤ 1 runs one band on the calling goroutine.
+	Workers int
 	// Scratch, when non-nil, supplies reusable buffers for the result's
-	// labels and square list and the level-1 working set. The returned
-	// Result then aliases the scratch: the caller owns both and must not
-	// start another split with the same Scratch while the Result is live.
+	// labels and square list. The returned Result then aliases the
+	// scratch: the caller owns both and must not start another split with
+	// the same Scratch while the Result is live.
 	Scratch *Scratch
 }
 
-// Scratch is a reusable buffer set for the split stage. The zero value is
-// ready to use; buffers grow to the largest image seen and are retained
-// across runs, which is what lets a pooled caller split same-size images
-// with near-zero allocation. A Scratch serves one split at a time.
+// Scratch is a reusable buffer set for the split stage's result. The zero
+// value is ready to use; buffers grow to the largest image seen and are
+// retained across runs, which is what lets a pooled caller split
+// same-size images without allocating a result. A Scratch serves one
+// split at a time. The level passes' blocks are not kept here: they are
+// dead once the claim is done, and pooled beside the result they would
+// stay live for as long as the result does.
 type Scratch struct {
 	labels  []int32
 	squares []Square
-	iv      []homog.Interval
-	solid   []bool
-	rows    []uint8 // packed level-1 row scratch: 2·W bytes
 }
 
-// grownInt32 returns buf resized to n, reallocating only on growth.
-func grownInt32(buf *[]int32, n int) []int32 {
+// grown returns *buf resized to n, reallocating only on growth.
+func grown[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]int32, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-func grownIV(buf *[]homog.Interval, n int) []homog.Interval {
-	if cap(*buf) < n {
-		*buf = make([]homog.Interval, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-func grownBool(buf *[]bool, n int) []bool {
-	if cap(*buf) < n {
-		*buf = make([]bool, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-func grownU8(buf *[]uint8, n int) []uint8 {
-	if cap(*buf) < n {
-		*buf = make([]uint8, n)
+		*buf = make([]T, n)
 	}
 	*buf = (*buf)[:n]
 	return *buf
@@ -131,23 +112,50 @@ func prevPow2(v int) int {
 	return 1 << (bits.Len(uint(v)) - 1)
 }
 
-// Split runs the split stage sequentially under threshold T: a block
-// combines when its pixel range is at most threshold. It is the reference
-// implementation against which the data-parallel and message-passing
-// engines are verified. The combining loop checks ctx at every level
-// boundary and returns (nil, ctx.Err()) when the context is done;
-// cancellation never alters a completed result.
+// level is one band's blocks of side s = 2^l: block (bx, by) covers
+// pixels [bx·s, (bx+1)·s) × [y0+by·s, y0+(by+1)·s), where y0 is the
+// band's first row. Blocks that extend past the image boundary are never
+// solid, and iv is read only where solid is set.
+type level struct {
+	bw, bh int
+	iv     []homog.Interval
+	solid  []bool
+}
+
+// band is one full-width strip of the image, rows [y0, y1), a whole
+// number of cap rows tall, with the blocks its level passes built.
+type band struct {
+	y0, y1 int
+	// levels[l] holds the band's level-l blocks; levels[0] stays zero:
+	// the pixel level is implicit.
+	levels []level
+	// combined is how many blocks the band's last pass combined, and
+	// solid how many its passes combined in all.
+	combined, solid int
+	// first is the slot of the band's first square.
+	first int
+}
+
+// Split runs the split stage under threshold T: a block combines when its
+// pixel range is at most threshold. It is the reference implementation
+// against which the data-parallel and message-passing engines are
+// verified. It checks ctx on the calling goroutine before every level
+// pass and returns (nil, ctx.Err()) when the context is done;
+// cancellation never alters a completed result. With opt.Workers above 1
+// the passes and the claim run in row bands on goroutines (see the
+// package doc), all of which have exited when Split returns; the Result
+// is the same for every worker count.
 func Split(ctx context.Context, im *pixmap.Image, threshold int, opt Options) (*Result, error) {
 	w, h := im.W, im.H
 	res := &Result{
 		W: w, H: h,
 		MaxSquareUsed: EffectiveCap(opt, w, h),
 	}
-	if sc := opt.Scratch; sc != nil {
-		res.Labels = grownInt32(&sc.labels, w*h)
-	} else {
-		res.Labels = make([]int32, w*h)
+	sc := opt.Scratch
+	if sc == nil {
+		sc = new(Scratch)
 	}
+	res.Labels = grown(&sc.labels, w*h)
 	if w == 0 || h == 0 {
 		return res, nil
 	}
@@ -155,118 +163,42 @@ func Split(ctx context.Context, im *pixmap.Image, threshold int, opt Options) (*
 		return nil, err
 	}
 
-	// Level state: per-level block intervals and solidity. Level l blocks
-	// have side 2^l; block (bx,by) covers pixels [bx·s,(bx+1)·s)×[by·s,...).
-	// Blocks that extend past the image boundary are never solid. Level 0
-	// (one pixel per block, every block solid, interval = Point) is never
-	// materialised: level 1 is computed straight from the raster through
-	// the packed SWAR row path, and the claim pass below handles the pixel
-	// level specially. That removes the two W·H working arrays and the
-	// per-pixel init pass the old kernel paid for every run.
-	type level struct {
-		bw, bh int
-		iv     []homog.Interval
-		solid  []bool
-	}
+	// Level 0 (one pixel per block, every block solid, interval = Point)
+	// is never materialised: level 1 is computed straight from the raster
+	// through the packed SWAR row path, and the claim below handles the
+	// pixel level specially, so no W·H working array and no per-pixel
+	// init pass are paid for.
 	maxLevel := bits.Len(uint(res.MaxSquareUsed)) - 1
-
-	levels := make([]level, 1, maxLevel+1) // levels[0] stays zero: the pixel level is implicit
+	capRows := (h + res.MaxSquareUsed - 1) / res.MaxSquareUsed
+	bands := make([]band, min(max(opt.Workers, 1), capRows))
+	for i := range bands {
+		bands[i] = band{
+			y0:     i * capRows / len(bands) * res.MaxSquareUsed,
+			y1:     min((i+1)*capRows/len(bands)*res.MaxSquareUsed, h),
+			levels: make([]level, 1, maxLevel+1),
+		}
+	}
 
 	top := 0 // highest level with at least one solid block
 	for l := 1; l <= maxLevel; l++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		s := 1 << l
-		cur := level{
-			bw: (w + s - 1) / s,
-			bh: (h + s - 1) / s,
-		}
+		inBands(bands, func(b *band) { b.pass(l, im.Pix, w, threshold) })
 		combined := 0
-		if l == 1 {
-			// 2×2 pixel blocks, straight from the raster: the vertical
-			// min/max of each row pair runs 8 pixels per uint64 word
-			// (homog.RowsMinMax), the horizontal pair fold and range
-			// test then run per block. These are the only buffers worth
-			// pooling now, so they draw from the Scratch.
-			var vlo, vhi []uint8
-			if sc := opt.Scratch; sc != nil {
-				rows := grownU8(&sc.rows, 2*w)
-				vlo, vhi = rows[:w], rows[w:]
-				cur.iv = grownIV(&sc.iv, cur.bw*cur.bh)
-				cur.solid = grownBool(&sc.solid, cur.bw*cur.bh)
-				clear(cur.solid) // iv needs no clear: it is read only under solid
-			} else {
-				vlo = make([]uint8, w)
-				vhi = make([]uint8, w)
-				cur.iv = make([]homog.Interval, cur.bw*cur.bh)
-				cur.solid = make([]bool, cur.bw*cur.bh)
-			}
-			fullBW := w / 2 // blocks fully inside the image horizontally
-			for by := 0; by < cur.bh; by++ {
-				y := 2 * by
-				if y+1 >= h {
-					break // bottom row of vertically incomplete blocks: never solid
-				}
-				homog.RowsMinMax(im.Pix[y*w:y*w+w], im.Pix[(y+1)*w:(y+1)*w+w], vlo, vhi)
-				base := by * cur.bw
-				for bx := 0; bx < fullBW; bx++ {
-					lo := min(vlo[2*bx], vlo[2*bx+1])
-					hi := max(vhi[2*bx], vhi[2*bx+1])
-					if int(hi)-int(lo) <= threshold {
-						cur.iv[base+bx] = homog.Interval{Lo: lo, Hi: hi}
-						cur.solid[base+bx] = true
-						combined++
-					}
-				}
-			}
-		} else {
-			prev := &levels[l-1]
-			cur.iv = make([]homog.Interval, cur.bw*cur.bh)
-			cur.solid = make([]bool, cur.bw*cur.bh)
-			for by := 0; by < cur.bh; by++ {
-				for bx := 0; bx < cur.bw; bx++ {
-					i := by*cur.bw + bx
-					// Children at level l−1: the 2×2 group with NW child (2bx,2by).
-					cx, cy := 2*bx, 2*by
-					if cx+1 >= prev.bw || cy+1 >= prev.bh {
-						continue // children out of range: block incomplete
-					}
-					c0 := cy*prev.bw + cx
-					c1 := c0 + 1
-					c2 := c0 + prev.bw
-					c3 := c2 + 1
-					if !(prev.solid[c0] && prev.solid[c1] && prev.solid[c2] && prev.solid[c3]) {
-						continue
-					}
-					// Geometric completeness: block must be fully inside the image.
-					if (bx+1)*s > w || (by+1)*s > h {
-						continue
-					}
-					// Branch-free 4-way union: solid children are never
-					// empty, so the min/max form is the exact union.
-					lo := min(min(prev.iv[c0].Lo, prev.iv[c1].Lo), min(prev.iv[c2].Lo, prev.iv[c3].Lo))
-					hi := max(max(prev.iv[c0].Hi, prev.iv[c1].Hi), max(prev.iv[c2].Hi, prev.iv[c3].Hi))
-					if int(hi)-int(lo) > threshold {
-						continue
-					}
-					cur.iv[i] = homog.Interval{Lo: lo, Hi: hi}
-					cur.solid[i] = true
-					combined++
-				}
-			}
+		for i := range bands {
+			combined += bands[i].combined
 		}
-		levels = append(levels, cur)
 		res.Iterations++
 		res.CombinedPerIter = append(res.CombinedPerIter, combined)
 		if combined == 0 {
 			break
 		}
 		top = l
-		// Whole image one square: the paper's first termination condition.
-		if cur.bw == 1 && cur.bh == 1 && cur.solid[0] {
-			break
-		}
+		// The paper's other termination condition, the whole image one
+		// square, needs a solid block of side w = h. No block is larger
+		// than the cap, and the cap is at most max(w, h), so it can only
+		// hold at the cap's level, where the loop ends anyway.
 	}
 	// Degenerate 1×1-cap or 1-pixel image: the stage still "runs" once in
 	// the paper's accounting (it must discover nothing combines).
@@ -275,35 +207,136 @@ func Split(ctx context.Context, im *pixmap.Image, threshold int, opt Options) (*
 		res.CombinedPerIter = append(res.CombinedPerIter, 0)
 	}
 
-	// Claim, row by row. A solid block's four children are solid, so a
-	// block lies inside a larger square exactly when its parent block is
-	// solid: the square covering pixel (x, y) is the block reached by
-	// climbing the levels while the parent is solid, and a pixel outside
-	// every solid level-1 block is a 1×1 square. On the square's top row
-	// the step records the square and labels its run with the square's
-	// slot; on its other rows it copies the run from the row above. The
-	// walk meets north-west corners in raster order, so the list comes
-	// out in ascending ID order with no sort. Its length is known
-	// up front: each solid block is a square or one of the four children
-	// of a solid block a level up, so the pixels' w·h squares lose three
-	// for every solid block at every level.
-	n := w * h
-	for _, c := range res.CombinedPerIter {
-		n -= 3 * c
+	// Each solid block is a square or one of the four children of a
+	// solid block a level up, so a band's pixels, one square each, lose
+	// three squares for every solid block in the band at every level.
+	// The bands' counts in order give each band its first slot, and
+	// every band claims straight into the shared labels and list.
+	n := 0
+	for i := range bands {
+		bands[i].first = n
+		n += (bands[i].y1-bands[i].y0)*w - 3*bands[i].solid
 	}
-	var list []Square
-	if sc := opt.Scratch; sc != nil {
-		list = sc.squares[:0]
+	res.Squares = grown(&sc.squares, n)
+	inBands(bands, func(b *band) { b.claim(top, im.Pix, w, res.Labels, res.Squares) })
+	return res, nil
+}
+
+// inBands runs f on every band, the first on the calling goroutine and
+// each other on its own, and returns once all have. A single band, as in
+// every sequential run, skips the fan-out: on the paper's small images its
+// set-up showed as ~2% more CPU per segmentation (2-vCPU host).
+func inBands(bands []band, f func(b *band)) {
+	if len(bands) == 1 {
+		f(&bands[0])
+		return
 	}
-	list = slices.Grow(list, n)
-	//vet:noctx bounded row walk that cannot block; ctx was checked at every split level above
-	for y := 0; y < h; y++ {
-		row := res.Labels[y*w : y*w+w]
+	var wg sync.WaitGroup
+	for i := 1; i < len(bands); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(&bands[i])
+		}()
+	}
+	f(&bands[0])
+	wg.Wait()
+}
+
+// pass runs the band's level-l combining pass over the w-wide image pix
+// and records how many blocks it combined.
+func (b *band) pass(l int, pix []uint8, w, threshold int) {
+	h := b.y1 - b.y0
+	pix = pix[b.y0*w : b.y1*w]
+	s := 1 << l
+	cur := level{bw: (w + s - 1) / s, bh: (h + s - 1) / s}
+	cur.iv = make([]homog.Interval, cur.bw*cur.bh)
+	cur.solid = make([]bool, cur.bw*cur.bh)
+	combined := 0
+	if l == 1 {
+		// 2×2 pixel blocks, straight from the raster: the vertical
+		// min/max of each row pair runs 8 pixels per uint64 word
+		// (homog.RowsMinMax), the horizontal pair fold and range test
+		// then run per block.
+		rows := make([]uint8, 2*w)
+		vlo, vhi := rows[:w], rows[w:]
+		fullBW := w / 2 // blocks fully inside the image horizontally
+		for by := 0; by < cur.bh; by++ {
+			y := 2 * by
+			if y+1 >= h {
+				break // bottom row of vertically incomplete blocks: never solid
+			}
+			homog.RowsMinMax(pix[y*w:y*w+w], pix[(y+1)*w:(y+1)*w+w], vlo, vhi)
+			base := by * cur.bw
+			for bx := 0; bx < fullBW; bx++ {
+				lo := min(vlo[2*bx], vlo[2*bx+1])
+				hi := max(vhi[2*bx], vhi[2*bx+1])
+				if int(hi)-int(lo) <= threshold {
+					cur.iv[base+bx] = homog.Interval{Lo: lo, Hi: hi}
+					cur.solid[base+bx] = true
+					combined++
+				}
+			}
+		}
+	} else {
+		prev := &b.levels[l-1]
+		for by := 0; by < cur.bh; by++ {
+			for bx := 0; bx < cur.bw; bx++ {
+				i := by*cur.bw + bx
+				// Children at level l−1: the 2×2 group with NW child (2bx,2by).
+				cx, cy := 2*bx, 2*by
+				if cx+1 >= prev.bw || cy+1 >= prev.bh {
+					continue // children out of range: block incomplete
+				}
+				c0 := cy*prev.bw + cx
+				c1 := c0 + 1
+				c2 := c0 + prev.bw
+				c3 := c2 + 1
+				if !(prev.solid[c0] && prev.solid[c1] && prev.solid[c2] && prev.solid[c3]) {
+					continue
+				}
+				// Geometric completeness: block must be fully inside the image.
+				if (bx+1)*s > w || (by+1)*s > h {
+					continue
+				}
+				// Branch-free 4-way union: solid children are never
+				// empty, so the min/max form is the exact union.
+				lo := min(min(prev.iv[c0].Lo, prev.iv[c1].Lo), min(prev.iv[c2].Lo, prev.iv[c3].Lo))
+				hi := max(max(prev.iv[c0].Hi, prev.iv[c1].Hi), max(prev.iv[c2].Hi, prev.iv[c3].Hi))
+				if int(hi)-int(lo) > threshold {
+					continue
+				}
+				cur.iv[i] = homog.Interval{Lo: lo, Hi: hi}
+				cur.solid[i] = true
+				combined++
+			}
+		}
+	}
+	b.levels = append(b.levels, cur)
+	b.combined = combined
+	b.solid += combined
+}
+
+// claim labels the band's rows of labels and fills its squares into list
+// from slot b.first, row by row. A solid block's four children are
+// solid, so a block lies inside a larger square exactly when its parent
+// block is solid: the square covering pixel (x, y) is the block reached
+// by climbing the levels while the parent is solid, and a pixel outside
+// every solid level-1 block is a 1×1 square. On the square's top row the
+// step records the square and labels its run with the square's slot; on
+// its other rows it copies the run from the row above, which is never
+// above the band, since the band starts on a multiple of every side. The
+// walk meets north-west corners in raster order, so the list comes out in
+// ascending ID order with no sort.
+func (b *band) claim(top int, pix []uint8, w int, labels []int32, list []Square) {
+	levels, slot := b.levels, int32(b.first)
+	for y := b.y0; y < b.y1; y++ {
+		row, by := labels[y*w:y*w+w], y-b.y0
 		for x := 0; x < w; {
 			l := 0
 			for l < top {
 				up := &levels[l+1]
-				if !up.solid[(y>>(l+1))*up.bw+x>>(l+1)] {
+				if !up.solid[(by>>(l+1))*up.bw+x>>(l+1)] {
 					break
 				}
 				l++
@@ -311,26 +344,22 @@ func Split(ctx context.Context, im *pixmap.Image, threshold int, opt Options) (*
 			s := 1 << l
 			run := row[x : x+s]
 			if y&(s-1) != 0 {
-				copy(run, res.Labels[(y-1)*w+x:])
+				copy(run, labels[(y-1)*w+x:])
 			} else {
-				iv := homog.Point(im.Pix[y*w+x])
+				iv := homog.Point(pix[y*w+x])
 				if l > 0 {
 					lv := &levels[l]
-					iv = lv.iv[(y>>l)*lv.bw+x>>l]
+					iv = lv.iv[(by>>l)*lv.bw+x>>l]
 				}
 				for i := range run {
-					run[i] = int32(len(list))
+					run[i] = slot
 				}
-				list = append(list, Square{ID: int32(y*w + x), IV: iv, Log2: uint8(l)})
+				list[slot] = Square{ID: int32(y*w + x), IV: iv, Log2: uint8(l)}
+				slot++
 			}
 			x += s
 		}
 	}
-	if sc := opt.Scratch; sc != nil {
-		sc.squares = list
-	}
-	res.Squares = list
-	return res, nil
 }
 
 // Validate checks the structural invariants of a split result against the

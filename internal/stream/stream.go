@@ -33,8 +33,9 @@ const (
 type Options struct {
 	// BandRows is the desired band height in rows. It is rounded down to a
 	// multiple of the effective split cap and raised to at least one cap —
-	// the alignment that makes band-local splits equal the global split.
-	// 0 selects one cap per band, the minimum-memory configuration.
+	// the alignment that makes band-local splits equal the global split —
+	// and then limited to the image height, so a band never outgrows the
+	// image. 0 selects one cap per band, the minimum-memory configuration.
 	BandRows int
 	// SpoolDir hosts the square-spool temp file ("" = the system default).
 	SpoolDir string
@@ -87,7 +88,10 @@ func Segment(ctx context.Context, r io.Reader, w io.Writer, cfg core.Config, run
 	}
 
 	cap := quadsplit.EffectiveCap(quadsplit.Options{MaxSquare: cfg.MaxSquare}, width, height)
-	bandRows := max(opt.BandRows/cap, 1) * cap
+	// One band covers the image exactly when the request reaches past it:
+	// the band buffers are sized from bandRows before any pixel is read,
+	// and a header alone must not size them past the image it declares.
+	bandRows := min(max(opt.BandRows/cap, 1)*cap, height)
 
 	spool, err := os.CreateTemp(opt.SpoolDir, "regiongrow-stream-*.spool")
 	if err != nil {

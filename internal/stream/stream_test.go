@@ -55,8 +55,10 @@ func labelBytes(t *testing.T, seg *core.Segmentation) []byte {
 
 // TestStreamMatchesSequential is the byte-identity property test: across
 // all six paper images, every tie policy, and band geometries covering one
-// band, many bands, and a ragged last band, the streamed label output and
-// recoloured output are byte-identical to the sequential engine's.
+// band, many bands, a ragged last band, and a request far past the image
+// (one band, not a buffer sized by the request), the streamed label
+// output and recoloured output are byte-identical to the sequential
+// engine's.
 func TestStreamMatchesSequential(t *testing.T) {
 	for _, id := range pixmap.AllPaperImages() {
 		im := pixmap.Generate(id, pixmap.DefaultGenOptions())
@@ -69,6 +71,7 @@ func TestStreamMatchesSequential(t *testing.T) {
 			"one-band":    im.H,    // whole image in a single band
 			"many-bands":  0,       // one cap per band
 			"ragged-last": 3 * cap, // H is not a multiple of 3 caps
+			"past-image":  1 << 40, // one band, limited to the image
 		}
 		if im.H%(3*cap) == 0 {
 			t.Fatalf("%v: 3-cap bands divide H=%d evenly; pick a raggeder geometry", id, im.H)
@@ -266,12 +269,17 @@ func TestStreamEmptyImage(t *testing.T) {
 }
 
 // TestStreamTruncatedInput: a stream shorter than its header declares must
-// fail, not fabricate pixels.
+// fail, not fabricate pixels. The second input is a header alone that
+// declares a 1,048,576×2 image, whose cap is 131,072 rows: its band must
+// be sized by the image's two rows, not by the cap, before the missing
+// pixels are found.
 func TestStreamTruncatedInput(t *testing.T) {
-	_, err := Segment(context.Background(), bytes.NewReader([]byte("P5\n64 64\n255\nshort")), &bytes.Buffer{},
-		core.Config{Threshold: 10}, core.Run{}, Options{})
-	if err == nil {
-		t.Fatal("segmented a truncated stream")
+	for _, in := range []string{"P5\n64 64\n255\nshort", "P5\n1048576 2\n255\n"} {
+		_, err := Segment(context.Background(), bytes.NewReader([]byte(in)), &bytes.Buffer{},
+			core.Config{Threshold: 10}, core.Run{}, Options{})
+		if err == nil {
+			t.Fatalf("segmented the truncated stream %q", in)
+		}
 	}
 }
 

@@ -123,7 +123,7 @@ type EngineKind int
 // Available engines. The CM-prefixed kinds simulate the paper's five
 // machine configurations and report simulated stage times in
 // Segmentation.SplitSim / MergeSim. NativeParallel runs the sequential
-// pipeline with its split and graph build on GOMAXPROCS host goroutines
+// pipeline with its split in row bands on GOMAXPROCS host goroutines
 // (see WithWorkers) and reports host wall times only. Distributed runs
 // it across real worker processes over TCP (construct with New and
 // WithClusterWorkers) and reports wall times plus real communication

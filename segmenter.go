@@ -113,8 +113,9 @@ func WithObserver(o Observer) Option {
 }
 
 // WithWorkers fixes the native engine's worker count (0 follows
-// GOMAXPROCS). It is an error on any other engine kind — the simulated
-// kinds model fixed machine configurations.
+// GOMAXPROCS): its split runs in at most that many cap-aligned row bands,
+// one goroutine each. It is an error on any other engine kind — the
+// simulated kinds model fixed machine configurations.
 func WithWorkers(n int) Option {
 	return func(s *Segmenter) error {
 		if s.kind != NativeParallel {

@@ -38,8 +38,9 @@ type StreamOption func(*streamSettings) error
 // WithStreamBandRows requests a band height in rows. The driver rounds it
 // down to a multiple of the effective split cap and raises it to at least
 // one cap — the alignment that keeps band-local splits equal to the global
-// split. 0 (the default) selects one cap per band, the minimum-memory
-// configuration.
+// split — then limits it to the image height, so a request past the image
+// gives one band covering it. 0 (the default) selects one cap per band,
+// the minimum-memory configuration.
 func WithStreamBandRows(n int) StreamOption {
 	return func(s *streamSettings) error {
 		if n < 0 {
