@@ -9,11 +9,11 @@ import (
 
 // BenchmarkSegmentStream measures the streaming engine end to end on a
 // paper image: header parse, banded split with frontier stitching, the
-// global merge, and the spool-replay recolour emission (including the
-// spool temp file's lifecycle — disk traffic is part of this path's
-// price). Compare against the image6 rows of BenchmarkNativeVsSequential
-// to see what bounded memory costs on an image that fits in memory; the
-// gate in CI holds the overhead from creeping.
+// global merge, and the recolour emission that replays the graph's slots
+// band by band. Compare against the image6 rows of
+// BenchmarkNativeVsSequential to see what bounded memory costs on an
+// image that fits in memory; the gate in CI holds the overhead from
+// creeping.
 func BenchmarkSegmentStream(b *testing.B) {
 	im := GeneratePaperImage(Image6Tool256)
 	var pgm bytes.Buffer

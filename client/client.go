@@ -527,22 +527,14 @@ func (c *Client) decodeBatch(hreq *http.Request) ([]BatchResult, error) {
 // freshly health-probed by the server. Servers running without a cluster
 // answer with an error wrapping ErrNoCluster.
 func (c *Client) Cluster(ctx context.Context) (*ClusterStatus, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/cluster", nil)
-	if err != nil {
-		return nil, err
-	}
-	var st ClusterStatus
-	if err := c.decodeCluster(hreq, &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
+	return membership[ClusterStatus](ctx, c, clusterEndpoints, "", "")
 }
 
 // ClusterJoin adds a worker address to the server's distributed cluster,
 // effective at its next distributed job — how a scaled-up worker enters a
 // running regiongrowd without a restart of either side.
 func (c *Client) ClusterJoin(ctx context.Context, addr string) (*ClusterUpdate, error) {
-	return c.clusterMutate(ctx, "join", addr)
+	return membership[ClusterUpdate](ctx, c, clusterEndpoints, "join", addr)
 }
 
 // ClusterLeave removes a worker address from the server's distributed
@@ -550,38 +542,7 @@ func (c *Client) ClusterJoin(ctx context.Context, addr string) (*ClusterUpdate, 
 // against the worker are unaffected. Removing the last member is refused
 // by the server.
 func (c *Client) ClusterLeave(ctx context.Context, addr string) (*ClusterUpdate, error) {
-	return c.clusterMutate(ctx, "leave", addr)
-}
-
-func (c *Client) clusterMutate(ctx context.Context, verb, addr string) (*ClusterUpdate, error) {
-	v := url.Values{}
-	v.Set("addr", addr)
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/cluster/"+verb+"?"+v.Encode(), nil)
-	if err != nil {
-		return nil, err
-	}
-	var upd ClusterUpdate
-	if err := c.decodeCluster(hreq, &upd); err != nil {
-		return nil, err
-	}
-	return &upd, nil
-}
-
-// decodeCluster runs one cluster-endpoint exchange, translating the 404 a
-// cluster-less server answers with into ErrNoCluster.
-func (c *Client) decodeCluster(hreq *http.Request, into any) error {
-	resp, err := c.do(hreq)
-	if err != nil {
-		if errors.Is(err, ErrNotFound) {
-			return fmt.Errorf("%w (start regiongrowd with -cluster host:port,...)", ErrNoCluster)
-		}
-		return err
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
-		return fmt.Errorf("client: decoding cluster response: %w", err)
-	}
-	return nil
+	return membership[ClusterUpdate](ctx, c, clusterEndpoints, "leave", addr)
 }
 
 // Fleet fetches a gateway's backend membership: every regiongrowd
@@ -589,15 +550,7 @@ func (c *Client) decodeCluster(hreq *http.Request, into any) error {
 // plain regiongrowd answers 404, surfaced as an error wrapping
 // ErrNoFleet.
 func (c *Client) Fleet(ctx context.Context) (*FleetStatus, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/fleet", nil)
-	if err != nil {
-		return nil, err
-	}
-	var st FleetStatus
-	if err := c.decodeFleet(hreq, &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
+	return membership[FleetStatus](ctx, c, fleetEndpoints, "", "")
 }
 
 // FleetJoin adds a backend address to a gateway's fleet. The backend is
@@ -605,7 +558,7 @@ func (c *Client) Fleet(ctx context.Context) (*FleetStatus, error) {
 // and is admitted to the routing ring by the health loop once it answers
 // probes — so orchestration can register a backend before starting it.
 func (c *Client) FleetJoin(ctx context.Context, addr string) (*FleetUpdate, error) {
-	return c.fleetMutate(ctx, "join", addr)
+	return membership[FleetUpdate](ctx, c, fleetEndpoints, "join", addr)
 }
 
 // FleetLeave removes a backend address from a gateway's fleet. The keys
@@ -613,38 +566,47 @@ func (c *Client) FleetJoin(ctx context.Context, addr string) (*FleetUpdate, erro
 // consistent hashing); job records it holds become unreachable through
 // the gateway. Removing the last backend is refused.
 func (c *Client) FleetLeave(ctx context.Context, addr string) (*FleetUpdate, error) {
-	return c.fleetMutate(ctx, "leave", addr)
+	return membership[FleetUpdate](ctx, c, fleetEndpoints, "leave", addr)
 }
 
-func (c *Client) fleetMutate(ctx context.Context, verb, addr string) (*FleetUpdate, error) {
-	v := url.Values{}
-	v.Set("addr", addr)
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/fleet/"+verb+"?"+v.Encode(), nil)
+// membershipEndpoints names one family of membership endpoints: the
+// status at /v1/<name> and the mutations at /v1/<name>/<verb>. A server
+// without the feature answers them 404, surfaced as missing with hint.
+type membershipEndpoints struct {
+	name    string
+	missing error
+	hint    string
+}
+
+var (
+	clusterEndpoints = membershipEndpoints{"cluster", ErrNoCluster, "start regiongrowd with -cluster host:port,..."}
+	fleetEndpoints   = membershipEndpoints{"fleet", ErrNoFleet, "fleet endpoints are served by regiongrow-gateway"}
+)
+
+// membership runs one exchange with e's endpoints: a GET of the status
+// when verb is empty, otherwise a POST of verb for addr.
+func membership[T any](ctx context.Context, c *Client, e membershipEndpoints, verb, addr string) (*T, error) {
+	method, u := http.MethodGet, c.base+"/v1/"+e.name
+	if verb != "" {
+		method, u = http.MethodPost, u+"/"+verb+"?"+url.Values{"addr": {addr}}.Encode()
+	}
+	hreq, err := http.NewRequestWithContext(ctx, method, u, nil)
 	if err != nil {
 		return nil, err
 	}
-	var upd FleetUpdate
-	if err := c.decodeFleet(hreq, &upd); err != nil {
-		return nil, err
-	}
-	return &upd, nil
-}
-
-// decodeFleet runs one fleet-endpoint exchange, translating the 404 a
-// non-gateway answers with into ErrNoFleet.
-func (c *Client) decodeFleet(hreq *http.Request, into any) error {
 	resp, err := c.do(hreq)
 	if err != nil {
 		if errors.Is(err, ErrNotFound) {
-			return fmt.Errorf("%w (fleet endpoints are served by regiongrow-gateway)", ErrNoFleet)
+			return nil, fmt.Errorf("%w (%s)", e.missing, e.hint)
 		}
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
-		return fmt.Errorf("client: decoding fleet response: %w", err)
+	var v T
+	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+		return nil, fmt.Errorf("client: decoding %s response: %w", e.name, err)
 	}
-	return nil
+	return &v, nil
 }
 
 // Recoloured segments via the synchronous /v1/segment compatibility path

@@ -488,4 +488,10 @@ func TestGatewayOnPlainBackendFleet404(t *testing.T) {
 	if _, err := c.Fleet(context.Background()); !errors.Is(err, client.ErrNoFleet) {
 		t.Fatalf("Fleet against a backend: %v, want ErrNoFleet", err)
 	}
+	if _, err := c.FleetJoin(context.Background(), "127.0.0.1:1"); !errors.Is(err, client.ErrNoFleet) {
+		t.Fatalf("FleetJoin against a backend: %v, want ErrNoFleet", err)
+	}
+	if _, err := c.FleetLeave(context.Background(), "127.0.0.1:1"); !errors.Is(err, client.ErrNoFleet) {
+		t.Fatalf("FleetLeave against a backend: %v, want ErrNoFleet", err)
+	}
 }

@@ -2,7 +2,6 @@ package gateway
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -204,7 +203,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}()
 	}
 	wg.Wait()
-	writeJSON(w, http.StatusAccepted, client.BatchResponse{Jobs: results})
+	server.WriteJSON(w, http.StatusAccepted, client.BatchResponse{Jobs: results})
 }
 
 // submitItem routes one batch item by its key and submits it through
@@ -351,7 +350,7 @@ func (g *Gateway) handleFleetGet(w http.ResponseWriter, r *http.Request) {
 			st.Healthy++
 		}
 	}
-	writeJSON(w, http.StatusOK, st)
+	server.WriteJSON(w, http.StatusOK, st)
 }
 
 // handleFleetJoin serves POST /v1/fleet/join?addr=H:P. The new backend
@@ -373,7 +372,7 @@ func (g *Gateway) handleFleetJoin(w http.ResponseWriter, r *http.Request) {
 	if b != nil {
 		g.reg.probe(r.Context(), b)
 	}
-	writeJSON(w, http.StatusOK, client.FleetUpdate{Changed: b != nil, Members: g.reg.members()})
+	server.WriteJSON(w, http.StatusOK, client.FleetUpdate{Changed: b != nil, Members: g.reg.members()})
 }
 
 // handleFleetLeave serves POST /v1/fleet/leave?addr=H:P. The departed
@@ -391,13 +390,5 @@ func (g *Gateway) handleFleetLeave(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, http.StatusOK, client.FleetUpdate{Changed: changed, Members: g.reg.members()})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	server.WriteJSON(w, http.StatusOK, client.FleetUpdate{Changed: changed, Members: g.reg.members()})
 }

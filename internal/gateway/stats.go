@@ -135,7 +135,7 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		st.Backends = append(st.Backends, bs)
 	}
 	sortBackendStats(st.Backends)
-	writeJSON(w, http.StatusOK, st)
+	server.WriteJSON(w, http.StatusOK, st)
 }
 
 func sortBackendStats(bs []BackendStats) {

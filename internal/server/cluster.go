@@ -45,7 +45,7 @@ func (s *Server) handleClusterGet(w http.ResponseWriter, r *http.Request) {
 	for i, m := range health {
 		st.Members[i] = client.ClusterMember{Addr: m.Addr, Healthy: m.Healthy}
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 // clusterAddr extracts and lightly validates the addr parameter the join
@@ -101,5 +101,5 @@ func (s *Server) clusterUpdate(w http.ResponseWriter, sg *regiongrow.Segmenter, 
 		http.Error(w, fmt.Sprintf("reading membership: %v", err), http.StatusInternalServerError)
 		return
 	}
-	writeJSON(w, http.StatusOK, client.ClusterUpdate{Changed: changed, Members: members})
+	WriteJSON(w, http.StatusOK, client.ClusterUpdate{Changed: changed, Members: members})
 }

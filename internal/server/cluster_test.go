@@ -185,4 +185,7 @@ func TestClusterWithoutCluster(t *testing.T) {
 	if _, err := c.ClusterJoin(context.Background(), "127.0.0.1:1"); !errors.Is(err, client.ErrNoCluster) {
 		t.Fatalf("join on cluster-less server: %v, want ErrNoCluster", err)
 	}
+	if _, err := c.ClusterLeave(context.Background(), "127.0.0.1:1"); !errors.Is(err, client.ErrNoCluster) {
+		t.Fatalf("leave on cluster-less server: %v, want ErrNoCluster", err)
+	}
 }

@@ -215,7 +215,7 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	image, config := e.meta()
-	writeJSON(w, http.StatusOK, segmentResponse{
+	WriteJSON(w, http.StatusOK, segmentResponse{
 		Engine: req.Kind.String(),
 		Cache:  e.cache,
 		Image:  image,
@@ -225,7 +225,7 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
+	WriteJSON(w, http.StatusOK, s.Stats())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -85,8 +85,9 @@ func (s *Server) startJob(ctx context.Context, cancel context.CancelFunc, req *s
 	return e, nil
 }
 
-// writeJSON serves v as indented JSON under status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON serves v as indented JSON under status. The fleet gateway
+// answers through it too.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -158,13 +159,13 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		s.rejectSubmission(w, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, e.snapshot())
+	WriteJSON(w, http.StatusAccepted, e.snapshot())
 }
 
 // handleJobGet answers GET /v1/jobs/{id} with the current record.
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	if e, ok := s.lookupJob(w, r); ok {
-		writeJSON(w, http.StatusOK, e.snapshot())
+		WriteJSON(w, http.StatusOK, e.snapshot())
 	}
 }
 
@@ -176,7 +177,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
 	if e, ok := s.lookupJob(w, r); ok {
 		e.cancel()
-		writeJSON(w, http.StatusAccepted, e.snapshot())
+		WriteJSON(w, http.StatusAccepted, e.snapshot())
 	}
 }
 
@@ -259,7 +260,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		BadRequest(w, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, client.BatchResponse{Jobs: results})
+	WriteJSON(w, http.StatusAccepted, client.BatchResponse{Jobs: results})
 }
 
 // submitBatchItem runs one already-parsed item through the job machinery

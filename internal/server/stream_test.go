@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -91,6 +92,31 @@ func TestJobStreamLabels(t *testing.T) {
 	}
 	if !bytes.Equal(got, want.Bytes()) {
 		t.Error("streamed labels differ from the sequential engine's")
+	}
+}
+
+// TestJobStreamWithoutTempDir: the streaming path writes no temp file,
+// so a daemon whose temp directory is missing still streams the bytes
+// its /v1/segment?format=pgm path renders.
+func TestJobStreamWithoutTempDir(t *testing.T) {
+	t.Setenv("TMPDIR", filepath.Join(t.TempDir(), "missing"))
+	_, ts := newTestServer(t, Options{})
+	_, pgm := paperPGM(t, regiongrow.Image3Circles128)
+
+	body := func(resp *http.Response) []byte {
+		t.Helper()
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, b)
+		}
+		return b
+	}
+	if !bytes.Equal(body(postStream(t, ts, "", pgm)), body(postSegment(t, ts, "?format=pgm", pgm))) {
+		t.Error("streamed PGM differs from /v1/segment?format=pgm")
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package stream segments images of effectively unbounded size in O(band)
-// memory: the sixth engine path, pointing the distributed engine's banded
-// decomposition at disk instead of sockets.
+// memory: the sixth engine path, running the distributed engine's banded
+// decomposition over one input stream instead of over sockets.
 //
 // The image streams in as horizontal bands whose boundaries are multiples
 // of the effective split cap. Cap alignment means no split square crosses
@@ -9,16 +9,16 @@
 // on). Each band's square list joins one global region adjacency graph —
 // intra-band edges found along each square's east column and south row of
 // the band's labels, inter-band edges stitched against the retained
-// previous-band boundary row — and spills to a temp-file spool before the
-// band's pixels are retired. Only
-// the live frontier strip, the RAG (one vertex per square, not per
-// pixel), and the spool survive a band.
+// previous-band boundary row — and each square's side is kept as one byte
+// before the band's pixels are retired. Only the live frontier strip, the
+// RAG (one vertex per square, not per pixel), and those side bytes
+// survive a band.
 //
 // The merge stage then runs the exact sequential kernel — Graph.MergeAll
 // over the fully assembled graph — so
 // iteration numbering, stall-forced resolutions, and Random-tie draws are
 // identical to the in-memory engines, making the emitted labels
-// byte-identical to theirs. A second pass replays the spool band by band,
-// resolves each square's final region, and emits the output through the
-// streaming writer.
+// byte-identical to theirs. A second pass walks the graph's slots band by
+// band — slot k is square k, holding its ID — resolves each square's
+// final region, and emits the output through the streaming writer.
 package stream

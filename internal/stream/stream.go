@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"regiongrow/internal/core"
@@ -37,8 +36,6 @@ type Options struct {
 	// and then limited to the image height, so a band never outgrows the
 	// image. 0 selects one cap per band, the minimum-memory configuration.
 	BandRows int
-	// SpoolDir hosts the square-spool temp file ("" = the system default).
-	SpoolDir string
 	// Output selects the emitted format (default OutputRecolour).
 	Output Output
 }
@@ -61,19 +58,17 @@ type Result struct {
 	SplitWall, MergeWall time.Duration
 }
 
-// spoolRecord is one spilled square: 8 little-endian bytes on disk.
-const spoolRecordSize = 8
-
 // Segment streams a PGM from r, segments it under cfg, and writes the
 // result to w in the format opt.Output selects. Cancellation and progress
 // follow the standard engine contract: ctx is checked at every band and
 // merge round, stage events go to run.Observer.
 //
 // Peak memory is O(band + squares): one pixel band, the frontier strip,
-// and the region graph — never the full raster or label map. Each band's
-// split adds a transient 4 B per pixel of band labels and 8 B per square
-// of list, both dead once the band is in the graph and the spool. Labels
-// are byte-identical to the sequential engine's for the same cfg.
+// the region graph, and one byte per square — never the full raster or
+// label map. Each band's split adds a transient 4 B per pixel of band
+// labels and 8 B per square of list, both dead once the band is in the
+// graph. Labels are byte-identical to the sequential engine's for the
+// same cfg.
 func Segment(ctx context.Context, r io.Reader, w io.Writer, cfg core.Config, run core.Run, opt Options) (*Result, error) {
 	sr, err := pixmap.NewStreamReader(r)
 	if err != nil {
@@ -93,17 +88,8 @@ func Segment(ctx context.Context, r io.Reader, w io.Writer, cfg core.Config, run
 	// and a header alone must not size them past the image it declares.
 	bandRows := min(max(opt.BandRows/cap, 1)*cap, height)
 
-	spool, err := os.CreateTemp(opt.SpoolDir, "regiongrow-stream-*.spool")
-	if err != nil {
-		return nil, fmt.Errorf("stream: creating spool: %w", err)
-	}
-	defer func() {
-		spool.Close()
-		os.Remove(spool.Name())
-	}()
-
 	g := rag.NewGraph(cfg.Threshold)
-	bandSquares, err := ingest(ctx, sr, spool, g, res, cfg, run, cap, bandRows)
+	log2, err := ingest(ctx, sr, g, res, cfg, run, cap, bandRows)
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +107,7 @@ func Segment(ctx context.Context, r io.Reader, w io.Writer, cfg core.Config, run
 	res.ForcedResolutions = mstats.ForcedResolutions
 	res.FinalRegions = g.NumVertices()
 
-	if err := emit(ctx, w, spool, g, res, bandSquares, bandRows, opt.Output); err != nil {
+	if err := emit(ctx, w, g, log2, res, bandRows, opt.Output); err != nil {
 		return nil, err
 	}
 	res.MergeWall = time.Since(t1) //vet:timing stage wall-time for Result; never reaches labels or output bytes
@@ -129,21 +115,19 @@ func Segment(ctx context.Context, r io.Reader, w io.Writer, cfg core.Config, run
 	return res, nil
 }
 
-// ingest runs pass 1: stream bands in, split each, add the band's square
-// list to the global RAG (stitching across band boundaries through the
-// retained frontier row), and spill the list to the spool. Every square
-// is a new vertex, so spool record k is the vertex in graph slot k. It
-// returns the per-band square counts that delimit the spool on replay.
-func ingest(ctx context.Context, sr *pixmap.StreamReader, spool *os.File, g *rag.Graph, res *Result, cfg core.Config, run core.Run, cap, bandRows int) ([]int, error) {
+// ingest runs pass 1: stream bands in, split each, and add the band's
+// square list to the global RAG, stitching across band boundaries through
+// the retained frontier row. Every square is a new vertex, so graph slot k
+// is square k and already holds its ID; ingest returns the squares' Log2
+// sides by slot, the one thing pass 2 needs that the graph lacks.
+func ingest(ctx context.Context, sr *pixmap.StreamReader, g *rag.Graph, res *Result, cfg core.Config, run core.Run, cap, bandRows int) ([]uint8, error) {
 	width, height := res.W, res.H
 	run.Emit(core.StageEvent{Kind: core.EventSplitStart})
 	t0 := time.Now() //vet:timing stage wall-time for Result; never reaches labels or output bytes
 
-	sw := bufio.NewWriterSize(spool, 1<<16)
 	bandPix := make([]uint8, width*bandRows)
 	frontier := make([]int32, width) // previous band's last row, as graph slots
-	var bandSquares []int
-	var rec [spoolRecordSize]byte
+	var log2 []uint8
 
 	for y0 := 0; y0 < height; {
 		if err := ctx.Err(); err != nil {
@@ -167,19 +151,14 @@ func ingest(ctx context.Context, sr *pixmap.StreamReader, spool *os.File, g *rag
 
 		// The band's squares and the edges inside the band join the graph
 		// after the slots already held, at global IDs (band-local index +
-		// the band's origin); spool record k is list entry k.
+		// the band's origin).
 		base := int32(g.Slots())
 		if err := g.AddSquares(ctx, sp.Squares, sp.Labels, width, y0*width, width); err != nil {
 			return nil, err
 		}
 		for _, sq := range sp.Squares {
-			binary.LittleEndian.PutUint32(rec[0:4], uint32(int(sq.ID)+y0*width))
-			binary.LittleEndian.PutUint32(rec[4:8], uint32(sq.Side()))
-			if _, err := sw.Write(rec[:]); err != nil {
-				return nil, fmt.Errorf("stream: writing spool: %w", err)
-			}
+			log2 = append(log2, sq.Log2)
 		}
-		bandSquares = append(bandSquares, len(sp.Squares))
 
 		// Stitch the band's first row to the previous band's boundary row,
 		// one edge per overlap run, then retire the band: only the new
@@ -200,109 +179,73 @@ func ingest(ctx context.Context, sr *pixmap.StreamReader, spool *os.File, g *rag
 		y0 += bh
 		res.Bands++
 	}
-	if err := sw.Flush(); err != nil {
-		return nil, fmt.Errorf("stream: flushing spool: %w", err)
-	}
 	res.SplitWall = time.Since(t0) //vet:timing stage wall-time for Result; never reaches labels or output bytes
 	run.Emit(core.StageEvent{Kind: core.EventSplitDone, Iterations: res.SplitIterations, Squares: res.SquaresAfterSplit})
-	return bandSquares, nil
+	return log2, nil
 }
 
-// emit runs pass 2: replay the spool band by band, resolve every square's
-// final region through the graph's contraction record (record k is slot
-// k), and stream the output.
-func emit(ctx context.Context, w io.Writer, spool *os.File, g *rag.Graph, res *Result, bandSquares []int, bandRows int, output Output) error {
-	width, height := res.W, res.H
-	if _, err := spool.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("stream: rewinding spool: %w", err)
-	}
-	rd := bufio.NewReaderSize(spool, 1<<16)
-
-	var pgm *pixmap.StreamWriter
-	var bw *bufio.Writer
-	var outPix []uint8
-	var outLab []int32
+// emit runs pass 2: it replays the graph's slots into the format output
+// selects.
+func emit(ctx context.Context, w io.Writer, g *rag.Graph, log2 []uint8, res *Result, bandRows int, output Output) error {
 	switch output {
 	case OutputRecolour:
-		var err error
-		if pgm, err = pixmap.NewStreamWriter(w, width, height); err != nil {
+		pgm, err := pixmap.NewStreamWriter(w, res.W, res.H)
+		if err != nil {
 			return err
 		}
-		outPix = make([]uint8, width*bandRows)
+		// Graph vertex intervals are exact pixel unions (square intervals
+		// union under contraction), so the midpoint matches Recolour on
+		// the in-memory segmentation.
+		shade := func(root int) uint8 {
+			iv := g.SlotInterval(root)
+			return uint8((int(iv.Lo) + int(iv.Hi)) / 2)
+		}
+		if err := replay(ctx, g, log2, res, bandRows, shade, pgm.WriteRows); err != nil {
+			return err
+		}
+		return pgm.Close()
 	case OutputLabels:
-		bw = bufio.NewWriterSize(w, 1<<16)
-		if err := writeLabelHeader(bw, width, height); err != nil {
+		lw, err := newLabelWriter(w, res.W, res.H)
+		if err != nil {
 			return err
 		}
-		outLab = make([]int32, width*bandRows)
+		if err := replay(ctx, g, log2, res, bandRows, g.SlotID, lw.writeRows); err != nil {
+			return err
+		}
+		return lw.flush()
 	default:
 		return fmt.Errorf("stream: unknown output format %d", int(output))
 	}
+}
 
-	var rec [spoolRecordSize]byte
-	y0, slot := 0, 0
-	for bi, count := range bandSquares {
+// replay walks the graph's slots in order, band by band: it paints each
+// square into one band buffer with the value of its final region
+// (RootSlot) and hands the band's rows to write. Slot k is square k of
+// pass 1, so its ID places it and log2[k] sizes it; each band's squares
+// took the slots after the previous band's, so a band's squares are the
+// next slots whose ID falls in the band's rows.
+func replay[T uint8 | int32](ctx context.Context, g *rag.Graph, log2 []uint8, res *Result, bandRows int, value func(root int) T, write func([]T) error) error {
+	width := res.W
+	buf := make([]T, width*bandRows)
+	slot := 0
+	for y0 := 0; y0 < res.H; y0 += bandRows {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		bh := min(bandRows, height-y0)
-		for k := 0; k < count; k++ {
-			if _, err := io.ReadFull(rd, rec[:]); err != nil {
-				return fmt.Errorf("stream: reading spool band %d: %w", bi, err)
-			}
-			gid := int32(binary.LittleEndian.Uint32(rec[0:4]))
-			size := int(binary.LittleEndian.Uint32(rec[4:8]))
-			if slot >= g.Slots() || g.SlotID(slot) != gid {
-				return fmt.Errorf("stream: spool record %d names square %d, not graph slot %d's", slot, gid, slot)
-			}
-			root := g.RootSlot(slot)
-			slot++
-			x := int(gid) % width
-			ly := int(gid)/width - y0
-			if ly < 0 || ly+size > bh || x+size > width {
-				return fmt.Errorf("stream: spool square (%d,%d,%d) outside band %d", x, ly, size, bi)
-			}
-			if output == OutputRecolour {
-				// Graph vertex intervals are exact pixel unions (square
-				// intervals union under contraction), so the midpoint
-				// matches Recolour on the in-memory segmentation.
-				iv := g.SlotInterval(root)
-				s := uint8((int(iv.Lo) + int(iv.Hi)) / 2)
-				for yy := ly; yy < ly+size; yy++ {
-					row := yy * width
-					for xx := x; xx < x+size; xx++ {
-						outPix[row+xx] = s
-					}
-				}
-			} else {
-				final := g.SlotID(root)
-				for yy := ly; yy < ly+size; yy++ {
-					row := yy * width
-					for xx := x; xx < x+size; xx++ {
-						outLab[row+xx] = final
-					}
+		origin, end := y0*width, min(y0+bandRows, res.H)*width
+		for ; slot < len(log2) && int(g.SlotID(slot)) < end; slot++ {
+			v, side := value(g.RootSlot(slot)), 1<<log2[slot]
+			p := int(g.SlotID(slot)) - origin
+			for row := p; row < p+side*width; row += width {
+				sq := buf[row : row+side]
+				for i := range sq {
+					sq[i] = v
 				}
 			}
 		}
-		if output == OutputRecolour {
-			if err := pgm.WriteRows(outPix[:bh*width]); err != nil {
-				return err
-			}
-		} else {
-			for _, lab := range outLab[:bh*width] {
-				binary.LittleEndian.PutUint32(rec[0:4], uint32(lab))
-				if _, err := bw.Write(rec[0:4]); err != nil {
-					return fmt.Errorf("stream: writing labels: %w", err)
-				}
-			}
+		if err := write(buf[:end-origin]); err != nil {
+			return err
 		}
-		y0 += bh
-	}
-	if output == OutputRecolour {
-		return pgm.Close()
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("stream: flushing labels: %w", err)
 	}
 	return nil
 }
@@ -314,16 +257,39 @@ func writeEmpty(w io.Writer, width, height int, output Output) error {
 		_, err := fmt.Fprintf(w, "P5\n%d %d\n255\n", width, height)
 		return err
 	case OutputLabels:
-		return writeLabelHeader(w, width, height)
+		return EncodeLabels(w, width, height, nil)
 	default:
 		return fmt.Errorf("stream: unknown output format %d", int(output))
 	}
 }
 
-// writeLabelHeader writes the label-raster magic and geometry.
-func writeLabelHeader(w io.Writer, width, height int) error {
-	if _, err := fmt.Fprintf(w, "RGLS\n%d %d\n", width, height); err != nil {
-		return fmt.Errorf("stream: writing label header: %w", err)
+// labelWriter writes the OutputLabels wire format: the header at
+// construction, then region IDs row by row.
+type labelWriter struct{ bw *bufio.Writer }
+
+func newLabelWriter(w io.Writer, width, height int) (labelWriter, error) {
+	bw := bufio.NewWriterSize(w, 1<<16)
+	if _, err := fmt.Fprintf(bw, "RGLS\n%d %d\n", width, height); err != nil {
+		return labelWriter{}, fmt.Errorf("stream: writing label header: %w", err)
+	}
+	return labelWriter{bw}, nil
+}
+
+// writeRows appends labels as little-endian int32s.
+func (lw labelWriter) writeRows(labels []int32) error {
+	var rec [4]byte
+	for _, lab := range labels {
+		binary.LittleEndian.PutUint32(rec[:], uint32(lab))
+		if _, err := lw.bw.Write(rec[:]); err != nil {
+			return fmt.Errorf("stream: writing labels: %w", err)
+		}
+	}
+	return nil
+}
+
+func (lw labelWriter) flush() error {
+	if err := lw.bw.Flush(); err != nil {
+		return fmt.Errorf("stream: flushing labels: %w", err)
 	}
 	return nil
 }
@@ -336,19 +302,12 @@ func EncodeLabels(w io.Writer, width, height int, labels []int32) error {
 	if len(labels) != width*height {
 		return fmt.Errorf("stream: %d labels for %dx%d raster", len(labels), width, height)
 	}
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if err := writeLabelHeader(bw, width, height); err != nil {
+	lw, err := newLabelWriter(w, width, height)
+	if err != nil {
 		return err
 	}
-	var rec [4]byte
-	for _, lab := range labels {
-		binary.LittleEndian.PutUint32(rec[:], uint32(lab))
-		if _, err := bw.Write(rec[:]); err != nil {
-			return fmt.Errorf("stream: writing labels: %w", err)
-		}
+	if err := lw.writeRows(labels); err != nil {
+		return err
 	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("stream: flushing labels: %w", err)
-	}
-	return nil
+	return lw.flush()
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"path/filepath"
 	"slices"
 	"sync"
 	"testing"
@@ -115,6 +116,33 @@ func TestStreamMatchesSequential(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestStreamWithoutTempDir: pass 2 replays the graph in memory, so a
+// missing temp directory changes nothing; both outputs still match the
+// sequential engine's.
+func TestStreamWithoutTempDir(t *testing.T) {
+	t.Setenv("TMPDIR", filepath.Join(t.TempDir(), "missing"))
+	im := pixmap.Generate(pixmap.Image3Circles128, pixmap.DefaultGenOptions())
+	var pgm bytes.Buffer
+	if err := pixmap.WritePGM(&pgm, im); err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{Threshold: 10, Tie: rag.Random, Seed: 1}
+	seg := sequentialSeg(t, im, cfg)
+	for _, out := range []struct {
+		format Output
+		want   []byte
+	}{{OutputLabels, labelBytes(t, seg)}, {OutputRecolour, recolourBytes(t, seg, im)}} {
+		var got bytes.Buffer
+		if _, err := Segment(context.Background(), bytes.NewReader(pgm.Bytes()), &got, cfg, core.Run{},
+			Options{Output: out.format}); err != nil {
+			t.Fatalf("output %d: %v", out.format, err)
+		}
+		if !bytes.Equal(got.Bytes(), out.want) {
+			t.Errorf("output %d differs from the sequential engine's", out.format)
 		}
 	}
 }
@@ -252,19 +280,22 @@ func TestStreamCancellation(t *testing.T) {
 	}
 }
 
-// TestStreamEmptyImage pins the degenerate geometry: header out, no rows.
+// TestStreamEmptyImage pins the degenerate geometry: header out, no rows,
+// in both formats.
 func TestStreamEmptyImage(t *testing.T) {
-	var out bytes.Buffer
-	res, err := Segment(context.Background(), bytes.NewReader([]byte("P5\n0 0\n255\n")), &out,
-		core.Config{Threshold: 10}, core.Run{}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FinalRegions != 0 || res.Bands != 0 {
-		t.Fatalf("empty image produced %+v", res)
-	}
-	if got := out.String(); got != "P5\n0 0\n255\n" {
-		t.Fatalf("empty output %q", got)
+	for format, want := range map[Output]string{OutputRecolour: "P5\n0 0\n255\n", OutputLabels: "RGLS\n0 0\n"} {
+		var out bytes.Buffer
+		res, err := Segment(context.Background(), bytes.NewReader([]byte("P5\n0 0\n255\n")), &out,
+			core.Config{Threshold: 10}, core.Run{}, Options{Output: format})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.FinalRegions != 0 || res.Bands != 0 {
+			t.Fatalf("empty image produced %+v", res)
+		}
+		if got := out.String(); got != want {
+			t.Fatalf("empty output %q, want %q", got, want)
+		}
 	}
 }
 

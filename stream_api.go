@@ -51,13 +51,13 @@ func WithStreamBandRows(n int) StreamOption {
 	}
 }
 
-// WithStreamSpoolDir hosts the square-spool temp file in dir instead of
-// the system temp directory.
+// WithStreamSpoolDir has no effect: SegmentStream creates no file, so
+// dir is ignored.
+//
+// Deprecated: the streaming engine no longer spools squares to a temp
+// file; drop the option.
 func WithStreamSpoolDir(dir string) StreamOption {
-	return func(s *streamSettings) error {
-		s.opt.SpoolDir = dir
-		return nil
-	}
+	return func(*streamSettings) error { return nil }
 }
 
 // WithStreamOutput selects the emitted format (default StreamRecolour).

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"path/filepath"
 	"testing"
 )
 
@@ -11,7 +12,10 @@ import (
 // output is byte-identical to the sequential engine's, in both formats.
 // (The exhaustive image × tie × band-geometry sweep lives in
 // internal/stream; this guards the facade wiring.)
+//
+// The temp directory is missing: the streaming path creates no file.
 func TestSegmentStreamMatchesSequential(t *testing.T) {
+	t.Setenv("TMPDIR", filepath.Join(t.TempDir(), "missing"))
 	im := GeneratePaperImage(Image3Circles128)
 	cfg := Config{Threshold: 10, Tie: RandomTie, Seed: 1}
 	seg, err := segmentKind(SequentialEngine, im, cfg)
@@ -30,7 +34,7 @@ func TestSegmentStreamMatchesSequential(t *testing.T) {
 	}
 	var gotLabels bytes.Buffer
 	res, err := SegmentStream(context.Background(), bytes.NewReader(pgm.Bytes()), &gotLabels, cfg,
-		WithStreamOutput(StreamLabels), WithStreamBandRows(40), WithStreamSpoolDir(t.TempDir()))
+		WithStreamOutput(StreamLabels), WithStreamBandRows(40))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +116,8 @@ func TestSegmentStreamRefusesInvalidConfig(t *testing.T) {
 	}
 }
 
-// TestStreamOptionErrors pins option validation.
+// TestStreamOptionErrors pins option validation. WithStreamSpoolDir is
+// inert: it accepts a directory that does not exist and changes nothing.
 func TestStreamOptionErrors(t *testing.T) {
 	if _, err := SegmentStream(context.Background(), &bytes.Buffer{}, &bytes.Buffer{},
 		Config{}, WithStreamBandRows(-1)); err == nil {
@@ -121,5 +126,21 @@ func TestStreamOptionErrors(t *testing.T) {
 	if _, err := SegmentStream(context.Background(), &bytes.Buffer{}, &bytes.Buffer{},
 		Config{}, WithStreamOutput(StreamOutput(99))); err == nil {
 		t.Error("accepted an unknown output format")
+	}
+
+	var pgm bytes.Buffer
+	if err := WritePGM(&pgm, GeneratePaperImage(Image1NestedRects128)); err != nil {
+		t.Fatal(err)
+	}
+	var want, got bytes.Buffer
+	if _, err := SegmentStream(context.Background(), bytes.NewReader(pgm.Bytes()), &want, Config{Threshold: 10}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SegmentStream(context.Background(), bytes.NewReader(pgm.Bytes()), &got,
+		Config{Threshold: 10}, WithStreamSpoolDir("/nonexistent")); err != nil {
+		t.Errorf("refused WithStreamSpoolDir(\"/nonexistent\"): %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Error("WithStreamSpoolDir changed the output")
 	}
 }
