@@ -1,6 +1,9 @@
 package homog
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // MaxIntensity is the largest representable pixel intensity. The Empty
 // sentinel ({MaxIntensity, 0}) and the packed word path below both derive
@@ -78,26 +81,33 @@ func RowMinMax(row []uint8) (lo, hi uint8) {
 	return lo, hi
 }
 
-// RowsMinMax writes the element-wise minimum and maximum of two
-// equal-length pixel rows into minDst and maxDst (each at least len(a)).
-// It is the vertical half of a 2×2 block reduction: quadsplit feeds two
-// adjacent image rows through it, then folds horizontal pairs of the
-// results to obtain level-1 block intervals.
-func RowsMinMax(a, b, minDst, maxDst []uint8) {
-	if len(a) != len(b) {
-		panic("homog: RowsMinMax rows differ in length")
-	}
-	_ = minDst[:len(a)]
-	_ = maxDst[:len(a)]
-	i := 0
-	for ; i+8 <= len(a); i += 8 {
-		x := binary.LittleEndian.Uint64(a[i:])
-		y := binary.LittleEndian.Uint64(b[i:])
-		binary.LittleEndian.PutUint64(minDst[i:], MinBytes(x, y))
-		binary.LittleEndian.PutUint64(maxDst[i:], MaxBytes(x, y))
-	}
-	for ; i < len(a); i++ {
-		minDst[i] = min(a[i], b[i])
-		maxDst[i] = max(a[i], b[i])
-	}
+// FoldQuads folds 16 blocks of each of two adjacent rows into the 8 blocks
+// of the level above, block i covering blocks 2i and 2i+1 of both rows.
+// loA and loB hold the rows' lower bounds, hiA and hiB their upper bounds,
+// at least 16 bytes each. It returns the 8 folded bounds, one byte per
+// block in row order, and the number of blocks whose range is at most
+// threshold.
+func FoldQuads(loA, loB, hiA, hiB []uint8, threshold int) (lo, hi uint64, n int) {
+	le := binary.LittleEndian
+	l0 := MinBytes(le.Uint64(loA), le.Uint64(loB))
+	l1 := MinBytes(le.Uint64(loA[8:]), le.Uint64(loB[8:]))
+	h0 := MaxBytes(le.Uint64(hiA), le.Uint64(hiB))
+	h1 := MaxBytes(le.Uint64(hiA[8:]), le.Uint64(hiB[8:]))
+	// A block's two columns sit in an even and an odd lane.
+	lo = packLanes(laneMin(l0&laneMask, l0>>8&laneMask)) | packLanes(laneMin(l1&laneMask, l1>>8&laneMask))<<32
+	hi = packLanes(laneMax(h0&laneMask, h0>>8&laneMask)) | packLanes(laneMax(h1&laneMask, h1>>8&laneMask))<<32
+	// Every block's hi is at least its lo, so no byte of d borrows. With
+	// T clamped to [-1, MaxIntensity], bit 8 of each lane of
+	// (d|bias)-(T+1) is set where d > T, so T < 0 passes no block.
+	d := hi - lo
+	limit := uint64(min(max(threshold, -1), MaxIntensity)+1) * laneOne
+	fail := ((d&laneMask|laneBias)-limit)&laneBias | ((d>>8&laneMask|laneBias)-limit)&laneBias>>1
+	return lo, hi, 8 - bits.OnesCount64(fail)
+}
+
+// packLanes moves the low bytes of x's four 16-bit lanes into its low four
+// bytes, in order.
+func packLanes(x uint64) uint64 {
+	x = (x | x>>8) & 0x0000FFFF0000FFFF
+	return (x | x>>16) & 0xFFFFFFFF
 }

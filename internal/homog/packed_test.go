@@ -1,6 +1,7 @@
 package homog
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -93,42 +94,61 @@ func TestRowMinMaxQuick(t *testing.T) {
 	}
 }
 
-// TestRowsMinMaxMatchesScalar: the two-row element-wise reduction equals
-// per-element scalar min/max for every length residue and alignment, and
-// never writes past len(a).
-func TestRowsMinMaxMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 4))
-	aBack := make([]uint8, 160)
-	bBack := make([]uint8, 160)
-	for n := 0; n <= 80; n++ {
-		for off := 0; off < 8; off++ {
-			a, b := aBack[off:off+n], bBack[off:off+n]
-			for i := range a {
-				a[i] = uint8(rng.UintN(256))
-				b[i] = uint8(rng.UintN(256))
-			}
-			minDst := make([]uint8, n+1)
-			maxDst := make([]uint8, n+1)
-			minDst[n], maxDst[n] = 0xAB, 0xCD // canaries past the row
-			RowsMinMax(a, b, minDst[:n], maxDst[:n])
-			for i := 0; i < n; i++ {
-				if minDst[i] != min(a[i], b[i]) || maxDst[i] != max(a[i], b[i]) {
-					t.Fatalf("len %d off %d i %d: RowsMinMax = (%d, %d); want (%d, %d)",
-						n, off, i, minDst[i], maxDst[i], min(a[i], b[i]), max(a[i], b[i]))
+// TestFoldQuadsExhaustiveLanes: for every byte pair (x, y), FoldQuads
+// folds a block whose children's least lower bound is min(x, y) and
+// greatest upper bound max(x, y) into exactly that interval, and counts it
+// against thresholds on both sides of its range. The pair's block and the
+// children that carry its bounds rotate with the pair, and every
+// neighbour block has children of range 255, so a cross-lane carry or a
+// mask slip would corrupt the block under test or the count.
+func TestFoldQuadsExhaustiveLanes(t *testing.T) {
+	for x := 0; x < 256; x++ {
+		for y := 0; y < 256; y++ {
+			k := x*256 + y
+			block, p, q := k%8, k/8%4, k/32%4
+			m, mm := uint8(min(x, y)), uint8(max(x, y))
+			mid := uint8((int(m) + int(mm)) / 2)
+			var lo, hi [2][16]uint8 // the two rows' bounds
+			for r := range lo {
+				for c := range lo[r] {
+					lo[r][c], hi[r][c] = 0, 0xFF
 				}
 			}
-			if minDst[n] != 0xAB || maxDst[n] != 0xCD {
-				t.Fatalf("len %d off %d: RowsMinMax wrote past the row", n, off)
+			// Child i of the block sits in row i/2, column 2·block+i%2.
+			for i := 0; i < 4; i++ {
+				r, c := i/2, 2*block+i%2
+				lo[r][c], hi[r][c] = mid, mid
+				if i == p {
+					lo[r][c] = m
+				}
+				if i == q {
+					hi[r][c] = mm
+				}
+			}
+			d := int(mm) - int(m)
+			for _, threshold := range []int{math.MinInt, -1, d - 1, d, 254, 255, math.MaxInt} {
+				gotLo, gotHi, n := FoldQuads(lo[0][:], lo[1][:], hi[0][:], hi[1][:], threshold)
+				for b := 0; b < 8; b++ {
+					wantLo, wantHi := uint8(0), uint8(0xFF)
+					if b == block {
+						wantLo, wantHi = m, mm
+					}
+					if uint8(gotLo>>(8*b)) != wantLo || uint8(gotHi>>(8*b)) != wantHi {
+						t.Fatalf("pair (%d, %d) in block %d: block %d folds to [%d,%d], want [%d,%d]",
+							x, y, block, b, uint8(gotLo>>(8*b)), uint8(gotHi>>(8*b)), wantLo, wantHi)
+					}
+				}
+				want := 0
+				if d <= threshold {
+					want++
+				}
+				if threshold >= 255 {
+					want += 7
+				}
+				if n != want {
+					t.Fatalf("pair (%d, %d), T=%d: %d blocks pass, want %d", x, y, threshold, n, want)
+				}
 			}
 		}
 	}
-}
-
-func TestRowsMinMaxPanicsOnLengthMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on mismatched row lengths")
-		}
-	}()
-	RowsMinMax(make([]uint8, 4), make([]uint8, 5), make([]uint8, 5), make([]uint8, 5))
 }

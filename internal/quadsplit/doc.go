@@ -18,11 +18,17 @@
 // square's index in the list. The list is what the graph builds read
 // (rag.Graph.AddSquares), and a square's slot in the list is its slot in
 // the graph; its intervals are the ones the level passes computed, so no
-// later stage rescans a square's pixels. The claim that produces both
-// walks the image row by row: a block lies inside a larger square exactly
-// when its parent block is solid, so it keeps no per-pixel claim state,
-// and it meets the north-west corners in raster order, so the list needs
-// no sort.
+// later stage rescans a square's pixels.
+//
+// Every level pass is one branch-free fold: a level is a lo and a hi byte
+// plane over the blocks wholly inside the band (level 0 is the raster),
+// and homog.FoldQuads builds 8 blocks of the next per uint64. A block is
+// solid exactly when hi − lo ≤ T, which bounds its children's ranges too,
+// so no solidity flag is stored. The claim that produces the list and
+// labels walks the image row by row: a block lies inside a larger square
+// exactly when its parent block is solid, so it keeps no per-pixel claim
+// state, and it meets the north-west corners in raster order, so the list
+// needs no sort.
 //
 // # Row bands
 //

@@ -2,6 +2,7 @@ package quadsplit
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"sync"
@@ -112,22 +113,31 @@ func prevPow2(v int) int {
 	return 1 << (bits.Len(uint(v)) - 1)
 }
 
-// level is one band's blocks of side s = 2^l: block (bx, by) covers
-// pixels [bx·s, (bx+1)·s) × [y0+by·s, y0+(by+1)·s), where y0 is the
-// band's first row. Blocks that extend past the image boundary are never
-// solid, and iv is read only where solid is set.
+// level is one band's blocks of side s = 2^l that lie wholly inside the
+// band: block (bx, by) covers pixels [bx·s, (bx+1)·s) × [y0+by·s,
+// y0+(by+1)·s), where y0 is the band's first row, and lo and hi hold the
+// blocks' pixel ranges, row by row. Level 0 is the band's raster.
 type level struct {
 	bw, bh int
-	iv     []homog.Interval
-	solid  []bool
+	lo, hi []uint8
+}
+
+// solid reports whether block (bx, by) lies inside the band and has a
+// range of at most threshold. A block's range bounds each child's, so the
+// four children of a solid block are solid too.
+func (lv *level) solid(bx, by, threshold int) bool {
+	if bx >= lv.bw || by >= lv.bh {
+		return false
+	}
+	i := by*lv.bw + bx
+	return int(lv.hi[i])-int(lv.lo[i]) <= threshold
 }
 
 // band is one full-width strip of the image, rows [y0, y1), a whole
 // number of cap rows tall, with the blocks its level passes built.
 type band struct {
 	y0, y1 int
-	// levels[l] holds the band's level-l blocks; levels[0] stays zero:
-	// the pixel level is implicit.
+	// levels[l] holds the band's level-l blocks.
 	levels []level
 	// combined is how many blocks the band's last pass combined, and
 	// solid how many its passes combined in all.
@@ -163,20 +173,15 @@ func Split(ctx context.Context, im *pixmap.Image, threshold int, opt Options) (*
 		return nil, err
 	}
 
-	// Level 0 (one pixel per block, every block solid, interval = Point)
-	// is never materialised: level 1 is computed straight from the raster
-	// through the packed SWAR row path, and the claim below handles the
-	// pixel level specially, so no W·H working array and no per-pixel
-	// init pass are paid for.
 	maxLevel := bits.Len(uint(res.MaxSquareUsed)) - 1
 	capRows := (h + res.MaxSquareUsed - 1) / res.MaxSquareUsed
 	bands := make([]band, min(max(opt.Workers, 1), capRows))
 	for i := range bands {
-		bands[i] = band{
-			y0:     i * capRows / len(bands) * res.MaxSquareUsed,
-			y1:     min((i+1)*capRows/len(bands)*res.MaxSquareUsed, h),
-			levels: make([]level, 1, maxLevel+1),
-		}
+		y0 := i * capRows / len(bands) * res.MaxSquareUsed
+		y1 := min((i+1)*capRows/len(bands)*res.MaxSquareUsed, h)
+		pix := im.Pix[y0*w : y1*w]
+		bands[i] = band{y0: y0, y1: y1, levels: make([]level, 1, maxLevel+1)}
+		bands[i].levels[0] = level{bw: w, bh: y1 - y0, lo: pix, hi: pix}
 	}
 
 	top := 0 // highest level with at least one solid block
@@ -184,7 +189,7 @@ func Split(ctx context.Context, im *pixmap.Image, threshold int, opt Options) (*
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		inBands(bands, func(b *band) { b.pass(l, im.Pix, w, threshold) })
+		inBands(bands, func(b *band) { b.pass(l, threshold) })
 		combined := 0
 		for i := range bands {
 			combined += bands[i].combined
@@ -218,7 +223,7 @@ func Split(ctx context.Context, im *pixmap.Image, threshold int, opt Options) (*
 		n += (bands[i].y1-bands[i].y0)*w - 3*bands[i].solid
 	}
 	res.Squares = grown(&sc.squares, n)
-	inBands(bands, func(b *band) { b.claim(top, im.Pix, w, res.Labels, res.Squares) })
+	inBands(bands, func(b *band) { b.claim(top, threshold, w, res.Labels, res.Squares) })
 	return res, nil
 }
 
@@ -243,71 +248,31 @@ func inBands(bands []band, f func(b *band)) {
 	wg.Wait()
 }
 
-// pass runs the band's level-l combining pass over the w-wide image pix
-// and records how many blocks it combined.
-func (b *band) pass(l int, pix []uint8, w, threshold int) {
-	h := b.y1 - b.y0
-	pix = pix[b.y0*w : b.y1*w]
-	s := 1 << l
-	cur := level{bw: (w + s - 1) / s, bh: (h + s - 1) / s}
-	cur.iv = make([]homog.Interval, cur.bw*cur.bh)
-	cur.solid = make([]bool, cur.bw*cur.bh)
+// pass runs the band's level-l combining pass and records how many blocks
+// it combined. Each row pair of level l−1 folds into a row of level l 8
+// blocks per homog.FoldQuads call, with a scalar tail for the last
+// bw mod 8 blocks.
+func (b *band) pass(l, threshold int) {
+	prev := &b.levels[l-1]
+	cur := level{bw: prev.bw / 2, bh: prev.bh / 2}
+	cur.lo, cur.hi = make([]uint8, cur.bw*cur.bh), make([]uint8, cur.bw*cur.bh)
 	combined := 0
-	if l == 1 {
-		// 2×2 pixel blocks, straight from the raster: the vertical
-		// min/max of each row pair runs 8 pixels per uint64 word
-		// (homog.RowsMinMax), the horizontal pair fold and range test
-		// then run per block.
-		rows := make([]uint8, 2*w)
-		vlo, vhi := rows[:w], rows[w:]
-		fullBW := w / 2 // blocks fully inside the image horizontally
-		for by := 0; by < cur.bh; by++ {
-			y := 2 * by
-			if y+1 >= h {
-				break // bottom row of vertically incomplete blocks: never solid
-			}
-			homog.RowsMinMax(pix[y*w:y*w+w], pix[(y+1)*w:(y+1)*w+w], vlo, vhi)
-			base := by * cur.bw
-			for bx := 0; bx < fullBW; bx++ {
-				lo := min(vlo[2*bx], vlo[2*bx+1])
-				hi := max(vhi[2*bx], vhi[2*bx+1])
-				if int(hi)-int(lo) <= threshold {
-					cur.iv[base+bx] = homog.Interval{Lo: lo, Hi: hi}
-					cur.solid[base+bx] = true
-					combined++
-				}
-			}
+	for by := 0; by < cur.bh; by++ {
+		a, c, row := 2*by*prev.bw, (2*by+1)*prev.bw, by*cur.bw
+		bx := 0
+		for ; bx+8 <= cur.bw; bx += 8 {
+			i, j := a+2*bx, c+2*bx
+			lo, hi, k := homog.FoldQuads(prev.lo[i:], prev.lo[j:], prev.hi[i:], prev.hi[j:], threshold)
+			binary.LittleEndian.PutUint64(cur.lo[row+bx:], lo)
+			binary.LittleEndian.PutUint64(cur.hi[row+bx:], hi)
+			combined += k
 		}
-	} else {
-		prev := &b.levels[l-1]
-		for by := 0; by < cur.bh; by++ {
-			for bx := 0; bx < cur.bw; bx++ {
-				i := by*cur.bw + bx
-				// Children at level l−1: the 2×2 group with NW child (2bx,2by).
-				cx, cy := 2*bx, 2*by
-				if cx+1 >= prev.bw || cy+1 >= prev.bh {
-					continue // children out of range: block incomplete
-				}
-				c0 := cy*prev.bw + cx
-				c1 := c0 + 1
-				c2 := c0 + prev.bw
-				c3 := c2 + 1
-				if !(prev.solid[c0] && prev.solid[c1] && prev.solid[c2] && prev.solid[c3]) {
-					continue
-				}
-				// Geometric completeness: block must be fully inside the image.
-				if (bx+1)*s > w || (by+1)*s > h {
-					continue
-				}
-				// Branch-free 4-way union: solid children are never
-				// empty, so the min/max form is the exact union.
-				lo := min(min(prev.iv[c0].Lo, prev.iv[c1].Lo), min(prev.iv[c2].Lo, prev.iv[c3].Lo))
-				hi := max(max(prev.iv[c0].Hi, prev.iv[c1].Hi), max(prev.iv[c2].Hi, prev.iv[c3].Hi))
-				if int(hi)-int(lo) > threshold {
-					continue
-				}
-				cur.iv[i] = homog.Interval{Lo: lo, Hi: hi}
-				cur.solid[i] = true
+		for ; bx < cur.bw; bx++ {
+			i, j := a+2*bx, c+2*bx
+			lo := min(prev.lo[i], prev.lo[i+1], prev.lo[j], prev.lo[j+1])
+			hi := max(prev.hi[i], prev.hi[i+1], prev.hi[j], prev.hi[j+1])
+			cur.lo[row+bx], cur.hi[row+bx] = lo, hi
+			if int(hi)-int(lo) <= threshold {
 				combined++
 			}
 		}
@@ -321,24 +286,19 @@ func (b *band) pass(l int, pix []uint8, w, threshold int) {
 // from slot b.first, row by row. A solid block's four children are
 // solid, so a block lies inside a larger square exactly when its parent
 // block is solid: the square covering pixel (x, y) is the block reached
-// by climbing the levels while the parent is solid, and a pixel outside
-// every solid level-1 block is a 1×1 square. On the square's top row the
-// step records the square and labels its run with the square's slot; on
-// its other rows it copies the run from the row above, which is never
-// above the band, since the band starts on a multiple of every side. The
-// walk meets north-west corners in raster order, so the list comes out in
-// ascending ID order with no sort.
-func (b *band) claim(top int, pix []uint8, w int, labels []int32, list []Square) {
+// by climbing the levels while the parent is solid. On the square's top
+// row the step records the square and labels its run with the square's
+// slot; on its other rows it copies the run from the row above, which is
+// never above the band, since the band starts on a multiple of every
+// side. The walk meets north-west corners in raster order, so the list
+// comes out in ascending ID order with no sort.
+func (b *band) claim(top, threshold, w int, labels []int32, list []Square) {
 	levels, slot := b.levels, int32(b.first)
 	for y := b.y0; y < b.y1; y++ {
 		row, by := labels[y*w:y*w+w], y-b.y0
 		for x := 0; x < w; {
 			l := 0
-			for l < top {
-				up := &levels[l+1]
-				if !up.solid[(by>>(l+1))*up.bw+x>>(l+1)] {
-					break
-				}
+			for l < top && levels[l+1].solid(x>>(l+1), by>>(l+1), threshold) {
 				l++
 			}
 			s := 1 << l
@@ -346,15 +306,12 @@ func (b *band) claim(top int, pix []uint8, w int, labels []int32, list []Square)
 			if y&(s-1) != 0 {
 				copy(run, labels[(y-1)*w+x:])
 			} else {
-				iv := homog.Point(pix[y*w+x])
-				if l > 0 {
-					lv := &levels[l]
-					iv = lv.iv[(by>>l)*lv.bw+x>>l]
-				}
+				lv := &levels[l]
+				i := (by>>l)*lv.bw + x>>l
 				for i := range run {
 					run[i] = slot
 				}
-				list[slot] = Square{ID: int32(y*w + x), IV: iv, Log2: uint8(l)}
+				list[slot] = Square{ID: int32(y*w + x), IV: homog.Interval{Lo: lv.lo[i], Hi: lv.hi[i]}, Log2: uint8(l)}
 				slot++
 			}
 			x += s

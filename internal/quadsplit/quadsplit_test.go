@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -202,6 +203,32 @@ func TestThresholdBoundary(t *testing.T) {
 			}
 			if Validate(split(im, threshold+1, Options{MaxSquare: Unbounded}), im, threshold) == nil {
 				t.Errorf("%s: Validate accepted a square of range T+1", name)
+			}
+		}
+	}
+}
+
+// TestNegativeThresholdCombinesNothing: no range is below 0, so under
+// T = −1 every pixel is its own 1×1 square with its point interval, and
+// the one pass run combines nothing, at every worker count and cap.
+func TestNegativeThresholdCombinesNothing(t *testing.T) {
+	for _, im := range []*pixmap.Image{pixmap.Uniform(64, 100), oddRandom(37, 23, 3)} {
+		for _, maxSquare := range []int{0, Unbounded} {
+			for workers := 1; workers <= 4; workers++ {
+				name := fmt.Sprintf("%dx%d/cap=%d/w=%d", im.W, im.H, maxSquare, workers)
+				res := split(im, -1, Options{MaxSquare: maxSquare, Workers: workers})
+				if res.Iterations != 1 || !slices.Equal(res.CombinedPerIter, []int{0}) {
+					t.Errorf("%s: iterations %d, combined %v; want 1, [0]", name, res.Iterations, res.CombinedPerIter)
+				}
+				if len(res.Squares) != len(im.Pix) {
+					t.Fatalf("%s: %d squares for %d pixels", name, len(res.Squares), len(im.Pix))
+				}
+				for i, sq := range res.Squares {
+					want := Square{ID: int32(i), IV: homog.Point(im.Pix[i])}
+					if sq != want || res.Labels[i] != int32(i) {
+						t.Fatalf("%s: pixel %d has label %d and square %+v, want %d and %+v", name, i, res.Labels[i], sq, i, want)
+					}
+				}
 			}
 		}
 	}

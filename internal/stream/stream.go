@@ -275,14 +275,25 @@ func newLabelWriter(w io.Writer, width, height int) (labelWriter, error) {
 	return labelWriter{bw}, nil
 }
 
-// writeRows appends labels as little-endian int32s.
+// writeRows appends labels as little-endian int32s, each buffer-sized
+// chunk encoded straight into the writer's free space.
 func (lw labelWriter) writeRows(labels []int32) error {
-	var rec [4]byte
-	for _, lab := range labels {
-		binary.LittleEndian.PutUint32(rec[:], uint32(lab))
-		if _, err := lw.bw.Write(rec[:]); err != nil {
+	for len(labels) > 0 {
+		buf := lw.bw.AvailableBuffer()
+		n := min(len(labels), cap(buf)/4)
+		if n == 0 {
+			if err := lw.bw.Flush(); err != nil {
+				return fmt.Errorf("stream: writing labels: %w", err)
+			}
+			continue
+		}
+		for _, lab := range labels[:n] {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(lab))
+		}
+		if _, err := lw.bw.Write(buf); err != nil {
 			return fmt.Errorf("stream: writing labels: %w", err)
 		}
+		labels = labels[n:]
 	}
 	return nil
 }

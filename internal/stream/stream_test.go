@@ -3,7 +3,10 @@ package stream
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
 	"slices"
 	"sync"
@@ -318,6 +321,52 @@ func TestStreamTruncatedInput(t *testing.T) {
 func TestEncodeLabelsGuards(t *testing.T) {
 	if err := EncodeLabels(&bytes.Buffer{}, 2, 2, make([]int32, 3)); err == nil {
 		t.Fatal("encoded a mis-sized label raster")
+	}
+}
+
+// failWriter fails every write.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("write refused") }
+
+// TestEncodeLabelsAcrossBuffer: label rows that end short of, at and past
+// the 64 KiB write buffer's end, and one of several buffers, encode to the
+// header and one PutUint32 per label; a failing writer's error comes back.
+func TestEncodeLabelsAcrossBuffer(t *testing.T) {
+	for _, n := range []int{16383, 16384, 16385, 3*16384 + 5} {
+		labels := make([]int32, n)
+		for i := range labels {
+			labels[i] = int32(i * 2654435761) // negative and positive
+		}
+		want := fmt.Appendf(nil, "RGLS\n%d 1\n", n)
+		for _, lab := range labels {
+			want = binary.LittleEndian.AppendUint32(want, uint32(lab))
+		}
+		var got bytes.Buffer
+		if err := EncodeLabels(&got, n, 1, labels); err != nil {
+			t.Fatalf("%d labels: %v", n, err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("%d labels: %d bytes differ from the %d of one PutUint32 per label", n, got.Len(), len(want))
+		}
+		if err := EncodeLabels(failWriter{}, n, 1, labels); err == nil {
+			t.Fatalf("%d labels: no error from a failing writer", n)
+		}
+	}
+}
+
+// BenchmarkEncodeLabels encodes a 4096×4096 label raster, the 16 MP
+// stream workload's size, into io.Discard.
+func BenchmarkEncodeLabels(b *testing.B) {
+	labels := make([]int32, 4096*4096)
+	for i := range labels {
+		labels[i] = int32(i)
+	}
+	b.SetBytes(int64(4 * len(labels)))
+	for b.Loop() {
+		if err := EncodeLabels(io.Discard, 4096, 4096, labels); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
