@@ -42,7 +42,7 @@ func main() {
 	log.SetPrefix("benchtab: ")
 	threshold := flag.Int("threshold", 10, "homogeneity threshold T")
 	seed := flag.Uint64("seed", 1, "random tie seed")
-	tieName := flag.String("tie", "random", "tie policy: random, smallest-id, largest-id")
+	tieName := flag.String("tie", "random", "tie policy: "+regiongrow.Enumerate(regiongrow.AllTiePolicies()))
 	native := flag.Bool("native", false, "append a native shared-memory engine row to each table")
 	timeout := flag.Duration("timeout", 0, "abort the whole evaluation after this duration (0 = no limit)")
 	serverURL := flag.String("server", "", "produce every row via a regiongrowd service at this base URL instead of local engines")

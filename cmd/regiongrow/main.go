@@ -90,9 +90,9 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("regiongrow: ")
 	engineName := flag.String("engine", "",
-		"execution engine: sequential (default), cm2-8k, cm2-16k, cm5-cmf, cm5-lp, cm5-async, native, or dist")
+		"execution engine (default sequential): "+regiongrow.Enumerate(regiongrow.AllEngineKinds()))
 	threshold := flag.Int("threshold", 10, "pixel-range homogeneity threshold T")
-	tieName := flag.String("tie", "random", "tie policy: random, smallest-id, largest-id")
+	tieName := flag.String("tie", "random", "tie policy: "+regiongrow.Enumerate(regiongrow.AllTiePolicies()))
 	seed := flag.Uint64("seed", 1, "random tie seed")
 	maxSquare := flag.Int("maxsquare", 0, "split square cap (0 = N/8 as in the paper, -1 = unbounded)")
 	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")

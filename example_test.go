@@ -54,8 +54,7 @@ func ExampleSegmenter_cancellation() {
 	// cancelled: true
 }
 
-// Session options are defaults: a zero Config adopts them, and the
-// observer streams typed stage events.
+// A session observer streams typed stage events.
 func ExampleSegmenter_observer() {
 	var iterations int
 	obs := regiongrow.ObserverFunc(func(ev regiongrow.StageEvent) {
@@ -63,15 +62,12 @@ func ExampleSegmenter_observer() {
 			iterations++
 		}
 	})
-	s, err := regiongrow.New(regiongrow.SequentialEngine,
-		regiongrow.WithThreshold(10),
-		regiongrow.WithTie(regiongrow.SmallestIDTie),
-		regiongrow.WithObserver(obs))
+	s, err := regiongrow.New(regiongrow.SequentialEngine, regiongrow.WithObserver(obs))
 	if err != nil {
 		log.Fatal(err)
 	}
 	im := regiongrow.GeneratePaperImage(regiongrow.Image1NestedRects128)
-	seg, err := s.Segment(context.Background(), im, regiongrow.Config{})
+	seg, err := s.Segment(context.Background(), im, regiongrow.Config{Threshold: 10, Tie: regiongrow.SmallestIDTie})
 	if err != nil {
 		log.Fatal(err)
 	}

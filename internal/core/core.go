@@ -289,87 +289,64 @@ var (
 //  4. termination: no two 4-adjacent regions could still merge (the range
 //     of the union of their intervals exceeds threshold) — the defining
 //     property of a finished merge stage.
+//
+// It makes one pass per property over the raster, with no map: (1) makes
+// every label an index into the raster, so the regions' intervals fold
+// into one array indexed by label.
 func Validate(s *Segmentation, im *pixmap.Image, threshold int) error {
 	if s.W != im.W || s.H != im.H || len(s.Labels) != im.W*im.H {
 		return fmt.Errorf("core: segmentation shape %dx%d/%d does not match image %dx%d",
 			s.W, s.H, len(s.Labels), im.W, im.H)
 	}
-	if len(s.Labels) == 0 {
-		return nil
-	}
-	// (1) representative = min pixel index with that label.
-	minIdx := make(map[int32]int)
-	for i, lab := range s.Labels {
-		if _, ok := minIdx[lab]; !ok {
-			minIdx[lab] = i
+	labels, w := s.Labels, im.W
+	// (1) A label L at pixel i with 0 ≤ L ≤ i and labels[L] == L is the
+	// first index at which L occurs. Each pixel folds into its region's
+	// interval, which its anchor pixel L starts.
+	ivs := make([]homog.Interval, len(labels))
+	regions := 0
+	for i, lab := range labels {
+		if lab < 0 || int(lab) > i || labels[lab] != lab {
+			return fmt.Errorf("core: pixel %d has label %d, which is not the first pixel index of its label", i, lab)
 		}
-	}
-	for lab, idx := range minIdx {
-		if int(lab) != idx {
-			return fmt.Errorf("core: region label %d but first pixel index %d", lab, idx)
+		v := im.Pix[i]
+		if int(lab) == i {
+			ivs[i] = homog.Point(v)
+			regions++
 		}
+		ivs[lab].Lo, ivs[lab].Hi = min(ivs[lab].Lo, v), max(ivs[lab].Hi, v)
 	}
 	// (2) connectivity: union-find over same-label adjacency must yield
 	// exactly one set per label.
-	d := unionfind.New(len(s.Labels))
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			i := y*im.W + x
-			if x+1 < im.W && s.Labels[i] == s.Labels[i+1] {
-				d.Union(i, i+1)
-			}
-			if y+1 < im.H && s.Labels[i] == s.Labels[i+im.W] {
-				d.Union(i, i+im.W)
-			}
+	d := unionfind.New(len(labels))
+	for i, lab := range labels {
+		if (i+1)%w != 0 && labels[i+1] == lab {
+			d.Union(i, i+1)
+		}
+		if i+w < len(labels) && labels[i+w] == lab {
+			d.Union(i, i+w)
 		}
 	}
-	if d.Sets() != len(minIdx) {
+	if d.Sets() != regions {
 		return fmt.Errorf("core: %d labels but %d connected components — some region is disconnected",
-			len(minIdx), d.Sets())
+			regions, d.Sets())
 	}
-	// (3) per-region homogeneity over actual pixels.
-	ivs := make(map[int32]homog.Interval)
-	for i, lab := range s.Labels {
-		iv, ok := ivs[lab]
-		if !ok {
-			iv = homog.Empty()
-		}
-		ivs[lab] = iv.Union(homog.Point(im.Pix[i]))
-	}
-	for lab, iv := range ivs {
-		if iv.Range() > threshold {
-			return fmt.Errorf("core: region %d inhomogeneous: %v", lab, iv)
+	// (3) per-region homogeneity over actual pixels, read at each anchor.
+	for i, lab := range labels {
+		if int(lab) == i && ivs[i].Range() > threshold {
+			return fmt.Errorf("core: region %d inhomogeneous: %v", lab, ivs[i])
 		}
 	}
-	// (4) no adjacent pair still mergeable.
-	type pair struct{ a, b int32 }
-	seen := make(map[pair]struct{})
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			i := y*im.W + x
-			for _, j := range [2]int{i + 1, i + im.W} {
-				if j == i+1 && x+1 >= im.W {
-					continue
-				}
-				if j == i+im.W && y+1 >= im.H {
-					continue
-				}
-				a, b := s.Labels[i], s.Labels[j]
-				if a == b {
-					continue
-				}
-				if a > b {
-					a, b = b, a
-				}
-				p := pair{a, b}
-				if _, ok := seen[p]; ok {
-					continue
-				}
-				seen[p] = struct{}{}
-				if ivs[a].Union(ivs[b]).Range() <= threshold {
-					return fmt.Errorf("core: adjacent regions %d and %d could still merge (%v ∪ %v)",
-						a, b, ivs[a], ivs[b])
-				}
+	// (4) no adjacent pair still mergeable: every east and south pair of
+	// different labels.
+	for i, a := range labels {
+		for _, j := range [2]int{i + 1, i + w} {
+			if j >= len(labels) || j == i+1 && j%w == 0 || labels[j] == a {
+				continue
+			}
+			b := labels[j]
+			if ivs[a].Union(ivs[b]).Range() <= threshold {
+				return fmt.Errorf("core: adjacent regions %d and %d could still merge (%v ∪ %v)",
+					min(a, b), max(a, b), ivs[min(a, b)], ivs[max(a, b)])
 			}
 		}
 	}

@@ -9,10 +9,11 @@
 // (stdlib only): a job frame carrying geometry, config, and the worker's
 // band of pixels; lockstep collective request/response pairs (all-reduce,
 // all-gather, irregular exchange); fire-and-forget stage events from rank
-// 0; a terminal result frame with the band's final labels; and an abort
-// frame the coordinator injects on context cancellation, which every
-// worker observes at its next collective — within one split/merge
-// iteration.
+// 0, each a core.StageEvent; a terminal result frame, the worker's
+// nodeprog.Result with the band's final labels, which the coordinator
+// assembles with nodeprog.Assemble; and an abort frame the coordinator
+// injects on context cancellation, which every worker observes at its
+// next collective — within one split/merge iteration.
 //
 // The coordinator side (Engine) implements core.Engine, so it
 // plugs into the regiongrow.Segmenter facade as the Distributed kind; the

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"regiongrow/internal/core"
+	"regiongrow/internal/nodeprog"
 	"regiongrow/internal/pixmap"
 	"regiongrow/internal/quadsplit"
 	"regiongrow/internal/transport"
@@ -385,7 +386,7 @@ func (e *Engine) runJob(ctx context.Context, tun Tuning, addrs []string, im *pix
 		}(c)
 	}
 
-	results := make([]*workerResult, m)
+	results := make([]*nodeprog.Result, m)
 	var wg sync.WaitGroup
 	for r := 0; r < m; r++ {
 		wg.Add(1)
@@ -412,42 +413,15 @@ func (e *Engine) runJob(ctx context.Context, tun Tuning, addrs []string, im *pix
 		}
 	}
 
-	// Assemble the output from the band results. Global stats are
-	// identical on every worker (they flow through the collectives); take
-	// rank 0's.
-	out := make([]int32, im.W*im.H)
-	var splitWall time.Duration
-	for r, res := range results {
-		copy(out[starts[r]*im.W:], res.Labels)
-		if d := time.Duration(res.SplitWallNanos); d > splitWall {
-			splitWall = d
-		}
-	}
 	totalWall := time.Since(t0) //vet:timing total wall-time for Stats; never reaches labels or frames
-	r0 := results[0]
-	mergesPerIter := make([]int, len(r0.MergesPerIter))
-	for i, v := range r0.MergesPerIter {
-		mergesPerIter[i] = int(v)
+	seg := nodeprog.Assemble(im, nodeprog.Grid{XStarts: []int{0, im.W}, YStarts: starts}, results, totalWall)
+	seg.Comm = &core.CommStats{
+		Messages:  comm.messages.Load(),
+		Words:     comm.words.Load(),
+		Gathers:   comm.gathers.Load(),
+		Reduces:   comm.reduces.Load(),
+		Exchanges: comm.exchanges.Load(),
 	}
-	seg := &core.Segmentation{
-		W: im.W, H: im.H,
-		Labels:            out,
-		SplitIterations:   r0.SplitIterations,
-		MergeIterations:   r0.MergeIterations,
-		SquaresAfterSplit: r0.Squares,
-		MergesPerIter:     mergesPerIter,
-		ForcedResolutions: r0.Forced,
-		SplitWall:         splitWall,
-		MergeWall:         totalWall - splitWall,
-		Comm: &core.CommStats{
-			Messages:  comm.messages.Load(),
-			Words:     comm.words.Load(),
-			Gathers:   comm.gathers.Load(),
-			Reduces:   comm.reduces.Load(),
-			Exchanges: comm.exchanges.Load(),
-		},
-	}
-	seg.FillRegions(im)
 	run.Emit(core.StageEvent{Kind: core.EventMergeDone, Iterations: seg.MergeIterations, Regions: seg.FinalRegions})
 	return seg, nil
 }
@@ -497,7 +471,7 @@ func lost(coll *collective, rank int, op string, err error) error {
 // on a normal result and the failure otherwise — wrapping ErrWorkerLost
 // for transport-level losses (including reads cut short by an abort
 // teardown, where the collective's abort error wins instead).
-func runWorker(rank int, wc transport.Conn, tun Tuning, starts []int, cap int, im *pixmap.Image, cfg core.Config, coll *collective, comm *commCounters, run core.Run, results []*workerResult) error {
+func runWorker(rank int, wc transport.Conn, tun Tuning, starts []int, cap int, im *pixmap.Image, cfg core.Config, coll *collective, comm *commCounters, run core.Run, results []*nodeprog.Result) error {
 	j := &job{
 		Rank:              rank,
 		Workers:           len(starts) - 1,
@@ -605,17 +579,10 @@ func runWorker(rank int, wc transport.Conn, tun Tuning, starts []int, cap int, i
 				return fmt.Errorf("distengine: worker %d: malformed event", rank)
 			}
 			if rank == 0 {
-				run.Emit(core.StageEvent{
-					Kind:       core.EventKind(ev.Kind),
-					Iteration:  int(ev.Iteration),
-					Merges:     int(ev.Merges),
-					Iterations: int(ev.Iterations),
-					Squares:    int(ev.Squares),
-					Regions:    int(ev.Regions),
-				})
+				run.Emit(ev)
 			}
 		case frameResult:
-			res, err := decodeWorkerResult(payload)
+			res, err := decodeResult(payload)
 			if err != nil {
 				return fmt.Errorf("distengine: worker %d: malformed result: %w", rank, err)
 			}

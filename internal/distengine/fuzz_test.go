@@ -99,7 +99,7 @@ func FuzzReadFrame(f *testing.F) {
 			case frameJob:
 				_, _ = decodeJob(fr.Payload)
 			case frameResult:
-				_, _ = decodeWorkerResult(fr.Payload)
+				_, _ = decodeResult(fr.Payload)
 			case frameEvent:
 				_, _ = decodeEvent(fr.Payload)
 			}

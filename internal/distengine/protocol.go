@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"regiongrow/internal/core"
+	"regiongrow/internal/nodeprog"
 	"regiongrow/internal/rag"
 	"regiongrow/internal/transport"
 )
@@ -268,65 +269,57 @@ func (j *job) linkTimeout() time.Duration {
 	return time.Duration(j.LinkTimeoutMillis) * time.Millisecond
 }
 
-// workerResult is the decoded frameResult payload.
-type workerResult struct {
-	SplitIterations int
-	MergeIterations int
-	Squares         int
-	Forced          int
-	SplitWallNanos  int64
-	MergesPerIter   []int32
-	// Labels are the final per-pixel labels of the worker's band.
-	Labels []int32
-}
-
-func (r *workerResult) encode() []byte {
+// encodeResult is the frameResult payload: r's agreed counters, its
+// split wall time in nanoseconds, the merges of every round and the
+// band's final labels.
+func encodeResult(r *nodeprog.Result) []byte {
 	var e enc
-	e.u32(uint32(r.SplitIterations))
-	e.u32(uint32(r.MergeIterations))
-	e.u32(uint32(r.Squares))
-	e.u32(uint32(r.Forced))
-	e.i64(r.SplitWallNanos)
-	e.i32s(r.MergesPerIter)
+	for _, v := range [...]int{r.SplitIterations, r.Merge.Iterations, r.Squares, r.Merge.ForcedResolutions} {
+		e.u32(uint32(v))
+	}
+	e.i64(int64(r.SplitWall))
+	e.u32(uint32(len(r.Merge.MergesPerIter)))
+	for _, m := range r.Merge.MergesPerIter {
+		e.i32(int32(m))
+	}
 	e.i32s(r.Labels)
 	return e.b
 }
 
-func decodeWorkerResult(p []byte) (*workerResult, error) {
+func decodeResult(p []byte) (*nodeprog.Result, error) {
 	d := dec{b: p}
-	r := &workerResult{
-		SplitIterations: int(d.u32()),
-		MergeIterations: int(d.u32()),
-		Squares:         int(d.u32()),
-		Forced:          int(d.u32()),
-		SplitWallNanos:  d.i64(),
-		MergesPerIter:   d.i32s(),
-		Labels:          d.i32s(),
+	r := &nodeprog.Result{SplitIterations: int(d.u32())}
+	r.Merge.Iterations = int(d.u32())
+	r.Squares = int(d.u32())
+	r.Merge.ForcedResolutions = int(d.u32())
+	r.SplitWall = time.Duration(d.i64())
+	merges := d.i32s()
+	r.Merge.MergesPerIter = make([]int, len(merges))
+	for i, m := range merges {
+		r.Merge.MergesPerIter[i] = int(m)
 	}
+	r.Labels = d.i32s()
 	if d.err != nil {
 		return nil, d.err
 	}
 	return r, nil
 }
 
-// event is the decoded frameEvent payload — a flattened core.StageEvent.
-type event struct {
-	Kind, Iteration, Merges, Iterations, Squares, Regions int32
-}
-
-func (ev event) encode() []byte {
+// encodeEvent is the frameEvent payload: ev's fields as int32s, in
+// declaration order.
+func encodeEvent(ev core.StageEvent) []byte {
 	var e enc
-	for _, v := range [...]int32{ev.Kind, ev.Iteration, ev.Merges, ev.Iterations, ev.Squares, ev.Regions} {
-		e.i32(v)
+	for _, v := range [...]int{int(ev.Kind), ev.Iteration, ev.Merges, ev.Iterations, ev.Squares, ev.Regions} {
+		e.i32(int32(v))
 	}
 	return e.b
 }
 
-func decodeEvent(p []byte) (event, error) {
+func decodeEvent(p []byte) (core.StageEvent, error) {
 	d := dec{b: p}
-	ev := event{
-		Kind: d.i32(), Iteration: d.i32(), Merges: d.i32(),
-		Iterations: d.i32(), Squares: d.i32(), Regions: d.i32(),
+	ev := core.StageEvent{
+		Kind: core.EventKind(d.i32()), Iteration: int(d.i32()), Merges: int(d.i32()),
+		Iterations: int(d.i32()), Squares: int(d.i32()), Regions: int(d.i32()),
 	}
 	return ev, d.err
 }

@@ -2,9 +2,12 @@ package distengine
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"regiongrow/internal/core"
+	"regiongrow/internal/nodeprog"
+	"regiongrow/internal/rag"
 )
 
 // TestJobRoundTrip pins the job frame encoding.
@@ -68,18 +71,35 @@ func TestDecodeJobRejectsInvalidConfig(t *testing.T) {
 
 // TestWorkerResultRoundTrip pins the result frame encoding.
 func TestWorkerResultRoundTrip(t *testing.T) {
-	in := &workerResult{
-		SplitIterations: 4, MergeIterations: 9, Squares: 100, Forced: 1,
-		SplitWallNanos: 12345, MergesPerIter: []int32{5, 3, 1},
+	in := &nodeprog.Result{
+		SplitIterations: 4, Squares: 100, SplitWall: 12345,
+		Merge:  rag.MergeStats{Iterations: 9, ForcedResolutions: 1, MergesPerIter: []int{5, 3, 1}},
 		Labels: []int32{0, 0, 2, 2},
 	}
-	out, err := decodeWorkerResult(in.encode())
+	out, err := decodeResult(encodeResult(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.SplitIterations != 4 || out.MergeIterations != 9 || out.Squares != 100 ||
-		out.Forced != 1 || out.SplitWallNanos != 12345 ||
-		len(out.MergesPerIter) != 3 || len(out.Labels) != 4 || out.Labels[2] != 2 {
-		t.Fatalf("decoded %+v", out)
+	if !reflect.DeepEqual(out, in) {
+		t.Fatalf("decoded %+v, want %+v", out, in)
+	}
+}
+
+// TestEventRoundTrip pins the event frame encoding for every stage event
+// kind, with every field set.
+func TestEventRoundTrip(t *testing.T) {
+	for k := core.EventSplitStart; k <= core.EventMergeDone; k++ {
+		in := core.StageEvent{Kind: k, Iteration: 7, Merges: 11, Iterations: 13, Squares: 1735, Regions: 42}
+		p := encodeEvent(in)
+		if len(p) != 24 {
+			t.Fatalf("%v: %d payload bytes, want 24", k, len(p))
+		}
+		out, err := decodeEvent(p)
+		if err != nil || out != in {
+			t.Fatalf("%v: decoded %+v, %v; want %+v", k, out, err, in)
+		}
+		if _, err := decodeEvent(p[:len(p)-1]); err == nil {
+			t.Fatalf("%v: truncated event accepted", k)
+		}
 	}
 }

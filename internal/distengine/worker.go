@@ -125,7 +125,7 @@ func serveJob(j *job, lk *link) {
 	hb.Wait()
 	switch {
 	case err == nil:
-		_ = lk.send(frameResult, res.encode())
+		_ = lk.send(frameResult, encodeResult(res))
 	case errors.Is(err, errAborted):
 		// Abandoned cleanly; nothing to send on a torn-down job.
 	default:
@@ -301,15 +301,7 @@ func (l *link) exchange(outbound map[int][]int32) (srcs []int32, datas [][]int32
 // Emit streams one stage event to the coordinator (fire-and-forget; the
 // node program calls it on rank 0 only).
 func (l *link) Emit(ev core.StageEvent) error {
-	wire := event{
-		Kind:       int32(ev.Kind),
-		Iteration:  int32(ev.Iteration),
-		Merges:     int32(ev.Merges),
-		Iterations: int32(ev.Iterations),
-		Squares:    int32(ev.Squares),
-		Regions:    int32(ev.Regions),
-	}
-	if err := l.send(frameEvent, wire.encode()); err != nil {
+	if err := l.send(frameEvent, encodeEvent(ev)); err != nil {
 		return errAborted
 	}
 	return nil
@@ -324,8 +316,8 @@ var _ nodeprog.Collectives = (*link)(nil)
 
 // runBand executes one job: the node program on the worker's band, which
 // is row j.Rank of a one-column grid whose rows are the job's bands.
-func runBand(j *job, lk *link) (*workerResult, error) {
-	res, err := nodeprog.Run(lk, nodeprog.Node{
+func runBand(j *job, lk *link) (*nodeprog.Result, error) {
+	return nodeprog.Run(lk, nodeprog.Node{
 		Grid:      nodeprog.Grid{XStarts: []int{0, j.W}, YStarts: j.BandStarts},
 		Rank:      j.Rank,
 		Tile:      &pixmap.Image{W: j.W, H: j.BandStarts[j.Rank+1] - j.BandStarts[j.Rank], Pix: j.Pix},
@@ -334,20 +326,4 @@ func runBand(j *job, lk *link) (*workerResult, error) {
 		Tie:       rag.TiePolicy(j.Tie),
 		Seed:      j.Seed,
 	})
-	if err != nil {
-		return nil, err
-	}
-	out := &workerResult{
-		SplitIterations: res.SplitIterations,
-		MergeIterations: res.Merge.Iterations,
-		Squares:         res.Squares,
-		Forced:          res.Merge.ForcedResolutions,
-		SplitWallNanos:  res.SplitWall.Nanoseconds(),
-		Labels:          res.Labels,
-		MergesPerIter:   make([]int32, len(res.Merge.MergesPerIter)),
-	}
-	for i, m := range res.Merge.MergesPerIter {
-		out.MergesPerIter[i] = int32(m)
-	}
-	return out, nil
 }

@@ -221,23 +221,21 @@ func (e *Engine) merge(ctx context.Context, m *simdvm.Machine, im *pixmap.Image,
 	rep := m.IotaVec(n)
 	iota := m.IotaVec(n)
 
-	// Step 3a, before every round: edge weights and activity from
-	// endpoint intervals. wt and active carry into the round that follows.
-	var wt *simdvm.Vec
-	var active *simdvm.BoolVec
-	hasActive := func() bool {
+	round := func(policy rag.TiePolicy, iter int) (int, bool, error) {
+		// Step 3a: edge weights and activity from endpoint intervals.
 		if src.Len() == 0 {
-			return false
+			return 0, false, nil
 		}
 		slo := vlo.Gather(src)
 		shi := vhi.Gather(src)
 		dlo := vlo.Gather(dst)
 		dhi := vhi.Gather(dst)
-		wt = shi.Max(dhi).Sub(slo.Min(dlo))
-		active = wt.LeC(t)
-		return active.Any()
-	}
-	iterate := func(policy rag.TiePolicy, iter int) int {
+		wt := shi.Max(dhi).Sub(slo.Min(dlo))
+		active := wt.LeC(t)
+		if !active.Any() {
+			return 0, false, nil
+		}
+
 		// Step 3b: per-source best neighbour by segmented min-scan; the
 		// edge array is sorted by (src, dst), so ties are ranked in
 		// ascending destination order, matching rag's sorted tie list.
@@ -287,9 +285,9 @@ func (e *Engine) merge(ctx context.Context, m *simdvm.Machine, im *pixmap.Image,
 		keep := src.Ne(dst).And(active)
 		packed := m.Pack(keep, src, dst)
 		src, dst = sortDedupe(m, packed[0], packed[1])
-		return merges
+		return merges, true, nil
 	}
-	stats, err := rag.Drive(ctx, cfg.Tie, hasActive, iterate)
+	stats, err := rag.Drive(ctx, cfg.Tie, round)
 	if err != nil {
 		return nil, stats, err
 	}

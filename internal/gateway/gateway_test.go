@@ -237,46 +237,70 @@ func TestGatewayBatchRejectsUnknownFields(t *testing.T) {
 // TestGatewayFailoverOnDeadOwner: a submission whose home backend just
 // died is served by the clockwise-next replica within the same request,
 // and the failure ejects the dead backend from the ring immediately
-// (EjectAfter=1) rather than waiting for the next health sweep.
+// (EjectAfter=1) rather than waiting for the next health sweep. A batch
+// item fails over alike: its job ID comes from the survivor.
 func TestGatewayFailoverOnDeadOwner(t *testing.T) {
-	a1, _ := newBackend(t, "b1", server.Options{})
+	submits := map[string]func(t *testing.T, base string, c *client.Client, th int) (instance string){
+		"segment": func(t *testing.T, base string, _ *client.Client, th int) string {
+			url := fmt.Sprintf("%s/v1/segment?image=image1&threshold=%d&tie=random&seed=1", base, th)
+			resp, err := http.Post(url, "", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			io.Copy(io.Discard, resp.Body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("failover submission: %s", resp.Status)
+			}
+			return resp.Header.Get("X-Regiongrow-Backend-Instance")
+		},
+		"batch": func(t *testing.T, _ string, c *client.Client, th int) string {
+			results, err := c.Batch(context.Background(), []client.JobRequest{{
+				PaperImage: "image1", Engine: regiongrow.SequentialEngine,
+				Config: regiongrow.Config{Threshold: th, Tie: regiongrow.RandomTie, Seed: 1},
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(results) != 1 || results[0].Error != "" {
+				t.Fatalf("failover batch: %+v", results)
+			}
+			inst, _ := server.ParseJobInstance(results[0].ID)
+			return inst
+		},
+	}
+	for name, submit := range submits {
+		t.Run(name, func(t *testing.T) {
+			a1, _ := newBackend(t, "b1", server.Options{})
 
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc2 := server.New(server.Options{Instance: "b2"})
-	defer svc2.Close()
-	hs := &http.Server{Handler: svc2}
-	go hs.Serve(l)
-	a2 := l.Addr().String()
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			svc2 := server.New(server.Options{Instance: "b2"})
+			defer svc2.Close()
+			hs := &http.Server{Handler: svc2}
+			go hs.Serve(l)
+			a2 := l.Addr().String()
 
-	gw, base, _ := newGateway(t, gateway.Options{
-		Backends:       []string{a1, a2},
-		HealthInterval: time.Hour, // isolate the request-path ejection
-		EjectAfter:     1,
-	})
-	if gw.Ring().Len() != 2 {
-		t.Fatalf("ring has %d members after startup probes, want 2", gw.Ring().Len())
-	}
-	th := thresholdOwnedBy(t, gw, a2, regiongrow.SequentialEngine)
-	hs.Close() // b2 dies with keys assigned
+			gw, base, c := newGateway(t, gateway.Options{
+				Backends:       []string{a1, a2},
+				HealthInterval: time.Hour, // isolate the request-path ejection
+				EjectAfter:     1,
+			})
+			if gw.Ring().Len() != 2 {
+				t.Fatalf("ring has %d members after startup probes, want 2", gw.Ring().Len())
+			}
+			th := thresholdOwnedBy(t, gw, a2, regiongrow.SequentialEngine)
+			hs.Close() // b2 dies with keys assigned
 
-	url := fmt.Sprintf("%s/v1/segment?image=image1&threshold=%d&tie=random&seed=1", base, th)
-	resp, err := http.Post(url, "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("failover submission: %s", resp.Status)
-	}
-	if got := resp.Header.Get("X-Regiongrow-Backend"); got != a1 {
-		t.Fatalf("served by %q, want failover to %q", got, a1)
-	}
-	if gw.Ring().Len() != 1 {
-		t.Fatalf("dead backend still in ring (len %d)", gw.Ring().Len())
+			if got := submit(t, base, c, th); got != "b1" {
+				t.Fatalf("served by instance %q, want failover to b1", got)
+			}
+			if gw.Ring().Len() != 1 {
+				t.Fatalf("dead backend still in ring (len %d)", gw.Ring().Len())
+			}
+		})
 	}
 }
 

@@ -94,31 +94,45 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	g.metrics.submitted.Add(1)
 
+	reached := g.failover(key, func(b *backend) error {
+		resp, err := g.forward(r.Context(), r, b.base, body)
+		switch {
+		case err == nil:
+			relay(w, resp, b)
+		case r.Context().Err() == nil:
+			return err
+		}
+		return nil // served, or the client went away: not the backend's fault
+	})
+	if !reached {
+		g.metrics.errors.Add(1)
+		http.Error(w, "no reachable backend in the fleet for this request", http.StatusServiceUnavailable)
+	}
+}
+
+// failover walks the ring for key: it calls try with the owner's backend
+// and then, clockwise, with each next member's, for as long as try
+// returns a transport failure. Each such failure counts toward the
+// backend's ejection and as a failover. failover reports false when no
+// member was left to try.
+func (g *Gateway) failover(key string, try func(b *backend) error) bool {
 	tried := make(map[string]bool)
 	for {
 		owner, ok := g.ring.OwnerSkip(key, func(m string) bool { return tried[m] })
 		if !ok {
-			g.metrics.errors.Add(1)
-			http.Error(w, "no reachable backend in the fleet for this request", http.StatusServiceUnavailable)
-			return
+			return false
 		}
+		tried[owner] = true
 		b := g.reg.get(owner)
 		if b == nil { // raced with a leave; the ring catches up on its own
-			tried[owner] = true
 			continue
 		}
-		resp, err := g.forward(r.Context(), r, b.base, body)
-		if err != nil {
-			if r.Context().Err() != nil {
-				return // the client went away; not the backend's fault
-			}
-			g.reg.noteFailure(b, err)
-			g.metrics.failovers.Add(1)
-			tried[owner] = true
-			continue
+		err := try(b)
+		if err == nil {
+			return true
 		}
-		relay(w, resp, b)
-		return
+		g.reg.noteFailure(b, err)
+		g.metrics.failovers.Add(1)
 	}
 }
 
@@ -210,35 +224,25 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 // the owning backend's SDK handle, failing over like handleSubmit.
 func (g *Gateway) submitItem(r *http.Request, i int, it batchItem) client.BatchResult {
 	res := client.BatchResult{Index: i}
-	tried := make(map[string]bool)
-	for {
-		owner, ok := g.ring.OwnerSkip(it.key, func(m string) bool { return tried[m] })
-		if !ok {
-			res.Error = "no reachable backend in the fleet"
-			return res
-		}
-		b := g.reg.get(owner)
-		if b == nil {
-			tried[owner] = true
-			continue
-		}
+	reached := g.failover(it.key, func(b *backend) error {
 		job, err := b.sdk.Submit(r.Context(), it.req)
-		if err != nil {
+		switch {
+		case err == nil:
+			res.ID = job.ID
+		case r.Context().Err() == nil && isTransportError(err):
+			return err
+		default:
 			// HTTP-level rejections (bad item, full queue) are the
 			// backend's per-item answer; only transport failures justify
 			// trying the next replica.
-			if r.Context().Err() == nil && isTransportError(err) {
-				g.reg.noteFailure(b, err)
-				g.metrics.failovers.Add(1)
-				tried[owner] = true
-				continue
-			}
 			res.Error = err.Error()
-			return res
 		}
-		res.ID = job.ID
-		return res
+		return nil
+	})
+	if !reached {
+		res.Error = "no reachable backend in the fleet"
 	}
+	return res
 }
 
 // isTransportError distinguishes a failed exchange (no HTTP response:

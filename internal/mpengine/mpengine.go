@@ -99,8 +99,8 @@ func (e *Engine) SegmentContext(ctx context.Context, im *pixmap.Image, cfg core.
 	}
 	grid := nodeprog.Grid{XStarts: even(im.W, p2), YStarts: even(im.H, p1)}
 
-	out := make([]int32, im.W*im.H) // nodes write disjoint tiles
-	results := make([]*node, e.nodes)
+	results := make([]*nodeprog.Result, e.nodes)
+	var r0 *node // rank 0's adapter, which holds the stage clock samples
 	run.Emit(core.StageEvent{Kind: core.EventSplitStart})
 	t0 := time.Now() //vet:timing total wall-time for Stats; never reaches labels or messages
 	_, clusterStats, err := mpvm.Run(e.nodes, e.prof, func(n *mpvm.Node) error {
@@ -123,11 +123,10 @@ func (e *Engine) SegmentContext(ctx context.Context, im *pixmap.Image, cfg core.
 			// peers blocked in their next collective.
 			panic(err)
 		}
-		for ly := 0; ly < th; ly++ {
-			copy(out[(y0+ly)*im.W+x0:], res.Labels[ly*tw:(ly+1)*tw])
+		results[n.Rank] = res
+		if n.Rank == 0 {
+			r0 = nd
 		}
-		nd.res = res
-		results[n.Rank] = nd
 		return nil
 	})
 	totalWall := time.Since(t0) //vet:timing total wall-time for Stats; never reaches labels or messages
@@ -135,34 +134,18 @@ func (e *Engine) SegmentContext(ctx context.Context, im *pixmap.Image, cfg core.
 		return nil, err
 	}
 
-	var splitWall time.Duration
-	for _, nd := range results {
-		splitWall = max(splitWall, nd.res.SplitWall)
+	seg := nodeprog.Assemble(im, grid, results, totalWall)
+	seg.SplitSim = r0.simSplit
+	seg.MergeSim = r0.simTotal - r0.simSplit
+	seg.Comm = &core.CommStats{
+		Messages:  clusterStats.Messages,
+		Words:     clusterStats.Words,
+		Barriers:  clusterStats.Barriers,
+		Gathers:   clusterStats.Gathers,
+		Reduces:   clusterStats.Reduces,
+		LPSteps:   clusterStats.LPSteps,
+		Exchanges: clusterStats.Exchanges,
 	}
-	r0 := results[0]
-	seg := &core.Segmentation{
-		W: im.W, H: im.H,
-		Labels:            out,
-		SplitIterations:   r0.res.SplitIterations,
-		MergeIterations:   r0.res.Merge.Iterations,
-		SquaresAfterSplit: r0.res.Squares,
-		MergesPerIter:     r0.res.Merge.MergesPerIter,
-		ForcedResolutions: r0.res.Merge.ForcedResolutions,
-		SplitWall:         splitWall,
-		MergeWall:         totalWall - splitWall,
-		SplitSim:          r0.simSplit,
-		MergeSim:          r0.simTotal - r0.simSplit,
-		Comm: &core.CommStats{
-			Messages:  clusterStats.Messages,
-			Words:     clusterStats.Words,
-			Barriers:  clusterStats.Barriers,
-			Gathers:   clusterStats.Gathers,
-			Reduces:   clusterStats.Reduces,
-			LPSteps:   clusterStats.LPSteps,
-			Exchanges: clusterStats.Exchanges,
-		},
-	}
-	seg.FillRegions(im)
 	run.Emit(core.StageEvent{Kind: core.EventMergeDone, Iterations: seg.MergeIterations, Regions: seg.FinalRegions})
 	return seg, nil
 }
@@ -195,7 +178,6 @@ type node struct {
 	run core.Run
 	tag int // exchange tag, advanced per exchange
 
-	res                *nodeprog.Result
 	simSplit, simTotal float64
 }
 

@@ -1,7 +1,10 @@
 // Package nodeprog is the paper's message-passing node program, written
 // once. internal/mpengine runs it on simulated CM-5 nodes and
 // internal/distengine on worker processes; each supplies the machine as a
-// Collectives implementation and the partition as a Grid.
+// Collectives implementation and the partition as a Grid. The program
+// owns its round loop (a rag.Drive callback), its Result and the
+// assembly of the nodes' results into one segmentation (Assemble), so
+// the engines are machine adapters.
 //
 // The program follows the paper's steps 0–5:
 //
@@ -21,7 +24,9 @@
 //     every node. Each owned loser's adjacency is handed to its
 //     representative's owner, and every loser a node knows is contracted
 //     into its representative, which becomes a ghost if it was unknown.
-//  5. Steps 3–4 repeat while any node still has an active edge.
+//  5. Steps 3–4 repeat while any node still has an active edge: each
+//     repetition is one round of rag.Drive, whose head reduction
+//     decides for every node at once.
 //
 // A region is owned by the node whose tile holds its anchor pixel, and the
 // representative (smaller ID) of a merge keeps its owner. Messages name

@@ -146,6 +146,37 @@ type Result struct {
 	Labels []int32
 }
 
+// Assemble builds the segmentation of im from every node's result, in
+// rank order over grid: each tile's labels go in place, and the agreed
+// counters are rank 0's. SplitWall is the longest node's split and
+// MergeWall the rest of wall, the whole run's host time. The region list
+// is filled from the labels.
+func Assemble(im *pixmap.Image, grid Grid, results []*Result, wall time.Duration) *core.Segmentation {
+	labels := make([]int32, im.W*im.H)
+	var splitWall time.Duration
+	for rank, res := range results {
+		x0, y0, tw, th := grid.tile(rank)
+		for ly := range th {
+			copy(labels[(y0+ly)*im.W+x0:], res.Labels[ly*tw:(ly+1)*tw])
+		}
+		splitWall = max(splitWall, res.SplitWall)
+	}
+	r0 := results[0]
+	seg := &core.Segmentation{
+		W: im.W, H: im.H,
+		Labels:            labels,
+		SplitIterations:   r0.SplitIterations,
+		MergeIterations:   r0.Merge.Iterations,
+		SquaresAfterSplit: r0.Squares,
+		MergesPerIter:     r0.Merge.MergesPerIter,
+		ForcedResolutions: r0.Merge.ForcedResolutions,
+		SplitWall:         splitWall,
+		MergeWall:         wall - splitWall,
+	}
+	seg.FillRegions(im)
+	return seg
+}
+
 // noSlot marks an empty entry of a slot-indexed scratch array.
 const noSlot int32 = -1
 
@@ -167,8 +198,7 @@ type prog struct {
 	nOwned  int
 	slotOf  map[int32]int32 // region ID → slot, of every vertex the node has held
 
-	asg   *assignments
-	stats rag.MergeStats
+	asg *assignments
 
 	// Round scratch, reused from round to round.
 	choice []int32 // owned slot → chosen slot, or noSlot
@@ -210,10 +240,12 @@ func Run(c Collectives, n Node) (*Result, error) {
 	if err := p.emit(core.StageEvent{Kind: core.EventGraphDone, Squares: res.Squares}); err != nil {
 		return nil, err
 	}
-	if err := p.mergeLoop(); err != nil {
+	// Cancellation rides the collectives, so the merge runs under a
+	// context that never ends.
+	p.asg = newAssignments()
+	if res.Merge, err = rag.Drive(context.Background(), p.Tie, p.round); err != nil {
 		return nil, err
 	}
-	res.Merge = p.stats
 	res.Labels = p.resolve()
 	c.Charge(p.tw * p.th * 2)
 	c.Phase(PhaseDone, 0)
@@ -350,53 +382,24 @@ func (p *prog) border(d Dir) []int32 {
 	return out
 }
 
-// mergeLoop is steps 3–5: merge rounds until no active edge remains
-// anywhere. The head reduction decides termination for every node at
-// once, and a cancellation surfaces from it (or from any other
-// collective) so all nodes leave within one round.
-func (p *prog) mergeLoop() error {
-	p.asg = newAssignments()
-	stalls := 0
-	for {
-		policy := p.Tie
-		forced := policy == rag.Random && stalls >= 3
-		if forced {
-			policy = rag.SmallestID
-		}
-		// A vertex has a choice exactly when it has an active edge, and
-		// every edge has an owned endpoint on some node, so the choices
-		// also answer the head question: any active edge anywhere?
-		chosen, scanned, head := p.choose(policy, p.stats.Iterations+1)
-		p.c.Charge(head * 4)
-		active := 0
-		if chosen > 0 {
-			active = 1
-		}
-		red, err := p.c.AllReduceMax(active)
-		if err != nil {
-			return err
-		}
-		if red == 0 {
-			return nil
-		}
-		p.stats.Iterations++
-		p.c.Phase(PhaseRound, p.tw*p.th)
-		if forced {
-			p.stats.ForcedResolutions++
-			stalls = 0
-		}
-		p.c.Charge(scanned*6 + chosen*4)
-		merged, err := p.mergeRound()
-		if err != nil {
-			return err
-		}
-		p.stats.MergesPerIter = append(p.stats.MergesPerIter, merged)
-		if merged == 0 {
-			stalls++
-		} else {
-			stalls = 0
-		}
+// round is one of steps 3–5's merge rounds, run on rag.Drive until no
+// active edge remains anywhere. A vertex has a choice exactly when it has
+// an active edge, and every edge has an owned endpoint on some node, so
+// the choices also answer the head question: any active edge anywhere?
+// The head reduction decides termination for every node at once, and a
+// cancellation surfaces from it (or from any other collective) so all
+// nodes leave within one round.
+func (p *prog) round(policy rag.TiePolicy, iter int) (int, bool, error) {
+	chosen, scanned, head := p.choose(policy, iter)
+	p.c.Charge(head * 4)
+	red, err := p.c.AllReduceMax(min(chosen, 1))
+	if err != nil || red == 0 {
+		return 0, false, err
 	}
+	p.c.Phase(PhaseRound, p.tw*p.th)
+	p.c.Charge(scanned*6 + chosen*4)
+	merged, err := p.mergeRound(iter)
+	return merged, true, err
 }
 
 // choose is step 3a: fill p.choice with the choice of every owned, alive
@@ -425,10 +428,10 @@ func (p *prog) choose(policy rag.TiePolicy, iter int) (chosen, scanned, head int
 	return chosen, scanned, head
 }
 
-// mergeRound runs steps 3b–4 on this round's choices and returns the
+// mergeRound runs steps 3b–4 on round iter's choices and returns the
 // global number of merges. Every payload is built in ascending ID order
 // so the bytes a node sends are the same run to run.
-func (p *prog) mergeRound() (int, error) {
+func (p *prog) mergeRound(iter int) (int, error) {
 	g := p.g
 	// Step 3b: route each remote choice (v, w) to owner(w) so mutual
 	// pairs are detectable on both sides; a local one needs no message.
@@ -490,7 +493,7 @@ func (p *prog) mergeRound() (int, error) {
 	}
 	merges := len(all) / 4
 	p.c.Charge(merges * 8)
-	if err := p.emit(core.StageEvent{Kind: core.EventMergeIteration, Iteration: p.stats.Iterations, Merges: merges}); err != nil {
+	if err := p.emit(core.StageEvent{Kind: core.EventMergeIteration, Iteration: iter, Merges: merges}); err != nil {
 		return 0, err
 	}
 

@@ -89,8 +89,7 @@ func TestAddSquaresCancelled(t *testing.T) {
 func TestDriveCancelledBeforeFirstRound(t *testing.T) {
 	calls := 0
 	stats, err := Drive(cancelled(), Random,
-		func() bool { return true },
-		func(TiePolicy, int) int { calls++; return 1 })
+		func(TiePolicy, int) (int, bool, error) { calls++; return 1, true, nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -105,18 +104,39 @@ func TestDriveStopsWithinOneRound(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	stats, err := Drive(ctx, SmallestID,
-		func() bool { return true },
-		func(_ TiePolicy, iter int) int {
+		func(_ TiePolicy, iter int) (int, bool, error) {
 			if iter == 2 {
 				cancel()
 			}
-			return 1
+			return 1, true, nil
 		})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if stats.Iterations != 2 || !slices.Equal(stats.MergesPerIter, []int{1, 1}) {
 		t.Fatalf("stats = %+v, want two one-merge rounds", stats)
+	}
+}
+
+// TestDriveReturnsRoundError: a round's error ends Drive with that error
+// and the stats of the rounds before it, whether the round failed before
+// or after it found an active edge.
+func TestDriveReturnsRoundError(t *testing.T) {
+	boom := errors.New("boom")
+	for _, active := range []bool{false, true} {
+		stats, err := Drive(context.Background(), Random,
+			func(_ TiePolicy, iter int) (int, bool, error) {
+				if iter == 3 {
+					return 5, active, boom
+				}
+				return iter, true, nil
+			})
+		if !errors.Is(err, boom) {
+			t.Fatalf("active %v: err = %v, want the round's error", active, err)
+		}
+		if stats.Iterations != 2 || !slices.Equal(stats.MergesPerIter, []int{1, 2}) {
+			t.Fatalf("active %v: stats = %+v, want the two rounds before the error", active, stats)
+		}
 	}
 }
 
@@ -129,17 +149,19 @@ func TestDriveForcesSmallestIDAfterThreeStalls(t *testing.T) {
 		var seen []TiePolicy
 		rounds := 0
 		stats, err := Drive(context.Background(), policy,
-			func() bool { return rounds < 4 },
-			func(effective TiePolicy, iter int) int {
+			func(effective TiePolicy, iter int) (int, bool, error) {
+				if rounds == 4 {
+					return 0, false, nil
+				}
 				rounds++
 				if iter != rounds {
 					t.Fatalf("%v: round %d numbered %d", policy, rounds, iter)
 				}
 				seen = append(seen, effective)
 				if rounds == 4 {
-					return 1
+					return 1, true, nil
 				}
-				return 0
+				return 0, true, nil
 			})
 		if err != nil {
 			t.Fatal(err)

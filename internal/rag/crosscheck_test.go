@@ -23,8 +23,11 @@ func referenceMergeAll(g *Graph, policy TiePolicy, seed uint64) (MergeStats, idM
 	ref := idMap{}
 	choice := make([]int32, g.Slots())
 	var tied []int32
-	stats, _ := Drive(context.Background(), policy, func() bool { return hasActiveEdge(g) },
-		func(effective TiePolicy, iter int) int {
+	stats, _ := Drive(context.Background(), policy,
+		func(effective TiePolicy, iter int) (int, bool, error) {
+			if !hasActiveEdge(g) {
+				return 0, false, nil
+			}
 			for s := range choice {
 				choice[s] = noSlot
 				if g.SlotAlive(s) {
@@ -42,7 +45,7 @@ func referenceMergeAll(g *Graph, policy TiePolicy, seed uint64) (MergeStats, idM
 				g.ContractSlots(s, int(c))
 				merged++
 			}
-			return merged
+			return merged, true, nil
 		})
 	return stats, ref
 }

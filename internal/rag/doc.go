@@ -18,7 +18,11 @@
 // resolves the labels through the arena's contraction record.
 //
 // The kernel here defines the *semantics* every engine (the host
-// pipeline, data parallel, message passing, distributed) must agree on. Choices are pure functions
-// of (graph state, policy, seed, iteration), so engines that evaluate them
-// with different parallel schedules still produce identical segmentations.
+// pipeline, data parallel, message passing, distributed) must agree on.
+// Choices are pure functions of (graph state, policy, seed, iteration),
+// so engines that evaluate them with different parallel schedules still
+// produce identical segmentations. Every engine's merge stage runs on
+// Drive, the one round loop: it numbers the rounds, counts the stalls
+// and forces the SmallestID rounds, and an engine supplies only the
+// round itself.
 package rag

@@ -35,6 +35,9 @@ type merger struct {
 	tied    bitset  // slots with a tie record
 	nActive int     // live slots with a choice: those with an active edge
 	scratch []int32 // scan's tie list
+
+	// onRound is MergeAll's per-round callback, or nil.
+	onRound func(iter, merged int)
 }
 
 // tieTag encodes tie-record offset o as a choice value below noSlot;
@@ -59,7 +62,7 @@ func newMerger(g *Graph, policy TiePolicy, seed uint64) *merger {
 	return m
 }
 
-// rescan is Drive's activity test. It brings every dirty slot's scan up
+// rescan is MergeAll's activity test. It brings every dirty slot's scan up
 // to date, adds the slots that have a choice to the round's fresh set,
 // and reports whether any live slot has an active edge. A slot has a
 // choice exactly when it has an active edge, so the count of live slots

@@ -398,43 +398,44 @@ func (s MergeStats) TotalMerges() int {
 	return total
 }
 
-// Drive runs the merge-stage control loop shared by every engine: iterate
-// while hasActive reports an active edge, forcing one SmallestID round
-// whenever the Random policy stalls (no merges despite active edges) three
-// times in a row so progress is guaranteed. iterate executes one round
-// under the effective policy and returns the number of pairs merged. The
-// loop checks ctx before every round (including the first) and returns
-// the stats so far plus ctx.Err() when the context is done — cancelling
-// mid-merge therefore aborts within one iteration. A nil error means the
-// merge ran to completion.
+// Drive runs the merge-stage round loop every engine shares. Before each
+// round it checks ctx and fixes the round's effective policy: SmallestID
+// once the Random policy has stalled (no merges despite active edges)
+// three rounds in a row, so progress is guaranteed, and policy otherwise.
+// round, given that policy and the round's 1-based number, tests for an
+// active edge (under that policy, if its test chooses) and either merges,
+// returning the pairs merged and active true, or returns active false,
+// which ends the merge. Only an active round counts, forced or not. Drive
+// returns the stats of the rounds before the end with ctx.Err() or
+// round's error; nil means the merge ran to completion, and cancelling
+// mid-merge aborts within one round.
 //
-// Engines differ only in *how* they evaluate an iteration (incrementally
-// on the host, or on a simulated machine); the loop semantics —
-// iteration numbering, stall accounting, forced resolutions — live here
-// so engines sharing the driver cannot drift apart. MergeAll (the merge
-// kernel of the host engines and of stream) and dpengine run on it.
-// Only nodeprog still inlines the loop, because its activity test is a
-// collective every node must enter together; the cross-engine property
-// tests pin it to these semantics.
-func Drive(ctx context.Context, policy TiePolicy, hasActive func() bool, iterate func(effective TiePolicy, iter int) int) (MergeStats, error) {
+// Engines differ only in how they evaluate a round: incrementally on the
+// host (MergeAll, the kernel of the host engines and of stream), on a
+// simulated machine (dpengine), or as a node program whose activity test
+// is a collective (nodeprog). The round numbering, stall accounting and
+// forced resolutions live here, so the engines cannot drift apart.
+func Drive(ctx context.Context, policy TiePolicy, round func(effective TiePolicy, iter int) (merged int, active bool, err error)) (MergeStats, error) {
 	var stats MergeStats
 	stalls := 0
 	for {
 		if err := ctx.Err(); err != nil {
 			return stats, err
 		}
-		if !hasActive() {
-			return stats, nil
+		effective := policy
+		forced := policy == Random && stalls >= 3
+		if forced {
+			effective = SmallestID
+		}
+		merged, active, err := round(effective, stats.Iterations+1)
+		if err != nil || !active {
+			return stats, err
 		}
 		stats.Iterations++
-		effective := policy
-		if policy == Random && stalls >= 3 {
-			effective = SmallestID
-			stats.ForcedResolutions++
-			stalls = 0
-		}
-		merged := iterate(effective, stats.Iterations)
 		stats.MergesPerIter = append(stats.MergesPerIter, merged)
+		if forced {
+			stats.ForcedResolutions++
+		}
 		if merged == 0 {
 			stalls++
 		} else {
@@ -459,14 +460,21 @@ func Drive(ctx context.Context, policy TiePolicy, hasActive func() bool, iterate
 func (g *Graph) MergeAll(ctx context.Context, policy TiePolicy, seed uint64, onRound func(iter, merged int)) (MergeStats, error) {
 	g.startRecord()
 	m := newMerger(g, policy, seed)
-	return Drive(ctx, policy, m.rescan,
-		func(effective TiePolicy, iter int) int {
-			merged := m.pairs(effective, iter)
-			if onRound != nil {
-				onRound(iter, merged)
-			}
-			return merged
-		})
+	m.onRound = onRound
+	return Drive(ctx, policy, m.step)
+}
+
+// step is MergeAll's round on Drive: rescan is its activity test, then
+// the mutual pairs merge and onRound, if set, sees the count.
+func (m *merger) step(effective TiePolicy, iter int) (int, bool, error) {
+	if !m.rescan() {
+		return 0, false, nil
+	}
+	merged := m.pairs(effective, iter)
+	if m.onRound != nil {
+		m.onRound(iter, merged)
+	}
+	return merged, true, nil
 }
 
 // startRecord allocates the contraction record, every slot its own root,

@@ -176,18 +176,26 @@ func enumerate(names []string) string {
 	return strings.Join(names[:len(names)-1], ", ") + ", or " + names[len(names)-1]
 }
 
+// Enumerate renders values by their String names as "a, b, or c". The
+// parse errors here and the commands' flag help list AllEngineKinds and
+// AllTiePolicies through it, so neither can drift from the constants.
+func Enumerate[T fmt.Stringer](vs []T) string {
+	names := make([]string, len(vs))
+	for i, v := range vs {
+		names[i] = v.String()
+	}
+	return enumerate(names)
+}
+
 // ParseEngineKind resolves the names printed by String. Matching is
 // case-insensitive; the error enumerates every valid name.
 func ParseEngineKind(s string) (EngineKind, error) {
-	kinds := AllEngineKinds()
-	names := make([]string, len(kinds))
-	for i, k := range kinds {
+	for _, k := range AllEngineKinds() {
 		if strings.EqualFold(k.String(), s) {
 			return k, nil
 		}
-		names[i] = k.String()
 	}
-	return 0, fmt.Errorf("regiongrow: unknown engine %q (valid engines: %s)", s, enumerate(names))
+	return 0, fmt.Errorf("regiongrow: unknown engine %q (valid engines: %s)", s, Enumerate(AllEngineKinds()))
 }
 
 // MarshalText implements encoding.TextMarshaler with the String name, so
@@ -222,12 +230,7 @@ func (k *EngineKind) UnmarshalText(text []byte) error {
 func ParseTiePolicy(s string) (TiePolicy, error) {
 	var p TiePolicy
 	if err := p.UnmarshalText([]byte(s)); err != nil {
-		policies := AllTiePolicies()
-		names := make([]string, len(policies))
-		for i, c := range policies {
-			names[i] = c.String()
-		}
-		return 0, fmt.Errorf("regiongrow: unknown tie policy %q (valid tie policies: %s)", s, enumerate(names))
+		return 0, fmt.Errorf("regiongrow: unknown tie policy %q (valid tie policies: %s)", s, Enumerate(AllTiePolicies()))
 	}
 	return p, nil
 }

@@ -55,53 +55,12 @@ const (
 type Segmenter struct {
 	kind     EngineKind
 	eng      core.Engine
-	defaults Config
 	observer Observer
 	scratch  sync.Pool // of *quadsplit.Scratch
 }
 
 // Option configures a Segmenter at construction time.
 type Option func(*Segmenter) error
-
-// WithTie sets the session's default tie policy, used when Segment is
-// called with a zero Config. An unknown policy is an error wrapping
-// ErrInvalidConfig.
-func WithTie(p TiePolicy) Option {
-	return func(s *Segmenter) error {
-		s.defaults.Tie = p
-		return s.defaults.Check()
-	}
-}
-
-// WithThreshold sets the session's default homogeneity threshold, used
-// when Segment is called with a zero Config. A negative threshold is an
-// error wrapping ErrInvalidConfig.
-func WithThreshold(t int) Option {
-	return func(s *Segmenter) error {
-		s.defaults.Threshold = t
-		return s.defaults.Check()
-	}
-}
-
-// WithSeed sets the session's default random-tie seed, used when Segment
-// is called with a zero Config.
-func WithSeed(seed uint64) Option {
-	return func(s *Segmenter) error {
-		s.defaults.Seed = seed
-		return nil
-	}
-}
-
-// WithMaxSquare sets the session's default split square cap. It applies
-// when the per-call Config leaves MaxSquare at 0 (which otherwise selects
-// the paper's N/8 rule), so an explicit per-call cap always wins. A cap
-// below Unbounded is an error wrapping ErrInvalidConfig.
-func WithMaxSquare(n int) Option {
-	return func(s *Segmenter) error {
-		s.defaults.MaxSquare = n
-		return s.defaults.Check()
-	}
-}
 
 // WithObserver sets the session observer. A per-call observer passed to
 // SegmentObserved overrides it for that call.
@@ -147,8 +106,7 @@ func WithClusterWorkers(addrs []string) Option {
 }
 
 // New constructs a reusable Segmenter for the engine kind. Options set
-// session defaults (tie policy, threshold, seed, square cap), the
-// progress observer, and the engine's workers; see the Option
+// the progress observer and the engine's workers; see the Option
 // constructors.
 func New(kind EngineKind, opts ...Option) (*Segmenter, error) {
 	s := &Segmenter{kind: kind}
@@ -252,26 +210,12 @@ func (s *Segmenter) ClusterHealth(ctx context.Context) ([]MemberHealth, error) {
 // Engine exposes the underlying engine, mainly for Name.
 func (s *Segmenter) Engine() Engine { return s.eng }
 
-// effectiveConfig resolves a per-call Config against the session
-// defaults: a zero Config selects the defaults wholesale; otherwise the
-// call's fields win, except MaxSquare 0 (the "unset" value) falls back to
-// the session cap.
-func (s *Segmenter) effectiveConfig(cfg Config) Config {
-	if cfg == (Config{}) {
-		return s.defaults
-	}
-	if cfg.MaxSquare == 0 {
-		cfg.MaxSquare = s.defaults.MaxSquare
-	}
-	return cfg
-}
-
-// Segment runs one segmentation under the session's engine, defaults, and
-// observer. An effective Config that fails Config.Check is refused with
+// Segment runs one segmentation of im under cfg with the session's
+// engine and observer. A Config that fails Config.Check is refused with
 // that error before any work. Cancelling ctx aborts the run within one
 // split/merge iteration and returns ctx.Err(); the segmentation is then
 // nil. Results are independent of pooling and identical to an unpooled
-// run of the same engine for the same effective Config.
+// run of the same engine for the same Config.
 func (s *Segmenter) Segment(ctx context.Context, im *Image, cfg Config) (*Segmentation, error) {
 	return s.SegmentObserved(ctx, im, cfg, s.observer)
 }
@@ -280,7 +224,6 @@ func (s *Segmenter) Segment(ctx context.Context, im *Image, cfg Config) (*Segmen
 // the session observer) — the hook a server uses to track per-job
 // progress while sharing one pooled Segmenter across requests.
 func (s *Segmenter) SegmentObserved(ctx context.Context, im *Image, cfg Config, obs Observer) (*Segmentation, error) {
-	cfg = s.effectiveConfig(cfg)
 	if err := cfg.Check(); err != nil {
 		return nil, err
 	}

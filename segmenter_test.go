@@ -166,51 +166,6 @@ func TestSegmenterObserverSequence(t *testing.T) {
 	}
 }
 
-// TestSegmenterOptionDefaults: options act as session defaults — a zero
-// Config selects them wholesale, an explicit Config wins, and a zero
-// MaxSquare falls back to the session cap.
-func TestSegmenterOptionDefaults(t *testing.T) {
-	im := GeneratePaperImage(Image2Rects128)
-	ctx := context.Background()
-
-	explicit := Config{Threshold: 25, Tie: LargestIDTie, Seed: 7, MaxSquare: 8}
-	ref := freshReference(t, SequentialEngine, im, explicit)
-
-	s, err := New(SequentialEngine,
-		WithThreshold(25), WithTie(LargestIDTie), WithSeed(7), WithMaxSquare(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seg, err := s.Segment(ctx, im, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ref.EqualLabels(seg) {
-		t.Fatal("zero Config did not adopt the session defaults")
-	}
-
-	// MaxSquare fallback: an explicit config with MaxSquare 0 inherits the
-	// session cap; all other fields stay the caller's.
-	partial, err := s.Segment(ctx, im, Config{Threshold: 25, Tie: LargestIDTie, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ref.EqualLabels(partial) {
-		t.Fatal("MaxSquare 0 did not fall back to the session cap")
-	}
-
-	// An explicit config overrides the defaults entirely.
-	over := Config{Threshold: 10, Tie: SmallestIDTie, MaxSquare: Unbounded}
-	want := freshReference(t, SequentialEngine, im, over)
-	got, err := s.Segment(ctx, im, over)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !want.EqualLabels(got) {
-		t.Fatal("explicit Config did not override the session defaults")
-	}
-}
-
 // TestSegmenterOptionErrors: invalid options fail construction with
 // descriptive errors.
 func TestSegmenterOptionErrors(t *testing.T) {
@@ -219,12 +174,6 @@ func TestSegmenterOptionErrors(t *testing.T) {
 	}
 	if _, err := New(NativeParallel, WithWorkers(-1)); err == nil {
 		t.Error("negative WithWorkers did not error")
-	}
-	if _, err := New(SequentialEngine, WithThreshold(-1)); err == nil {
-		t.Error("negative WithThreshold did not error")
-	}
-	if _, err := New(SequentialEngine, WithMaxSquare(-2)); err == nil {
-		t.Error("WithMaxSquare(-2) did not error")
 	}
 	if _, err := New(EngineKind(99)); err == nil {
 		t.Error("unknown engine kind did not error")
@@ -275,20 +224,6 @@ func TestSegmentRefusesInvalidConfig(t *testing.T) {
 			if events != 0 {
 				t.Errorf("%v, bad %s: %d stage events before the refusal", kind, field, events)
 			}
-		}
-	}
-}
-
-// TestOptionsRefuseInvalidConfig: each default-setting option refuses its
-// field's invalid values with ErrInvalidConfig.
-func TestOptionsRefuseInvalidConfig(t *testing.T) {
-	for name, opt := range map[string]Option{
-		"WithTie(9)":        WithTie(TiePolicy(9)),
-		"WithThreshold(-1)": WithThreshold(-1),
-		"WithMaxSquare(-2)": WithMaxSquare(-2),
-	} {
-		if _, err := New(SequentialEngine, opt); !errors.Is(err, ErrInvalidConfig) {
-			t.Errorf("New(SequentialEngine, %s) = %v, want ErrInvalidConfig", name, err)
 		}
 	}
 }

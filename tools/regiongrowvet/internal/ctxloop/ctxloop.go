@@ -112,7 +112,7 @@ func isContextType(t types.Type) bool {
 // checkBody walks a function body and reports outermost for loops that
 // do module work without ctx discipline. Function literals start a fresh
 // scope and are not checked (their loops run under whatever contract
-// their call site has — typically a rag.Drive iterate callback whose
+// their call site has — typically a rag.Drive round callback whose
 // driver checks ctx per round).
 func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
 	var walk func(n ast.Node) bool
