@@ -166,6 +166,7 @@ func BenchmarkSplitStage(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			cfg := Config{Threshold: 10}
 			seq := sessionOf(b, SequentialEngine)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := seq.Segment(context.Background(), im, cfg); err != nil {

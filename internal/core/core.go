@@ -40,7 +40,7 @@ var ErrInvalidConfig = errors.New("regiongrow: invalid config")
 func (c Config) Check() error {
 	switch {
 	case !slices.Contains(rag.AllTiePolicies(), c.Tie):
-		return fmt.Errorf("%w: unknown tie policy %d (want random, smallest-id, or largest-id)", ErrInvalidConfig, int(c.Tie))
+		return fmt.Errorf("%w: unknown tie policy %d (want %s)", ErrInvalidConfig, int(c.Tie), rag.TiePolicyNames())
 	case c.Threshold < 0:
 		return fmt.Errorf("%w: negative threshold %d", ErrInvalidConfig, c.Threshold)
 	case c.MaxSquare < quadsplit.Unbounded:
@@ -207,6 +207,54 @@ func pipeline(ctx context.Context, im *pixmap.Image, cfg Config, run Run, worker
 	return seg, nil
 }
 
+// components returns the number of 4-connected components of a label
+// raster w labels wide. Its row runs are the nodes of a union-find, and
+// each pair of runs of one label that touch vertically is united once: a
+// run is connected within itself, and two runs of a row never touch.
+func components(labels []int32, w int) int {
+	if len(labels) == 0 {
+		return 0
+	}
+	runs := func(row []int32) int {
+		n := 1
+		for x := 1; x < len(row); x++ {
+			if row[x] != row[x-1] {
+				n++
+			}
+		}
+		return n
+	}
+	total := 0
+	for y := 0; y < len(labels); y += w {
+		total += runs(labels[y : y+w])
+	}
+	d := unionfind.New(total)
+	// Runs are numbered in raster order; a and b are the runs of the row
+	// above and of the row at x.
+	firstAbove, first := 0, runs(labels[:w])
+	for y := w; y < len(labels); y += w {
+		above, row := labels[y-w:y], labels[y:y+w]
+		a, b := firstAbove, first
+		if above[0] == row[0] {
+			d.Union(a, b)
+		}
+		for x := 1; x < w; x++ {
+			na, nb := above[x] != above[x-1], row[x] != row[x-1]
+			if na {
+				a++
+			}
+			if nb {
+				b++
+			}
+			if (na || nb) && above[x] == row[x] {
+				d.Union(a, b)
+			}
+		}
+		firstAbove, first = first, b+1
+	}
+	return d.Sets()
+}
+
 // FillRegions recomputes the Regions list and FinalRegions count from the
 // label array, for the engines that assemble labels without a final
 // graph (dpengine, mpengine, distengine). It walks each row's label
@@ -292,7 +340,7 @@ var (
 //
 // It makes one pass per property over the raster, with no map: (1) makes
 // every label an index into the raster, so the regions' intervals fold
-// into one array indexed by label.
+// into one array indexed by label, and (2) unites row runs, not pixels.
 func Validate(s *Segmentation, im *pixmap.Image, threshold int) error {
 	if s.W != im.W || s.H != im.H || len(s.Labels) != im.W*im.H {
 		return fmt.Errorf("core: segmentation shape %dx%d/%d does not match image %dx%d",
@@ -315,20 +363,10 @@ func Validate(s *Segmentation, im *pixmap.Image, threshold int) error {
 		}
 		ivs[lab].Lo, ivs[lab].Hi = min(ivs[lab].Lo, v), max(ivs[lab].Hi, v)
 	}
-	// (2) connectivity: union-find over same-label adjacency must yield
-	// exactly one set per label.
-	d := unionfind.New(len(labels))
-	for i, lab := range labels {
-		if (i+1)%w != 0 && labels[i+1] == lab {
-			d.Union(i, i+1)
-		}
-		if i+w < len(labels) && labels[i+w] == lab {
-			d.Union(i, i+w)
-		}
-	}
-	if d.Sets() != regions {
+	// (2) connectivity: one connected component per label.
+	if sets := components(labels, w); sets != regions {
 		return fmt.Errorf("core: %d labels but %d connected components — some region is disconnected",
-			regions, d.Sets())
+			regions, sets)
 	}
 	// (3) per-region homogeneity over actual pixels, read at each anchor.
 	for i, lab := range labels {

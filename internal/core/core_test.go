@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -233,5 +234,26 @@ func TestEmptyImage(t *testing.T) {
 func TestEngineName(t *testing.T) {
 	if (Sequential{}).Name() != "sequential" {
 		t.Fatal("name wrong")
+	}
+}
+
+// TestTiePolicyErrorsNameEveryPolicy requires the two errors that refuse
+// an unknown tie policy, Config.Check's and TiePolicy.UnmarshalText's, to
+// name every policy of rag.AllTiePolicies.
+func TestTiePolicyErrorsNameEveryPolicy(t *testing.T) {
+	var p rag.TiePolicy
+	errs := map[string]error{
+		"Check":         Config{Tie: rag.TiePolicy(len(rag.AllTiePolicies()))}.Check(),
+		"UnmarshalText": p.UnmarshalText([]byte("no-such-policy")),
+	}
+	for name, err := range errs {
+		if err == nil {
+			t.Fatalf("%s accepted an unknown policy", name)
+		}
+		for _, policy := range rag.AllTiePolicies() {
+			if !strings.Contains(err.Error(), policy.String()) {
+				t.Errorf("%s: %q does not name %v", name, err, policy)
+			}
+		}
 	}
 }

@@ -166,7 +166,9 @@ func bandGraph(t *testing.T, im *pixmap.Image, threshold, maxSquare, bandRows in
 // (empty, single-pixel, tall, wide, odd) and split caps, three ways: the
 // whole image at origin 0, as core does; full-width bands at their row
 // origins, stitched, as stream does; and a tile at its origin with the
-// image's stride, as nodeprog does.
+// image's stride, as nodeprog does. The whole-image and tile builds must
+// also leave every list exactly full, which shows that AddSquares counted
+// each degree exactly.
 func TestAddSquaresMatchesBuildFromLabels(t *testing.T) {
 	images := map[string]*pixmap.Image{
 		"0x0":        pixmap.New(0, 0),
@@ -186,8 +188,11 @@ func TestAddSquaresMatchesBuildFromLabels(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := build(im, squareIDs(sp, 0, im.W), threshold)
-			if err := sameArena(want, squareGraph(t, sp, threshold)); err != nil {
+			want, got := build(im, squareIDs(sp, 0, im.W), threshold), squareGraph(t, sp, threshold)
+			if err := sameArena(want, got); err != nil {
+				t.Errorf("%s: %v", label, err)
+			}
+			if err := exactLists(got); err != nil {
 				t.Errorf("%s: %v", label, err)
 			}
 			cap := sp.MaxSquareUsed
@@ -223,7 +228,21 @@ func tileMatches(im *pixmap.Image, threshold, cap int) error {
 	if err := got.AddSquares(context.Background(), sp.Squares, sp.Labels, tw, y0*im.W+x0, im.W); err != nil {
 		return err
 	}
-	return sameArena(want, got)
+	if err := sameArena(want, got); err != nil {
+		return err
+	}
+	return exactLists(got)
+}
+
+// exactLists reports the first list of g with room to spare: a list that
+// AddSquares built at its exact degree has len == cap.
+func exactLists(g *Graph) error {
+	for s, list := range g.adj {
+		if len(list) != cap(list) {
+			return fmt.Errorf("slot %d holds %d neighbours in a list of cap %d", s, len(list), cap(list))
+		}
+	}
+	return nil
 }
 
 // sameArena reports the first difference between two graphs' arenas.

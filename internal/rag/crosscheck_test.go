@@ -42,12 +42,50 @@ func referenceMergeAll(g *Graph, policy TiePolicy, seed uint64) (MergeStats, idM
 					continue
 				}
 				ref[g.SlotID(int(c))] = g.SlotID(s)
-				g.ContractSlots(s, int(c))
+				referenceContract(g, int32(s), c)
 				merged++
 			}
 			return merged, true, nil
 		})
 	return stats, ref
+}
+
+// referenceContract is the contraction contractSlots must reproduce,
+// one sorted insert or delete at a time: slot l merges into slot k, k
+// takes the union of the intervals, every neighbour of l other than k
+// drops l and gains k, k drops l and gains l's other neighbours, and l
+// goes dead with an empty list. It shares no list edit with the graph's
+// own contraction.
+func referenceContract(g *Graph, k, l int32) {
+	insert := func(list []int32, x int32) []int32 {
+		if i, found := slices.BinarySearch(list, x); !found {
+			return slices.Insert(list, i, x)
+		}
+		return list
+	}
+	remove := func(list []int32, x int32) []int32 {
+		if i, found := slices.BinarySearch(list, x); found {
+			return slices.Delete(list, i, i+1)
+		}
+		return list
+	}
+	g.lo[k] = min(g.lo[k], g.lo[l])
+	g.hi[k] = max(g.hi[k], g.hi[l])
+	g.adj[k] = remove(g.adj[k], l)
+	for _, n := range g.adj[l] {
+		if n == k {
+			continue
+		}
+		g.adj[n] = remove(g.adj[n], l)
+		g.adj[n] = insert(g.adj[n], k)
+		g.adj[k] = insert(g.adj[k], n)
+	}
+	g.adj[l] = nil
+	g.alive[l] = false
+	g.nAlive--
+	if g.parent != nil {
+		g.parent[l] = k
+	}
 }
 
 // idMap is a reference record of merges: a merged-away region ID → the
@@ -121,9 +159,10 @@ func checkRelabel(t *testing.T, name string, g *Graph, im *pixmap.Image, slots [
 // graph from its squares, and requires its arena to equal the label
 // build's. It then merges the square graph with MergeAll and the label
 // graph with referenceMergeAll, and fails t unless the two agree on every
-// round's merge count and the forced resolutions, the arena's relabel
-// matches the reference's merges, and MergeAll leaves no live slot with
-// an active edge. It returns the number of forced rounds.
+// round's merge count and the forced resolutions, the two arenas are
+// equal again, the arena's relabel matches the reference's merges, and
+// MergeAll leaves no live slot with an active edge. It returns the number
+// of forced rounds.
 func crossCheck(t *testing.T, im *pixmap.Image, threshold, maxSquare int, policy TiePolicy, seed uint64) int {
 	t.Helper()
 	sp, err := quadsplit.Split(context.Background(), im, threshold, quadsplit.Options{MaxSquare: maxSquare})
@@ -140,6 +179,9 @@ func crossCheck(t *testing.T, im *pixmap.Image, threshold, maxSquare int, policy
 	if !slices.Equal(got.MergesPerIter, want.MergesPerIter) || got.ForcedResolutions != want.ForcedResolutions {
 		t.Fatalf("%s: merges per round %v, forced %d; reference %v, forced %d",
 			name, got.MergesPerIter, got.ForcedResolutions, want.MergesPerIter, want.ForcedResolutions)
+	}
+	if err := sameArena(refGraph, g); err != nil {
+		t.Fatalf("%s: merged graph: %v", name, err)
 	}
 	checkRelabel(t, name, g, im, sp.Labels, ref)
 	if hasActiveEdge(g) {
@@ -279,14 +321,17 @@ func FuzzMergeAll(f *testing.F) {
 	})
 }
 
-// FuzzRelabel checks the relabel on arbitrary label rasters, which split
-// labels never are: a label may take any value and recur in places that
-// do not touch, so a run may carry a slot already resolved. It builds the
-// reference graph of a w×h raster (1–8 each) whose labels are palette
-// entries base + stride·k, k < n, applies an arbitrary sequence of
-// contractions of adjacent live slots, maps the raster to the graph's
-// slots, and requires Relabel's labels and regions to equal the per-pixel
-// reference over the contractions' ID map.
+// FuzzRelabel checks the contraction and the relabel on arbitrary label
+// rasters, which split labels never are: a label may take any value and
+// recur in places that do not touch, so a run may carry a slot already
+// resolved. It builds the reference graph of a w×h raster (1–8 each)
+// whose labels are palette entries base + stride·k, k < n, and a twin,
+// and applies an arbitrary sequence of contractions of adjacent live
+// slots, the keeper's ID above or below the loser's: ContractSlots to
+// the graph and referenceContract to the twin, whose arenas must stay
+// equal. It then maps the raster to the graph's slots and requires
+// Relabel's labels and regions to equal the per-pixel reference over the
+// contractions' ID map.
 func FuzzRelabel(f *testing.F) {
 	// Label 7 recurs on both sides of the 4s, so its second run on row 0
 	// resolves a slot already seen.
@@ -305,7 +350,7 @@ func FuzzRelabel(f *testing.F) {
 				im.Pix[i] = pix[i]
 			}
 		}
-		g := build(im, labels, 255)
+		g, twin := build(im, labels, 255), build(im, labels, 255)
 		g.startRecord()
 		ref := idMap{}
 		for i := 0; i+1 < len(ops); i += 2 {
@@ -326,6 +371,10 @@ func FuzzRelabel(f *testing.F) {
 			}
 			ref[g.SlotID(l)] = g.SlotID(k)
 			g.ContractSlots(k, l)
+			referenceContract(twin, int32(k), int32(l))
+			if err := sameArena(twin, g); err != nil {
+				t.Fatalf("labels %v: contracting slot %d into %d: %v", labels, l, k, err)
+			}
 		}
 		slotOf := map[int32]int32{}
 		for s := 0; s < g.Slots(); s++ {

@@ -47,6 +47,19 @@ func (p TiePolicy) String() string {
 // so the list cannot drift from the constants.
 func AllTiePolicies() []TiePolicy { return []TiePolicy{SmallestID, LargestID, Random} }
 
+// TiePolicyNames names every policy of AllTiePolicies, in order, as
+// "smallest-id, largest-id, or random": the list that the errors refusing
+// an unknown policy give.
+func TiePolicyNames() string {
+	all := AllTiePolicies()
+	names := make([]string, len(all))
+	for i, p := range all {
+		names[i] = p.String()
+	}
+	last := len(names) - 1
+	return strings.Join(names[:last], ", ") + ", or " + names[last]
+}
+
 // MarshalText implements encoding.TextMarshaler with the String name, so
 // JSON wire types and flag packages round-trip policies without ad-hoc
 // switches. Unknown policies fail rather than emitting a name
@@ -70,7 +83,7 @@ func (p *TiePolicy) UnmarshalText(text []byte) error {
 			return nil
 		}
 	}
-	return fmt.Errorf("rag: unknown tie policy %q (want random, smallest-id, or largest-id)", text)
+	return fmt.Errorf("rag: unknown tie policy %q (want %s)", text, TiePolicyNames())
 }
 
 // noSlot marks a slot with no merge choice in slot-indexed choice arrays.
@@ -111,6 +124,9 @@ type Graph struct {
 	// into, itself while live. It is nil until merging starts, so building
 	// a graph (and nodeprog, which keeps its own record) never pays for it.
 	parent []int32
+	// merged is contractSlots' scratch, where the keeper's new list is
+	// built before it is copied back.
+	merged []int32
 }
 
 // NewGraph returns an empty graph whose edges are active at weights up
@@ -168,13 +184,23 @@ func insertSorted(list []int32, x int32) []int32 {
 	return slices.Insert(list, i, x)
 }
 
-// removeSorted deletes x from a sorted slot list if present.
-func removeSorted(list []int32, x int32) []int32 {
-	i, found := slices.BinarySearch(list, x)
-	if !found {
-		return list
+// swapSorted replaces x, which must be in the sorted slot list, by y,
+// moving the entries between their two places by one, or drops x when y
+// is already there (shared). It never leaves the list's storage.
+func swapSorted(list []int32, x, y int32, shared bool) []int32 {
+	i, _ := slices.BinarySearch(list, x)
+	if shared {
+		copy(list[i:], list[i+1:])
+		return list[:len(list)-1]
 	}
-	return slices.Delete(list, i, i+1)
+	for ; i > 0 && list[i-1] > y; i-- {
+		list[i] = list[i-1]
+	}
+	for ; i+1 < len(list) && list[i+1] < y; i++ {
+		list[i] = list[i+1]
+	}
+	list[i] = y
+	return list
 }
 
 // NumVertices returns the current (live) vertex count.
@@ -254,8 +280,14 @@ const addCheckSquares = 4096
 // the order in which a row scan meets the squares; every 4-adjacent
 // pixel pair with different labels lies on the east column or the south
 // row of one of its two squares, so the edge sets agree; and a square's
-// recorded interval is the union of its pixels. Each neighbour costs one
-// AddEdge per run of its label along the border, not one per pixel.
+// recorded interval is the union of its pixels.
+//
+// The borders are walked twice. An edge lies on the east column or the
+// south row of exactly one of its two squares, as one run of the other's
+// label, so the first walk counts every new slot's degree exactly. The
+// second fills one arena, cut into lists capped at those degrees, and
+// each list is then sorted. The slot arrays grow once per call. A list
+// that later outgrows its cap (AddEdge) moves to its own allocation.
 func (g *Graph) AddSquares(ctx context.Context, squares []quadsplit.Square, labels []int32, w int, origin, stride int) error {
 	if len(squares) == 0 {
 		return nil
@@ -263,8 +295,15 @@ func (g *Graph) AddSquares(ctx context.Context, squares []quadsplit.Square, labe
 	if w <= 0 || len(labels)%w != 0 {
 		panic(fmt.Sprintf("rag: %d labels in rows of %d", len(labels), w))
 	}
-	h := len(labels) / w
+	h, n := len(labels)/w, len(squares)
 	base := int32(len(g.ids))
+	g.ids = slices.Grow(g.ids, n)
+	g.lo, g.hi = slices.Grow(g.lo, n), slices.Grow(g.hi, n)
+	g.alive = slices.Grow(g.alive, n)
+	g.adj = slices.Grow(g.adj, n)
+	if g.parent != nil {
+		g.parent = slices.Grow(g.parent, n)
+	}
 	for k, sq := range squares {
 		if k%addCheckSquares == 0 {
 			if err := ctx.Err(); err != nil {
@@ -274,33 +313,61 @@ func (g *Graph) AddSquares(ctx context.Context, squares []quadsplit.Square, labe
 		p := int(sq.ID)
 		g.AddVertex(int32(origin+p/w*stride+p%w), sq.IV)
 	}
-	for k, sq := range squares {
-		if k%addCheckSquares == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
+	// a and b below are list slots: the new slots' lists are adj[a] and
+	// adj[b], and their degrees deg[a] and deg[b].
+	adj, deg := g.adj[base:], make([]int32, n)
+	var fill bool // the second walk: fill the lists, not count
+	edge := func(a, b int32) {
+		if fill {
+			adj[a] = append(adj[a], base+b)
+			adj[b] = append(adj[b], base+a)
+		} else {
+			deg[a]++
+			deg[b]++
+		}
+	}
+	for _, fill = range [2]bool{false, true} {
+		if fill {
+			total := 0
+			for _, d := range deg {
+				total += int(d)
+			}
+			arena := make([]int32, total)
+			for k, d := range deg {
+				adj[k], arena = arena[:0:d], arena[d:]
 			}
 		}
-		p, side := int(sq.ID), sq.Side()
-		x, y := p%w, p/w
-		a := base + int32(k)
-		if x+side < w {
-			prev := a
-			for i := p + side; i < p+side+side*w; i += w {
-				if b := base + labels[i]; b != prev {
-					g.AddEdge(a, b)
-					prev = b
+		for k, sq := range squares {
+			if k%addCheckSquares == 0 {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+			}
+			p, side := int(sq.ID), sq.Side()
+			x, y := p%w, p/w
+			a := int32(k)
+			if x+side < w {
+				prev := a
+				for i := p + side; i < p+side+side*w; i += w {
+					if b := labels[i]; b != prev {
+						edge(a, b)
+						prev = b
+					}
+				}
+			}
+			if y+side < h {
+				prev := a
+				for _, b := range labels[p+side*w : p+side*w+side] {
+					if b != prev {
+						edge(a, b)
+						prev = b
+					}
 				}
 			}
 		}
-		if y+side < h {
-			prev := a
-			for _, b := range labels[p+side*w : p+side*w+side] {
-				if b += base; b != prev {
-					g.AddEdge(a, b)
-					prev = b
-				}
-			}
-		}
+	}
+	for _, list := range adj {
+		slices.Sort(list)
 	}
 	return nil
 }
@@ -489,27 +556,51 @@ func (g *Graph) startRecord() {
 	}
 }
 
-// contractSlots merges the region in slot sb into the one in slot sa. The
-// keeper's interval becomes the union; sb's neighbours are re-pointed at
-// sa; the self-edge is dropped; parallel edges coalesce via the sorted
-// adjacency lists. sb stays in the arena, dead, for the relabel.
-func (g *Graph) contractSlots(sa, sb int32) {
-	g.lo[sa] = min(g.lo[sa], g.lo[sb])
-	g.hi[sa] = max(g.hi[sa], g.hi[sb])
-	g.adj[sa] = removeSorted(g.adj[sa], sb)
-	for _, n := range g.adj[sb] {
-		if n == sa {
+// contractSlots merges the region in slot l into the one in slot k; l
+// stays in the arena, dead, for the relabel. The keeper's interval
+// becomes the union. One linear merge of the two sorted lists builds k's
+// new list, without k and l, in the graph's scratch, and on the way each
+// neighbour of l swaps l for k inside its own list, or drops l when it
+// neighbours k too. The new list is copied back into the larger of the
+// two lists' storage when it fits there, and into a new allocation when
+// it does not; no list grows one insert at a time.
+func (g *Graph) contractSlots(k, l int32) {
+	g.lo[k] = min(g.lo[k], g.lo[l])
+	g.hi[k] = max(g.hi[k], g.hi[l])
+	a, b := g.adj[k], g.adj[l]
+	merged, i := g.merged[:0], 0
+	for _, n := range b {
+		if n == k {
 			continue
 		}
-		g.adj[n] = removeSorted(g.adj[n], sb)
-		g.adj[n] = insertSorted(g.adj[n], sa)
-		g.adj[sa] = insertSorted(g.adj[sa], n)
+		for ; i < len(a) && a[i] < n; i++ {
+			if a[i] != l {
+				merged = append(merged, a[i])
+			}
+		}
+		shared := i < len(a) && a[i] == n
+		if shared {
+			i++
+		}
+		merged = append(merged, n)
+		g.adj[n] = swapSorted(g.adj[n], l, k, shared)
 	}
-	g.adj[sb] = nil
-	g.alive[sb] = false
+	for _, n := range a[i:] {
+		if n != l {
+			merged = append(merged, n)
+		}
+	}
+	g.merged = merged
+	dst := a
+	if cap(b) > cap(dst) {
+		dst = b
+	}
+	g.adj[k] = append(dst[:0], merged...)
+	g.adj[l] = nil
+	g.alive[l] = false
 	g.nAlive--
 	if g.parent != nil {
-		g.parent[sb] = sa
+		g.parent[l] = k
 	}
 }
 

@@ -8,10 +8,10 @@ import (
 )
 
 // referenceMergeSerial is the loop MergeSerial must reproduce, over the
-// exported slot API: every iteration contracts the active edge minimising
-// (weight, smaller ID, larger ID) into its smaller-ID endpoint, an edge
-// being active when its weight is at most threshold, the graph's. It
-// records its merges in an ID map of its own.
+// exported slot API and referenceContract: every iteration contracts the
+// active edge minimising (weight, smaller ID, larger ID) into its
+// smaller-ID endpoint, an edge being active when its weight is at most
+// threshold, the graph's. It records its merges in an ID map of its own.
 func referenceMergeSerial(g *Graph, threshold int) idMap {
 	ref := idMap{}
 	for {
@@ -35,7 +35,7 @@ func referenceMergeSerial(g *Graph, threshold int) idMap {
 			return ref
 		}
 		ref[g.SlotID(bl)] = g.SlotID(bk)
-		g.ContractSlots(bk, bl)
+		referenceContract(g, int32(bk), int32(bl))
 	}
 }
 
