@@ -212,6 +212,7 @@ func TestMergeAllOnRoundReportsEveryRound(t *testing.T) {
 // as the reference loop's merges do.
 func TestMergeAllMatchesWithoutCallback(t *testing.T) {
 	g1, g2 := pixelGraph(3), pixelGraph(3)
+	ids := slices.Clone(g1.ids)
 	s1 := mergeAll(g1, Random, 5)
 	s2, err := g2.MergeAll(context.Background(), Random, 5, func(int, int) {})
 	if err != nil {
@@ -222,8 +223,8 @@ func TestMergeAllMatchesWithoutCallback(t *testing.T) {
 	}
 	_, ref := referenceMergeAll(pixelGraph(3), Random, 5)
 	im, labels := pixelImage(3), pixelLabels(144)
-	checkRelabel(t, "without callback", g1, im, labels, ref)
-	checkRelabel(t, "with callback", g2, im, labels, ref)
+	checkRelabel(t, "without callback", g1, im, labels, ids, ref)
+	checkRelabel(t, "with callback", g2, im, labels, ids, ref)
 }
 
 func TestMergeAllCancelled(t *testing.T) {

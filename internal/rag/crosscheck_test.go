@@ -138,15 +138,17 @@ func pixelRegions(im *pixmap.Image, labels []int32) []Region {
 // checkRelabel fails t unless g's Relabel of slots (a raster of g's
 // slots over im, such as the one g was built from) gives the labels ref
 // resolves the slots' region IDs to, and the regions a per-pixel pass
-// over them gives.
-func checkRelabel(t *testing.T, name string, g *Graph, im *pixmap.Image, slots []int32, ref idMap) {
+// over them gives. ids holds each slot's region ID from before the
+// merge: a merge may move a smaller ID into a slot, so g's own IDs no
+// longer name every slot's square.
+func checkRelabel(t *testing.T, name string, g *Graph, im *pixmap.Image, slots, ids []int32, ref idMap) {
 	t.Helper()
 	got, regions := g.Relabel(slots)
-	ids := make([]int32, len(slots))
+	want := make([]int32, len(slots))
 	for i, s := range slots {
-		ids[i] = g.SlotID(int(s))
+		want[i] = ids[s]
 	}
-	want := ref.resolve(ids)
+	want = ref.resolve(want)
 	if !slices.Equal(got, want) {
 		t.Fatalf("%s: labels %v, reference %v", name, got, want)
 	}
@@ -155,15 +157,73 @@ func checkRelabel(t *testing.T, name string, g *Graph, im *pixmap.Image, slots [
 	}
 }
 
+// sameRegions reports the first difference between two merged graphs,
+// region by region: the same number of live regions and, for each live
+// region ID, the same interval and the same set of neighbour IDs. Their
+// slots may differ, since MergeAll may leave a region in its partner's
+// slot. Every list of got must be in ascending slot order and name live
+// slots only: a dead slot can hold a live region's ID.
+func sameRegions(want, got *Graph) error {
+	type region struct {
+		iv   homog.Interval
+		nbrs []int32
+	}
+	regions := func(g *Graph) (map[int32]region, error) {
+		out := map[int32]region{}
+		for s := 0; s < g.Slots(); s++ {
+			if !g.SlotAlive(s) {
+				continue
+			}
+			list := g.SlotNeighbours(s)
+			nbrs := make([]int32, len(list))
+			for i, n := range list {
+				if !g.SlotAlive(int(n)) || i > 0 && list[i-1] >= n {
+					return nil, fmt.Errorf("slot %d neighbours %v: not live slots in ascending order", s, list)
+				}
+				nbrs[i] = g.SlotID(int(n))
+			}
+			slices.Sort(nbrs)
+			out[g.SlotID(s)] = region{g.SlotInterval(s), nbrs}
+		}
+		return out, nil
+	}
+	w, err := regions(want)
+	if err != nil {
+		return fmt.Errorf("reference: %v", err)
+	}
+	o, err := regions(got)
+	switch {
+	case err != nil:
+		return err
+	case len(o) != len(w) || got.NumVertices() != want.NumVertices():
+		return fmt.Errorf("%d live regions (%d counted), want %d", len(o), got.NumVertices(), len(w))
+	}
+	for id, r := range w {
+		switch g, ok := o[id]; {
+		case !ok:
+			return fmt.Errorf("region %d missing", id)
+		case g.iv != r.iv:
+			return fmt.Errorf("region %d interval %v, want %v", id, g.iv, r.iv)
+		case !slices.Equal(g.nbrs, r.nbrs):
+			return fmt.Errorf("region %d neighbours %v, want %v", id, g.nbrs, r.nbrs)
+		}
+	}
+	return nil
+}
+
 // crossCheck splits im under (threshold, maxSquare), builds the split's
 // graph from its squares, and requires its arena to equal the label
 // build's. It then merges the square graph with MergeAll and the label
 // graph with referenceMergeAll, and fails t unless the two agree on every
-// round's merge count and the forced resolutions, the two arenas are
-// equal again, the arena's relabel matches the reference's merges, and
-// MergeAll leaves no live slot with an active edge. It returns the number
-// of forced rounds.
-func crossCheck(t *testing.T, im *pixmap.Image, threshold, maxSquare int, policy TiePolicy, seed uint64) int {
+// round's merge count and the forced resolutions, the two graphs hold
+// the same regions with the same neighbours, the arena's relabel matches
+// the reference's merges, and MergeAll leaves no live slot with an active
+// edge. A merge that passes 4·Slots()+4 rounds is cancelled and fails:
+// every active round merges or counts a Random stall, and the forced
+// SmallestID round after three stalls always merges. It returns the
+// number of forced rounds and of slots the merge left holding another
+// region ID than their square's.
+func crossCheck(t *testing.T, im *pixmap.Image, threshold, maxSquare int, policy TiePolicy, seed uint64) (forced, renamed int) {
 	t.Helper()
 	sp, err := quadsplit.Split(context.Background(), im, threshold, quadsplit.Options{MaxSquare: maxSquare})
 	if err != nil {
@@ -174,20 +234,36 @@ func crossCheck(t *testing.T, im *pixmap.Image, threshold, maxSquare int, policy
 	if err := sameArena(refGraph, g); err != nil {
 		t.Fatalf("%s: square build: %v", name, err)
 	}
-	got := mergeAll(g, policy, seed)
+	ids := slices.Clone(g.ids)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	limit := 4*g.Slots() + 4
+	got, err := g.MergeAll(ctx, policy, seed, func(iter, _ int) {
+		if iter > limit {
+			cancel()
+		}
+	})
+	if err != nil {
+		t.Fatalf("%s: MergeAll still merging after %d rounds: %v", name, limit, err)
+	}
 	want, ref := referenceMergeAll(refGraph, policy, seed)
 	if !slices.Equal(got.MergesPerIter, want.MergesPerIter) || got.ForcedResolutions != want.ForcedResolutions {
 		t.Fatalf("%s: merges per round %v, forced %d; reference %v, forced %d",
 			name, got.MergesPerIter, got.ForcedResolutions, want.MergesPerIter, want.ForcedResolutions)
 	}
-	if err := sameArena(refGraph, g); err != nil {
+	if err := sameRegions(refGraph, g); err != nil {
 		t.Fatalf("%s: merged graph: %v", name, err)
 	}
-	checkRelabel(t, name, g, im, sp.Labels, ref)
+	checkRelabel(t, name, g, im, sp.Labels, ids, ref)
 	if hasActiveEdge(g) {
 		t.Fatalf("%s: an active edge survived MergeAll", name)
 	}
-	return got.ForcedResolutions
+	for s, id := range ids {
+		if g.SlotID(s) != id {
+			renamed++
+		}
+	}
+	return got.ForcedResolutions, renamed
 }
 
 // Field families for generated images.
@@ -234,15 +310,17 @@ func genImage(field, w, h int, r *prand.Gen) *pixmap.Image {
 // images from 1×1 to 70×70 (noise, ramp and speckled-plateau fields;
 // thresholds 1–20; square caps 0–8), under every tie policy and three
 // seeds. Some Random case must take a forced SmallestID round, so the
-// policy switch and the round after it are covered too.
+// policy switch and the round after it are covered too, and some case
+// must leave a region in its partner's slot, so the rename is.
 func TestMergeAllMatchesFullScan(t *testing.T) {
 	seeds := []uint64{1, 7, 1993}
-	forced := 0
+	forced, renamed := 0, 0
 	for _, id := range pixmap.AllPaperImages() {
 		im := pixmap.Generate(id, pixmap.DefaultGenOptions())
 		for _, policy := range AllTiePolicies() {
 			for _, seed := range seeds {
-				forced += crossCheck(t, im, 10, 0, policy, seed)
+				f, r := crossCheck(t, im, 10, 0, policy, seed)
+				forced, renamed = forced+f, renamed+r
 			}
 		}
 	}
@@ -259,14 +337,18 @@ func TestMergeAllMatchesFullScan(t *testing.T) {
 		threshold, maxSquare := 1+r.Intn(20), r.Intn(9)
 		for _, policy := range AllTiePolicies() {
 			for _, seed := range seeds {
-				forced += crossCheck(t, im, threshold, maxSquare, policy, seed)
+				f, r := crossCheck(t, im, threshold, maxSquare, policy, seed)
+				forced, renamed = forced+f, renamed+r
 			}
 		}
 	}
 	if forced == 0 {
 		t.Fatal("no case took a forced SmallestID round")
 	}
-	t.Logf("%d forced rounds", forced)
+	if renamed == 0 {
+		t.Fatal("no case left a region in its partner's slot")
+	}
+	t.Logf("%d forced rounds, %d renamed slots", forced, renamed)
 }
 
 // fuzzImage decodes FuzzMergeAll's image: w×h (1–16 each) with levels
@@ -283,14 +365,30 @@ func fuzzImage(w, h, levels, step uint8, pix []byte) *pixmap.Image {
 	return im
 }
 
-// forcedSeed is a FuzzMergeAll input that takes a forced SmallestID
-// round: 16×16 pixels from prand stream 1 over three grey levels four
-// apart, threshold 8, the default cap, Random, seed 3.
-var forcedSeed = struct {
+// fuzzInput is one FuzzMergeAll input.
+type fuzzInput struct {
 	w, h, levels, step, threshold, maxSquare, tie uint8
 	seed                                          uint64
 	pix                                           []byte
-}{15, 15, 1, 3, 8, 0, 2, 3, prandBytes(256, 1)}
+}
+
+// check cross-checks the merge of c's image under c's threshold (0–20),
+// square cap (0–8), tie policy and seed; it returns crossCheck's counts.
+func (c fuzzInput) check(t *testing.T) (forced, renamed int) {
+	t.Helper()
+	im := fuzzImage(c.w, c.h, c.levels, c.step, c.pix)
+	return crossCheck(t, im, int(c.threshold%21), int(c.maxSquare%9), AllTiePolicies()[c.tie%3], c.seed)
+}
+
+// forcedSeed is a FuzzMergeAll input that takes a forced SmallestID
+// round: 16×16 pixels from prand stream 1 over three grey levels four
+// apart, threshold 8, the default cap, Random, seed 3. renameSeed is
+// its image under LargestID, whose merge leaves regions in their
+// partners' slots.
+var (
+	forcedSeed = fuzzInput{15, 15, 1, 3, 8, 0, 2, 3, prandBytes(256, 1)}
+	renameSeed = fuzzInput{15, 15, 1, 3, 8, 0, 1, 3, prandBytes(256, 1)}
+)
 
 // prandBytes returns n bytes of prand stream seed.
 func prandBytes(n int, seed uint64) []byte {
@@ -303,21 +401,27 @@ func prandBytes(n int, seed uint64) []byte {
 }
 
 func TestFuzzSeedTakesForcedRound(t *testing.T) {
-	c := forcedSeed
-	if crossCheck(t, fuzzImage(c.w, c.h, c.levels, c.step, c.pix), int(c.threshold), int(c.maxSquare), AllTiePolicies()[c.tie], c.seed) == 0 {
+	if forced, _ := forcedSeed.check(t); forced == 0 {
 		t.Fatal("the fuzz corpus's forced-round seed no longer forces a round")
+	}
+}
+
+func TestFuzzSeedRenamesASlot(t *testing.T) {
+	if _, renamed := renameSeed.check(t); renamed == 0 {
+		t.Fatal("the fuzz corpus's rename seed no longer leaves a region in its partner's slot")
 	}
 }
 
 // FuzzMergeAll cross-checks MergeAll against the full-scan reference on
 // small images with few grey levels, under any threshold 0–20, square
-// cap 0–8, tie policy and seed. The corpus starts from forcedSeed.
+// cap 0–8, tie policy and seed. The corpus starts from forcedSeed and
+// renameSeed.
 func FuzzMergeAll(f *testing.F) {
-	c := forcedSeed
-	f.Add(c.w, c.h, c.levels, c.step, c.threshold, c.maxSquare, c.tie, c.seed, c.pix)
+	for _, c := range []fuzzInput{forcedSeed, renameSeed} {
+		f.Add(c.w, c.h, c.levels, c.step, c.threshold, c.maxSquare, c.tie, c.seed, c.pix)
+	}
 	f.Fuzz(func(t *testing.T, w, h, levels, step, threshold, maxSquare, tie uint8, seed uint64, pix []byte) {
-		im := fuzzImage(w, h, levels, step, pix)
-		crossCheck(t, im, int(threshold%21), int(maxSquare%9), AllTiePolicies()[tie%3], seed)
+		fuzzInput{w, h, levels, step, threshold, maxSquare, tie, seed, pix}.check(t)
 	})
 }
 
@@ -351,6 +455,7 @@ func FuzzRelabel(f *testing.F) {
 			}
 		}
 		g, twin := build(im, labels, 255), build(im, labels, 255)
+		ids := slices.Clone(g.ids)
 		g.startRecord()
 		ref := idMap{}
 		for i := 0; i+1 < len(ops); i += 2 {
@@ -384,6 +489,6 @@ func FuzzRelabel(f *testing.F) {
 		for i, lab := range labels {
 			slots[i] = slotOf[lab]
 		}
-		checkRelabel(t, fmt.Sprintf("%dx%d labels %v ops %v", im.W, im.H, labels, ops), g, im, slots, ref)
+		checkRelabel(t, fmt.Sprintf("%dx%d labels %v ops %v", im.W, im.H, labels, ops), g, im, slots, ids, ref)
 	})
 }

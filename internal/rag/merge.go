@@ -1,6 +1,7 @@
 package rag
 
 import (
+	"fmt"
 	"math/bits"
 
 	"regiongrow/internal/prand"
@@ -28,8 +29,12 @@ type merger struct {
 	// slot with noSlot; such stale records, stale words in total, are
 	// dropped when a record does not fit and a quarter of the buffer is
 	// stale.
-	ties    []int32
-	stale   int
+	ties  []int32
+	stale int
+	// runner holds, under LargestID only, each slot's runner-up when its
+	// pick came from a tie: the second-largest tied ID at its scan, or
+	// noSlot for a sole pick. flips tests a renamed pick against it.
+	runner  []int32
 	dirty   bitset  // slots to rescan before the next round
 	fresh   bitset  // slots whose choice was set this round
 	tied    bitset  // slots with a tie record
@@ -53,6 +58,9 @@ func newMerger(g *Graph, policy TiePolicy, seed uint64) *merger {
 	n := len(g.ids)
 	m := &merger{g: g, policy: policy, seed: seed, choice: make([]int32, n),
 		dirty: newBitset(n), fresh: newBitset(n), tied: newBitset(n)}
+	if policy == LargestID {
+		m.runner = make([]int32, n)
+	}
 	for s := range m.choice {
 		m.choice[s] = noSlot
 		if g.alive[s] {
@@ -80,13 +88,20 @@ func (m *merger) rescan() bool {
 		switch {
 		case sole != noSlot:
 			m.choice[s] = sole
+			if m.runner != nil {
+				m.runner[s] = noSlot
+			}
 		case len(m.scratch) > 0 && m.policy == Random:
 			m.choice[s] = m.addTie(s, m.scratch)
 		case len(m.scratch) > 0:
 			// SmallestID and LargestID are never forced to switch and
 			// their draw ignores the round, so the pick holds while s
-			// stays clean and the tie list need not be kept.
+			// stays clean and the tie list need not be kept; LargestID
+			// keeps only its runner-up.
 			m.choice[s] = pickTied(m.scratch, m.policy, 0, g.ids[s])
+			if m.runner != nil {
+				m.runner[s] = g.ids[m.scratch[len(m.scratch)-2]]
+			}
 		}
 		has := m.choice[s] != noSlot
 		if has {
@@ -114,8 +129,8 @@ func (m *merger) chosen(s int32) int32 {
 }
 
 // pairs merges round iter under the effective policy: it contracts every
-// mutual pair into its smaller-ID endpoint and returns how many it
-// merged. The search starts only from the fresh slots and, since a
+// mutual pair into one region named by its smaller ID and returns how
+// many it merged. The search starts only from the fresh slots and, since a
 // Random draw changes every round and a forced SmallestID round switches
 // the policy, from every tied slot. Two other slots chose each other
 // last round too, and a mutual pair always merges in its round. Mutual
@@ -126,43 +141,105 @@ func (m *merger) pairs(effective TiePolicy, iter int) int {
 	for i, w := range m.tied {
 		m.fresh[i] |= w
 	}
-	ids := m.g.ids
 	merged := 0
 	for s := range m.fresh.all {
 		c := m.chosen(s)
 		if c == noSlot || m.chosen(c) != s {
 			continue // a contracted slot has no choice, so each pair merges once
 		}
-		k, l := s, c
-		if ids[l] < ids[k] {
-			k, l = l, k
-		}
-		m.contract(k, l)
+		m.contract(s, c)
 		merged++
 	}
 	clear(m.fresh)
 	return merged
 }
 
-// contract merges slot l into slot k and marks for rescan every slot
-// whose scan inputs that changed: k, whose adjacency took l's; every
-// neighbour of l, whose list swapped l for k; and, only when k's interval
-// widened, every neighbour of k, which reads it. No other slot's
-// adjacency list or neighbour intervals change, so no other scan can.
-func (m *merger) contract(k, l int32) {
+// hubFactor is how many times longer than the smaller-ID endpoint's
+// adjacency list the other endpoint's must be before the merged region
+// keeps the other's slot. Keeping a hub in its slot spares each of its
+// neighbours a swap and a rescan; but the slot then takes the smaller
+// ID, which every neighbour must test and a tied one under Random must
+// rescan, so between lists of about equal length the move gains nothing
+// and costs the tests.
+const hubFactor = 2
+
+// contract merges the mutual pair a, b into one region named by the
+// smaller of their IDs. The region stays in the smaller-ID slot, the
+// keeper k, unless the other slot's list is more than hubFactor times
+// longer: then the other slot keeps it and takes the smaller ID. The
+// remaining slot l goes dead. contract marks for rescan every slot whose
+// choice that can change: k, whose adjacency took l's; every neighbour of
+// l, whose list swapped l for k; when k's interval widened, every
+// neighbour of k, which reads it; and, when k took the smaller ID, each
+// other neighbour of k whose pick the new ID can flip (see flips). No
+// other slot's list, neighbour intervals or tie order change, so no other
+// choice can.
+func (m *merger) contract(a, b int32) {
 	g := m.g
+	k, l := a, b
+	if g.ids[l] < g.ids[k] {
+		k, l = l, k
+	}
+	id := g.ids[k]
+	if len(g.adj[l]) > hubFactor*len(g.adj[k]) {
+		k, l = l, k
+	}
 	for _, n := range g.adj[l] {
 		m.dirty.set(n) // k among them
 	}
 	lo, hi := g.lo[k], g.hi[k]
 	g.contractSlots(k, l)
-	if g.lo[k] != lo || g.hi[k] != hi {
+	m.retire(l)
+	m.nActive-- // l had a choice: k
+	renamed := g.ids[k] != id
+	if renamed {
+		// k's choice was made under its old ID, which a Random draw
+		// hashes, so it must not pair again this round.
+		g.ids[k] = id
+		m.retire(k)
+		m.nActive-- // k had a choice: l
+	}
+	switch {
+	case g.lo[k] != lo || g.hi[k] != hi:
 		for _, n := range g.adj[k] {
 			m.dirty.set(n)
 		}
+	case renamed:
+		for _, n := range g.adj[k] {
+			if !m.dirty.has(n) && m.flips(n, k) {
+				m.dirty.set(n)
+			}
+		}
 	}
-	m.retire(l)
-	m.nActive-- // l had a choice: k
+}
+
+// flips reports whether slot k's new, smaller ID can change the pick of
+// its clean neighbour n. n's list and its neighbours' intervals are as
+// at its scan, so only the ID order among its tied neighbours can move:
+//   - SmallestID: k is tied with n's pick and now below it;
+//   - LargestID: k is n's pick and now below the runner-up, the
+//     second-largest tied ID at n's scan (IDs only fall, so no tied ID
+//     is above it now); a tie list that merely holds k keeps its
+//     largest, since k fell;
+//   - Random: n holds a tie record at its weight to k, whose order the
+//     draw indexes.
+//
+// Rescanning every tied neighbour instead would rescan nearly all of a
+// LargestID hub's neighbours each round, since they pick the hub from a
+// tie, and almost none of those picks change.
+func (m *merger) flips(n, k int32) bool {
+	g := m.g
+	c := m.choice[n]
+	switch m.policy {
+	case SmallestID:
+		return c != noSlot && g.ids[k] < g.ids[c] && g.weightSlots(n, k) == g.weightSlots(n, c)
+	case LargestID:
+		return c == k && g.ids[k] < m.runner[n]
+	case Random:
+		return c < noSlot && g.weightSlots(n, k) == g.weightSlots(n, tieList(m.ties[tieOffset(c):])[0])
+	default:
+		panic(fmt.Sprintf("rag: unknown tie policy %d", int(m.policy)))
+	}
 }
 
 // retire clears slot s's choice and marks its tie record, if any,
@@ -223,8 +300,9 @@ type bitset []uint64
 
 func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 
-func (b bitset) set(s int32)   { b[s>>6] |= 1 << (s & 63) }
-func (b bitset) unset(s int32) { b[s>>6] &^= 1 << (s & 63) }
+func (b bitset) set(s int32)      { b[s>>6] |= 1 << (s & 63) }
+func (b bitset) unset(s int32)    { b[s>>6] &^= 1 << (s & 63) }
+func (b bitset) has(s int32) bool { return b[s>>6]&(1<<(s&63)) != 0 }
 
 // all yields the members in ascending order: range over b.all.
 func (b bitset) all(yield func(int32) bool) {

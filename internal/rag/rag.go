@@ -93,7 +93,10 @@ const noSlot int32 = -1
 // parallel slices indexed by a dense slot number. Every vertex keeps its
 // region ID (the linear pixel index of the region's origin), which the
 // tie contract orders by, but the graph never looks a region up by ID:
-// its builders, its merges and its relabel name regions by slot.
+// its builders, its merges and its relabel name regions by slot. A slot
+// holds its square's ID until MergeAll keeps a merged region in the slot
+// of its larger-ID half, which then takes the smaller ID; so after a
+// merge, slot order is no longer ID order.
 // Contraction never compacts the arena — a merged-away region just goes
 // dead in place — so slot numbers are stable for the graph's lifetime and
 // adjacency can be held as sorted []int32 slot lists instead of per-vertex
@@ -220,7 +223,9 @@ func (g *Graph) weightSlots(a, b int32) int {
 // SlotAlive; the order is insertion order and identical on every run.
 func (g *Graph) Slots() int { return len(g.ids) }
 
-// SlotID returns the region ID held by slot s.
+// SlotID returns the region ID held by slot s: its square's ID until a
+// merge, and after MergeAll the ID of the region the slot holds, which
+// may be a smaller one than its square's (see MergeAll).
 func (g *Graph) SlotID(s int) int32 { return g.ids[s] }
 
 // SlotNeighbours returns the live slot s's neighbour slots in ascending
@@ -406,8 +411,9 @@ func (g *Graph) scan(s int32, tied []int32) (int32, []int32) {
 			tied = append(tied, n)
 		}
 	}
-	// Insertion sort: tie lists are short, and usually already in ID
-	// order, since slot order follows first appearance in raster order.
+	// Insertion sort: tie lists are short, and mostly in ID order already,
+	// since slot order follows first appearance in raster order until
+	// MergeAll moves smaller IDs into hubs' slots.
 	ids := g.ids
 	for i := 1; i < len(tied); i++ {
 		for j := i; j > 0 && ids[tied[j]] < ids[tied[j-1]]; j-- {
@@ -518,12 +524,19 @@ func Drive(ctx context.Context, policy TiePolicy, round func(effective TiePolicy
 // returns ctx.Err(). Every contraction lands in the graph's contraction
 // record, from which Relabel and RootSlot resolve the final regions.
 //
+// A mutual pair merges into one region named by the smaller of its two
+// IDs. The region stays in the smaller-ID slot unless the other slot's
+// adjacency list is more than twice as long: then that slot, a hub,
+// keeps it and takes the smaller ID, and its neighbours' lists need no
+// edit (see merger.contract). So after the merge a slot may hold a
+// smaller ID than its square's.
+//
 // The rounds are incremental but compute exactly the full-scan rounds
 // SlotChoice defines: each slot's choice persists across rounds and is
-// rescanned only when a contraction changed its scan inputs (see
-// merger.contract), under Random tied slots re-pick from a cached tie
-// list, and the mutual-pair search starts only from slots whose choice
-// was set this round.
+// rescanned only when a contraction changed its scan inputs or can have
+// changed its tie order (see merger.contract), under Random tied slots
+// re-pick from a cached tie list, and the mutual-pair search starts only
+// from slots whose choice was set this round.
 func (g *Graph) MergeAll(ctx context.Context, policy TiePolicy, seed uint64, onRound func(iter, merged int)) (MergeStats, error) {
 	g.startRecord()
 	m := newMerger(g, policy, seed)
@@ -668,8 +681,8 @@ func (g *Graph) Relabel(labels []int32) ([]int32, []Region) {
 			regions = append(regions, Region{ID: g.ids[s], IV: g.SlotInterval(s), Area: int(area[s])})
 		}
 	}
-	// Slot order is ID order for a graph built from split squares; other
-	// builds may need the sort.
+	// A merge leaves slot order out of ID order (MergeAll may move a
+	// smaller ID into a hub's slot), and other builds may not start in it.
 	slices.SortFunc(regions, func(a, b Region) int { return cmp.Compare(a.ID, b.ID) })
 	return out, regions
 }

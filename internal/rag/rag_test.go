@@ -337,6 +337,7 @@ func TestMergeAllChain(t *testing.T) {
 	vals := []uint8{5, 5, 5, 5}
 	for _, policy := range []TiePolicy{SmallestID, LargestID, Random} {
 		g := stripesGraph(vals, 0)
+		ids := slices.Clone(g.ids)
 		stats := mergeAll(g, policy, 3)
 		if g.NumVertices() != 1 {
 			t.Fatalf("%v: vertices = %d, want 1", policy, g.NumVertices())
@@ -345,7 +346,7 @@ func TestMergeAllChain(t *testing.T) {
 			t.Fatalf("%v: merges = %d, want 3", policy, stats.TotalMerges())
 		}
 		ref := idMap{1: 0, 2: 0, 3: 0}
-		checkRelabel(t, policy.String(), g, stripes(vals), pixelLabels(len(vals)), ref)
+		checkRelabel(t, policy.String(), g, stripes(vals), pixelLabels(len(vals)), ids, ref)
 	}
 }
 

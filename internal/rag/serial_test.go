@@ -57,7 +57,7 @@ func TestMergeSerialChain(t *testing.T) {
 			t.Fatalf("n=%d: %d vertices remain", n, g.NumVertices())
 		}
 		ref := referenceMergeSerial(stripesGraph(vals, 0), 0)
-		checkRelabel(t, "chain", g, stripes(vals), pixelLabels(n), ref)
+		checkRelabel(t, "chain", g, stripes(vals), pixelLabels(n), g.ids, ref)
 	}
 }
 
@@ -102,7 +102,7 @@ func TestMergeSerialDeterministic(t *testing.T) {
 	for run := 0; run < 2; run++ {
 		g := build(im, labels, 12)
 		mergeSerial(g)
-		checkRelabel(t, "serial", g, im, labels, ref)
+		checkRelabel(t, "serial", g, im, labels, g.ids, ref)
 	}
 }
 

@@ -19,6 +19,8 @@
 // iteration numbering, stall-forced resolutions, and Random-tie draws are
 // identical to the in-memory engines, making the emitted labels
 // byte-identical to theirs. A second pass walks the graph's slots band by
-// band — slot k is square k, holding its ID — resolves each square's
-// final region, and emits the output through the streaming writer.
+// band — slot k is square k, placed from the squares' sides alone, since
+// the merge may leave a smaller ID in a hub's slot — resolves each
+// square's final region, and emits the output through the streaming
+// writer.
 package stream

@@ -118,8 +118,9 @@ func Segment(ctx context.Context, r io.Reader, w io.Writer, cfg core.Config, run
 // ingest runs pass 1: stream bands in, split each, and add the band's
 // square list to the global RAG, stitching across band boundaries through
 // the retained frontier row. Every square is a new vertex, so graph slot k
-// is square k and already holds its ID; ingest returns the squares' Log2
-// sides by slot, the one thing pass 2 needs that the graph lacks.
+// is square k; ingest returns the squares' Log2 sides by slot, from which
+// pass 2 places them (the merge may move a region's ID into another
+// square's slot, so the slots' IDs cannot).
 func ingest(ctx context.Context, sr *pixmap.StreamReader, g *rag.Graph, res *Result, cfg core.Config, run core.Run, cap, bandRows int) ([]uint8, error) {
 	width, height := res.W, res.H
 	run.Emit(core.StageEvent{Kind: core.EventSplitStart})
@@ -221,33 +222,57 @@ func emit(ctx context.Context, w io.Writer, g *rag.Graph, log2 []uint8, res *Res
 // replay walks the graph's slots in order, band by band: it paints each
 // square into one band buffer with the value of its final region
 // (RootSlot) and hands the band's rows to write. Slot k is square k of
-// pass 1, so its ID places it and log2[k] sizes it; each band's squares
-// took the slots after the previous band's, so a band's squares are the
-// next slots whose ID falls in the band's rows.
+// pass 1 and log2[k] sizes it, but a merge may have left another region's
+// ID in its slot, so squares are placed from their sizes alone. Each
+// band's squares took the slots after the previous band's, in raster
+// order of their north-west corners. So a walk along each band row that
+// jumps over the squares placed above it meets the next slot's corner at
+// every stop: below[x] is the row under, and side[x] the side of, the
+// last square placed with its west column at x, and the walk stops only
+// at west columns.
 func replay[T uint8 | int32](ctx context.Context, g *rag.Graph, log2 []uint8, res *Result, bandRows int, value func(root int) T, write func([]T) error) error {
 	width := res.W
 	buf := make([]T, width*bandRows)
+	below, side := make([]int32, width), make([]int32, width)
 	slot := 0
 	for y0 := 0; y0 < res.H; y0 += bandRows {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		origin, end := y0*width, min(y0+bandRows, res.H)*width
-		for ; slot < len(log2) && int(g.SlotID(slot)) < end; slot++ {
-			v, side := value(g.RootSlot(slot)), 1<<log2[slot]
-			p := int(g.SlotID(slot)) - origin
-			for row := p; row < p+side*width; row += width {
-				sq := buf[row : row+side]
-				for i := range sq {
-					sq[i] = v
+		end := min(y0+bandRows, res.H)
+		for y := y0; y < end; y++ {
+			for x := 0; x < width; {
+				if int(below[x]) > y {
+					x += int(side[x])
+					continue
 				}
+				n := 1 << log2[slot]
+				paint(buf, (y-y0)*width+x, n, width, value(g.RootSlot(slot)))
+				slot++
+				below[x], side[x] = int32(y+n), int32(n)
+				x += n
 			}
 		}
-		if err := write(buf[:end-origin]); err != nil {
+		if err := write(buf[:(end-y0)*width]); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// paint fills the n×n square of buf whose north-west pixel is buf[at]
+// with v, in rows of width: a loop fills the top row and copy repeats it
+// down the square. A loop over every pixel ran pass 2 of stream-16mp
+// 30% slower or faster with where the linker happened to place it, and
+// inside replay's walk it spilled its index on every pixel.
+func paint[T uint8 | int32](buf []T, at, n, width int, v T) {
+	top := buf[at : at+n]
+	for i := range top {
+		top[i] = v
+	}
+	for row := at + width; row < at+n*width; row += width {
+		copy(buf[row:row+n], top)
+	}
 }
 
 // writeEmpty emits the output header of a zero-pixel image.
