@@ -508,20 +508,9 @@ func runWorker(rank int, wc transport.Conn, tun Tuning, starts []int, cap int, i
 		comm.words.Add(int64(len(payload) / 4))
 		switch ft {
 		case frameReduce:
-			d := dec{b: payload}
-			op := d.bytes(1)
-			seq := d.u32()
-			val := d.i64()
-			if d.err != nil {
-				return fmt.Errorf("distengine: worker %d: malformed reduce", rank)
-			}
-			kind := roundReduceMax
-			switch op[0] {
-			case opMax:
-			case opSum:
-				kind = roundReduceSum
-			default:
-				return fmt.Errorf("distengine: worker %d: unknown reduce op %d", rank, op[0])
+			kind, seq, val, err := decodeReduce(payload)
+			if err != nil {
+				return fmt.Errorf("distengine: worker %d: malformed reduce: %w", rank, err)
 			}
 			comm.reduces.Add(1)
 			r, err := coll.sync(rank, kind, seq, val, nil)
@@ -534,11 +523,9 @@ func runWorker(rank int, wc transport.Conn, tun Tuning, starts []int, cap int, i
 				return err
 			}
 		case frameGather:
-			d := dec{b: payload}
-			seq := d.u32()
-			data := d.i32s()
-			if d.err != nil {
-				return fmt.Errorf("distengine: worker %d: malformed gather", rank)
+			seq, data, err := decodeGather(payload)
+			if err != nil {
+				return fmt.Errorf("distengine: worker %d: malformed gather: %w", rank, err)
 			}
 			comm.gathers.Add(1)
 			r, err := coll.sync(rank, roundGather, seq, 0, data)
@@ -551,17 +538,9 @@ func runWorker(rank int, wc transport.Conn, tun Tuning, starts []int, cap int, i
 				return err
 			}
 		case frameExchange:
-			d := dec{b: payload}
-			seq := d.u32()
-			var routed []int32
-			for d.err == nil && len(d.b) > 0 {
-				dst := d.i32()
-				data := d.i32s()
-				routed = append(routed, dst, int32(len(data)))
-				routed = append(routed, data...)
-			}
-			if d.err != nil {
-				return fmt.Errorf("distengine: worker %d: malformed exchange", rank)
+			seq, routed, err := decodeExchange(payload)
+			if err != nil {
+				return fmt.Errorf("distengine: worker %d: malformed exchange: %w", rank, err)
 			}
 			comm.exchanges.Add(1)
 			r, err := coll.sync(rank, roundExchange, seq, 0, routed)

@@ -98,6 +98,12 @@ func FuzzReadFrame(f *testing.F) {
 			switch frameType(fr.Type) {
 			case frameJob:
 				_, _ = decodeJob(fr.Payload)
+			case frameReduce:
+				_, _, _, _ = decodeReduce(fr.Payload)
+			case frameGather:
+				_, _, _ = decodeGather(fr.Payload)
+			case frameExchange:
+				_, _, _ = decodeExchange(fr.Payload)
 			case frameResult:
 				_, _ = decodeResult(fr.Payload)
 			case frameEvent:

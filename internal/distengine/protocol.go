@@ -3,6 +3,8 @@ package distengine
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"regiongrow/internal/core"
@@ -100,10 +102,16 @@ func (e *enc) u64(v uint64)   { e.b = binary.BigEndian.AppendUint64(e.b, v) }
 func (e *enc) i64(v int64)    { e.u64(uint64(v)) }
 func (e *enc) bytes(p []byte) { e.b = append(e.b, p...) }
 
+// i32s appends vs with its length prefix, growing the buffer once and
+// filling the words in place.
 func (e *enc) i32s(vs []int32) {
+	e.b = slices.Grow(e.b, 4+4*len(vs))
 	e.u32(uint32(len(vs)))
-	for _, v := range vs {
-		e.i32(v)
+	n := len(e.b)
+	e.b = e.b[:n+4*len(vs)]
+	tail := e.b[n:]
+	for i, v := range vs {
+		binary.BigEndian.PutUint32(tail[4*i:], uint32(v))
 	}
 }
 
@@ -154,15 +162,59 @@ func (d *dec) bytes(n int) []byte {
 	return p
 }
 
+// i32s reads a length-prefixed []int32, checking the declared length
+// against the payload once.
 func (d *dec) i32s() []int32 {
 	n := int(d.u32())
-	if d.err != nil || n < 0 || len(d.b) < 4*n {
+	if d.err != nil || n < 0 || len(d.b)/4 < n {
 		d.fail()
 		return nil
 	}
 	out := make([]int32, n)
+	putWords(out, d.b)
+	d.b = d.b[4*n:]
+	return out
+}
+
+// putWords decodes the first len(out) big-endian words of p into out.
+func putWords(out []int32, p []byte) {
 	for i := range out {
-		out[i] = d.i32()
+		out[i] = int32(binary.BigEndian.Uint32(p[4*i:]))
+	}
+}
+
+// groups appends out's (dest, payload) groups in ascending dest order:
+// each group is the destination, then the length-prefixed payload.
+func (e *enc) groups(out map[int][]int32) {
+	dests := slices.Sorted(maps.Keys(out))
+	n := 0
+	for _, dst := range dests {
+		n += 8 + 4*len(out[dst])
+	}
+	e.b = slices.Grow(e.b, n)
+	for _, dst := range dests {
+		e.i32(int32(dst))
+		e.i32s(out[dst])
+	}
+}
+
+// groups reads the rest of the payload as (dest, len, payload...) groups,
+// the flat form the hub routes. On the wire a group is the same list of
+// words, so the rest decodes in one pass; a second pass over the group
+// heads checks that the groups tile it exactly.
+func (d *dec) groups() []int32 {
+	if d.err != nil || len(d.b)%4 != 0 {
+		d.fail()
+		return nil
+	}
+	out := make([]int32, len(d.b)/4)
+	putWords(out, d.b)
+	d.b = d.b[len(d.b):]
+	for i := 0; i < len(out); i += 2 + int(out[i+1]) {
+		if len(out)-i < 2 || out[i+1] < 0 || int(out[i+1]) > len(out)-i-2 {
+			d.fail()
+			return nil
+		}
 	}
 	return out
 }
@@ -191,7 +243,7 @@ type job struct {
 }
 
 func (j *job) encode() []byte {
-	var e enc
+	e := enc{b: make([]byte, 0, 14*4+4*len(j.BandStarts)+len(j.Pix))}
 	e.u32(ProtocolVersion)
 	e.u32(uint32(j.Rank))
 	e.u32(uint32(j.Workers))
@@ -273,7 +325,7 @@ func (j *job) linkTimeout() time.Duration {
 // split wall time in nanoseconds, the merges of every round and the
 // band's final labels.
 func encodeResult(r *nodeprog.Result) []byte {
-	var e enc
+	e := enc{b: make([]byte, 0, 7*4+4*len(r.Merge.MergesPerIter)+4+4*len(r.Labels))}
 	for _, v := range [...]int{r.SplitIterations, r.Merge.Iterations, r.Squares, r.Merge.ForcedResolutions} {
 		e.u32(uint32(v))
 	}
@@ -322,4 +374,66 @@ func decodeEvent(p []byte) (core.StageEvent, error) {
 		Iterations: int(d.i32()), Squares: int(d.i32()), Regions: int(d.i32()),
 	}
 	return ev, d.err
+}
+
+// encodeReduce is the frameReduce payload: the operator, the sequence
+// number and the contribution.
+func encodeReduce(op byte, seq uint32, val int64) []byte {
+	e := enc{b: make([]byte, 0, 13)}
+	e.b = append(e.b, op)
+	e.u32(seq)
+	e.i64(val)
+	return e.b
+}
+
+// decodeReduce reads a frameReduce payload, naming its operator by the
+// hub round it joins.
+func decodeReduce(p []byte) (kind roundKind, seq uint32, val int64, err error) {
+	d := dec{b: p}
+	op := d.bytes(1)
+	seq, val = d.u32(), d.i64()
+	if d.err != nil {
+		return 0, 0, 0, d.err
+	}
+	switch op[0] {
+	case opMax:
+		return roundReduceMax, seq, val, nil
+	case opSum:
+		return roundReduceSum, seq, val, nil
+	}
+	return 0, 0, 0, fmt.Errorf("distengine: unknown reduce op %d", op[0])
+}
+
+// encodeGather is the frameGather payload: the sequence number and the
+// contribution.
+func encodeGather(seq uint32, data []int32) []byte {
+	e := enc{b: make([]byte, 0, 8+4*len(data))}
+	e.u32(seq)
+	e.i32s(data)
+	return e.b
+}
+
+func decodeGather(p []byte) (seq uint32, data []int32, err error) {
+	d := dec{b: p}
+	seq = d.u32()
+	data = d.i32s()
+	return seq, data, d.err
+}
+
+// encodeExchange is the frameExchange payload: the sequence number, then
+// out's groups in ascending dest order.
+func encodeExchange(seq uint32, out map[int][]int32) []byte {
+	var e enc
+	e.u32(seq)
+	e.groups(out)
+	return e.b
+}
+
+// decodeExchange reads a frameExchange payload, its groups as one flat
+// (dest, len, payload...) list.
+func decodeExchange(p []byte) (seq uint32, routed []int32, err error) {
+	d := dec{b: p}
+	seq = d.u32()
+	routed = d.groups()
+	return seq, routed, d.err
 }

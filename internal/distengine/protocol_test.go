@@ -1,8 +1,11 @@
 package distengine
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"regiongrow/internal/core"
@@ -101,5 +104,99 @@ func TestEventRoundTrip(t *testing.T) {
 		if _, err := decodeEvent(p[:len(p)-1]); err == nil {
 			t.Fatalf("%v: truncated event accepted", k)
 		}
+	}
+}
+
+// TestI32sMatchesPerWordReference pins the bulk int32 codec to the
+// per-word one it replaced: a length prefix, then one AppendUint32 per
+// value, appended after whatever the buffer already holds. Decoding reads
+// the values back with Uint32, and a payload cut anywhere after its
+// length prefix, or one declaring more words than it carries, fails the
+// decoder instead of returning a short slice.
+func TestI32sMatchesPerWordReference(t *testing.T) {
+	for _, vs := range [][]int32{{}, {-1}, {1, -2, 3}, {0, 1<<31 - 1, -1 << 31, 7, -8}} {
+		head := []byte{0xAB, 0xCD}
+		ref := binary.BigEndian.AppendUint32(bytes.Clone(head), uint32(len(vs)))
+		for _, v := range vs {
+			ref = binary.BigEndian.AppendUint32(ref, uint32(v))
+		}
+		e := enc{b: bytes.Clone(head)}
+		e.i32s(vs)
+		if !bytes.Equal(e.b, ref) {
+			t.Fatalf("%v: encoded % x, want % x", vs, e.b, ref)
+		}
+
+		body := ref[len(head):]
+		want := make([]int32, 0, len(vs))
+		for p := body[4:]; len(p) > 0; p = p[4:] {
+			want = append(want, int32(binary.BigEndian.Uint32(p)))
+		}
+		d := dec{b: body}
+		if got := d.i32s(); d.err != nil || !slices.Equal(got, want) || len(d.b) != 0 {
+			t.Fatalf("%v: decoded %v (err %v, %d bytes left), want %v", vs, got, d.err, len(d.b), want)
+		}
+
+		for n := 0; n < len(body); n++ {
+			d := dec{b: body[:n]}
+			if got := d.i32s(); d.err == nil {
+				t.Fatalf("%v: payload cut to %d bytes decoded as %v", vs, n, got)
+			}
+		}
+		lying := binary.BigEndian.AppendUint32(nil, uint32(len(vs)+1))
+		d = dec{b: append(lying, body[4:]...)}
+		if got := d.i32s(); d.err == nil {
+			t.Fatalf("%v: length prefix one too large decoded as %v", vs, got)
+		}
+	}
+}
+
+// TestRequestRoundTrip pins the collective request frames: each decoder
+// reads back what its encoder wrote, exchange groups as the hub's flat
+// (dest, len, payload...) list in ascending dest order, and a payload cut
+// anywhere but on a whole exchange group is an error.
+func TestRequestRoundTrip(t *testing.T) {
+	type decoded struct {
+		kind roundKind
+		seq  uint32
+		val  int64
+		data []int32
+	}
+	reduce := func(p []byte) (decoded, error) {
+		k, seq, v, err := decodeReduce(p)
+		return decoded{kind: k, seq: seq, val: v}, err
+	}
+	cases := []struct {
+		name    string
+		payload []byte
+		decode  func([]byte) (decoded, error)
+		want    decoded
+		// wholeCuts are the shorter lengths that still decode: the
+		// sequence number and a prefix of the groups.
+		wholeCuts []int
+	}{
+		{"reduce max", encodeReduce(opMax, 7, -3), reduce, decoded{kind: roundReduceMax, seq: 7, val: -3}, nil},
+		{"reduce sum", encodeReduce(opSum, 8, 1<<40), reduce, decoded{kind: roundReduceSum, seq: 8, val: 1 << 40}, nil},
+		{"gather", encodeGather(9, []int32{3, 1, 4}), func(p []byte) (decoded, error) {
+			seq, data, err := decodeGather(p)
+			return decoded{seq: seq, data: data}, err
+		}, decoded{seq: 9, data: []int32{3, 1, 4}}, nil},
+		{"exchange", encodeExchange(10, map[int][]int32{2: {7, -1, 9}, 0: {}, 1: {5}}), func(p []byte) (decoded, error) {
+			seq, routed, err := decodeExchange(p)
+			return decoded{seq: seq, data: routed}, err
+		}, decoded{seq: 10, data: []int32{0, 0, 1, 1, 5, 2, 3, 7, -1, 9}}, []int{4, 12, 24}},
+	}
+	for _, tc := range cases {
+		got, err := tc.decode(tc.payload)
+		if err != nil || !reflect.DeepEqual(got, tc.want) {
+			t.Fatalf("%s: decoded %+v, %v; want %+v", tc.name, got, err, tc.want)
+		}
+		for n := 0; n < len(tc.payload); n++ {
+			if got, err := tc.decode(tc.payload[:n]); (err == nil) != slices.Contains(tc.wholeCuts, n) {
+				t.Fatalf("%s: payload cut to %d bytes decoded as %+v, %v", tc.name, n, got, err)
+			}
+		}
+	}
+	if _, _, _, err := decodeReduce([]byte{9, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1}); err == nil {
+		t.Fatal("reduce with an unknown operator accepted")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -192,11 +191,7 @@ func (l *link) roundTrip(t frameType, payload []byte, want frameType) ([]byte, e
 
 func (l *link) reduce(op byte, val int64) (int64, error) {
 	l.seq++
-	var e enc
-	e.b = append(e.b, op)
-	e.u32(l.seq)
-	e.i64(val)
-	resp, err := l.roundTrip(frameReduce, e.b, frameReduceResult)
+	resp, err := l.roundTrip(frameReduce, encodeReduce(op, l.seq, val), frameReduceResult)
 	if err != nil {
 		return 0, err
 	}
@@ -219,10 +214,7 @@ func (l *link) AllReduceSum(val int) (int, error) {
 // every rank's contribution.
 func (l *link) AllGather(data []int32) ([]int32, error) {
 	l.seq++
-	var e enc
-	e.u32(l.seq)
-	e.i32s(data)
-	resp, err := l.roundTrip(frameGather, e.b, frameGatherResult)
+	resp, err := l.roundTrip(frameGather, encodeGather(l.seq, data), frameGatherResult)
 	if err != nil {
 		return nil, err
 	}
@@ -264,18 +256,7 @@ func (l *link) Neighbours(out []nodeprog.Strip) ([][]int32, error) {
 // addressed to this rank as (src, data) pairs in ascending source order.
 func (l *link) exchange(outbound map[int][]int32) (srcs []int32, datas [][]int32, err error) {
 	l.seq++
-	var e enc
-	e.u32(l.seq)
-	dests := make([]int, 0, len(outbound))
-	for d := range outbound {
-		dests = append(dests, d)
-	}
-	sort.Ints(dests)
-	for _, dst := range dests {
-		e.i32(int32(dst))
-		e.i32s(outbound[dst])
-	}
-	resp, err := l.roundTrip(frameExchange, e.b, frameExchangeResult)
+	resp, err := l.roundTrip(frameExchange, encodeExchange(l.seq, outbound), frameExchangeResult)
 	if err != nil {
 		return nil, nil, err
 	}
