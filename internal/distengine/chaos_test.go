@@ -101,8 +101,10 @@ func TestChaosScenarios(t *testing.T) {
 
 	// In-direction frame order from each worker: reduce #1 is the
 	// split-iteration all-reduce (mid-split); exchange #1 is the boundary
-	// stitch, #2 the first merge round's choice routing (mid-merge);
-	// gather #1 is the first merge round's event gather (mid-gather);
+	// stitch; each merge round then sends an exchange-max (its head
+	// all-reduce and suitor routing), a gather (its merge events) and an
+	// exchange (its handovers). So exchange-max #1 is mid-merge, gather #1
+	// mid-gather and exchange #2 mid-handover, all in the first round;
 	// result #1 ends the job. Counters include liveness pings only for
 	// the type-0 (any frame) rules.
 	scenarios := []struct {
@@ -124,7 +126,7 @@ func TestChaosScenarios(t *testing.T) {
 		{
 			name: "kill worker mid-merge round",
 			inject: func(tr *faulty.Transport, mem *transport.Mem) {
-				tr.Inject("w1", faulty.Fault{Dir: faulty.In, Type: distengine.TFrameExchange, Nth: 2, Act: faulty.Cut,
+				tr.Inject("w1", faulty.Fault{Dir: faulty.In, Type: distengine.TFrameExchangeMax, Nth: 1, Act: faulty.Cut,
 					Hook: func() { mem.Kill("w1") }})
 			},
 		},
@@ -132,6 +134,13 @@ func TestChaosScenarios(t *testing.T) {
 			name: "kill worker mid-gather",
 			inject: func(tr *faulty.Transport, mem *transport.Mem) {
 				tr.Inject("w1", faulty.Fault{Dir: faulty.In, Type: distengine.TFrameGather, Nth: 1, Act: faulty.Cut,
+					Hook: func() { mem.Kill("w1") }})
+			},
+		},
+		{
+			name: "kill worker mid-handover",
+			inject: func(tr *faulty.Transport, mem *transport.Mem) {
+				tr.Inject("w1", faulty.Fault{Dir: faulty.In, Type: distengine.TFrameExchange, Nth: 2, Act: faulty.Cut,
 					Hook: func() { mem.Kill("w1") }})
 			},
 		},
@@ -234,9 +243,9 @@ func TestChaosPartitionMidMerge(t *testing.T) {
 	eng.SetTuning(chaosTuning())
 	before := runtime.NumGoroutine()
 
-	// Cut the whole coordinator side at the first merge round's choice
-	// exchange from w1.
-	tr.Inject("w1", faulty.Fault{Dir: faulty.In, Type: distengine.TFrameExchange, Nth: 2, Act: faulty.Cut,
+	// Cut the whole coordinator side at w1's first exchange-max: the first
+	// merge round's head all-reduce and suitor routing.
+	tr.Inject("w1", faulty.Fault{Dir: faulty.In, Type: distengine.TFrameExchangeMax, Nth: 1, Act: faulty.Cut,
 		Hook: tr.Partition})
 	_, err = eng.SegmentContext(context.Background(), im, cfg, core.Run{})
 	if !errors.Is(err, distengine.ErrNoWorkers) {

@@ -1,7 +1,9 @@
 package distengine
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -15,6 +17,7 @@ const (
 	roundReduceSum
 	roundGather
 	roundExchange
+	roundExchangeMax
 )
 
 func (k roundKind) String() string {
@@ -27,6 +30,8 @@ func (k roundKind) String() string {
 		return "all-gather"
 	case roundExchange:
 		return "exchange"
+	case roundExchangeMax:
+		return "exchange-max"
 	default:
 		return fmt.Sprintf("roundKind(%d)", int(k))
 	}
@@ -125,7 +130,7 @@ func (c *collective) sync(rank int, kind roundKind, seq uint32, val int64, paylo
 	last := r.joined == c.n
 	if last {
 		c.cur = nil
-		r.finish(c.n)
+		r.finish()
 		close(r.done)
 	}
 	c.mu.Unlock()
@@ -142,16 +147,12 @@ func (c *collective) sync(rank int, kind roundKind, seq uint32, val int64, paylo
 	return r, r.err
 }
 
-// finish computes the round's combined result from the n contributions.
-func (r *round) finish(n int) {
+// finish computes the round's combined result from every rank's
+// contribution.
+func (r *round) finish() {
 	switch r.kind {
 	case roundReduceMax:
-		r.val = r.vals[0]
-		for _, v := range r.vals[1:] {
-			if v > r.val {
-				r.val = v
-			}
-		}
+		r.val = slices.Max(r.vals)
 	case roundReduceSum:
 		for _, v := range r.vals {
 			r.val += v
@@ -166,53 +167,34 @@ func (r *round) finish(n int) {
 			r.gather = append(r.gather, d...)
 		}
 	case roundExchange:
-		r.route = make([][]int32, n)
-		for src := 0; src < n; src++ {
-			d := dec32{b: r.data[src]}
-			for !d.empty() {
-				dest := int(d.next())
-				cnt := int(d.next())
-				payload := d.take(cnt)
-				if d.err != nil {
-					r.err = fmt.Errorf("distengine: malformed exchange payload from rank %d", src)
-					return
-				}
-				if dest < 0 || dest >= n {
-					r.err = fmt.Errorf("distengine: exchange to rank %d of %d from rank %d", dest, n, src)
-					return
-				}
-				r.route[dest] = append(r.route[dest], int32(src), int32(cnt))
-				r.route[dest] = append(r.route[dest], payload...)
+		r.route, r.err = route(r.data)
+	case roundExchangeMax:
+		r.val = slices.Max(r.vals)
+		r.route, r.err = route(r.data)
+	}
+}
+
+// route turns each source rank's flat (dest, len, payload...) groups into
+// each destination's (src, len, payload...) groups, in ascending source
+// order.
+func route(data [][]int32) ([][]int32, error) {
+	n := len(data)
+	out := make([][]int32, n)
+	for src, groups := range data {
+		err := eachGroup(groups, func(dest int32, payload []int32) error {
+			if dest < 0 || int(dest) >= n {
+				return fmt.Errorf("distengine: exchange to rank %d of %d from rank %d", dest, n, src)
 			}
+			out[dest] = append(out[dest], int32(src), int32(len(payload)))
+			out[dest] = append(out[dest], payload...)
+			return nil
+		})
+		if errors.Is(err, errGroupOverrun) {
+			return nil, fmt.Errorf("distengine: malformed exchange payload from rank %d", src)
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
-}
-
-// dec32 walks an []int32 payload with latching bounds checks, the int32
-// sibling of dec.
-type dec32 struct {
-	b   []int32
-	err error
-}
-
-func (d *dec32) empty() bool { return d.err != nil || len(d.b) == 0 }
-
-func (d *dec32) next() int32 {
-	if d.err != nil || len(d.b) < 1 {
-		d.err = fmt.Errorf("distengine: truncated exchange group")
-		return 0
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
-}
-
-func (d *dec32) take(n int) []int32 {
-	if d.err != nil || n < 0 || len(d.b) < n {
-		d.err = fmt.Errorf("distengine: truncated exchange group")
-		return nil
-	}
-	p := d.b[:n:n]
-	d.b = d.b[n:]
-	return p
+	return out, nil
 }

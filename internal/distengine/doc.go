@@ -6,14 +6,17 @@
 // hub and its cost-model hooks left empty.
 //
 // The wire protocol is a small set of length-prefixed binary frames
-// (stdlib only): a job frame carrying geometry, config, and the worker's
-// band of pixels; lockstep collective request/response pairs (all-reduce,
-// all-gather, irregular exchange); fire-and-forget stage events from rank
+// (stdlib only), version 3: a job frame carrying geometry, config, and
+// the worker's band of pixels; lockstep collective request/response pairs
+// (all-reduce, all-gather, irregular exchange, and exchange-max, a merge
+// round's head all-reduce fused with its suitor exchange, so a round
+// costs three hub round trips); fire-and-forget stage events from rank
 // 0, each a core.StageEvent; a terminal result frame, the worker's
 // nodeprog.Result with the band's final labels, which the coordinator
 // assembles with nodeprog.Assemble; and an abort frame the coordinator
 // injects on context cancellation, which every worker observes at its
-// next collective — within one split/merge iteration.
+// next collective — within one split/merge iteration. The frame types
+// and payload layouts are in protocol.go.
 //
 // The coordinator side (Engine) implements core.Engine, so it
 // plugs into the regiongrow.Segmenter facade as the Distributed kind; the

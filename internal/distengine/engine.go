@@ -552,6 +552,24 @@ func runWorker(rank int, wc transport.Conn, tun Tuning, starts []int, cap int, i
 			if err := answer(frameExchangeResult, e2.b); err != nil {
 				return err
 			}
+		case frameExchangeMax:
+			seq, val, routed, err := decodeExchangeMax(payload)
+			if err != nil {
+				return fmt.Errorf("distengine: worker %d: malformed exchange-max: %w", rank, err)
+			}
+			// One reduce, and an exchange only when the maximum lets the
+			// round go on: the counts of the two collectives it fuses.
+			comm.reduces.Add(1)
+			r, err := coll.sync(rank, roundExchangeMax, seq, val, routed)
+			if err != nil {
+				return syncErr(coll, err)
+			}
+			if r.val > 0 {
+				comm.exchanges.Add(1)
+			}
+			if err := answer(frameExchangeMaxResult, encodeExchangeMaxResult(r.val, r.route[rank])); err != nil {
+				return err
+			}
 		case frameEvent:
 			ev, err := decodeEvent(payload)
 			if err != nil {

@@ -14,4 +14,5 @@ const (
 	TFrameResult         = byte(frameResult)
 	TFramePing           = byte(framePing)
 	TFramePong           = byte(framePong)
+	TFrameExchangeMax    = byte(frameExchangeMax)
 )

@@ -104,6 +104,12 @@ func FuzzReadFrame(f *testing.F) {
 				_, _, _ = decodeGather(fr.Payload)
 			case frameExchange:
 				_, _, _ = decodeExchange(fr.Payload)
+			case frameExchangeMax:
+				_, _, _, _ = decodeExchangeMax(fr.Payload)
+			case frameExchangeResult:
+				_, _, _ = decodeExchangeResult(fr.Payload)
+			case frameExchangeMaxResult:
+				_, _, _ = decodeExchangeMaxResult(fr.Payload)
 			case frameResult:
 				_, _ = decodeResult(fr.Payload)
 			case frameEvent:

@@ -2,6 +2,7 @@ package distengine
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -16,8 +17,10 @@ import (
 // ProtocolVersion is bumped whenever a frame layout changes; a worker
 // refuses a job whose version differs rather than mis-parsing it.
 // Version 2 added ping/pong liveness frames and the job's heartbeat and
-// link-timeout fields.
-const ProtocolVersion = 2
+// link-timeout fields. Version 3 added the exchange-max frames, which
+// carry a merge round's head all-reduce and its suitor exchange in one
+// round trip, so a merge round sends three request frames, not four.
+const ProtocolVersion = 3
 
 // frameWriteTimeout bounds every frame write on both ends of a
 // connection. A write only blocks when the peer stops draining its
@@ -80,6 +83,13 @@ const (
 	// framePong answers a framePing received outside a job — the worker
 	// half of the coordinator's health-probe round trip.
 	framePong
+	// frameExchangeMax (worker → coordinator) is a merge round's head
+	// all-reduce-max fused with its suitor exchange: one int64 to combine
+	// and payloads to route. frameExchangeMaxResult carries the maximum
+	// and the payloads addressed to this rank, in ascending source-rank
+	// order.
+	frameExchangeMax
+	frameExchangeMaxResult
 )
 
 // Reduction operators carried in frameReduce payloads.
@@ -210,13 +220,48 @@ func (d *dec) groups() []int32 {
 	out := make([]int32, len(d.b)/4)
 	putWords(out, d.b)
 	d.b = d.b[len(d.b):]
-	for i := 0; i < len(out); i += 2 + int(out[i+1]) {
-		if len(out)-i < 2 || out[i+1] < 0 || int(out[i+1]) > len(out)-i-2 {
-			d.fail()
-			return nil
-		}
+	if eachGroup(out, func(int32, []int32) error { return nil }) != nil {
+		d.fail()
+		return nil
 	}
 	return out
+}
+
+// delivered reads the rest of an exchange result: the length-prefixed
+// (src, len, payload...) groups addressed to this rank, split into their
+// sources and payloads.
+func (d *dec) delivered() (srcs []int32, datas [][]int32) {
+	flat := d.i32s()
+	err := eachGroup(flat, func(src int32, data []int32) error {
+		srcs = append(srcs, src)
+		datas = append(datas, data)
+		return nil
+	})
+	if err != nil {
+		d.fail()
+		return nil, nil
+	}
+	return srcs, datas
+}
+
+// errGroupOverrun reports a flat group list whose groups do not tile it.
+var errGroupOverrun = errors.New("distengine: truncated exchange group")
+
+// eachGroup calls fn on the (key, payload) groups of a flat
+// (key, len, payload...) list in order, and fails with errGroupOverrun
+// if they do not tile the list exactly, or with fn's first error.
+func eachGroup(flat []int32, fn func(key int32, data []int32) error) error {
+	for i := 0; i < len(flat); {
+		if len(flat)-i < 2 || flat[i+1] < 0 || int(flat[i+1]) > len(flat)-i-2 {
+			return errGroupOverrun
+		}
+		end := i + 2 + int(flat[i+1])
+		if err := fn(flat[i], flat[i+2:end:end]); err != nil {
+			return err
+		}
+		i = end
+	}
+	return nil
 }
 
 // job is the decoded frameJob payload: everything a worker needs to run
@@ -436,4 +481,49 @@ func decodeExchange(p []byte) (seq uint32, routed []int32, err error) {
 	seq = d.u32()
 	routed = d.groups()
 	return seq, routed, d.err
+}
+
+// encodeExchangeMax is the frameExchangeMax payload: the sequence number,
+// the contribution to the maximum, then out's groups in ascending dest
+// order.
+func encodeExchangeMax(seq uint32, val int64, out map[int][]int32) []byte {
+	var e enc
+	e.u32(seq)
+	e.i64(val)
+	e.groups(out)
+	return e.b
+}
+
+// decodeExchangeMax reads a frameExchangeMax payload, its groups as one
+// flat (dest, len, payload...) list.
+func decodeExchangeMax(p []byte) (seq uint32, val int64, routed []int32, err error) {
+	d := dec{b: p}
+	seq, val = d.u32(), d.i64()
+	routed = d.groups()
+	return seq, val, routed, d.err
+}
+
+// encodeExchangeMaxResult is the frameExchangeMaxResult payload: the
+// maximum, then the length-prefixed groups routed to the rank.
+func encodeExchangeMaxResult(max int64, routed []int32) []byte {
+	e := enc{b: make([]byte, 0, 12+4*len(routed))}
+	e.i64(max)
+	e.i32s(routed)
+	return e.b
+}
+
+// decodeExchangeResult reads a frameExchangeResult payload: the payloads
+// addressed to this rank and their sources, in ascending source order.
+func decodeExchangeResult(p []byte) (srcs []int32, datas [][]int32, err error) {
+	d := dec{b: p}
+	srcs, datas = d.delivered()
+	return srcs, datas, d.err
+}
+
+// decodeExchangeMaxResult reads a frameExchangeMaxResult payload.
+func decodeExchangeMaxResult(p []byte) (max int64, datas [][]int32, err error) {
+	d := dec{b: p}
+	max = d.i64()
+	_, datas = d.delivered()
+	return max, datas, d.err
 }

@@ -184,6 +184,10 @@ func TestRequestRoundTrip(t *testing.T) {
 			seq, routed, err := decodeExchange(p)
 			return decoded{seq: seq, data: routed}, err
 		}, decoded{seq: 10, data: []int32{0, 0, 1, 1, 5, 2, 3, 7, -1, 9}}, []int{4, 12, 24}},
+		{"exchange-max", encodeExchangeMax(11, 1, map[int][]int32{1: {4, 6}}), func(p []byte) (decoded, error) {
+			seq, v, routed, err := decodeExchangeMax(p)
+			return decoded{seq: seq, val: v, data: routed}, err
+		}, decoded{seq: 11, val: 1, data: []int32{1, 2, 4, 6}}, []int{12}},
 	}
 	for _, tc := range cases {
 		got, err := tc.decode(tc.payload)
@@ -198,5 +202,35 @@ func TestRequestRoundTrip(t *testing.T) {
 	}
 	if _, _, _, err := decodeReduce([]byte{9, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1}); err == nil {
 		t.Fatal("reduce with an unknown operator accepted")
+	}
+}
+
+// TestDeliveredRoundTrip pins the two routing results: the hub's flat
+// (src, len, payload...) groups for a rank come back as its sources and
+// payloads, after the maximum on an exchange-max; a cut payload or a
+// group that overruns the list is an error.
+func TestDeliveredRoundTrip(t *testing.T) {
+	routed := []int32{0, 2, 7, 8, 2, 0, 3, 1, -5}
+	wantSrcs, wantDatas := []int32{0, 2, 3}, [][]int32{{7, 8}, {}, {-5}}
+	var e enc
+	e.i32s(routed)
+	srcs, datas, err := decodeExchangeResult(e.b)
+	if err != nil || !reflect.DeepEqual(srcs, wantSrcs) || !reflect.DeepEqual(datas, wantDatas) {
+		t.Fatalf("exchange result decoded %v %v, %v; want %v %v", srcs, datas, err, wantSrcs, wantDatas)
+	}
+	p := encodeExchangeMaxResult(4, routed)
+	m, datas, err := decodeExchangeMaxResult(p)
+	if err != nil || m != 4 || !reflect.DeepEqual(datas, wantDatas) {
+		t.Fatalf("exchange-max result decoded %d %v, %v; want 4 %v", m, datas, err, wantDatas)
+	}
+	for n := 0; n < len(p); n++ {
+		if _, datas, err := decodeExchangeMaxResult(p[:n]); err == nil {
+			t.Fatalf("exchange-max result cut to %d bytes decoded as %v", n, datas)
+		}
+	}
+	var bad enc
+	bad.i32s([]int32{0, 5, 1})
+	if _, _, err := decodeExchangeResult(bad.b); err == nil {
+		t.Fatal("exchange result whose group overruns it accepted")
 	}
 }

@@ -15,10 +15,15 @@ import (
 
 	"regiongrow/internal/core"
 	"regiongrow/internal/pixmap"
+	"regiongrow/internal/quadsplit"
 	"regiongrow/internal/rag"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/wire.golden from the current engine")
+
+// wireGoldenImages are the paper images TestWireGolden and
+// TestFrameBudget run at 1–3 workers under every tie policy.
+var wireGoldenImages = []pixmap.PaperImageID{pixmap.Image1NestedRects128, pixmap.Image3Circles128, pixmap.Image6Tool256}
 
 // wireDigest summarises one recorded byte stream: the number of protocol
 // frames and a SHA-256 over every frame's type, payload length and
@@ -71,13 +76,12 @@ func TestWireGolden(t *testing.T) {
 		}
 	}
 
-	images := []pixmap.PaperImageID{pixmap.Image1NestedRects128, pixmap.Image3Circles128, pixmap.Image6Tool256}
 	var got []string
 	for workers := 1; workers <= 3; workers++ {
 		addrs, taps := startTappedWorkers(t, workers)
 		eng := New(addrs)
 		job := 0
-		for _, id := range images {
+		for _, id := range wireGoldenImages {
 			if testing.Short() && id.Size() == 256 && !*update {
 				continue
 			}
@@ -119,6 +123,38 @@ func TestWireGolden(t *testing.T) {
 	if *update {
 		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestFrameBudget pins what a job costs on the wire-golden set. With W
+// bands and R merge rounds, each worker sends its two split reduces, the
+// boundary exchange, three frames a round (exchange-max, gather and the
+// handover exchange), the closing exchange-max, whose maximum is 0, and
+// its result; rank 0 adds 2+R events. So a job sends W·(5+3R)+2+R
+// frames, W·(R+3) reduces and W·(1+2R) exchanges, and a hub round trip
+// added to a round fails here by name.
+func TestFrameBudget(t *testing.T) {
+	for workers := 1; workers <= 3; workers++ {
+		addrs, _ := startTappedWorkers(t, workers)
+		eng := New(addrs)
+		for _, id := range wireGoldenImages {
+			im := pixmap.Generate(id, pixmap.DefaultGenOptions())
+			cap := quadsplit.EffectiveCap(quadsplit.Options{}, im.W, im.H)
+			w := int64(min(workers, (im.H+cap-1)/cap))
+			for _, tie := range rag.AllTiePolicies() {
+				seg, err := eng.SegmentContext(context.Background(), im, core.Config{Threshold: 10, Tie: tie, Seed: 1}, core.Run{})
+				if err != nil {
+					t.Fatalf("%d workers, %s, %v: %v", workers, id.ShortName(), tie, err)
+				}
+				r := int64(seg.MergeIterations)
+				got := [...]int64{seg.Comm.Messages, seg.Comm.Reduces, seg.Comm.Exchanges, seg.Comm.Gathers}
+				want := [...]int64{w*(5+3*r) + 2 + r, w * (r + 3), w * (1 + 2*r), w * r}
+				if got != want {
+					t.Errorf("%d workers (%d bands), %s, %v, %d rounds: frames, reduces, exchanges, gathers %v, want %v",
+						workers, w, id.ShortName(), tie, r, got, want)
+				}
+			}
 		}
 	}
 }

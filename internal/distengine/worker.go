@@ -260,23 +260,27 @@ func (l *link) exchange(outbound map[int][]int32) (srcs []int32, datas [][]int32
 	if err != nil {
 		return nil, nil, err
 	}
-	d := dec{b: resp}
-	flat := d.i32s()
-	if d.err != nil {
-		return nil, nil, d.err
+	return decodeExchangeResult(resp)
+}
+
+// ExchangeMax is one exchange-max round trip: the hub combines v and
+// routes out in the same round. between runs after it, when the maximum
+// is positive; a real worker has no clock for the round's charges to
+// advance.
+func (l *link) ExchangeMax(v int, out map[int][]int32, between func()) (int, [][]int32, error) {
+	l.seq++
+	resp, err := l.roundTrip(frameExchangeMax, encodeExchangeMax(l.seq, int64(v), out), frameExchangeMaxResult)
+	if err != nil {
+		return 0, nil, err
 	}
-	g := dec32{b: flat}
-	for !g.empty() {
-		src := g.next()
-		cnt := int(g.next())
-		data := g.take(cnt)
-		if g.err != nil {
-			return nil, nil, g.err
-		}
-		srcs = append(srcs, src)
-		datas = append(datas, data)
+	m, in, err := decodeExchangeMaxResult(resp)
+	if err != nil {
+		return 0, nil, err
 	}
-	return srcs, datas, nil
+	if m > 0 {
+		between()
+	}
+	return int(m), in, nil
 }
 
 // Emit streams one stage event to the coordinator (fire-and-forget; the

@@ -212,6 +212,20 @@ func (nd *node) Exchange(out map[int][]int32) ([][]int32, error) {
 	return in, nil
 }
 
+// ExchangeMax makes the two collectives a merge round always made:
+// AllReduceMax, which folds ctx in, then, when the maximum is positive,
+// between's charges and Exchange. The mpvm calls, charges and tags are
+// those of the two separate calls, so the simulated times are too.
+func (nd *node) ExchangeMax(v int, out map[int][]int32, between func()) (int, [][]int32, error) {
+	red, err := nd.AllReduceMax(v)
+	if err != nil || red == 0 {
+		return red, nil, err
+	}
+	between()
+	in, err := nd.Exchange(out)
+	return red, in, err
+}
+
 // Neighbours sends the strips point to point, then receives each peer's
 // reply in the same order. A strip travels with its side's tag (101–104
 // for east, west, south, north); the peer's reply carries the opposite

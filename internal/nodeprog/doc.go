@@ -26,7 +26,10 @@
 //     into its representative, which becomes a ghost if it was unknown.
 //  5. Steps 3–4 repeat while any node still has an active edge: each
 //     repetition is one round of rag.Drive, whose head reduction
-//     decides for every node at once.
+//     decides for every node at once. The reduction rides the round's
+//     suitor exchange (Collectives.ExchangeMax), so a round makes three
+//     collectives: that one, the merge-event gather and the handover
+//     exchange.
 //
 // A region is owned by the node whose tile holds its anchor pixel, and the
 // representative (smaller ID) of a merge keeps its owner. Messages name

@@ -73,12 +73,13 @@ func (c *fakeCluster) leave() {
 
 // fakeNode is one node's Collectives on a fakeCluster. If corrupt is set,
 // it edits the first non-empty result of the named kind this node
-// receives: "suitors" and "handover" are the two exchanges of each merge
-// round, "gather" the merge events, "strip" the first boundary strip.
+// receives: "suitors" is ExchangeMax's routing, "handover" Exchange's,
+// "gather" the merge events, "strip" the first boundary strip. "idle"
+// adds corrupt(nil) as a payload to the first ExchangeMax whose maximum
+// is 0, where a correct cluster delivers none.
 type fakeNode struct {
 	cl        *fakeCluster
 	rank      int
-	exchanges int
 	kind      string
 	corrupt   func([]int32) []int32
 	corrupted bool
@@ -133,18 +134,48 @@ func (f *fakeNode) Exchange(out map[int][]int32) ([][]int32, error) {
 	if err != nil {
 		return nil, err
 	}
-	kind := "suitors"
-	if f.exchanges%2 == 1 {
-		kind = "handover"
+	return f.delivered("handover", all), nil
+}
+
+// maxAndOut is one node's contribution to an ExchangeMax.
+type maxAndOut struct {
+	v   int
+	out map[int][]int32
+}
+
+func (f *fakeNode) ExchangeMax(v int, out map[int][]int32, between func()) (int, [][]int32, error) {
+	all, err := f.cl.sync(f.rank, maxAndOut{v, out})
+	if err != nil {
+		return 0, nil, err
 	}
-	f.exchanges++
+	m := 0
+	outs := make([]any, len(all))
+	for i, x := range all {
+		m = max(m, x.(maxAndOut).v)
+		outs[i] = x.(maxAndOut).out
+	}
+	in := f.delivered("suitors", outs)
+	if m == 0 {
+		if f.kind == "idle" && f.corrupt != nil && !f.corrupted {
+			f.corrupted = true
+			in = append(in, f.corrupt(nil))
+		}
+		return 0, in, nil
+	}
+	between()
+	return m, in, nil
+}
+
+// delivered returns the payloads every node's out map addresses to this
+// node, in rank order, each passed through edit as kind.
+func (f *fakeNode) delivered(kind string, outs []any) [][]int32 {
 	var in [][]int32
-	for _, x := range all {
+	for _, x := range outs {
 		if data, ok := x.(map[int][]int32)[f.rank]; ok {
 			in = append(in, f.edit(kind, data))
 		}
 	}
-	return in, nil
+	return in
 }
 
 func (f *fakeNode) Neighbours(out []Strip) ([][]int32, error) {
@@ -220,7 +251,8 @@ func TestFakeClusterMerges(t *testing.T) {
 // TestMalformedCollectiveResults: a collective result no correct peer
 // could produce makes Run return an error on the node that received it,
 // never panic and never carry on. On the fake cluster's input rank 0
-// receives remote suitors and adjacency handovers from rank 1.
+// receives remote suitors and adjacency handovers from rank 1, and every
+// node ends on an ExchangeMax whose maximum is 0.
 func TestMalformedCollectiveResults(t *testing.T) {
 	const lastPixel = 16*16 - 1 // owned by rank 1
 	cases := []struct {
@@ -232,6 +264,7 @@ func TestMalformedCollectiveResults(t *testing.T) {
 	}{
 		{"odd-length suitor routing", 0, "suitors", func(p []int32) []int32 { return append(p, p[0]) }, "odd length"},
 		{"suitor for a vertex not owned here", 0, "suitors", func(p []int32) []int32 { p[1] = p[0]; return p }, "suitor for vertex"},
+		{"suitors in a round without choices", 0, "idle", func([]int32) []int32 { return []int32{lastPixel, 0} }, "round without choices"},
 		{"handover for a vertex not owned here", 0, "handover", func(p []int32) []int32 { p[0] = lastPixel; return p }, "handover for vertex"},
 		{"truncated handover", 0, "handover", func(p []int32) []int32 { return p[:len(p)-1] }, "truncated"},
 		{"merge events not a multiple of 4", 1, "gather", func(p []int32) []int32 { return append(p, 0) }, "not a multiple of 4"},

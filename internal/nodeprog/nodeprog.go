@@ -31,6 +31,14 @@ type Collectives interface {
 	// communication) and returns the payloads addressed to this node in
 	// ascending source-rank order.
 	Exchange(out map[int][]int32) ([][]int32, error)
+	// ExchangeMax is a merge round's head reduction fused with its suitor
+	// exchange: it returns AllReduceMax(v) and, when that maximum is
+	// positive, runs between and then Exchange(out). When the maximum is
+	// 0 neither runs and in is empty. between holds the round's charges,
+	// which a cost model bills after the reduction and before the
+	// exchange, because an exchange's times depend on each node's clock
+	// at the send.
+	ExchangeMax(v int, out map[int][]int32, between func()) (max int, in [][]int32, err error)
 	// Neighbours is the regular exchange with grid neighbours: each strip
 	// goes to its peer, sent in the order listed, and in[i] is the strip
 	// out[i].Peer sent back.
@@ -386,19 +394,26 @@ func (p *prog) border(d Dir) []int32 {
 // active edge remains anywhere. A vertex has a choice exactly when it has
 // an active edge, and every edge has an owned endpoint on some node, so
 // the choices also answer the head question: any active edge anywhere?
-// The head reduction decides termination for every node at once, and a
-// cancellation surfaces from it (or from any other collective) so all
-// nodes leave within one round.
+// The head reduction rides the suitor exchange in one ExchangeMax, with
+// the round's charges between its halves. It decides termination for
+// every node at once, and a cancellation surfaces from it (or from any
+// other collective) so all nodes leave within one round.
 func (p *prog) round(policy rag.TiePolicy, iter int) (int, bool, error) {
 	chosen, scanned, head := p.choose(policy, iter)
 	p.c.Charge(head * 4)
-	red, err := p.c.AllReduceMax(min(chosen, 1))
-	if err != nil || red == 0 {
+	red, in, err := p.c.ExchangeMax(min(chosen, 1), p.suitors(), func() {
+		p.c.Phase(PhaseRound, p.tw*p.th)
+		p.c.Charge(scanned*6 + chosen*4)
+	})
+	switch {
+	case err != nil:
 		return 0, false, err
+	case red == 0 && len(in) > 0:
+		return 0, false, fmt.Errorf("nodeprog: %d suitor routings in a round without choices", len(in))
+	case red == 0:
+		return 0, false, nil
 	}
-	p.c.Phase(PhaseRound, p.tw*p.th)
-	p.c.Charge(scanned*6 + chosen*4)
-	merged, err := p.mergeRound(iter)
+	merged, err := p.mergeRound(iter, in)
 	return merged, true, err
 }
 
@@ -428,25 +443,27 @@ func (p *prog) choose(policy rag.TiePolicy, iter int) (chosen, scanned, head int
 	return chosen, scanned, head
 }
 
-// mergeRound runs steps 3b–4 on round iter's choices and returns the
-// global number of merges. Every payload is built in ascending ID order
-// so the bytes a node sends are the same run to run.
-func (p *prog) mergeRound(iter int) (int, error) {
-	g := p.g
-	// Step 3b: route each remote choice (v, w) to owner(w) so mutual
-	// pairs are detectable on both sides; a local one needs no message.
-	outbound := make(map[int][]int32)
+// suitors is step 3b's routing: each remote choice (v, w) goes to
+// owner(w), so mutual pairs are detectable on both sides; a local one
+// needs no message. The pairs are in ascending ID order, so the bytes a
+// node sends are the same run to run.
+func (p *prog) suitors() map[int][]int32 {
+	out := make(map[int][]int32)
 	for s, c := range p.choice {
 		if c >= int32(p.nOwned) {
-			w := g.SlotID(int(c))
+			w := p.g.SlotID(int(c))
 			o := p.Grid.owner(w)
-			outbound[o] = append(outbound[o], g.SlotID(s), w)
+			out[o] = append(out[o], p.g.SlotID(s), w)
 		}
 	}
-	in, err := p.c.Exchange(outbound)
-	if err != nil {
-		return 0, err
-	}
+	return out
+}
+
+// mergeRound runs steps 3b–4 on round iter's choices and the suitor
+// routing in addressed to this node, and returns the global number of
+// merges. Every payload is built in ascending ID order.
+func (p *prog) mergeRound(iter int, in [][]int32) (int, error) {
+	g := p.g
 	clear(p.suitor)
 	for _, data := range in {
 		if len(data)%2 != 0 {
