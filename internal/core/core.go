@@ -162,9 +162,10 @@ func mergeRounds(ctx context.Context, g *rag.Graph, cfg Config, run Run) (rag.Me
 // the engine's merge stage, and the finalize, with the stage events
 // around them. The split runs in at most workers row bands, one
 // goroutine each (quadsplit.Options.Workers). The graph is built from
-// the split's square list (rag.Graph.AddSquares), and the finalize reads
-// the labels and the region list off the merged graph
-// (rag.Graph.Relabel), with no per-pixel map pass.
+// the split's square and edge lists (rag.Graph.AddSquares), and the
+// finalize paints the labels from the squares and reads the region list
+// off the merged graph (rag.Graph.Relabel): no stage before it writes or
+// reads a per-pixel raster.
 func pipeline(ctx context.Context, im *pixmap.Image, cfg Config, run Run, workers int,
 	merge func(ctx context.Context, g *rag.Graph, cfg Config, run Run) (rag.MergeStats, error)) (*Segmentation, error) {
 	run.Emit(StageEvent{Kind: EventSplitStart})
@@ -179,7 +180,7 @@ func pipeline(ctx context.Context, im *pixmap.Image, cfg Config, run Run, worker
 
 	t1 := time.Now() //vet:timing stage wall-time for Stats; never reaches labels or wire bytes
 	g := rag.NewGraph(cfg.Threshold)
-	if err := g.AddSquares(ctx, sp.Squares, sp.Labels, im.W, 0, im.W); err != nil {
+	if err := g.AddSquares(ctx, sp.Squares, sp.Edges, im.W, 0, im.W); err != nil {
 		return nil, err
 	}
 	run.Emit(StageEvent{Kind: EventGraphDone, Squares: len(sp.Squares)})
@@ -187,7 +188,7 @@ func pipeline(ctx context.Context, im *pixmap.Image, cfg Config, run Run, worker
 	if err != nil {
 		return nil, err
 	}
-	labels, regions := g.Relabel(sp.Labels)
+	labels, regions := g.Relabel(sp.Squares, im.W, im.H)
 	mergeWall := time.Since(t1) //vet:timing stage wall-time for Stats; never reaches labels or wire bytes
 
 	seg := &Segmentation{

@@ -9,7 +9,11 @@ type assignments struct {
 	parent map[int32]int32
 }
 
-func newAssignments() *assignments { return &assignments{parent: make(map[int32]int32)} }
+// newAssignments sizes the record for n squares: an image of n squares
+// has at most n−1 merges, so the map never rehashes.
+func newAssignments(n int) *assignments {
+	return &assignments{parent: make(map[int32]int32, n)}
+}
 
 // record notes that region from merged into representative into.
 func (a *assignments) record(from, into int32) { a.parent[from] = into }

@@ -3,7 +3,7 @@ package nodeprog
 import "testing"
 
 func TestAssignmentsFindChains(t *testing.T) {
-	asg := newAssignments()
+	asg := newAssignments(4)
 	// Chain 5 -> 4 -> 3 -> 0 built over several "iterations".
 	asg.record(5, 4)
 	asg.record(4, 3)

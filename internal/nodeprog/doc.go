@@ -12,10 +12,12 @@
 //     boundaries at multiples of the split cap.
 //  1. Each node splits its tile independently. No split square crosses a
 //     cap-aligned boundary, so the local splits are the global split.
-//  2. Each node builds its local graph on a rag arena: the vertices it
-//     owns take the first slots, in ascending ID order, so the tile's
-//     split labels are owned slots. Boundary strips (the border
-//     vertices' region IDs and intervals) exchanged with the grid
+//  2. Each node builds its local graph on a rag arena from its split's
+//     squares and edges: the vertices it owns take the first slots, in
+//     ascending ID order, so the split's list slots are owned slots.
+//     Boundary strips (the border vertices' region IDs and intervals,
+//     north and south from the split's top and bottom slot rows, east and
+//     west from the squares on those columns) exchanged with the grid
 //     neighbours add the cross-tile edges and, after the owned slots,
 //     ghosts: the neighbours other nodes own.
 //  3. Nodes choose for the vertices they own, route each remote choice to
@@ -30,6 +32,10 @@
 //     suitor exchange (Collectives.ExchangeMax), so a round makes three
 //     collectives: that one, the merge-event gather and the handover
 //     exchange.
+//
+// The write-back then paints every square a node owns with its final
+// region's ID, found through the merge record, into a fresh tile raster:
+// the node keeps its squares, not a label raster, through the merge.
 //
 // A region is owned by the node whose tile holds its anchor pixel, and the
 // representative (smaller ID) of a merge keeps its owner. Messages name

@@ -200,11 +200,15 @@ type prog struct {
 	Node
 	x0, y0, tw, th int
 
-	labels  []int32            // tile labels: the owned vertices' slots
-	squares []quadsplit.Square // the tile split's list, until buildGraph
-	g       *rag.Graph
-	nOwned  int
-	slotOf  map[int32]int32 // region ID → slot, of every vertex the node has held
+	// The tile split's output: its squares, which are the owned slots and
+	// which resolve paints; its edges, until buildGraph; and its top and
+	// bottom slot rows.
+	squares     []quadsplit.Square
+	edges       []int32
+	top, bottom []int32
+	g           *rag.Graph
+	nOwned      int
+	slotOf      map[int32]int32 // region ID → slot, of every vertex the node has held
 
 	asg *assignments
 
@@ -250,7 +254,7 @@ func Run(c Collectives, n Node) (*Result, error) {
 	}
 	// Cancellation rides the collectives, so the merge runs under a
 	// context that never ends.
-	p.asg = newAssignments()
+	p.asg = newAssignments(res.Squares)
 	if res.Merge, err = rag.Drive(context.Background(), p.Tie, p.round); err != nil {
 		return nil, err
 	}
@@ -283,24 +287,24 @@ func (p *prog) split() (levels, squares int) {
 	// ~8 scalar ops per pixel plus a fixed loop-setup cost per level.
 	p.c.Charge(p.tw * p.th * res.Iterations * 8)
 	p.c.Phase(PhaseSplit, res.Iterations)
-	// The labels are list slots, which buildGraph makes the owned slots;
-	// the list keeps its tile-local IDs, which index the labels.
-	p.labels, p.squares = res.Labels, res.Squares
+	// The list's slots are the owned slots buildGraph makes, and its
+	// squares keep their tile-local IDs, which resolve paints at.
+	p.squares, p.edges, p.top, p.bottom = res.Squares, res.Edges, res.Top, res.Bottom
 	return res.Iterations, len(res.Squares)
 }
 
 // buildGraph is step 2: the tile's own graph, from the split's square
-// list, then cross edges from boundary strips exchanged with the grid
-// neighbours. Inside a tile, list order is ascending global ID, so the
-// owned vertices take slots [0, nOwned) in ID order, and a tile label is
-// its pixel's owned slot.
+// and edge lists, then cross edges from boundary strips exchanged with
+// the grid neighbours. Inside a tile, list order is ascending global ID,
+// so the owned vertices take slots [0, nOwned) in ID order, and a
+// square's list slot is its owned slot.
 func (p *prog) buildGraph() error {
 	// Like the split, the build runs under a context that never ends and
-	// cannot fail. The list is not needed past it.
+	// cannot fail. The edges are not needed past it.
 	w := p.Grid.width()
 	p.g = rag.NewGraph(p.Threshold)
-	_ = p.g.AddSquares(context.Background(), p.squares, p.labels, p.tw, p.y0*w+p.x0, w)
-	p.squares = nil
+	_ = p.g.AddSquares(context.Background(), p.squares, p.edges, p.tw, p.y0*w+p.x0, w)
+	p.edges = nil
 	p.nOwned = p.g.Slots()
 	p.slotOf = make(map[int32]int32, p.nOwned)
 	for s := range p.nOwned {
@@ -366,8 +370,10 @@ func (p *prog) ghost(id, lo, hi int32) int32 {
 	return s
 }
 
-// border returns, pixel by pixel, the labels along side d of the tile:
-// columns top to bottom, rows left to right.
+// border returns, pixel by pixel, the owned slots along side d of the
+// tile: columns top to bottom, rows left to right. The north and south
+// rows are the split's; a column is read off the squares that touch it,
+// which the list holds in ascending row order.
 func (p *prog) border(d Dir) []int32 {
 	tw, th := p.tw, p.th
 	if tw == 0 || th == 0 {
@@ -375,17 +381,18 @@ func (p *prog) border(d Dir) []int32 {
 	}
 	switch d {
 	case North:
-		return p.labels[:tw]
+		return p.top
 	case South:
-		return p.labels[(th-1)*tw:]
+		return p.bottom
 	}
-	x := 0
-	if d == East {
-		x = tw - 1
-	}
-	out := make([]int32, th)
-	for ly := range out {
-		out[ly] = p.labels[ly*tw+x]
+	out := make([]int32, 0, th)
+	for k, sq := range p.squares {
+		x, side := int(sq.ID)%tw, sq.Side()
+		if d == West && x == 0 || d == East && x+side == tw {
+			for range side {
+				out = append(out, int32(k))
+			}
+		}
 	}
 	return out
 }
@@ -644,16 +651,12 @@ func (p *prog) applyHandover(data []int32) error {
 	return nil
 }
 
-// resolve is the label write-back: each owned slot's final region, found
-// once through the merge record, gathered over the tile's labels in
-// place.
+// resolve is the label write-back: each owned square's final region,
+// found once through the merge record, painted into a fresh tile raster.
 func (p *prog) resolve() []int32 {
-	final := make([]int32, p.nOwned)
-	for s := range final {
-		final[s] = p.asg.find(p.g.SlotID(s))
+	labels := make([]int32, p.tw*p.th)
+	for s, sq := range p.squares {
+		quadsplit.Paint(labels, int(sq.ID), sq.Side(), p.tw, p.asg.find(p.g.SlotID(s)))
 	}
-	for i, s := range p.labels {
-		p.labels[i] = final[s]
-	}
-	return p.labels
+	return labels
 }

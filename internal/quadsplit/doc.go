@@ -13,22 +13,29 @@
 //
 // A Result holds the square list: every square once, in ascending ID
 // order, as an 8-byte Square (ID, the linear index of the square's
-// north-west pixel; intensity interval; log2 of the side). It also holds
-// the label raster, where every pixel carries its square's slot, the
-// square's index in the list. The list is what the graph builds read
-// (rag.Graph.AddSquares), and a square's slot in the list is its slot in
-// the graph; its intervals are the ones the level passes computed, so no
-// later stage rescans a square's pixels.
+// north-west pixel; intensity interval; log2 of the side). A square's
+// slot is its index in the list, and the Result names squares by slot:
+// Edges lists every pair of 4-adjacent squares once, and Top and Bottom
+// are the slots over the image's first and last rows, against which a
+// neighbouring band or tile stitches (Stitch). The list and the edges are
+// what the graph builds read (rag.Graph.AddSquares), and a square's slot
+// in the list is its slot in the graph; its intervals are the ones the
+// level passes computed, so no later stage rescans a square's pixels. No
+// stage writes a per-pixel raster before the final labels, which Paint
+// fills square by square.
 //
 // Every level pass is one branch-free fold: a level is a lo and a hi byte
 // plane over the blocks wholly inside the band (level 0 is the raster),
 // and homog.FoldQuads builds 8 blocks of the next per uint64. A block is
 // solid exactly when hi − lo ≤ T, which bounds its children's ranges too,
-// so no solidity flag is stored. The claim that produces the list and
-// labels walks the image row by row: a block lies inside a larger square
-// exactly when its parent block is solid, so it keeps no per-pixel claim
-// state, and it meets the north-west corners in raster order, so the list
-// needs no sort.
+// so no solidity flag is stored. The claim that produces the list and the
+// edges walks each row, stopping only at the west columns of squares: a
+// square that started above is jumped, and a new square's side is found
+// once, by climbing the levels while the parent block is solid, since a
+// block lies inside a larger square exactly when its parent is solid. It
+// meets the north-west corners in raster order, so the list needs no
+// sort, and it records each adjacency once: a north edge when the lower
+// square appears, an east–west edge on the first row both squares cover.
 //
 // # Row bands
 //
@@ -42,8 +49,10 @@
 // counts, stops every band at the global level. Each band's square count
 // is then known (its pixels, less three per solid block), so a prefix
 // sum gives each band its first slot, and the bands claim straight into
-// the shared labels and list: the result is the same for every band
-// count.
+// the shared list, each into its own part of one edge buffer. Split then
+// joins the bands' edges, stitching each band's top row to the bottom
+// row of the band above: the result is the same for every band count, up
+// to the order of the edges.
 //
 // # The size cap
 //

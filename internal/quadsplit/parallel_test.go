@@ -11,8 +11,9 @@ import (
 )
 
 // TestSplitParallelMatchesSequential requires the split on several
-// workers to reproduce the one-band Result — labels, square list,
-// iteration counts and per-level combine counts — across image shapes
+// workers to reproduce the one-band Result — square list, edge set, top
+// and bottom rows, iteration counts and per-level combine counts —
+// across image shapes
 // (including non-power-of-two and non-square), caps, and worker counts,
 // with and without a Scratch, and to pass Validate.
 func TestSplitParallelMatchesSequential(t *testing.T) {
@@ -84,9 +85,10 @@ func fuzzImage(w, h int, plateau bool, seed uint64, pix []byte) *pixmap.Image {
 // FuzzSplitBandsMatchOneBand is the banded split's generative oracle: on
 // any W×H image (1–160 each) of noise or plateau pixels, under square
 // caps 0, 1, 2, 4, 8 and Unbounded, any threshold 0–20 or 255, and 2–4
-// workers, Split must give its one-band Result and pass Validate. With
-// reuse set, its Scratch first serves a split of a larger noise image, so
-// a stale label or list entry would show.
+// workers, Split must give its one-band Result (the sorted edge set and
+// the top and bottom rows included) and pass Validate. With reuse set,
+// its Scratch first serves a split of a larger noise image, so a stale
+// list entry, edge or row would show.
 func FuzzSplitBandsMatchOneBand(f *testing.F) {
 	f.Add(uint8(159), uint8(159), false, uint8(4), uint8(10), uint8(2), false, uint64(1), []byte(nil))
 	f.Add(uint8(99), uint8(36), true, uint8(5), uint8(21), uint8(0), true, uint64(2), prandBytes(41, 2))
@@ -151,13 +153,14 @@ func sameResult(want, got *Result) error {
 			return fmt.Errorf("combined %v, want %v", got.CombinedPerIter, want.CombinedPerIter)
 		}
 	}
-	for i := range want.Labels {
-		if want.Labels[i] != got.Labels[i] {
-			return fmt.Errorf("label[%d] = %d, want %d", i, got.Labels[i], want.Labels[i])
-		}
-	}
 	if !slices.Equal(want.Squares, got.Squares) {
 		return fmt.Errorf("square list differs: %d squares, want %d", len(got.Squares), len(want.Squares))
+	}
+	if w, g := edgeSet(want.Edges), edgeSet(got.Edges); !slices.Equal(w, g) {
+		return fmt.Errorf("edges %v, want %v", g, w)
+	}
+	if !slices.Equal(want.Top, got.Top) || !slices.Equal(want.Bottom, got.Bottom) {
+		return fmt.Errorf("rows %v and %v, want %v and %v", got.Top, got.Bottom, want.Top, want.Bottom)
 	}
 	return nil
 }

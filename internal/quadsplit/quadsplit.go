@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"regiongrow/internal/homog"
@@ -27,9 +28,10 @@ type Options struct {
 	// goroutines. A value ≤ 1 runs one band on the calling goroutine.
 	Workers int
 	// Scratch, when non-nil, supplies reusable buffers for the result's
-	// labels and square list. The returned Result then aliases the
-	// scratch: the caller owns both and must not start another split with
-	// the same Scratch while the Result is live.
+	// square list, edge list and slot rows, and for the claim's walk. The
+	// returned Result then aliases the scratch: the caller owns both and
+	// must not start another split with the same Scratch while the Result
+	// is live.
 	Scratch *Scratch
 }
 
@@ -37,12 +39,17 @@ type Options struct {
 // value is ready to use; buffers grow to the largest image seen and are
 // retained across runs, which is what lets a pooled caller split
 // same-size images without allocating a result. A Scratch serves one
-// split at a time. The level passes' blocks are not kept here: they are
-// dead once the claim is done, and pooled beside the result they would
-// stay live for as long as the result does.
+// split at a time. It holds no pixel raster: the result is the square
+// list and its edges, and the walk keeps four slot rows per band. The
+// level passes' blocks are not kept here either: they are dead once the
+// claim is done, and pooled beside the result they would stay live for
+// as long as the result does.
 type Scratch struct {
-	labels  []int32
 	squares []Square
+	edges   []int32
+	// walk holds each band's four rows of w: below, side, front and top
+	// (see band.claim).
+	walk []int32
 }
 
 // grown returns *buf resized to n, reallocating only on growth.
@@ -67,17 +74,22 @@ type Square struct {
 // Side returns the square's side length.
 func (s Square) Side() int { return 1 << s.Log2 }
 
-// Result is the outcome of the split stage.
+// Result is the outcome of the split stage. A square's slot is its index
+// in Squares; Edges, Top and Bottom name squares by slot.
 type Result struct {
 	W, H int
-	// Labels holds, for every pixel, its square's slot: the square's
-	// index in Squares.
-	Labels []int32
 	// Squares lists every square once, in ascending ID order: raster
 	// order of the north-west corners, which is the order in which a
-	// graph build meets them, so a square's index is also its slot in
-	// the graph built from the list.
+	// graph build meets them, so a square's slot is also its slot in the
+	// graph built from the list.
 	Squares []Square
+	// Edges lists every pair of 4-adjacent squares once, as flat slot
+	// pairs: edge i joins slots Edges[2i] and Edges[2i+1].
+	Edges []int32
+	// Top and Bottom hold the slot of the square over each pixel of the
+	// image's first and last rows: what a graph build of the next or the
+	// previous band stitches against. Both are nil for an empty image.
+	Top, Bottom []int32
 	// Iterations is the number of combining passes executed, counting a
 	// final pass that combines nothing (the paper's convention: the best
 	// case, an image with no combinable pixels, costs one iteration).
@@ -144,6 +156,11 @@ type band struct {
 	combined, solid int
 	// first is the slot of the band's first square.
 	first int
+	// edges receives the claim's edges. below, side, front and top are
+	// the claim's rows of w slots (see claim); front ends as the band's
+	// bottom row.
+	edges                   []int32
+	below, side, front, top []int32
 }
 
 // Split runs the split stage under threshold T: a block combines when its
@@ -165,7 +182,6 @@ func Split(ctx context.Context, im *pixmap.Image, threshold int, opt Options) (*
 	if sc == nil {
 		sc = new(Scratch)
 	}
-	res.Labels = grown(&sc.labels, w*h)
 	if w == 0 || h == 0 {
 		return res, nil
 	}
@@ -184,7 +200,7 @@ func Split(ctx context.Context, im *pixmap.Image, threshold int, opt Options) (*
 		bands[i].levels[0] = level{bw: w, bh: y1 - y0, lo: pix, hi: pix}
 	}
 
-	top := 0 // highest level with at least one solid block
+	peak := 0 // highest level with at least one solid block
 	for l := 1; l <= maxLevel; l++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -199,7 +215,7 @@ func Split(ctx context.Context, im *pixmap.Image, threshold int, opt Options) (*
 		if combined == 0 {
 			break
 		}
-		top = l
+		peak = l
 		// The paper's other termination condition, the whole image one
 		// square, needs a solid block of side w = h. No block is larger
 		// than the cap, and the cap is at most max(w, h), so it can only
@@ -216,15 +232,79 @@ func Split(ctx context.Context, im *pixmap.Image, threshold int, opt Options) (*
 	// solid block a level up, so a band's pixels, one square each, lose
 	// three squares for every solid block in the band at every level.
 	// The bands' counts in order give each band its first slot, and
-	// every band claims straight into the shared labels and list.
+	// every band claims straight into the shared list.
+	//
+	// A band's squares tile it, and the adjacency graph of a tiling of a
+	// rectangle by n rectangles has at most 3n−3 edges (Euler's formula:
+	// every corner inside the tiling meets three or four sides), so band
+	// i walks into its own part of one edge buffer, 6·n_i slots long,
+	// after room for the w edges at most that stitch it to band i−1.
 	n := 0
 	for i := range bands {
 		bands[i].first = n
 		n += (bands[i].y1-bands[i].y0)*w - 3*bands[i].solid
 	}
 	res.Squares = grown(&sc.squares, n)
-	inBands(bands, func(b *band) { b.claim(top, threshold, w, res.Labels, res.Squares) })
+	edges := grown(&sc.edges, 6*n+2*w*(len(bands)-1))
+	walk := grown(&sc.walk, 4*w*len(bands))
+	for i := range bands {
+		b, end := &bands[i], n
+		if i+1 < len(bands) {
+			end = bands[i+1].first
+		}
+		at := 6*b.first + 2*w*i
+		b.edges = edges[at : at : at+6*(end-b.first)]
+		rows := walk[4*w*i:]
+		b.below, b.side, b.front, b.top = rows[:w], rows[w:2*w], rows[2*w:3*w], rows[3*w:4*w]
+	}
+	inBands(bands, func(b *band) { b.claim(peak, threshold, w, res.Squares) })
+
+	// Join the bands' edges in order, each band after its seam with the
+	// band above, moving each down the buffer: what precedes band i holds
+	// at most 3 edges per square and w per seam above it, so it never
+	// overtakes band i's part.
+	res.Edges = bands[0].edges
+	if len(bands) > 1 {
+		res.Edges = edges[:len(bands[0].edges)]
+		for i := 1; i < len(bands); i++ {
+			res.Edges = Stitch(res.Edges, bands[i-1].front, bands[i].top)
+			res.Edges = append(res.Edges, bands[i].edges...)
+		}
+	}
+	res.Top, res.Bottom = bands[0].top, bands[len(bands)-1].front
 	return res, nil
+}
+
+// Stitch appends to edges the edges between two adjacent rows of slots,
+// above[x] over below[x] for every x: one edge (above[x], below[x]) per
+// run of equal pairs. Rows from the two sides of a cap-aligned cut, such
+// as one band's Bottom and the next band's Top, never share a square, so
+// a run is exactly one pair of squares that touch across the cut, and
+// each such pair is one run, since both squares span one run of columns.
+func Stitch(edges, above, below []int32) []int32 {
+	for x := 0; x < len(below); {
+		a, b := above[x], below[x]
+		for x < len(below) && above[x] == a && below[x] == b {
+			x++
+		}
+		edges = append(edges, a, b)
+	}
+	return edges
+}
+
+// Paint fills the n×n square of buf whose north-west pixel is buf[at]
+// with v, in rows of width: a loop fills the top row and copy repeats it
+// down the square. A loop over every pixel ran stream-16mp's pass 2 30%
+// slower or faster with where the linker happened to place it, and
+// inside a square walk it spilled its index on every pixel.
+func Paint[T uint8 | int32](buf []T, at, n, width int, v T) {
+	top := buf[at : at+n]
+	for i := range top {
+		top[i] = v
+	}
+	for row := at + width; row < at+n*width; row += width {
+		copy(buf[row:row+n], top)
+	}
 }
 
 // inBands runs f on every band, the first on the calling goroutine and
@@ -282,41 +362,77 @@ func (b *band) pass(l, threshold int) {
 	b.solid += combined
 }
 
-// claim labels the band's rows of labels and fills its squares into list
-// from slot b.first, row by row. A solid block's four children are
-// solid, so a block lies inside a larger square exactly when its parent
-// block is solid: the square covering pixel (x, y) is the block reached
-// by climbing the levels while the parent is solid. On the square's top
-// row the step records the square and labels its run with the square's
-// slot; on its other rows it copies the run from the row above, which is
-// never above the band, since the band starts on a multiple of every
-// side. The walk meets north-west corners in raster order, so the list
-// comes out in ascending ID order with no sort.
-func (b *band) claim(top, threshold, w int, labels []int32, list []Square) {
+// claim records the band's squares into list from slot b.first, and the
+// edges between them into b.edges, row by row. A solid block's four
+// children are solid, so a block lies inside a larger square exactly
+// when its parent block is solid. The walk keeps three rows of w slots:
+// below[x] is the row under, and side[x] the side of, the last square
+// recorded with its west column at x, and front[x] the slot of the square
+// over pixel (x, y−1), then (x, y). Each row's walk stops only at west
+// columns: a stop whose square started above jumps its side, and any
+// other stop is a new square's north-west corner, whose side the climb
+// through the levels finds once, while the parent block is solid. The
+// walk meets north-west corners in raster order, so the list comes out in
+// ascending ID order with no sort.
+//
+// Every 4-adjacent pair of squares is recorded once. A new square below
+// the band's first row records one edge per run of front over its top
+// row: the squares over it, met when the lower square appears. Two
+// consecutive stops record their edge only when one of them is new on
+// the row: the first row both squares cover. The band's first front row
+// is copied into top, and the last stays in front.
+func (b *band) claim(peak, threshold, w int, list []Square) {
 	levels, slot := b.levels, int32(b.first)
+	below, side, front, edges := b.below, b.side, b.front, b.edges
+	clear(below)
 	for y := b.y0; y < b.y1; y++ {
-		row, by := labels[y*w:y*w+w], y-b.y0
+		by := y - b.y0
+		prev, prevNew := int32(-1), false
 		for x := 0; x < w; {
+			if int(below[x]) > y {
+				cur := front[x]
+				if prevNew {
+					edges = append(edges, prev, cur)
+				}
+				prev, prevNew = cur, false
+				x += int(side[x])
+				continue
+			}
 			l := 0
-			for l < top && levels[l+1].solid(x>>(l+1), by>>(l+1), threshold) {
+			for l < peak && levels[l+1].solid(x>>(l+1), by>>(l+1), threshold) {
 				l++
 			}
 			s := 1 << l
-			run := row[x : x+s]
-			if y&(s-1) != 0 {
-				copy(run, labels[(y-1)*w+x:])
-			} else {
-				lv := &levels[l]
-				i := (by>>l)*lv.bw + x>>l
-				for i := range run {
-					run[i] = slot
-				}
-				list[slot] = Square{ID: int32(y*w + x), IV: homog.Interval{Lo: lv.lo[i], Hi: lv.hi[i]}, Log2: uint8(l)}
-				slot++
+			lv := &levels[l]
+			i := (by>>l)*lv.bw + x>>l
+			list[slot] = Square{ID: int32(y*w + x), IV: homog.Interval{Lo: lv.lo[i], Hi: lv.hi[i]}, Log2: uint8(l)}
+			if prev >= 0 {
+				edges = append(edges, prev, slot)
 			}
+			run := front[x : x+s]
+			if y > b.y0 {
+				north := run[0]
+				edges = append(edges, north, slot)
+				for _, n := range run[1:] {
+					if n != north {
+						north = n
+						edges = append(edges, north, slot)
+					}
+				}
+			}
+			for j := range run {
+				run[j] = slot
+			}
+			below[x], side[x] = int32(y+s), int32(s)
+			prev, prevNew = slot, true
+			slot++
 			x += s
 		}
+		if y == b.y0 {
+			copy(b.top, front)
+		}
 	}
+	b.edges = edges
 }
 
 // Validate checks the structural invariants of a split result against the
@@ -326,20 +442,21 @@ func (b *band) claim(top, threshold, w int, labels []int32, list []Square) {
 //  1. The square list is in strictly ascending ID order; every square is
 //     aligned to its power-of-two size, within the image and within the
 //     cap; and the areas sum to W·H.
-//  2. Every label is a slot of the list, and every pixel of square k
-//     carries k. With the area sum, the list tiles the image exactly.
+//  2. No two squares share a pixel. With the area sum, the list tiles the
+//     image exactly, which paints a raster of slots: every pixel of
+//     square k carries k.
 //  3. Every recorded interval is the union of its square's pixels, and
 //     every square's pixel range is at most threshold.
 //  4. Maximality: if the four siblings of an aligned quad-block are all
 //     squares of equal size < cap, their union's range exceeds threshold
 //     (otherwise the split would have combined them).
+//  5. Edges lists each pair of different slots that are 4-adjacent in
+//     the slot raster exactly once, and no other pair; Top and Bottom
+//     are the raster's first and last rows.
 func Validate(r *Result, im *pixmap.Image, threshold int) error {
 	w, h := r.W, r.H
 	if w != im.W || h != im.H {
 		return fmt.Errorf("quadsplit: result %dx%d does not match image %dx%d", w, h, im.W, im.H)
-	}
-	if len(r.Labels) != w*h {
-		return fmt.Errorf("quadsplit: %d labels for a %dx%d image", len(r.Labels), w, h)
 	}
 	area := 0
 	for k, s := range r.Squares {
@@ -364,19 +481,19 @@ func Validate(r *Result, im *pixmap.Image, threshold int) error {
 	if area != w*h {
 		return fmt.Errorf("quadsplit: squares cover %d pixels, image has %d", area, w*h)
 	}
-	for i, lab := range r.Labels {
-		if lab < 0 || int(lab) >= len(r.Squares) {
-			return fmt.Errorf("quadsplit: pixel %d has label %d, not a slot of the %d squares", i, lab, len(r.Squares))
-		}
+	slots := make([]int32, w*h)
+	for i := range slots {
+		slots[i] = -1
 	}
 	for k, s := range r.Squares {
 		x, y, size := int(s.ID)%w, int(s.ID)/w, s.Side()
 		iv := homog.Empty()
 		for yy := y; yy < y+size; yy++ {
 			for xx := x; xx < x+size; xx++ {
-				if r.Labels[yy*w+xx] != int32(k) {
-					return fmt.Errorf("quadsplit: pixel (%d,%d) not labelled by enclosing square %d (%d,%d,%d)", xx, yy, k, x, y, size)
+				if o := slots[yy*w+xx]; o >= 0 {
+					return fmt.Errorf("quadsplit: pixel (%d,%d) lies in squares %d and %d", xx, yy, o, k)
 				}
+				slots[yy*w+xx] = int32(k)
 				iv = iv.Union(homog.Point(im.Pix[yy*w+xx]))
 			}
 		}
@@ -399,7 +516,7 @@ func Validate(r *Result, im *pixmap.Image, threshold int) error {
 		union := s.IV
 		all := true
 		for _, id := range [3]int{y*w + x + size, (y+size)*w + x, (y+size)*w + x + size} {
-			q := r.Squares[r.Labels[id]]
+			q := r.Squares[slots[id]]
 			if q.ID != int32(id) || q.Log2 != s.Log2 {
 				all = false
 				break
@@ -409,6 +526,56 @@ func Validate(r *Result, im *pixmap.Image, threshold int) error {
 		if all && union.Range() <= threshold {
 			return fmt.Errorf("quadsplit: quad at (%d,%d) size %d should have been combined", x, y, 2*size)
 		}
+	}
+	return validateEdges(r, slots)
+}
+
+// validateEdges checks invariant 5 of Validate against the slot raster.
+func validateEdges(r *Result, slots []int32) error {
+	w, h := r.W, r.H
+	if h > 0 && w > 0 && (!slices.Equal(r.Top, slots[:w]) || !slices.Equal(r.Bottom, slots[(h-1)*w:])) {
+		return fmt.Errorf("quadsplit: top row %v and bottom row %v, the squares give %v and %v", r.Top, r.Bottom, slots[:w], slots[(h-1)*w:])
+	}
+	// An edge's key is its slot pair, the smaller slot first.
+	key := func(a, b int32) uint64 { return uint64(min(a, b))<<32 | uint64(max(a, b)) }
+	var want []uint64
+	for i, a := range slots {
+		if (i+1)%w != 0 && slots[i+1] != a {
+			want = append(want, key(a, slots[i+1]))
+		}
+		if i+w < len(slots) && slots[i+w] != a {
+			want = append(want, key(a, slots[i+w]))
+		}
+	}
+	slices.Sort(want)
+	want = slices.Compact(want)
+	if len(r.Edges)%2 != 0 {
+		return fmt.Errorf("quadsplit: %d edge slots, not pairs", len(r.Edges))
+	}
+	got := make([]uint64, 0, len(r.Edges)/2)
+	for i := 0; i < len(r.Edges); i += 2 {
+		a, b := r.Edges[i], r.Edges[i+1]
+		if a < 0 || b < 0 || int(a) >= len(r.Squares) || int(b) >= len(r.Squares) || a == b {
+			return fmt.Errorf("quadsplit: edge %d joins %d and %d, not two slots of the %d squares", i/2, a, b, len(r.Squares))
+		}
+		got = append(got, key(a, b))
+	}
+	slices.Sort(got)
+	for i, e := range got {
+		switch {
+		case i > 0 && e == got[i-1]:
+			return fmt.Errorf("quadsplit: edge (%d, %d) is listed twice", e>>32, uint32(e))
+		case i >= len(want) || e != want[i]:
+			if _, found := slices.BinarySearch(want, e); !found {
+				return fmt.Errorf("quadsplit: edge (%d, %d) joins squares that do not touch", e>>32, uint32(e))
+			}
+			// got matched want up to i, and e is further on in want.
+			return fmt.Errorf("quadsplit: edge (%d, %d) is missing", want[i]>>32, uint32(want[i]))
+		}
+	}
+	if len(got) != len(want) {
+		e := want[len(got)]
+		return fmt.Errorf("quadsplit: edge (%d, %d) is missing", e>>32, uint32(e))
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package quadsplit
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/bits"
@@ -80,10 +81,13 @@ func TestUniformImage(t *testing.T) {
 	if res.Iterations != 4 {
 		t.Fatalf("iterations = %d, want log2(16)=4", res.Iterations)
 	}
-	for _, l := range res.Labels {
+	for _, l := range slotRaster(res) {
 		if l != 0 {
-			t.Fatal("labels not all 0")
+			t.Fatal("slots not all 0")
 		}
+	}
+	if len(res.Edges) != 0 {
+		t.Fatalf("one square has edges %v", res.Edges)
 	}
 }
 
@@ -225,9 +229,12 @@ func TestNegativeThresholdCombinesNothing(t *testing.T) {
 				}
 				for i, sq := range res.Squares {
 					want := Square{ID: int32(i), IV: homog.Point(im.Pix[i])}
-					if sq != want || res.Labels[i] != int32(i) {
-						t.Fatalf("%s: pixel %d has label %d and square %+v, want %d and %+v", name, i, res.Labels[i], sq, i, want)
+					if sq != want {
+						t.Fatalf("%s: square %d is %+v, want %+v", name, i, sq, want)
 					}
+				}
+				if err := sameEdges(res); err != nil {
+					t.Fatalf("%s: %v", name, err)
 				}
 			}
 		}
@@ -286,10 +293,9 @@ func TestSplitDeterministic(t *testing.T) {
 	im := pixmap.Generate(pixmap.Image3Circles128, pixmap.DefaultGenOptions())
 	a := split(im, 10, Options{})
 	b := split(im, 10, Options{})
-	for i := range a.Labels {
-		if a.Labels[i] != b.Labels[i] {
-			t.Fatal("split is not deterministic")
-		}
+	if !slices.Equal(a.Squares, b.Squares) || !slices.Equal(a.Edges, b.Edges) ||
+		!slices.Equal(a.Top, b.Top) || !slices.Equal(a.Bottom, b.Bottom) {
+		t.Fatal("split is not deterministic")
 	}
 }
 
@@ -322,20 +328,88 @@ func TestCombinedPerIterMonotoneTermination(t *testing.T) {
 	}
 }
 
-// ids maps a result's slot labels through its list to square IDs: each
-// pixel then carries the index of its square's north-west pixel.
+// slotRaster paints r's squares into a raster of their slots: every
+// pixel of square k carries k.
+func slotRaster(r *Result) []int32 {
+	out := make([]int32, r.W*r.H)
+	for k, sq := range r.Squares {
+		Paint(out, int(sq.ID), sq.Side(), r.W, int32(k))
+	}
+	return out
+}
+
+// ids maps a result's painted slot raster through its list to square
+// IDs: each pixel then carries the index of its square's north-west
+// pixel.
 func ids(r *Result) []int32 {
-	out := make([]int32, len(r.Labels))
-	for i, lab := range r.Labels {
+	out := slotRaster(r)
+	for i, lab := range out {
 		out[i] = r.Squares[lab].ID
 	}
 	return out
 }
 
-// enumerate is the per-pixel reading of a split's labels, mapped to square
-// IDs, that the recorded list must equal: every pixel labelled with its
-// own index is a square's root, in raster order; the side is the length
-// of the root's run in its row, and the interval the union of the
+// rasterEdges is the reference edge set of a raster of slots w wide:
+// every pair of different slots at 4-adjacent pixels once, smaller slot
+// first, in ascending order.
+func rasterEdges(slots []int32, w int) [][2]int32 {
+	var out [][2]int32
+	for i, a := range slots {
+		east, south := (i+1)%w != 0, i+w < len(slots)
+		for _, j := range [2]int{i + 1, i + w} {
+			if j == i+1 && east || j == i+w && south {
+				if b := slots[j]; b != a {
+					out = append(out, [2]int32{min(a, b), max(a, b)})
+				}
+			}
+		}
+	}
+	slices.SortFunc(out, cmpEdge)
+	return slices.Compact(out)
+}
+
+// edgeSet orders each of a flat edge list's pairs smaller slot first and
+// sorts the pairs; a pair listed twice stays twice.
+func edgeSet(edges []int32) [][2]int32 {
+	out := make([][2]int32, 0, len(edges)/2)
+	for i := 0; i+1 < len(edges); i += 2 {
+		out = append(out, [2]int32{min(edges[i], edges[i+1]), max(edges[i], edges[i+1])})
+	}
+	slices.SortFunc(out, cmpEdge)
+	return out
+}
+
+func cmpEdge(a, b [2]int32) int {
+	if c := cmp.Compare(a[0], b[0]); c != 0 {
+		return c
+	}
+	return cmp.Compare(a[1], b[1])
+}
+
+// sameEdges reports the first way r's edges and slot rows differ from the
+// reference reading of its painted slot raster: the edge set of
+// rasterEdges, each pair once, and the raster's first and last rows.
+func sameEdges(r *Result) error {
+	slots := slotRaster(r)
+	if want, got := rasterEdges(slots, r.W), edgeSet(r.Edges); !slices.Equal(got, want) {
+		return fmt.Errorf("edges %v, the slot raster's %v", got, want)
+	}
+	if r.W == 0 || r.H == 0 {
+		if r.Top != nil || r.Bottom != nil {
+			return fmt.Errorf("empty image with rows %v and %v", r.Top, r.Bottom)
+		}
+		return nil
+	}
+	if !slices.Equal(r.Top, slots[:r.W]) || !slices.Equal(r.Bottom, slots[len(slots)-r.W:]) {
+		return fmt.Errorf("rows %v and %v, the slot raster's %v and %v", r.Top, r.Bottom, slots[:r.W], slots[len(slots)-r.W:])
+	}
+	return nil
+}
+
+// enumerate is the per-pixel reading of a split's painted slots, mapped
+// to square IDs, that the recorded list must equal: every pixel labelled
+// with its own index is a square's root, in raster order; the side is the
+// length of the root's run in its row, and the interval the union of the
 // square's pixels.
 func enumerate(r *Result, im *pixmap.Image) []Square {
 	var out []Square
@@ -384,7 +458,8 @@ func TestSquareIsEightBytes(t *testing.T) {
 }
 
 // TestSquaresEnumerationMatchesLabels requires the recorded list to
-// equal the per-pixel enumeration of the labels, and to pass Validate,
+// equal the per-pixel enumeration of its painted slots, and to pass
+// Validate,
 // on a paper image and on random images of small odd geometries under
 // several thresholds and caps, with and without a Scratch (reused across
 // the cases, so a stale longer list would show).
@@ -430,9 +505,54 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	im := pixmap.Generate(pixmap.Image2Rects128, pixmap.DefaultGenOptions())
 	threshold := 10
 	res := split(im, threshold, Options{})
-	// Corrupt one pixel's label: points at a non-root.
-	res.Labels[5000] = res.Labels[5000] + 1
+	// Corrupt one edge: its second square becomes the next slot.
+	k := len(res.Edges) / 2
+	res.Edges[k|1]++
 	if Validate(res, im, threshold) == nil {
-		t.Fatal("Validate accepted corrupted labels")
+		t.Fatal("Validate accepted a corrupted edge")
+	}
+}
+
+// TestEdgesMatchSlotRaster requires the split's edges to be the set of
+// 4-adjacent slot pairs of its painted slot raster, each pair once, and
+// its Top and Bottom to be the raster's first and last rows: on the six
+// paper images, and on random images of small odd geometries under
+// several thresholds, caps 0, 1, 2, 8 and unbounded, and 1–4 workers,
+// with one Scratch reused across the cases, so a stale edge would show.
+// An edge list never outgrows the 3 edges per square that Split sizes
+// its buffer by.
+func TestEdgesMatchSlotRaster(t *testing.T) {
+	check := func(name string, res *Result) {
+		t.Helper()
+		if err := sameEdges(res); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(res.Edges) > 6*len(res.Squares) {
+			t.Fatalf("%s: %d edges for %d squares", name, len(res.Edges)/2, len(res.Squares))
+		}
+	}
+	sc := new(Scratch)
+	for _, id := range pixmap.AllPaperImages() {
+		im := pixmap.Generate(id, pixmap.DefaultGenOptions())
+		for workers := 1; workers <= 4; workers++ {
+			check(fmt.Sprintf("%v/w=%d", id, workers), split(im, 10, Options{Workers: workers, Scratch: sc}))
+		}
+	}
+	for seed := uint64(0); seed < 6; seed++ {
+		for _, dims := range [][2]int{{0, 0}, {5, 0}, {1, 1}, {1, 9}, {9, 1}, {7, 5}, {16, 16}, {33, 17}, {40, 64}} {
+			im := oddRandom(max(dims[0], 1), max(dims[1], 1), seed)
+			im, _ = im.SubImage(0, 0, dims[0], dims[1])
+			for i := range im.Pix {
+				im.Pix[i] &= 0x1F
+			}
+			for _, threshold := range []int{0, 8, 20, 40} {
+				for _, maxSquare := range []int{0, 1, 2, 8, Unbounded} {
+					for workers := 1; workers <= 4; workers++ {
+						name := fmt.Sprintf("seed=%d/%dx%d/T=%d/cap=%d/w=%d", seed, dims[0], dims[1], threshold, maxSquare, workers)
+						check(name, split(im, threshold, Options{MaxSquare: maxSquare, Workers: workers, Scratch: sc}))
+					}
+				}
+			}
+		}
 	}
 }

@@ -27,7 +27,6 @@ func SplitTopDown(im *pixmap.Image, threshold int, opt Options) *Result {
 	w, h := im.W, im.H
 	res := &Result{
 		W: w, H: h,
-		Labels:        make([]int32, w*h),
 		MaxSquareUsed: EffectiveCap(opt, w, h),
 	}
 	if w == 0 || h == 0 {
@@ -42,17 +41,13 @@ func SplitTopDown(im *pixmap.Image, threshold int, opt Options) *Result {
 		}
 	}
 	// The recursion claims squares in Z order; the list is in ID order,
-	// and each square's pixels carry its slot in it.
+	// and the edges and rows are read off the painted slots.
 	slices.SortFunc(res.Squares, func(a, b Square) int { return cmp.Compare(a.ID, b.ID) })
-	for k, sq := range res.Squares {
-		x, y := int(sq.ID)%w, int(sq.ID)/w
-		for yy := y; yy < y+sq.Side(); yy++ {
-			row := res.Labels[yy*w+x:]
-			for xx := range sq.Side() {
-				row[xx] = int32(k)
-			}
-		}
+	slots := slotRaster(res)
+	for _, e := range rasterEdges(slots, w) {
+		res.Edges = append(res.Edges, e[0], e[1])
 	}
+	res.Top, res.Bottom = slots[:w], slots[len(slots)-w:]
 	// The bottom-up pass count equals log2(cap / smallest-split-to size)
 	// + 1 when anything combined; reuse its semantics by re-deriving from
 	// the produced sizes: iterations = log2(largest square) + 1 capped at

@@ -1,6 +1,7 @@
 package quadsplit
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -24,8 +25,9 @@ func validBase(t *testing.T) (*Result, *pixmap.Image, int) {
 
 func cloneResult(r *Result) *Result {
 	out := *r
-	out.Labels = append([]int32{}, r.Labels...)
-	out.Squares = append([]Square{}, r.Squares...)
+	out.Squares = slices.Clone(r.Squares)
+	out.Edges = slices.Clone(r.Edges)
+	out.Top, out.Bottom = slices.Clone(r.Top), slices.Clone(r.Bottom)
 	return &out
 }
 
@@ -37,26 +39,70 @@ func TestValidateShapeMismatch(t *testing.T) {
 	}
 }
 
+// TestValidateOutOfRangeLabel: a slot of the top row or of an edge that
+// is not a slot of the list is refused.
 func TestValidateOutOfRangeLabel(t *testing.T) {
 	res, im, threshold := validBase(t)
-	bad := cloneResult(res)
-	bad.Labels[3] = int32(len(bad.Squares))
-	if err := Validate(bad, im, threshold); err == nil {
-		t.Fatal("out-of-range label accepted")
-	}
-	bad.Labels[3] = -1
-	if err := Validate(bad, im, threshold); err == nil {
-		t.Fatal("negative label accepted")
+	for _, lab := range []int32{int32(len(res.Squares)), -1} {
+		bad := cloneResult(res)
+		bad.Top[3] = lab
+		if err := Validate(bad, im, threshold); err == nil {
+			t.Fatalf("top row slot %d accepted", lab)
+		}
+		bad = cloneResult(res)
+		bad.Edges[1] = lab
+		if err := Validate(bad, im, threshold); err == nil || !strings.Contains(err.Error(), "not two slots") {
+			t.Fatalf("edge to slot %d: err = %v", lab, err)
+		}
 	}
 }
 
+// TestValidateNonRootLabel: a bottom-row slot of a listed square that
+// does not cover the pixel is refused.
 func TestValidateNonRootLabel(t *testing.T) {
 	res, im, threshold := validBase(t)
 	bad := cloneResult(res)
-	// Label a pixel with a listed square that does not cover it.
-	bad.Labels[0] = 1 // pixel 0 lies in square 0; square 1 is the 4×4 at (4,0)
-	if err := Validate(bad, im, threshold); err == nil {
-		t.Fatal("non-root label accepted")
+	// Pixel (0,4) lies in square 2, the 4×4 at (0,4); square 3 is the one
+	// at (4,4).
+	bad.Bottom[0] = 3
+	if err := Validate(bad, im, threshold); err == nil || !strings.Contains(err.Error(), "bottom row") {
+		t.Fatalf("non-root slot: err = %v", err)
+	}
+}
+
+// TestValidateWrongEdges: an edge listed twice, an edge between squares
+// that do not touch, and a missing edge are each refused.
+func TestValidateWrongEdges(t *testing.T) {
+	res, im, threshold := listBase(t)
+	bad := cloneResult(res)
+	bad.Edges = append(bad.Edges, bad.Edges[2], bad.Edges[3])
+	if err := Validate(bad, im, threshold); err == nil || !strings.Contains(err.Error(), "twice") {
+		t.Fatalf("duplicate edge: err = %v", err)
+	}
+	bad = cloneResult(res)
+	bad.Edges = append(bad.Edges, 0, int32(len(bad.Squares)-1))
+	if err := Validate(bad, im, threshold); err == nil || !strings.Contains(err.Error(), "do not touch") {
+		t.Fatalf("edge between the first and last squares: err = %v", err)
+	}
+	bad = cloneResult(res)
+	bad.Edges = bad.Edges[2:]
+	if err := Validate(bad, im, threshold); err == nil || !strings.Contains(err.Error(), "missing") {
+		t.Fatalf("dropped edge: err = %v", err)
+	}
+}
+
+// TestValidateOverlappingSquares: two squares over one pixel are refused
+// even when the areas add up to the image's.
+func TestValidateOverlappingSquares(t *testing.T) {
+	im := pixmap.Uniform(4, 5)
+	im, _ = im.SubImage(0, 0, 4, 2)
+	p := homog.Point(5)
+	// The 2×2 at (0,0) holds the 1×1 at (1,0), and (3,1) is uncovered.
+	bad := &Result{W: 4, H: 2, MaxSquareUsed: 2, Squares: []Square{
+		{ID: 0, IV: p, Log2: 1}, {ID: 1, IV: p}, {ID: 2, IV: p}, {ID: 3, IV: p}, {ID: 6, IV: p},
+	}}
+	if err := Validate(bad, im, 0); err == nil || !strings.Contains(err.Error(), "lies in squares 0 and 1") {
+		t.Fatalf("overlapping squares: err = %v", err)
 	}
 }
 
@@ -88,12 +134,10 @@ func TestValidateMissedCombine(t *testing.T) {
 	threshold := 0
 	res := &Result{
 		W: 4, H: 4,
-		Labels:        make([]int32, 16),
 		Iterations:    1,
 		MaxSquareUsed: 4,
 	}
-	for i := range res.Labels {
-		res.Labels[i] = int32(i)
+	for i := range 16 {
 		res.Squares = append(res.Squares, Square{ID: int32(i), IV: homog.Point(im.Pix[i])})
 	}
 	err := Validate(res, im, threshold)

@@ -39,7 +39,7 @@ func benchSplits(b *testing.B) []benchSplit {
 // graph builds the graph of the split's squares, as core's pipeline does.
 func (c benchSplit) graph(b *testing.B) *Graph {
 	g := NewGraph(benchThreshold)
-	if err := g.AddSquares(context.Background(), c.sp.Squares, c.sp.Labels, c.sp.W, 0, c.sp.W); err != nil {
+	if err := g.AddSquares(context.Background(), c.sp.Squares, c.sp.Edges, c.sp.W, 0, c.sp.W); err != nil {
 		b.Fatal(err)
 	}
 	return g

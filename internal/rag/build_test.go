@@ -22,9 +22,10 @@ const buildCheckRows = 64
 // one edge per 4-adjacent label pair. A label's slot is its rank in order
 // of first appearance in raster order, found through the build's own
 // label-to-slot map. It is the tests' reference build: AddSquares must
-// reproduce its arena on every split, and it accepts arbitrary label
-// rasters, which FuzzRelabel feeds it. Cancellation is checked every few
-// rows; it returns (nil, ctx.Err()) when ctx is done.
+// reproduce its arena on every split, from the labels the split's
+// squares paint (squareIDs), and it accepts arbitrary label rasters.
+// Cancellation is checked every few rows; it returns (nil, ctx.Err())
+// when ctx is done.
 //
 // The builder is run-length: vertices accrue one interval union per row
 // run of a label, horizontal edges one AddEdge per run boundary, and
@@ -100,22 +101,37 @@ func BuildFromLabels(ctx context.Context, im *pixmap.Image, labels []int32, thre
 }
 
 // squareGraph is the graph the pipelines build from a split: its squares
-// added to an empty graph at origin 0 and stride W.
+// and edges added to an empty graph at origin 0 and stride W.
 func squareGraph(t *testing.T, sp *quadsplit.Result, threshold int) *Graph {
 	t.Helper()
 	g := NewGraph(threshold)
-	if err := g.AddSquares(context.Background(), sp.Squares, sp.Labels, sp.W, 0, sp.W); err != nil {
+	if err := g.AddSquares(context.Background(), sp.Squares, sp.Edges, sp.W, 0, sp.W); err != nil {
 		t.Fatal(err)
 	}
 	return g
 }
 
-// squareIDs maps a split's slot labels to the region IDs that AddSquares
-// gives their squares at (origin, stride): the label raster
+// paintSlots is the w×h raster of slots a square list paints, pixel by
+// pixel: every pixel of square k carries k.
+func paintSlots(squares []quadsplit.Square, w, h int) []int32 {
+	out := make([]int32, w*h)
+	for k, sq := range squares {
+		x, y, side := int(sq.ID)%w, int(sq.ID)/w, sq.Side()
+		for yy := y; yy < y+side; yy++ {
+			for xx := x; xx < x+side; xx++ {
+				out[yy*w+xx] = int32(k)
+			}
+		}
+	}
+	return out
+}
+
+// squareIDs maps a split's painted slots to the region IDs that
+// AddSquares gives their squares at (origin, stride): the label raster
 // BuildFromLabels must build the same arena from.
 func squareIDs(sp *quadsplit.Result, origin, stride int) []int32 {
-	out := make([]int32, len(sp.Labels))
-	for i, lab := range sp.Labels {
+	out := paintSlots(sp.Squares, sp.W, sp.H)
+	for i, lab := range out {
 		p := int(sp.Squares[lab].ID)
 		out[i] = int32(origin + p/sp.W*stride + p%sp.W)
 	}
@@ -123,9 +139,10 @@ func squareIDs(sp *quadsplit.Result, origin, stride int) []int32 {
 }
 
 // bandGraph builds im's graph the way stream's pass 1 does: split each
-// band of bandRows rows on its own, add the band's squares at its first
-// row's origin after the slots already held, and stitch the band's first
-// row to the previous band's last row with one AddEdge per overlap run.
+// band of bandRows rows on its own, add the band's squares and edges at
+// its first row's origin after the slots already held, and stitch the
+// first row of the band's painted slots to the previous band's last row
+// with one AddEdge per overlap run.
 func bandGraph(t *testing.T, im *pixmap.Image, threshold, maxSquare, bandRows int) *Graph {
 	t.Helper()
 	g := NewGraph(threshold)
@@ -142,17 +159,18 @@ func bandGraph(t *testing.T, im *pixmap.Image, threshold, maxSquare, bandRows in
 			t.Fatal(err)
 		}
 		base := int32(g.Slots())
-		if err := g.AddSquares(context.Background(), sp.Squares, sp.Labels, w, y0*w, w); err != nil {
+		if err := g.AddSquares(context.Background(), sp.Squares, sp.Edges, w, y0*w, w); err != nil {
 			t.Fatal(err)
 		}
+		slots := paintSlots(sp.Squares, w, bh)
 		for x := 0; x < len(frontier); {
-			a, b := frontier[x], sp.Labels[x]+base
-			for x < w && frontier[x] == a && sp.Labels[x]+base == b {
+			a, b := frontier[x], slots[x]+base
+			for x < w && frontier[x] == a && slots[x]+base == b {
 				x++
 			}
 			g.AddEdge(a, b)
 		}
-		frontier = slices.Clone(sp.Labels[(bh-1)*w:])
+		frontier = slices.Clone(slots[(bh-1)*w:])
 		for x := range frontier {
 			frontier[x] += base
 		}
@@ -160,8 +178,9 @@ func bandGraph(t *testing.T, im *pixmap.Image, threshold, maxSquare, bandRows in
 	return g
 }
 
-// TestAddSquaresMatchesBuildFromLabels requires the square build to
-// reproduce the label build's arena exactly — slot IDs in order,
+// TestAddSquaresMatchesBuildFromLabels requires the square build, from
+// the split's squares and edges, to reproduce the label build's arena
+// over the labels the squares paint exactly — slot IDs in order,
 // intervals, liveness and every adjacency list — across image shapes
 // (empty, single-pixel, tall, wide, odd) and split caps, three ways: the
 // whole image at origin 0, as core does; full-width bands at their row
@@ -225,7 +244,7 @@ func tileMatches(im *pixmap.Image, threshold, cap int) error {
 	}
 	want := build(tile, squareIDs(sp, y0*im.W+x0, im.W), threshold)
 	got := NewGraph(threshold)
-	if err := got.AddSquares(context.Background(), sp.Squares, sp.Labels, tw, y0*im.W+x0, im.W); err != nil {
+	if err := got.AddSquares(context.Background(), sp.Squares, sp.Edges, tw, y0*im.W+x0, im.W); err != nil {
 		return err
 	}
 	if err := sameArena(want, got); err != nil {

@@ -74,11 +74,11 @@ func TestAddSquaresCancelled(t *testing.T) {
 		t.Fatalf("the split has %d squares; the test needs more than %d", len(sp.Squares), 2*addCheckSquares)
 	}
 	g := NewGraph(0)
-	if err := g.AddSquares(cancelled(), sp.Squares, sp.Labels, im.W, 0, im.W); !errors.Is(err, context.Canceled) || g.Slots() != 0 {
+	if err := g.AddSquares(cancelled(), sp.Squares, sp.Edges, im.W, 0, im.W); !errors.Is(err, context.Canceled) || g.Slots() != 0 {
 		t.Fatalf("AddSquares on a cancelled ctx = %v with %d slots; want context.Canceled and none", err, g.Slots())
 	}
 	g = NewGraph(0)
-	err = g.AddSquares(&countdownCtx{Context: context.Background(), n: 1}, sp.Squares, sp.Labels, im.W, 0, im.W)
+	err = g.AddSquares(&countdownCtx{Context: context.Background(), n: 1}, sp.Squares, sp.Edges, im.W, 0, im.W)
 	if !errors.Is(err, context.Canceled) || g.Slots() != addCheckSquares {
 		t.Fatalf("AddSquares cancelled after one check = %v with %d slots; want context.Canceled and %d", err, g.Slots(), addCheckSquares)
 	}
@@ -222,9 +222,9 @@ func TestMergeAllMatchesWithoutCallback(t *testing.T) {
 		t.Fatalf("stats differ: %+v vs %+v", s1, s2)
 	}
 	_, ref := referenceMergeAll(pixelGraph(3), Random, 5)
-	im, labels := pixelImage(3), pixelLabels(144)
-	checkRelabel(t, "without callback", g1, im, labels, ids, ref)
-	checkRelabel(t, "with callback", g2, im, labels, ids, ref)
+	im := pixelImage(3)
+	checkRelabel(t, "without callback", g1, im, pixelSquares(im), ids, ref)
+	checkRelabel(t, "with callback", g2, im, pixelSquares(im), ids, ref)
 }
 
 func TestMergeAllCancelled(t *testing.T) {
@@ -257,7 +257,8 @@ func TestMergeAllCancelFromOnRound(t *testing.T) {
 	if stats.Iterations != 1 {
 		t.Fatalf("ran %d rounds after cancelling in round 1", stats.Iterations)
 	}
-	labels, regions := g.Relabel(pixelLabels(before))
+	im := pixelImage(7)
+	labels, regions := g.Relabel(pixelSquares(im), im.W, im.H)
 	absorbed, pairs := 0, 0
 	for i, id := range labels {
 		if id != int32(i) {

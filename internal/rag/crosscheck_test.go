@@ -135,15 +135,16 @@ func pixelRegions(im *pixmap.Image, labels []int32) []Region {
 	return out
 }
 
-// checkRelabel fails t unless g's Relabel of slots (a raster of g's
-// slots over im, such as the one g was built from) gives the labels ref
-// resolves the slots' region IDs to, and the regions a per-pixel pass
-// over them gives. ids holds each slot's region ID from before the
-// merge: a merge may move a smaller ID into a slot, so g's own IDs no
-// longer name every slot's square.
-func checkRelabel(t *testing.T, name string, g *Graph, im *pixmap.Image, slots, ids []int32, ref idMap) {
+// checkRelabel fails t unless g's Relabel of squares (a list over im
+// whose square k is g's slot k, such as the split g was built from) gives
+// the labels ref resolves the painted slots' region IDs to, and the
+// regions a per-pixel pass over them gives. ids holds each slot's region
+// ID from before the merge: a merge may move a smaller ID into a slot, so
+// g's own IDs no longer name every slot's square.
+func checkRelabel(t *testing.T, name string, g *Graph, im *pixmap.Image, squares []quadsplit.Square, ids []int32, ref idMap) {
 	t.Helper()
-	got, regions := g.Relabel(slots)
+	got, regions := g.Relabel(squares, im.W, im.H)
+	slots := paintSlots(squares, im.W, im.H)
 	want := make([]int32, len(slots))
 	for i, s := range slots {
 		want[i] = ids[s]
@@ -254,7 +255,7 @@ func crossCheck(t *testing.T, im *pixmap.Image, threshold, maxSquare int, policy
 	if err := sameRegions(refGraph, g); err != nil {
 		t.Fatalf("%s: merged graph: %v", name, err)
 	}
-	checkRelabel(t, name, g, im, sp.Labels, ids, ref)
+	checkRelabel(t, name, g, im, sp.Squares, ids, ref)
 	if hasActiveEdge(g) {
 		t.Fatalf("%s: an active edge survived MergeAll", name)
 	}
@@ -425,36 +426,39 @@ func FuzzMergeAll(f *testing.F) {
 	})
 }
 
-// FuzzRelabel checks the contraction and the relabel on arbitrary label
-// rasters, which split labels never are: a label may take any value and
-// recur in places that do not touch, so a run may carry a slot already
-// resolved. It builds the reference graph of a w×h raster (1–8 each)
-// whose labels are palette entries base + stride·k, k < n, and a twin,
-// and applies an arbitrary sequence of contractions of adjacent live
-// slots, the keeper's ID above or below the loser's: ContractSlots to
-// the graph and referenceContract to the twin, whose arenas must stay
-// equal. It then maps the raster to the graph's slots and requires
-// Relabel's labels and regions to equal the per-pixel reference over the
-// contractions' ID map.
+// FuzzRelabel checks the contraction and the relabel on split square
+// lists. It splits a w×h image (1–16 each) of the given pixels, over
+// eight grey levels three apart, under threshold 0–11 and caps 0, 1, 2, 8
+// and unbounded; builds the split's graph from its squares and edges and
+// a twin from the labels they paint (BuildFromLabels), whose arenas must
+// be equal; and applies an arbitrary sequence of contractions of adjacent
+// live slots, the keeper's ID above or below the loser's: ContractSlots
+// to the graph and referenceContract to the twin, whose arenas must stay
+// equal. It then requires Relabel's labels and regions to equal the
+// per-pixel reference over the painted slots and the contractions' ID
+// map.
 func FuzzRelabel(f *testing.F) {
-	// Label 7 recurs on both sides of the 4s, so its second run on row 0
-	// resolves a slot already seen.
-	f.Add(uint8(4), uint8(2), uint8(3), int32(7), int32(-3), []byte{0, 1, 0, 2, 0, 1, 1, 2}, []byte{9, 9, 200, 3, 5, 6, 7, 8}, []byte{0, 0, 1, 1})
-	f.Add(uint8(7), uint8(7), uint8(2), int32(1<<30), int32(1<<29), prandBytes(64, 2), prandBytes(64, 3), prandBytes(16, 4))
-	f.Fuzz(func(t *testing.T, w, h, n uint8, base, stride int32, lab, pix, ops []byte) {
-		im := pixmap.New(1+int(w%8), 1+int(h%8))
-		labels := make([]int32, len(im.Pix))
-		for i := range labels {
-			k := 0
-			if i < len(lab) {
-				k = int(lab[i] % (1 + n%8))
-			}
-			labels[i] = base + stride*int32(k)
+	f.Add(uint8(4), uint8(2), uint8(3), uint8(4), []byte{9, 9, 200, 3, 5, 6, 7, 8}, []byte{0, 0, 1, 1})
+	f.Add(uint8(15), uint8(15), uint8(2), uint8(3), prandBytes(256, 2), prandBytes(32, 4))
+	f.Add(uint8(7), uint8(12), uint8(5), uint8(0), prandBytes(96, 5), prandBytes(64, 6))
+	f.Fuzz(func(t *testing.T, w, h, threshold, capSel uint8, pix, ops []byte) {
+		im := pixmap.New(1+int(w%16), 1+int(h%16))
+		for i := range im.Pix {
 			if i < len(pix) {
-				im.Pix[i] = pix[i]
+				im.Pix[i] = pix[i] % 8 * 3
 			}
 		}
-		g, twin := build(im, labels, 255), build(im, labels, 255)
+		thr := int(threshold % 12)
+		maxSquare := []int{0, 1, 2, 8, quadsplit.Unbounded}[capSel%5]
+		name := fmt.Sprintf("%dx%d T=%d cap=%d pix %v ops %v", im.W, im.H, thr, maxSquare, im.Pix, ops)
+		sp, err := quadsplit.Split(context.Background(), im, thr, quadsplit.Options{MaxSquare: maxSquare})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, twin := squareGraph(t, sp, thr), build(im, squareIDs(sp, 0, im.W), thr)
+		if err := sameArena(twin, g); err != nil {
+			t.Fatalf("%s: square build: %v", name, err)
+		}
 		ids := slices.Clone(g.ids)
 		g.startRecord()
 		ref := idMap{}
@@ -478,17 +482,9 @@ func FuzzRelabel(f *testing.F) {
 			g.ContractSlots(k, l)
 			referenceContract(twin, int32(k), int32(l))
 			if err := sameArena(twin, g); err != nil {
-				t.Fatalf("labels %v: contracting slot %d into %d: %v", labels, l, k, err)
+				t.Fatalf("%s: contracting slot %d into %d: %v", name, l, k, err)
 			}
 		}
-		slotOf := map[int32]int32{}
-		for s := 0; s < g.Slots(); s++ {
-			slotOf[g.SlotID(s)] = int32(s)
-		}
-		slots := make([]int32, len(labels))
-		for i, lab := range labels {
-			slots[i] = slotOf[lab]
-		}
-		checkRelabel(t, fmt.Sprintf("%dx%d labels %v ops %v", im.W, im.H, labels, ops), g, im, slots, ids, ref)
+		checkRelabel(t, name, g, im, sp.Squares, ids, ref)
 	})
 }

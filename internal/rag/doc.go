@@ -12,10 +12,13 @@
 // the representative.
 //
 // A Graph names its vertices by slot, a dense index into its arena, and
-// has no lookup by region ID. A split's labels are list slots, so a graph
-// built from the split's squares (Graph.AddSquares) needs none: a label
-// offset by the slots held before the build is a graph slot, and Relabel
-// resolves the labels through the arena's contraction record.
+// has no lookup by region ID. A split names its squares and edges by list
+// slot, so a graph built from the split's squares and edges
+// (Graph.AddSquares) needs none: a list slot offset by the slots held
+// before the build is a graph slot. Relabel resolves each square through
+// the arena's contraction record and paints its final region's ID over
+// its pixels: the final labels are the only per-pixel raster the host
+// pipeline writes.
 //
 // The kernel here defines the *semantics* every engine (the host
 // pipeline, data parallel, message passing, distributed) must agree on.

@@ -268,39 +268,36 @@ func (g *Graph) ContractSlots(keeper, loser int) {
 const addCheckSquares = 4096
 
 // AddSquares adds a split's squares to g: one vertex per square, in list
-// order, then the edges each square meets along its east column and its
-// south row. labels is the split's label raster, w labels a row; each
-// label is a slot of the list, and a square's list ID is its north-west
-// pixel's index in the raster. A square at raster index p gets the region
-// ID origin + (p/w)·stride + p%w, and the square in list slot k graph
-// slot base+k, where base is Slots() before the call. So a whole image
-// builds at (0, W), a full-width band whose first row is image row y0 at
+// order, and one edge per pair of edges, the slot pairs of the split's
+// edge list (quadsplit.Result.Edges), each adjacency once. A square's
+// list ID is its north-west pixel's index in a raster w pixels wide, and
+// a square at raster index p gets the region ID
+// origin + (p/w)·stride + p%w, and the square in list slot k graph slot
+// base+k, where base is Slots() before the call. So a whole image builds
+// at (0, W), a full-width band whose first row is image row y0 at
 // (y0·W, W), and a tile at (x0, y0) of a W-wide image at (y0·W+x0, W).
 // Cancellation is checked every few thousand squares; it returns
 // ctx.Err() when ctx is done.
 //
-// This is the graph of the split's labels, slot for slot, as a build
-// that scans the labels row by row would make it (rag's tests keep one,
-// BuildFromLabels, as the reference). The list is in ID order, which is
-// the order in which a row scan meets the squares; every 4-adjacent
-// pixel pair with different labels lies on the east column or the south
-// row of one of its two squares, so the edge sets agree; and a square's
-// recorded interval is the union of its pixels.
+// This is the graph of the split's painted slots, slot for slot, as a
+// build that scans a label raster row by row would make it (rag's tests
+// keep one, BuildFromLabels, as the reference): the list is in ID order,
+// which is the order in which a row scan meets the squares, the split
+// lists every 4-adjacent pair of squares once, and a square's recorded
+// interval is the union of its pixels.
 //
-// The borders are walked twice. An edge lies on the east column or the
-// south row of exactly one of its two squares, as one run of the other's
-// label, so the first walk counts every new slot's degree exactly. The
-// second fills one arena, cut into lists capped at those degrees, and
-// each list is then sorted. The slot arrays grow once per call. A list
-// that later outgrows its cap (AddEdge) moves to its own allocation.
-func (g *Graph) AddSquares(ctx context.Context, squares []quadsplit.Square, labels []int32, w int, origin, stride int) error {
+// The slot arrays grow once per call. The edges give every new slot's
+// degree exactly, so one arena is cut into lists capped at those degrees
+// and filled, and each list is then sorted. A list that later outgrows
+// its cap (AddEdge) moves to its own allocation.
+func (g *Graph) AddSquares(ctx context.Context, squares []quadsplit.Square, edges []int32, w int, origin, stride int) error {
 	if len(squares) == 0 {
 		return nil
 	}
-	if w <= 0 || len(labels)%w != 0 {
-		panic(fmt.Sprintf("rag: %d labels in rows of %d", len(labels), w))
+	if w <= 0 || len(edges)%2 != 0 {
+		panic(fmt.Sprintf("rag: %d edge slots for squares in rows of %d", len(edges), w))
 	}
-	h, n := len(labels)/w, len(squares)
+	n := len(squares)
 	base := int32(len(g.ids))
 	g.ids = slices.Grow(g.ids, n)
 	g.lo, g.hi = slices.Grow(g.lo, n), slices.Grow(g.hi, n)
@@ -318,58 +315,20 @@ func (g *Graph) AddSquares(ctx context.Context, squares []quadsplit.Square, labe
 		p := int(sq.ID)
 		g.AddVertex(int32(origin+p/w*stride+p%w), sq.IV)
 	}
-	// a and b below are list slots: the new slots' lists are adj[a] and
+	// The edges name list slots: the new slots' lists are adj[a] and
 	// adj[b], and their degrees deg[a] and deg[b].
 	adj, deg := g.adj[base:], make([]int32, n)
-	var fill bool // the second walk: fill the lists, not count
-	edge := func(a, b int32) {
-		if fill {
-			adj[a] = append(adj[a], base+b)
-			adj[b] = append(adj[b], base+a)
-		} else {
-			deg[a]++
-			deg[b]++
-		}
+	for _, s := range edges {
+		deg[s]++
 	}
-	for _, fill = range [2]bool{false, true} {
-		if fill {
-			total := 0
-			for _, d := range deg {
-				total += int(d)
-			}
-			arena := make([]int32, total)
-			for k, d := range deg {
-				adj[k], arena = arena[:0:d], arena[d:]
-			}
-		}
-		for k, sq := range squares {
-			if k%addCheckSquares == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			p, side := int(sq.ID), sq.Side()
-			x, y := p%w, p/w
-			a := int32(k)
-			if x+side < w {
-				prev := a
-				for i := p + side; i < p+side+side*w; i += w {
-					if b := labels[i]; b != prev {
-						edge(a, b)
-						prev = b
-					}
-				}
-			}
-			if y+side < h {
-				prev := a
-				for _, b := range labels[p+side*w : p+side*w+side] {
-					if b != prev {
-						edge(a, b)
-						prev = b
-					}
-				}
-			}
-		}
+	arena := make([]int32, len(edges))
+	for k, d := range deg {
+		adj[k], arena = arena[:0:d], arena[d:]
+	}
+	for i := 0; i < len(edges); i += 2 {
+		a, b := edges[i], edges[i+1]
+		adj[a] = append(adj[a], base+b)
+		adj[b] = append(adj[b], base+a)
 	}
 	for _, list := range adj {
 		slices.Sort(list)
@@ -618,7 +577,7 @@ func (g *Graph) contractSlots(k, l int32) {
 }
 
 // Region is one live region of a merged graph: its ID, its intensity
-// interval, and its area in pixels of the labels Relabel resolved.
+// interval, and its area in pixels of the squares Relabel resolved.
 type Region struct {
 	ID   int32
 	IV   homog.Interval
@@ -643,34 +602,30 @@ func (g *Graph) root(s int32) int32 {
 // held by slot s ended up in: s itself while it is live.
 func (g *Graph) RootSlot(s int) int { return int(g.root(int32(s))) }
 
-// Relabel resolves a raster of the graph's slots, such as the split
-// labels the graph was built from, to the final regions. It returns each
-// pixel's final region ID and the live regions in ascending ID order with
-// the area the raster gives them, or nil when there are none. A label
-// that is not a slot of the graph panics.
+// Relabel resolves the squares the graph was built from to the final
+// regions: square k of squares is graph slot k (a split's list added to
+// an empty graph), in a raster w×h whose pixel index is each square's
+// ID. It returns each pixel's final region ID and the live regions in
+// ascending ID order with their areas, or nil when there are none. A list
+// longer than the graph's slots panics.
 //
-// It walks the raster's runs of equal labels: each run resolves its slot
-// through the contraction record, writes the root's ID over the run and
-// adds the run's length to the root's area. Split labels run square by
-// square, and the region list costs one pass over the slots, not over
-// the pixels.
-func (g *Graph) Relabel(labels []int32) ([]int32, []Region) {
-	out := make([]int32, len(labels))
-	if len(labels) == 0 {
+// Each square resolves its slot through the contraction record once,
+// paints the root's ID over its pixels (quadsplit.Paint) and adds its
+// side² to the root's area; the region list costs one pass over the
+// slots, not over the pixels.
+func (g *Graph) Relabel(squares []quadsplit.Square, w, h int) ([]int32, []Region) {
+	if len(squares) > len(g.ids) {
+		panic(fmt.Sprintf("rag: Relabel of %d squares, the graph holds %d slots", len(squares), len(g.ids)))
+	}
+	out := make([]int32, w*h)
+	if len(out) == 0 {
 		return out, nil
 	}
 	area := make([]int32, len(g.ids))
-	for i := 0; i < len(labels); {
-		lab := labels[i]
-		if lab < 0 || int(lab) >= len(g.ids) {
-			panic(fmt.Sprintf("rag: Relabel label %d is not a slot of %d", lab, len(g.ids)))
-		}
-		r := g.root(lab)
-		id, i0 := g.ids[r], i
-		for ; i < len(labels) && labels[i] == lab; i++ {
-			out[i] = id
-		}
-		area[r] += int32(i - i0)
+	for k, sq := range squares {
+		r, side := g.root(int32(k)), sq.Side()
+		quadsplit.Paint(out, int(sq.ID), side, w, g.ids[r])
+		area[r] += int32(side * side)
 	}
 	if g.nAlive == 0 {
 		return out, nil

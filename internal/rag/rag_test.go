@@ -10,6 +10,7 @@ import (
 	"regiongrow/internal/homog"
 	"regiongrow/internal/pixmap"
 	"regiongrow/internal/prand"
+	"regiongrow/internal/quadsplit"
 )
 
 // The helpers below run the kernel under a background context, which never
@@ -149,15 +150,14 @@ func TestAddEdgePanicsOnMissingVertex(t *testing.T) {
 	}
 }
 
-// TestRelabelRejectsForeignLabel: a label that is not a slot of the graph
-// panics with rag's message, never a bare index panic.
+// TestRelabelRejectsForeignLabel: a square that is not a slot of the
+// graph panics with rag's message, never a bare index panic.
 func TestRelabelRejectsForeignLabel(t *testing.T) {
 	g := NewGraph(5)
 	g.AddVertex(0, homog.Point(5))
 	g.AddVertex(1, homog.Point(5))
-	for _, lab := range []int32{2, -1} {
-		ragPanic(t, func() { g.Relabel([]int32{0, 1, lab}) })
-	}
+	squares := pixelSquares(stripes([]uint8{5, 5, 5}))
+	ragPanic(t, func() { g.Relabel(squares, 3, 1) })
 }
 
 func TestChooseMinWeight(t *testing.T) {
@@ -310,6 +310,16 @@ func TestSlotOfAndNeighbours(t *testing.T) {
 	}
 }
 
+// pixelSquares lists every pixel of im as its own 1×1 square: the
+// squares of the graph that pixelLabels builds, slot for slot.
+func pixelSquares(im *pixmap.Image) []quadsplit.Square {
+	out := make([]quadsplit.Square, len(im.Pix))
+	for i, v := range im.Pix {
+		out[i] = quadsplit.Square{ID: int32(i), IV: homog.Point(v)}
+	}
+	return out
+}
+
 // pixelLabels labels every pixel of a w×h image as its own region.
 func pixelLabels(n int) []int32 {
 	labels := make([]int32, n)
@@ -346,7 +356,7 @@ func TestMergeAllChain(t *testing.T) {
 			t.Fatalf("%v: merges = %d, want 3", policy, stats.TotalMerges())
 		}
 		ref := idMap{1: 0, 2: 0, 3: 0}
-		checkRelabel(t, policy.String(), g, stripes(vals), pixelLabels(len(vals)), ids, ref)
+		checkRelabel(t, policy.String(), g, stripes(vals), pixelSquares(stripes(vals)), ids, ref)
 	}
 }
 

@@ -57,7 +57,7 @@ func TestMergeSerialChain(t *testing.T) {
 			t.Fatalf("n=%d: %d vertices remain", n, g.NumVertices())
 		}
 		ref := referenceMergeSerial(stripesGraph(vals, 0), 0)
-		checkRelabel(t, "chain", g, stripes(vals), pixelLabels(n), g.ids, ref)
+		checkRelabel(t, "chain", g, stripes(vals), pixelSquares(stripes(vals)), g.ids, ref)
 	}
 }
 
@@ -102,7 +102,7 @@ func TestMergeSerialDeterministic(t *testing.T) {
 	for run := 0; run < 2; run++ {
 		g := build(im, labels, 12)
 		mergeSerial(g)
-		checkRelabel(t, "serial", g, im, labels, g.ids, ref)
+		checkRelabel(t, "serial", g, im, pixelSquares(im), g.ids, ref)
 	}
 }
 
@@ -131,7 +131,7 @@ func TestMergeSerialEmptyGraph(t *testing.T) {
 	if stats.Iterations != 0 {
 		t.Fatal("empty graph merged")
 	}
-	if labels, regions := g.Relabel(nil); len(labels) != 0 || regions != nil {
+	if labels, regions := g.Relabel(nil, 0, 0); len(labels) != 0 || regions != nil {
 		t.Fatalf("empty relabel = %v, %v; want no labels and nil regions", labels, regions)
 	}
 }

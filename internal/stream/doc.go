@@ -7,12 +7,12 @@
 // a band boundary, so splitting each band independently reproduces
 // exactly the global split (the same argument distengine's workers rely
 // on). Each band's square list joins one global region adjacency graph —
-// intra-band edges found along each square's east column and south row of
-// the band's labels, inter-band edges stitched against the retained
-// previous-band boundary row — and each square's side is kept as one byte
-// before the band's pixels are retired. Only the live frontier strip, the
-// RAG (one vertex per square, not per pixel), and those side bytes
-// survive a band.
+// the intra-band edges the split lists, and inter-band edges stitched
+// between the band's top slot row and the retained previous-band bottom
+// row (quadsplit.Stitch) — and each square's side is kept as one byte
+// before the band's pixels are retired. No label raster is written: only
+// the live frontier strip, the RAG (one vertex per square, not per
+// pixel), and those side bytes survive a band.
 //
 // The merge stage then runs the exact sequential kernel — Graph.MergeAll
 // over the fully assembled graph — so
@@ -21,6 +21,6 @@
 // byte-identical to theirs. A second pass walks the graph's slots band by
 // band — slot k is square k, placed from the squares' sides alone, since
 // the merge may leave a smaller ID in a hub's slot — resolves each
-// square's final region, and emits the output through the streaming
-// writer.
+// square's final region, paints it (quadsplit.Paint), and emits the
+// output through the streaming writer.
 package stream

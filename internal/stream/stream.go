@@ -65,10 +65,11 @@ type Result struct {
 //
 // Peak memory is O(band + squares): one pixel band, the frontier strip,
 // the region graph, and one byte per square — never the full raster or
-// label map. Each band's split adds a transient 4 B per pixel of band
-// labels and 8 B per square of list, both dead once the band is in the
-// graph. Labels are byte-identical to the sequential engine's for the
-// same cfg.
+// label map. Each band's split adds its level planes (2/3 B per band
+// pixel) and a transient 8 B per square of list and at most 24 B per
+// square of edges, all dead once the band is in the graph; no stage
+// writes a label raster. Labels are byte-identical to the sequential
+// engine's for the same cfg.
 func Segment(ctx context.Context, r io.Reader, w io.Writer, cfg core.Config, run core.Run, opt Options) (*Result, error) {
 	sr, err := pixmap.NewStreamReader(r)
 	if err != nil {
@@ -129,6 +130,7 @@ func ingest(ctx context.Context, sr *pixmap.StreamReader, g *rag.Graph, res *Res
 	bandPix := make([]uint8, width*bandRows)
 	frontier := make([]int32, width) // previous band's last row, as graph slots
 	var log2 []uint8
+	var seam []int32 // the stitch edges of one band boundary
 
 	for y0 := 0; y0 < height; {
 		if err := ctx.Err(); err != nil {
@@ -154,28 +156,24 @@ func ingest(ctx context.Context, sr *pixmap.StreamReader, g *rag.Graph, res *Res
 		// after the slots already held, at global IDs (band-local index +
 		// the band's origin).
 		base := int32(g.Slots())
-		if err := g.AddSquares(ctx, sp.Squares, sp.Labels, width, y0*width, width); err != nil {
+		if err := g.AddSquares(ctx, sp.Squares, sp.Edges, width, y0*width, width); err != nil {
 			return nil, err
 		}
 		for _, sq := range sp.Squares {
 			log2 = append(log2, sq.Log2)
 		}
 
-		// Stitch the band's first row to the previous band's boundary row,
-		// one edge per overlap run, then retire the band: only the new
+		// Stitch the band's top row to the previous band's bottom row, one
+		// edge per overlap run, then retire the band: only the new
 		// frontier strip survives.
-		labels := sp.Labels
 		if y0 > 0 {
-			for x := 0; x < width; {
-				a, b := frontier[x], labels[x]
-				for x < width && frontier[x] == a && labels[x] == b {
-					x++
-				}
-				g.AddEdge(a, b+base)
+			seam = quadsplit.Stitch(seam[:0], frontier, sp.Top)
+			for i := 0; i < len(seam); i += 2 {
+				g.AddEdge(seam[i], seam[i+1]+base)
 			}
 		}
-		for x, l := range labels[(bh-1)*width:] {
-			frontier[x] = l + base
+		for x, s := range sp.Bottom {
+			frontier[x] = s + base
 		}
 		y0 += bh
 		res.Bands++
@@ -247,7 +245,7 @@ func replay[T uint8 | int32](ctx context.Context, g *rag.Graph, log2 []uint8, re
 					continue
 				}
 				n := 1 << log2[slot]
-				paint(buf, (y-y0)*width+x, n, width, value(g.RootSlot(slot)))
+				quadsplit.Paint(buf, (y-y0)*width+x, n, width, value(g.RootSlot(slot)))
 				slot++
 				below[x], side[x] = int32(y+n), int32(n)
 				x += n
@@ -258,21 +256,6 @@ func replay[T uint8 | int32](ctx context.Context, g *rag.Graph, log2 []uint8, re
 		}
 	}
 	return nil
-}
-
-// paint fills the n×n square of buf whose north-west pixel is buf[at]
-// with v, in rows of width: a loop fills the top row and copy repeats it
-// down the square. A loop over every pixel ran pass 2 of stream-16mp
-// 30% slower or faster with where the linker happened to place it, and
-// inside replay's walk it spilled its index on every pixel.
-func paint[T uint8 | int32](buf []T, at, n, width int, v T) {
-	top := buf[at : at+n]
-	for i := range top {
-		top[i] = v
-	}
-	for row := at + width; row < at+n*width; row += width {
-		copy(buf[row:row+n], top)
-	}
 }
 
 // writeEmpty emits the output header of a zero-pixel image.

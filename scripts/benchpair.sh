@@ -13,9 +13,18 @@
 # call runs on fresh seeds. seconds defaults to 10.
 #
 # For each end-to-end metric that BENCHMARK.json names, it prints every
-# pair, both sides' median and quartiles, the parent's IQR, and the
-# number of pairs in which the change read lower. The last line of
-# standard output is the same data as one JSON object; the runs' own
+# pair, both sides' median and quartiles, the parent's IQR, the number of
+# pairs in which the change read lower, and a verdict in the metric's
+# "better" direction:
+#   within_bound      the change's median is no worse than the parent's
+#                     median by more than the metric's BENCHMARK.json
+#                     bound (a fraction of the parent's median);
+#   meets_claim_rule  the change is better in at least 9 of every 10
+#                     pairs (ties count for neither side) and its median
+#                     is better than the parent's by more than the
+#                     parent's IQR: the rule a claimed gain must meet.
+# The last line of standard output is the same data as one JSON object;
+# the runs' own
 # result lines are kept beside it under .bench_build/benchpair/. A run
 # that ends without a result line stops the script; a run that reports
 # failed operations or `"correct": false` is counted in the JSON.
@@ -107,7 +116,19 @@ summary=$(jq -s -c \
                pairs: [$runs[] | {pair, seed, parent: .parent.metrics[$m].value, change: .change.metrics[$m].value}]}}
            | .value.parent = ([.value.pairs[].parent] | stats)
            | .value.change = ([.value.pairs[].change] | stats)
-           | .value.change_lower = ([.value.pairs[] | select(.change < .parent)] | length)]
+           | .value.change_lower = ([.value.pairs[] | select(.change < .parent)] | length)
+           # The verdict, in the better direction of the metric: sign is 1 when
+           # lower is better and -1 when higher is.
+           | ([$spec[0].end_to_end[] | select(.name == $m) | .bound][0]) as $bound
+           | (if .value.better == "lower" then 1 else -1 end) as $sign
+           | .value.bound = $bound
+           | .value.change_better = ([.value.pairs[] | select(.change != null and .parent != null
+                and $sign * (.change - .parent) < 0)] | length)
+           | .value.within_bound = (if .value.parent.median == null or .value.change.median == null then null
+                else $sign * (.value.change.median - .value.parent.median) <= $bound * .value.parent.median end)
+           | .value.meets_claim_rule = (if .value.parent.median == null or .value.change.median == null then null
+                else .value.change_better * 10 >= (.value.pairs | length) * 9
+                    and $sign * (.value.parent.median - .value.change.median) > .value.parent.iqr end)]
            | from_entries)}
     ' "$results"/*.json)
 printf '%s\n' "$summary" >"$results/summary.json"
@@ -121,5 +142,6 @@ printf '%s\n' "$summary" | jq -r '
         "\($m) (\($v.unit), \($v.better) is better), parent/change per pair:",
         ($v.pairs[] | "  pair \(.pair) seed \(.seed): \(.parent | f) / \(.change | f)"),
         "  parent median \($v.parent.median | f) (quartiles \($v.parent.q1 | f)-\($v.parent.q3 | f), IQR \($v.parent.iqr | f))",
-        "  change median \($v.change.median | f) (quartiles \($v.change.q1 | f)-\($v.change.q3 | f)); change lower in \($v.change_lower)/\($v.pairs | length) pairs")'
+        "  change median \($v.change.median | f) (quartiles \($v.change.q1 | f)-\($v.change.q3 | f)); change lower in \($v.change_lower)/\($v.pairs | length) pairs",
+        "  verdict: within_bound \($v.within_bound) (bound \($v.bound)), meets_claim_rule \($v.meets_claim_rule) (change better in \($v.change_better)/\($v.pairs | length) pairs)")'
 printf '%s\n' "$summary"
