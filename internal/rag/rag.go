@@ -268,10 +268,10 @@ func (g *Graph) ContractSlots(keeper, loser int) {
 const addCheckSquares = 4096
 
 // AddSquares adds a split's squares to g: one vertex per square, in list
-// order, and one edge per pair of edges, the slot pairs of the split's
-// edge list (quadsplit.Result.Edges), each adjacency once. A square's
-// list ID is its north-west pixel's index in a raster w pixels wide, and
-// a square at raster index p gets the region ID
+// order, and one edge per slot pair of edges, the split's edge list
+// (quadsplit.Result.Edges), which names each adjacency once. A square's
+// list ID is its north-west pixel's index in a raster w pixels wide; a
+// square at raster index p gets the region ID
 // origin + (p/w)·stride + p%w, and the square in list slot k graph slot
 // base+k, where base is Slots() before the call. So a whole image builds
 // at (0, W), a full-width band whose first row is image row y0 at

@@ -19,10 +19,13 @@
 #   within_bound      the change's median is no worse than the parent's
 #                     median by more than the metric's BENCHMARK.json
 #                     bound (a fraction of the parent's median);
-#   meets_claim_rule  the change is better in at least 9 of every 10
-#                     pairs (ties count for neither side) and its median
-#                     is better than the parent's by more than the
-#                     parent's IQR: the rule a claimed gain must meet.
+#   meets_claim_rule  at least 10 pairs ran, the change is better in at
+#                     least 9 of every 10 (ties count for neither side),
+#                     and its median is better than the parent's by more
+#                     than the parent's IQR: the rule a claimed gain must
+#                     meet. Two pairs of one revision against itself can
+#                     read 2/2 with a gap over the IQR of two runs, so
+#                     fewer than 10 pairs never meet it.
 # The last line of standard output is the same data as one JSON object;
 # the runs' own
 # result lines are kept beside it under .bench_build/benchpair/. A run
@@ -127,7 +130,8 @@ summary=$(jq -s -c \
            | .value.within_bound = (if .value.parent.median == null or .value.change.median == null then null
                 else $sign * (.value.change.median - .value.parent.median) <= $bound * .value.parent.median end)
            | .value.meets_claim_rule = (if .value.parent.median == null or .value.change.median == null then null
-                else .value.change_better * 10 >= (.value.pairs | length) * 9
+                else (.value.pairs | length) >= 10
+                    and .value.change_better * 10 >= (.value.pairs | length) * 9
                     and $sign * (.value.parent.median - .value.change.median) > .value.parent.iqr end)]
            | from_entries)}
     ' "$results"/*.json)
