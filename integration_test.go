@@ -1,8 +1,13 @@
 package regiongrow
 
 import (
+	"bytes"
 	"context"
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"regiongrow/internal/core"
@@ -271,10 +276,17 @@ func TestRunExperimentWithNative(t *testing.T) {
 	}
 }
 
+var update = flag.Bool("update", false, "rewrite testdata/paper_eval.golden from the current engines")
+
 // TestPaperOrderingsHold regenerates the full evaluation (all six images,
 // all five configurations) and asserts the paper's qualitative claims
 // C2–C5 hold in the model — the repository's headline reproduction
-// property.
+// property. It also pins every simulated time and count the evaluation
+// prints: the six tables and Figure 3, rendered as cmd/benchtab prints
+// them by default, must equal testdata/paper_eval.golden byte for byte
+// (benchtab's stdout up to its closing orderings line). Regenerate with
+// `go test -run PaperOrderings -update` after a deliberate cost-model
+// change.
 func TestPaperOrderingsHold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full 30-run evaluation")
@@ -282,6 +294,41 @@ func TestPaperOrderingsHold(t *testing.T) {
 	exps, err := RunAllExperiments(context.Background())
 	if err != nil {
 		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	for i, exp := range exps {
+		fmt.Fprintf(&buf, "=== Table %d ===\n", i+1)
+		WriteTable(&buf, exp)
+		fmt.Fprintln(&buf)
+	}
+	WriteFigure3(&buf, exps)
+	fmt.Fprintln(&buf)
+	path := filepath.Join("testdata", "paper_eval.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	golden, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), golden) {
+		got, want := strings.Split(buf.String(), "\n"), strings.Split(string(golden), "\n")
+		i := 0
+		for i < len(got) && i < len(want) && got[i] == want[i] {
+			i++
+		}
+		line := func(lines []string) string {
+			if i < len(lines) {
+				return lines[i]
+			}
+			return "(end)"
+		}
+		t.Errorf("evaluation differs from %s at line %d:\n  got    %q\n  golden %q", path, i+1, line(got), line(want))
 	}
 	if bad := CheckOrderings(exps); len(bad) > 0 {
 		for _, b := range bad {

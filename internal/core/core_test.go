@@ -155,12 +155,25 @@ func TestValidateCatchesDisconnectedRegion(t *testing.T) {
 
 func TestValidateCatchesMergeableNeighbours(t *testing.T) {
 	// Two adjacent labels with identical intensity: they should have
-	// merged, so Validate must reject.
-	im := pixmap.Uniform(2, 9)
-	seg := &Segmentation{W: 2, H: 2, Labels: []int32{0, 1, 0, 1}}
-	seg.FillRegions(im)
-	if Validate(seg, im, 10) == nil {
-		t.Fatal("Validate accepted unmerged mergeable neighbours")
+	// merged, so Validate must reject, side by side or one above the
+	// other, on an image one pixel wide too.
+	for _, c := range []struct {
+		w, h   int
+		labels []int32
+	}{
+		{2, 2, []int32{0, 1, 0, 1}},
+		{2, 1, []int32{0, 1}},
+		{1, 2, []int32{0, 1}},
+	} {
+		im := pixmap.New(c.w, c.h)
+		seg := &Segmentation{W: c.w, H: c.h, Labels: c.labels}
+		seg.FillRegions(im)
+		if Validate(seg, im, 10) == nil {
+			t.Errorf("%dx%d %v: Validate accepted unmerged mergeable neighbours", c.w, c.h, c.labels)
+		}
+		if referenceValidate(seg, im, 10) == nil {
+			t.Errorf("%dx%d %v: referenceValidate accepted unmerged mergeable neighbours", c.w, c.h, c.labels)
+		}
 	}
 }
 

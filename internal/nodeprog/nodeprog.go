@@ -210,8 +210,6 @@ type prog struct {
 	nOwned      int
 	slotOf      map[int32]int32 // region ID → slot, of every vertex the node has held
 
-	asg *assignments
-
 	// Round scratch, reused from round to round.
 	choice []int32 // owned slot → chosen slot, or noSlot
 	suitor []bool  // owned slot → its remote choice chose it back
@@ -254,7 +252,6 @@ func Run(c Collectives, n Node) (*Result, error) {
 	}
 	// Cancellation rides the collectives, so the merge runs under a
 	// context that never ends.
-	p.asg = newAssignments(res.Squares)
 	if res.Merge, err = rag.Drive(context.Background(), p.Tie, p.round); err != nil {
 		return nil, err
 	}
@@ -565,6 +562,11 @@ func (p *prog) mergeRound(iter int, in [][]int32) (int, error) {
 // but whose loser it does becomes a ghost, and every known loser is
 // queued in p.pairs with its representative. p.repOf grows to cover the
 // new ghosts.
+//
+// Queuing every known loser, with its representative made a ghost when
+// the node did not hold it, keeps the region that holds each owned square
+// live on this node, so the write-back can resolve through the arena (see
+// the package doc).
 func (p *prog) recordMerges(all []int32) error {
 	g := p.g
 	p.pairs = p.pairs[:0]
@@ -573,7 +575,6 @@ func (p *prog) recordMerges(all []int32) error {
 		if rep < 0 || rep >= loser || int(loser) >= p.Grid.width()*p.Grid.height() {
 			return fmt.Errorf("nodeprog: malformed merge event (%d, %d)", rep, loser)
 		}
-		p.asg.record(loser, rep)
 		sl, knowLoser := p.live(loser)
 		sr, knowRep := p.live(rep)
 		switch {
@@ -651,12 +652,14 @@ func (p *prog) applyHandover(data []int32) error {
 	return nil
 }
 
-// resolve is the label write-back: each owned square's final region,
-// found once through the merge record, painted into a fresh tile raster.
+// resolve is the label write-back: each owned square painted, into a
+// fresh tile raster, with the ID of the live region that the arena's
+// contraction record takes its slot to (RootSlot), which is its final
+// region (see recordMerges).
 func (p *prog) resolve() []int32 {
 	labels := make([]int32, p.tw*p.th)
 	for s, sq := range p.squares {
-		quadsplit.Paint(labels, int(sq.ID), sq.Side(), p.tw, p.asg.find(p.g.SlotID(s)))
+		quadsplit.Paint(labels, int(sq.ID), sq.Side(), p.tw, p.g.SlotID(p.g.RootSlot(s)))
 	}
 	return labels
 }

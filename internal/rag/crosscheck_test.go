@@ -460,7 +460,6 @@ func FuzzRelabel(f *testing.F) {
 			t.Fatalf("%s: square build: %v", name, err)
 		}
 		ids := slices.Clone(g.ids)
-		g.startRecord()
 		ref := idMap{}
 		for i := 0; i+1 < len(ops); i += 2 {
 			var live []int

@@ -285,6 +285,9 @@ func TestContract(t *testing.T) {
 	if numEdges(g) != 1 {
 		t.Fatalf("edges after contract = %d (parallel edge not coalesced?)", numEdges(g))
 	}
+	if g.RootSlot(1) != 0 || g.RootSlot(2) != 2 {
+		t.Fatalf("RootSlot: loser → %d, bystander → %d; want 0 and 2 (contraction not recorded?)", g.RootSlot(1), g.RootSlot(2))
+	}
 }
 
 // TestSlotOfAndNeighbours: slots follow insertion order, neighbour lists

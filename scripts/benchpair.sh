@@ -26,6 +26,15 @@
 #                     meet. Two pairs of one revision against itself can
 #                     read 2/2 with a gap over the IQR of two runs, so
 #                     fewer than 10 pairs never meet it.
+#   meets_ratio_rule  the same floor and win count, and the median of the
+#                     pairs' change/parent ratios beyond 1 by more than
+#                     the ratios' IQR. A pair's two runs share the host's
+#                     state, so drift that moves both sides within a
+#                     series widens the parent's IQR but not the ratios'.
+#                     It is printed beside the claim rule, which stays
+#                     the rule a claim is held to.
+# Each metric also carries `ratio`: the median, quartiles and IQR of the
+# pairs' change/parent ratios.
 # The last line of standard output is the same data as one JSON object;
 # the runs' own
 # result lines are kept beside it under .bench_build/benchpair/. A run
@@ -132,7 +141,13 @@ summary=$(jq -s -c \
            | .value.meets_claim_rule = (if .value.parent.median == null or .value.change.median == null then null
                 else (.value.pairs | length) >= 10
                     and .value.change_better * 10 >= (.value.pairs | length) * 9
-                    and $sign * (.value.parent.median - .value.change.median) > .value.parent.iqr end)]
+                    and $sign * (.value.parent.median - .value.change.median) > .value.parent.iqr end)
+           | .value.ratio = ([.value.pairs[] | select(.change != null and .parent != null and .parent != 0)
+                | .change / .parent] | stats)
+           | .value.meets_ratio_rule = (if .value.ratio.median == null then null
+                else (.value.pairs | length) >= 10
+                    and .value.change_better * 10 >= (.value.pairs | length) * 9
+                    and $sign * (1 - .value.ratio.median) > .value.ratio.iqr end)]
            | from_entries)}
     ' "$results"/*.json)
 printf '%s\n' "$summary" >"$results/summary.json"
@@ -147,5 +162,6 @@ printf '%s\n' "$summary" | jq -r '
         ($v.pairs[] | "  pair \(.pair) seed \(.seed): \(.parent | f) / \(.change | f)"),
         "  parent median \($v.parent.median | f) (quartiles \($v.parent.q1 | f)-\($v.parent.q3 | f), IQR \($v.parent.iqr | f))",
         "  change median \($v.change.median | f) (quartiles \($v.change.q1 | f)-\($v.change.q3 | f)); change lower in \($v.change_lower)/\($v.pairs | length) pairs",
-        "  verdict: within_bound \($v.within_bound) (bound \($v.bound)), meets_claim_rule \($v.meets_claim_rule) (change better in \($v.change_better)/\($v.pairs | length) pairs)")'
+        "  change/parent ratio median \($v.ratio.median | f) (quartiles \($v.ratio.q1 | f)-\($v.ratio.q3 | f), IQR \($v.ratio.iqr | f))",
+        "  verdict: within_bound \($v.within_bound) (bound \($v.bound)), meets_claim_rule \($v.meets_claim_rule), meets_ratio_rule \($v.meets_ratio_rule) (change better in \($v.change_better)/\($v.pairs | length) pairs)")'
 printf '%s\n' "$summary"
