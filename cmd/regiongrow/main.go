@@ -18,14 +18,16 @@
 // run exceeding the duration is cancelled (within one split/merge
 // iteration) and the command exits non-zero naming the stage it reached.
 //
-// With -stream, the image is segmented incrementally in O(band) memory —
-// the full raster never exists in the process — accepting inputs far
-// beyond the in-memory engines' pixel limit while producing output
-// byte-identical to the sequential engine. Stream mode writes the outputs
-// named by -o (recoloured PGM) and -labels (raw label raster); it is
-// local-only and raster-only, so -server, -cluster, -dot, and -json do
-// not combine with it. -labels also works without -stream, encoding the
-// in-memory result in the same wire format for byte-for-byte comparison.
+// With -stream, the image is segmented incrementally in O(band + squares)
+// memory — the full raster never exists in the process, but the region
+// graph keeps a vertex per split square, one per pixel on noise-like
+// input — accepting inputs far beyond the in-memory engines' pixel limit
+// while producing output byte-identical to the sequential engine. Stream
+// mode writes the outputs named by -o (recoloured PGM) and -labels (raw
+// label raster); it is local-only and raster-only, so -server, -cluster,
+// -dot, and -json do not combine with it. -labels also works without
+// -stream, encoding the in-memory result in the same wire format for
+// byte-for-byte comparison.
 //
 // With -server, the image is not segmented locally: it is uploaded to a
 // regiongrowd service at the given base URL through the regiongrow/client

@@ -375,20 +375,16 @@ func Validate(s *Segmentation, im *pixmap.Image, threshold int) error {
 			return fmt.Errorf("core: region %d inhomogeneous: %v", lab, ivs[i])
 		}
 	}
-	// (4) no adjacent pair still mergeable: every east and south pair of
-	// different labels. The two neighbours are tested apart, because at
-	// w = 1 the south one is i+1; a missing one reads as the pixel's own
-	// label.
+	// (4) no adjacent pair still mergeable: every east (k = 0) and south
+	// pair of different labels. East is told by k, not by j == i+1, which
+	// at w = 1 is the south neighbour too.
 	for i, a := range labels {
-		east, south := a, a
-		if i%w+1 < w {
-			east = labels[i+1]
-		}
-		if i+w < len(labels) {
-			south = labels[i+w]
-		}
-		for _, b := range [2]int32{east, south} {
-			if b != a && ivs[a].Union(ivs[b]).Range() <= threshold {
+		for k, j := range [2]int{i + 1, i + w} {
+			if k == 0 && j%w == 0 || j >= len(labels) || labels[j] == a {
+				continue
+			}
+			b := labels[j]
+			if ivs[a].Union(ivs[b]).Range() <= threshold {
 				return fmt.Errorf("core: adjacent regions %d and %d could still merge (%v ∪ %v)",
 					min(a, b), max(a, b), ivs[min(a, b)], ivs[max(a, b)])
 			}

@@ -72,14 +72,14 @@ func referenceValidate(s *Segmentation, im *pixmap.Image, threshold int) error {
 	for y := 0; y < im.H; y++ {
 		for x := 0; x < im.W; x++ {
 			i := y*im.W + x
-			for _, n := range [2]struct {
-				j  int
-				ok bool
-			}{{i + 1, x+1 < im.W}, {i + im.W, y+1 < im.H}} {
-				if !n.ok {
+			for k, j := range [2]int{i + 1, i + im.W} {
+				if k == 0 && x+1 >= im.W {
 					continue
 				}
-				a, b := s.Labels[i], s.Labels[n.j]
+				if k == 1 && y+1 >= im.H {
+					continue
+				}
+				a, b := s.Labels[i], s.Labels[j]
 				if a == b {
 					continue
 				}

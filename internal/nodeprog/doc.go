@@ -35,15 +35,14 @@
 //
 // The write-back then paints every square a node owns with its final
 // region's ID into a fresh tile raster: the node keeps its squares, not a
-// label raster, through the merge. The final region is read off the rag
-// arena's contraction record (Graph.RootSlot), the same record the host
-// engines and stream resolve through; the node keeps no record of its
-// own. The arena holds only the regions the node has seen, but that
-// suffices: after every round, the region that holds an owned square is
-// live on that square's node. It starts as the square itself, and when
-// it loses a merge the node knows the loser, so it contracts it into the
-// representative, first making that a ghost if the node did not hold
-// it.
+// label raster, through the merge. It reads the final region off the rag
+// arena's contraction record (Graph.RootSlot), as the host engines and
+// stream do, though the arena holds only the regions the node has seen.
+// That suffices by one invariant: after every round, the region that
+// holds an owned square is live on that square's node. It starts as the
+// square itself; when it loses a merge the node knows the loser, so it
+// contracts it into the representative, first making that a ghost if the
+// node did not hold it.
 //
 // A region is owned by the node whose tile holds its anchor pixel, and the
 // representative (smaller ID) of a merge keeps its owner. Messages name

@@ -560,13 +560,8 @@ func (p *prog) mergeRound(iter int, in [][]int32) (int, error) {
 // known representative takes its new interval (an edge relabeled to it
 // needs it for future weights), a representative this node does not know
 // but whose loser it does becomes a ghost, and every known loser is
-// queued in p.pairs with its representative. p.repOf grows to cover the
-// new ghosts.
-//
-// Queuing every known loser, with its representative made a ghost when
-// the node did not hold it, keeps the region that holds each owned square
-// live on this node, so the write-back can resolve through the arena (see
-// the package doc).
+// queued in p.pairs with its representative, which keeps the write-back's
+// invariant (see the package doc). p.repOf grows to cover the new ghosts.
 func (p *prog) recordMerges(all []int32) error {
 	g := p.g
 	p.pairs = p.pairs[:0]
@@ -653,9 +648,8 @@ func (p *prog) applyHandover(data []int32) error {
 }
 
 // resolve is the label write-back: each owned square painted, into a
-// fresh tile raster, with the ID of the live region that the arena's
-// contraction record takes its slot to (RootSlot), which is its final
-// region (see recordMerges).
+// fresh tile raster, with the ID of its final region, the live region the
+// arena's contraction record takes its slot to (see the package doc).
 func (p *prog) resolve() []int32 {
 	labels := make([]int32, p.tw*p.th)
 	for s, sq := range p.squares {

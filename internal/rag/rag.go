@@ -104,12 +104,10 @@ const noSlot int32 = -1
 // endpoint intervals, which is exactly how the engines keep them
 // consistent under contraction.
 //
-// The arena is also the record of the merge. MergeAll, MergeSerial and
-// the first ContractSlots allocate a contraction record when merging
-// starts, each slot naming the slot it was contracted into, so Relabel
-// and RootSlot resolve any slot the graph ever held: the host engines,
-// stream's pass 2 and nodeprog's write-back all read their labels off
-// it.
+// The arena is also the record of the merge for every engine that merges
+// on it: MergeAll, MergeSerial and the first ContractSlots allocate a
+// contraction record, each slot naming the slot it was contracted into,
+// so Relabel and RootSlot resolve any slot the graph ever held.
 //
 // The layout is profile-driven: with the earlier map-of-pointers
 // representation the sequential kernel spent the majority of its merge
@@ -126,9 +124,8 @@ type Graph struct {
 	adj    [][]int32 // slot → sorted neighbour slots (live slots only)
 	nAlive int
 	// parent is the contraction record: slot → the slot it was contracted
-	// into, itself while live. It is nil until merging starts (MergeAll,
-	// MergeSerial or the first ContractSlots), so building a graph never
-	// pays for it.
+	// into, itself while live. It is nil until merging starts, so building
+	// a graph never pays for it.
 	parent []int32
 	// merged is contractSlots' scratch, where the keeper's new list is
 	// built before it is copied back.
@@ -259,10 +256,8 @@ func (g *Graph) SlotChoice(s int, policy TiePolicy, seed uint64, iter int, tied 
 }
 
 // ContractSlots merges the region in slot loser into the one in slot
-// keeper (both live) and records the contraction, starting the record on
-// the first call, so RootSlot takes any slot to its live region.
-// nodeprog's merge rounds contract through it, and resolve their labels
-// through the record.
+// keeper (both live) and records it, starting the record on the first
+// call: nodeprog contracts through it and resolves through RootSlot.
 func (g *Graph) ContractSlots(keeper, loser int) {
 	g.startRecord()
 	g.contractSlots(int32(keeper), int32(loser))

@@ -15,8 +15,10 @@ import (
 // streaming engine into a chunked response — the raster is never resident
 // on the server, which is what admits inputs far beyond the job paths'
 // upload limit (the MaxBodyBytes cap does not apply here; the streaming
-// reader's own pixel-count limit bounds the work instead, and memory stays
-// O(band) regardless of image size).
+// reader's own pixel-count limit bounds the work instead). Memory is
+// O(band + squares): the region graph keeps a vertex per split square,
+// and on noise-like input that is one per pixel (79–86 B of live heap per
+// pixel), so no byte bound holds for such an upload.
 //
 // The path is synchronous and stateless by design: no job record, no
 // worker-pool slot, no result cache — a gigapixel label raster has no

@@ -1,6 +1,7 @@
-// Package stream segments images of effectively unbounded size in O(band)
-// memory: the sixth engine path, running the distributed engine's banded
-// decomposition over one input stream instead of over sockets.
+// Package stream segments images of effectively unbounded size in
+// O(band + squares) memory: the sixth engine path, running the distributed
+// engine's banded decomposition over one input stream instead of over
+// sockets.
 //
 // The image streams in as horizontal bands whose boundaries are multiples
 // of the effective split cap. Cap alignment means no split square crosses
@@ -12,7 +13,10 @@
 // row (quadsplit.Stitch) — and each square's side is kept as one byte
 // before the band's pixels are retired. No label raster is written: only
 // the live frontier strip, the RAG (one vertex per square, not per
-// pixel), and those side bytes survive a band.
+// pixel), and those side bytes survive a band. So memory grows with the
+// square count, which no band bounds: on noise-like input the split
+// leaves one square per pixel, and pixmap.Random images of 0.26–4 MP at
+// T = 10 held 79–86 B of live heap per pixel.
 //
 // The merge stage then runs the exact sequential kernel — Graph.MergeAll
 // over the fully assembled graph — so

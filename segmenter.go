@@ -42,10 +42,11 @@ const (
 // It is the context-first entry point to every engine: Segment threads
 // ctx through split loops, RAG build, and merge rounds (cancellation
 // returns ctx.Err() within one iteration on every engine), reports stage
-// progress to the configured Observer, and recycles split-stage label and
-// scratch buffers through an internal sync.Pool so repeated calls on
-// same-size images approach zero steady-state allocation for the split
-// stage.
+// progress to the configured Observer, and recycles the split's scratch
+// (its square list, edge buffer and walk rows) through an internal
+// sync.Pool, so repeated calls on same-size images allocate none of them
+// again: on image 1, BenchmarkSegmenterReuse measures 202 allocs and
+// 157 KB per call against BenchmarkSegmentOneShot's 205 and 178 KB.
 //
 // A Segmenter is safe for concurrent use; each call draws its own buffer
 // set from the pool. Pooling never affects results: the property-based
