@@ -1,6 +1,7 @@
 package nodeprog
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -200,10 +201,17 @@ func (f *fakeNode) Phase(Phase, int)           {}
 
 // runFake runs the node program on every node of a fresh two-band
 // cluster over a flat 16×16 image, split into 4×4 squares that all merge
-// into one region. A panic on a node becomes that node's error.
+// into one region.
 func runFake(nodes []*fakeNode) ([]*Result, []error) {
 	const w, h = 16, 16
 	grid := Grid{XStarts: []int{0, w}, YStarts: []int{0, h / 2, h}}
+	return runFakeOn(nodes, pixmap.New(w, h), grid, core.Config{Threshold: 10, Tie: rag.SmallestID, Seed: 1, MaxSquare: 4})
+}
+
+// runFakeOn runs the node program under cfg on every node of a fresh
+// cluster, rank r on tile r of grid over im; cfg.MaxSquare is the
+// effective square cap. A panic on a node becomes that node's error.
+func runFakeOn(nodes []*fakeNode, im *pixmap.Image, grid Grid, cfg core.Config) ([]*Result, []error) {
 	cl := newFakeCluster(len(nodes))
 	res := make([]*Result, len(nodes))
 	errs := make([]error, len(nodes))
@@ -219,9 +227,14 @@ func runFake(nodes []*fakeNode) ([]*Result, []error) {
 					errs[r] = fmt.Errorf("panic: %v", v)
 				}
 			}()
+			tile, err := im.SubImage(grid.tile(r))
+			if err != nil {
+				errs[r] = err
+				return
+			}
 			res[r], errs[r] = Run(nd, Node{
-				Grid: grid, Rank: r, Tile: pixmap.New(w, h/2), Cap: 4,
-				Threshold: 10, Tie: rag.SmallestID, Seed: 1,
+				Grid: grid, Rank: r, Tile: tile, Cap: cfg.MaxSquare,
+				Threshold: cfg.Threshold, Tie: cfg.Tie, Seed: cfg.Seed,
 			})
 		}()
 	}
@@ -245,6 +258,43 @@ func TestFakeClusterMerges(t *testing.T) {
 	}
 	if res[0].Squares != 16 || res[0].Merge.TotalMerges() != 15 {
 		t.Fatalf("squares %d, merges %d; want 16 and 15", res[0].Squares, res[0].Merge.TotalMerges())
+	}
+}
+
+// TestFakeClusterMatchesSequential: on a 2×2 grid of tiles over noise of
+// many regions, regions cross tiles and many owned squares end in a
+// region another node owns, reached through merges the node saw only as
+// events. The write-back still paints every square with the region
+// Sequential finds, so the arena's record on each node follows each
+// owned square to its final region.
+func TestFakeClusterMatchesSequential(t *testing.T) {
+	grid := Grid{XStarts: []int{0, 8, 16}, YStarts: []int{0, 8, 16}}
+	for seed := uint64(1); seed <= 3; seed++ {
+		im := pixmap.Random(16, seed)
+		for i := range im.Pix {
+			im.Pix[i] &= 0x3F
+		}
+		for _, tie := range rag.AllTiePolicies() {
+			cfg := core.Config{Threshold: 10, Tie: tie, Seed: seed, MaxSquare: 4}
+			want, err := core.Sequential{}.SegmentContext(context.Background(), im, cfg, core.Run{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, errs := runFakeOn([]*fakeNode{{}, {}, {}, {}}, im, grid, cfg)
+			for r, err := range errs {
+				if err != nil {
+					t.Fatalf("seed %d %v rank %d: %v", seed, tie, r, err)
+				}
+			}
+			got := Assemble(im, grid, res, 0)
+			if !want.EqualLabels(got) || want.MergeIterations != got.MergeIterations {
+				t.Fatalf("seed %d %v: labels or merge iterations (%d, want %d) differ from sequential",
+					seed, tie, got.MergeIterations, want.MergeIterations)
+			}
+			if want.FinalRegions < 2 {
+				t.Fatalf("seed %d %v: %d final regions, want several", seed, tie, want.FinalRegions)
+			}
+		}
 	}
 }
 

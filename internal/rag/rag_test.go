@@ -290,6 +290,42 @@ func TestContract(t *testing.T) {
 	}
 }
 
+// TestContractSlotsRecordsChains: ContractSlots, the node program's only
+// contraction entry, starts the contraction record on its first call and
+// not before, and RootSlot follows a chain of contractions made over
+// several calls to the live region at its end, through a vertex added
+// after the record started, as a node adds a ghost representative in a
+// later round.
+func TestContractSlotsRecordsChains(t *testing.T) {
+	g := NewGraph(100)
+	iv := homog.Point(7)
+	for _, id := range []int32{5, 4, 3, 9} {
+		g.AddVertex(id, iv)
+	}
+	g.AddEdge(0, 1) // 5–4
+	g.AddEdge(1, 2) // 4–3
+	g.AddEdge(2, 3) // 3–9
+	if g.parent != nil {
+		t.Fatal("building the graph allocated the contraction record")
+	}
+	if g.RootSlot(0) != 0 {
+		t.Fatalf("RootSlot(0) = %d before any contraction, want 0", g.RootSlot(0))
+	}
+	g.ContractSlots(1, 0) // 5 into 4
+	g.ContractSlots(2, 1) // 4 into 3
+	ghost := g.AddVertex(0, iv)
+	g.AddEdge(ghost, 2)
+	g.ContractSlots(int(ghost), 2) // 3 into 0
+	for s, id := range []int32{5, 4, 3} {
+		if r := g.RootSlot(s); r != int(ghost) {
+			t.Fatalf("region %d resolves to slot %d holding %d, want slot %d holding 0", id, r, g.SlotID(r), ghost)
+		}
+	}
+	if g.RootSlot(3) != 3 || g.RootSlot(int(ghost)) != int(ghost) {
+		t.Fatalf("live slots resolve to %d and %d, want themselves", g.RootSlot(3), g.RootSlot(int(ghost)))
+	}
+}
+
 // TestSlotOfAndNeighbours: slots follow insertion order, neighbour lists
 // are ascending slots, and a contracted region's slot is dead.
 func TestSlotOfAndNeighbours(t *testing.T) {
