@@ -125,15 +125,6 @@ func (im *Image) Range() (lo, hi uint8) {
 	return lo, hi
 }
 
-// Histogram returns the 256-bin intensity histogram.
-func (im *Image) Histogram() [256]int {
-	var h [256]int
-	for _, p := range im.Pix {
-		h[p]++
-	}
-	return h
-}
-
 // ErrBounds is returned by SubImage when the requested window is invalid.
 var ErrBounds = errors.New("pixmap: window out of bounds")
 

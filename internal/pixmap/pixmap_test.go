@@ -186,3 +186,12 @@ func TestSubImageTilingReassembles(t *testing.T) {
 		}
 	}
 }
+
+// Histogram returns the 256-bin intensity histogram.
+func (im *Image) Histogram() [256]int {
+	var h [256]int
+	for _, p := range im.Pix {
+		h[p]++
+	}
+	return h
+}

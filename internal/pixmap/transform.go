@@ -37,28 +37,6 @@ func (im *Image) Rotate90() *Image {
 	return out
 }
 
-// Downsample returns the image reduced by an integer factor, each output
-// pixel the mean of its factor×factor block. The dimensions must divide
-// evenly.
-func (im *Image) Downsample(factor int) (*Image, error) {
-	if factor <= 0 || im.W%factor != 0 || im.H%factor != 0 {
-		return nil, fmt.Errorf("pixmap: cannot downsample %dx%d by %d", im.W, im.H, factor)
-	}
-	out := New(im.W/factor, im.H/factor)
-	for oy := 0; oy < out.H; oy++ {
-		for ox := 0; ox < out.W; ox++ {
-			sum := 0
-			for dy := 0; dy < factor; dy++ {
-				for dx := 0; dx < factor; dx++ {
-					sum += int(im.At(ox*factor+dx, oy*factor+dy))
-				}
-			}
-			out.Set(ox, oy, uint8(sum/(factor*factor)))
-		}
-	}
-	return out, nil
-}
-
 // Upsample returns the image enlarged by an integer factor with pixel
 // replication.
 func (im *Image) Upsample(factor int) (*Image, error) {

@@ -1,6 +1,9 @@
 package pixmap
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestFlipH(t *testing.T) {
 	im, _ := FromRows([][]uint8{{1, 2, 3}, {4, 5, 6}})
@@ -79,4 +82,26 @@ func TestUpsampleDownsampleRoundTrip(t *testing.T) {
 	if _, err := im.Upsample(0); err == nil {
 		t.Fatal("zero upsample accepted")
 	}
+}
+
+// Downsample returns the image reduced by an integer factor, each output
+// pixel the mean of its factor×factor block. The dimensions must divide
+// evenly.
+func (im *Image) Downsample(factor int) (*Image, error) {
+	if factor <= 0 || im.W%factor != 0 || im.H%factor != 0 {
+		return nil, fmt.Errorf("pixmap: cannot downsample %dx%d by %d", im.W, im.H, factor)
+	}
+	out := New(im.W/factor, im.H/factor)
+	for oy := 0; oy < out.H; oy++ {
+		for ox := 0; ox < out.W; ox++ {
+			sum := 0
+			for dy := 0; dy < factor; dy++ {
+				for dx := 0; dx < factor; dx++ {
+					sum += int(im.At(ox*factor+dx, oy*factor+dy))
+				}
+			}
+			out.Set(ox, oy, uint8(sum/(factor*factor)))
+		}
+	}
+	return out, nil
 }

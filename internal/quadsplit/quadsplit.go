@@ -2,7 +2,6 @@ package quadsplit
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -167,7 +166,8 @@ type band struct {
 // pixel range is at most threshold. It is the reference implementation
 // against which the data-parallel and message-passing engines are
 // verified. It checks ctx on the calling goroutine before every level
-// pass and returns (nil, ctx.Err()) when the context is done;
+// pass and every band join, and returns (nil, ctx.Err()) when the
+// context is done;
 // cancellation never alters a completed result. With opt.Workers above 1
 // the passes and the claim run in row bands on goroutines (see the
 // package doc), all of which have exited when Split returns; the Result
@@ -267,6 +267,9 @@ func Split(ctx context.Context, im *pixmap.Image, threshold int, opt Options) (*
 	if len(bands) > 1 {
 		res.Edges = edges[:len(bands[0].edges)]
 		for i := 1; i < len(bands); i++ {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			res.Edges = Stitch(res.Edges, bands[i-1].front, bands[i].top)
 			res.Edges = append(res.Edges, bands[i].edges...)
 		}
@@ -329,9 +332,11 @@ func inBands(bands []band, f func(b *band)) {
 }
 
 // pass runs the band's level-l combining pass and records how many blocks
-// it combined. Each row pair of level l−1 folds into a row of level l 8
-// blocks per homog.FoldQuads call, with a scalar tail for the last
-// bw mod 8 blocks.
+// it combined. Each row pair of level l−1 folds into a row of level l in
+// one kernel call, 8 blocks per word: homog.FoldPixelRows at level 1,
+// where lo and hi are both the raster, so each pixel word is loaded and
+// compared once, and homog.FoldBlockRows above it. A scalar tail takes
+// the last bw mod 8 blocks of each row.
 func (b *band) pass(l, threshold int) {
 	prev := &b.levels[l-1]
 	cur := level{bw: prev.bw / 2, bh: prev.bh / 2}
@@ -339,20 +344,19 @@ func (b *band) pass(l, threshold int) {
 	combined := 0
 	for by := 0; by < cur.bh; by++ {
 		a, c, row := 2*by*prev.bw, (2*by+1)*prev.bw, by*cur.bw
-		bx := 0
-		for ; bx+8 <= cur.bw; bx += 8 {
-			i, j := a+2*bx, c+2*bx
-			lo, hi, k := homog.FoldQuads(prev.lo[i:], prev.lo[j:], prev.hi[i:], prev.hi[j:], threshold)
-			binary.LittleEndian.PutUint64(cur.lo[row+bx:], lo)
-			binary.LittleEndian.PutUint64(cur.hi[row+bx:], hi)
-			combined += k
+		lo, hi := cur.lo[row:row+cur.bw], cur.hi[row:row+cur.bw]
+		var k, bx int
+		if l == 1 {
+			k, bx = homog.FoldPixelRows(prev.lo[a:c], prev.lo[c:c+prev.bw], lo, hi, threshold)
+		} else {
+			k, bx = homog.FoldBlockRows(prev.lo[a:c], prev.lo[c:c+prev.bw], prev.hi[a:c], prev.hi[c:c+prev.bw], lo, hi, threshold)
 		}
+		combined += k
 		for ; bx < cur.bw; bx++ {
 			i, j := a+2*bx, c+2*bx
-			lo := min(prev.lo[i], prev.lo[i+1], prev.lo[j], prev.lo[j+1])
-			hi := max(prev.hi[i], prev.hi[i+1], prev.hi[j], prev.hi[j+1])
-			cur.lo[row+bx], cur.hi[row+bx] = lo, hi
-			if int(hi)-int(lo) <= threshold {
+			lo[bx] = min(prev.lo[i], prev.lo[i+1], prev.lo[j], prev.lo[j+1])
+			hi[bx] = max(prev.hi[i], prev.hi[i+1], prev.hi[j], prev.hi[j+1])
+			if int(hi[bx])-int(lo[bx]) <= threshold {
 				combined++
 			}
 		}

@@ -332,15 +332,6 @@ func (g *Grid) MaxValue() int32 {
 	return reduceMax(g.m, g.v)
 }
 
-// MinValue reduces the grid to its minimum element (MINVAL).
-func (g *Grid) MinValue() int32 {
-	if len(g.v) == 0 {
-		panic("simdvm: MinValue of empty grid")
-	}
-	g.m.chargeScan(len(g.v))
-	return reduceMin(g.m, g.v)
-}
-
 // BoolGrid operations.
 
 // At reads one mask element from the front end.
@@ -478,7 +469,7 @@ func (b *BoolGrid) Count() int {
 // Any reduces the mask to whether any element is true.
 func (b *BoolGrid) Any() bool { return b.Count() > 0 }
 
-// reduceMax/reduceMin combine tiled partial reductions.
+// reduceMax combines tiled partial reductions.
 func reduceMax(m *Machine, v []int32) int32 {
 	parts := make(chan int32, m.workers+1)
 	var issued int
@@ -494,27 +485,6 @@ func reduceMax(m *Machine, v []int32) int32 {
 	best := <-parts
 	for i := 1; i < issued; i++ {
 		if p := <-parts; p > best {
-			best = p
-		}
-	}
-	return best
-}
-
-func reduceMin(m *Machine, v []int32) int32 {
-	parts := make(chan int32, m.workers+1)
-	var issued int
-	m.parForCollect32(len(v), &issued, parts, func(lo, hi int) int32 {
-		best := v[lo]
-		for i := lo + 1; i < hi; i++ {
-			if v[i] < best {
-				best = v[i]
-			}
-		}
-		return best
-	})
-	best := <-parts
-	for i := 1; i < issued; i++ {
-		if p := <-parts; p < best {
 			best = p
 		}
 	}

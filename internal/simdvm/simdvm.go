@@ -22,12 +22,6 @@ func New(prof *machine.Profile) *Machine {
 	return &Machine{prof: prof, workers: runtime.GOMAXPROCS(0)}
 }
 
-// NewSerial returns a machine that executes without goroutine tiling;
-// useful for tests that need deterministic profiling of host behaviour.
-func NewSerial(prof *machine.Profile) *Machine {
-	return &Machine{prof: prof, workers: 1}
-}
-
 // Profile returns the machine's cost profile.
 func (m *Machine) Profile() *machine.Profile { return m.prof }
 

@@ -495,3 +495,42 @@ func TestSerialAndParallelAgree(t *testing.T) {
 		}
 	}
 }
+
+// VecFromSlice loads front-end data into a fresh vector.
+func (m *Machine) VecFromSlice(data []int32) *Vec {
+	out := m.NewVec(len(data))
+	m.chargeElem(len(data))
+	m.parFor(len(data), func(lo, hi int) { copy(out.v[lo:hi], data[lo:hi]) })
+	return out
+}
+
+// MinValue reduces the grid to its minimum element (MINVAL).
+func (g *Grid) MinValue() int32 {
+	if len(g.v) == 0 {
+		panic("simdvm: MinValue of empty grid")
+	}
+	g.m.chargeScan(len(g.v))
+	return reduceMin(g.m, g.v)
+}
+
+// reduceMin is reduceMax for the minimum.
+func reduceMin(m *Machine, v []int32) int32 {
+	parts := make(chan int32, m.workers+1)
+	var issued int
+	m.parForCollect32(len(v), &issued, parts, func(lo, hi int) int32 {
+		best := v[lo]
+		for i := lo + 1; i < hi; i++ {
+			if v[i] < best {
+				best = v[i]
+			}
+		}
+		return best
+	})
+	best := <-parts
+	for i := 1; i < issued; i++ {
+		if p := <-parts; p < best {
+			best = p
+		}
+	}
+	return best
+}

@@ -121,3 +121,9 @@ func boolToInt(b bool) int {
 	}
 	return 0
 }
+
+// NewSerial returns a machine that executes without goroutine tiling;
+// useful for tests that need deterministic profiling of host behaviour.
+func NewSerial(prof *machine.Profile) *Machine {
+	return &Machine{prof: prof, workers: 1}
+}

@@ -22,14 +22,6 @@ func (m *Machine) NewVec(n int) *Vec { return &Vec{m: m, v: make([]int32, n)} }
 // NewBoolVec allocates a false mask of length n.
 func (m *Machine) NewBoolVec(n int) *BoolVec { return &BoolVec{m: m, v: make([]bool, n)} }
 
-// VecFromSlice loads front-end data into a fresh vector.
-func (m *Machine) VecFromSlice(data []int32) *Vec {
-	out := m.NewVec(len(data))
-	m.chargeElem(len(data))
-	m.parFor(len(data), func(lo, hi int) { copy(out.v[lo:hi], data[lo:hi]) })
-	return out
-}
-
 // IotaVec returns [0, 1, ..., n−1].
 func (m *Machine) IotaVec(n int) *Vec {
 	out := m.NewVec(n)

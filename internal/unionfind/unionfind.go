@@ -52,9 +52,6 @@ func (d *DSU) Union(a, b int) bool {
 // Same reports whether a and b are in one set.
 func (d *DSU) Same(a, b int) bool { return d.Find(a) == d.Find(b) }
 
-// SizeOf returns the number of elements in x's set.
-func (d *DSU) SizeOf(x int) int { return int(d.size[d.Find(x)]) }
-
 // MinLabels relabels every element with the smallest element index of its
 // set, the canonical form the region engines use so that results are
 // comparable across engines.

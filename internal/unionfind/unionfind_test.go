@@ -184,3 +184,6 @@ func TestCCLTwoRegions(t *testing.T) {
 		t.Fatal("inner and outer share a label")
 	}
 }
+
+// SizeOf returns the number of elements in x's set.
+func (d *DSU) SizeOf(x int) int { return int(d.size[d.Find(x)]) }
