@@ -9,7 +9,10 @@
 // provides — and the one test Range() ≤ T, which each stage applies to
 // the threshold it is given.
 //
-// FoldQuads builds a split level from the one below, 8 blocks per uint64,
-// and counts the blocks whose range is at most T; RowMinMax folds a pixel
-// row.
+// FoldPixelRows and FoldBlockRows build a row of a split level from a row
+// pair of the level below, 8 blocks per uint64, and count the blocks
+// whose range is at most T: the first from two pixel rows, with one
+// byte-lane compare per word pair giving both bounds, the second from two
+// rows of blocks' bounds. MinBytes and MaxBytes are that compare, and
+// RowMinMax folds a pixel row with it.
 package homog

@@ -26,7 +26,9 @@
 //
 // Every level pass is one branch-free fold: a level is a lo and a hi byte
 // plane over the blocks wholly inside the band (level 0 is the raster),
-// and homog.FoldQuads builds 8 blocks of the next per uint64. A block is
+// and one kernel call folds a row pair of a level into a row of the next,
+// 8 blocks per uint64: homog.FoldPixelRows at level 1, which reads each
+// pixel word once, and homog.FoldBlockRows above it. A block is
 // solid exactly when hi − lo ≤ T, which bounds its children's ranges too,
 // so no solidity flag is stored. The claim that produces the list and the
 // edges walks each row, stopping only at the west columns of squares: a

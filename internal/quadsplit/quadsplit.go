@@ -167,11 +167,10 @@ type band struct {
 // against which the data-parallel and message-passing engines are
 // verified. It checks ctx on the calling goroutine before every level
 // pass and every band join, and returns (nil, ctx.Err()) when the
-// context is done;
-// cancellation never alters a completed result. With opt.Workers above 1
-// the passes and the claim run in row bands on goroutines (see the
-// package doc), all of which have exited when Split returns; the Result
-// is the same for every worker count.
+// context is done; cancellation never alters a completed result. With
+// opt.Workers above 1 the passes and the claim run in row bands on
+// goroutines (see the package doc), all of which have exited when Split
+// returns; the Result is the same for every worker count.
 func Split(ctx context.Context, im *pixmap.Image, threshold int, opt Options) (*Result, error) {
 	w, h := im.W, im.H
 	res := &Result{
